@@ -260,8 +260,10 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// sliceLen reads a u32 length prefix and validates the claimed payload fits.
-func (r *Reader) sliceLen(elemSize int) int {
+// SliceLen reads a u32 length prefix and validates that the claimed elements,
+// at elemSize encoded bytes each (a lower bound will do), fit in what is left of
+// the payload, so a decoder can size a slice by it. It returns 0 after a fault.
+func (r *Reader) SliceLen(elemSize int) int {
 	n := int(r.U32())
 	if r.err != nil {
 		return 0
@@ -330,14 +332,14 @@ func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.sliceLen(1)
+	n := r.SliceLen(1)
 	return string(r.take(n))
 }
 
 // I64s reads a length-prefixed []int64 slab into a fresh slice. A zero
 // length decodes to nil, mirroring how Writer encodes nil and empty alike.
 func (r *Reader) I64s() []int64 {
-	n := r.sliceLen(8)
+	n := r.SliceLen(8)
 	if n == 0 {
 		return nil
 	}
@@ -351,7 +353,7 @@ func (r *Reader) I64s() []int64 {
 
 // I32s reads a length-prefixed []int32 slab into a fresh slice.
 func (r *Reader) I32s() []int32 {
-	n := r.sliceLen(4)
+	n := r.SliceLen(4)
 	if n == 0 {
 		return nil
 	}
@@ -365,7 +367,7 @@ func (r *Reader) I32s() []int32 {
 
 // Ints reads a length-prefixed int64-encoded []int slab into a fresh slice.
 func (r *Reader) Ints() []int {
-	n := r.sliceLen(8)
+	n := r.SliceLen(8)
 	if n == 0 {
 		return nil
 	}
@@ -379,7 +381,7 @@ func (r *Reader) Ints() []int {
 
 // Bools reads a length-prefixed []bool slab into a fresh slice.
 func (r *Reader) Bools() []bool {
-	n := r.sliceLen(1)
+	n := r.SliceLen(1)
 	if n == 0 {
 		return nil
 	}

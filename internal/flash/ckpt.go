@@ -93,8 +93,8 @@ func encodeResources(w *ckpt.Writer, rs []sim.ResourceState) {
 }
 
 func decodeResources(r *ckpt.Reader) []sim.ResourceState {
-	n := int(r.U32())
-	if r.Err() != nil || n == 0 {
+	n := r.SliceLen(28) // an idle resource's encoding: three i64 and a count
+	if n == 0 {
 		return nil
 	}
 	out := make([]sim.ResourceState, n)

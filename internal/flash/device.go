@@ -96,6 +96,8 @@ type Device struct {
 	planeChip     []*sim.Resource // plane -> its chip's serial bus
 	planeChannel  []*sim.Resource // plane -> its channel
 	planeChanIdx  []int32         // plane -> channel index, for op attribution
+	// Per-phase service times, fixed by timing and the page size.
+	readLat, progLat, xferLat, cbLat, eraseLat sim.Duration
 
 	stats Stats
 	rec   obs.Recorder // nil when observability is disabled
@@ -137,6 +139,8 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	d.totalPages = geo.TotalPages()
 	d.pagesPerBlock = int64(geo.PagesPerBlock)
 	d.pagesPerPlane = int64(geo.PagesPerBlock) * int64(geo.BlocksPerPlane)
+	d.readLat, d.progLat, d.eraseLat = timing.PageRead, timing.PageProgram, timing.BlockErase
+	d.xferLat, d.cbLat = timing.Transfer(geo.PageSize), timing.CopyBack()
 	d.planeChip = make([]*sim.Resource, geo.Planes())
 	d.planeChannel = make([]*sim.Resource, geo.Planes())
 	d.planeChanIdx = make([]int32, geo.Planes())
@@ -284,10 +288,6 @@ func (d *Device) PlaneFreeAt(plane int) sim.Time {
 	return d.planes[plane].FreeAt()
 }
 
-func (d *Device) busFor(plane int) (chip, channel *sim.Resource) {
-	return d.planeChip[plane], d.planeChannel[plane]
-}
-
 // validPPN is Geometry.ValidPPN against the cached page total.
 func (d *Device) validPPN(ppn PPN) bool {
 	return uint64(ppn) < uint64(d.totalPages)
@@ -303,6 +303,53 @@ func (d *Device) blockIndexOf(ppn PPN) int64 { return int64(ppn) / d.pagesPerBlo
 // pageOf is Geometry.PageOf against the cached block size.
 func (d *Device) pageOf(ppn PPN) int { return int(int64(ppn) % d.pagesPerBlock) }
 
+// schedule places one operation's phases on the timelines of its plane and
+// buses — the only place the device's timing model is written down. It
+// returns when the operation starts and when it completes.
+func (d *Device) schedule(kind opKind, plane int, ready sim.Time) (start, end sim.Time) {
+	pl := d.planes[plane]
+	switch kind {
+	case opRead:
+		// Cell array -> register occupies the plane alone. Register ->
+		// controller occupies both buses; the plane's register is in use
+		// until the transfer drains, so the plane stays busy too.
+		var cellDone sim.Time
+		start, cellDone = pl.Acquire(ready, d.readLat)
+		_, end = sim.AcquireAll(cellDone, d.xferLat, d.planeChip[plane], d.planeChannel[plane], pl)
+	case opWrite:
+		// Controller -> register needs both buses and the plane register;
+		// programming occupies the plane alone.
+		var xferDone sim.Time
+		start, xferDone = sim.AcquireAll(ready, d.xferLat, d.planeChip[plane], d.planeChannel[plane], pl)
+		_, end = pl.Acquire(xferDone, d.progLat)
+	case opCopyBack:
+		start, end = pl.Acquire(ready, d.cbLat)
+	case opErase:
+		start, end = pl.Acquire(ready, d.eraseLat)
+	}
+	return start, end
+}
+
+// issue charges time for an operation the state machine has accepted and
+// returns its completion time: a future handle from the sharded engine, or
+// the scheduled end, accounted and reported to the recorder. stored is the
+// operation's obs.Op.Stored tag.
+func (d *Device) issue(kind opKind, cause Cause, plane int, stored int64, ready sim.Time) sim.Time {
+	if d.eng != nil {
+		return d.eng.submit(kind, cause, plane, ready)
+	}
+	start, end := d.schedule(kind, plane, ready)
+	d.stats.note(kind, cause, plane, end.Sub(ready))
+	if d.rec != nil {
+		d.rec.RecordOp(obs.Op{
+			Kind: obs.OpKind(kind), Cause: obs.Cause(cause), Stored: stored,
+			Plane: int32(plane), Channel: d.planeChanIdx[plane],
+			Ready: ready, Start: start, End: end,
+		})
+	}
+	return end
+}
+
 // ReadPage performs an external page read: the plane reads the cell array
 // into its data register, then the page crosses the chip serial bus and the
 // channel to the controller. It returns the completion time.
@@ -314,28 +361,11 @@ func (d *Device) ReadPage(ppn PPN, ready sim.Time, cause Cause) (sim.Time, error
 		return 0, fmt.Errorf("flash: read ppn %d (%v): %w, page is %v",
 			ppn, d.geo.BlockOf(ppn), ErrReadInvalid, d.state[ppn])
 	}
-	plane := d.planeOf(ppn)
-	if d.eng != nil {
-		return d.eng.submit(opRead, cause, plane, ready), nil
+	var stored int64
+	if d.rec != nil { // only the recorder wants the tag; skip the lookup otherwise
+		stored = d.lpns[ppn]
 	}
-	pl := d.planes[plane]
-	chip, ch := d.busFor(plane)
-
-	// Cell array -> register occupies the plane alone.
-	start, cellDone := pl.Acquire(ready, d.timing.PageRead)
-	// Register -> controller occupies both buses; the plane's register is in
-	// use until the transfer drains, so the plane stays busy too.
-	_, end := sim.AcquireAll(cellDone, d.timing.Transfer(d.geo.PageSize), chip, ch, pl)
-
-	d.stats.note(opRead, cause, plane, end.Sub(ready))
-	if d.rec != nil {
-		d.rec.RecordOp(obs.Op{
-			Kind: obs.OpRead, Cause: obs.Cause(cause), Stored: d.lpns[ppn],
-			Plane: int32(plane), Channel: d.planeChanIdx[plane],
-			Ready: ready, Start: start, End: end,
-		})
-	}
-	return end, nil
+	return d.issue(opRead, cause, d.planeOf(ppn), stored, ready), nil
 }
 
 // WritePage programs a free page with the given logical page. The page
@@ -349,29 +379,8 @@ func (d *Device) WritePage(ppn PPN, lpn int64, ready sim.Time, cause Cause) (sim
 		return 0, fmt.Errorf("flash: write ppn %d (%v): %w, page is %v",
 			ppn, d.geo.BlockOf(ppn), ErrWriteNotFree, d.state[ppn])
 	}
-	plane := d.planeOf(ppn)
-	if d.eng != nil {
-		d.program(ppn, lpn)
-		return d.eng.submit(opWrite, cause, plane, ready), nil
-	}
-	pl := d.planes[plane]
-	chip, ch := d.busFor(plane)
-
-	// Controller -> register needs both buses and the plane register.
-	start, xferDone := sim.AcquireAll(ready, d.timing.Transfer(d.geo.PageSize), chip, ch, pl)
-	// Programming occupies the plane alone.
-	_, end := pl.Acquire(xferDone, d.timing.PageProgram)
-
 	d.program(ppn, lpn)
-	d.stats.note(opWrite, cause, plane, end.Sub(ready))
-	if d.rec != nil {
-		d.rec.RecordOp(obs.Op{
-			Kind: obs.OpWrite, Cause: obs.Cause(cause), Stored: lpn,
-			Plane: int32(plane), Channel: d.planeChanIdx[plane],
-			Ready: ready, Start: start, End: end,
-		})
-	}
-	return end, nil
+	return d.issue(opWrite, cause, d.planeOf(ppn), lpn, ready), nil
 }
 
 // CopyBack moves a valid page to a free page on the same plane using the
@@ -397,28 +406,10 @@ func (d *Device) CopyBack(src, dst PPN, ready sim.Time, cause Cause) (sim.Time, 
 	if d.state[dst] != PageFree {
 		return 0, fmt.Errorf("flash: copy-back dst ppn %d: %w, page is %v", dst, ErrWriteNotFree, d.state[dst])
 	}
-
-	if d.eng != nil {
-		lpn := d.lpns[src]
-		d.invalidate(src)
-		d.program(dst, lpn)
-		return d.eng.submit(opCopyBack, cause, plane, ready), nil
-	}
-	pl := d.planes[plane]
-	start, end := pl.Acquire(ready, d.timing.CopyBack())
-
 	lpn := d.lpns[src]
 	d.invalidate(src)
 	d.program(dst, lpn)
-	d.stats.note(opCopyBack, cause, plane, end.Sub(ready))
-	if d.rec != nil {
-		d.rec.RecordOp(obs.Op{
-			Kind: obs.OpCopyBack, Cause: obs.Cause(cause), Stored: lpn,
-			Plane: int32(plane), Channel: d.planeChanIdx[plane],
-			Ready: ready, Start: start, End: end,
-		})
-	}
-	return end, nil
+	return d.issue(opCopyBack, cause, plane, lpn, ready), nil
 }
 
 // Erase erases a whole block, returning every page to Free. The caller (the
@@ -443,21 +434,7 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 	d.blocks[bi].NextWrite = 0
 	d.blocks[bi].Erases++
 	d.stats.BlockErases[bi]++
-	if d.eng != nil {
-		return d.eng.submit(opErase, cause, pb.Plane, ready), nil
-	}
-	pl := d.planes[pb.Plane]
-	start, end := pl.Acquire(ready, d.timing.BlockErase)
-
-	d.stats.note(opErase, cause, pb.Plane, end.Sub(ready))
-	if d.rec != nil {
-		d.rec.RecordOp(obs.Op{
-			Kind: obs.OpErase, Cause: obs.Cause(cause), Stored: bi,
-			Plane: int32(pb.Plane), Channel: d.planeChanIdx[pb.Plane],
-			Ready: ready, Start: start, End: end,
-		})
-	}
-	return end, nil
+	return d.issue(opErase, cause, pb.Plane, bi, ready), nil
 }
 
 // Invalidate marks a valid page stale without consuming simulated time; it

@@ -12,11 +12,12 @@ import (
 // The sequential device interleaves two very different kinds of work on one
 // goroutine: the page/block state machine plus FTL bookkeeping (cheap,
 // order-sensitive), and the resource-timeline arithmetic of
-// Acquire/AcquireAll (two thirds of a trace replay's CPU time, but
-// partitioned — a plane, its chip bus, and its channel all live behind one
-// channel). EnableSharding splits them: the control goroutine keeps running
-// the state machine in exactly the sequential order, while each operation's
-// timeline math is shipped to the worker owning its channel as a fixed-size
+// Acquire/AcquireAll (a fifth to a half of a trace replay's CPU time
+// depending on the workload — DESIGN §3.1 has the table — but partitioned: a
+// plane, its chip bus, and its channel all live behind one channel).
+// EnableSharding splits them: the control goroutine keeps running the state
+// machine in exactly the sequential order, while each operation's timeline
+// math is shipped to the worker owning its channel as a fixed-size
 // descriptor. The completion time returned to the FTL becomes a future
 // handle (see sim.FutureSlab); a chained ready time that is itself a future
 // is resolved by the worker when the dependency publishes, turning the
@@ -38,14 +39,6 @@ type shardEngine struct {
 	shardOf []int32 // plane -> worker index
 	workers []*shardWorker
 	wg      sync.WaitGroup
-
-	// Per-operation service times, precomputed so workers never touch the
-	// Timing struct.
-	readLat  sim.Duration
-	progLat  sim.Duration
-	xferLat  sim.Duration
-	cbLat    sim.Duration
-	eraseLat sim.Duration
 }
 
 // shardOp is one deferred timing computation. Descriptors are pointer-free
@@ -71,14 +64,9 @@ const shardQueueCap = 1 << 13
 
 func newShardEngine(d *Device, shards int) *shardEngine {
 	e := &shardEngine{
-		dev:      d,
-		shardOf:  make([]int32, d.geo.Planes()),
-		workers:  make([]*shardWorker, shards),
-		readLat:  d.timing.PageRead,
-		progLat:  d.timing.PageProgram,
-		xferLat:  d.timing.Transfer(d.geo.PageSize),
-		cbLat:    d.timing.CopyBack(),
-		eraseLat: d.timing.BlockErase,
+		dev:     d,
+		shardOf: make([]int32, d.geo.Planes()),
+		workers: make([]*shardWorker, shards),
 	}
 	for p := range e.shardOf {
 		e.shardOf[p] = d.planeChanIdx[p] % int32(shards)
@@ -104,8 +92,8 @@ func (e *shardEngine) submit(kind opKind, cause Cause, plane int, ready sim.Time
 }
 
 // run is one shard's worker loop: resolve the ready time if it is a future,
-// replay exactly the acquisition sequence the sequential device would have
-// performed, publish the end time, account the latency.
+// schedule the operation exactly as the sequential device would have (it is
+// the same Device.schedule), publish the end time, account the latency.
 func (e *shardEngine) run(w *shardWorker) {
 	defer e.wg.Done()
 	d := e.dev
@@ -118,20 +106,7 @@ func (e *shardEngine) run(w *shardWorker) {
 		if sim.IsFutureTime(ready) {
 			ready = e.slab.Wait(sim.FutureSlot(ready))
 		}
-		pl := d.planes[op.plane]
-		var end sim.Time
-		switch op.kind {
-		case opRead:
-			_, cellDone := pl.Acquire(ready, e.readLat)
-			_, end = sim.AcquireAll(cellDone, e.xferLat, d.planeChip[op.plane], d.planeChannel[op.plane], pl)
-		case opWrite:
-			_, xferDone := sim.AcquireAll(ready, e.xferLat, d.planeChip[op.plane], d.planeChannel[op.plane], pl)
-			_, end = pl.Acquire(xferDone, e.progLat)
-		case opCopyBack:
-			_, end = pl.Acquire(ready, e.cbLat)
-		case opErase:
-			_, end = pl.Acquire(ready, e.eraseLat)
-		}
+		_, end := d.schedule(op.kind, int(op.plane), ready)
 		e.slab.Resolve(int(op.slot), end)
 		w.stats.note(op.kind, op.cause, int(op.plane), end.Sub(ready))
 		w.q.MarkDone()

@@ -62,10 +62,11 @@ type BAST struct {
 	capacity ftl.LPN
 
 	pool      *ftl.FreeBlocks
-	dataBlock []int64     // lbn -> dense block index, -1 if none
-	logs      []*logBlock // lbn -> its dedicated log block, nil if none
-	nLogs     int         // open log blocks (non-nil entries of logs)
-	logOrder  []int64     // lbns in log-allocation order (merge victims FIFO)
+	dataBlock []int64        // lbn -> dense block index, -1 if none
+	logs      []*logBlock    // lbn -> its dedicated log block, nil if none
+	nLogs     int            // open log blocks (non-nil entries of logs)
+	logOrder  []int64        // lbns in log-allocation order (merge victims FIFO)
+	cands     []gc.Candidate // pickEvict's victim candidates, reused
 
 	engine *gc.Engine // merge moves and log-victim policy picks
 	stats  Stats
@@ -266,19 +267,19 @@ func (f *BAST) alloc() (flash.PlaneBlock, error) {
 // pickEvict chooses which open log block to merge when the budget is
 // exhausted, by the configured victim policy over the open-log list.
 func (f *BAST) pickEvict() int64 {
-	cands := make([]gc.Candidate, len(f.logOrder))
+	f.cands = f.cands[:0]
 	for i, lbn := range f.logOrder {
 		lb := f.logs[lbn]
 		info := f.dev.Block(lb.pb)
-		cands[i] = gc.Candidate{
+		f.cands = append(f.cands, gc.Candidate{
 			PB:      lb.pb,
 			Valid:   info.Valid,
 			Invalid: info.Invalid,
 			Age:     int64(len(f.logOrder) - i), // allocation order: oldest first
 			Key:     lbn,
-		}
+		})
 	}
-	return gc.PickLogVictim(f.engine.Policy(), cands).Key
+	return gc.PickLogVictim(f.engine.Policy(), f.cands).Key
 }
 
 // merge retires lbn's log block: a switch merge when it is a complete

@@ -165,6 +165,10 @@ func TestFullMergeAndThrashing(t *testing.T) {
 	if f.nLogs > 4 {
 		t.Fatalf("log budget exceeded: %d", f.nLogs)
 	}
+	// Every one of those merges picked its victim from scratch the FTL keeps.
+	if avg := testing.AllocsPerRun(100, func() { f.pickEvict() }); avg > 0 {
+		t.Fatalf("pickEvict allocates %.1f times per pick, want 0", avg)
+	}
 	// Consistency.
 	for lpn := ftl.LPN(0); lpn < 96; lpn++ {
 		ppn := f.Lookup(lpn)

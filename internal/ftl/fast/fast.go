@@ -64,6 +64,7 @@ type FAST struct {
 	rwBlock  flash.PlaneBlock
 	rwNext   int
 	rwFull   []flash.PlaneBlock // filled RW log blocks, oldest first
+	cands    []gc.Candidate     // fullMerge's victim candidates, reused
 
 	engine *gc.Engine // merge moves and log-victim policy picks
 	stats  Stats
@@ -488,18 +489,18 @@ func (f *FAST) fullMerge(ready sim.Time) (sim.Time, error) {
 		// retire the SW log to make room.
 		return f.mergeSW(ready)
 	}
-	cands := make([]gc.Candidate, len(f.rwFull))
+	f.cands = f.cands[:0]
 	for i, pb := range f.rwFull {
 		info := f.dev.Block(pb)
-		cands[i] = gc.Candidate{
+		f.cands = append(f.cands, gc.Candidate{
 			PB:      pb,
 			Valid:   info.Valid,
 			Invalid: info.Invalid,
 			Age:     int64(len(f.rwFull) - i), // list order: oldest first
 			Key:     int64(i),
-		}
+		})
 	}
-	pick := gc.PickLogVictim(f.engine.Policy(), cands)
+	pick := gc.PickLogVictim(f.engine.Policy(), f.cands)
 	victim := pick.PB
 	i := int(pick.Key)
 	f.rwFull = append(f.rwFull[:i], f.rwFull[i+1:]...)
@@ -507,17 +508,14 @@ func (f *FAST) fullMerge(ready sim.Time) (sim.Time, error) {
 
 	t := ready
 	first := f.geo.FirstPPN(victim)
-	seen := make(map[int64]bool)
 	for p := 0; p < f.geo.PagesPerBlock; p++ {
 		src := first + flash.PPN(p)
 		if f.dev.PageState(src) != flash.PageValid {
 			continue
 		}
+		// Consolidating a logical block moves every valid page it has, so
+		// none of its pages in the victim is still valid further down.
 		lbn := f.dev.PageLPN(src) / int64(f.geo.PagesPerBlock)
-		if seen[lbn] {
-			continue
-		}
-		seen[lbn] = true
 		var err error
 		t, err = f.consolidate(lbn, t)
 		if err != nil {

@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"math/rand"
 	"testing"
 
 	"dloop/internal/flash"
@@ -367,5 +368,32 @@ func TestSWLogFullySupersededIsJustErased(t *testing.T) {
 		if ppn == flash.InvalidPPN || dev.PageLPN(ppn) != int64(lpn) {
 			t.Fatalf("offset %d inconsistent after erase-only merge", off)
 		}
+	}
+}
+
+// TestMergesAllocFree pins the merge paths at zero allocations per write at
+// steady state: random single-page updates force partial and full merges,
+// whose victim-candidate list is scratch the FTL keeps.
+func TestMergesAllocFree(t *testing.T) {
+	f, _ := newTestFTL(t, Config{})
+	rng := rand.New(rand.NewSource(1))
+	var at sim.Time
+	batch := func() {
+		for i := 0; i < 200; i++ {
+			end, err := f.WritePage(ftl.LPN(rng.Int63n(int64(f.Capacity()))), at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at = end
+		}
+	}
+	batch() // reach steady state: log budget in use, scratch and timeline windows at capacity
+	batch()
+	before := f.Stats().FullMerges
+	if avg := testing.AllocsPerRun(10, batch); avg > 0 {
+		t.Fatalf("write path allocates %.1f times per 200 writes, want 0", avg)
+	}
+	if f.Stats().FullMerges == before {
+		t.Fatal("no full merge ran in the measured batches")
 	}
 }

@@ -201,12 +201,20 @@ func (fifo) Pick(src Source, plane int) (Candidate, bool) {
 // PickLogVictim selects a victim from an explicit log-block candidate list.
 // Log-block eviction is mandatory — the scheme needs a free log slot — so
 // when the policy finds nothing it likes (greedy with all-valid logs), the
-// pick falls back to the oldest candidate. cands must be non-empty.
+// pick falls back to the oldest candidate. cands must be non-empty. Under
+// fifo, the log schemes' default, that oldest-candidate scan is the whole
+// pick and runs without the Source indirection, which allocates.
 func PickLogVictim(p VictimPolicy, cands []Candidate) Candidate {
-	src := SliceSource(cands)
-	if c, ok := p.Pick(src, GlobalPlane); ok {
-		return c
+	if _, isFifo := p.(fifo); !isFifo {
+		if c, ok := p.Pick(SliceSource(cands), GlobalPlane); ok {
+			return c
+		}
 	}
-	c, _ := fifo{}.Pick(src, GlobalPlane)
-	return c
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if olderThan(c, best) {
+			best = c
+		}
+	}
+	return best
 }

@@ -17,8 +17,15 @@ package sim
 // structure reaches a fixed high-water capacity and then never allocates
 // again — the request-serving hot path acquires resources millions of times
 // per simulated second and must not churn the heap.
+//
+// A Resource has a single owner goroutine: even the read-only EarliestStart
+// moves its search cursor. That holds for the sequential device, for each
+// timing-shard worker, and for each multi-queue FTL shard.
 type Resource struct {
-	name string
+	// free caches FreeAt: the end of the last live interval, or solidUntil
+	// when the window is empty. A request ready at or after it needs no
+	// search, which is most of them.
+	free Time
 	// solidUntil is the time before which the resource is treated as fully
 	// occupied; busy intervals older than the retention window are folded
 	// into it. buf[head:] holds disjoint occupied intervals at or after
@@ -26,17 +33,25 @@ type Resource struct {
 	solidUntil Time
 	buf        []interval
 	head       int
-	busyFor    Duration
-	ops        int64
+	// cur is where the last search ended: the index of the interval after
+	// the gap it found, which is where occupy backfills the occupation.
+	// Requests chain (a merge, a collection, the rounds of one
+	// EarliestStart), so the next search starts there. It is a hint, never
+	// state: any value yields the same timeline, it is not part of
+	// ResourceState, and Reset and Restore clear it.
+	cur     int
+	busyFor Duration
+	ops     int64
+	name    string
 }
 
 type interval struct {
 	start, end Time
 }
 
-// retainIntervals bounds the per-resource scheduling window. Operations are
-// near-monotone in time, so a short window loses almost no gaps while
-// keeping Acquire O(log window) in the common case.
+// retainIntervals bounds the per-resource scheduling window, by count.
+// Operations are near-monotone in time, so a short window loses almost no
+// gaps while bounding what a search far from the cursor can cost.
 const retainIntervals = 64
 
 // NewResource returns an idle resource with the given diagnostic name.
@@ -47,18 +62,10 @@ func NewResource(name string) *Resource {
 // Name returns the diagnostic name given at construction.
 func (r *Resource) Name() string { return r.name }
 
-// live returns the current window of occupied intervals.
-func (r *Resource) live() []interval { return r.buf[r.head:] }
-
 // FreeAt returns the time the resource's last scheduled occupation ends —
 // the earliest start for an operation that must follow everything scheduled
 // so far.
-func (r *Resource) FreeAt() Time {
-	if n := len(r.buf); n > r.head {
-		return r.buf[n-1].end
-	}
-	return r.solidUntil
-}
+func (r *Resource) FreeAt() Time { return r.free }
 
 // BusyTime returns the total simulated time r has spent occupied.
 func (r *Resource) BusyTime() Duration { return r.busyFor }
@@ -70,11 +77,7 @@ func (r *Resource) Ops() int64 { return r.ops }
 // The SSD controller uses it to discard preconditioning activity. The
 // backing array is kept, so a reset resource stays allocation-free.
 func (r *Resource) Reset() {
-	r.solidUntil = 0
-	r.buf = r.buf[:0]
-	r.head = 0
-	r.busyFor = 0
-	r.ops = 0
+	*r = Resource{name: r.name, buf: r.buf[:0]}
 }
 
 // ResourceState is an opaque deep copy of a Resource's timeline, taken by
@@ -101,94 +104,130 @@ func (r *Resource) Snapshot() ResourceState {
 // repeated forks stay allocation-free once the high-water capacity is
 // reached.
 func (r *Resource) Restore(s ResourceState) {
-	r.solidUntil = s.solidUntil
-	r.buf = append(r.buf[:0], s.live...)
-	r.head = 0
-	r.busyFor = s.busyFor
-	r.ops = s.ops
+	*r = Resource{
+		name: r.name, free: s.solidUntil, solidUntil: s.solidUntil,
+		buf: append(r.buf[:0], s.live...), busyFor: s.busyFor, ops: s.ops,
+	}
+	if n := len(s.live); n > 0 {
+		r.free = s.live[n-1].end
+	}
 }
 
-// fitFrom returns the earliest start >= ready at which a duration d fits
-// into r's gaps. Operations are near-monotone in time, so the overwhelmingly
-// common case — the request lands at or after the end of the timeline — is
-// answered in O(1); backfill searches binary-search into the window instead
-// of scanning it.
-func (r *Resource) fitFrom(ready Time, d Duration) Time {
+// fit returns the earliest start >= ready at which a duration d fits into
+// r's gaps. Operations are near-monotone in time, so most requests land at
+// or after the end of the timeline and are answered by this one compare,
+// inlined into the caller.
+func (r *Resource) fit(ready Time, d Duration) Time {
+	if ready >= r.free {
+		return ready
+	}
+	return r.backfit(ready, d)
+}
+
+// backfit is fit for a request ready before the end of the timeline. It
+// leaves the cursor on the interval after the gap it returns.
+func (r *Resource) backfit(ready Time, d Duration) Time {
 	start := ready
 	if start < r.solidUntil {
 		start = r.solidUntil
 	}
-	live := r.buf[r.head:]
-	n := len(live)
-	if n == 0 || start >= live[n-1].end {
-		return start
+	n := len(r.buf)
+	if n == r.head || start >= r.buf[n-1].start {
+		// Empty window, or inside the tail interval: the timeline is
+		// continuously busy up to free and open afterwards.
+		return r.free
 	}
-	if start >= live[n-1].start {
-		// Inside the tail interval: the timeline is continuously busy up to
-		// its end and open afterwards, so the fit is its end — no search.
-		return live[n-1].end
+	// Earlier intervals can neither contain start nor open a gap at or after
+	// it. Ends are strictly increasing and buf[i].end > start, so after each
+	// miss the candidate start is the current interval's end.
+	i := r.seek(start)
+	for ; i < n && start.Add(d) > r.buf[i].start; i++ {
+		start = r.buf[i].end
 	}
-	// Find the first interval whose end lies after start: intervals are
-	// disjoint and sorted, so ends are sorted too. Earlier intervals can
-	// neither contain start nor open a gap at or after it.
-	lo, hi := 0, n-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if live[mid].end > start {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	need := start.Add(d)
-	// Walk the remaining intervals. Ends are strictly increasing and
-	// live[lo].end > start by the search invariant, so after each miss the
-	// candidate start is the current interval's end.
-	for i := lo; i < n; i++ {
-		if need <= live[i].start {
-			return start
-		}
-		start = live[i].end
-		need = start.Add(d)
-	}
+	r.cur = i
 	return start
 }
 
-// insert adds an occupied interval, keeping the window sorted, disjoint, and
-// coalesced. Appending at the tail (the near-monotone common case) touches
-// only the last element.
-func (r *Resource) insert(iv interval) {
-	live := r.buf[r.head:]
-	n := len(live)
-	if n == 0 || iv.start > live[n-1].end {
-		r.buf = append(r.buf, iv)
-	} else if iv.start == live[n-1].end {
-		live[n-1].end = iv.end
-	} else {
-		r.insertSlow(iv)
+// seek returns the index of the first live interval whose end lies after t
+// (intervals are disjoint and sorted, so ends are sorted too). The caller
+// guarantees one exists. It gallops outward from the cursor and bisects the
+// bracket that leaves, so a search that lands near the previous one — the
+// next round of an EarliestStart, the next operation of a chain — costs two
+// compares, and one that lands anywhere costs no more than twice a bisection
+// of the whole window.
+func (r *Resource) seek(t Time) int {
+	b := r.buf
+	lo, hi := r.head, len(b)-1
+	c := r.cur
+	if c < lo {
+		c = lo
+	} else if c > hi {
+		c = hi
 	}
-	r.trim()
-}
-
-// insertSlow handles backfill: the interval lands strictly before the tail.
-// Chained operation phases usually butt up against an existing interval, so
-// the coalescing cases mutate a neighbor in place instead of shifting the
-// window.
-func (r *Resource) insertSlow(iv interval) {
-	// Find the insertion point: iv goes before the first interval whose
-	// start exceeds iv.start (buf[head:] is sorted by start and disjoint).
-	lo, hi := r.head, len(r.buf)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.buf[mid].start < iv.start {
-			lo = mid + 1
-		} else {
-			hi = mid
+	if b[c].end > t {
+		hi = c
+		for step := 1; c-step >= lo; step <<= 1 {
+			if b[c-step].end <= t {
+				lo = c - step + 1
+				break
+			}
+			hi = c - step
+		}
+	} else {
+		lo = c + 1
+		for step := 1; c+step < hi; step <<= 1 {
+			if b[c+step].end > t {
+				hi = c + step
+				break
+			}
+			lo = c + step + 1
 		}
 	}
-	pos := lo
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b[mid].end > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// occupy records the occupation [start, start+d) that fit just placed,
+// keeping the window sorted, disjoint, and coalesced. Appending at the tail
+// (the near-monotone common case) touches only the last element.
+func (r *Resource) occupy(start Time, d Duration) {
+	r.busyFor += d
+	r.ops++
+	end := start.Add(d)
+	switch {
+	case d <= 0:
+	case start > r.free || len(r.buf) == r.head:
+		r.buf = append(r.buf, interval{start, end})
+		r.free = end
+		r.trim()
+	case start == r.free:
+		r.buf[len(r.buf)-1].end = end
+		r.free = end
+	default:
+		r.backfill(interval{start, end})
+	}
+}
+
+// backfill handles an interval that lands strictly before the tail, in the
+// gap the cursor was left on. Chained operation phases usually butt up
+// against an existing interval, so the coalescing cases mutate a neighbor in
+// place instead of shifting the window.
+func (r *Resource) backfill(iv interval) {
+	// iv goes before buf[pos], the first interval that starts after it.
+	pos := r.cur
+	if pos < r.head || pos >= len(r.buf) || r.buf[pos].start < iv.end ||
+		(pos > r.head && r.buf[pos-1].end > iv.start) {
+		pos = r.seek(iv.start) // the hint is stale; iv overlaps nothing, so this is the same slot
+	}
 	touchL := pos > r.head && r.buf[pos-1].end == iv.start
-	touchR := pos < len(r.buf) && iv.end == r.buf[pos].start
+	touchR := iv.end == r.buf[pos].start
 	switch {
 	case touchL && touchR: // fills the gap exactly: merge three into one
 		r.buf[pos-1].end = r.buf[pos].end
@@ -201,12 +240,14 @@ func (r *Resource) insertSlow(iv interval) {
 		r.buf = append(r.buf, interval{})
 		copy(r.buf[pos+1:], r.buf[pos:])
 		r.buf[pos] = iv
+		r.trim()
 	}
 }
 
-// trim bounds the window: fold the oldest intervals (and the gaps before
-// them) into solidUntil, and slide the live window back to the front of the
-// backing array once the dead prefix would otherwise force append to grow it.
+// trim bounds the window after it grew: fold the oldest intervals (and the
+// gaps before them) into solidUntil, and slide the live window back to the
+// front of the backing array once the dead prefix would otherwise force
+// append to grow it.
 func (r *Resource) trim() {
 	for len(r.buf)-r.head > retainIntervals {
 		r.solidUntil = r.buf[r.head].end
@@ -215,6 +256,7 @@ func (r *Resource) trim() {
 	if r.head >= retainIntervals {
 		n := copy(r.buf, r.buf[r.head:])
 		r.buf = r.buf[:n]
+		r.cur -= r.head
 		r.head = 0
 	}
 }
@@ -222,40 +264,32 @@ func (r *Resource) trim() {
 // Acquire occupies r for d in the earliest gap starting no earlier than
 // ready, returning the interval [start, end) actually occupied.
 func (r *Resource) Acquire(ready Time, d Duration) (start, end Time) {
-	start = r.fitFrom(ready, d)
-	end = start.Add(d)
-	if d > 0 {
-		r.insert(interval{start, end})
-	}
-	r.busyFor += d
-	r.ops++
-	return start, end
+	start = r.fit(ready, d)
+	r.occupy(start, d)
+	return start, start.Add(d)
 }
 
 // EarliestStart reports when an operation that is ready at the given time
 // and needs every resource in rs for duration d could begin, without
-// acquiring anything. Each fitFrom is monotone in its argument, so the
-// least common fit is a unique fixpoint; cycling until len(rs) consecutive
-// resources confirm the current start reaches it with N calls instead of
-// 2N when nothing conflicts (the overwhelmingly common case).
+// reserving anything (it does move the resources' search cursors). Each fit
+// is monotone in its argument, so the least common fit is a unique fixpoint:
+// cycle until len(rs) consecutive resources confirm the current start. When
+// the resources' busy patterns interlock — a merge chain leaves chip,
+// channel and plane occupied in turn — every round advances one interval,
+// which is why each round must cost O(1), not a search.
 func EarliestStart(ready Time, d Duration, rs ...*Resource) Time {
-	if len(rs) == 1 {
-		return rs[0].fitFrom(ready, d)
-	}
 	start := ready
-	ok := 0 // consecutive resources known to fit at start
-	for i := 0; ; i++ {
-		r := rs[i%len(rs)]
-		if s := r.fitFrom(start, d); s > start {
-			start = s
-			ok = 1 // r fits at its own answer; everyone else must re-confirm
+	for i, ok := 0, 0; ok < len(rs); { // ok: consecutive resources known to fit at start
+		if s := rs[i].fit(start, d); s > start {
+			start, ok = s, 1 // rs[i] fits at its own answer; everyone else must re-confirm
 		} else {
 			ok++
 		}
-		if ok >= len(rs) {
-			return start
+		if i++; i == len(rs) {
+			i = 0
 		}
 	}
+	return start
 }
 
 // AcquireAll occupies every resource in rs for d in the earliest common gap
@@ -264,13 +298,8 @@ func EarliestStart(ready Time, d Duration, rs ...*Resource) Time {
 // and the chip serial bus simultaneously.
 func AcquireAll(ready Time, d Duration, rs ...*Resource) (start, end Time) {
 	start = EarliestStart(ready, d, rs...)
-	end = start.Add(d)
 	for _, r := range rs {
-		if d > 0 {
-			r.insert(interval{start, end})
-		}
-		r.busyFor += d
-		r.ops++
+		r.occupy(start, d)
 	}
-	return start, end
+	return start, start.Add(d)
 }

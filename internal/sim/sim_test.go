@@ -76,15 +76,37 @@ func TestResourceReset(t *testing.T) {
 }
 
 func TestAcquireAllHoldsEveryResource(t *testing.T) {
-	a := NewResource("chipbus")
-	b := NewResource("channel")
-	a.Acquire(0, 70) // chip bus busy until 70
-	start, end := AcquireAll(10, 30, a, b)
-	if start != 70 || end != 100 {
-		t.Fatalf("AcquireAll: [%d,%d), want [70,100)", start, end)
-	}
-	if a.FreeAt() != 100 || b.FreeAt() != 100 {
-		t.Fatalf("resources free at %d/%d, want 100/100", a.FreeAt(), b.FreeAt())
+	for _, tc := range []struct {
+		name       string
+		n          int // resources; the first is busy until 70
+		start, end Time
+	}{
+		{"none", 0, 10, 40}, // nothing to wait for: starts when ready
+		{"one", 1, 70, 100},
+		{"chipbus+channel", 2, 70, 100},
+		{"chipbus+channel+plane", 3, 70, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := make([]*Resource, tc.n)
+			for i := range rs {
+				rs[i] = NewResource("r")
+			}
+			if tc.n > 0 {
+				rs[0].Acquire(0, 70)
+			}
+			if got := EarliestStart(10, 30, rs...); got != tc.start {
+				t.Fatalf("EarliestStart: %d, want %d", got, tc.start)
+			}
+			start, end := AcquireAll(10, 30, rs...)
+			if start != tc.start || end != tc.end {
+				t.Fatalf("AcquireAll: [%d,%d), want [%d,%d)", start, end, tc.start, tc.end)
+			}
+			for i, r := range rs {
+				if r.FreeAt() != tc.end {
+					t.Fatalf("resource %d free at %d, want %d", i, r.FreeAt(), tc.end)
+				}
+			}
+		})
 	}
 }
 

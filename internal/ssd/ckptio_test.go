@@ -2,7 +2,10 @@ package ssd
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -217,6 +220,85 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 	// The original must still decode after all that.
 	if _, err := donor.DecodeCheckpoint(data); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeCheckpointCraftedTimelines re-seals a valid container (so magic,
+// length and checksum all pass) after damaging the resource timelines inside
+// it: counts the payload does not back, and intervals out of order. The
+// decoder must return an error — no panic, and no allocation sized by a
+// claimed count rather than by the bytes present.
+func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
+	donor := buildTinyShards(t, SchemeDLOOP, 0)
+	preconditionTiny(t, donor)
+	if _, err := donor.Run(trace.NewSliceReader(tinyWorkload(t, donor, 400, 5))); err != nil {
+		t.Fatal(err) // leaves busy intervals on every timeline
+	}
+	cp, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := donor.EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Where the plane timelines start: after the container header, the
+	// checkpoint preamble, and the device's page, tag and block columns.
+	geo := donor.Geometry()
+	w := ckpt.NewWriter()
+	w.String(SchemeDLOOP)
+	w.Raw(sha256.Size)
+	encodeGeometry(w, geo)
+	w.Bool(false)
+	header, preamble := ckpt.NewWriter().Len(), w.Len()
+	planes := preamble + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages())) + (4 + 20*int(geo.TotalBlocks()))
+	u32 := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+	if got := u32(data, planes); got != uint32(geo.Planes()) {
+		t.Fatalf("plane count at offset %d reads %d, want %d: the layout moved", planes, got, geo.Planes())
+	}
+	// The first plane whose timeline holds two intervals to swap: each state
+	// is three i64, a count, then count (start, end) pairs.
+	busy := planes + 4
+	for u32(data, busy+24) < 2 {
+		busy += 28 + 16*int(u32(data, busy+24))
+	}
+
+	for _, tc := range []struct {
+		name   string
+		damage func(b []byte)
+	}{
+		{"plane count beyond payload", func(b []byte) { binary.LittleEndian.PutUint32(b[planes:], 0xFFFFFFFF) }},
+		{"interval count beyond payload", func(b []byte) { binary.LittleEndian.PutUint32(b[planes+4+24:], 1<<24) }},
+		{"interval count beyond the window", func(b []byte) { binary.LittleEndian.PutUint32(b[planes+4+24:], 1000) }},
+		{"intervals out of order", func(b []byte) {
+			first, second := b[busy+28:busy+44], b[busy+44:busy+60]
+			tmp := append([]byte(nil), first...)
+			copy(first, second)
+			copy(second, tmp)
+		}},
+		{"empty interval", func(b []byte) { copy(b[busy+36:busy+44], b[busy+28:busy+36]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), data...)
+			tc.damage(bad)
+			sealed := ckpt.NewWriter()
+			copy(sealed.Raw(len(bad)-header), bad[header:])
+			bad = sealed.Seal()
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := donor.DecodeCheckpoint(bad)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("damaged timeline accepted")
+			}
+			// A healthy decode allocates the in-memory columns, about twice
+			// their encoding; a slice sized by a crafted count is far past that.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(bad)) {
+				t.Fatalf("allocated %d bytes rejecting a %d-byte container", got, len(bad))
+			}
+		})
 	}
 }
 

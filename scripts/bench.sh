@@ -64,7 +64,11 @@ trap 'rm -f "$raw"' EXIT
 # BenchmarkShardedThroughput pattern covers every mode sub-benchmark,
 # including the batched-dispatch 8ch/mq-pipelined one — plus the
 # sustained-GC regime), not the figure sweeps. Internal packages: every
-# benchmark they define.
+# benchmark they define — for ./internal/sim/ that is BenchmarkEventQueue and
+# the three timeline regimes: BenchmarkResourceAcquire (tail appends),
+# BenchmarkResourceBackfill (one resource, gaps), and
+# BenchmarkAcquireAllContended (three interlocked resources, a backfilled
+# chain: many EarliestStart rounds per call).
 #
 # `go test | tee` would mask a benchmark failure: POSIX sh has no pipefail,
 # so under set -eu the pipeline's status is tee's (always 0) and a crashed
