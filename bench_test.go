@@ -14,7 +14,39 @@ import (
 
 	"dloop"
 	"dloop/internal/obs"
+	"dloop/internal/sim"
 )
+
+// cyclicStream replays a finite request slice for as long as a benchmark
+// asks. Each new pass shifts every arrival by the stream's span (to where the
+// request after the last would arrive), so time keeps advancing: replaying
+// the recorded arrivals again would put every request of the later passes
+// far behind the resource timelines, a regime no real run enters.
+type cyclicStream struct {
+	reqs []dloop.Request
+	pos  int
+}
+
+// next returns the following n requests, fewer at the end of a pass.
+func (s *cyclicStream) next(n int) []dloop.Request {
+	if s.pos == len(s.reqs) {
+		last := len(s.reqs) - 1
+		span := s.reqs[last].Arrival - s.reqs[0].Arrival
+		span += span / sim.Time(last)
+		for i := range s.reqs {
+			s.reqs[i].Arrival += span
+		}
+		s.pos = 0
+	}
+	if rem := len(s.reqs) - s.pos; n > rem {
+		n = rem
+	}
+	s.pos += n
+	return s.reqs[s.pos-n : s.pos]
+}
+
+// one returns the next request.
+func (s *cyclicStream) one() dloop.Request { return s.next(1)[0] }
 
 // benchOptions shrinks runs so one sweep iteration stays in the seconds
 // range on a laptop.
@@ -168,10 +200,11 @@ func BenchmarkSimulateThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	stream := cyclicStream{reqs: reqs}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ssd.Serve(reqs[i%len(reqs)]); err != nil {
+		if _, err := ssd.Serve(stream.one()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,8 +240,9 @@ func BenchmarkGCHeavy(b *testing.B) {
 	// Warm until collection has actually started, so every timed iteration
 	// runs in the steady GC-active regime and the benchmark cannot quietly
 	// degrade into remeasuring the host write path.
+	stream := cyclicStream{reqs: reqs}
 	for i := 0; i < 2000; i++ {
-		if _, err := ssd.Serve(reqs[i%len(reqs)]); err != nil {
+		if _, err := ssd.Serve(stream.one()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,7 +252,7 @@ func BenchmarkGCHeavy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ssd.Serve(reqs[i%len(reqs)]); err != nil {
+		if _, err := ssd.Serve(stream.one()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,11 +331,10 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			// slices, slab chunks, ring buffers) and the simulated cold-start
 			// transient (CMT misses, GC pools filling) off the clock, so even
 			// short -benchtime windows measure the steady state.
-			for pass := 0; pass < 3; pass++ {
-				for i := range reqs {
-					if err := ssd.Enqueue(reqs[i]); err != nil {
-						b.Fatal(err)
-					}
+			stream := cyclicStream{reqs: reqs}
+			for i := 0; i < 3*len(reqs); i++ {
+				if err := ssd.Enqueue(stream.one()); err != nil {
+					b.Fatal(err)
 				}
 			}
 			ssd.Flush()
@@ -309,22 +342,17 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			b.ResetTimer()
 			if mode.batch {
 				// Batch dispatch: chunks feed EnqueueBatch the way Run feeds
-				// a trace.BatchReader. chunk divides len(reqs), so every full
-				// chunk is a clean window into the request slice.
-				const chunk = 250
-				for i := 0; i < b.N; i += chunk {
-					n := chunk
-					if rem := b.N - i; rem < n {
-						n = rem
-					}
-					off := i % len(reqs)
-					if err := ssd.EnqueueBatch(reqs[off : off+n]); err != nil {
+				// a trace.BatchReader.
+				for i := 0; i < b.N; {
+					batch := stream.next(min(250, b.N-i))
+					if err := ssd.EnqueueBatch(batch); err != nil {
 						b.Fatal(err)
 					}
+					i += len(batch)
 				}
 			} else {
 				for i := 0; i < b.N; i++ {
-					if err := ssd.Enqueue(reqs[i%len(reqs)]); err != nil {
+					if err := ssd.Enqueue(stream.one()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -354,10 +382,11 @@ func BenchmarkSimulateThroughputObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	stream := cyclicStream{reqs: reqs}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ssd.Serve(reqs[i%len(reqs)]); err != nil {
+		if _, err := ssd.Serve(stream.one()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,8 +430,9 @@ func BenchmarkSimulateThroughputObservedMQ(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := range reqs { // warm-up: grow epoch slices, slab chunks, hist buckets
-		if err := ssd.Enqueue(reqs[i]); err != nil {
+	stream := cyclicStream{reqs: reqs}
+	for range reqs { // warm-up: grow epoch slices, slab chunks, hist buckets
+		if err := ssd.Enqueue(stream.one()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -410,7 +440,7 @@ func BenchmarkSimulateThroughputObservedMQ(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ssd.Enqueue(reqs[i%len(reqs)]); err != nil {
+		if err := ssd.Enqueue(stream.one()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"fmt"
 	"testing"
 
 	"dloop/internal/sim"
@@ -105,5 +106,56 @@ func BenchmarkCopyBack(b *testing.B) {
 			srcBlock, dstBlock = dstBlock, srcBlock
 			page = 0
 		}
+	}
+}
+
+// BenchmarkCopyBackRun measures a copy-back run of k pages (a collection's
+// victim-to-destination-block unit; 55 is gcheavy_dloop's mean per victim)
+// on a plane whose timeline is warm: pages ping-pong between two blocks,
+// with an erase each time a block has no room for another run. One op is
+// one run; ns/page divides by k.
+func BenchmarkCopyBackRun(b *testing.B) {
+	for _, k := range []int{1, 8, 55} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			d := benchDevice(b)
+			g := d.Geometry()
+			var at sim.Time
+			for p := 0; p < g.PagesPerBlock; p++ {
+				end, err := d.WritePage(g.PPNOf(0, 0, p), int64(p), at, CauseHost)
+				if err != nil {
+					b.Fatal(err)
+				}
+				at = end
+			}
+			srcs, dsts := make([]PPN, k), make([]PPN, k)
+			src, dst, off := PlaneBlock{0, 0}, PlaneBlock{0, 1}, 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range srcs {
+					srcs[j] = g.FirstPPN(src) + PPN(off+j)
+					dsts[j] = g.FirstPPN(dst) + PPN(off+j)
+				}
+				end, err := d.CopyBackRun(srcs, dsts, at, CauseGC)
+				if err != nil {
+					b.Fatal(err)
+				}
+				at = end
+				if off += k; off+k > g.PagesPerBlock {
+					for p, st := range d.BlockStates(src) {
+						if st == PageValid { // the tail no whole run fits in
+							if err := d.Invalidate(g.FirstPPN(src) + PPN(p)); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					if at, err = d.Erase(src, at, CauseGC); err != nil {
+						b.Fatal(err)
+					}
+					src, dst, off = dst, src, 0
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/page")
+		})
 	}
 }

@@ -47,19 +47,23 @@ func DecodeDeviceState(r *ckpt.Reader, geo Geometry) *DeviceState {
 		s.state[i] = PageState(v)
 	}
 	s.lpns = r.I64s()
-	nb := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	s.blocks = make([]BlockInfo, nb)
+	s.blocks = make([]BlockInfo, r.SliceLen(20)) // five i32 per block
 	for i := range s.blocks {
-		s.blocks[i] = BlockInfo{
+		b := BlockInfo{
 			Valid:     int(r.I32()),
 			Invalid:   int(r.I32()),
 			Written:   int(r.I32()),
 			Erases:    int(r.I32()),
 			NextWrite: int(r.I32()),
 		}
+		// The device updates these counters by deltas and never recounts
+		// them, so a row that breaks their invariants would stay broken.
+		if b.Valid < 0 || b.Invalid < 0 || b.Erases < 0 || b.Valid+b.Invalid != b.Written ||
+			b.Written > b.NextWrite || b.NextWrite > geo.PagesPerBlock {
+			r.Failf("flash: block %d bookkeeping %+v is inconsistent", i, b)
+			return nil
+		}
+		s.blocks[i] = b
 	}
 	s.planes = decodeResources(r)
 	s.chipBus = decodeResources(r)
@@ -128,11 +132,7 @@ func decodeStats(r *ckpt.Reader, s *Stats) {
 			s.latency[op][c] = sim.Duration(r.I64())
 		}
 	}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return
-	}
-	s.PlaneOps = make([][numCauses]int64, n)
+	s.PlaneOps = make([][numCauses]int64, r.SliceLen(8*int(numCauses)))
 	for i := range s.PlaneOps {
 		for c := Cause(0); c < numCauses; c++ {
 			s.PlaneOps[i][c] = r.I64()

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dloop/internal/obs"
 	"dloop/internal/sim"
@@ -87,15 +88,18 @@ type Device struct {
 	chipBus  []*sim.Resource // serial I/O bus shared by dies of one chip
 	channels []*sim.Resource // external channels shared by packages
 
-	// Derived geometry constants and per-plane bus lookups, cached so the
-	// per-operation hot path does no repeated multiplication chains or
-	// hierarchy divisions.
-	totalPages    int64
-	pagesPerBlock int64
-	pagesPerPlane int64
-	planeChip     []*sim.Resource // plane -> its chip's serial bus
-	planeChannel  []*sim.Resource // plane -> its channel
-	planeChanIdx  []int32         // plane -> channel index, for op attribution
+	// Derived geometry constants and per-plane bus lookups. The operation
+	// path never divides: a page number splits into block and plane by the
+	// reciprocals below (see recip), and an in-block offset's parity is the
+	// page number's own (blocks start on multiples of an even PagesPerBlock).
+	totalPages     int64
+	pagesPerBlock  int64
+	blocksPerPlane int64
+	blockRecip     uint64          // recip(PagesPerBlock)
+	planeRecip     uint64          // recip(PagesPerBlock * BlocksPerPlane)
+	planeChip      []*sim.Resource // plane -> its chip's serial bus
+	planeChannel   []*sim.Resource // plane -> its channel
+	planeChanIdx   []int32         // plane -> channel index, for op attribution
 	// Per-phase service times, fixed by timing and the page size.
 	readLat, progLat, xferLat, cbLat, eraseLat sim.Duration
 
@@ -113,6 +117,9 @@ type Device struct {
 func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
+	}
+	if geo.TotalPages() > maxPages {
+		return nil, fmt.Errorf("flash: %w: %d pages, limit %d", ErrTooManyPages, geo.TotalPages(), int64(maxPages))
 	}
 	d := &Device{
 		geo:    geo,
@@ -138,7 +145,9 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	}
 	d.totalPages = geo.TotalPages()
 	d.pagesPerBlock = int64(geo.PagesPerBlock)
-	d.pagesPerPlane = int64(geo.PagesPerBlock) * int64(geo.BlocksPerPlane)
+	d.blocksPerPlane = int64(geo.BlocksPerPlane)
+	d.blockRecip = recip(d.pagesPerBlock)
+	d.planeRecip = recip(d.pagesPerBlock * d.blocksPerPlane)
 	d.readLat, d.progLat, d.eraseLat = timing.PageRead, timing.PageProgram, timing.BlockErase
 	d.xferLat, d.cbLat = timing.Transfer(geo.PageSize), timing.CopyBack()
 	d.planeChip = make([]*sim.Resource, geo.Planes())
@@ -275,6 +284,13 @@ func (d *Device) Restore(s *DeviceState) {
 // PageState returns the state of a physical page.
 func (d *Device) PageState(ppn PPN) PageState { return d.state[ppn] }
 
+// BlockStates returns the states of one block's pages by in-block offset: a
+// read-only view of live device state.
+func (d *Device) BlockStates(pb PlaneBlock) []PageState {
+	first := d.geo.FirstPPN(pb)
+	return d.state[first : first+PPN(d.pagesPerBlock) : first+PPN(d.pagesPerBlock)]
+}
+
 // PageLPN returns the logical page stored at ppn, or -1 if the page does not
 // hold live data.
 func (d *Device) PageLPN(ppn PPN) int64 { return d.lpns[ppn] }
@@ -293,19 +309,37 @@ func (d *Device) validPPN(ppn PPN) bool {
 	return uint64(ppn) < uint64(d.totalPages)
 }
 
-// planeOf is Geometry.PlaneOf with one cached division.
-func (d *Device) planeOf(ppn PPN) int { return int(int64(ppn) / d.pagesPerPlane) }
+// maxPages bounds the device so page numbers divide by reciprocal; at 9
+// bytes of device state per page the bound is 36 GB of host memory away.
+const maxPages = 1 << 32
 
-// blockIndexOf collapses Geometry.BlockIndex(Geometry.BlockOf(ppn)) into a
-// single division.
-func (d *Device) blockIndexOf(ppn PPN) int64 { return int64(ppn) / d.pagesPerBlock }
+// recip returns ceil(2^64 / d). For d >= 2 (Validate: PagesPerBlock is even)
+// and n < 2^32 the high word of recip(d) * n is exactly n / d (Lemire &
+// Kaser, "Faster remainders when the divisor is a constant").
+func recip(d int64) uint64 { return ^uint64(0)/uint64(d) + 1 }
 
-// pageOf is Geometry.PageOf against the cached block size.
-func (d *Device) pageOf(ppn PPN) int { return int(int64(ppn) % d.pagesPerBlock) }
+// PlaneOf is Geometry.PlaneOf without the divisions.
+func (d *Device) PlaneOf(ppn PPN) int {
+	hi, _ := bits.Mul64(d.planeRecip, uint64(ppn))
+	return int(hi)
+}
+
+// BlockOf is Geometry.BlockOf without the divisions.
+func (d *Device) BlockOf(ppn PPN) PlaneBlock {
+	plane := d.PlaneOf(ppn)
+	return PlaneBlock{Plane: plane, Block: int(d.blockIndexOf(ppn) - int64(plane)*d.blocksPerPlane)}
+}
+
+// blockIndexOf collapses Geometry.BlockIndex(Geometry.BlockOf(ppn)).
+func (d *Device) blockIndexOf(ppn PPN) int64 {
+	hi, _ := bits.Mul64(d.blockRecip, uint64(ppn))
+	return int64(hi)
+}
 
 // schedule places one operation's phases on the timelines of its plane and
-// buses — the only place the device's timing model is written down. It
-// returns when the operation starts and when it completes.
+// buses — the only place the device's timing model is written down
+// (CopyBackRun's AcquireChain is a chain of the opCopyBack case by
+// construction). It returns when the operation starts and when it completes.
 func (d *Device) schedule(kind opKind, plane int, ready sim.Time) (start, end sim.Time) {
 	pl := d.planes[plane]
 	switch kind {
@@ -339,7 +373,7 @@ func (d *Device) issue(kind opKind, cause Cause, plane int, stored int64, ready 
 		return d.eng.submit(kind, cause, plane, ready)
 	}
 	start, end := d.schedule(kind, plane, ready)
-	d.stats.note(kind, cause, plane, end.Sub(ready))
+	d.stats.note(kind, cause, plane, 1, end.Sub(ready))
 	if d.rec != nil {
 		d.rec.RecordOp(obs.Op{
 			Kind: obs.OpKind(kind), Cause: obs.Cause(cause), Stored: stored,
@@ -359,13 +393,13 @@ func (d *Device) ReadPage(ppn PPN, ready sim.Time, cause Cause) (sim.Time, error
 	}
 	if d.state[ppn] != PageValid {
 		return 0, fmt.Errorf("flash: read ppn %d (%v): %w, page is %v",
-			ppn, d.geo.BlockOf(ppn), ErrReadInvalid, d.state[ppn])
+			ppn, d.BlockOf(ppn), ErrReadInvalid, d.state[ppn])
 	}
 	var stored int64
 	if d.rec != nil { // only the recorder wants the tag; skip the lookup otherwise
 		stored = d.lpns[ppn]
 	}
-	return d.issue(opRead, cause, d.planeOf(ppn), stored, ready), nil
+	return d.issue(opRead, cause, d.PlaneOf(ppn), stored, ready), nil
 }
 
 // WritePage programs a free page with the given logical page. The page
@@ -377,39 +411,85 @@ func (d *Device) WritePage(ppn PPN, lpn int64, ready sim.Time, cause Cause) (sim
 	}
 	if d.state[ppn] != PageFree {
 		return 0, fmt.Errorf("flash: write ppn %d (%v): %w, page is %v",
-			ppn, d.geo.BlockOf(ppn), ErrWriteNotFree, d.state[ppn])
+			ppn, d.BlockOf(ppn), ErrWriteNotFree, d.state[ppn])
 	}
 	d.program(ppn, lpn)
-	return d.issue(opWrite, cause, d.planeOf(ppn), lpn, ready), nil
+	return d.issue(opWrite, cause, d.PlaneOf(ppn), lpn, ready), nil
 }
 
 // CopyBack moves a valid page to a free page on the same plane using the
 // intra-plane copy-back (internal data move) command. It never touches the
 // chip bus or the channel. The vendor restriction applies: source and
 // destination in-block offsets must share parity, or ErrParity is returned.
+// It is the copy-back run of length one.
 func (d *Device) CopyBack(src, dst PPN, ready sim.Time, cause Cause) (sim.Time, error) {
-	if !d.validPPN(src) || !d.validPPN(dst) {
-		return 0, fmt.Errorf("flash: copy-back %w: src %d dst %d", ErrOutOfRange, src, dst)
+	s, t := [1]PPN{src}, [1]PPN{dst}
+	return d.CopyBackRun(s[:], t[:], ready, cause)
+}
+
+// CopyBackRun performs len(srcs) copy-backs chained in time — each ready
+// when the one before completes — moving srcs[i] to dsts[i], all sources in
+// one block and all destinations in one block of the same plane: what a
+// collection does to a victim for as long as its destination block lasts.
+// It returns the last completion time (ready for an empty run). Every page
+// is checked as CopyBack checks it; block counters, statistics and the plane
+// timeline are updated once. A run that fails at page i has performed pages
+// [0, i), as i CopyBack calls would have, and returns when those complete.
+func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim.Time, error) {
+	if len(srcs) != len(dsts) {
+		return 0, fmt.Errorf("flash: copy-back run of %d sources to %d destinations: %w", len(srcs), len(dsts), ErrRunShape)
 	}
-	plane := d.planeOf(src)
-	if plane != d.planeOf(dst) {
+	if len(srcs) == 0 {
+		return ready, nil
+	}
+	if !d.validPPN(srcs[0]) || !d.validPPN(dsts[0]) {
+		return 0, fmt.Errorf("flash: copy-back %w: src %d dst %d", ErrOutOfRange, srcs[0], dsts[0])
+	}
+	plane := d.PlaneOf(srcs[0])
+	if plane != d.PlaneOf(dsts[0]) {
 		return 0, fmt.Errorf("flash: copy-back src %v dst %v: %w",
-			d.geo.BlockOf(src), d.geo.BlockOf(dst), ErrCrossPlane)
+			d.BlockOf(srcs[0]), d.BlockOf(dsts[0]), ErrCrossPlane)
 	}
-	if d.pageOf(src)%2 != d.pageOf(dst)%2 {
-		return 0, fmt.Errorf("flash: copy-back src page %d dst page %d: %w",
-			d.geo.PageOf(src), d.geo.PageOf(dst), ErrParity)
+	sb, db := d.blockIndexOf(srcs[0]), d.blockIndexOf(dsts[0])
+	sFirst, dFirst := PPN(sb*d.pagesPerBlock), PPN(db*d.pagesPerBlock)
+	ppb := uint64(d.pagesPerBlock)
+	var err error
+	n, top := 0, dFirst-1 // pages moved; highest destination among them
+	for ; n < len(srcs); n++ {
+		src, dst := srcs[n], dsts[n]
+		switch {
+		case uint64(src-sFirst) >= ppb || uint64(dst-dFirst) >= ppb:
+			err = fmt.Errorf("flash: copy-back run src %d dst %d leaves blocks %d, %d: %w", src, dst, sb, db, ErrRunShape)
+		case (src^dst)&1 != 0:
+			err = fmt.Errorf("flash: copy-back src page %d dst page %d: %w", src-sFirst, dst-dFirst, ErrParity)
+		case d.state[src] != PageValid:
+			err = fmt.Errorf("flash: copy-back src ppn %d: %w, page is %v", src, ErrReadInvalid, d.state[src])
+		case d.state[dst] != PageFree:
+			err = fmt.Errorf("flash: copy-back dst ppn %d: %w, page is %v", dst, ErrWriteNotFree, d.state[dst])
+		}
+		if err != nil {
+			break
+		}
+		d.state[src], d.state[dst] = PageInvalid, PageValid
+		d.lpns[src], d.lpns[dst] = -1, d.lpns[src]
+		top = max(top, dst)
 	}
-	if d.state[src] != PageValid {
-		return 0, fmt.Errorf("flash: copy-back src ppn %d: %w, page is %v", src, ErrReadInvalid, d.state[src])
+	d.blocks[sb].Valid -= n
+	d.blocks[sb].Invalid += n
+	d.blocks[db].Valid += n
+	d.blocks[db].Written += n
+	d.raiseNextWrite(db, top)
+	end := ready
+	if d.eng != nil || d.rec != nil {
+		// Futures and op records are per operation: issue one by one.
+		for _, dst := range dsts[:n] {
+			end = d.issue(opCopyBack, cause, plane, d.lpns[dst], end)
+		}
+	} else {
+		end = d.planes[plane].AcquireChain(ready, d.cbLat, n)
+		d.stats.note(opCopyBack, cause, plane, int64(n), end.Sub(ready))
 	}
-	if d.state[dst] != PageFree {
-		return 0, fmt.Errorf("flash: copy-back dst ppn %d: %w, page is %v", dst, ErrWriteNotFree, d.state[dst])
-	}
-	lpn := d.lpns[src]
-	d.invalidate(src)
-	d.program(dst, lpn)
-	return d.issue(opCopyBack, cause, plane, lpn, ready), nil
+	return end, err
 }
 
 // Erase erases a whole block, returning every page to Free. The caller (the
@@ -446,7 +526,11 @@ func (d *Device) Invalidate(ppn PPN) error {
 	if d.state[ppn] != PageValid {
 		return fmt.Errorf("flash: invalidate ppn %d: %w, page is %v", ppn, ErrReadInvalid, d.state[ppn])
 	}
-	d.invalidate(ppn)
+	bi := d.blockIndexOf(ppn)
+	d.state[ppn] = PageInvalid
+	d.lpns[ppn] = -1
+	d.blocks[bi].Valid--
+	d.blocks[bi].Invalid++
 	return nil
 }
 
@@ -460,13 +544,11 @@ func (d *Device) WastePage(ppn PPN) error {
 	if d.state[ppn] != PageFree {
 		return fmt.Errorf("flash: waste ppn %d: %w, page is %v", ppn, ErrWriteNotFree, d.state[ppn])
 	}
-	bi := d.geo.BlockIndex(d.geo.BlockOf(ppn))
+	bi := d.blockIndexOf(ppn)
 	d.state[ppn] = PageInvalid
 	d.blocks[bi].Invalid++
 	d.blocks[bi].Written++
-	if p := d.geo.PageOf(ppn); p >= d.blocks[bi].NextWrite {
-		d.blocks[bi].NextWrite = p + 1
-	}
+	d.raiseNextWrite(bi, ppn)
 	d.stats.WastedPages++
 	return nil
 }
@@ -477,15 +559,12 @@ func (d *Device) program(ppn PPN, lpn int64) {
 	d.lpns[ppn] = lpn
 	d.blocks[bi].Valid++
 	d.blocks[bi].Written++
-	if p := d.pageOf(ppn); p >= d.blocks[bi].NextWrite {
-		d.blocks[bi].NextWrite = p + 1
-	}
+	d.raiseNextWrite(bi, ppn)
 }
 
-func (d *Device) invalidate(ppn PPN) {
-	bi := d.blockIndexOf(ppn)
-	d.state[ppn] = PageInvalid
-	d.lpns[ppn] = -1
-	d.blocks[bi].Valid--
-	d.blocks[bi].Invalid++
+// raiseNextWrite lifts block bi's high-water mark past its page ppn.
+func (d *Device) raiseNextWrite(bi int64, ppn PPN) {
+	if p := int(int64(ppn)-bi*d.pagesPerBlock) + 1; p > d.blocks[bi].NextWrite {
+		d.blocks[bi].NextWrite = p
+	}
 }

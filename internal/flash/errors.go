@@ -21,4 +21,10 @@ var (
 	// ErrParity marks a copy-back whose source and destination in-block page
 	// offsets differ in parity, violating the vendor restriction.
 	ErrParity = errors.New("copy-back parity mismatch")
+	// ErrRunShape marks a copy-back run whose source and destination lists
+	// differ in length or do not each stay inside one block.
+	ErrRunShape = errors.New("copy-back run leaves its block")
+	// ErrTooManyPages marks a geometry beyond the 2^32 pages the device's
+	// reciprocal addressing is exact for.
+	ErrTooManyPages = errors.New("geometry exceeds addressable pages")
 )

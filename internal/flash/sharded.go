@@ -108,7 +108,7 @@ func (e *shardEngine) run(w *shardWorker) {
 		}
 		_, end := d.schedule(op.kind, int(op.plane), ready)
 		e.slab.Resolve(int(op.slot), end)
-		w.stats.note(op.kind, op.cause, int(op.plane), end.Sub(ready))
+		w.stats.note(op.kind, op.cause, int(op.plane), 1, end.Sub(ready))
 		w.q.MarkDone()
 	}
 }

@@ -36,10 +36,12 @@ func (s *Stats) init(geo Geometry) {
 	s.WastedPages = 0
 }
 
-func (s *Stats) note(op opKind, cause Cause, plane int, lat sim.Duration) {
-	s.ops[op][cause]++
+// note accounts n operations of one kind on one plane whose latencies sum to
+// lat.
+func (s *Stats) note(op opKind, cause Cause, plane int, n int64, lat sim.Duration) {
+	s.ops[op][cause] += n
 	s.latency[op][cause] += lat
-	s.PlaneOps[plane][cause]++
+	s.PlaneOps[plane][cause] += n
 }
 
 // merge folds another accumulator's per-operation counts into s. Only the

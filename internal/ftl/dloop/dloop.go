@@ -252,7 +252,7 @@ func (f *DLOOP) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if _, err := f.mapper.RecordWrite(lpn, ppn); err != nil {
 		return 0, err
 	}
-	f.planeWrites[f.geo.PlaneOf(ppn)]++
+	f.planeWrites[f.dev.PlaneOf(ppn)]++
 	f.totalWrites++
 	return end, nil
 }

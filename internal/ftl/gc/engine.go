@@ -204,12 +204,17 @@ func (e *Engine) MaybeCollect(plane int, ready sim.Time) (sim.Time, error) {
 }
 
 // collectScratch holds one collection's relocation buffers: the moved list
-// handed to Scheme.Redirect and the by-parity source queues. Schemes must
-// not retain the Redirect slice (none do — they fold it into their mapping
+// handed to Scheme.Redirect, the by-parity source queues (each sized for half
+// a block, filled by index), and the pending copy-back run. Schemes must not
+// retain the Redirect slice (none do — they fold it into their mapping
 // structures), so the buffers are reusable the moment collectOnce returns.
 type collectScratch struct {
 	moved  []ftl.Moved
 	parity [2][]int
+	// The pending run: copy-backs gathered but not yet handed to the
+	// device, all into the destination block that starts at dstFirst.
+	srcs, dsts []flash.PPN
+	dstFirst   flash.PPN
 }
 
 // getScratch pops a scratch buffer off the free-list (or makes one), with
@@ -217,14 +222,51 @@ type collectScratch struct {
 func (e *Engine) getScratch() *collectScratch {
 	n := len(e.scratch)
 	if n == 0 {
-		return &collectScratch{}
+		half := e.geo.PagesPerBlock / 2
+		return &collectScratch{parity: [2][]int{make([]int, half), make([]int, half)}}
 	}
 	s := e.scratch[n-1]
 	e.scratch = e.scratch[:n-1]
-	s.moved = s.moved[:0]
-	s.parity[0] = s.parity[0][:0]
-	s.parity[1] = s.parity[1][:0]
+	s.moved, s.srcs, s.dsts = s.moved[:0], s.srcs[:0], s.dsts[:0]
 	return s
+}
+
+// queueCopyBack appends src -> dst to the pending run, first flushing a run
+// whose block dst has left. Under a recorder the page is flushed at once:
+// the recorder stamps every copy-back and parity waste with the time the
+// chain has reached.
+func (e *Engine) queueCopyBack(sc *collectScratch, src, dst flash.PPN, t sim.Time) (sim.Time, error) {
+	if len(sc.srcs) > 0 && uint64(dst-sc.dstFirst) >= uint64(e.geo.PagesPerBlock) {
+		var err error
+		if t, err = e.flushRun(sc, t); err != nil {
+			return 0, err
+		}
+	}
+	if len(sc.srcs) == 0 {
+		sc.dstFirst = e.geo.FirstPPN(e.dev.BlockOf(dst))
+	}
+	sc.srcs, sc.dsts = append(sc.srcs, src), append(sc.dsts, dst)
+	if e.rec != nil {
+		return e.flushRun(sc, t)
+	}
+	return t, nil
+}
+
+// flushRun hands the pending copy-back run (possibly empty) to the device,
+// starting at t, and returns when its last page lands.
+func (e *Engine) flushRun(sc *collectScratch, t sim.Time) (sim.Time, error) {
+	n := int64(len(sc.srcs))
+	t, err := e.dev.CopyBackRun(sc.srcs, sc.dsts, t, flash.CauseGC)
+	if err != nil {
+		return 0, err
+	}
+	sc.srcs, sc.dsts = sc.srcs[:0], sc.dsts[:0]
+	e.stats.Moves += n
+	e.stats.CopyBacks += n
+	if e.rec != nil && n > 0 { // then the run is a single page, see queueCopyBack
+		e.rec.RecordEvent(obs.EvGCCopyBack, t)
+	}
+	return t, nil
 }
 
 // putScratch returns a buffer to the free-list.
@@ -288,47 +330,52 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 		// are ordered so the source parity matches the destination write
 		// point whenever possible; a page is wasted only when the remaining
 		// pages are all of the "wrong" parity — §III.A's worst case of about
-		// m/2 wasted pages when m same-parity pages must move. head indexes
-		// into the parity queues instead of re-slicing them, so the scratch
-		// buffers keep their full capacity for the next collection.
-		for p := 0; p < ppb; p++ {
-			if e.dev.PageState(first+flash.PPN(p)) == flash.PageValid {
-				sc.parity[p%2] = append(sc.parity[p%2], p)
+		// m/2 wasted pages when m same-parity pages must move. head and
+		// count index into the parity queues instead of re-slicing them, so
+		// the scratch buffers keep their full capacity for the next
+		// collection.
+		var head, count [2]int
+		for p, st := range e.dev.BlockStates(victim) {
+			if st == flash.PageValid {
+				sc.parity[p&1][count[p&1]] = p
+				count[p&1]++
 			}
 		}
-		var head [2]int
-		for head[0] < len(sc.parity[0]) || head[1] < len(sc.parity[1]) {
+		// Copy-backs queue as a run while the destination stays in one
+		// block; the run goes to the device before anything that needs the
+		// time it ends at: a bus move, the redirect, and every page when a
+		// recorder stamps them. Wastes take no time, so it spans them.
+		for head[0] < count[0] || head[1] < count[1] {
 			external := e.cfg.Style == MoveExternalParity
-			var want int
-			if external {
-				want = pickAny(&sc.parity, head) // parity is a copy-back-only restriction
-			} else {
-				want = e.scheme.DestParity(destPlane)
-				if head[want] >= len(sc.parity[want]) {
-					// Only wrong-parity sources remain. Normally the engine
-					// wastes one destination page to flip the write point's
-					// parity. When the plane is critically low on free
-					// pages, wasting one would risk wedging the plane, so
-					// (with LowSpaceExternal) this page moves through the
-					// buses instead.
-					if !e.cfg.LowSpaceExternal || e.scheme.FreePages(destPlane) >= 2*ppb {
-						var dst flash.PPN
-						dst, err = e.scheme.NextDest(destPlane, 0)
-						if err != nil {
-							return 0, false, err
-						}
-						if err = e.dev.WastePage(dst); err != nil {
-							return 0, false, err
-						}
-						e.tracker.Invalidated(e.geo.BlockOf(dst))
-						e.stats.ParityWaste++
-						if e.rec != nil {
-							e.rec.RecordEvent(obs.EvParityWaste, t)
-						}
-						continue
+			want := 0
+			if head[0] >= count[0] {
+				want = 1
+			}
+			if !external { // parity is a copy-back-only restriction
+				if dp := e.scheme.DestParity(destPlane); head[dp] < count[dp] {
+					want = dp
+				} else if !e.cfg.LowSpaceExternal || e.scheme.FreePages(destPlane) >= 2*ppb {
+					// Only wrong-parity sources remain: waste one
+					// destination page to flip the write point's parity.
+					var dst flash.PPN
+					dst, err = e.scheme.NextDest(destPlane, 0)
+					if err != nil {
+						return 0, false, err
 					}
+					if err = e.dev.WastePage(dst); err != nil {
+						return 0, false, err
+					}
+					e.tracker.Invalidated(e.dev.BlockOf(dst))
+					e.stats.ParityWaste++
+					if e.rec != nil {
+						e.rec.RecordEvent(obs.EvParityWaste, t)
+					}
+					continue
+				} else {
+					// The plane is critically low on free pages, where
+					// wasting one would risk wedging it, so (with
+					// LowSpaceExternal) this page moves through the buses.
 					external = true
-					want = pickAny(&sc.parity, head)
 				}
 			}
 			p := sc.parity[want][head[want]]
@@ -341,22 +388,19 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 				return 0, false, err
 			}
 			if external {
-				t, err = e.moveExternal(src, dst, stored, t)
-				if err != nil {
+				if t, err = e.flushRun(sc, t); err != nil {
 					return 0, false, err
 				}
-			} else {
-				t, err = e.dev.CopyBack(src, dst, t, flash.CauseGC)
-				if err != nil {
+				if t, err = e.moveExternal(src, dst, stored, t); err != nil {
 					return 0, false, err
 				}
-				e.stats.Moves++
-				e.stats.CopyBacks++
-				if e.rec != nil {
-					e.rec.RecordEvent(obs.EvGCCopyBack, t)
-				}
+			} else if t, err = e.queueCopyBack(sc, src, dst, t); err != nil {
+				return 0, false, err
 			}
 			sc.moved = append(sc.moved, ftl.Moved{Stored: stored, New: dst})
+		}
+		if t, err = e.flushRun(sc, t); err != nil {
+			return 0, false, err
 		}
 	}
 
@@ -415,14 +459,6 @@ func (e *Engine) RecordVictim(valid int, at sim.Time) {
 	if e.victimRec != nil {
 		e.victimRec.RecordGCVictim(valid, at)
 	}
-}
-
-// pickAny returns the parity class with unconsumed pages, preferring even.
-func pickAny(parity *[2][]int, head [2]int) int {
-	if head[0] < len(parity[0]) {
-		return 0
-	}
-	return 1
 }
 
 // State is a deep copy of the engine's mutable state, for checkpoint/fork.

@@ -197,7 +197,7 @@ func (f *PureMap) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		if err := f.dev.Invalidate(old); err != nil {
 			return 0, err
 		}
-		f.tracker.Invalidated(f.geo.BlockOf(old))
+		f.tracker.Invalidated(f.dev.BlockOf(old))
 	}
 	f.table[lpn] = ppn
 	return end, nil

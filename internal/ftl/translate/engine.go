@@ -267,7 +267,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		if err := m.dev.Invalidate(old); err != nil {
 			return 0, err
 		}
-		m.tracker.Invalidated(m.dev.Geometry().BlockOf(old))
+		m.tracker.Invalidated(m.dev.BlockOf(old))
 	}
 	m.GTD[tvpn] = ppn
 	// DFTL's batch update: the rewrite persisted every cached dirty mapping
@@ -302,7 +302,7 @@ func (m *Engine) RecordWrite(lpn ftl.LPN, newPPN flash.PPN) (flash.PPN, error) {
 		if err := m.dev.Invalidate(old); err != nil {
 			return flash.InvalidPPN, err
 		}
-		m.tracker.Invalidated(m.dev.Geometry().BlockOf(old))
+		m.tracker.Invalidated(m.dev.BlockOf(old))
 	}
 	return old, nil
 }

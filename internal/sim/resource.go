@@ -269,6 +269,31 @@ func (r *Resource) Acquire(ready Time, d Duration) (start, end Time) {
 	return start, start.Add(d)
 }
 
+// AcquireChain is k back-to-back Acquires of duration d, the first ready at
+// ready and each later one ready when its predecessor ends (a collection's
+// copy-backs on one plane). It returns the last end, ready when k is 0; the
+// operations' latencies, each from its own ready time, telescope to
+// end - ready. Once one ends at the tail of the timeline, every remaining one
+// would start exactly at free and take occupy's extend-the-last-interval
+// case, so they are folded into one step; until then (a chain that starts in
+// a gap) each is probed on its own.
+func (r *Resource) AcquireChain(ready Time, d Duration, k int) (end Time) {
+	end = ready
+	for ; k > 0; k-- {
+		if end == r.free && d > 0 && len(r.buf) > r.head {
+			span := Duration(k) * d
+			end = end.Add(span)
+			r.buf[len(r.buf)-1].end = end
+			r.free = end
+			r.busyFor += span
+			r.ops += int64(k)
+			break
+		}
+		_, end = r.Acquire(end, d)
+	}
+	return end
+}
+
 // EarliestStart reports when an operation that is ready at the given time
 // and needs every resource in rs for duration d could begin, without
 // reserving anything (it does move the resources' search cursors). Each fit

@@ -112,6 +112,21 @@ func (p *resourcePair) acquire(i int, ready Time, d Duration) {
 	}
 }
 
+// acquireChain checks AcquireChain against k plain acquisitions of the model,
+// each ready when the one before ends.
+func (p *resourcePair) acquireChain(i int, ready Time, d Duration, k int) {
+	end := p.real[i].AcquireChain(ready, d, k)
+	want := ready
+	for j := 0; j < k; j++ {
+		start := p.ref[i].fit(want, d)
+		p.ref[i].occupy(start, d)
+		want = start.Add(d)
+	}
+	if end != want {
+		p.t.Fatalf("AcquireChain(%d, %d, %d) on resource %d: ends %d, reference %d", ready, d, k, i, end, want)
+	}
+}
+
 func (p *resourcePair) acquireAll(ready Time, d Duration) {
 	start, end := AcquireAll(ready, d, p.real[:]...)
 	want := refEarliestStart(ready, d, p.ref[:])
@@ -189,8 +204,10 @@ func (p *resourcePair) run(ops []fuzzOp) {
 		switch op.code {
 		case 0, 1, 2:
 			p.acquire(op.code, op.ready, op.d)
-		case 3, 4:
+		case 3:
 			p.acquireAll(op.ready, op.d)
+		case 4: // a chain of 0..80 operations: longer than the window
+			p.acquireChain(op.sel/len(fuzzDurations)%3, op.ready, op.d, (op.off&0xFFFF)%81)
 		case 5:
 			p.earliestStart(op.ready, op.d)
 		case 6: // Snapshot -> Restore, which also drops the hints; sel picks who
@@ -266,9 +283,27 @@ func farBehindSeed() (data []byte) {
 	return data
 }
 
+// chainSeed plants intervals ahead of the clock on resource 0 and chains
+// operations ready before them: the first ones backfill the gap, one no
+// longer fits and jumps to the tail, and the rest are folded.
+func chainSeed() (data []byte) {
+	sel := selFor(25)
+	for sel/len(fuzzDurations)%3 != 0 { // the chain's resource
+		sel += len(fuzzDurations)
+	}
+	data = append(data, encodeFuzzOp(0, 10, sel, 0)...)          // [10, 35)
+	data = append(data, encodeFuzzOp(0, 0, selFor(200), 140)...) // [150, 350): a gap of 115 before it
+	for _, k := range []int{7, 0, 1, 64, 80} {
+		data = append(data, encodeFuzzOp(4, 0, sel, k)...)          // k operations, ready k after the clock
+		data = append(data, encodeFuzzOp(0, 0, selFor(2), 1500)...) // an island ahead of the tail
+	}
+	return data
+}
+
 func FuzzResourceDifferential(f *testing.F) {
 	f.Add(contendedSeed(20, 6))
 	f.Add(farBehindSeed())
+	f.Add(chainSeed())
 	f.Add(append(farBehindSeed(), contendedSeed(8, 3)...))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {

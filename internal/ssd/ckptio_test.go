@@ -223,54 +223,89 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointCraftedTimelines re-seals a valid container (so magic,
-// length and checksum all pass) after damaging the resource timelines inside
-// it: counts the payload does not back, and intervals out of order. The
-// decoder must return an error — no panic, and no allocation sized by a
-// claimed count rather than by the bytes present.
-func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
-	donor := buildTinyShards(t, SchemeDLOOP, 0)
+// craftedDonor runs a short workload on a tiny DLOOP controller (leaving busy
+// intervals on every timeline) and returns it with its encoded checkpoint and
+// the offset of the device state inside it: after the container header and
+// the checkpoint preamble.
+func craftedDonor(t *testing.T) (donor *Controller, data []byte, device int) {
+	t.Helper()
+	donor = buildTinyShards(t, SchemeDLOOP, 0)
 	preconditionTiny(t, donor)
 	if _, err := donor.Run(trace.NewSliceReader(tinyWorkload(t, donor, 400, 5))); err != nil {
-		t.Fatal(err) // leaves busy intervals on every timeline
+		t.Fatal(err)
 	}
 	cp, err := donor.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := donor.EncodeCheckpoint(cp)
+	data, err = donor.EncodeCheckpoint(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Where the plane timelines start: after the container header, the
-	// checkpoint preamble, and the device's page, tag and block columns.
-	geo := donor.Geometry()
 	w := ckpt.NewWriter()
 	w.String(SchemeDLOOP)
 	w.Raw(sha256.Size)
-	encodeGeometry(w, geo)
+	encodeGeometry(w, donor.Geometry())
 	w.Bool(false)
-	header, preamble := ckpt.NewWriter().Len(), w.Len()
-	planes := preamble + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages())) + (4 + 20*int(geo.TotalBlocks()))
-	u32 := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
-	if got := u32(data, planes); got != uint32(geo.Planes()) {
+	return donor, data, w.Len()
+}
+
+// rejectCrafted damages a copy of a valid container, re-seals it (so magic,
+// length and checksum all pass) and requires the decoder to return an error:
+// no panic, and no allocation sized by a claimed count rather than by the
+// bytes present.
+func rejectCrafted(t *testing.T, donor *Controller, data []byte, damage func(b []byte)) {
+	t.Helper()
+	bad := append([]byte(nil), data...)
+	damage(bad)
+	header := ckpt.NewWriter().Len()
+	sealed := ckpt.NewWriter()
+	copy(sealed.Raw(len(bad)-header), bad[header:])
+	bad = sealed.Seal()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := donor.DecodeCheckpoint(bad)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("damaged container accepted")
+	}
+	// A healthy decode allocates the in-memory columns, about twice their
+	// encoding; a slice sized by a crafted count is far past that.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(bad)) {
+		t.Fatalf("allocated %d bytes rejecting a %d-byte container", got, len(bad))
+	}
+}
+
+func u32At(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+
+func putU32At(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off:], v) }
+
+// TestDecodeCheckpointCraftedTimelines damages the resource timelines inside
+// a valid container: counts the payload does not back, and intervals out of
+// order.
+func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
+	donor, data, device := craftedDonor(t)
+	// The plane timelines follow the device's page, tag and block columns.
+	geo := donor.Geometry()
+	planes := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages())) + (4 + 20*int(geo.TotalBlocks()))
+	if got := u32At(data, planes); got != uint32(geo.Planes()) {
 		t.Fatalf("plane count at offset %d reads %d, want %d: the layout moved", planes, got, geo.Planes())
 	}
 	// The first plane whose timeline holds two intervals to swap: each state
 	// is three i64, a count, then count (start, end) pairs.
 	busy := planes + 4
-	for u32(data, busy+24) < 2 {
-		busy += 28 + 16*int(u32(data, busy+24))
+	for u32At(data, busy+24) < 2 {
+		busy += 28 + 16*int(u32At(data, busy+24))
 	}
 
 	for _, tc := range []struct {
 		name   string
 		damage func(b []byte)
 	}{
-		{"plane count beyond payload", func(b []byte) { binary.LittleEndian.PutUint32(b[planes:], 0xFFFFFFFF) }},
-		{"interval count beyond payload", func(b []byte) { binary.LittleEndian.PutUint32(b[planes+4+24:], 1<<24) }},
-		{"interval count beyond the window", func(b []byte) { binary.LittleEndian.PutUint32(b[planes+4+24:], 1000) }},
+		{"plane count beyond payload", func(b []byte) { putU32At(b, planes, 0xFFFFFFFF) }},
+		{"interval count beyond payload", func(b []byte) { putU32At(b, planes+4+24, 1<<24) }},
+		{"interval count beyond the window", func(b []byte) { putU32At(b, planes+4+24, 1000) }},
 		{"intervals out of order", func(b []byte) {
 			first, second := b[busy+28:busy+44], b[busy+44:busy+60]
 			tmp := append([]byte(nil), first...)
@@ -279,26 +314,55 @@ func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
 		}},
 		{"empty interval", func(b []byte) { copy(b[busy+36:busy+44], b[busy+28:busy+36]) }},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bad := append([]byte(nil), data...)
-			tc.damage(bad)
-			sealed := ckpt.NewWriter()
-			copy(sealed.Raw(len(bad)-header), bad[header:])
-			bad = sealed.Seal()
+		t.Run(tc.name, func(t *testing.T) { rejectCrafted(t, donor, data, tc.damage) })
+	}
+}
 
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := donor.DecodeCheckpoint(bad)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatal("damaged timeline accepted")
-			}
-			// A healthy decode allocates the in-memory columns, about twice
-			// their encoding; a slice sized by a crafted count is far past that.
-			if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(bad)) {
-				t.Fatalf("allocated %d bytes rejecting a %d-byte container", got, len(bad))
-			}
-		})
+// TestDecodeCheckpointCraftedBlocks damages the device's block bookkeeping
+// and per-plane statistics columns: counts that would size a 160 GB slice,
+// and rows whose counters contradict each other — the copy-back run updates
+// them by deltas, so nothing downstream would notice.
+func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
+	donor, data, device := craftedDonor(t)
+	geo := donor.Geometry()
+	blocks := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages()))
+	if got := u32At(data, blocks); int64(got) != geo.TotalBlocks() {
+		t.Fatalf("block count at offset %d reads %d, want %d: the layout moved", blocks, got, geo.TotalBlocks())
+	}
+	// The statistics follow the three timeline sets; their per-plane column
+	// comes after numOps x numCauses (count, latency) pairs.
+	planeOps := blocks + 4 + 20*int(geo.TotalBlocks())
+	for set := 0; set < 3; set++ {
+		n := int(u32At(data, planeOps))
+		planeOps += 4
+		for ; n > 0; n-- {
+			planeOps += 28 + 16*int(u32At(data, planeOps+24))
+		}
+	}
+	planeOps += 4 * 3 * 16
+	if got := u32At(data, planeOps); got != uint32(geo.Planes()) {
+		t.Fatalf("PlaneOps count at offset %d reads %d, want %d: the layout moved", planeOps, got, geo.Planes())
+	}
+	// A written block's row: Valid, Invalid, Written, Erases, NextWrite.
+	row := blocks + 4
+	for u32At(data, row+8) == 0 {
+		row += 20
+	}
+
+	for _, tc := range []struct {
+		name   string
+		damage func(b []byte)
+	}{
+		{"block count beyond payload", func(b []byte) { putU32At(b, blocks, 0xFFFFFFFF) }},
+		{"block count beyond geometry", func(b []byte) { putU32At(b, blocks, uint32(geo.TotalBlocks())+1) }},
+		{"PlaneOps count beyond payload", func(b []byte) { putU32At(b, planeOps, 0xFFFFFFFF) }},
+		{"negative valid count", func(b []byte) { putU32At(b, row, 0xFFFFFFFF) }},
+		{"valid + invalid != written", func(b []byte) { putU32At(b, row+4, u32At(b, row+4)+1) }},
+		{"written beyond high-water mark", func(b []byte) { putU32At(b, row+16, u32At(b, row+8)-1) }},
+		{"high-water mark beyond block", func(b []byte) { putU32At(b, row+16, uint32(geo.PagesPerBlock)+1) }},
+		{"negative erase count", func(b []byte) { putU32At(b, row+12, 0x80000000) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { rejectCrafted(t, donor, data, tc.damage) })
 	}
 }
 

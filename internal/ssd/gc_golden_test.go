@@ -1,9 +1,14 @@
 package ssd
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
+	"dloop/internal/obs"
+	"dloop/internal/sim"
 	"dloop/internal/trace"
 )
 
@@ -124,5 +129,127 @@ func TestBuildRejectsUnknownGCPolicy(t *testing.T) {
 		if _, err := Build(cfg); err == nil {
 			t.Errorf("%s: unknown policy accepted", scheme)
 		}
+	}
+}
+
+// gcStreamRecorder wraps the standard collector and checks, event by event,
+// what the collector itself only counts: that every GC copy-back op is ready
+// when the collection's chain has got to it, and that every EvGCCopyBack and
+// EvParityWaste is stamped with the time the chain has reached — which is
+// why a collection under a recorder hands the device single-page runs. It
+// also digests the whole op and event stream.
+type gcStreamRecorder struct {
+	*obs.Collector
+	t         *testing.T
+	chain     sim.Time // where the running collection's copy-back chain has got to
+	copyBacks int
+	wastes    int
+	digest    hash.Hash64
+}
+
+func (r *gcStreamRecorder) hash(vs ...int64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		r.digest.Write(b[:])
+	}
+}
+
+func (r *gcStreamRecorder) RecordGCVictim(valid int, at sim.Time) {
+	r.chain = at
+	r.Collector.RecordGCVictim(valid, at)
+}
+
+func (r *gcStreamRecorder) RecordOp(op obs.Op) {
+	if op.Kind == obs.OpCopyBack {
+		if op.Ready != r.chain {
+			r.t.Fatalf("copy-back %d ready at %d, the chain is at %d", r.copyBacks, op.Ready, r.chain)
+		}
+		r.chain = op.End
+	}
+	r.hash(int64(op.Kind), int64(op.Cause), op.Stored, int64(op.Plane), int64(op.Channel),
+		int64(op.Ready), int64(op.Start), int64(op.End))
+	r.Collector.RecordOp(op)
+}
+
+func (r *gcStreamRecorder) RecordEvent(kind obs.EventKind, at sim.Time) {
+	switch kind {
+	case obs.EvGCCopyBack:
+		r.copyBacks++
+	case obs.EvParityWaste:
+		r.wastes++
+	}
+	if (kind == obs.EvGCCopyBack || kind == obs.EvParityWaste) && at != r.chain {
+		r.t.Fatalf("event %v stamped %d, the chain is at %d", kind, at, r.chain)
+	}
+	r.hash(-1, int64(kind), int64(at))
+	r.Collector.RecordEvent(kind, at)
+}
+
+// TestGoldenObservedGCStream pins the observed path of the two copy-back
+// schemes: the per-event checks above, the event counts against the run's
+// Result, and a digest of the full op + event stream taken before copy-back
+// relocation became run-granular — the observed stream is per operation by
+// design and must not move.
+func TestGoldenObservedGCStream(t *testing.T) {
+	for scheme, want := range map[string]uint64{
+		SchemeDLOOP:          0x3e847660d99843f0,
+		SchemePureMapStriped: 0x1815bcb6ac986efe,
+	} {
+		t.Run(scheme, func(t *testing.T) {
+			c, err := Build(tinyConfig(scheme))
+			if err != nil {
+				t.Fatal(err)
+			}
+			preconditionTiny(t, c)
+			digest := fnv.New64a()
+			rec := &gcStreamRecorder{Collector: obs.NewCollector(c.ObsOptions()), t: t, digest: digest}
+			c.SetRecorder(rec)
+			res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 6000, 7)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := goldenDefaults[scheme]
+			if int64(rec.copyBacks) != golden.copyBacks || int64(rec.wastes) != golden.wastedPages ||
+				res.CopyBacks != golden.copyBacks {
+				t.Errorf("observed %d copy-back and %d waste events, run reports %d copy-backs; golden %d / %d",
+					rec.copyBacks, rec.wastes, res.CopyBacks, golden.copyBacks, golden.wastedPages)
+			}
+			if got := digest.Sum64(); got != want {
+				t.Errorf("op + event stream digest %#x, want %#x", got, want)
+			}
+		})
+	}
+}
+
+// TestCollectionSteadyStateAllocFree: once the collection scratch (parity
+// queues, moved list, the pending run's source and destination lists) has
+// reached its high-water size, sustained garbage collection allocates
+// nothing.
+func TestCollectionSteadyStateAllocFree(t *testing.T) {
+	c := buildTiny(t, SchemeDLOOP)
+	preconditionTiny(t, c)
+	reqs := tinyWorkload(t, c, 4000, 13)
+	for i := range reqs {
+		reqs[i].Op = trace.OpWrite // updates only: every batch collects
+	}
+	i := 0
+	serveBatch := func() {
+		for n := 0; n < 100; n++ {
+			if _, err := c.Serve(reqs[i%len(reqs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+	}
+	for i < 2000 { // reach steady state: pools at the watermark, scratch grown
+		serveBatch()
+	}
+	before := c.Result().GCRuns
+	if avg := testing.AllocsPerRun(10, serveBatch); avg > 0 {
+		t.Fatalf("collecting serve path allocates %.1f times per 100 requests, want 0", avg)
+	}
+	if ran := c.Result().GCRuns - before; ran < 100 {
+		t.Fatalf("only %d collections in the measured window; the test measures nothing", ran)
 	}
 }

@@ -68,7 +68,10 @@ trap 'rm -f "$raw"' EXIT
 # the three timeline regimes: BenchmarkResourceAcquire (tail appends),
 # BenchmarkResourceBackfill (one resource, gaps), and
 # BenchmarkAcquireAllContended (three interlocked resources, a backfilled
-# chain: many EarliestStart rounds per call).
+# chain: many EarliestStart rounds per call); for ./internal/flash/
+# BenchmarkCopyBackRun (runs of 1, 8 and 55 pages) beside the per-page
+# BenchmarkCopyBack; for ./internal/ftl/gc/ BenchmarkCollectOnce (one whole
+# collection of a ~55-valid-page victim).
 #
 # `go test | tee` would mask a benchmark failure: POSIX sh has no pipefail,
 # so under set -eu the pipeline's status is tee's (always 0) and a crashed
@@ -85,7 +88,7 @@ run_bench() {
 run_bench -run '^$' -bench '^(BenchmarkSimulateThroughput(Observed(MQ)?)?|BenchmarkShardedThroughput|BenchmarkGCHeavy)$' \
     -benchmem -benchtime "$benchtime" -count "$count" .
 run_bench -run '^$' -bench . -benchmem -benchtime "$benchtime" -count "$count" \
-    ./internal/sim/ ./internal/flash/ ./internal/ftl/ ./internal/ftl/translate/ \
+    ./internal/sim/ ./internal/flash/ ./internal/ftl/ ./internal/ftl/gc/ ./internal/ftl/translate/ \
     ./internal/workload/ ./internal/trace/ ./internal/expt/ ./internal/ssd/
 cat "$raw"
 
