@@ -10,11 +10,18 @@
 package dloop_test
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"dloop"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
+	"dloop/internal/ssd"
 )
 
 // cyclicStream replays a finite request slice for as long as a benchmark
@@ -208,6 +215,72 @@ func BenchmarkSimulateThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBuild measures constructing a paper-scale (64 GB) device and its
+// FTL, the set-up every cell of a capacity sweep pays before its first
+// request. A build's cost is mostly first touches of its page-sized columns,
+// which a heap that has held a build before hides or exaggerates, so each
+// iteration builds in a fresh child process (TestBuildChild) and the
+// benchmark reports the child's numbers: ns/op, B/op and allocs/op of the
+// build alone, and hwm-MB, the child's peak resident set on Linux.
+func BenchmarkBuild(b *testing.B) {
+	for _, scheme := range []string{dloop.SchemeDLOOP, dloop.SchemeDFTL, dloop.SchemeFAST, ssd.SchemePureMap} {
+		b.Run("64GB/"+scheme, func(b *testing.B) {
+			var sum [4]float64
+			for i := 0; i < b.N; i++ {
+				cmd := exec.Command(os.Args[0], "-test.run=^TestBuildChild$")
+				cmd.Env = append(os.Environ(), buildChildEnv+"="+scheme)
+				out, err := cmd.Output()
+				if err != nil {
+					b.Fatalf("build child: %v\n%s", err, out)
+				}
+				var v [4]float64
+				if _, err := fmt.Sscanf(string(out), "build %g %g %g %g", &v[0], &v[1], &v[2], &v[3]); err != nil {
+					b.Fatalf("build child printed %q: %v", out, err)
+				}
+				for k := range sum {
+					sum[k] += v[k]
+				}
+			}
+			n := float64(b.N)
+			b.ReportMetric(sum[0]/n, "ns/op")
+			b.ReportMetric(sum[1]/n, "B/op")
+			b.ReportMetric(sum[2]/n, "allocs/op")
+			b.ReportMetric(sum[3]/n/1024, "hwm-MB")
+		})
+	}
+}
+
+// buildChildEnv names the scheme TestBuildChild builds.
+const buildChildEnv = "DLOOP_BENCH_BUILD"
+
+// TestBuildChild is BenchmarkBuild's child: it builds one 64 GB device and
+// prints the build's wall time in ns, its heap bytes and allocations, and
+// the process's peak resident set in KiB (0 where /proc is absent).
+func TestBuildChild(t *testing.T) {
+	scheme := os.Getenv(buildChildEnv)
+	if scheme == "" {
+		t.Skip("runs only as BenchmarkBuild's child process")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	s, err := dloop.New(dloop.Config{CapacityGB: 64, FTL: scheme})
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var hwmKB int64
+	if status, err := os.ReadFile("/proc/self/status"); err == nil {
+		if _, tail, ok := strings.Cut(string(status), "VmHWM:"); ok {
+			fmt.Sscan(tail, &hwmKB)
+		}
+	}
+	fmt.Printf("build %d %d %d %d\n", took.Nanoseconds(),
+		after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs, hwmKB)
 }
 
 // BenchmarkGCHeavy measures the simulator in the garbage-collection-active

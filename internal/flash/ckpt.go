@@ -1,6 +1,8 @@
 package flash
 
 import (
+	"encoding/binary"
+
 	"dloop/internal/ckpt"
 	"dloop/internal/sim"
 )
@@ -10,11 +12,17 @@ import (
 // length-prefixed slabs; the resource timelines follow per unit.
 func EncodeDeviceState(w *ckpt.Writer, s *DeviceState) {
 	dst := w.Raw(4 + len(s.state))
-	putU32(dst, uint32(len(s.state)))
+	binary.LittleEndian.PutUint32(dst, uint32(len(s.state)))
 	for i, v := range s.state {
 		dst[4+i] = byte(v)
 	}
-	w.I64s(s.lpns)
+	// The tags go out as the OOB values themselves (-1 for none), not as
+	// the tag+1 the device keeps.
+	dst = w.Raw(4 + 8*len(s.tags))
+	binary.LittleEndian.PutUint32(dst, uint32(len(s.tags)))
+	for i, v := range s.tags {
+		binary.LittleEndian.PutUint64(dst[4+8*i:], uint64(v-1))
+	}
 	w.U32(uint32(len(s.blocks)))
 	for _, b := range s.blocks {
 		w.I32(int32(b.Valid))
@@ -34,19 +42,15 @@ func EncodeDeviceState(w *ckpt.Writer, s *DeviceState) {
 // different device shape fails cleanly instead of half-restoring.
 func DecodeDeviceState(r *ckpt.Reader, geo Geometry) *DeviceState {
 	s := &DeviceState{}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	raw := r.Raw(n)
-	if raw == nil {
-		return nil
-	}
-	s.state = make([]PageState, n)
+	raw := r.Raw(r.SliceLen(1))
+	s.state = make([]PageState, len(raw))
 	for i, v := range raw {
 		s.state[i] = PageState(v)
 	}
-	s.lpns = r.I64s()
+	s.tags = r.I64s()
+	for i := range s.tags {
+		s.tags[i]++
+	}
 	s.blocks = make([]BlockInfo, r.SliceLen(20)) // five i32 per block
 	for i := range s.blocks {
 		b := BlockInfo{
@@ -72,7 +76,7 @@ func DecodeDeviceState(r *ckpt.Reader, geo Geometry) *DeviceState {
 	if r.Err() != nil {
 		return nil
 	}
-	if int64(len(s.state)) != geo.TotalPages() || int64(len(s.lpns)) != geo.TotalPages() ||
+	if int64(len(s.state)) != geo.TotalPages() || int64(len(s.tags)) != geo.TotalPages() ||
 		int64(len(s.blocks)) != geo.TotalBlocks() || len(s.planes) != geo.Planes() ||
 		len(s.chipBus) != geo.Chips() || len(s.channels) != geo.Channels ||
 		len(s.stats.PlaneOps) != geo.Planes() || int64(len(s.stats.BlockErases)) != geo.TotalBlocks() {
@@ -80,13 +84,6 @@ func DecodeDeviceState(r *ckpt.Reader, geo Geometry) *DeviceState {
 		return nil
 	}
 	return s
-}
-
-func putU32(dst []byte, v uint32) {
-	dst[0] = byte(v)
-	dst[1] = byte(v >> 8)
-	dst[2] = byte(v >> 16)
-	dst[3] = byte(v >> 24)
 }
 
 func encodeResources(w *ckpt.Writer, rs []sim.ResourceState) {

@@ -81,7 +81,7 @@ type Device struct {
 	timing Timing
 
 	state  []PageState // indexed by PPN
-	lpns   []int64     // logical page stored at each PPN, -1 if none
+	tags   []int64     // OOB tag + 1 of each PPN: 0 (the -1 tag) when the page holds no live data
 	blocks []BlockInfo // indexed by Geometry.BlockIndex
 
 	planes   []*sim.Resource // cell arrays + data registers
@@ -125,11 +125,8 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 		geo:    geo,
 		timing: timing,
 		state:  make([]PageState, geo.TotalPages()),
-		lpns:   make([]int64, geo.TotalPages()),
+		tags:   make([]int64, geo.TotalPages()),
 		blocks: make([]BlockInfo, geo.TotalBlocks()),
-	}
-	for i := range d.lpns {
-		d.lpns[i] = -1
 	}
 	d.planes = make([]*sim.Resource, geo.Planes())
 	for i := range d.planes {
@@ -229,7 +226,7 @@ func (d *Device) ResetStats() {
 // so one snapshot can fork any number of runs.
 type DeviceState struct {
 	state    []PageState
-	lpns     []int64
+	tags     []int64
 	blocks   []BlockInfo
 	planes   []sim.ResourceState
 	chipBus  []sim.ResourceState
@@ -242,7 +239,7 @@ func (d *Device) Snapshot() *DeviceState {
 	d.SyncTiming()
 	s := &DeviceState{
 		state:    append([]PageState(nil), d.state...),
-		lpns:     append([]int64(nil), d.lpns...),
+		tags:     append([]int64(nil), d.tags...),
 		blocks:   append([]BlockInfo(nil), d.blocks...),
 		planes:   make([]sim.ResourceState, len(d.planes)),
 		chipBus:  make([]sim.ResourceState, len(d.chipBus)),
@@ -267,7 +264,7 @@ func (d *Device) Snapshot() *DeviceState {
 func (d *Device) Restore(s *DeviceState) {
 	d.SyncTiming()
 	copy(d.state, s.state)
-	copy(d.lpns, s.lpns)
+	copy(d.tags, s.tags)
 	copy(d.blocks, s.blocks)
 	for i, r := range d.planes {
 		r.Restore(s.planes[i])
@@ -293,7 +290,7 @@ func (d *Device) BlockStates(pb PlaneBlock) []PageState {
 
 // PageLPN returns the logical page stored at ppn, or -1 if the page does not
 // hold live data.
-func (d *Device) PageLPN(ppn PPN) int64 { return d.lpns[ppn] }
+func (d *Device) PageLPN(ppn PPN) int64 { return d.tags[ppn] - 1 }
 
 // Block returns a copy of the bookkeeping for one block.
 func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockIndex(pb)] }
@@ -309,9 +306,12 @@ func (d *Device) validPPN(ppn PPN) bool {
 	return uint64(ppn) < uint64(d.totalPages)
 }
 
-// maxPages bounds the device so page numbers divide by reciprocal; at 9
-// bytes of device state per page the bound is 36 GB of host memory away.
-const maxPages = 1 << 32
+// maxPages bounds the device so every page number divides by reciprocal and
+// fits a PPNMap entry as ppn+1. Host memory grows with the pages a run
+// touches, not with this bound: a programmed physical page costs 9 bytes of
+// device state (its state byte and 8-byte OOB tag), a mapped logical page 4
+// more in its FTL's PPNMap, and a page never written only address space.
+const maxPages = 1<<32 - 1
 
 // recip returns ceil(2^64 / d). For d >= 2 (Validate: PagesPerBlock is even)
 // and n < 2^32 the high word of recip(d) * n is exactly n / d (Lemire &
@@ -397,7 +397,7 @@ func (d *Device) ReadPage(ppn PPN, ready sim.Time, cause Cause) (sim.Time, error
 	}
 	var stored int64
 	if d.rec != nil { // only the recorder wants the tag; skip the lookup otherwise
-		stored = d.lpns[ppn]
+		stored = d.tags[ppn] - 1
 	}
 	return d.issue(opRead, cause, d.PlaneOf(ppn), stored, ready), nil
 }
@@ -471,7 +471,7 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 			break
 		}
 		d.state[src], d.state[dst] = PageInvalid, PageValid
-		d.lpns[src], d.lpns[dst] = -1, d.lpns[src]
+		d.tags[src], d.tags[dst] = 0, d.tags[src]
 		top = max(top, dst)
 	}
 	d.blocks[sb].Valid -= n
@@ -483,7 +483,7 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 	if d.eng != nil || d.rec != nil {
 		// Futures and op records are per operation: issue one by one.
 		for _, dst := range dsts[:n] {
-			end = d.issue(opCopyBack, cause, plane, d.lpns[dst], end)
+			end = d.issue(opCopyBack, cause, plane, d.tags[dst]-1, end)
 		}
 	} else {
 		end = d.planes[plane].AcquireChain(ready, d.cbLat, n)
@@ -506,7 +506,7 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 	first := d.geo.FirstPPN(pb)
 	for p := 0; p < d.geo.PagesPerBlock; p++ {
 		d.state[first+PPN(p)] = PageFree
-		d.lpns[first+PPN(p)] = -1
+		d.tags[first+PPN(p)] = 0
 	}
 	d.blocks[bi].Valid = 0
 	d.blocks[bi].Invalid = 0
@@ -528,7 +528,7 @@ func (d *Device) Invalidate(ppn PPN) error {
 	}
 	bi := d.blockIndexOf(ppn)
 	d.state[ppn] = PageInvalid
-	d.lpns[ppn] = -1
+	d.tags[ppn] = 0
 	d.blocks[bi].Valid--
 	d.blocks[bi].Invalid++
 	return nil
@@ -556,7 +556,7 @@ func (d *Device) WastePage(ppn PPN) error {
 func (d *Device) program(ppn PPN, lpn int64) {
 	bi := d.blockIndexOf(ppn)
 	d.state[ppn] = PageValid
-	d.lpns[ppn] = lpn
+	d.tags[ppn] = lpn + 1
 	d.blocks[bi].Valid++
 	d.blocks[bi].Written++
 	d.raiseNextWrite(bi, ppn)

@@ -24,7 +24,11 @@ var (
 	// ErrRunShape marks a copy-back run whose source and destination lists
 	// differ in length or do not each stay inside one block.
 	ErrRunShape = errors.New("copy-back run leaves its block")
-	// ErrTooManyPages marks a geometry beyond the 2^32 pages the device's
-	// reciprocal addressing is exact for.
+	// ErrTooManyPages marks a geometry with more pages than a PPNMap entry
+	// can name (maxPages, just under the 2^32 the device's reciprocal
+	// addressing is exact for).
 	ErrTooManyPages = errors.New("geometry exceeds addressable pages")
+	// ErrUnmappable marks a decoded page number that is neither InvalidPPN
+	// nor below maxPages, so no PPNMap can hold it.
+	ErrUnmappable = errors.New("page number beyond any device")
 )

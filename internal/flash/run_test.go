@@ -319,21 +319,22 @@ func TestReciprocalAddressing(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		divisors = append(divisors, 2+rng.Int63n(1<<32-1))
 	}
+	const exact = 1 << 32 // recip's domain, one past maxPages
 	for _, d := range divisors {
 		m := recip(d)
 		check := func(n uint64) {
-			if n < maxPages && div(m, n) != n/uint64(d) {
+			if n < exact && div(m, n) != n/uint64(d) {
 				t.Fatalf("%d / %d by reciprocal = %d, want %d", n, d, div(m, n), n/uint64(d))
 			}
 		}
-		for _, q := range []uint64{0, 1, 2, 3, rng.Uint64() % (maxPages / uint64(d)), (maxPages - 1) / uint64(d)} {
+		for _, q := range []uint64{0, 1, 2, 3, rng.Uint64() % (exact / uint64(d)), (exact - 1) / uint64(d)} {
 			check(q * uint64(d))
 			check(q*uint64(d) + 1)
 			check(q*uint64(d) + uint64(d) - 1)
 		}
-		check(maxPages - 1)
+		check(exact - 1)
 		for i := 0; i < 64; i++ {
-			check(rng.Uint64() % maxPages)
+			check(rng.Uint64() % exact)
 		}
 	}
 

@@ -47,11 +47,7 @@ func DecodeState(r *ckpt.Reader) any {
 		pool:      ftl.DecodeFreeBlocksState(r),
 		dataBlock: r.I64s(),
 	}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	s.logs = make([]*logBlock, n)
+	s.logs = make([]*logBlock, r.SliceLen(1))
 	for i := range s.logs {
 		if !r.Bool() {
 			continue

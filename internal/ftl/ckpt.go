@@ -15,11 +15,7 @@ func EncodeFreeBlocksState(w *ckpt.Writer, s FreeBlocksState) {
 // DecodeFreeBlocksState reads a FreeBlocksState written by
 // EncodeFreeBlocksState.
 func DecodeFreeBlocksState(r *ckpt.Reader) FreeBlocksState {
-	n := int(r.U32())
-	if r.Err() != nil {
-		return FreeBlocksState{}
-	}
-	s := FreeBlocksState{perPlane: make([][]int, n)}
+	s := FreeBlocksState{perPlane: make([][]int, r.SliceLen(4))}
 	for i := range s.perPlane {
 		s.perPlane[i] = r.Ints()
 	}
@@ -51,17 +47,9 @@ func DecodeTrackerState(r *ckpt.Reader) TrackerState {
 		invalid: r.I32s(),
 		inBkt:   r.I32s(),
 	}
-	planes := int(r.U32())
-	if r.Err() != nil {
-		return TrackerState{}
-	}
-	s.buckets = make([][][]int32, planes)
+	s.buckets = make([][][]int32, r.SliceLen(4))
 	for p := range s.buckets {
-		counts := int(r.U32())
-		if r.Err() != nil {
-			return TrackerState{}
-		}
-		s.buckets[p] = make([][]int32, counts)
+		s.buckets[p] = make([][]int32, r.SliceLen(4))
 		for c := range s.buckets[p] {
 			s.buckets[p][c] = r.I32s()
 		}

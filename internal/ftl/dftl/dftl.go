@@ -179,7 +179,7 @@ func (f *DFTL) ReadPage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	ppn := f.mapper.Table[lpn]
+	ppn := f.mapper.PPN(lpn)
 	if ppn == flash.InvalidPPN {
 		return t, nil
 	}
@@ -290,7 +290,7 @@ func (f *DFTL) Lookup(lpn ftl.LPN) flash.PPN {
 	if err := ftl.CheckLPN(lpn, f.capacity); err != nil {
 		return flash.InvalidPPN
 	}
-	return f.mapper.Table[lpn]
+	return f.mapper.PPN(lpn)
 }
 
 // NewRecovered builds a DFTL baseline from an existing device's state by

@@ -86,7 +86,7 @@ func TestTranslationPagesStartOnPlaneZero(t *testing.T) {
 	}
 	found := false
 	for tvpn := 0; tvpn < f.mapper.TranslationPages(); tvpn++ {
-		ppn := f.mapper.GTD[tvpn]
+		ppn := f.mapper.GTD.Get(int64(tvpn))
 		if ppn == flash.InvalidPPN {
 			continue
 		}

@@ -37,11 +37,7 @@ func DecodeState(r *ckpt.Reader) any {
 		pool:    ftl.DecodeFreeBlocksState(r),
 		tracker: ftl.DecodeTrackerState(r),
 	}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	s.cur = make([]writePoint, n)
+	s.cur = make([]writePoint, r.SliceLen(25)) // three i64 and a bool each
 	for i := range s.cur {
 		s.cur[i] = decodeWritePoint(r)
 	}

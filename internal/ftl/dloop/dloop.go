@@ -225,7 +225,7 @@ func (f *DLOOP) ReadPage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	ppn := f.mapper.Table[lpn]
+	ppn := f.mapper.PPN(lpn)
 	if ppn == flash.InvalidPPN {
 		return t, nil // never written: controller answers with zeros
 	}
@@ -370,7 +370,7 @@ func (f *DLOOP) Lookup(lpn ftl.LPN) flash.PPN {
 	if err := ftl.CheckLPN(lpn, f.capacity); err != nil {
 		return flash.InvalidPPN
 	}
-	return f.mapper.Table[lpn]
+	return f.mapper.PPN(lpn)
 }
 
 // NewRecovered builds a DLOOP FTL from an existing device's state by

@@ -166,7 +166,7 @@ func TestTranslationPagesStriped(t *testing.T) {
 	}
 	found := 0
 	for tvpn := 0; tvpn < f.mapper.TranslationPages(); tvpn++ {
-		ppn := f.mapper.GTD[tvpn]
+		ppn := f.mapper.GTD.Get(int64(tvpn))
 		if ppn == flash.InvalidPPN {
 			continue
 		}

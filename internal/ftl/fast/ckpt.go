@@ -17,10 +17,7 @@ func EncodeState(w *ckpt.Writer, snap any) error {
 	}
 	ftl.EncodeFreeBlocksState(w, s.pool)
 	w.I64s(s.dataBlock)
-	w.U32(uint32(len(s.logMap)))
-	for _, p := range s.logMap {
-		w.I64(int64(p))
-	}
+	flash.EncodePPNMap(w, s.logMap)
 	w.I64(s.swLBN)
 	encodePlaneBlock(w, s.swBlock)
 	w.Int(s.swNext)
@@ -45,16 +42,7 @@ func DecodeState(r *ckpt.Reader) any {
 	s := &state{
 		pool:      ftl.DecodeFreeBlocksState(r),
 		dataBlock: r.I64s(),
-	}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if n > 0 {
-		s.logMap = make([]flash.PPN, n)
-		for i := range s.logMap {
-			s.logMap[i] = flash.PPN(r.I64())
-		}
+		logMap:    flash.DecodePPNMap(r),
 	}
 	s.swLBN = r.I64()
 	s.swBlock = decodePlaneBlock(r)
@@ -62,11 +50,7 @@ func DecodeState(r *ckpt.Reader) any {
 	s.rwActive = r.Bool()
 	s.rwBlock = decodePlaneBlock(r)
 	s.rwNext = r.Int()
-	nf := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if nf > 0 {
+	if nf := r.SliceLen(16); nf > 0 {
 		s.rwFull = make([]flash.PlaneBlock, nf)
 		for i := range s.rwFull {
 			s.rwFull[i] = decodePlaneBlock(r)

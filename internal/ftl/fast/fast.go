@@ -53,8 +53,8 @@ type FAST struct {
 	lbns     int64 // logical blocks exported
 
 	pool      *ftl.FreeBlocks
-	dataBlock []int64     // lbn -> dense physical block index, -1 if none
-	logMap    []flash.PPN // lpn -> log-resident location, InvalidPPN if none
+	dataBlock []int64      // lbn -> dense physical block index, -1 if none
+	logMap    flash.PPNMap // lpn -> log-resident location, InvalidPPN if none
 
 	swLBN   int64 // logical block owning the SW log, -1 if inactive
 	swBlock flash.PlaneBlock
@@ -97,14 +97,11 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 		lbns:      int64(capacity) / int64(geo.PagesPerBlock),
 		pool:      ftl.NewFreeBlocks(geo),
 		dataBlock: make([]int64, int64(capacity)/int64(geo.PagesPerBlock)),
-		logMap:    make([]flash.PPN, capacity),
+		logMap:    make(flash.PPNMap, capacity),
 		swLBN:     -1,
 	}
 	for i := range f.dataBlock {
 		f.dataBlock[i] = -1
-	}
-	for i := range f.logMap {
-		f.logMap[i] = flash.InvalidPPN
 	}
 	name := cfg.GCPolicy
 	if name == "" {
@@ -162,7 +159,7 @@ func (f *FAST) dataPPN(lbn int64, off int) flash.PPN {
 // lookup returns the physical page currently holding lpn, or InvalidPPN.
 // Log-resident versions shadow the data block.
 func (f *FAST) lookup(lpn ftl.LPN) flash.PPN {
-	if ppn := f.logMap[lpn]; ppn != flash.InvalidPPN {
+	if ppn := f.logMap.Get(int64(lpn)); ppn != flash.InvalidPPN {
 		return ppn
 	}
 	lbn, off := f.split(lpn)
@@ -223,7 +220,7 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 			return 0, err
 		}
 		f.swNext++
-		f.logMap[lpn] = ppn
+		f.logMap.Set(int64(lpn), ppn)
 		if err := f.invalidateOld(old); err != nil {
 			return 0, err
 		}
@@ -255,7 +252,7 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 			return 0, err
 		}
 		f.swNext = 1
-		f.logMap[lpn] = ppn
+		f.logMap.Set(int64(lpn), ppn)
 		return end, f.invalidateOld(old)
 
 	default:
@@ -295,7 +292,7 @@ func (f *FAST) rwWrite(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		return 0, err
 	}
 	f.rwNext++
-	f.logMap[lpn] = ppn
+	f.logMap.Set(int64(lpn), ppn)
 	return end, f.invalidateOld(old)
 }
 
@@ -334,8 +331,8 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 		// log entries that still point into it — others are live elsewhere.
 		for off := 0; off < f.swNext; off++ {
 			lpn := ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off))
-			if ppn := f.logMap[lpn]; ppn != flash.InvalidPPN && f.geo.BlockOf(ppn) == b {
-				f.logMap[lpn] = flash.InvalidPPN
+			if ppn := f.logMap.Get(int64(lpn)); ppn != flash.InvalidPPN && f.geo.BlockOf(ppn) == b {
+				f.logMap.Set(int64(lpn), flash.InvalidPPN)
 			}
 		}
 		t, err = f.eraseToPool(b, t)
@@ -369,7 +366,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 			if err != nil {
 				return 0, err
 			}
-			f.logMap[lpn] = flash.InvalidPPN
+			f.logMap.Set(int64(lpn), flash.InvalidPPN)
 		}
 		t, err = f.retireDataBlock(lbn, t)
 		if err != nil {
@@ -405,7 +402,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 // drops its pages from the log map.
 func (f *FAST) adoptAsData(lbn int64, b flash.PlaneBlock) {
 	for off := 0; off < f.geo.PagesPerBlock; off++ {
-		f.logMap[ftl.LPN(lbn*int64(f.geo.PagesPerBlock)+int64(off))] = flash.InvalidPPN
+		f.logMap.Set(lbn*int64(f.geo.PagesPerBlock)+int64(off), flash.InvalidPPN)
 	}
 	f.dataBlock[lbn] = f.geo.BlockIndex(b)
 }
@@ -466,7 +463,7 @@ func (f *FAST) consolidate(lbn int64, ready sim.Time) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.logMap[lpn] = flash.InvalidPPN
+		f.logMap.Set(int64(lpn), flash.InvalidPPN)
 	}
 	t, err = f.retireDataBlock(lbn, t)
 	if err != nil {

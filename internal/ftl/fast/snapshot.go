@@ -13,7 +13,7 @@ import (
 type state struct {
 	pool      ftl.FreeBlocksState
 	dataBlock []int64
-	logMap    []flash.PPN
+	logMap    flash.PPNMap
 	swLBN     int64
 	swBlock   flash.PlaneBlock
 	swNext    int
@@ -30,7 +30,7 @@ func (f *FAST) Snapshot() any {
 	return &state{
 		pool:      f.pool.Snapshot(),
 		dataBlock: append([]int64(nil), f.dataBlock...),
-		logMap:    append([]flash.PPN(nil), f.logMap...),
+		logMap:    append(flash.PPNMap(nil), f.logMap...),
 		swLBN:     f.swLBN,
 		swBlock:   f.swBlock,
 		swNext:    f.swNext,

@@ -15,10 +15,7 @@ func EncodeState(w *ckpt.Writer, snap any) error {
 	if !ok {
 		return fmt.Errorf("pagemap: foreign snapshot %T", snap)
 	}
-	w.U32(uint32(len(s.table)))
-	for _, p := range s.table {
-		w.I64(int64(p))
-	}
+	flash.EncodePPNMap(w, s.table)
 	ftl.EncodeFreeBlocksState(w, s.pool)
 	ftl.EncodeTrackerState(w, s.tracker)
 	w.U32(uint32(len(s.cur)))
@@ -35,24 +32,10 @@ func EncodeState(w *ckpt.Writer, snap any) error {
 // DecodeState reads a snapshot written by EncodeState, in the form
 // PureMap.Restore accepts.
 func DecodeState(r *ckpt.Reader) any {
-	s := &state{}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if n > 0 {
-		s.table = make([]flash.PPN, n)
-		for i := range s.table {
-			s.table[i] = flash.PPN(r.I64())
-		}
-	}
+	s := &state{table: flash.DecodePPNMap(r)}
 	s.pool = ftl.DecodeFreeBlocksState(r)
 	s.tracker = ftl.DecodeTrackerState(r)
-	nc := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	s.cur = make([]writePoint, nc)
+	s.cur = make([]writePoint, r.SliceLen(25)) // three i64 and a bool each
 	for i := range s.cur {
 		s.cur[i] = writePoint{
 			pb:     flash.PlaneBlock{Plane: r.Int(), Block: r.Int()},

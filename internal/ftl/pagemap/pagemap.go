@@ -63,7 +63,7 @@ type PureMap struct {
 	cfg      Config
 	capacity ftl.LPN
 
-	table   []flash.PPN
+	table   flash.PPNMap
 	pool    *ftl.FreeBlocks
 	tracker *ftl.Tracker
 	cur     []writePoint // per plane when striped; index 0 otherwise
@@ -88,10 +88,7 @@ func New(dev *flash.Device, cfg Config) (*PureMap, error) {
 		tracker:  ftl.NewTracker(geo),
 		cur:      make([]writePoint, geo.Planes()),
 	}
-	f.table = make([]flash.PPN, f.capacity)
-	for i := range f.table {
-		f.table[i] = flash.InvalidPPN
-	}
+	f.table = make(flash.PPNMap, f.capacity)
 	name := cfg.GCPolicy
 	if name == "" {
 		name = gc.DefaultPagePolicy
@@ -150,7 +147,7 @@ func (f *PureMap) Lookup(lpn ftl.LPN) flash.PPN {
 	if ftl.CheckLPN(lpn, f.capacity) != nil {
 		return flash.InvalidPPN
 	}
-	return f.table[lpn]
+	return f.table.Get(int64(lpn))
 }
 
 func (f *PureMap) planeFor(lpn ftl.LPN) int {
@@ -165,7 +162,7 @@ func (f *PureMap) ReadPage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err := ftl.CheckLPN(lpn, f.capacity); err != nil {
 		return 0, err
 	}
-	ppn := f.table[lpn]
+	ppn := f.table.Get(int64(lpn))
 	if ppn == flash.InvalidPPN {
 		return ready, nil
 	}
@@ -193,13 +190,13 @@ func (f *PureMap) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	if old := f.table[lpn]; old != flash.InvalidPPN {
+	if old := f.table.Get(int64(lpn)); old != flash.InvalidPPN {
 		if err := f.dev.Invalidate(old); err != nil {
 			return 0, err
 		}
 		f.tracker.Invalidated(f.dev.BlockOf(old))
 	}
-	f.table[lpn] = ppn
+	f.table.Set(int64(lpn), ppn)
 	return end, nil
 }
 
@@ -283,7 +280,7 @@ func (h hooks) NextDest(plane int, stored int64) (flash.PPN, error) {
 
 func (h hooks) Redirect(moved []ftl.Moved, at sim.Time) (sim.Time, error) {
 	for _, mv := range moved {
-		h.f.table[mv.Stored] = mv.New // translation is free: the table is SRAM
+		h.f.table.Set(mv.Stored, mv.New) // translation is free: the table is SRAM
 	}
 	return at, nil
 }

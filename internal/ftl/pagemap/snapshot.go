@@ -11,7 +11,7 @@ import (
 // state is PureMap's checkpoint: the in-SRAM table plus pool, tracker, and
 // write points.
 type state struct {
-	table   []flash.PPN
+	table   flash.PPNMap
 	pool    ftl.FreeBlocksState
 	tracker ftl.TrackerState
 	cur     []writePoint
@@ -21,7 +21,7 @@ type state struct {
 // Snapshot implements ftl.Snapshotter.
 func (f *PureMap) Snapshot() any {
 	return &state{
-		table:   append([]flash.PPN(nil), f.table...),
+		table:   append(flash.PPNMap(nil), f.table...),
 		pool:    f.pool.Snapshot(),
 		tracker: f.tracker.Snapshot(),
 		cur:     append([]writePoint(nil), f.cur...),

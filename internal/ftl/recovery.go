@@ -25,9 +25,9 @@ type PartialBlock struct {
 // RecoveredState is the outcome of an OOB scan.
 type RecoveredState struct {
 	// Table maps each logical page to its valid physical page.
-	Table []flash.PPN
+	Table flash.PPNMap
 	// GTD maps each translation-page number to its valid physical page.
-	GTD []flash.PPN
+	GTD flash.PPNMap
 	// Pool holds the fully-erased blocks.
 	Pool *FreeBlocks
 	// Tracker indexes the fully-written blocks by invalid count.
@@ -45,16 +45,10 @@ type RecoveredState struct {
 func ScanOOB(dev *flash.Device, capacity LPN, translationPages int) (*RecoveredState, error) {
 	geo := dev.Geometry()
 	st := &RecoveredState{
-		Table:   make([]flash.PPN, capacity),
-		GTD:     make([]flash.PPN, translationPages),
+		Table:   make(flash.PPNMap, capacity),
+		GTD:     make(flash.PPNMap, translationPages),
 		Pool:    NewEmptyFreeBlocks(geo),
 		Tracker: NewTracker(geo),
-	}
-	for i := range st.Table {
-		st.Table[i] = flash.InvalidPPN
-	}
-	for i := range st.GTD {
-		st.GTD[i] = flash.InvalidPPN
 	}
 
 	for plane := 0; plane < geo.Planes(); plane++ {
@@ -72,19 +66,19 @@ func ScanOOB(dev *flash.Device, capacity LPN, translationPages int) (*RecoveredS
 						if tvpn < 0 || tvpn >= int64(translationPages) {
 							return nil, fmt.Errorf("ftl: recovery found translation page %d outside GTD of %d", tvpn, translationPages)
 						}
-						if st.GTD[tvpn] != flash.InvalidPPN {
+						if st.GTD.Get(tvpn) != flash.InvalidPPN {
 							return nil, fmt.Errorf("ftl: recovery found two valid copies of translation page %d", tvpn)
 						}
-						st.GTD[tvpn] = ppn
+						st.GTD.Set(tvpn, ppn)
 					} else {
 						lpn := LPN(stored)
 						if err := CheckLPN(lpn, capacity); err != nil {
 							return nil, fmt.Errorf("ftl: recovery: %w", err)
 						}
-						if st.Table[lpn] != flash.InvalidPPN {
+						if st.Table.Get(stored) != flash.InvalidPPN {
 							return nil, fmt.Errorf("ftl: recovery found two valid copies of lpn %d", lpn)
 						}
-						st.Table[lpn] = ppn
+						st.Table.Set(stored, ppn)
 					}
 				case flash.PageInvalid:
 					st.Tracker.Invalidated(pb)

@@ -34,7 +34,7 @@ func BenchmarkCMT(b *testing.B) {
 // newBenchEngine builds an engine over an 8192-page logical space with every
 // mapping live and every translation page persisted, so steady-state misses
 // pay real translation reads. The table follows the unit progression
-// (Table[lpn] = lpn) the learned policy trains on at write-back.
+// (PPN(lpn) = lpn) the learned policy trains on at write-back.
 func newBenchEngine(b *testing.B, policy Policy) *Engine {
 	b.Helper()
 	dev, err := flash.NewDevice(benchGeo(), flash.DefaultTiming())
@@ -48,8 +48,8 @@ func newBenchEngine(b *testing.B, policy Policy) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for lpn := range m.Table {
-		m.Table[lpn] = flash.PPN(lpn)
+	for lpn := range m.table {
+		m.table.Set(int64(lpn), flash.PPN(lpn))
 	}
 	for tp := 0; tp < m.TranslationPages(); tp++ {
 		if _, err := m.writeBack(ftl.LPN(tp*m.EntriesPerTP()), 0); err != nil {

@@ -14,9 +14,9 @@ import (
 // restored cache is bit-identical to the snapshotted one, free list and
 // recency links included.
 func EncodeState(w *ckpt.Writer, s State) {
-	encodePPNs(w, s.table)
+	flash.EncodePPNMap(w, s.table)
 	encodeCacheState(w, s.cache)
-	encodePPNs(w, s.gtd)
+	flash.EncodePPNMap(w, s.gtd)
 	w.U32(uint32(len(s.learned.segs)))
 	for _, segs := range s.learned.segs {
 		w.U32(uint32(len(segs)))
@@ -38,21 +38,27 @@ func EncodeState(w *ckpt.Writer, s State) {
 	w.I64(s.stats.LearnedFalse)
 }
 
-// DecodeState reads a State written by EncodeState.
+// DecodeState reads a State written by EncodeState. Every count is checked
+// against the bytes left before anything is sized by it, and a learned index
+// must cover exactly the GTD's translation pages, as the engine's does.
 func DecodeState(r *ckpt.Reader) State {
 	s := State{
-		table: decodePPNs(r),
+		table: flash.DecodePPNMap(r),
 		cache: decodeCacheState(r),
-		gtd:   decodePPNs(r),
+		gtd:   flash.DecodePPNMap(r),
 	}
-	n := int(r.U32())
+	n := r.SliceLen(4) // one u32 segment count per translation page
 	if r.Err() != nil {
+		return State{}
+	}
+	if n != 0 && n != len(s.gtd) {
+		r.Failf("translate: learned index over %d translation pages, GTD has %d", n, len(s.gtd))
 		return State{}
 	}
 	if n > 0 {
 		s.learned.segs = make([][]segment, n)
 		for i := range s.learned.segs {
-			cnt := int(r.U32())
+			cnt := r.SliceLen(32) // start, stride, count, base, delta
 			if r.Err() != nil {
 				return State{}
 			}
@@ -67,6 +73,10 @@ func DecodeState(r *ckpt.Reader) State {
 					count:     r.I32(),
 					base:      flash.PPN(r.I64()),
 					ppnDelta:  r.I64(),
+				}
+				if segs[j].lpnStride < 1 {
+					r.Failf("translate: learned segment with stride %d", segs[j].lpnStride)
+					return State{}
 				}
 			}
 			s.learned.segs[i] = segs
@@ -83,41 +93,6 @@ func DecodeState(r *ckpt.Reader) State {
 		LearnedFalse:   r.I64(),
 	}
 	return s
-}
-
-func encodePPNs(w *ckpt.Writer, s []flash.PPN) {
-	w.U32(uint32(len(s)))
-	dst := w.Raw(8 * len(s))
-	for i, v := range s {
-		u := uint64(v)
-		dst[8*i] = byte(u)
-		dst[8*i+1] = byte(u >> 8)
-		dst[8*i+2] = byte(u >> 16)
-		dst[8*i+3] = byte(u >> 24)
-		dst[8*i+4] = byte(u >> 32)
-		dst[8*i+5] = byte(u >> 40)
-		dst[8*i+6] = byte(u >> 48)
-		dst[8*i+7] = byte(u >> 56)
-	}
-}
-
-func decodePPNs(r *ckpt.Reader) []flash.PPN {
-	n := int(r.U32())
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	raw := r.Raw(8 * n)
-	if raw == nil {
-		return nil
-	}
-	out := make([]flash.PPN, n)
-	for i := range out {
-		out[i] = flash.PPN(uint64(raw[8*i]) | uint64(raw[8*i+1])<<8 |
-			uint64(raw[8*i+2])<<16 | uint64(raw[8*i+3])<<24 |
-			uint64(raw[8*i+4])<<32 | uint64(raw[8*i+5])<<40 |
-			uint64(raw[8*i+6])<<48 | uint64(raw[8*i+7])<<56)
-	}
-	return out
 }
 
 // cache entry flag bits.
@@ -173,7 +148,7 @@ func encodeCacheState(w *ckpt.Writer, s CacheState) {
 
 func decodeCacheState(r *ckpt.Reader) CacheState {
 	s := CacheState{n: r.Int()}
-	ns := int(r.U32())
+	ns := r.SliceLen(33) // lpn, ppn, flags, four links
 	if r.Err() != nil {
 		return CacheState{}
 	}
@@ -181,7 +156,10 @@ func decodeCacheState(r *ckpt.Reader) CacheState {
 	for i := range s.slab {
 		e := &s.slab[i]
 		e.lpn = ftl.LPN(r.I64())
-		e.ppn = flash.PPN(r.I64())
+		if e.ppn = flash.PPN(r.I64()); !flash.Mappable(e.ppn) {
+			r.Failf("translate: cached mapping %d holds ppn %d: %w", i, e.ppn, flash.ErrUnmappable)
+			return CacheState{}
+		}
 		flags := r.U8()
 		e.dirty = flags&entryDirty != 0
 		e.protected = flags&entryProtected != 0
@@ -194,7 +172,7 @@ func decodeCacheState(r *ckpt.Reader) CacheState {
 	if r.Bool() {
 		s.dense = r.I32s()
 	} else {
-		nk := int(r.U32())
+		nk := r.SliceLen(12) // lpn, handle
 		if r.Err() != nil {
 			return CacheState{}
 		}

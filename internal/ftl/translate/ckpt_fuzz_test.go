@@ -1,0 +1,183 @@
+package translate
+
+import (
+	"errors"
+	"runtime"
+	"testing"
+
+	"dloop/internal/ckpt"
+	"dloop/internal/flash"
+	"dloop/internal/ftl"
+	"dloop/internal/sim"
+)
+
+// encodedEngineState runs a small write stream through a fresh engine and
+// returns its encoded state: a table and GTD with live entries, a CMT with
+// dirty and clean entries, and — under the learned policy — trained segments.
+func encodedEngineState(tb testing.TB, policy Policy) []byte {
+	tb.Helper()
+	dev, err := flash.NewDevice(testGeo(), flash.DefaultTiming())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := NewEngine(Config{
+		Dev: dev, Placer: &splitPlacer{trans: 128}, Tracker: ftl.NewTracker(testGeo()),
+		Capacity: 64, CMTEntries: 4, Policy: policy, StrideHint: 1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var at sim.Time
+	for lpn := ftl.LPN(0); lpn < 24; lpn++ {
+		if at, err = m.Resolve(lpn, at); err != nil {
+			tb.Fatal(err)
+		}
+		ppn, t, err := m.placer.PlacePage(int64(lpn), at)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if at, err = dev.WritePage(ppn, int64(lpn), t, flash.CauseHost); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := m.RecordWrite(lpn, ppn); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if policy == PolicyLearned && m.LearnedSegments() == 0 {
+		tb.Fatal("no learned segments trained")
+	}
+	var w ckpt.Writer
+	EncodeState(&w, m.Snapshot())
+	return w.Bytes()
+}
+
+// decodeAllocs decodes data as an engine state and reports the bytes the
+// decode allocated and its error. The heap counters are process-wide and a
+// fuzzing worker's own goroutines allocate too, so a reading over the bound
+// is taken again, and the smallest of three stands.
+func decodeAllocs(data []byte) (alloc uint64, err error) {
+	for try := 0; try < 3 && (try == 0 || alloc > allocBound(len(data))); try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := ckpt.NewReader(data)
+		DecodeState(r)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; try == 0 || n < alloc {
+			alloc = n
+		}
+		err = r.Err()
+	}
+	return alloc, err
+}
+
+// allocBound is what decoding len bytes may allocate. The in-memory forms
+// run up to 2.3x their encoding (a learned index's per-page slice headers
+// against the GTD and counts that back them); a slice sized by a count the
+// bytes do not back would be far past it.
+func allocBound(n int) uint64 { return 4*uint64(n) + 4096 }
+
+// TestDecodeStateRoundTrip: every policy's state decodes and re-encodes to
+// the same bytes.
+func TestDecodeStateRoundTrip(t *testing.T) {
+	for _, policy := range []Policy{PolicySLRU, PolicyLRU, PolicyLearned} {
+		data := encodedEngineState(t, policy)
+		r := ckpt.NewReader(data)
+		s := DecodeState(r)
+		if err := r.Err(); err != nil {
+			t.Fatalf("%v: %v", policy, err)
+		}
+		var w ckpt.Writer
+		EncodeState(&w, s)
+		if string(w.Bytes()) != string(data) {
+			t.Fatalf("%v: re-encoding changed the bytes", policy)
+		}
+	}
+}
+
+// TestDecodeStateCrafted damages the counts and PPN columns of a valid
+// encoding. Each must fail with an error, allocating only what the payload
+// backs: unbounded, a slab or learned-index count of 2^32-1 sizes a slice of
+// 96 GB or more, and a PPN column truncates whatever int64 it is given.
+func TestDecodeStateCrafted(t *testing.T) {
+	data := encodedEngineState(t, PolicyLearned)
+	const table = 4 + 8*64 // the 64-entry table; the CMT follows
+	slab := table + 8      // after the cached-entry count n
+	put := func(b []byte, off int, v uint64, width int) {
+		for i := 0; i < width; i++ {
+			b[off+i] = byte(v >> (8 * i))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(b []byte)
+		want   error
+	}{
+		{"slab count beyond payload", func(b []byte) { put(b, slab, 0xFFFFFFFF, 4) }, nil},
+		{"table count beyond payload", func(b []byte) { put(b, 0, 0xFFFFFFFF, 4) }, nil},
+		{"table entry beyond any device", func(b []byte) { put(b, 4, 1<<32-1, 8) }, flash.ErrUnmappable},
+		{"table entry negative", func(b []byte) { put(b, 4+8, ^uint64(1), 8) }, flash.ErrUnmappable},
+		{"cached ppn beyond any device", func(b []byte) { put(b, slab+4+33+8, 1<<40, 8) }, flash.ErrUnmappable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), data...)
+			tc.damage(bad)
+			alloc, err := decodeAllocs(bad)
+			if err == nil {
+				t.Fatal("damaged state accepted")
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("error %v, want %v", err, tc.want)
+			}
+			if alloc > allocBound(len(bad)) {
+				t.Fatalf("allocated %d bytes rejecting %d", alloc, len(bad))
+			}
+		})
+	}
+
+	// The learned index's counts: the outer one must match the GTD, each
+	// page's must be backed by the payload.
+	r := ckpt.NewReader(data)
+	s := DecodeState(r)
+	var w ckpt.Writer
+	flash.EncodePPNMap(&w, s.table)
+	encodeCacheState(&w, s.cache)
+	flash.EncodePPNMap(&w, s.gtd)
+	learned := w.Len()
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    uint64
+	}{
+		{"learned page count beyond the GTD", learned, uint64(len(s.gtd)) + 1},
+		{"learned page count beyond payload", learned, 0xFFFFFFFF},
+		{"segment count beyond payload", learned + 4, 0xFFFFFFFF},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), data...)
+			put(bad, tc.off, tc.v, 4)
+			alloc, err := decodeAllocs(bad)
+			if err == nil {
+				t.Fatal("damaged state accepted")
+			}
+			if alloc > allocBound(len(bad)) {
+				t.Fatalf("allocated %d bytes rejecting %d", alloc, len(bad))
+			}
+		})
+	}
+}
+
+// FuzzDecodeTranslateState feeds arbitrary bytes to DecodeState. It must
+// never panic, and it may allocate only in proportion to the bytes given:
+// no count the payload does not back may size anything.
+func FuzzDecodeTranslateState(f *testing.F) {
+	for _, policy := range []Policy{PolicySLRU, PolicyLRU, PolicyLearned} {
+		f.Add(encodedEngineState(f, policy))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if alloc, _ := decodeAllocs(data); alloc > allocBound(len(data)) {
+			t.Fatalf("allocated %d bytes decoding %d", alloc, len(data))
+		}
+	})
+}

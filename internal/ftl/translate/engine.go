@@ -52,16 +52,16 @@ type Config struct {
 // CMT). The learned policy additionally predicts PPNs for regularly-placed
 // ranges so verified predictions skip the translation read (see learned.go).
 //
-// Table is authoritative for simulation correctness; the cache/GTD machinery
-// exists to charge the flash traffic that a real controller's SRAM miss
-// would cost.
+// The table (read through PPN) is authoritative for simulation correctness;
+// the cache/GTD machinery exists to charge the flash traffic that a real
+// controller's SRAM miss would cost.
 type Engine struct {
 	dev    *flash.Device
 	placer ftl.Placer
 
-	Table []flash.PPN // lpn -> current ppn, InvalidPPN if never written
+	table flash.PPNMap // lpn -> current ppn, InvalidPPN if never written
 	Cache *Cache
-	GTD   []flash.PPN // tvpn -> ppn of its translation page, InvalidPPN if never persisted
+	GTD   flash.PPNMap // tvpn -> ppn of its translation page, InvalidPPN if never persisted
 
 	entriesPerTP int
 	tracker      *ftl.Tracker // invalidation bookkeeping for superseded translation pages
@@ -87,9 +87,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	m := &Engine{
 		dev:          cfg.Dev,
 		placer:       cfg.Placer,
-		Table:        make([]flash.PPN, cfg.Capacity),
+		table:        make(flash.PPNMap, cfg.Capacity),
 		Cache:        cache,
-		GTD:          make([]flash.PPN, nTP),
+		GTD:          make(flash.PPNMap, nTP),
 		entriesPerTP: per,
 		tracker:      cfg.Tracker,
 		policy:       cfg.Policy,
@@ -97,14 +97,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Policy == PolicyLearned {
 		m.li = newLearnedIndex(int(nTP), cfg.StrideHint)
 	}
-	for i := range m.Table {
-		m.Table[i] = flash.InvalidPPN
-	}
-	for i := range m.GTD {
-		m.GTD[i] = flash.InvalidPPN
-	}
 	return m, nil
 }
+
+// PPN returns lpn's current physical page, or InvalidPPN if it was never
+// written.
+func (m *Engine) PPN(lpn ftl.LPN) flash.PPN { return m.table.Get(int64(lpn)) }
 
 // Stats returns the accumulated translation overhead counters.
 func (m *Engine) Stats() Stats { return m.stats }
@@ -123,7 +121,7 @@ func (m *Engine) EntriesPerTP() int { return m.entriesPerTP }
 func (m *Engine) TVPN(lpn ftl.LPN) int64 { return int64(lpn) / int64(m.entriesPerTP) }
 
 // TranslationPages returns the number of translation pages in the GTD.
-func (m *Engine) TranslationPages() int { return len(m.GTD) }
+func (m *Engine) TranslationPages() int { return m.GTD.Len() }
 
 // LearnedSegments reports the live learned-segment count (0 unless the
 // learned policy is active). Tests and telemetry use it.
@@ -149,7 +147,7 @@ func (m *Engine) Resolve(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		m.rec.RecordEvent(obs.EvCMTMiss, ready)
 	}
 	t := ready
-	victim, evicted := m.Cache.Insert(lpn, m.Table[lpn], false)
+	victim, evicted := m.Cache.Insert(lpn, m.PPN(lpn), false)
 	if evicted {
 		m.stats.Evictions++
 		if m.rec != nil {
@@ -170,7 +168,7 @@ func (m *Engine) Resolve(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	// Fetch the mapping from its translation page, if one has ever been
 	// persisted; a never-written region costs nothing.
 	tvpn := m.TVPN(lpn)
-	if tp := m.GTD[tvpn]; tp != flash.InvalidPPN {
+	if tp := m.GTD.Get(tvpn); tp != flash.InvalidPPN {
 		if m.li != nil {
 			var skip bool
 			var err error
@@ -207,7 +205,7 @@ func (m *Engine) tryLearned(tvpn int64, lpn ftl.LPN, t sim.Time) (skip bool, _ s
 	if !ok {
 		return false, t, nil
 	}
-	if pred == m.Table[lpn] {
+	if pred == m.PPN(lpn) {
 		m.stats.LearnedHits++
 		if m.rec != nil {
 			m.rec.RecordEvent(obs.EvLearnedHit, t)
@@ -235,7 +233,7 @@ func (m *Engine) tryLearned(tvpn int64, lpn ftl.LPN, t sim.Time) (skip bool, _ s
 func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	tvpn := m.TVPN(lpn)
 	t := ready
-	old := m.GTD[tvpn]
+	old := m.GTD.Get(tvpn)
 	if old != flash.InvalidPPN {
 		end, err := m.dev.ReadPage(old, t, flash.CauseMap)
 		if err != nil {
@@ -254,7 +252,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	// Placement may have garbage-collected the plane and relocated (or
 	// erased the block of) the very translation page we are superseding;
 	// re-read its location before invalidating.
-	old = m.GTD[tvpn]
+	old = m.GTD.Get(tvpn)
 	end, err := m.dev.WritePage(ppn, ftl.EncodeTrans(tvpn), t, flash.CauseMap)
 	if err != nil {
 		return 0, err
@@ -269,17 +267,17 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		}
 		m.tracker.Invalidated(m.dev.BlockOf(old))
 	}
-	m.GTD[tvpn] = ppn
+	m.GTD.Set(tvpn, ppn)
 	// DFTL's batch update: the rewrite persisted every cached dirty mapping
 	// of this translation page, so clean them all.
 	m.stats.BatchCleaned += int64(m.Cache.CleanPage(tvpn))
 	if m.li != nil {
 		lo := ftl.LPN(tvpn) * ftl.LPN(m.entriesPerTP)
 		hi := lo + ftl.LPN(m.entriesPerTP)
-		if hi > ftl.LPN(len(m.Table)) {
-			hi = ftl.LPN(len(m.Table))
+		if hi > ftl.LPN(m.table.Len()) {
+			hi = ftl.LPN(m.table.Len())
 		}
-		m.li.train(tvpn, lo, hi, m.Table)
+		m.li.train(tvpn, lo, hi, m.table)
 	}
 	return end, nil
 }
@@ -288,8 +286,8 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 // entry (present after Resolve) becomes dirty. The superseded page, if any,
 // is invalidated. It returns the old physical page or InvalidPPN.
 func (m *Engine) RecordWrite(lpn ftl.LPN, newPPN flash.PPN) (flash.PPN, error) {
-	old := m.Table[lpn]
-	m.Table[lpn] = newPPN
+	old := m.PPN(lpn)
+	m.table.Set(int64(lpn), newPPN)
 	if !m.Cache.Update(lpn, newPPN, true) {
 		return flash.InvalidPPN, fmt.Errorf("translate: RecordWrite of unresolved lpn %d", lpn)
 	}
@@ -322,11 +320,11 @@ func (m *Engine) RecordWrite(lpn ftl.LPN, newPPN flash.PPN) (flash.PPN, error) {
 func (m *Engine) RedirectMoved(moved []ftl.Moved, ready sim.Time) (sim.Time, error) {
 	for _, mv := range moved {
 		if ftl.IsTrans(mv.Stored) {
-			m.GTD[ftl.DecodeTrans(mv.Stored)] = mv.New
+			m.GTD.Set(ftl.DecodeTrans(mv.Stored), mv.New)
 			continue
 		}
 		lpn := ftl.LPN(mv.Stored)
-		m.Table[lpn] = mv.New
+		m.table.Set(mv.Stored, mv.New)
 		if m.li != nil {
 			// The relocation moved the page off its learned progression.
 			m.li.invalidate(m.TVPN(lpn), lpn)
@@ -342,9 +340,9 @@ func (m *Engine) RedirectMoved(moved []ftl.Moved, ready sim.Time) (sim.Time, err
 // The placer and tracker pointers are construction-time wiring, not state,
 // and survive a restore untouched.
 type State struct {
-	table   []flash.PPN
+	table   flash.PPNMap
 	cache   CacheState
-	gtd     []flash.PPN
+	gtd     flash.PPNMap
 	learned learnedState
 	stats   Stats
 }
@@ -353,9 +351,9 @@ type State struct {
 // counters.
 func (m *Engine) Snapshot() State {
 	return State{
-		table:   append([]flash.PPN(nil), m.Table...),
+		table:   append(flash.PPNMap(nil), m.table...),
 		cache:   m.Cache.Snapshot(),
-		gtd:     append([]flash.PPN(nil), m.GTD...),
+		gtd:     append(flash.PPNMap(nil), m.GTD...),
 		learned: m.li.snapshot(),
 		stats:   m.stats,
 	}
@@ -363,7 +361,7 @@ func (m *Engine) Snapshot() State {
 
 // Restore rewinds the engine to a snapshot of the same shape.
 func (m *Engine) Restore(s State) {
-	copy(m.Table, s.table)
+	copy(m.table, s.table)
 	m.Cache.Restore(s.cache)
 	copy(m.GTD, s.gtd)
 	m.li.restore(s.learned)
@@ -380,12 +378,12 @@ func (m *Engine) Retarget(placer ftl.Placer, tracker *ftl.Tracker) {
 // AdoptState installs a recovered table and GTD into the engine (the cache
 // starts cold, as SRAM is lost at power-off). Learned segments are dropped
 // too — they retrain lazily as translation-page write-backs resume.
-func (m *Engine) AdoptState(table, gtd []flash.PPN) error {
-	if len(table) != len(m.Table) || len(gtd) != len(m.GTD) {
+func (m *Engine) AdoptState(table, gtd flash.PPNMap) error {
+	if len(table) != len(m.table) || len(gtd) != len(m.GTD) {
 		return fmt.Errorf("translate: recovered state shape %d/%d does not match engine %d/%d",
-			len(table), len(gtd), len(m.Table), len(m.GTD))
+			len(table), len(gtd), len(m.table), len(m.GTD))
 	}
-	copy(m.Table, table)
+	copy(m.table, table)
 	copy(m.GTD, gtd)
 	if m.li != nil {
 		m.li.reset()

@@ -138,7 +138,7 @@ func TestEngineWriteEvictFetchCycle(t *testing.T) {
 	if _, err := m.RecordWrite(0, ppn0); err != nil {
 		t.Fatal(err)
 	}
-	if m.Table[0] != ppn0 {
+	if m.PPN(0) != ppn0 {
 		t.Fatal("table not updated")
 	}
 
@@ -163,10 +163,10 @@ func TestEngineWriteEvictFetchCycle(t *testing.T) {
 	if st.Evictions != 1 || st.DirtyEvictions != 1 || st.TransWrites != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if m.GTD[0] == flash.InvalidPPN {
+	if m.GTD.Get(0) == flash.InvalidPPN {
 		t.Fatal("GTD not set after write-back")
 	}
-	if dev.PageState(m.GTD[0]) != flash.PageValid {
+	if dev.PageState(m.GTD.Get(0)) != flash.PageValid {
 		t.Fatal("translation page not valid on flash")
 	}
 
@@ -252,7 +252,7 @@ func TestEngineRedirectMoved(t *testing.T) {
 
 	// Simulate GC moving lpn 0 (cached: cache update, dirty, no flash
 	// traffic) and a translation page (GTD repoint only).
-	oldPPN := m.Table[0]
+	oldPPN := m.PPN(0)
 	newPPN, _, _ := m.placer.PlacePage(0, at)
 	at, _ = dev.CopyBack(oldPPN, newPPN, at, flash.CauseGC)
 	transWritesBefore := m.Stats().TransWrites
@@ -263,7 +263,7 @@ func TestEngineRedirectMoved(t *testing.T) {
 	if end != at {
 		t.Fatal("cached redirect should be free")
 	}
-	if m.Table[0] != newPPN {
+	if m.PPN(0) != newPPN {
 		t.Fatal("table not redirected")
 	}
 	if m.Stats().TransWrites != transWritesBefore {
@@ -271,16 +271,16 @@ func TestEngineRedirectMoved(t *testing.T) {
 	}
 
 	// GTD repoint for a moved translation page.
-	m.GTD[0] = 40
+	m.GTD.Set(0, 40)
 	end, err = m.RedirectMoved([]ftl.Moved{{Stored: ftl.EncodeTrans(0), New: 41}}, end)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.GTD[0] != 41 {
+	if m.GTD.Get(0) != 41 {
 		t.Fatal("GTD not repointed")
 	}
 	// Restore: 41 is a synthetic location; later fetches must not read it.
-	m.GTD[0] = flash.InvalidPPN
+	m.GTD.Set(0, flash.InvalidPPN)
 
 	// A non-cached data move updates the table lazily: no flash traffic, an
 	// OOB-backed stale translation page (see RedirectMoved's doc comment).
@@ -290,7 +290,7 @@ func TestEngineRedirectMoved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	old1 := m.Table[1]
+	old1 := m.PPN(1)
 	new1, _, _ := m.placer.PlacePage(1, end)
 	end2, _ := dev.CopyBack(old1, new1, end, flash.CauseGC)
 	before := m.Stats().TransWrites
@@ -301,7 +301,7 @@ func TestEngineRedirectMoved(t *testing.T) {
 	if got != end2 {
 		t.Fatal("lazy redirect should cost no time")
 	}
-	if m.Table[1] != new1 {
+	if m.PPN(1) != new1 {
 		t.Fatal("table not redirected for uncached move")
 	}
 	if m.Stats().TransWrites != before {
@@ -327,14 +327,14 @@ func TestEngineLazyRedirectPersistsAtNextWriteBack(t *testing.T) {
 		}
 		at = end
 	}
-	if m.GTD[0] == flash.InvalidPPN {
+	if m.GTD.Get(0) == flash.InvalidPPN {
 		t.Fatal("no translation page persisted yet")
 	}
 	// Lazily redirect uncached lpn 0 (evicted by the 2-entry cache).
 	if m.Cache.Contains(0) {
 		t.Fatal("test setup: lpn 0 should be evicted")
 	}
-	old := m.Table[0]
+	old := m.PPN(0)
 	dst, _, _ := m.placer.PlacePage(0, at)
 	at, _ = dev.CopyBack(old, dst, at, flash.CauseGC)
 	if _, err := m.RedirectMoved([]ftl.Moved{{Stored: 0, New: dst}}, at); err != nil {
@@ -354,7 +354,7 @@ func TestEngineLazyRedirectPersistsAtNextWriteBack(t *testing.T) {
 	if m.Stats().TransWrites != beforeW+1 {
 		t.Fatal("write-back did not program a page")
 	}
-	if m.Table[0] != dst {
+	if m.PPN(0) != dst {
 		t.Fatal("table lost the redirect")
 	}
 }
@@ -375,7 +375,7 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			at = end
 		}
 		snap := m.Snapshot()
-		tableAt := append([]flash.PPN(nil), m.Table...)
+		tableAt := append(flash.PPNMap(nil), m.table...)
 		statsAt := m.Stats()
 		segsAt := m.LearnedSegments()
 
@@ -393,9 +393,9 @@ func TestEngineSnapshotRestore(t *testing.T) {
 		}
 
 		m.Restore(snap)
-		for i, want := range tableAt {
-			if m.Table[i] != want {
-				t.Fatalf("%v: Table[%d] = %d after restore, want %d", policy, i, m.Table[i], want)
+		for i := range tableAt {
+			if got, want := m.PPN(ftl.LPN(i)), tableAt.Get(int64(i)); got != want {
+				t.Fatalf("%v: PPN(%d) = %d after restore, want %d", policy, i, got, want)
 			}
 		}
 		if m.Stats() != statsAt {
@@ -426,8 +426,8 @@ func TestEngineAdoptStateResetsLearned(t *testing.T) {
 	if m.LearnedSegments() == 0 {
 		t.Fatal("test setup: no segments trained")
 	}
-	table := append([]flash.PPN(nil), m.Table...)
-	gtd := append([]flash.PPN(nil), m.GTD...)
+	table := append(flash.PPNMap(nil), m.table...)
+	gtd := append(flash.PPNMap(nil), m.GTD...)
 	if err := m.AdoptState(table, gtd); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func newLearnedIndex(translationPages, stride int) *learnedIndex {
 // train refits the segments of translation page tvpn from the authoritative
 // table span [lo, hi). It replaces whatever the page had, reusing the
 // backing array, and returns how many segments it produced.
-func (li *learnedIndex) train(tvpn int64, lo, hi ftl.LPN, table []flash.PPN) int {
+func (li *learnedIndex) train(tvpn int64, lo, hi ftl.LPN, table flash.PPNMap) int {
 	segs := li.segs[tvpn][:0]
 	for r := 0; r < li.stride && len(segs) < maxSegsPerTP; r++ {
 		// First member of residue class r at or after lo.
@@ -96,7 +96,7 @@ func (li *learnedIndex) train(tvpn int64, lo, hi ftl.LPN, table []flash.PPN) int
 			run = segment{}
 		}
 		for lpn := first; lpn < hi; lpn += ftl.LPN(li.stride) {
-			ppn := table[lpn]
+			ppn := table.Get(int64(lpn))
 			if ppn == flash.InvalidPPN {
 				flush()
 				continue

@@ -256,21 +256,14 @@ func encodeBufferState(w *ckpt.Writer, b *bufferState) {
 }
 
 func decodeBufferState(r *ckpt.Reader) *bufferState {
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
+	n := r.SliceLen(16) // lpn, count
 	b := &bufferState{dirty: make(map[ftl.LPN]int, n)}
 	for i := 0; i < n; i++ {
 		k := ftl.LPN(r.I64())
 		b.dirty[k] = r.Int()
 	}
 	b.seq = r.Int()
-	no := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if no > 0 {
+	if no := r.SliceLen(8); no > 0 {
 		b.order = make([]ftl.LPN, no)
 		for i := range b.order {
 			b.order[i] = ftl.LPN(r.I64())

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"dloop/internal/ckpt"
+	"dloop/internal/ftl"
 	"dloop/internal/sim"
 	"dloop/internal/trace"
 )
@@ -363,6 +365,97 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 		{"negative erase count", func(b []byte) { putU32At(b, row+12, 0x80000000) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { rejectCrafted(t, donor, data, tc.damage) })
+	}
+}
+
+// TestCheckpointBytesStable pins the encoded bytes of one small warmed
+// checkpoint per scheme (and DLOOP under the learned translation policy, the
+// only state holding learned segments). The in-memory columns are free to
+// change shape; the container format is not, because the warm-up cache keys
+// and the ckpt format version promise that a file written before such a
+// change still decodes after it.
+func TestCheckpointBytesStable(t *testing.T) {
+	for _, tc := range []struct {
+		scheme, policy, sha string
+	}{
+		{SchemeDLOOP, "", "504893ba68d4f4e2d38e1ebfca4c853b447e3170555d536f9e9276eef2a68488"},
+		{SchemeDLOOP, "learned", "7e841a2d684202def186479aa155b3ff9bb3831450f1b7b623b3db68e09e43f9"},
+		{SchemeDFTL, "", "e44a27d7492f428682e8c27a69c429d4312ab0ea8f86f23986c518f7cc5cc4c0"},
+		{SchemeFAST, "", "5ae79cf6736a94a77cb3bcdcba75249b36b20a00660a5116a26c42e9b16e57f3"},
+		{SchemeBAST, "", "b3de0ef11fcdc4cff7aa77b9f1197a4eb77758e3643ce6c4596d3ceebf89b1f5"},
+		{SchemePureMap, "", "cb786e97d878743aedef080a8bd491f6ca25684f9fef4d3855f2f1260854520e"},
+		{SchemePureMapStriped, "", "256c7236171e3b13f94af19498f8da50c04e4f45e413f6e059bcadefc6ae219f"},
+	} {
+		name := tc.scheme
+		if tc.policy != "" {
+			name += "-" + tc.policy
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := tinyConfig(tc.scheme)
+			cfg.TranslatePolicy = tc.policy
+			c, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			preconditionTiny(t, c)
+			if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 600, 9))); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := c.EncodeCheckpoint(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.sha {
+				t.Fatalf("checkpoint of %d bytes hashes to %s, want %s: the encoding changed", len(data), got, tc.sha)
+			}
+		})
+	}
+}
+
+// TestDecodeFTLStateCountSweep overwrites every 4-byte window of each
+// scheme's encoded FTL state with 0xFFFFFFFF — at some offset that is each
+// count the state holds — and decodes it. No decode may panic or allocate
+// more than a small multiple of the bytes it was given: every count is
+// checked against the bytes left before it sizes anything.
+func TestDecodeFTLStateCountSweep(t *testing.T) {
+	for _, scheme := range []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap} {
+		t.Run(scheme, func(t *testing.T) {
+			c, err := Build(tinyConfig(scheme))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			preconditionTiny(t, c)
+			if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 3))); err != nil {
+				t.Fatal(err)
+			}
+			var w ckpt.Writer
+			if err := encodeFTLState(&w, scheme, c.f.(ftl.Snapshotter).Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			data := w.Bytes()
+			bad := make([]byte, len(data))
+			const batch = 32 // offsets per heap reading; one count-sized slice is gigabytes
+			for first := 0; first+4 <= len(data); first += batch {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for off := first; off < first+batch && off+4 <= len(data); off++ {
+					copy(bad, data)
+					putU32At(bad, off, 0xFFFFFFFF)
+					decodeFTLState(ckpt.NewReader(bad), scheme)
+				}
+				runtime.ReadMemStats(&after)
+				if got := after.TotalAlloc - before.TotalAlloc; got > batch*(4*uint64(len(bad))+4096) {
+					t.Fatalf("count 0xFFFFFFFF at offsets %d..%d: allocated %d bytes decoding %d-byte states",
+						first, first+batch-1, got, len(bad))
+				}
+			}
+		})
 	}
 }
 

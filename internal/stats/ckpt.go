@@ -66,11 +66,7 @@ func DecodeTimeSeries(r *ckpt.Reader) *TimeSeries {
 		return nil
 	}
 	ts := &TimeSeries{bucket: sim.Duration(r.I64())}
-	n := int(r.U32())
-	if r.Err() != nil {
-		return nil
-	}
-	if n > 0 {
+	if n := r.SliceLen(40); n > 0 { // a Welford is five 8-byte fields
 		ts.buckets = make([]Welford, n)
 		for i := range ts.buckets {
 			ts.buckets[i] = DecodeWelford(r)

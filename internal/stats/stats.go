@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"dloop/internal/sim"
@@ -124,18 +125,44 @@ const (
 	histMaxBuckets       = 32 * 12 // 1 ns .. 1000 s
 )
 
+// histBucket returns the bucket of a latency, int(log10(d)*32) capped at the
+// last, by lookup: a logarithm per completed request was most of the fold's
+// cost. d's bit length and the four bits after its leading one name a span
+// of durations under one bucket wide, so d is in the bucket of the span's
+// shortest duration or the next.
 func histBucket(d sim.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	b := int(math.Log10(float64(d)) * histBucketsPerDecade)
-	if b < 0 {
-		b = 0
-	}
-	if b >= histMaxBuckets {
-		b = histMaxBuckets - 1
+	s := max(bits.Len64(uint64(d))-5, 0)
+	b := int(histSpan[s*16+int(d>>s)])
+	if uint64(d) >= histStart[b+1] {
+		b++
 	}
 	return b
+}
+
+// histStart[b] is the shortest duration in bucket b (past the last: never),
+// histSpan[s*16+k] the bucket of k<<s. The formula is monotone in d, so the
+// lookup reproduces it exactly.
+var histStart, histSpan = histTables()
+
+func histTables() (start [histMaxBuckets + 1]uint64, span [58*16 + 32]uint16) {
+	bucket := func(d int64) int {
+		return min(int(math.Log10(float64(d))*histBucketsPerDecade), histMaxBuckets-1)
+	}
+	for b := 1; b < histMaxBuckets; b++ { // bucket b starts before 10^13 ns
+		start[b] = 1 + uint64(sort.Search(1e13, func(i int) bool { return bucket(int64(i)+1) >= b }))
+	}
+	start[histMaxBuckets] = math.MaxUint64
+	for s := 0; s <= 58; s++ { // 58 = 63-5: an int64's largest shift
+		for k := 1; k < 32; k++ {
+			if s == 0 || k >= 16 {
+				span[s*16+k] = uint16(bucket(int64(k) << s))
+			}
+		}
+	}
+	return start, span
 }
 
 func histLower(b int) sim.Duration {

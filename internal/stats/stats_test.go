@@ -209,6 +209,61 @@ func TestLatencyHistPercentileEdges(t *testing.T) {
 	}
 }
 
+// logBucket is the histogram's defining formula as a logarithm per sample,
+// the reference the threshold lookup must reproduce bit for bit.
+func logBucket(d sim.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	b := int(math.Log10(float64(d)) * histBucketsPerDecade)
+	return max(0, min(b, histMaxBuckets-1))
+}
+
+// TestHistBucketMatchesLogarithm checks the table lookup against the
+// logarithm: exhaustively over every latency up to 10 ms, at every bucket
+// boundary and two either side, and on random samples up to 10^13 ns.
+func TestHistBucketMatchesLogarithm(t *testing.T) {
+	check := func(d sim.Duration) {
+		if got, want := histBucket(d), logBucket(d); got != want {
+			t.Fatalf("histBucket(%d) = %d, logarithm says %d", d, got, want)
+		}
+	}
+	for d := sim.Duration(-3); d <= 10_000_000; d++ {
+		check(d)
+	}
+	for b := 1; b < histMaxBuckets; b++ {
+		first := sim.Duration(histStart[b])
+		for d := first - 2; d <= first+2; d++ {
+			check(d)
+		}
+		if logBucket(first-1) >= b || logBucket(first) < b {
+			t.Fatalf("bucket %d does not start at %d", b, histStart[b])
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 1_000_000; i++ {
+		check(sim.Duration(rng.Int63n(1e13)))
+	}
+	for n := 0; n < 63; n++ {
+		check(1<<n - 1)
+		check(1 << n)
+	}
+	check(math.MaxInt64)
+}
+
+func BenchmarkLatencyHistAdd(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ds := make([]sim.Duration, 4096)
+	for i := range ds {
+		ds[i] = sim.Duration(rng.ExpFloat64() * float64(500*sim.Microsecond))
+	}
+	var h LatencyHist
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Add(ds[i%len(ds)])
+	}
+}
+
 func TestStdDevInt64(t *testing.T) {
 	if got := StdDevInt64(nil); got != 0 {
 		t.Errorf("empty: %v", got)

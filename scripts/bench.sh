@@ -63,7 +63,8 @@ trap 'rm -f "$raw"' EXIT
 # with the observability recorder attached, sharded vs sequential — the
 # BenchmarkShardedThroughput pattern covers every mode sub-benchmark,
 # including the batched-dispatch 8ch/mq-pipelined one — plus the
-# sustained-GC regime), not the figure sweeps. Internal packages: every
+# sustained-GC regime and BenchmarkBuild, a 64 GB device built per scheme in
+# a fresh child process), not the figure sweeps. Internal packages: every
 # benchmark they define — for ./internal/sim/ that is BenchmarkEventQueue and
 # the three timeline regimes: BenchmarkResourceAcquire (tail appends),
 # BenchmarkResourceBackfill (one resource, gaps), and
@@ -85,7 +86,7 @@ run_bench() {
         exit 1
     fi
 }
-run_bench -run '^$' -bench '^(BenchmarkSimulateThroughput(Observed(MQ)?)?|BenchmarkShardedThroughput|BenchmarkGCHeavy)$' \
+run_bench -run '^$' -bench '^(BenchmarkSimulateThroughput(Observed(MQ)?)?|BenchmarkShardedThroughput|BenchmarkGCHeavy|BenchmarkBuild)$' \
     -benchmem -benchtime "$benchtime" -count "$count" .
 run_bench -run '^$' -bench . -benchmem -benchtime "$benchtime" -count "$count" \
     ./internal/sim/ ./internal/flash/ ./internal/ftl/ ./internal/ftl/gc/ ./internal/ftl/translate/ \
