@@ -57,6 +57,34 @@ func TestGridSetGetRender(t *testing.T) {
 	}
 }
 
+// TestGridNegativeValues: a negative value is data, not an unset cell — a
+// headline improvement is negative whenever DLOOP is the slower scheme.
+func TestGridNegativeValues(t *testing.T) {
+	g := NewGrid("title", "x", "y", []string{"1", "2"})
+	g.Set("vs DFTL", "1", -12.5)
+	g.Set("vs DFTL", "2", -1)
+	if v, ok := g.Get("vs DFTL", "1"); !ok || v != -12.5 {
+		t.Fatalf("Get: %v %v, want -12.5 true", v, ok)
+	}
+	if v, ok := g.Get("vs DFTL", "2"); !ok || v != -1 {
+		t.Fatalf("Get: %v %v, want -1 true", v, ok)
+	}
+	var buf bytes.Buffer
+	if err := g.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "-12.500") || !strings.Contains(out, "-1.000") {
+		t.Errorf("Render dropped a negative value:\n%s", out)
+	}
+	buf.Reset()
+	if err := g.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if csv := buf.String(); csv != "x,vs DFTL\n1,-12.5\n2,-1\n" {
+		t.Errorf("CSV: %q", csv)
+	}
+}
+
 func TestGridSetPanicsOnUnknownX(t *testing.T) {
 	g := NewGrid("t", "x", "y", []string{"1"})
 	defer func() {

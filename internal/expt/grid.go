@@ -3,11 +3,14 @@ package expt
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
 // Grid holds one figure's worth of data: a family of series sampled at
-// common x values, rendered as an aligned text table or CSV.
+// common x values, rendered as an aligned text table or CSV. A cell holds
+// NaN until it is set, so any other value — negative ones included, such as
+// a headline improvement where DLOOP is slower — is stored and shown.
 type Grid struct {
 	Title  string
 	XLabel string
@@ -28,7 +31,7 @@ func NewGrid(title, xLabel, yLabel string, xVals []string) *Grid {
 	}
 }
 
-// Set stores one point. Unset points render as "-".
+// Set stores one point. Unset points render as "-" (blank in CSV).
 func (g *Grid) Set(series, x string, v float64) {
 	xi := -1
 	for i, xv := range g.XVals {
@@ -44,7 +47,7 @@ func (g *Grid) Set(series, x string, v float64) {
 	if !ok {
 		row = make([]float64, len(g.XVals))
 		for i := range row {
-			row[i] = -1 // sentinel: unset
+			row[i] = math.NaN() // unset
 		}
 		g.data[series] = row
 		g.series = append(g.series, series)
@@ -60,7 +63,7 @@ func (g *Grid) Get(series, x string) (float64, bool) {
 	}
 	for i, xv := range g.XVals {
 		if xv == x {
-			if row[i] < 0 {
+			if math.IsNaN(row[i]) {
 				return 0, false
 			}
 			return row[i], true
@@ -92,7 +95,7 @@ func (g *Grid) Render(w io.Writer) error {
 		fmt.Fprintf(&b, "%-10s", x)
 		for _, s := range g.series {
 			v := g.data[s][i]
-			if v < 0 {
+			if math.IsNaN(v) {
 				fmt.Fprintf(&b, "%*s", width, "-")
 			} else {
 				fmt.Fprintf(&b, "%*.3f", width, v)
@@ -117,7 +120,7 @@ func (g *Grid) CSV(w io.Writer) error {
 		b.WriteString(x)
 		for _, s := range g.series {
 			v := g.data[s][i]
-			if v < 0 {
+			if math.IsNaN(v) {
 				b.WriteString(",")
 			} else {
 				fmt.Fprintf(&b, ",%g", v)

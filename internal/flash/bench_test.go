@@ -159,3 +159,61 @@ func BenchmarkCopyBackRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMoveExternal measures one external move (Device.MoveExternal: read,
+// transfer out, transfer in, program): pages ping-pong between a block on the
+// first plane and one on the last, a plane of another channel, with an erase
+// each time the source drains. On the idle tail every move is ready when the
+// one before (or the erase) completes, past all six timelines' tails, so both
+// of its operations take the closed form; on the pre-occupied timeline each
+// timeline has an occupation far ahead, every move is ready behind the
+// tails, and both take the general path, backfilling.
+func BenchmarkMoveExternal(b *testing.B) {
+	for _, preoccupied := range []bool{false, true} {
+		name := "idle-tail"
+		if preoccupied {
+			name = "pre-occupied"
+		}
+		b.Run(name, func(b *testing.B) {
+			d := benchDevice(b)
+			g := d.Geometry()
+			src, dst := PlaneBlock{0, 0}, PlaneBlock{g.Planes() - 1, 0}
+			var at sim.Time
+			for p := 0; p < g.PagesPerBlock; p++ {
+				end, err := d.WritePage(g.FirstPPN(src)+PPN(p), int64(p), at, CauseHost)
+				if err != nil {
+					b.Fatal(err)
+				}
+				at = end
+			}
+			if preoccupied {
+				far := at.Add(1e6 * sim.Second)
+				for _, plane := range []int{src.Plane, dst.Plane} {
+					island := g.PPNOf(plane, 1, 0)
+					if _, err := d.WritePage(island, -1, at, CauseHost); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := d.ReadPage(island, far, CauseHost); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			page := 0
+			for i := 0; i < b.N; i++ {
+				end, err := d.MoveExternal(g.FirstPPN(src)+PPN(page), g.FirstPPN(dst)+PPN(page), at, CauseGC)
+				if err != nil {
+					b.Fatal(err)
+				}
+				at = end
+				if page++; page == g.PagesPerBlock {
+					if at, err = d.Erase(src, at, CauseGC); err != nil {
+						b.Fatal(err)
+					}
+					src, dst, page = dst, src, 0
+				}
+			}
+		})
+	}
+}

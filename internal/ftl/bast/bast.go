@@ -325,15 +325,15 @@ func (f *BAST) merge(lbn int64, ready sim.Time) (sim.Time, error) {
 		return 0, err
 	}
 	for off := 0; off < f.geo.PagesPerBlock; off++ {
-		lpn := ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off))
 		src := f.lookupMerging(lbn, lb, off)
 		if src == flash.InvalidPPN {
 			continue
 		}
 		// The copy runs through the GC engine so the unified relocation
-		// counters cover merge traffic (BAST does not use copy-back).
+		// counters cover merge traffic (BAST does not use copy-back); the
+		// device carries src's tag, which is this offset's logical page.
 		dst := f.geo.PPNOf(c.Plane, c.Block, off)
-		t, err = f.engine.MoveExternal(src, dst, int64(lpn), t)
+		t, err = f.engine.MoveExternal(src, dst, t)
 		if err != nil {
 			return 0, err
 		}

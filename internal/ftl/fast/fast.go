@@ -362,7 +362,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 				continue
 			}
 			dst := f.geo.PPNOf(b.Plane, b.Block, off)
-			t, err = f.copyPage(src, dst, int64(lpn), t)
+			t, err = f.copyPage(src, dst, t)
 			if err != nil {
 				return 0, err
 			}
@@ -434,8 +434,8 @@ func (f *FAST) eraseToPool(pb flash.PlaneBlock, ready sim.Time) (sim.Time, error
 // copyPage is FAST's merge move: an external read + write pair through the
 // bus (FAST does not use copy-back), invalidating the source. It runs through
 // the GC engine so the unified relocation counters cover merge traffic.
-func (f *FAST) copyPage(src, dst flash.PPN, stored int64, ready sim.Time) (sim.Time, error) {
-	t, err := f.engine.MoveExternal(src, dst, stored, ready)
+func (f *FAST) copyPage(src, dst flash.PPN, ready sim.Time) (sim.Time, error) {
+	t, err := f.engine.MoveExternal(src, dst, ready)
 	if err != nil {
 		return 0, err
 	}
@@ -459,7 +459,7 @@ func (f *FAST) consolidate(lbn int64, ready sim.Time) (sim.Time, error) {
 			continue
 		}
 		dst := f.geo.PPNOf(c.Plane, c.Block, off)
-		t, err = f.copyPage(src, dst, int64(lpn), t)
+		t, err = f.copyPage(src, dst, t)
 		if err != nil {
 			return 0, err
 		}

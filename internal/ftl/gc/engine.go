@@ -319,7 +319,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 			if err != nil {
 				return 0, false, err
 			}
-			t, err = e.moveExternal(src, dst, stored, t)
+			t, err = e.MoveExternal(src, dst, t)
 			if err != nil {
 				return 0, false, err
 			}
@@ -391,7 +391,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 				if t, err = e.flushRun(sc, t); err != nil {
 					return 0, false, err
 				}
-				if t, err = e.moveExternal(src, dst, stored, t); err != nil {
+				if t, err = e.MoveExternal(src, dst, t); err != nil {
 					return 0, false, err
 				}
 			} else if t, err = e.queueCopyBack(sc, src, dst, t); err != nil {
@@ -425,23 +425,13 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 }
 
 // MoveExternal relocates one valid page through the buses with a read +
-// write pair and invalidates the source. Hybrid FTLs drive their merge
-// copies through it so the engine's counters and observability events cover
-// every relocation in the system.
-func (e *Engine) MoveExternal(src, dst flash.PPN, stored int64, ready sim.Time) (sim.Time, error) {
-	return e.moveExternal(src, dst, stored, ready)
-}
-
-func (e *Engine) moveExternal(src, dst flash.PPN, stored int64, ready sim.Time) (sim.Time, error) {
-	t, err := e.dev.ReadPage(src, ready, flash.CauseGC)
+// write pair (flash.Device.MoveExternal; the device carries the OOB tag) and
+// invalidates the source. Hybrid FTLs drive their merge copies through it so
+// the engine's counters and observability events cover every relocation in
+// the system.
+func (e *Engine) MoveExternal(src, dst flash.PPN, ready sim.Time) (sim.Time, error) {
+	t, err := e.dev.MoveExternal(src, dst, ready, flash.CauseGC)
 	if err != nil {
-		return 0, err
-	}
-	t, err = e.dev.WritePage(dst, stored, t, flash.CauseGC)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.dev.Invalidate(src); err != nil {
 		return 0, err
 	}
 	e.stats.Moves++

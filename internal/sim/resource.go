@@ -200,6 +200,24 @@ func (r *Resource) seek(t Time) int {
 func (r *Resource) occupy(start Time, d Duration) {
 	r.busyFor += d
 	r.ops++
+	r.place(start, d)
+}
+
+// OccupyTail records n back-to-back operations that together occupy
+// [start, start+d), where start is at or after FreeAt: what n Acquires would
+// do when each is ready at its predecessor's end and the first at start —
+// every fit answers its ready time, so the occupations butt and coalesce
+// into one append or one extension of the last interval. Device.schedule
+// uses it for an operation whose timelines are all free by its ready time.
+// A start before FreeAt is outside its contract.
+func (r *Resource) OccupyTail(start Time, d Duration, n int64) {
+	r.busyFor += d
+	r.ops += n
+	r.place(start, d)
+}
+
+// place inserts the interval of occupy and OccupyTail.
+func (r *Resource) place(start Time, d Duration) {
 	end := start.Add(d)
 	switch {
 	case d <= 0:

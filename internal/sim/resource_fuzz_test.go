@@ -138,6 +138,26 @@ func (p *resourcePair) acquireAll(ready Time, d Duration) {
 	}
 }
 
+// occupyTail checks OccupyTail(start, d, n), with start clamped to FreeAt,
+// against n acquisitions of the reference that split d and are each ready
+// when the one before ends: every one must be placed at its ready time.
+func (p *resourcePair) occupyTail(i int, ready Time, d Duration, n int) {
+	start := max(ready, p.real[i].FreeAt())
+	p.real[i].OccupyTail(start, d, int64(n))
+	at := start
+	for k := 0; k < n; k++ {
+		piece := d / Duration(n)
+		if k == n-1 {
+			piece = d - piece*Duration(n-1)
+		}
+		if got := p.ref[i].fit(at, piece); got != at {
+			p.t.Fatalf("OccupyTail(%d, %d, %d) on resource %d: reference places piece %d at %d, not %d", start, d, n, i, k, got, at)
+		}
+		p.ref[i].occupy(at, piece)
+		at = at.Add(piece)
+	}
+}
+
 func (p *resourcePair) earliestStart(ready Time, d Duration) {
 	if got, want := EarliestStart(ready, d, p.real[:]...), refEarliestStart(ready, d, p.ref[:]); got != want {
 		p.t.Fatalf("EarliestStart(%d, %d): %d, reference %d", ready, d, got, want)
@@ -224,6 +244,10 @@ func (p *resourcePair) run(ops []fuzzOp) {
 				}
 				break
 			}
+			if op.sel%2 == 1 { // a tail append of 1..4 operations
+				p.occupyTail(op.sel/2%3, op.ready, op.d, 1+op.off&3)
+				break
+			}
 			// The cursor is a hint: any value, even one planted between the
 			// probe and the insert it serves, must give the same timeline.
 			i := op.sel % 3
@@ -300,10 +324,25 @@ func chainSeed() (data []byte) {
 	return data
 }
 
+// tailSeed drives tail appends of one to four operations over every duration
+// and resource, butting or leaving a gap (so the window slides), with an
+// acquisition that backfills behind them now and then.
+func tailSeed() (data []byte) {
+	for i := 0; i < 200; i++ {
+		sel := 129 + 2*(i%64) // odd: a tail append; top bit: full offset
+		data = append(data, encodeFuzzOp(7, i%2*9, sel, i%4)...)
+		if i%7 == 0 {
+			data = append(data, encodeFuzzOp(i%3, 0, selFor(25), -300)...)
+		}
+	}
+	return data
+}
+
 func FuzzResourceDifferential(f *testing.F) {
 	f.Add(contendedSeed(20, 6))
 	f.Add(farBehindSeed())
 	f.Add(chainSeed())
+	f.Add(tailSeed())
 	f.Add(append(farBehindSeed(), contendedSeed(8, 3)...))
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
