@@ -331,45 +331,38 @@ func BenchmarkGCHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedThroughput compares the parallel serving engines against
-// the sequential baseline on two shapes, driving the pipelined Enqueue path
-// they all share:
+// BenchmarkShardedThroughput compares the multi-queue front end against the
+// single-FTL baseline on two shapes, driving the pipelined Enqueue path they
+// share:
 //
-//   - 4ch (the paper's 8 GB shape, scaled): parallelism does not pay on this
-//     narrow shape, so AutoShards must fall back to the sequential engine —
-//     the "auto" sub-benchmark pins that fallback and must match "seq".
-//   - 8ch (the 16 GB shape, scaled): "timing" runs the deterministic sharded
-//     timing engine (bit-identical results, arithmetic offloaded), "mq" runs
-//     8 concurrent FTL shards behind the multi-queue front end with the
-//     deterministic completion merge, "mq-pipelined" drives the same engine
-//     through the batch dispatch stage (EnqueueBatch: classification split
-//     from staging), and "mq-relaxed" folds on the shard workers.
-//     Sub-benchmarks with different engines replay the same stream; the
-//     differential suites pin their equivalence contracts.
+//   - 4ch (the paper's 8 GB shape, scaled): the single-FTL engine alone.
+//   - 8ch (the 16 GB shape, scaled): "mq" runs 8 concurrent FTL shards
+//     behind the multi-queue front end with the deterministic completion
+//     merge, "mq-pipelined" drives the same engine through the batch
+//     dispatch stage (EnqueueBatch: classification split from staging), and
+//     "mq-relaxed" folds on the shard workers. Sub-benchmarks with different
+//     engines replay the same stream; the differential suites pin their
+//     equivalence contracts.
 //
-// The ns/op ratio of seq to the parallel modes is the speedup the engines
-// buy; on a single-core machine they degrade to scheduling overhead instead
-// — the gain needs one core per shard. Every mode must preserve the
+// The ns/op ratio of seq to the mq modes is the speedup the front end buys;
+// on a single-core machine it degrades to scheduling overhead instead — the
+// gain needs one core per shard. Every mode must preserve the
 // disabled-observability zero-allocation guarantee (asserted in
-// TestShardedSteadyStateAllocFree and TestMQSteadyStateAllocFree).
+// TestMQSteadyStateAllocFree).
 func BenchmarkShardedThroughput(b *testing.B) {
 	for _, mode := range []struct {
-		name       string
-		gb         int
-		shards     int
-		ftlShards  int
-		merge      string
-		wantTiming int
-		wantFTLSh  int
-		batch      bool
+		name      string
+		gb        int
+		ftlShards int
+		merge     string
+		wantFTLSh int
+		batch     bool
 	}{
-		{"4ch/seq", 8, 0, 0, "", 1, 1, false},
-		{"4ch/auto", 8, dloop.AutoShards, 0, "", 1, 1, false},
-		{"8ch/seq", 16, 0, 0, "", 1, 1, false},
-		{"8ch/timing", 16, dloop.AutoShards, 0, "", 8, 1, false},
-		{"8ch/mq", 16, 0, dloop.AutoShards, dloop.MergeDeterministic, 1, 8, false},
-		{"8ch/mq-pipelined", 16, 0, dloop.AutoShards, dloop.MergeDeterministic, 1, 8, true},
-		{"8ch/mq-relaxed", 16, 0, dloop.AutoShards, dloop.MergeRelaxed, 1, 8, false},
+		{"4ch/seq", 8, 0, "", 1, false},
+		{"8ch/seq", 16, 0, "", 1, false},
+		{"8ch/mq", 16, dloop.AutoShards, dloop.MergeDeterministic, 8, false},
+		{"8ch/mq-pipelined", 16, dloop.AutoShards, dloop.MergeDeterministic, 8, true},
+		{"8ch/mq-relaxed", 16, dloop.AutoShards, dloop.MergeRelaxed, 8, false},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			geo, err := dloop.ScaledGeometryFor(mode.gb, 2, 0.03, 0.05)
@@ -378,16 +371,13 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			}
 			cfg := dloop.Config{
 				CapacityGB: mode.gb, FTL: dloop.SchemeDLOOP, Geometry: &geo,
-				Shards: mode.shards, FTLShards: mode.ftlShards, Merge: mode.merge,
+				FTLShards: mode.ftlShards, Merge: mode.merge,
 			}
 			ssd, err := dloop.New(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer ssd.Close()
-			if ssd.Shards() != mode.wantTiming {
-				b.Fatalf("controller runs %d timing shards, want %d", ssd.Shards(), mode.wantTiming)
-			}
 			if ssd.FTLShards() != mode.wantFTLSh {
 				b.Fatalf("controller runs %d FTL shards, want %d", ssd.FTLShards(), mode.wantFTLSh)
 			}

@@ -43,7 +43,6 @@ func main() {
 		translate  = flag.String("translate", "", "translation policy for DLOOP/DFTL: slru|lru|learned (empty = slru)")
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL (0 = default 4096); validated against the logical space")
 		bufPages   = flag.Int("buffer-pages", 0, "DRAM write buffer capacity in pages (0 = off)")
-		shards     = flag.String("shards", "1", "timing shards: N workers (1 = sequential), or 'auto' for one per channel; results are bit-identical either way")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards: the logical space splits LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
 		merge      = flag.String("merge", "", "completion merge mode with -ftl-shards > 1: deterministic|relaxed (empty = deterministic)")
 		epochPages = flag.Int("epoch-pages", 0, "pages per pipeline epoch on the multi-queue front end (0 = default 4096); results are bit-identical across values in deterministic merge")
@@ -73,11 +72,6 @@ func main() {
 		}
 	}()
 
-	nShards, err := dloop.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dloopsim: -shards:", err)
-		os.Exit(1)
-	}
 	nFTLShards, err := dloop.ParseShards(*ftlShards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dloopsim: -ftl-shards:", err)
@@ -96,7 +90,6 @@ func main() {
 		TranslatePolicy: *translate,
 		CMTEntries:      *cmtEntries,
 		BufferPages:     *bufPages,
-		Shards:          nShards,
 		FTLShards:       nFTLShards,
 		Merge:           *merge,
 		EpochPages:      *epochPages,

@@ -33,9 +33,8 @@ func main() {
 		requests   = flag.Int("requests", 400_000, "requests per run")
 		seed       = flag.Int64("seed", 42, "workload seed")
 		scale      = flag.Float64("scale", 1.0, "shrink device+footprint for quick runs (0,1]")
-		workers    = flag.Int("workers", 0, "concurrent runs (0 = NumCPU divided by -shards)")
+		workers    = flag.Int("workers", 0, "concurrent runs (0 = NumCPU)")
 		cells      = flag.Int("parallel-cells", 0, "explicit worker-pool size; overrides -workers (0 = derive)")
-		shards     = flag.String("shards", "1", "timing shards per cell: N workers (1 = sequential), or 'auto' for one per channel; results stay bit-identical")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards per cell: LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
 		merge      = flag.String("merge", "", "completion merge mode with -ftl-shards > 1: deterministic|relaxed (empty = deterministic)")
 		epochPages = flag.Int("epoch-pages", 0, "pages per multi-queue pipeline epoch (0 = default 4096); deterministic results are bit-identical across values")
@@ -68,11 +67,6 @@ func main() {
 		}
 	}()
 
-	nShards, err := dloop.ParseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: -shards:", err)
-		os.Exit(1)
-	}
 	nFTLShards, err := dloop.ParseShards(*ftlShards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments: -ftl-shards:", err)
@@ -81,7 +75,7 @@ func main() {
 
 	opt := dloop.Options{
 		Requests: *requests, Seed: *seed, Scale: *scale, Workers: *workers,
-		ParallelCells: *cells, Shards: nShards, FTLShards: nFTLShards, Merge: *merge,
+		ParallelCells: *cells, FTLShards: nFTLShards, Merge: *merge,
 		EpochPages:      *epochPages,
 		TranslatePolicy: *translate, CMTEntries: *cmtEntries,
 		MetricsDir: *metricsOut, TraceDir: *traceEvents, SnapshotIntervalMs: *snapshotMs,

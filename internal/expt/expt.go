@@ -32,29 +32,17 @@ type Options struct {
 	// Seed for the workload generators (default 42). Every run of an
 	// experiment uses the same seed so FTLs see identical request streams.
 	Seed int64
-	// Workers bounds concurrent runs. Zero derives a default from the
-	// machine: NumCPU divided by the timing shards each cell occupies (see
-	// Shards), min 1 — so sharded cells and the worker pool share the CPUs
-	// instead of oversubscribing them. ParallelCells, when set, wins.
+	// Workers bounds concurrent runs (default runtime.NumCPU()).
+	// ParallelCells, when set, wins.
 	Workers int
 	// ParallelCells is the explicit worker-pool size (same meaning as
 	// Workers, but set deliberately from the -parallel-cells flag rather
 	// than defaulted from GOMAXPROCS). Non-zero overrides Workers.
 	ParallelCells int
-	// Shards is the per-cell timing shard count, copied into every job's
-	// ssd.Config that does not set its own: 0/1 = sequential engine,
-	// ssd.AutoShards = one shard per channel. Each sweep cell stays
-	// bit-identical to a sequential run; sharding only moves the
-	// resource-timeline math onto worker goroutines. Trading shards-per-cell
-	// against cells-in-flight is the point: on a machine with C cores,
-	// Shards*Workers ≈ C keeps every core busy whether the sweep is wide
-	// (many cells, sequential each) or narrow (few cells, sharded each).
-	Shards int
 	// FTLShards is the per-cell concurrent-FTL shard count, copied into every
 	// job's ssd.Config that does not set its own: 0/1 = single FTL,
-	// ssd.AutoShards = one shard per channel on shapes of 8+ channels. Unlike
-	// Shards (timing only, bit-identical), FTLShards = N is its own device
-	// organization — the logical space is partitioned LPN mod N over N
+	// ssd.AutoShards = one shard per channel on shapes of 8+ channels.
+	// FTLShards = N is its own device organization — the logical space is partitioned LPN mod N over N
 	// independent FTLs — so sweeps comparing against recorded baselines
 	// should leave it zero.
 	FTLShards int
@@ -139,7 +127,7 @@ func (o *Options) setDefaults() {
 		o.Workers = o.ParallelCells
 	}
 	if o.Workers == 0 {
-		o.Workers = runtime.NumCPU() / o.shardsPerCell()
+		o.Workers = runtime.NumCPU()
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -147,20 +135,6 @@ func (o *Options) setDefaults() {
 	if o.Scale == 0 {
 		o.Scale = 1.0
 	}
-}
-
-// shardsPerCell estimates how many goroutines one cell's timing work
-// occupies, for the default worker-pool derivation. AutoShards resolves per
-// cell geometry at build time; the paper geometries have four channels, so
-// that is the estimate used here.
-func (o Options) shardsPerCell() int {
-	switch {
-	case o.Shards == ssd.AutoShards:
-		return 4
-	case o.Shards > 1:
-		return o.Shards
-	}
-	return 1
 }
 
 func (o Options) progress(format string, args ...any) {
@@ -252,9 +226,9 @@ func resumeObserved(c *ssd.Controller, cfg ssd.Config, profile workload.Profile,
 		if err != nil {
 			return ssd.Result{}, err
 		}
-		// Enqueue pipelines the timing work onto shard workers when the
-		// controller is sharded (epoch barriers happen inside the
-		// controller); on a sequential controller it is Serve.
+		// Enqueue pipelines page commands onto the FTL shard workers on a
+		// multi-queue controller (epoch handoffs happen inside the
+		// controller); on a single-FTL controller it is Serve.
 		if err := c.Enqueue(req); err != nil {
 			return ssd.Result{}, fmt.Errorf("expt: %s/%s request %d: %w", cfg.FTL, profile.Name, i, err)
 		}
@@ -395,20 +369,10 @@ func runCell(j job, opt Options, warmed *ssd.Controller) (ssd.Result, error) {
 // failure the remaining queue drains without running.
 func runAll(jobs []job, opt Options) (map[string]ssd.Result, error) {
 	opt.setDefaults()
-	// Per-cell timing shards: jobs that don't pin their own shard count
-	// inherit the sweep-wide option. Shards are part of the config, so the
-	// warm-up grouping below naturally keeps sharded and sequential cells
-	// in separate groups.
-	if opt.Shards != 0 {
-		for i := range jobs {
-			if jobs[i].cfg.Shards == 0 {
-				jobs[i].cfg.Shards = opt.Shards
-			}
-		}
-	}
-	// Same inheritance for the concurrent-FTL front end. FTLShards and Merge
-	// are part of the config too, so warm-up grouping keeps differently
-	// sharded cells in separate groups.
+	// Jobs that don't pin their own concurrent-FTL front end inherit the
+	// sweep-wide option. FTLShards and Merge are part of the config, so the
+	// warm-up grouping below keeps differently sharded cells in separate
+	// groups.
 	if opt.FTLShards != 0 {
 		for i := range jobs {
 			if jobs[i].cfg.FTLShards == 0 {

@@ -313,10 +313,10 @@ func TestGCPolicyStudyQuick(t *testing.T) {
 	}
 }
 
-// TestRunAllShardedBitIdentical runs the same small sweep with the
-// sequential engine and with per-channel timing shards; every cell's Result
-// must be bit-identical, the determinism contract the -shards flag promises.
-func TestRunAllShardedBitIdentical(t *testing.T) {
+// TestRunAllPoolSizeBitIdentical runs the same small sweep on a one-worker
+// and a two-worker pool; every cell's Result must be bit-identical, whichever
+// worker picks it up.
+func TestRunAllPoolSizeBitIdentical(t *testing.T) {
 	opt := quickOptions()
 	opt.Requests = 600
 	cfg, ok := configFor(4, 2, 0.03, ssd.SchemeDLOOP, opt)
@@ -327,37 +327,32 @@ func TestRunAllShardedBitIdentical(t *testing.T) {
 	for i, p := range workload.All()[:3] {
 		jobs = append(jobs, job{key: fmt.Sprintf("cell%d", i), cfg: cfg, profile: scaleProfile(p, opt.Scale)})
 	}
-	seq, err := runAll(jobs, opt)
+	opt.Workers = 1
+	one, err := runAll(jobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Shards = ssd.AutoShards
 	opt.ParallelCells = 2 // exercise the explicit pool-size override too
-	par, err := runAll(jobs, opt)
+	two, err := runAll(jobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(par, seq) {
-		t.Fatalf("sharded sweep diverged from sequential:\nseq %+v\npar %+v", seq, par)
+	if !reflect.DeepEqual(two, one) {
+		t.Fatalf("two-worker sweep diverged from one worker:\none %+v\ntwo %+v", one, two)
 	}
 }
 
 // TestOptionsWorkerDerivation pins the Workers default: ParallelCells wins,
-// and a sharded sweep divides the CPU budget by the per-cell shard count.
+// and otherwise the pool has one worker per CPU.
 func TestOptionsWorkerDerivation(t *testing.T) {
 	o := Options{ParallelCells: 3, Workers: 9}
 	o.setDefaults()
 	if o.Workers != 3 {
 		t.Fatalf("ParallelCells should override Workers: got %d", o.Workers)
 	}
-	o = Options{Shards: 4}
+	o = Options{}
 	o.setDefaults()
-	if want := max(1, runtime.NumCPU()/4); o.Workers != want {
-		t.Fatalf("sharded default Workers = %d, want %d", o.Workers, want)
-	}
-	o = Options{Shards: ssd.AutoShards}
-	o.setDefaults()
-	if want := max(1, runtime.NumCPU()/4); o.Workers != want {
-		t.Fatalf("auto-sharded default Workers = %d, want %d", o.Workers, want)
+	if want := runtime.NumCPU(); o.Workers != want {
+		t.Fatalf("default Workers = %d, want %d", o.Workers, want)
 	}
 }

@@ -105,12 +105,6 @@ type Device struct {
 
 	stats Stats
 	rec   obs.Recorder // nil when observability is disabled
-
-	// eng, when non-nil, defers all timing computation to per-channel worker
-	// goroutines (see sharded.go); operations then return future handles in
-	// place of concrete completion times. The state machine above stays on
-	// the caller's goroutine either way.
-	eng *shardEngine
 }
 
 // NewDevice builds an erased device with the given geometry and timing.
@@ -166,22 +160,12 @@ func (d *Device) Geometry() Geometry { return d.geo }
 func (d *Device) Timing() Timing { return d.timing }
 
 // Stats returns a snapshot of accumulated operation statistics.
-func (d *Device) Stats() Stats {
-	d.SyncTiming()
-	return d.stats.snapshot()
-}
+func (d *Device) Stats() Stats { return d.stats.snapshot() }
 
 // SetRecorder attaches (or, with nil, detaches) an observability recorder.
 // Each flash operation then reports its kind, cause, location, and timestamps
 // through it; when nil the only cost is one pointer check per operation.
-// Recorders require the sequential engine (per-op events are ordered); the
-// SSD controller disables sharding before attaching one.
-func (d *Device) SetRecorder(r obs.Recorder) {
-	if r != nil && d.eng != nil {
-		panic("flash: SetRecorder with sharding enabled; disable sharding first")
-	}
-	d.rec = r
-}
+func (d *Device) SetRecorder(r obs.Recorder) { d.rec = r }
 
 // ChannelOfPlane returns the channel index serving a plane (cached form of
 // Geometry.ChannelOfPlane, exported for observability wiring).
@@ -190,7 +174,6 @@ func (d *Device) ChannelOfPlane() []int32 { return d.planeChanIdx }
 // BusyTimes reports cumulative busy time per plane, chip serial bus, and
 // channel resource; it satisfies obs.UtilizationSource.
 func (d *Device) BusyTimes() (planes, chipBus, channels []sim.Duration) {
-	d.SyncTiming()
 	busy := func(rs []*sim.Resource) []sim.Duration {
 		out := make([]sim.Duration, len(rs))
 		for i, r := range rs {
@@ -205,7 +188,6 @@ func (d *Device) BusyTimes() (planes, chipBus, channels []sim.Duration) {
 // page and block state. The SSD controller calls it after preconditioning so
 // the measured run starts from a warmed device at simulated time zero.
 func (d *Device) ResetStats() {
-	d.SyncTiming()
 	for _, r := range d.planes {
 		r.Reset()
 	}
@@ -236,7 +218,6 @@ type DeviceState struct {
 
 // Snapshot captures the device's complete mutable state.
 func (d *Device) Snapshot() *DeviceState {
-	d.SyncTiming()
 	s := &DeviceState{
 		state:    append([]PageState(nil), d.state...),
 		tags:     append([]int64(nil), d.tags...),
@@ -262,7 +243,6 @@ func (d *Device) Snapshot() *DeviceState {
 // Existing slices are reused, so restoring does not grow the heap; the
 // snapshot is untouched and may be restored again.
 func (d *Device) Restore(s *DeviceState) {
-	d.SyncTiming()
 	copy(d.state, s.state)
 	copy(d.tags, s.tags)
 	copy(d.blocks, s.blocks)
@@ -296,10 +276,7 @@ func (d *Device) PageLPN(ppn PPN) int64 { return d.tags[ppn] - 1 }
 func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockIndex(pb)] }
 
 // PlaneFreeAt reports when the plane's cell array next becomes idle.
-func (d *Device) PlaneFreeAt(plane int) sim.Time {
-	d.SyncTiming()
-	return d.planes[plane].FreeAt()
-}
+func (d *Device) PlaneFreeAt(plane int) sim.Time { return d.planes[plane].FreeAt() }
 
 // validPPN is Geometry.ValidPPN against the cached page total.
 func (d *Device) validPPN(ppn PPN) bool {
@@ -387,13 +364,9 @@ func (d *Device) schedule(kind opKind, plane int, ready sim.Time) (start, end si
 }
 
 // issue charges time for an operation the state machine has accepted and
-// returns its completion time: a future handle from the sharded engine, or
-// the scheduled end, accounted and reported to the recorder. stored is the
-// operation's obs.Op.Stored tag.
+// returns its completion time: the scheduled end, accounted and reported to
+// the recorder. stored is the operation's obs.Op.Stored tag.
 func (d *Device) issue(kind opKind, cause Cause, plane int, stored int64, ready sim.Time) sim.Time {
-	if d.eng != nil {
-		return d.eng.submit(kind, cause, plane, ready)
-	}
 	start, end := d.schedule(kind, plane, ready)
 	d.stats.note(kind, cause, plane, 1, end.Sub(ready))
 	if d.rec != nil {
@@ -534,8 +507,8 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 	d.blocks[db].Written += n
 	d.raiseNextWrite(db, top)
 	end := ready
-	if d.eng != nil || d.rec != nil {
-		// Futures and op records are per operation: issue one by one.
+	if d.rec != nil {
+		// Op records are per operation: issue one by one.
 		for _, dst := range dsts[:n] {
 			end = d.issue(opCopyBack, cause, plane, d.tags[dst]-1, end)
 		}

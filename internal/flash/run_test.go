@@ -206,21 +206,18 @@ func TestCopyBackRunMatchesPerOp(t *testing.T) {
 }
 
 // TestCopyBackRunObservedAndSharded: with a recorder attached the run
-// reports the operations its per-page twin reports, one by one; on the
-// timing-shard engine it resolves to the sequential completion time and
-// leaves the same device behind.
+// reports the operations its per-page twin reports, one by one, and leaves
+// the same device behind.
 func TestCopyBackRunObservedAndSharded(t *testing.T) {
-	geo := runTestGeometry()
-	victim, dest := PlaneBlock{2, 1}, PlaneBlock{2, 3}
-	all := func(int) bool { return true }
-
 	t.Run("recorder", func(t *testing.T) {
+		geo := runTestGeometry()
+		victim, dest := PlaneBlock{2, 1}, PlaneBlock{2, 3}
 		tw := newRunTwins(t)
 		runRec, perRec := &countingRecorder{}, &countingRecorder{}
 		tw.run.SetRecorder(runRec)
 		tw.per.SetRecorder(perRec)
 		tw.fill(victim, geo.PagesPerBlock, func(p int) bool { return p%3 != 0 })
-		tw.fill(dest, 3, all)
+		tw.fill(dest, 3, func(int) bool { return true })
 		runEnd, perEnd := tw.relocate(victim, dest, 3, tw.run.PlaneFreeAt(victim.Plane)-500)
 		if runEnd != perEnd {
 			t.Fatalf("run ends at %d, per-page chain at %d", runEnd, perEnd)
@@ -232,19 +229,6 @@ func TestCopyBackRunObservedAndSharded(t *testing.T) {
 			t.Fatal("no copy-back reached the recorder")
 		}
 		tw.equal("recorder")
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		tw := newRunTwins(t)
-		tw.fill(victim, geo.PagesPerBlock, all)
-		tw.fill(dest, 6, all)
-		tw.run.EnableSharding(geo.Channels)
-		defer tw.run.DisableSharding()
-		runEnd, perEnd := tw.relocate(victim, dest, 6, tw.per.PlaneFreeAt(victim.Plane))
-		if got := tw.run.ResolveTime(runEnd); got != perEnd {
-			t.Fatalf("sharded run resolves to %d, sequential per-page chain ends at %d", got, perEnd)
-		}
-		tw.equal("sharded")
 	})
 }
 

@@ -44,35 +44,6 @@ func (s *Stats) note(op opKind, cause Cause, plane int, n int64, lat sim.Duratio
 	s.PlaneOps[plane][cause] += n
 }
 
-// merge folds another accumulator's per-operation counts into s. Only the
-// commutative integer fields are merged — per-shard workers never touch
-// BlockErases or WastedPages, which stay with the control plane's state
-// machine — so folding shards in any fixed order reproduces the sequential
-// totals exactly.
-func (s *Stats) merge(o *Stats) {
-	for op := opKind(0); op < numOps; op++ {
-		for c := Cause(0); c < numCauses; c++ {
-			s.ops[op][c] += o.ops[op][c]
-			s.latency[op][c] += o.latency[op][c]
-		}
-	}
-	for i := range o.PlaneOps {
-		for c := Cause(0); c < numCauses; c++ {
-			s.PlaneOps[i][c] += o.PlaneOps[i][c]
-		}
-	}
-}
-
-// clearCounts zeroes the fields merge folds, reusing the slices so the
-// epoch barrier stays allocation-free.
-func (s *Stats) clearCounts() {
-	s.ops = [numOps][numCauses]int64{}
-	s.latency = [numOps][numCauses]sim.Duration{}
-	for i := range s.PlaneOps {
-		s.PlaneOps[i] = [numCauses]int64{}
-	}
-}
-
 func (s *Stats) snapshot() Stats {
 	out := *s
 	out.PlaneOps = append([][numCauses]int64(nil), s.PlaneOps...)

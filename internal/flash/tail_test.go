@@ -148,8 +148,8 @@ func (tw *runTwins) movePair(src, dst PPN, ready sim.Time) (end sim.Time, err er
 		}
 		return end, err
 	}
-	if err != nil || tw.run.ResolveTime(end) != perEnd {
-		tw.t.Fatalf("move %d -> %d: ends %d (%v), per operation %d", src, dst, tw.run.ResolveTime(end), err, perEnd)
+	if err != nil || end != perEnd {
+		tw.t.Fatalf("move %d -> %d: ends %d (%v), per operation %d", src, dst, end, err, perEnd)
 	}
 	return end, nil
 }
@@ -265,8 +265,7 @@ func TestMoveExternalErrors(t *testing.T) {
 }
 
 // TestMoveExternalObservedAndSharded: under a recorder a move reports the two
-// operations its per-operation twin reports; on the timing-shard engine it
-// resolves to the sequential completion time and leaves the same device.
+// operations its per-operation twin reports and leaves the same device.
 func TestMoveExternalObservedAndSharded(t *testing.T) {
 	t.Run("recorder", func(t *testing.T) {
 		tw := newRunTwins(t)
@@ -281,15 +280,5 @@ func TestMoveExternalObservedAndSharded(t *testing.T) {
 			t.Fatal("no move reached the recorder")
 		}
 		tw.equal("recorder")
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		tw := newRunTwins(t)
-		tw.run.EnableSharding(runTestGeometry().Channels)
-		defer tw.run.DisableSharding()
-		if moved := tw.randomMoves(rand.New(rand.NewSource(6)), 60); moved == 0 {
-			t.Fatal("no move succeeded")
-		}
-		tw.equal("sharded")
 	})
 }

@@ -19,8 +19,8 @@ package sim
 // per simulated second and must not churn the heap.
 //
 // A Resource has a single owner goroutine: even the read-only EarliestStart
-// moves its search cursor. That holds for the sequential device, for each
-// timing-shard worker, and for each multi-queue FTL shard.
+// moves its search cursor. That holds for the single-FTL device and for
+// each multi-queue FTL shard.
 type Resource struct {
 	// free caches FreeAt: the end of the last live interval, or solidUntil
 	// when the window is empty. A request ready at or after it needs no

@@ -22,11 +22,6 @@ type writeBuffer struct {
 	order []ftl.LPN // FIFO of insertions; stale entries skipped on flush
 
 	hitsW, hitsR, flushes int64
-
-	// resolve, when set, materializes a possibly-future FTL completion time
-	// before the buffer does arithmetic on it (the sharded engine returns
-	// future handles; see sharded.go). Nil on the sequential engine.
-	resolve func(sim.Time) sim.Time
 }
 
 // DefaultDRAMLatency is the charge for a buffered page access: DRAM plus
@@ -56,9 +51,6 @@ func (b *writeBuffer) put(f ftl.FTL, lpn ftl.LPN, at sim.Time) (sim.Time, error)
 		t, err = b.evictOne(f, t)
 		if err != nil {
 			return 0, err
-		}
-		if b.resolve != nil {
-			t = b.resolve(t)
 		}
 	}
 	b.touch(lpn)
@@ -104,9 +96,6 @@ func (b *writeBuffer) flushAll(f ftl.FTL, at sim.Time) (sim.Time, error) {
 		end, err := b.evictOne(f, at)
 		if err != nil {
 			return 0, err
-		}
-		if b.resolve != nil {
-			end = b.resolve(end)
 		}
 		if end > last {
 			last = end

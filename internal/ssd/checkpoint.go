@@ -49,7 +49,6 @@ func (c *Controller) Snapshot() (*Checkpoint, error) {
 		if !ok {
 			return nil, fmt.Errorf("ssd: FTL %s does not support checkpointing", c.f.Name())
 		}
-		c.Flush() // fold deferred completions so the accumulators are current
 		cp.dev = c.dev.Snapshot()
 		cp.ftlState = snapper.Snapshot()
 	}
@@ -81,7 +80,6 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 		if !ok {
 			return fmt.Errorf("ssd: FTL %s does not support checkpointing", c.f.Name())
 		}
-		c.discardPending() // in-flight timing belongs to the run being abandoned
 		if err := snapper.Restore(cp.ftlState); err != nil {
 			return err
 		}

@@ -26,7 +26,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 		SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
 		t.Run(scheme, func(t *testing.T) {
-			fresh := buildTinyShards(t, scheme, 0)
+			fresh := buildTiny(t, scheme)
 			preconditionTiny(t, fresh)
 			w := tinyWorkload(t, fresh, 1500, 31)
 			want, err := fresh.Run(trace.NewSliceReader(w))
@@ -34,7 +34,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			donor := buildTinyShards(t, scheme, 0)
+			donor := buildTiny(t, scheme)
 			preconditionTiny(t, donor)
 			cp, err := donor.Snapshot()
 			if err != nil {
@@ -52,7 +52,7 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 				t.Fatal("encoding the same checkpoint twice produced different bytes")
 			}
 
-			rec := buildTinyShards(t, scheme, 0)
+			rec := buildTiny(t, scheme)
 			cp2, err := rec.DecodeCheckpoint(data)
 			if err != nil {
 				t.Fatal(err)
@@ -176,7 +176,7 @@ func TestEncodedCheckpointWithBufferAndSeries(t *testing.T) {
 // controllers and damaged containers to the right one; every case must fail
 // loudly instead of restoring corrupt state.
 func TestDecodeCheckpointRejects(t *testing.T) {
-	donor := buildTinyShards(t, SchemeDLOOP, 0)
+	donor := buildTiny(t, SchemeDLOOP)
 	preconditionTiny(t, donor)
 	cp, err := donor.Snapshot()
 	if err != nil {
@@ -187,7 +187,7 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wrongScheme := buildTinyShards(t, SchemeDFTL, 0)
+	wrongScheme := buildTiny(t, SchemeDFTL)
 	if _, err := wrongScheme.DecodeCheckpoint(data); err == nil ||
 		!strings.Contains(err.Error(), "controller runs") {
 		t.Fatalf("foreign-scheme checkpoint accepted: %v", err)
@@ -231,7 +231,7 @@ func TestDecodeCheckpointRejects(t *testing.T) {
 // the checkpoint preamble.
 func craftedDonor(t *testing.T) (donor *Controller, data []byte, device int) {
 	t.Helper()
-	donor = buildTinyShards(t, SchemeDLOOP, 0)
+	donor = buildTiny(t, SchemeDLOOP)
 	preconditionTiny(t, donor)
 	if _, err := donor.Run(trace.NewSliceReader(tinyWorkload(t, donor, 400, 5))); err != nil {
 		t.Fatal(err)
@@ -378,13 +378,13 @@ func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "504893ba68d4f4e2d38e1ebfca4c853b447e3170555d536f9e9276eef2a68488"},
-		{SchemeDLOOP, "learned", "7e841a2d684202def186479aa155b3ff9bb3831450f1b7b623b3db68e09e43f9"},
-		{SchemeDFTL, "", "e44a27d7492f428682e8c27a69c429d4312ab0ea8f86f23986c518f7cc5cc4c0"},
-		{SchemeFAST, "", "5ae79cf6736a94a77cb3bcdcba75249b36b20a00660a5116a26c42e9b16e57f3"},
-		{SchemeBAST, "", "b3de0ef11fcdc4cff7aa77b9f1197a4eb77758e3643ce6c4596d3ceebf89b1f5"},
-		{SchemePureMap, "", "cb786e97d878743aedef080a8bd491f6ca25684f9fef4d3855f2f1260854520e"},
-		{SchemePureMapStriped, "", "256c7236171e3b13f94af19498f8da50c04e4f45e413f6e059bcadefc6ae219f"},
+		{SchemeDLOOP, "", "7430f5d395c5d2431bd645fd158a48584411188f8d4e2a883c9dab8f8e83a9de"},
+		{SchemeDLOOP, "learned", "a806eaa7dabe9b90a1093164929fda225ea123ab53f0c11b5c5c97bd2b10dd37"},
+		{SchemeDFTL, "", "c7c96e90a90e9c8918dbb3c4ad053c327a45511b19a2305edbbfb572d1c89c0b"},
+		{SchemeFAST, "", "5c76ec9e2be3c93f8a493785e3fcbe9144a140160b1d191d4fb2eea062b419a2"},
+		{SchemeBAST, "", "4919eafcb76509286e07116b6b0ca7c9a68b0ded7cada3b7f3072e8f5bb55e07"},
+		{SchemePureMap, "", "608b5fab7a0eadd30e74dd713696d65123282a48c9caee0e24749e907d5173b5"},
+		{SchemePureMapStriped, "", "1cde2133e10ee7f1fd4b729bda51e06b57a44ab0fef6f06ef45ad6383f5dd5b0"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {

@@ -33,7 +33,8 @@ const (
 // Schemes lists the three FTLs in the order the paper's figures plot them.
 func Schemes() []string { return []string{SchemeDLOOP, SchemeDFTL, SchemeFAST} }
 
-// AutoShards, as Config.Shards, selects one timing shard per channel.
+// AutoShards, as Config.FTLShards, selects one FTL shard per channel on
+// shapes of at least eight channels.
 const AutoShards = -1
 
 // Config describes one simulated SSD, in the units Table I uses.
@@ -79,14 +80,6 @@ type Config struct {
 	// dirty logical pages are absorbed at DRAM speed and flushed to the FTL
 	// lazily. 0 (the default, used by all experiments) disables it.
 	BufferPages int
-	// Shards selects the sharded timing engine: resource-timeline math runs
-	// on this many per-channel worker goroutines while FTL decisions stay on
-	// the caller's goroutine, bit-identical to the sequential engine (see
-	// DESIGN.md, "Sharded simulation"). 0 or 1 keeps today's sequential
-	// engine; AutoShards uses one shard per channel; larger values are
-	// clamped to the channel count. Attaching an observability recorder
-	// forces the sequential engine for as long as it stays attached.
-	Shards int
 	// FTLShards partitions the logical address space over this many
 	// concurrent FTL shards behind a multi-queue host front end (see
 	// frontend.go). Each shard owns a private sub-device of
@@ -400,9 +393,7 @@ func Build(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := newController(dev, f, cfg)
-	c.applySharding()
-	return c, nil
+	return newController(dev, f, cfg), nil
 }
 
 // ScaledGeometryFor shrinks GeometryFor's result by scale for quick runs:
@@ -473,7 +464,6 @@ func (c *Controller) Recover() (*Controller, error) {
 		return nil, err
 	}
 	nc := newController(c.dev, f, cfg)
-	nc.applySharding()
 	nc.ResetMeasurement()
 	return nc, nil
 }

@@ -56,24 +56,17 @@ type Controller struct {
 
 	rec obs.Recorder // nil when observability is disabled
 
-	// Sharded-engine state (see sharded.go). par mirrors dev.Sharded() so
-	// the hot path branches on one bool; pend/pendEnds park per-request
-	// completion records between epoch barriers (the multi-queue front end
-	// parks in its own double-buffered epochs instead — see feEpoch); lastRT
-	// is the response time most recently folded by Flush, which Serve
-	// returns in sharded mode.
-	par      bool
-	pend     []pendingDone
-	pendEnds []sim.Time
-	lastRT   sim.Duration
+	// lastRT is the response time the multi-queue front end most recently
+	// folded, which Serve returns there.
+	lastRT sim.Duration
 
 	// latHook, when set, receives every request's response time in arrival
 	// order on both engines; the differential tests use it to compare the
-	// sequential and sharded latency streams element-for-element.
+	// single-FTL and multi-queue latency streams element-for-element.
 	latHook func(sim.Duration)
 
 	// pulse, when set, fires at quiescent points (after every Flush epoch, or
-	// per request on the sequential engine); the live HTTP exporter publishes
+	// per request on the single-FTL engine); the live HTTP exporter publishes
 	// registry snapshots from it. The callback is responsible for its own
 	// rate limiting.
 	pulse func()
@@ -230,23 +223,12 @@ func (c *Controller) ObsOptions() obs.Options {
 // the recorder is an *obs.Collector it is also wired to sample the device's
 // busy-time utilization at Close. On a multi-queue controller a collector
 // observes the shards while they run concurrently (each worker records into
-// a private child merged back at barriers); only the sub-devices' timing
-// engines drop while it is attached. Attach after preconditioning so the
-// stream covers exactly the measured window.
+// a private child merged back at barriers). Attach after preconditioning so
+// the stream covers exactly the measured window.
 func (c *Controller) SetRecorder(r obs.Recorder) {
 	if c.fe != nil {
 		c.fe.setRecorder(c, r)
 		return
-	}
-	if r != nil && c.par {
-		// Per-op trace events are inherently ordered, so observability runs
-		// use the sequential engine; sharding resumes when detached.
-		c.Flush()
-		c.dev.DisableSharding()
-		if c.buffer != nil {
-			c.buffer.resolve = nil
-		}
-		c.par = false
 	}
 	c.rec = r
 	c.dev.SetRecorder(r)
@@ -256,16 +238,13 @@ func (c *Controller) SetRecorder(r obs.Recorder) {
 	if col, ok := r.(*obs.Collector); ok && col != nil {
 		col.SetUtilizationSource(c.dev.BusyTimes)
 	}
-	if r == nil {
-		c.applySharding()
-	}
 }
 
 // SetPulse registers fn (nil detaches) to run at quiescent points: after
-// every epoch Flush on the pipelined engines, and after every served request
-// on the sequential one. The collector's SnapshotRegistry is safe to call
-// from inside it, which is how dloopsim's -listen exporter publishes live
-// metrics mid-run. The callback should rate-limit itself; pulses arrive at
+// every epoch Flush on the multi-queue engine, and after every served
+// request on the single-FTL one. The collector's SnapshotRegistry is safe to
+// call from inside it, which is how dloopsim's -listen exporter publishes
+// live metrics mid-run. The callback should rate-limit itself; pulses arrive at
 // epoch frequency.
 func (c *Controller) SetPulse(fn func()) { c.pulse = fn }
 
@@ -303,13 +282,6 @@ func (c *Controller) Precondition(pages ftl.LPN) error {
 			return fmt.Errorf("ssd: precondition lpn %d: %w", lpn, err)
 		}
 		t = end
-		if c.par && lpn&(preconditionEpoch-1) == preconditionEpoch-1 {
-			// Bound the future slab: materialize the chain's tail, then
-			// recycle every handle behind it.
-			t = c.dev.ResolveTime(t)
-			c.dev.SyncTiming()
-			c.dev.ResetTimingEpoch()
-		}
 	}
 	c.ResetMeasurement()
 	return nil
@@ -324,8 +296,8 @@ func (c *Controller) PreconditionBytes(bytes int64) error {
 // ResetMeasurement zeroes every statistic and resource timeline while
 // keeping device and FTL state, so measurement starts from now.
 func (c *Controller) ResetMeasurement() {
-	c.discardPending()
 	if c.fe != nil {
+		c.fe.discard() // the accumulators are about to be reset anyway
 		c.fe.resetMeasurement()
 	} else {
 		c.dev.ResetStats()
@@ -346,8 +318,8 @@ func (c *Controller) ResetMeasurement() {
 }
 
 // Serve executes one host request, returning its response time. On a
-// sharded controller it issues the work and immediately barriers; callers
-// replaying whole traces should prefer Run (or Enqueue+Flush), which
+// multi-queue controller it issues the work and immediately barriers;
+// callers replaying whole traces should prefer Run (or Enqueue+Flush), which
 // pipelines many requests per barrier.
 func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 	if c.fe != nil {
@@ -358,13 +330,6 @@ func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 		if c.fe.err != nil {
 			return 0, c.fe.err
 		}
-		return c.lastRT, nil
-	}
-	if c.par {
-		if err := c.serveDeferred(r); err != nil {
-			return 0, err
-		}
-		c.Flush()
 		return c.lastRT, nil
 	}
 	if err := r.Validate(); err != nil {
@@ -426,8 +391,8 @@ func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 
 // SetLatencyHook registers fn to receive every served request's response
 // time in arrival order (nil detaches). Both engines call it — the
-// sequential one per Serve, the sharded one as each epoch's completions are
-// folded — so equivalence tests can compare the exact latency streams.
+// single-FTL one per Serve, the multi-queue one as each epoch's completions
+// are folded — so equivalence tests can compare the exact latency streams.
 func (c *Controller) SetLatencyHook(fn func(sim.Duration)) { c.latHook = fn }
 
 // Drain flushes every dirty buffered page through the FTL (a clean
@@ -437,18 +402,10 @@ func (c *Controller) Drain(at sim.Time) (sim.Time, error) {
 		c.Flush()
 		return at, c.fe.err
 	}
-	if c.par {
-		c.Flush()
-	}
 	if c.buffer == nil {
 		return at, nil
 	}
-	end, err := c.buffer.flushAll(c.f, at)
-	if c.par {
-		c.dev.SyncTiming()
-		c.dev.ResetTimingEpoch()
-	}
-	return end, err
+	return c.buffer.flushAll(c.f, at)
 }
 
 // BufferStats reports the DRAM buffer's dirty page count, write hits, read
@@ -465,10 +422,9 @@ func (c *Controller) BufferStats() (dirty int, hitsW, hitsR, flushes int64) {
 const runChunk = 256
 
 // Run replays every request from the reader and returns the results. On a
-// sharded controller requests pipeline between epoch barriers, so the
-// workers overlap the FTL's decision-making; on a multi-queue controller a
-// reader that also implements trace.BatchReader feeds the batch dispatch
-// stage in runChunk chunks, keeping classification off the staging path.
+// multi-queue controller a reader that also implements trace.BatchReader
+// feeds the batch dispatch stage in runChunk chunks, keeping classification
+// off the staging path.
 func (c *Controller) Run(r trace.Reader) (Result, error) {
 	if br, ok := r.(trace.BatchReader); ok && c.fe != nil {
 		buf := make([]trace.Request, runChunk)
@@ -510,7 +466,7 @@ func (c *Controller) Run(r trace.Reader) (Result, error) {
 // multi-queue controller the chunk flows through the batch dispatch stage —
 // every request is classified (validated, page-spanned, bounds-checked)
 // before any is staged, so an error means nothing from the chunk was
-// dispatched. On the other engines it is Enqueue in a loop.
+// dispatched. On the single-FTL engine it is Enqueue in a loop.
 func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
 	if c.fe != nil {
 		return c.fe.enqueueBatch(c, reqs)
@@ -521,6 +477,50 @@ func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
 		}
 	}
 	return nil
+}
+
+// Enqueue serves one request on the pipelined path: on the multi-queue
+// engine FTL decisions happen now and timing resolves at the next epoch
+// fold. Epoch handoffs are automatic — every Config.EpochPages parked pages,
+// and implicitly in every statistics reader — so callers may Enqueue
+// indefinitely. On a single-FTL controller it is Serve with the response
+// time discarded.
+func (c *Controller) Enqueue(r trace.Request) error {
+	if c.fe != nil {
+		if err := c.fe.enqueue(c, r, true); err != nil {
+			return err
+		}
+		c.fe.maybeAdvance(c)
+		return nil
+	}
+	_, err := c.Serve(r)
+	if err == nil && c.pulse != nil {
+		c.pulse()
+	}
+	return err
+}
+
+// Flush is the epoch barrier of the multi-queue engine: quiesce every shard,
+// then fold each parked request into the response-time accumulators in
+// arrival order. No-op on a single-FTL controller.
+func (c *Controller) Flush() {
+	if c.fe == nil {
+		return
+	}
+	c.fe.flush(c)
+	if c.pulse != nil {
+		c.pulse()
+	}
+}
+
+// Close stops the multi-queue front end's worker goroutines after a final
+// barrier. Harmless on a single-FTL controller; the controller remains
+// usable (the front end falls back to serial execution).
+func (c *Controller) Close() {
+	if c.fe != nil {
+		c.fe.flush(c)
+		c.fe.stop()
+	}
 }
 
 func isEOF(err error) bool { return errors.Is(err, io.EOF) }
@@ -569,7 +569,6 @@ func (c *Controller) Result() Result {
 	if c.fe != nil {
 		return c.fe.result(c)
 	}
-	c.Flush()
 	ds := c.dev.Stats()
 	res := Result{
 		FTL:         c.f.Name(),

@@ -39,42 +39,40 @@ func lookupAny(t *testing.T, c *Controller, lpn ftl.LPN) flash.PPN {
 // same set of mapped LPNs, each stored valid under its own tag. Placement
 // differs wildly between schemes; the logical contract must not.
 func TestCrossFTLLogicalEquivalence(t *testing.T) {
-	for _, mode := range shardModes {
-		t.Run(mode.name, func(t *testing.T) {
-			var mapped []map[ftl.LPN]bool
-			for _, scheme := range Schemes() {
-				c := buildTinyShards(t, scheme, mode.shards)
-				preconditionTiny(t, c)
-				reqs := tinyWorkload(t, c, 3000, 11)
-				if _, err := c.Run(trace.NewSliceReader(reqs)); err != nil {
-					t.Fatalf("%s: %v", scheme, err)
-				}
-				m := make(map[ftl.LPN]bool)
-				for lpn := ftl.LPN(0); lpn < c.FTL().Capacity(); lpn++ {
-					ppn := lookupAny(t, c, lpn)
-					if ppn == flash.InvalidPPN {
-						continue
-					}
-					m[lpn] = true
-					if got := c.Device().PageLPN(ppn); got != int64(lpn) {
-						t.Fatalf("%s: lpn %d stored under tag %d", scheme, lpn, got)
-					}
-				}
-				mapped = append(mapped, m)
+	t.Run("seq", func(t *testing.T) {
+		var mapped []map[ftl.LPN]bool
+		for _, scheme := range Schemes() {
+			c := buildTiny(t, scheme)
+			preconditionTiny(t, c)
+			reqs := tinyWorkload(t, c, 3000, 11)
+			if _, err := c.Run(trace.NewSliceReader(reqs)); err != nil {
+				t.Fatalf("%s: %v", scheme, err)
 			}
-			for i := 1; i < len(mapped); i++ {
-				if len(mapped[i]) != len(mapped[0]) {
-					t.Fatalf("scheme %d maps %d lpns, scheme 0 maps %d",
-						i, len(mapped[i]), len(mapped[0]))
+			m := make(map[ftl.LPN]bool)
+			for lpn := ftl.LPN(0); lpn < c.FTL().Capacity(); lpn++ {
+				ppn := lookupAny(t, c, lpn)
+				if ppn == flash.InvalidPPN {
+					continue
 				}
-				for lpn := range mapped[0] {
-					if !mapped[i][lpn] {
-						t.Fatalf("scheme %d lost lpn %d", i, lpn)
-					}
+				m[lpn] = true
+				if got := c.Device().PageLPN(ppn); got != int64(lpn) {
+					t.Fatalf("%s: lpn %d stored under tag %d", scheme, lpn, got)
 				}
 			}
-		})
-	}
+			mapped = append(mapped, m)
+		}
+		for i := 1; i < len(mapped); i++ {
+			if len(mapped[i]) != len(mapped[0]) {
+				t.Fatalf("scheme %d maps %d lpns, scheme 0 maps %d",
+					i, len(mapped[i]), len(mapped[0]))
+			}
+			for lpn := range mapped[0] {
+				if !mapped[i][lpn] {
+					t.Fatalf("scheme %d lost lpn %d", i, lpn)
+				}
+			}
+		}
+	})
 }
 
 // TestPageSizesEndToEnd runs every supported page size through each FTL on
@@ -204,62 +202,60 @@ func TestForkBitIdentical(t *testing.T) {
 	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST,
 		SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
-		for _, mode := range shardModes {
-			t.Run(scheme+"/"+mode.name, func(t *testing.T) {
-				fresh := buildTinyShards(t, scheme, mode.shards)
-				preconditionTiny(t, fresh)
-				w1 := tinyWorkload(t, fresh, 2000, 21)
-				w2 := tinyWorkload(t, fresh, 1500, 22)
-				want1, err := fresh.Run(trace.NewSliceReader(w1))
-				if err != nil {
-					t.Fatal(err)
-				}
+		t.Run(scheme+"/seq", func(t *testing.T) {
+			fresh := buildTiny(t, scheme)
+			preconditionTiny(t, fresh)
+			w1 := tinyWorkload(t, fresh, 2000, 21)
+			w2 := tinyWorkload(t, fresh, 1500, 22)
+			want1, err := fresh.Run(trace.NewSliceReader(w1))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				fresh2 := buildTinyShards(t, scheme, mode.shards)
-				preconditionTiny(t, fresh2)
-				want2, err := fresh2.Run(trace.NewSliceReader(w2))
-				if err != nil {
-					t.Fatal(err)
-				}
+			fresh2 := buildTiny(t, scheme)
+			preconditionTiny(t, fresh2)
+			want2, err := fresh2.Run(trace.NewSliceReader(w2))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				c := buildTinyShards(t, scheme, mode.shards)
-				preconditionTiny(t, c)
-				cp, err := c.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got1, err := c.Run(trace.NewSliceReader(w1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got1, want1) {
-					t.Fatalf("run after snapshot differs from fresh run:\n got %+v\nwant %+v", got1, want1)
-				}
-				// Fork the divergent cell w2 from the same checkpoint.
-				if err := c.Restore(cp); err != nil {
-					t.Fatal(err)
-				}
-				got2, err := c.Run(trace.NewSliceReader(w2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got2, want2) {
-					t.Fatalf("forked run differs from fresh run:\n got %+v\nwant %+v", got2, want2)
-				}
-				// Restore a second time: the checkpoint must be unscathed by the
-				// forks that ran off it.
-				if err := c.Restore(cp); err != nil {
-					t.Fatal(err)
-				}
-				again, err := c.Run(trace.NewSliceReader(w1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(again, want1) {
-					t.Fatalf("second fork differs from fresh run:\n got %+v\nwant %+v", again, want1)
-				}
-			})
-		}
+			c := buildTiny(t, scheme)
+			preconditionTiny(t, c)
+			cp, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got1, err := c.Run(trace.NewSliceReader(w1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got1, want1) {
+				t.Fatalf("run after snapshot differs from fresh run:\n got %+v\nwant %+v", got1, want1)
+			}
+			// Fork the divergent cell w2 from the same checkpoint.
+			if err := c.Restore(cp); err != nil {
+				t.Fatal(err)
+			}
+			got2, err := c.Run(trace.NewSliceReader(w2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got2, want2) {
+				t.Fatalf("forked run differs from fresh run:\n got %+v\nwant %+v", got2, want2)
+			}
+			// Restore a second time: the checkpoint must be unscathed by the
+			// forks that ran off it.
+			if err := c.Restore(cp); err != nil {
+				t.Fatal(err)
+			}
+			again, err := c.Run(trace.NewSliceReader(w1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, want1) {
+				t.Fatalf("second fork differs from fresh run:\n got %+v\nwant %+v", again, want1)
+			}
+		})
 	}
 }
 

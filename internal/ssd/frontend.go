@@ -27,9 +27,7 @@ import (
 // write points) and its own garbage-collection engine with a free-pool
 // trigger scoped to the shard's planes. Shards share no mutable state, so
 // every placement and collection decision runs concurrently with the others
-// — this moves the *control plane* off one goroutine, where the
-// Config.Shards timing engine (see sharded.go) only moved the
-// resource-timeline arithmetic.
+// — the *control plane* moves off one goroutine.
 //
 // The host side is an NVMe-style multi-queue front end: one submission ring
 // (sim.SPSC) per shard carrying fixed-size page commands, with doorbells
@@ -68,11 +66,9 @@ import (
 // touches, so metrics and traces are gathered while the shards run
 // concurrently; the parent folds the children back in shard order at
 // quiescent points, making the merged registry bit-identical to a serial run
-// of the same configuration. Each sub-device's *timing* sharding still drops
-// while a recorder is attached (per-op events are ordered within a shard),
-// but the FTL-shard concurrency — the part under study — is preserved.
-// Non-Collector recorders have no merge semantics, so they keep the old
-// contract: serial execution with a translating per-shard wrapper.
+// of the same configuration. Non-Collector recorders have no merge
+// semantics, so they keep the old contract: serial execution with a
+// translating per-shard wrapper.
 
 // Completion-merge modes for Config.Merge.
 const (
@@ -81,7 +77,7 @@ const (
 )
 
 // autoShardMinChannels is the smallest channel count on which AutoShards
-// engages either sharded engine. Below it the per-request shard overhead
+// engages the front end. Below it the per-request shard overhead
 // (queue hops, barriers) outweighs what little parallelism the shape offers;
 // the 4-channel bench shapes regress, the 8-channel ones win.
 const autoShardMinChannels = 8
@@ -105,6 +101,15 @@ const maxEpochPages = 1 << 22
 // occupancy far below this; the cap is backpressure against a runaway
 // producer, not a working size.
 const feQueueCap = 1 << 13
+
+// pendingDone is one request whose response time is deferred to an epoch
+// fold: its page completion times live in feEpoch.ends[off:off+n].
+type pendingDone struct {
+	arrival sim.Time
+	off     int32
+	n       int32
+	read    bool
+}
 
 // pageCmd is one page operation in a shard's submission ring.
 type pageCmd struct {
@@ -138,18 +143,15 @@ func (a *shardAcc) clone() shardAcc {
 // exactly one worker resolves each slot, and the host reads slots back only
 // while folding, after which no live handle survives into the recycled slab.
 type feEpoch struct {
-	slab   sim.FutureSlab
-	pend   []pendingDone // parked requests, in arrival order
-	ends   []sim.Time    // per-page completion times or future handles
-	shards []int8        // serial mode: owning shard per parked page
-	serial bool          // parked by serial (inline) execution
-	pages  int           // page commands dispatched into this epoch
+	slab  sim.FutureSlab
+	pend  []pendingDone // parked requests, in arrival order
+	ends  []sim.Time    // per-page completion times or future handles
+	pages int           // page commands dispatched into this epoch
 }
 
 func (ep *feEpoch) reset() {
 	ep.pend = ep.pend[:0]
 	ep.ends = ep.ends[:0]
-	ep.shards = ep.shards[:0]
 	ep.slab.Reset()
 	ep.pages = 0
 }
@@ -187,8 +189,6 @@ type ftlShard struct {
 	// err is the first execution error, latched by the worker and surfaced
 	// by the host at the next barrier.
 	err error
-	// preTail chains the preconditioning writes within the shard.
-	preTail sim.Time
 }
 
 // frontEnd is the multi-queue host front end over N FTL shards.
@@ -207,9 +207,6 @@ type frontEnd struct {
 	serial bool
 	// running is true while the worker goroutines are alive.
 	running bool
-	// timingSharded is true when each sub-device runs the Config.Shards
-	// timing engine underneath its shard worker.
-	timingSharded bool
 
 	// epochs double-buffers the completion pipeline (see feEpoch): cur is
 	// the epoch being filled, 1-cur the previous epoch, whose completions
@@ -231,9 +228,8 @@ type frontEnd struct {
 	shardMask  int64
 	shardShift uint
 
-	staged     int   // page commands staged since the last doorbell
-	sinceFlush int   // pages dispatched since the last full barrier
-	err        error // sticky first error; surfaced by Serve/Enqueue
+	staged int   // page commands staged since the last doorbell
+	err    error // sticky first error; surfaced by Serve/Enqueue
 	// failed is raised by any worker that latches an execution error, so
 	// the host can escalate to a full barrier at the next epoch handoff
 	// instead of dispatching the rest of the run into a dead shard.
@@ -314,8 +310,6 @@ func newFrontEnd(geo flash.Geometry, timing flash.Timing, n int, cfg Config,
 		relaxed: cfg.Merge == MergeRelaxed,
 	}
 	fe.initTunables(cfg)
-	timingShards := resolveShards(cfg.Shards, subGeo.Channels)
-	fe.timingSharded = timingShards > 1
 	for s := 0; s < n; s++ {
 		dev, err := flash.NewDevice(subGeo, timing)
 		if err != nil {
@@ -332,9 +326,6 @@ func newFrontEnd(geo flash.Geometry, timing flash.Timing, n int, cfg Config,
 			sq:  sim.NewSPSC[pageCmd](feQueueCap),
 		}
 		sh.buildMaps(geo, subGeo, s)
-		if timingShards > 1 {
-			dev.EnableSharding(timingShards)
-		}
 		fe.shards = append(fe.shards, sh)
 		if fe.subCap == 0 {
 			fe.subCap = f.Capacity()
@@ -486,10 +477,6 @@ func (fe *frontEnd) exec(sh *ftlShard, cmd pageCmd) {
 		}
 		return
 	}
-	// With the timing engine layered under this shard (Config.Shards), end
-	// may be a future handle owned by the sub-device; materialize it here,
-	// on the shard's control goroutine, before publishing.
-	end = sh.dev.ResolveTime(end)
 	if sh.mqLat != nil {
 		sh.mqLat.Observe(end.Sub(cmd.arrival))
 	}
@@ -584,7 +571,6 @@ func (fe *frontEnd) dispatch(c *Controller, d dispReq, deferred bool) error {
 	} else {
 		c.pagesWrit += int64(npages)
 	}
-	fe.sinceFlush += npages
 	if fe.serial {
 		if err := fe.serveSerial(c, d.arrival, d.first, d.last, d.read); err != nil {
 			return err
@@ -602,7 +588,6 @@ func (fe *frontEnd) dispatch(c *Controller, d dispReq, deferred bool) error {
 		return nil
 	}
 	ep := &fe.epochs[fe.cur]
-	ep.serial = false
 	parity := int32(fe.cur)
 	off := len(ep.ends)
 	for lpn := d.first; lpn <= d.last; lpn++ {
@@ -659,11 +644,10 @@ func (fe *frontEnd) ring() {
 }
 
 // serveSerial executes a request's pages inline in dispatch order: the
-// in-order baseline. Completion times (possibly timing-engine futures) park
-// exactly like the concurrent path's, so Flush folds both identically.
+// in-order baseline. Completion times park exactly like the concurrent
+// path's, so Flush folds both identically.
 func (fe *frontEnd) serveSerial(c *Controller, arrival sim.Time, first, last ftl.LPN, read bool) error {
 	ep := &fe.epochs[fe.cur]
-	ep.serial = true
 	off := len(ep.ends)
 	for lpn := first; lpn <= last; lpn++ {
 		sh, local := fe.shardOf(lpn)
@@ -676,12 +660,9 @@ func (fe *frontEnd) serveSerial(c *Controller, arrival sim.Time, first, last ftl
 		}
 		if err != nil {
 			ep.ends = ep.ends[:off]
-			ep.shards = ep.shards[:off]
 			fe.err = err
 			return err
 		}
-		// With a collector attached the timing engine is off, so end is
-		// concrete and the observation matches the worker path's exactly.
 		if sh.mqLat != nil {
 			sh.mqLat.Observe(end.Sub(arrival))
 		}
@@ -689,7 +670,6 @@ func (fe *frontEnd) serveSerial(c *Controller, arrival sim.Time, first, last ftl
 			fe.tele.shardPages[sh.idx]++
 		}
 		ep.ends = append(ep.ends, end)
-		ep.shards = append(ep.shards, int8(sh.idx))
 	}
 	ep.pend = append(ep.pend, pendingDone{
 		arrival: arrival,
@@ -717,20 +697,10 @@ func (fe *frontEnd) barrier() {
 			}
 		}
 	}
-	for _, sh := range fe.shards {
-		sh.dev.SyncTiming()
-	}
 }
 
 // maybeAdvance closes the current epoch once it holds enough parked pages.
-// The common case is the pipelined handoff (advance); when the timing
-// engine runs under the shards, the sub-device slabs only recycle at full
-// barriers, so those runs bound them with a full flush instead.
 func (fe *frontEnd) maybeAdvance(c *Controller) {
-	if fe.timingSharded && fe.sinceFlush >= preconditionEpoch {
-		c.Flush()
-		return
-	}
 	if fe.epochs[fe.cur].pages >= fe.epochPages {
 		fe.advance(c)
 	}
@@ -784,11 +754,7 @@ func (fe *frontEnd) foldEpoch(c *Controller, ep *feEpoch) {
 			idx := p.off + i
 			t := ep.ends[idx]
 			if sim.IsFutureTime(t) {
-				if ep.serial {
-					t = fe.shards[ep.shards[idx]].dev.ResolveTime(t)
-				} else {
-					t = ep.slab.Wait(sim.FutureSlot(t))
-				}
+				t = ep.slab.Wait(sim.FutureSlot(t))
 			}
 			if t > done {
 				done = t
@@ -822,7 +788,7 @@ func (fe *frontEnd) foldEpoch(c *Controller, ep *feEpoch) {
 }
 
 // flush is the full epoch barrier: quiesce every shard, fold both in-flight
-// epochs in arrival order (previous epoch first), and recycle every slab.
+// epochs in arrival order (previous epoch first), and recycle both slabs.
 // This is the quiescent point every statistics reader, checkpoint, recorder
 // switch, and mode change goes through.
 func (fe *frontEnd) flush(c *Controller) {
@@ -830,22 +796,10 @@ func (fe *frontEnd) flush(c *Controller) {
 	if fe.err != nil {
 		fe.epochs[0].reset()
 		fe.epochs[1].reset()
-		fe.resetEpoch()
 		return
 	}
 	fe.foldEpoch(c, &fe.epochs[1-fe.cur])
 	fe.foldEpoch(c, &fe.epochs[fe.cur])
-	fe.resetEpoch()
-}
-
-// resetEpoch recycles every shard's timing-engine slab and restarts the
-// full-barrier page count (the epoch slabs recycle in foldEpoch). Callers
-// hold no live handles.
-func (fe *frontEnd) resetEpoch() {
-	fe.sinceFlush = 0
-	for _, sh := range fe.shards {
-		sh.dev.ResetTimingEpoch()
-	}
 }
 
 // discard drops both epochs' parked completions without folding them (the
@@ -854,14 +808,12 @@ func (fe *frontEnd) discard() {
 	fe.barrier()
 	fe.epochs[0].reset()
 	fe.epochs[1].reset()
-	fe.resetEpoch()
 }
 
 // precondition sequentially writes the first pages logical pages, chaining
 // times within each shard (shards fill concurrently in simulated time,
-// exactly as independent sub-drives would) and bounding the timing slabs
-// with epoch barriers. Runs inline on the host goroutine; preconditioning is
-// setup, not the measured hot path.
+// exactly as independent sub-drives would). Runs inline on the host
+// goroutine; preconditioning is setup, not the measured hot path.
 func (fe *frontEnd) precondition(c *Controller, pages ftl.LPN) error {
 	if pages > fe.cap {
 		return fmt.Errorf("ssd: precondition %d pages exceeds capacity %d", pages, fe.cap)
@@ -870,28 +822,14 @@ func (fe *frontEnd) precondition(c *Controller, pages ftl.LPN) error {
 	if fe.err != nil {
 		return fe.err
 	}
-	for _, sh := range fe.shards {
-		sh.preTail = 0
-	}
+	tails := make([]sim.Time, len(fe.shards)) // each shard's write chain
 	for lpn := ftl.LPN(0); lpn < pages; lpn++ {
 		sh, local := fe.shardOf(lpn)
-		end, err := sh.f.WritePage(ftl.LPN(local), sh.preTail)
+		end, err := sh.f.WritePage(ftl.LPN(local), tails[sh.idx])
 		if err != nil {
 			return fmt.Errorf("ssd: precondition lpn %d: %w", lpn, err)
 		}
-		sh.preTail = end
-		if fe.timingSharded && lpn&(preconditionEpoch-1) == preconditionEpoch-1 {
-			for _, s := range fe.shards {
-				s.preTail = s.dev.ResolveTime(s.preTail)
-				s.dev.SyncTiming()
-				s.dev.ResetTimingEpoch()
-			}
-		}
-	}
-	for _, s := range fe.shards {
-		s.preTail = s.dev.ResolveTime(s.preTail)
-		s.dev.SyncTiming()
-		s.dev.ResetTimingEpoch()
+		tails[sh.idx] = end
 	}
 	c.ResetMeasurement()
 	return nil
@@ -1090,18 +1028,16 @@ func (r *shardRecorder) RecordGCSpan(plane int32, start, end sim.Time, policy st
 
 // setRecorder attaches (or detaches) observability across every shard. An
 // *obs.Collector stays concurrent: each shard gets a private child collector
-// (local indices, merged at quiescent points), the sub-devices' timing
-// engines drop for the recorder's lifetime (per-op events are ordered within
-// a shard), and the front end's dispatch-side queue telemetry switches on.
-// Any other Recorder has no merge semantics and keeps the old contract:
-// serial execution through a translating per-shard wrapper.
+// (local indices, merged at quiescent points), and the front end's
+// dispatch-side queue telemetry switches on. Any other Recorder has no merge
+// semantics and keeps the old contract: serial execution through a
+// translating per-shard wrapper.
 func (fe *frontEnd) setRecorder(c *Controller, r obs.Recorder) {
 	fe.flush(c)
 	c.rec = r
 	if col, ok := r.(*obs.Collector); ok && col != nil {
 		subC := fe.geo.Channels / int(fe.n)
 		for _, sh := range fe.shards {
-			sh.dev.DisableSharding()
 			child := col.Shard(obs.ShardOptions{
 				Index:          sh.idx,
 				Planes:         len(sh.planeMap),
@@ -1129,7 +1065,6 @@ func (fe *frontEnd) setRecorder(c *Controller, r obs.Recorder) {
 	if r != nil {
 		fe.serial = true
 		for _, sh := range fe.shards {
-			sh.dev.DisableSharding()
 			wrapped := newShardRecorder(r, sh)
 			sh.dev.SetRecorder(wrapped)
 			if o, ok := sh.f.(ftl.Observable); ok {
@@ -1139,16 +1074,12 @@ func (fe *frontEnd) setRecorder(c *Controller, r obs.Recorder) {
 		return
 	}
 	fe.tele = nil
-	timingShards := resolveShards(c.cfg.Shards, fe.geo.Channels/int(fe.n))
 	for _, sh := range fe.shards {
 		sh.dev.SetRecorder(nil)
 		if o, ok := sh.f.(ftl.Observable); ok {
 			o.SetRecorder(nil)
 		}
 		sh.mqLat = nil
-		if timingShards > 1 {
-			sh.dev.EnableSharding(timingShards)
-		}
 	}
 	if fe.running {
 		fe.serial = false
@@ -1195,7 +1126,7 @@ func (fe *frontEnd) restore(c *Controller, cp *feCheckpoint) error {
 	if cp == nil || len(cp.devs) != len(fe.shards) {
 		return fmt.Errorf("ssd: checkpoint does not match this controller's %d FTL shards", len(fe.shards))
 	}
-	c.discardPending() // in-flight work belongs to the run being abandoned
+	fe.discard() // in-flight work belongs to the run being abandoned
 	for i, sh := range fe.shards {
 		snapper, ok := sh.f.(ftl.Snapshotter)
 		if !ok {
@@ -1224,17 +1155,12 @@ func (fe *frontEnd) recoverShards(cfg Config, extra int) (*frontEnd, error) {
 		relaxed: cfg.Merge == MergeRelaxed,
 	}
 	nfe.initTunables(cfg)
-	timingShards := resolveShards(cfg.Shards, fe.geo.Channels/int(fe.n))
-	nfe.timingSharded = timingShards > 1
 	for _, sh := range fe.shards {
 		f, err := recoverFTL(sh.dev, cfg, extra)
 		if err != nil {
 			return nil, err
 		}
 		sh.dev.SetRecorder(nil)
-		if timingShards > 1 && sh.dev.ShardCount() == 1 {
-			sh.dev.EnableSharding(timingShards)
-		}
 		nfe.shards = append(nfe.shards, &ftlShard{
 			idx:      sh.idx,
 			dev:      sh.dev,

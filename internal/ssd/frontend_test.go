@@ -93,25 +93,22 @@ func stripWelfordFloats(r Result) Result {
 }
 
 // TestMQDifferential is the randomized differential suite for the multi-queue
-// front end: for every scheme, shard counts 2/4/8 across two channel shapes,
-// both merge modes, and (on the widest shape) the timing engine layered
-// underneath, a concurrently executing front end replays the same trace as a
-// serially executing one with the identical shard layout. Deterministic merge
-// must reproduce the serial baseline bit for bit — Results, per-request
-// latency streams, mapping tables, and per-shard device states; relaxed merge
-// must match everything except the Welford running floats, which it may
-// re-associate but not change materially.
+// front end: for every scheme, shard counts 2/4/8 across two channel shapes
+// and both merge modes, a concurrently executing front end replays the same
+// trace as a serially executing one with the identical shard layout.
+// Deterministic merge must reproduce the serial baseline bit for bit —
+// Results, per-request latency streams, mapping tables, and per-shard device
+// states; relaxed merge must match everything except the Welford running
+// floats, which it may re-associate but not change materially.
 func TestMQDifferential(t *testing.T) {
 	shapes := []struct {
 		name   string
 		geo    flash.Geometry
 		shards int
-		timing int // Config.Shards layered under each shard
 	}{
-		{"2ch-2shard", tinyGeometry(), 2, 0},
-		{"8ch-4shard", tiny8Geometry(), 4, 0},
-		{"8ch-8shard", tiny8Geometry(), 8, 0},
-		{"8ch-4shard-timing", tiny8Geometry(), 4, 2},
+		{"2ch-2shard", tinyGeometry(), 2},
+		{"8ch-4shard", tiny8Geometry(), 4},
+		{"8ch-8shard", tiny8Geometry(), 8},
 	}
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
@@ -119,7 +116,6 @@ func TestMQDifferential(t *testing.T) {
 				for _, merge := range []string{MergeDeterministic, MergeRelaxed} {
 					t.Run(sp.name+"/"+merge, func(t *testing.T) {
 						cfg := mqConfig(scheme, sp.geo, sp.shards, merge)
-						cfg.Shards = sp.timing
 						ser := buildMQ(t, cfg)
 						ser.fe.flush(ser)
 						ser.fe.serial = true // in-order baseline, same shard layout

@@ -26,43 +26,40 @@ func TestGCInvariants(t *testing.T) {
 	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
 		for _, pol := range []string{"", "greedy", "costbenefit", "windowed", "fifo"} {
-			for _, mode := range shardModes {
-				name := scheme + "/default/" + mode.name
-				if pol != "" {
-					name = scheme + "/" + pol + "/" + mode.name
-				}
-				t.Run(name, func(t *testing.T) {
-					cfg := tinyConfig(scheme)
-					cfg.GCPolicy = pol
-					cfg.Shards = mode.shards
-					c, err := Build(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer c.Close()
-					preconditionTiny(t, c)
-					res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2500, 13)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Erases == 0 {
-						t.Fatal("workload never triggered GC; the run proves nothing")
-					}
-					checkMappingConsistency(t, c) // lpn -> ppn direction: unique, valid, right tag
-					checkValidPagesMapped(t, c)   // ppn -> lpn direction: no orphaned valid data
-					checkBlockBookkeeping(t, c)
-					if res.WastedPages > 0 && res.GCCopyBacks == 0 {
-						t.Errorf("%d pages wasted with zero copy-back moves; the parity rule binds only copy-back", res.WastedPages)
-					}
-					switch scheme {
-					case SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap:
-						// External-move schemes: parity never constrains the buses.
-						if res.WastedPages != 0 {
-							t.Errorf("external-move scheme wasted %d pages", res.WastedPages)
-						}
-					}
-				})
+			name := scheme + "/default/seq"
+			if pol != "" {
+				name = scheme + "/" + pol + "/seq"
 			}
+			t.Run(name, func(t *testing.T) {
+				cfg := tinyConfig(scheme)
+				cfg.GCPolicy = pol
+				c, err := Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				preconditionTiny(t, c)
+				res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2500, 13)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Erases == 0 {
+					t.Fatal("workload never triggered GC; the run proves nothing")
+				}
+				checkMappingConsistency(t, c) // lpn -> ppn direction: unique, valid, right tag
+				checkValidPagesMapped(t, c)   // ppn -> lpn direction: no orphaned valid data
+				checkBlockBookkeeping(t, c)
+				if res.WastedPages > 0 && res.GCCopyBacks == 0 {
+					t.Errorf("%d pages wasted with zero copy-back moves; the parity rule binds only copy-back", res.WastedPages)
+				}
+				switch scheme {
+				case SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap:
+					// External-move schemes: parity never constrains the buses.
+					if res.WastedPages != 0 {
+						t.Errorf("external-move scheme wasted %d pages", res.WastedPages)
+					}
+				}
+			})
 		}
 	}
 }

@@ -41,6 +41,9 @@ func tinyConfig(scheme string) Config {
 	}
 }
 
+var allSchemes = []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST,
+	SchemePureMap, SchemePureMapStriped}
+
 func buildTiny(t *testing.T, scheme string) *Controller {
 	t.Helper()
 	c, err := Build(tinyConfig(scheme))

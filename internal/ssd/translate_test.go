@@ -50,67 +50,63 @@ type learnedSegmentCounter interface {
 
 // TestTranslatePolicyDifferential is the randomized differential suite for
 // the translation engine at the controller level: for both demand-paged
-// schemes, sequential and sharded timing engines, and several workload seeds,
-// every policy replays the same trace. The empty default must be bit-identical
+// schemes and several workload seeds, every policy replays the same trace. The empty default must be bit-identical
 // to explicit "slru" (the pre-refactor behavior the golden suite pins), and
 // all policies — whatever they charge for translation traffic — must expose
 // the same logical state: the identical set of mapped LPNs, each stored valid
 // under its own OOB tag.
 func TestTranslatePolicyDifferential(t *testing.T) {
 	for _, scheme := range demandPagedSchemes {
-		for _, mode := range shardModes {
-			t.Run(scheme+"/"+mode.name, func(t *testing.T) {
-				for _, seed := range []int64{1, 37, 101} {
-					results := make(map[string]Result)
-					mappings := make(map[string][]flash.PPN)
-					for _, pol := range translatePoliciesUnderTest {
-						cfg := tinyConfig(scheme)
-						cfg.Shards = mode.shards
-						cfg.TranslatePolicy = pol
-						c, err := Build(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						preconditionTiny(t, c)
-						res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2000, seed)))
-						if err != nil {
-							t.Fatalf("%s policy %q: %v", scheme, pol, err)
-						}
-						checkMappingConsistency(t, c)
-						results[pol] = res
-						tbl := make([]flash.PPN, c.FTL().Capacity())
-						for lpn := range tbl {
-							tbl[lpn] = lookupAny(t, c, ftl.LPN(lpn))
-						}
-						mappings[pol] = tbl
-						c.Close()
+		t.Run(scheme+"/seq", func(t *testing.T) {
+			for _, seed := range []int64{1, 37, 101} {
+				results := make(map[string]Result)
+				mappings := make(map[string][]flash.PPN)
+				for _, pol := range translatePoliciesUnderTest {
+					cfg := tinyConfig(scheme)
+					cfg.TranslatePolicy = pol
+					c, err := Build(cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(results[""], results["slru"]) {
-						t.Fatalf("seed %d: default policy diverged from explicit slru:\n got %+v\nwant %+v",
-							seed, results[""], results["slru"])
+					preconditionTiny(t, c)
+					res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2000, seed)))
+					if err != nil {
+						t.Fatalf("%s policy %q: %v", scheme, pol, err)
 					}
-					// Identical workload, identical writes: whatever each
-					// policy paid in translation traffic, the mapped set is
-					// the same, and slru/default place bit-identically.
-					for _, pol := range translatePoliciesUnderTest[1:] {
-						for lpn, want := range mappings[""] {
-							got := mappings[pol][lpn]
-							if (got == flash.InvalidPPN) != (want == flash.InvalidPPN) {
-								t.Fatalf("seed %d policy %q: lpn %d mapped=%v, default mapped=%v",
-									seed, pol, lpn, got != flash.InvalidPPN, want != flash.InvalidPPN)
-							}
+					checkMappingConsistency(t, c)
+					results[pol] = res
+					tbl := make([]flash.PPN, c.FTL().Capacity())
+					for lpn := range tbl {
+						tbl[lpn] = lookupAny(t, c, ftl.LPN(lpn))
+					}
+					mappings[pol] = tbl
+					c.Close()
+				}
+				if !reflect.DeepEqual(results[""], results["slru"]) {
+					t.Fatalf("seed %d: default policy diverged from explicit slru:\n got %+v\nwant %+v",
+						seed, results[""], results["slru"])
+				}
+				// Identical workload, identical writes: whatever each
+				// policy paid in translation traffic, the mapped set is
+				// the same, and slru/default place bit-identically.
+				for _, pol := range translatePoliciesUnderTest[1:] {
+					for lpn, want := range mappings[""] {
+						got := mappings[pol][lpn]
+						if (got == flash.InvalidPPN) != (want == flash.InvalidPPN) {
+							t.Fatalf("seed %d policy %q: lpn %d mapped=%v, default mapped=%v",
+								seed, pol, lpn, got != flash.InvalidPPN, want != flash.InvalidPPN)
 						}
-					}
-					if !reflect.DeepEqual(mappings[""], mappings["slru"]) {
-						t.Fatalf("seed %d: slru mapping table diverged from default", seed)
-					}
-					if results["learned"].TransReads > results["slru"].TransReads {
-						t.Logf("seed %d %s/%s: learned TransReads %d > slru %d (random workload; allowed)",
-							seed, scheme, mode.name, results["learned"].TransReads, results["slru"].TransReads)
 					}
 				}
-			})
-		}
+				if !reflect.DeepEqual(mappings[""], mappings["slru"]) {
+					t.Fatalf("seed %d: slru mapping table diverged from default", seed)
+				}
+				if results["learned"].TransReads > results["slru"].TransReads {
+					t.Logf("seed %d %s: learned TransReads %d > slru %d (random workload; allowed)",
+						seed, scheme, results["learned"].TransReads, results["slru"].TransReads)
+				}
+			}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 # Root package: only the end-to-end hot-path benchmarks (throughput plain,
-# with the observability recorder attached, sharded vs sequential — the
+# with the observability recorder attached, multi-queue vs single-FTL — the
 # BenchmarkShardedThroughput pattern covers every mode sub-benchmark,
 # including the batched-dispatch 8ch/mq-pipelined one — plus the
 # sustained-GC regime and BenchmarkBuild, a 64 GB device built per scheme in
