@@ -337,12 +337,10 @@ func BenchmarkGCHeavy(b *testing.B) {
 //
 //   - 4ch (the paper's 8 GB shape, scaled): the single-FTL engine alone.
 //   - 8ch (the 16 GB shape, scaled): "mq" runs 8 concurrent FTL shards
-//     behind the multi-queue front end with the deterministic completion
-//     merge, "mq-pipelined" drives the same engine through the batch
-//     dispatch stage (EnqueueBatch: classification split from staging), and
-//     "mq-relaxed" folds on the shard workers. Sub-benchmarks with different
-//     engines replay the same stream; the differential suites pin their
-//     equivalence contracts.
+//     behind the multi-queue front end, and "mq-pipelined" drives the same
+//     engine through the batch dispatch stage (EnqueueBatch: classification
+//     split from staging). Sub-benchmarks with different engines replay the
+//     same stream; the differential suites pin their equivalence contracts.
 //
 // The ns/op ratio of seq to the mq modes is the speedup the front end buys;
 // on a single-core machine it degrades to scheduling overhead instead — the
@@ -354,15 +352,13 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		name      string
 		gb        int
 		ftlShards int
-		merge     string
 		wantFTLSh int
 		batch     bool
 	}{
-		{"4ch/seq", 8, 0, "", 1, false},
-		{"8ch/seq", 16, 0, "", 1, false},
-		{"8ch/mq", 16, dloop.AutoShards, dloop.MergeDeterministic, 8, false},
-		{"8ch/mq-pipelined", 16, dloop.AutoShards, dloop.MergeDeterministic, 8, true},
-		{"8ch/mq-relaxed", 16, dloop.AutoShards, dloop.MergeRelaxed, 8, false},
+		{"4ch/seq", 8, 0, 1, false},
+		{"8ch/seq", 16, 0, 1, false},
+		{"8ch/mq", 16, dloop.AutoShards, 8, false},
+		{"8ch/mq-pipelined", 16, dloop.AutoShards, 8, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			geo, err := dloop.ScaledGeometryFor(mode.gb, 2, 0.03, 0.05)
@@ -371,7 +367,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			}
 			cfg := dloop.Config{
 				CapacityGB: mode.gb, FTL: dloop.SchemeDLOOP, Geometry: &geo,
-				FTLShards: mode.ftlShards, Merge: mode.merge,
+				FTLShards: mode.ftlShards,
 			}
 			ssd, err := dloop.New(cfg)
 			if err != nil {
@@ -473,7 +469,7 @@ func BenchmarkSimulateThroughputObservedMQ(b *testing.B) {
 	}
 	cfg := dloop.Config{
 		CapacityGB: 16, FTL: dloop.SchemeDLOOP, Geometry: &geo,
-		FTLShards: dloop.AutoShards, Merge: dloop.MergeDeterministic,
+		FTLShards: dloop.AutoShards,
 	}
 	ssd, err := dloop.New(cfg)
 	if err != nil {

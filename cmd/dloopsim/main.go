@@ -44,10 +44,6 @@ func main() {
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL (0 = default 4096); validated against the logical space")
 		bufPages   = flag.Int("buffer-pages", 0, "DRAM write buffer capacity in pages (0 = off)")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards: the logical space splits LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
-		merge      = flag.String("merge", "", "completion merge mode with -ftl-shards > 1: deterministic|relaxed (empty = deterministic)")
-		epochPages = flag.Int("epoch-pages", 0, "pages per pipeline epoch on the multi-queue front end (0 = default 4096); results are bit-identical across values in deterministic merge")
-		doorbell   = flag.Int("doorbell-batch", 0, "staged page commands per doorbell ring on the multi-queue front end (0 = default 64)")
-		pipeDepth  = flag.Int("pipeline-depth", 0, "multi-queue epoch pipelining: 2 = double-buffered fold overlap (default), 1 = stop-the-world barrier per epoch")
 		warmCache  = flag.String("warmup-cache", "", "directory of persistent warm-up checkpoints, content-addressed by (config, footprint); matching warm-ups restore from disk instead of simulating, fresh ones are published for later runs")
 
 		metricsOut  = flag.String("metrics-out", "", "write the run's observability metrics.json to this file")
@@ -91,10 +87,6 @@ func main() {
 		CMTEntries:      *cmtEntries,
 		BufferPages:     *bufPages,
 		FTLShards:       nFTLShards,
-		Merge:           *merge,
-		EpochPages:      *epochPages,
-		DoorbellBatch:   *doorbell,
-		PipelineDepth:   *pipeDepth,
 	}
 
 	ob, err := newObserver(*metricsOut, *traceEvents, *snapshotMs, *listen)

@@ -36,8 +36,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent runs (0 = NumCPU)")
 		cells      = flag.Int("parallel-cells", 0, "explicit worker-pool size; overrides -workers (0 = derive)")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards per cell: LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
-		merge      = flag.String("merge", "", "completion merge mode with -ftl-shards > 1: deterministic|relaxed (empty = deterministic)")
-		epochPages = flag.Int("epoch-pages", 0, "pages per multi-queue pipeline epoch (0 = default 4096); deterministic results are bit-identical across values")
 		translate  = flag.String("translate", "", "translation policy for the DLOOP/DFTL runs: slru|lru|learned (empty = slru; the translate experiment sweeps its own)")
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL runs (0 = scheme default; the translate experiment sweeps its own)")
 		outDir     = flag.String("out", "", "directory for CSV output (optional)")
@@ -75,8 +73,7 @@ func main() {
 
 	opt := dloop.Options{
 		Requests: *requests, Seed: *seed, Scale: *scale, Workers: *workers,
-		ParallelCells: *cells, FTLShards: nFTLShards, Merge: *merge,
-		EpochPages:      *epochPages,
+		ParallelCells: *cells, FTLShards: nFTLShards,
 		TranslatePolicy: *translate, CMTEntries: *cmtEntries,
 		MetricsDir: *metricsOut, TraceDir: *traceEvents, SnapshotIntervalMs: *snapshotMs,
 		NoFork: *noFork, WarmupCache: *warmCache,

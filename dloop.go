@@ -84,19 +84,9 @@ const (
 
 // AutoShards, as Config.FTLShards, runs one concurrent FTL shard per
 // channel. It engages only on shapes of at least 8 channels; smaller shapes
-// keep the single-FTL engine, which is faster there.
+// keep the single-FTL engine, which is faster there. Sharded completions
+// fold in arrival order, so results stay bit-reproducible run to run.
 const AutoShards = ssd.AutoShards
-
-// Completion-merge modes for Config.Merge (used when Config.FTLShards > 1):
-// deterministic folds completions in arrival order, so results are
-// bit-reproducible run to run and against in-order execution of the same
-// shard layout; relaxed folds on the shard workers and merges per-shard
-// accumulators, trading bit-stable running means for less host-side work
-// (counters, histograms, and percentiles still merge exactly).
-const (
-	MergeDeterministic = ssd.MergeDeterministic
-	MergeRelaxed       = ssd.MergeRelaxed
-)
 
 // Request directions.
 const (

@@ -46,17 +46,6 @@ type Options struct {
 	// independent FTLs — so sweeps comparing against recorded baselines
 	// should leave it zero.
 	FTLShards int
-	// Merge selects the front end's completion-merge mode when FTLShards > 1:
-	// "" or ssd.MergeDeterministic folds completions in arrival order
-	// (bit-reproducible), ssd.MergeRelaxed folds on the shard workers and
-	// merges per-shard accumulators (same counters/histograms, running means
-	// re-associated).
-	Merge string
-	// EpochPages sets the multi-queue front end's pipeline epoch length in
-	// pages for every job that does not set its own (0 keeps the default;
-	// see ssd.Config.EpochPages). Deterministic-merge results are
-	// bit-identical across values, so it is safe to sweep.
-	EpochPages int
 	// TranslatePolicy, when non-empty, is copied into every demand-paged
 	// (DLOOP/DFTL) job's ssd.Config that does not set its own: "slru", "lru",
 	// or "learned" (see internal/ftl/translate). Schemes without a
@@ -370,27 +359,12 @@ func runCell(j job, opt Options, warmed *ssd.Controller) (ssd.Result, error) {
 func runAll(jobs []job, opt Options) (map[string]ssd.Result, error) {
 	opt.setDefaults()
 	// Jobs that don't pin their own concurrent-FTL front end inherit the
-	// sweep-wide option. FTLShards and Merge are part of the config, so the
-	// warm-up grouping below keeps differently sharded cells in separate
-	// groups.
+	// sweep-wide option. FTLShards is part of the config, so the warm-up
+	// grouping below keeps differently sharded cells in separate groups.
 	if opt.FTLShards != 0 {
 		for i := range jobs {
 			if jobs[i].cfg.FTLShards == 0 {
 				jobs[i].cfg.FTLShards = opt.FTLShards
-			}
-		}
-	}
-	if opt.Merge != "" {
-		for i := range jobs {
-			if jobs[i].cfg.Merge == "" {
-				jobs[i].cfg.Merge = opt.Merge
-			}
-		}
-	}
-	if opt.EpochPages != 0 {
-		for i := range jobs {
-			if jobs[i].cfg.EpochPages == 0 {
-				jobs[i].cfg.EpochPages = opt.EpochPages
 			}
 		}
 	}

@@ -10,19 +10,16 @@ import (
 )
 
 // Checkpoint is a deep, immutable copy of a controller's complete simulation
-// state: flash device(s), FTL(s), write buffer, and measurement
-// accumulators. One checkpoint taken after a shared warm-up can fork any
-// number of divergent runs, each bit-identical to an uninterrupted fresh run
-// of the same cell. On a front-end controller the checkpoint holds one
-// device/FTL state pair per FTL shard.
+// state: every FTL shard's flash device and FTL, the write buffer, and the
+// measurement accumulators. One checkpoint taken after a shared warm-up can
+// fork any number of divergent runs, each bit-identical to an uninterrupted
+// fresh run of the same cell.
 //
 // The attached observability recorder is deliberately NOT part of the
 // checkpoint: recorders are per-cell plumbing, attached after a restore and
 // detached before the next one.
 type Checkpoint struct {
-	dev      *flash.DeviceState
-	ftlState any
-	fe       *feCheckpoint // per-shard states on a front-end controller
+	shards []shardState // in shard order; one on a single-FTL controller
 
 	resp, readResp, writeResp stats.Welford
 	hist                      stats.LatencyHist
@@ -34,23 +31,26 @@ type Checkpoint struct {
 	pagesWrit                 int64
 }
 
-// Snapshot captures the controller's state. It fails if the FTL scheme does
-// not implement ftl.Snapshotter (all in-tree schemes do).
+// shardState is one FTL shard's device and FTL state.
+type shardState struct {
+	dev *flash.DeviceState
+	ftl any
+}
+
+// Snapshot captures the controller's state, after folding any in-flight
+// work. It fails if the FTL scheme does not implement ftl.Snapshotter (all
+// in-tree schemes do).
 func (c *Controller) Snapshot() (*Checkpoint, error) {
-	cp := &Checkpoint{}
-	if c.fe != nil {
-		fcp, err := c.fe.snapshot(c) // barriers and folds first
-		if err != nil {
-			return nil, err
-		}
-		cp.fe = fcp
-	} else {
-		snapper, ok := c.f.(ftl.Snapshotter)
+	if err := c.quiesce(false); err != nil {
+		return nil, err
+	}
+	cp := &Checkpoint{shards: make([]shardState, len(c.shards))}
+	for i, sh := range c.shards {
+		snapper, ok := sh.f.(ftl.Snapshotter)
 		if !ok {
-			return nil, fmt.Errorf("ssd: FTL %s does not support checkpointing", c.f.Name())
+			return nil, fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
 		}
-		cp.dev = c.dev.Snapshot()
-		cp.ftlState = snapper.Snapshot()
+		cp.shards[i] = shardState{dev: sh.dev.Snapshot(), ftl: snapper.Snapshot()}
 	}
 	cp.resp = c.resp
 	cp.readResp = c.readResp
@@ -67,23 +67,26 @@ func (c *Controller) Snapshot() (*Checkpoint, error) {
 	return cp, nil
 }
 
-// Restore rewinds the controller to a checkpoint it produced earlier. The
-// checkpoint is untouched — Restore clones anything mutable on its way in —
-// so the same checkpoint may seed any number of forks.
+// Restore rewinds the controller to a checkpoint taken from an identically
+// configured one. The checkpoint is untouched — Restore clones anything
+// mutable on its way in — so the same checkpoint may seed any number of
+// forks.
 func (c *Controller) Restore(cp *Checkpoint) error {
-	if c.fe != nil {
-		if err := c.fe.restore(c, cp.fe); err != nil {
-			return err
-		}
-	} else {
-		snapper, ok := c.f.(ftl.Snapshotter)
+	if cp == nil || len(cp.shards) != len(c.shards) {
+		return fmt.Errorf("ssd: checkpoint does not match this controller's %d FTL shards", len(c.shards))
+	}
+	// In-flight work belongs to the run being abandoned; a failed run's
+	// error stays sticky and surfaces at the next request.
+	_ = c.quiesce(true)
+	for i, sh := range c.shards {
+		snapper, ok := sh.f.(ftl.Snapshotter)
 		if !ok {
-			return fmt.Errorf("ssd: FTL %s does not support checkpointing", c.f.Name())
+			return fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
 		}
-		if err := snapper.Restore(cp.ftlState); err != nil {
+		if err := snapper.Restore(cp.shards[i].ftl); err != nil {
 			return err
 		}
-		c.dev.Restore(cp.dev)
+		sh.dev.Restore(cp.shards[i].dev)
 	}
 	c.resp = cp.resp
 	c.readResp = cp.readResp

@@ -46,20 +46,13 @@ func (c *Controller) AppendCheckpoint(w *ckpt.Writer, cp *Checkpoint) ([]byte, e
 	w.String(scheme)
 	d := ConfigDigest(c.cfg)
 	copy(w.Raw(len(d)), d[:])
-	encodeGeometry(w, c.Geometry())
-	w.Bool(cp.fe != nil)
-	if cp.fe != nil {
-		w.U32(uint32(len(cp.fe.devs)))
-		for i := range cp.fe.devs {
-			flash.EncodeDeviceState(w, cp.fe.devs[i])
-			if err := encodeFTLState(w, scheme, cp.fe.ftls[i]); err != nil {
-				return nil, err
-			}
-			encodeShardAcc(w, &cp.fe.accs[i])
-		}
-	} else {
-		flash.EncodeDeviceState(w, cp.dev)
-		if err := encodeFTLState(w, scheme, cp.ftlState); err != nil {
+	encodeGeometry(w, c.geo)
+	// The layout tag: one FTL or several shards. The shard count itself
+	// follows from the digest and the geometry.
+	w.Bool(len(cp.shards) > 1)
+	for _, st := range cp.shards {
+		flash.EncodeDeviceState(w, st.dev)
+		if err := encodeFTLState(w, scheme, st.ftl); err != nil {
 			return nil, err
 		}
 	}
@@ -81,11 +74,10 @@ func (c *Controller) AppendCheckpoint(w *ckpt.Writer, cp *Checkpoint) ([]byte, e
 
 // DecodeCheckpoint deserializes a container produced by EncodeCheckpoint on
 // an identically configured controller. It validates the container (magic,
-// version, checksum), the FTL scheme, the ConfigDigest, the geometry, and —
-// for multi-queue controllers — the shard count, so feeding it a checkpoint
-// from any other configuration fails with an error instead of corrupting
-// state. The result shares nothing with data; the caller may recycle the
-// buffer immediately.
+// version, checksum), the FTL scheme, the ConfigDigest, the geometry, and
+// the shard layout, so feeding it a checkpoint from any other configuration
+// fails with an error instead of corrupting state. The result shares
+// nothing with data; the caller may recycle the buffer immediately.
 func (c *Controller) DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	r, err := ckpt.Open(data)
 	if err != nil {
@@ -104,36 +96,15 @@ func (c *Controller) DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if d != ConfigDigest(c.cfg) {
 		return nil, fmt.Errorf("ssd: checkpoint was taken under a different configuration")
 	}
-	if geo != c.Geometry() {
-		return nil, fmt.Errorf("ssd: checkpoint geometry %v does not match device %v", geo, c.Geometry())
+	if geo != c.geo {
+		return nil, fmt.Errorf("ssd: checkpoint geometry %v does not match device %v", geo, c.geo)
 	}
-	cp := &Checkpoint{}
-	hasFE := r.Bool()
-	if hasFE != (c.fe != nil) {
-		return nil, fmt.Errorf("ssd: checkpoint front-end layout does not match controller")
+	if sharded := r.Bool(); sharded != (len(c.shards) > 1) {
+		return nil, fmt.Errorf("ssd: checkpoint shard layout does not match controller")
 	}
-	if hasFE {
-		n := int(r.U32())
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if n != len(c.fe.shards) {
-			return nil, fmt.Errorf("ssd: checkpoint has %d FTL shards, controller %d", n, len(c.fe.shards))
-		}
-		fe := &feCheckpoint{
-			devs: make([]*flash.DeviceState, n),
-			ftls: make([]any, n),
-			accs: make([]shardAcc, n),
-		}
-		for i := 0; i < n; i++ {
-			fe.devs[i] = flash.DecodeDeviceState(r, c.fe.shards[i].dev.Geometry())
-			fe.ftls[i] = decodeFTLState(r, scheme)
-			fe.accs[i] = decodeShardAcc(r)
-		}
-		cp.fe = fe
-	} else {
-		cp.dev = flash.DecodeDeviceState(r, c.dev.Geometry())
-		cp.ftlState = decodeFTLState(r, scheme)
+	cp := &Checkpoint{shards: make([]shardState, len(c.shards))}
+	for i, sh := range c.shards {
+		cp.shards[i] = shardState{dev: flash.DecodeDeviceState(r, sh.dev.Geometry()), ftl: decodeFTLState(r, scheme)}
 	}
 	cp.resp = stats.DecodeWelford(r)
 	cp.readResp = stats.DecodeWelford(r)
@@ -209,26 +180,6 @@ func decodeGeometry(r *ckpt.Reader) flash.Geometry {
 		BlocksPerPlane:     r.Int(),
 		PagesPerBlock:      r.Int(),
 		PageSize:           r.Int(),
-	}
-}
-
-func encodeShardAcc(w *ckpt.Writer, a *shardAcc) {
-	stats.EncodeWelford(w, a.resp)
-	stats.EncodeWelford(w, a.readResp)
-	stats.EncodeWelford(w, a.writeResp)
-	stats.EncodeLatencyHist(w, a.hist)
-	w.I64(int64(a.lastDone))
-	w.I64(a.served)
-}
-
-func decodeShardAcc(r *ckpt.Reader) shardAcc {
-	return shardAcc{
-		resp:      stats.DecodeWelford(r),
-		readResp:  stats.DecodeWelford(r),
-		writeResp: stats.DecodeWelford(r),
-		hist:      stats.DecodeLatencyHist(r),
-		lastDone:  sim.Time(r.I64()),
-		served:    r.I64(),
 	}
 }
 

@@ -79,11 +79,11 @@ func TestEncodedCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestEncodedCheckpointRoundTripMQ covers the multi-queue layout: per-shard
-// device states, FTL states, and accumulators all round-trip through bytes.
+// device and FTL states round-trip through bytes.
 func TestEncodedCheckpointRoundTripMQ(t *testing.T) {
 	for _, scheme := range []string{SchemeDLOOP, SchemeFAST} {
 		t.Run(scheme, func(t *testing.T) {
-			cfg := mqConfig(scheme, tiny8Geometry(), 2, "")
+			cfg := mqConfig(scheme, tiny8Geometry(), 2)
 			fresh := buildMQ(t, cfg)
 			preconditionTiny(t, fresh)
 			w := tinyWorkload(t, fresh, 1500, 33)
@@ -378,13 +378,13 @@ func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "7430f5d395c5d2431bd645fd158a48584411188f8d4e2a883c9dab8f8e83a9de"},
-		{SchemeDLOOP, "learned", "a806eaa7dabe9b90a1093164929fda225ea123ab53f0c11b5c5c97bd2b10dd37"},
-		{SchemeDFTL, "", "c7c96e90a90e9c8918dbb3c4ad053c327a45511b19a2305edbbfb572d1c89c0b"},
-		{SchemeFAST, "", "5c76ec9e2be3c93f8a493785e3fcbe9144a140160b1d191d4fb2eea062b419a2"},
-		{SchemeBAST, "", "4919eafcb76509286e07116b6b0ca7c9a68b0ded7cada3b7f3072e8f5bb55e07"},
-		{SchemePureMap, "", "608b5fab7a0eadd30e74dd713696d65123282a48c9caee0e24749e907d5173b5"},
-		{SchemePureMapStriped, "", "1cde2133e10ee7f1fd4b729bda51e06b57a44ab0fef6f06ef45ad6383f5dd5b0"},
+		{SchemeDLOOP, "", "d5cc2d68e7ec830b0c95733fb9337c726c55fc09cf99ced3cf5d99c93da945e8"},
+		{SchemeDLOOP, "learned", "dd944df6419251e2a462b625d89bbf26c52eba9ea01d9fef8f4db3802cbb77f8"},
+		{SchemeDFTL, "", "7463a87f60423e4d3bb8d4e584676287915cef1908b8a352adbab7995f2fee01"},
+		{SchemeFAST, "", "c7df2c1a12237244e01954d8bad0405354c8cde8cf73969cf2c888b9527c0a9e"},
+		{SchemeBAST, "", "98d706554939f8af3ed3af0cbee6b87b1b8451806652201a67a64586ab21033b"},
+		{SchemePureMap, "", "e9de4889312d9b0526c758ece153bca02314df1059604c84606ec1c62dec9098"},
+		{SchemePureMapStriped, "", "3ad6aae5b6e158d40a1a9dbe7dde4627b77772b053728d1eb944d3fb6aea0e8d"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {

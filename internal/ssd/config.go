@@ -86,42 +86,17 @@ type Config struct {
 	// Channels/FTLShards channels with its own mapping state, free-block
 	// pools, garbage collector, and worker goroutine, so placement and
 	// collection decisions run concurrently — a different (striped) device
-	// organization, not an accelerated identical one. 0 or 1 keeps the
-	// single-FTL engine; AutoShards uses one shard per channel on devices
-	// with at least 8 channels and the single-FTL engine below that; other
-	// values are reduced to the largest divisor of the channel count.
-	// Attaching an *obs.Collector keeps the shards concurrent (each shard
-	// records into a private child collector, merged deterministically at
-	// epoch barriers); any other recorder forces serial in-order execution
-	// while attached. Incompatible with BufferPages.
+	// organization, not an accelerated identical one. Completions fold into
+	// the statistics in arrival order, so a sharded run is bit-identical run
+	// to run and to serial in-order execution of the same shard layout.
+	// 0 or 1 keeps the single-FTL engine; AutoShards uses one shard per
+	// channel on devices with at least 8 channels and the single-FTL engine
+	// below that; other values are reduced to the largest divisor of the
+	// channel count. Attaching an *obs.Collector keeps the shards concurrent
+	// (each shard records into a private child collector, merged
+	// deterministically at epoch barriers); any other recorder forces serial
+	// in-order execution while attached. Incompatible with BufferPages.
 	FTLShards int
-	// Merge selects how per-shard completions merge into response-time
-	// statistics when FTLShards > 1: MergeDeterministic (the default, "")
-	// folds at epoch barriers in arrival order, bit-identical to serial
-	// in-order execution of the same shard layout; MergeRelaxed folds
-	// single-page requests on the shard workers, trading the bit-exact
-	// floating-point accumulation order for less host-side work (histograms
-	// and counters still merge exactly).
-	Merge string
-	// EpochPages bounds one pipeline epoch on the multi-queue front end:
-	// after this many parked page completions the host hands the epoch to
-	// the shards and folds the previous epoch's completions while they
-	// execute (see frontend.go). 0 selects the default (4096). Results are
-	// bit-identical across epoch lengths in deterministic merge mode; the
-	// knob trades fold granularity against slab footprint. Exposed as
-	// -epoch-pages in the commands.
-	EpochPages int
-	// DoorbellBatch is how many staged page commands accumulate before the
-	// front end rings the shard doorbells (0 = default 64). A producer-side
-	// batching knob; results are identical across values.
-	DoorbellBatch int
-	// PipelineDepth selects the multi-queue front end's epoch pipelining:
-	// 2 (the default for 0) double-buffers the completion slabs so the host
-	// folds epoch K while the shards execute epoch K+1; 1 restores the
-	// stop-the-world barrier at every epoch close (the pre-pipeline
-	// behavior, kept for comparison and tests). Results are bit-identical
-	// either way.
-	PipelineDepth int
 
 	// Geometry, when non-nil, overrides the capacity-derived geometry
 	// entirely (tests use miniature devices).
@@ -346,20 +321,6 @@ func Build(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("ssd: translate policy %q needs a demand-paged scheme (DLOOP or DFTL), not %s", p, cfg.FTL)
 		}
 	}
-	switch cfg.Merge {
-	case "", MergeDeterministic, MergeRelaxed:
-	default:
-		return nil, fmt.Errorf("ssd: unknown merge mode %q (want %q or %q)", cfg.Merge, MergeDeterministic, MergeRelaxed)
-	}
-	if cfg.PipelineDepth < 0 || cfg.PipelineDepth > 2 {
-		return nil, fmt.Errorf("ssd: pipeline depth %d out of range (want 1 or 2)", cfg.PipelineDepth)
-	}
-	if cfg.EpochPages < 0 {
-		return nil, fmt.Errorf("ssd: negative EpochPages %d", cfg.EpochPages)
-	}
-	if cfg.DoorbellBatch < 0 {
-		return nil, fmt.Errorf("ssd: negative DoorbellBatch %d", cfg.DoorbellBatch)
-	}
 	geo, extra, err := resolveGeometry(cfg)
 	if err != nil {
 		return nil, err
@@ -376,24 +337,17 @@ func Build(cfg Config) (*Controller, error) {
 	if cfg.Timing != nil {
 		timing = *cfg.Timing
 	}
-	if n := resolveFTLShards(cfg.FTLShards, geo.Channels); n > 1 {
-		fe, err := newFrontEnd(geo, timing, n, cfg, func(dev *flash.Device) (ftl.FTL, error) {
-			return buildFTL(dev, cfg, extra)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return newFEController(fe, cfg), nil
+	n := resolveFTLShards(cfg.FTLShards, geo.Channels)
+	if n > 1 && cfg.BufferPages > 0 {
+		return nil, fmt.Errorf("ssd: FTLShards is incompatible with BufferPages (the DRAM buffer is a single ordered cache)")
 	}
-	dev, err := flash.NewDevice(geo, timing)
+	shards, err := buildShards(geo, timing, n, func(dev *flash.Device) (ftl.FTL, error) {
+		return buildFTL(dev, cfg, extra)
+	})
 	if err != nil {
 		return nil, err
 	}
-	f, err := buildFTL(dev, cfg, extra)
-	if err != nil {
-		return nil, err
-	}
-	return newController(dev, f, cfg), nil
+	return newController(shards, geo, cfg), nil
 }
 
 // ScaledGeometryFor shrinks GeometryFor's result by scale for quick runs:
@@ -447,23 +401,19 @@ func (c *Controller) Recover() (*Controller, error) {
 	if cfg.Geometry != nil {
 		extra = ftl.ExtraBlocksPerPlane(cfg.Geometry.BlocksPerPlane, cfg.ExtraPct, cfg.GCThreshold)
 	} else {
-		extra = c.Geometry().BlocksPerPlane - refBlocksPerPlane*refPageKB/cfg.PageSizeKB
+		extra = c.geo.BlocksPerPlane - refBlocksPerPlane*refPageKB/cfg.PageSizeKB
 	}
-	if c.fe != nil {
-		c.Flush()
-		nfe, err := c.fe.recoverShards(cfg, extra)
+	c.Close() // the crashed controller stays usable for read-only lookups
+	shards := make([]*ftlShard, len(c.shards))
+	for i, sh := range c.shards {
+		f, err := recoverFTL(sh.dev, cfg, extra)
 		if err != nil {
 			return nil, err
 		}
-		nc := newFEController(nfe, cfg)
-		nc.ResetMeasurement()
-		return nc, nil
+		sh.dev.SetRecorder(nil)
+		shards[i] = &ftlShard{idx: i, dev: sh.dev, f: f, planeMap: sh.planeMap, chipMap: sh.chipMap, chanMap: sh.chanMap}
 	}
-	f, err := recoverFTL(c.dev, cfg, extra)
-	if err != nil {
-		return nil, err
-	}
-	nc := newController(c.dev, f, cfg)
+	nc := newController(shards, c.geo, cfg)
 	nc.ResetMeasurement()
 	return nc, nil
 }

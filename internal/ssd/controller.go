@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
@@ -24,16 +25,30 @@ import (
 // and measures response times from arrival to the completion of the last
 // page. Not safe for concurrent use.
 type Controller struct {
-	// dev and f are the single-FTL engine's device and translation layer.
-	// They are nil on a front-end controller (Config.FTLShards > 1), where
-	// every page operation routes through fe's shards instead; use
-	// Geometry/Capacity/ShardDevice/ShardFTL to stay engine-agnostic.
+	// shards is the FTL layout: logical page lpn lives on shard lpn mod N as
+	// shard-local page lpn / N. The single-FTL engine is one shard spanning
+	// the whole device, so its index maps are the identity; the multi-queue
+	// engine runs N shards behind fe.
+	shards []*ftlShard
+	geo    flash.Geometry // whole-device geometry
+	cap    ftl.LPN        // exported logical pages, summed over the shards
+	// shardMask/shardShift route pages to shards without integer division
+	// when the shard count is a power of two (always with one shard, and
+	// almost always otherwise: channel counts are).
+	shardPow2  bool
+	shardMask  int64
+	shardShift uint
+
+	// dev and f are the single-FTL engine's device and translation layer
+	// (shard 0). They are nil on a multi-queue controller, where every page
+	// operation routes through fe; use Geometry/Capacity/ShardDevice/ShardFTL
+	// to stay engine-agnostic.
 	dev *flash.Device
 	f   ftl.FTL
 	cfg Config
 
-	// fe, when non-nil, is the multi-queue front end over N concurrent FTL
-	// shards (see frontend.go).
+	// fe, when non-nil, is the multi-queue front end over the shards (see
+	// frontend.go).
 	fe *frontEnd
 
 	sectorsPerPage int64
@@ -72,40 +87,31 @@ type Controller struct {
 	pulse func()
 }
 
-func newController(dev *flash.Device, f ftl.FTL, cfg Config) *Controller {
+// newController assembles a controller over its FTL shards: one shard runs
+// the single-FTL engine, more run behind the multi-queue front end.
+func newController(shards []*ftlShard, geo flash.Geometry, cfg Config) *Controller {
+	n := int64(len(shards))
 	c := &Controller{
-		dev:            dev,
-		f:              f,
+		shards:         shards,
+		geo:            geo,
+		cap:            shards[0].f.Capacity() * ftl.LPN(n),
 		cfg:            cfg,
-		sectorsPerPage: int64(dev.Geometry().PageSize / trace.SectorSize),
+		sectorsPerPage: int64(geo.PageSize / trace.SectorSize),
 	}
-	if cfg.BufferPages > 0 {
-		c.buffer = newWriteBuffer(cfg.BufferPages)
+	if n&(n-1) == 0 {
+		c.shardPow2, c.shardMask, c.shardShift = true, n-1, uint(bits.TrailingZeros64(uint64(n)))
 	}
-	c.initPageSpan()
-	return c
-}
-
-// initPageSpan precomputes the page-span shift when sectors-per-page is a
-// power of two.
-func (c *Controller) initPageSpan() {
 	if spp := c.sectorsPerPage; spp > 0 && spp&(spp-1) == 0 {
-		c.pagePow2 = true
-		for int64(1)<<c.pageShift < spp {
-			c.pageShift++
+		c.pagePow2, c.pageShift = true, uint(bits.TrailingZeros64(uint64(spp)))
+	}
+	if n > 1 {
+		c.fe = newFrontEnd(shards)
+	} else {
+		c.dev, c.f = shards[0].dev, shards[0].f
+		if cfg.BufferPages > 0 {
+			c.buffer = newWriteBuffer(cfg.BufferPages)
 		}
 	}
-}
-
-// newFEController wraps a multi-queue front end in a Controller. dev and f
-// stay nil; the front end owns one device and FTL per shard.
-func newFEController(fe *frontEnd, cfg Config) *Controller {
-	c := &Controller{
-		fe:             fe,
-		cfg:            cfg,
-		sectorsPerPage: int64(fe.geo.PageSize / trace.SectorSize),
-	}
-	c.initPageSpan()
 	return c
 }
 
@@ -132,84 +138,63 @@ func (c *Controller) Device() *flash.Device { return c.dev }
 // controller — use ShardFTL there.
 func (c *Controller) FTL() ftl.FTL { return c.f }
 
-// Geometry returns the whole-device geometry on either engine.
-func (c *Controller) Geometry() flash.Geometry {
-	if c.fe != nil {
-		return c.fe.geo
-	}
-	return c.dev.Geometry()
-}
+// Geometry returns the whole-device geometry.
+func (c *Controller) Geometry() flash.Geometry { return c.geo }
 
-// Capacity returns the exported logical-page count on either engine.
-func (c *Controller) Capacity() ftl.LPN {
-	if c.fe != nil {
-		return c.fe.cap
-	}
-	return c.f.Capacity()
-}
+// Capacity returns the exported logical-page count.
+func (c *Controller) Capacity() ftl.LPN { return c.cap }
 
 // FTLShards returns the number of concurrent FTL shards (1 = single FTL).
-func (c *Controller) FTLShards() int {
-	if c.fe != nil {
-		return len(c.fe.shards)
-	}
-	return 1
-}
+func (c *Controller) FTLShards() int { return len(c.shards) }
 
 // ShardFTL returns FTL shard i's translation layer (read-only use intended).
 // On a single-FTL controller, shard 0 is the FTL itself.
-func (c *Controller) ShardFTL(i int) ftl.FTL {
-	if c.fe != nil {
-		return c.fe.shards[i].f
-	}
-	return c.f
-}
+func (c *Controller) ShardFTL(i int) ftl.FTL { return c.shards[i].f }
 
 // ShardDevice returns FTL shard i's sub-device (read-only use intended). On
 // a single-FTL controller, shard 0 is the device itself.
-func (c *Controller) ShardDevice(i int) *flash.Device {
-	if c.fe != nil {
-		return c.fe.shards[i].dev
-	}
-	return c.dev
-}
+func (c *Controller) ShardDevice(i int) *flash.Device { return c.shards[i].dev }
 
 // ShardOfLPN returns the FTL shard owning a logical page and the
 // shard-local page it maps to there (identity on a single-FTL controller).
 func (c *Controller) ShardOfLPN(lpn ftl.LPN) (shard int, local ftl.LPN) {
-	if c.fe != nil {
-		sh, l := c.fe.shardOf(lpn)
-		return sh.idx, ftl.LPN(l)
+	sh, local := c.shardOf(lpn)
+	return sh.idx, local
+}
+
+// shardOf returns the shard owning a logical page and its shard-local page.
+func (c *Controller) shardOf(lpn ftl.LPN) (*ftlShard, ftl.LPN) {
+	if c.shardPow2 {
+		return c.shards[int64(lpn)&c.shardMask], lpn >> c.shardShift
 	}
-	return 0, lpn
+	n := ftl.LPN(len(c.shards))
+	return c.shards[lpn%n], lpn / n
 }
 
 // Config returns the configuration the controller was built with.
 func (c *Controller) Config() Config { return c.cfg }
 
 // ObsOptions returns a collector configuration matched to this SSD: the FTL
-// name and the device's plane/channel shape. Callers add sinks and the
-// snapshot interval before obs.NewCollector.
+// name, the device's plane/channel shape, and the shard that owns each
+// channel. Callers add sinks and the snapshot interval before
+// obs.NewCollector.
 func (c *Controller) ObsOptions() obs.Options {
-	geo := c.Geometry()
-	var channelOfPlane []int32
-	f := c.f
-	if c.fe != nil {
-		channelOfPlane = c.fe.channelOfPlane()
-		f = c.fe.shards[0].f
-	} else {
-		channelOfPlane = c.dev.ChannelOfPlane()
-	}
+	f := c.shards[0].f
 	opts := obs.Options{
 		FTL:            f.Name(),
-		Planes:         geo.Planes(),
-		Channels:       geo.Channels,
-		ChannelOfPlane: channelOfPlane,
-		PagesPerBlock:  geo.PagesPerBlock,
+		Planes:         c.geo.Planes(),
+		Channels:       c.geo.Channels,
+		ChannelOfPlane: make([]int32, c.geo.Planes()),
+		PagesPerBlock:  c.geo.PagesPerBlock,
+		Shards:         len(c.shards),
+		ShardOfChannel: make([]int32, c.geo.Channels),
 	}
-	if c.fe != nil {
-		opts.Shards = len(c.fe.shards)
-		opts.ShardOfChannel = c.fe.shardOfChannel()
+	for p := range opts.ChannelOfPlane {
+		opts.ChannelOfPlane[p] = int32(c.geo.ChannelOfPlane(p))
+	}
+	subC := c.geo.Channels / len(c.shards) // shard s owns channels [s*subC, (s+1)*subC)
+	for ch := range opts.ShardOfChannel {
+		opts.ShardOfChannel[ch] = int32(ch / subC)
 	}
 	if p, ok := f.(interface{ GCPolicyName() string }); ok {
 		opts.GCPolicy = p.GCPolicyName()
@@ -236,8 +221,29 @@ func (c *Controller) SetRecorder(r obs.Recorder) {
 		o.SetRecorder(r)
 	}
 	if col, ok := r.(*obs.Collector); ok && col != nil {
-		col.SetUtilizationSource(c.dev.BusyTimes)
+		col.SetUtilizationSource(c.busyTimes)
 	}
+}
+
+// busyTimes aggregates the shards' cumulative busy times into whole-device
+// vectors; the observability collector samples it at Close.
+func (c *Controller) busyTimes() (planes, chipBus, channels []sim.Duration) {
+	planes = make([]sim.Duration, c.geo.Planes())
+	chipBus = make([]sim.Duration, c.geo.Chips())
+	channels = make([]sim.Duration, c.geo.Channels)
+	for _, sh := range c.shards {
+		p, cb, ch := sh.dev.BusyTimes()
+		for i, v := range p {
+			planes[sh.planeMap[i]] = v
+		}
+		for i, v := range cb {
+			chipBus[sh.chipMap[i]] = v
+		}
+		for i, v := range ch {
+			channels[sh.chanMap[i]] = v
+		}
+	}
+	return planes, chipBus, channels
 }
 
 // SetPulse registers fn (nil detaches) to run at quiescent points: after
@@ -260,28 +266,44 @@ func (c *Controller) pageSpan(r trace.Request) (first, last ftl.LPN) {
 	return first, last
 }
 
+// classify validates a request and resolves the logical pages it spans,
+// bounds-checked against the exported capacity.
+func (c *Controller) classify(r trace.Request) (dispReq, error) {
+	if err := r.Validate(); err != nil {
+		return dispReq{}, err
+	}
+	first, last := c.pageSpan(r)
+	if err := ftl.CheckLPN(last, c.cap); err != nil {
+		return dispReq{}, fmt.Errorf("ssd: request [%d,%d) exceeds device: %w", r.LBN, r.End(), err)
+	}
+	return dispReq{arrival: r.Arrival, first: first, last: last, read: r.Op == trace.OpRead}, nil
+}
+
 // Precondition sequentially writes the first `pages` logical pages once,
 // putting the device into the steady state a deployed SSD reaches after its
 // working set has been populated: the workload's footprint is live on flash
 // and its mappings are persisted, so updates invalidate pages and garbage
 // collection runs from the first measured request. Device utilization is
 // footprint/capacity — which is why larger SSDs delay collection, the
-// capacity trend of Fig. 8. All statistics and resource timelines are then
-// reset.
+// capacity trend of Fig. 8. Each shard chains its own writes (shards fill
+// concurrently in simulated time, exactly as independent sub-drives would),
+// inline on the host goroutine: preconditioning is setup, not the measured
+// hot path. All statistics and resource timelines are then reset.
 func (c *Controller) Precondition(pages ftl.LPN) error {
-	if c.fe != nil {
-		return c.fe.precondition(c, pages)
+	if pages > c.cap {
+		return fmt.Errorf("ssd: precondition %d pages exceeds capacity %d", pages, c.cap)
 	}
-	if pages > c.f.Capacity() {
-		return fmt.Errorf("ssd: precondition %d pages exceeds capacity %d", pages, c.f.Capacity())
+	if err := c.quiesce(false); err != nil {
+		return err
 	}
-	var t sim.Time
+	tails := make([]sim.Time, len(c.shards)) // each shard's write chain
 	for lpn := ftl.LPN(0); lpn < pages; lpn++ {
-		end, err := c.f.WritePage(lpn, t)
+		sh, local := c.shardOf(lpn)
+		end, err := sh.f.WritePage(local, tails[sh.idx])
 		if err != nil {
 			return fmt.Errorf("ssd: precondition lpn %d: %w", lpn, err)
 		}
-		t = end
+		tails[sh.idx] = end
 	}
 	c.ResetMeasurement()
 	return nil
@@ -289,18 +311,35 @@ func (c *Controller) Precondition(pages ftl.LPN) error {
 
 // PreconditionBytes preconditions enough pages to cover a byte footprint.
 func (c *Controller) PreconditionBytes(bytes int64) error {
-	pageSize := int64(c.Geometry().PageSize)
+	pageSize := int64(c.geo.PageSize)
 	return c.Precondition(ftl.LPN((bytes + pageSize - 1) / pageSize))
+}
+
+// quiesce is the barrier every reader and writer of shard state goes
+// through. On the multi-queue engine it waits until every dispatched page
+// command has executed, then folds the parked completions — or, with drop,
+// discards them — and returns the engine's sticky error. The single-FTL
+// engine executes inline, so nothing is ever in flight there.
+func (c *Controller) quiesce(drop bool) error {
+	if c.fe == nil {
+		return nil
+	}
+	if drop {
+		c.fe.discard()
+	} else {
+		c.fe.flush(c)
+	}
+	return c.fe.err
 }
 
 // ResetMeasurement zeroes every statistic and resource timeline while
 // keeping device and FTL state, so measurement starts from now.
 func (c *Controller) ResetMeasurement() {
-	if c.fe != nil {
-		c.fe.discard() // the accumulators are about to be reset anyway
-		c.fe.resetMeasurement()
-	} else {
-		c.dev.ResetStats()
+	// In-flight completions belong to the window being reset; a failed run's
+	// error stays sticky and surfaces at the next request.
+	_ = c.quiesce(true)
+	for _, sh := range c.shards {
+		sh.dev.ResetStats()
 	}
 	c.lastRT = 0
 	c.resp = stats.Welford{}
@@ -323,7 +362,7 @@ func (c *Controller) ResetMeasurement() {
 // pipelines many requests per barrier.
 func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 	if c.fe != nil {
-		if err := c.fe.enqueue(c, r, false); err != nil {
+		if err := c.fe.enqueue(c, r); err != nil {
 			return 0, err
 		}
 		c.Flush()
@@ -332,29 +371,26 @@ func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 		}
 		return c.lastRT, nil
 	}
-	if err := r.Validate(); err != nil {
+	d, err := c.classify(r)
+	if err != nil {
 		return 0, err
 	}
-	first, last := c.pageSpan(r)
-	if err := ftl.CheckLPN(last, c.f.Capacity()); err != nil {
-		return 0, fmt.Errorf("ssd: request [%d,%d) exceeds device: %w", r.LBN, r.End(), err)
-	}
-	done := r.Arrival
-	for lpn := first; lpn <= last; lpn++ {
+	done := d.arrival
+	for lpn := d.first; lpn <= d.last; lpn++ {
 		var end sim.Time
 		var err error
 		switch {
-		case r.Op == trace.OpRead && c.buffer != nil && c.buffer.readHit(lpn):
-			end = r.Arrival.Add(c.buffer.dramLat)
+		case d.read && c.buffer != nil && c.buffer.readHit(lpn):
+			end = d.arrival.Add(c.buffer.dramLat)
 			c.pagesRead++
-		case r.Op == trace.OpRead:
-			end, err = c.f.ReadPage(lpn, r.Arrival)
+		case d.read:
+			end, err = c.f.ReadPage(lpn, d.arrival)
 			c.pagesRead++
 		case c.buffer != nil:
-			end, err = c.buffer.put(c.f, lpn, r.Arrival)
+			end, err = c.buffer.put(c.f, lpn, d.arrival)
 			c.pagesWrit++
 		default:
-			end, err = c.f.WritePage(lpn, r.Arrival)
+			end, err = c.f.WritePage(lpn, d.arrival)
 			c.pagesWrit++
 		}
 		if err != nil {
@@ -364,29 +400,37 @@ func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 			done = end
 		}
 	}
-	rt := done.Sub(r.Arrival)
+	return c.account(d.read, d.arrival, done), nil
+}
+
+// account folds one completed request into the measurement window and the
+// attached observers, returning its response time. Both engines call it in
+// arrival order — the single-FTL one per Serve, the multi-queue one as each
+// epoch folds — so the accumulators see the same floating-point sequence.
+func (c *Controller) account(read bool, arrival, done sim.Time) sim.Duration {
+	rt := done.Sub(arrival)
 	ms := rt.Milliseconds()
 	c.resp.Add(ms)
-	if r.Op == trace.OpRead {
+	if read {
 		c.readResp.Add(ms)
 	} else {
 		c.writeResp.Add(ms)
 	}
 	c.hist.Add(rt)
 	if c.series != nil {
-		c.series.Add(r.Arrival, ms)
+		c.series.Add(arrival, ms)
 	}
 	if done > c.lastDone {
 		c.lastDone = done
 	}
 	c.served++
 	if c.rec != nil {
-		c.rec.RecordRequest(r.Op == trace.OpRead, r.Arrival, done)
+		c.rec.RecordRequest(read, arrival, done)
 	}
 	if c.latHook != nil {
 		c.latHook(rt)
 	}
-	return rt, nil
+	return rt
 }
 
 // SetLatencyHook registers fn to receive every served request's response
@@ -396,14 +440,10 @@ func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 func (c *Controller) SetLatencyHook(fn func(sim.Duration)) { c.latHook = fn }
 
 // Drain flushes every dirty buffered page through the FTL (a clean
-// shutdown). No-op without a buffer.
+// shutdown). Without a buffer it only waits out in-flight work.
 func (c *Controller) Drain(at sim.Time) (sim.Time, error) {
-	if c.fe != nil {
-		c.Flush()
-		return at, c.fe.err
-	}
-	if c.buffer == nil {
-		return at, nil
+	if err := c.quiesce(false); err != nil || c.buffer == nil {
+		return at, err
 	}
 	return c.buffer.flushAll(c.f, at)
 }
@@ -418,15 +458,15 @@ func (c *Controller) BufferStats() (dirty int, hitsW, hitsR, flushes int64) {
 }
 
 // runChunk is how many requests Run pulls from a batching reader per
-// EnqueueBatch call on the multi-queue engine.
+// EnqueueBatch call.
 const runChunk = 256
 
-// Run replays every request from the reader and returns the results. On a
-// multi-queue controller a reader that also implements trace.BatchReader
-// feeds the batch dispatch stage in runChunk chunks, keeping classification
+// Run replays every request from the reader and returns the results. A
+// reader that also implements trace.BatchReader feeds EnqueueBatch in
+// runChunk chunks, which on a multi-queue controller keeps classification
 // off the staging path.
 func (c *Controller) Run(r trace.Reader) (Result, error) {
-	if br, ok := r.(trace.BatchReader); ok && c.fe != nil {
+	if br, ok := r.(trace.BatchReader); ok {
 		buf := make([]trace.Request, runChunk)
 		for {
 			n, err := br.NextN(buf)
@@ -481,13 +521,13 @@ func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
 
 // Enqueue serves one request on the pipelined path: on the multi-queue
 // engine FTL decisions happen now and timing resolves at the next epoch
-// fold. Epoch handoffs are automatic — every Config.EpochPages parked pages,
-// and implicitly in every statistics reader — so callers may Enqueue
+// fold. Epoch handoffs are automatic — every 4096 parked pages, and
+// implicitly in every statistics reader — so callers may Enqueue
 // indefinitely. On a single-FTL controller it is Serve with the response
 // time discarded.
 func (c *Controller) Enqueue(r trace.Request) error {
 	if c.fe != nil {
-		if err := c.fe.enqueue(c, r, true); err != nil {
+		if err := c.fe.enqueue(c, r); err != nil {
 			return err
 		}
 		c.fe.maybeAdvance(c)
@@ -564,14 +604,15 @@ type Result struct {
 	MergeCopies   int64
 }
 
-// Result snapshots the current measurement window.
+// Result snapshots the current measurement window. Device and FTL counters
+// sum over the shards; per-plane and per-block series scatter through the
+// shard maps into whole-device indexing, so SDRPP and wear metrics read the
+// same on either engine.
 func (c *Controller) Result() Result {
-	if c.fe != nil {
-		return c.fe.result(c)
-	}
-	ds := c.dev.Stats()
+	c.Flush()
+	f := c.shards[0].f
 	res := Result{
-		FTL:         c.f.Name(),
+		FTL:         f.Name(),
 		Requests:    c.served,
 		PagesRead:   c.pagesRead,
 		PagesWrit:   c.pagesWrit,
@@ -583,54 +624,79 @@ func (c *Controller) Result() Result {
 		WriteMeanMs: c.writeResp.Mean(),
 		P50Ms:       c.hist.Quantile(0.5).Milliseconds(),
 		P99Ms:       c.hist.Quantile(0.99).Milliseconds(),
-		PlaneOps:    ds.PlaneTotals(),
-		Reads:       ds.Reads(),
-		Writes:      ds.Writes(),
-		CopyBacks:   ds.CopyBacks(),
-		Erases:      ds.Erases(),
-		WastedPages: ds.WastedPages,
+		PlaneOps:    make([]int64, c.geo.Planes()),
 	}
-	if p, ok := c.f.(interface{ GCPolicyName() string }); ok {
+	if p, ok := f.(interface{ GCPolicyName() string }); ok {
 		res.GCPolicy = p.GCPolicyName()
 	}
-	res.SDRPP = stats.SDRPP(res.PlaneOps)
-	res.GCCopyBacks, res.GCExternalMoves = ds.GCMoves()
-	erases := make([]int64, len(ds.BlockErases))
-	for i, e := range ds.BlockErases {
-		erases[i] = int64(e)
-		res.TotalErases += int64(e)
+	erases := make([]int64, c.geo.TotalBlocks())
+	bpp := c.geo.BlocksPerPlane
+	var cmtHits, cmtMisses int64
+	for _, sh := range c.shards {
+		ds := sh.dev.Stats()
+		for sp, v := range ds.PlaneTotals() {
+			res.PlaneOps[sh.planeMap[sp]] = v
+		}
+		for bi, e := range ds.BlockErases {
+			gp := int64(sh.planeMap[bi/bpp])
+			erases[gp*int64(bpp)+int64(bi%bpp)] = int64(e)
+			res.TotalErases += int64(e)
+		}
+		res.Reads += ds.Reads()
+		res.Writes += ds.Writes()
+		res.CopyBacks += ds.CopyBacks()
+		res.Erases += ds.Erases()
+		res.WastedPages += ds.WastedPages
+		cb, ext := ds.GCMoves()
+		res.GCCopyBacks += cb
+		res.GCExternalMoves += ext
+		addFTLStats(sh.f, &res, &cmtHits, &cmtMisses)
 	}
+	res.SDRPP = stats.SDRPP(res.PlaneOps)
 	res.WearCV = stats.CV(erases)
-
-	switch f := c.f.(type) {
-	case *dloop.DLOOP:
-		s := f.Stats()
-		res.GCRuns = s.GCRuns
-		res.TransReads = s.MapperStats.TransReads
-		res.TransWrites = s.MapperStats.TransWrites
-		res.LearnedHits = s.MapperStats.LearnedHits
-		res.CMTHitRate, _, _ = f.CMTHitRate()
-	case *dftl.DFTL:
-		s := f.Stats()
-		res.GCRuns = s.GCRuns
-		res.TransReads = s.MapperStats.TransReads
-		res.TransWrites = s.MapperStats.TransWrites
-		res.LearnedHits = s.MapperStats.LearnedHits
-		res.CMTHitRate, _, _ = f.CMTHitRate()
-	case *fast.FAST:
-		s := f.Stats()
-		res.SwitchMerges = s.SwitchMerges
-		res.PartialMerges = s.PartialMerges
-		res.FullMerges = s.FullMerges
-		res.MergeCopies = s.MergeCopies
-	case *bast.BAST:
-		s := f.Stats()
-		res.SwitchMerges = s.SwitchMerges
-		res.FullMerges = s.FullMerges
-		res.MergeCopies = s.MergeCopies
-	case *pagemap.PureMap:
-		s := f.Stats()
-		res.GCRuns = s.GCRuns
+	if cmtHits+cmtMisses > 0 {
+		res.CMTHitRate = float64(cmtHits) / float64(cmtHits+cmtMisses)
 	}
 	return res
+}
+
+// addFTLStats folds one shard FTL's scheme-specific counters into the
+// result. CMT hits and misses accumulate separately so the merged hit rate
+// is the whole-device ratio, not a mean of per-shard ratios.
+func addFTLStats(f ftl.FTL, res *Result, cmtHits, cmtMisses *int64) {
+	if cr, ok := f.(interface {
+		CMTHitRate() (float64, int64, int64)
+	}); ok {
+		_, h, m := cr.CMTHitRate()
+		*cmtHits += h
+		*cmtMisses += m
+	}
+	switch f := f.(type) {
+	case *dloop.DLOOP:
+		s := f.Stats()
+		res.GCRuns += s.GCRuns
+		res.TransReads += s.MapperStats.TransReads
+		res.TransWrites += s.MapperStats.TransWrites
+		res.LearnedHits += s.MapperStats.LearnedHits
+	case *dftl.DFTL:
+		s := f.Stats()
+		res.GCRuns += s.GCRuns
+		res.TransReads += s.MapperStats.TransReads
+		res.TransWrites += s.MapperStats.TransWrites
+		res.LearnedHits += s.MapperStats.LearnedHits
+	case *fast.FAST:
+		s := f.Stats()
+		res.SwitchMerges += s.SwitchMerges
+		res.PartialMerges += s.PartialMerges
+		res.FullMerges += s.FullMerges
+		res.MergeCopies += s.MergeCopies
+	case *bast.BAST:
+		s := f.Stats()
+		res.SwitchMerges += s.SwitchMerges
+		res.FullMerges += s.FullMerges
+		res.MergeCopies += s.MergeCopies
+	case *pagemap.PureMap:
+		s := f.Stats()
+		res.GCRuns += s.GCRuns
+	}
 }

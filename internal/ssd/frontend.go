@@ -7,14 +7,8 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
-	"dloop/internal/ftl/bast"
-	"dloop/internal/ftl/dftl"
-	"dloop/internal/ftl/dloop"
-	"dloop/internal/ftl/fast"
-	"dloop/internal/ftl/pagemap"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
-	"dloop/internal/stats"
 	"dloop/internal/trace"
 )
 
@@ -38,24 +32,16 @@ import (
 // so the stop-the-world barrier survives only at true quiescent points
 // (statistics readers, checkpoints, recorder switches).
 //
-// Two completion-merge modes:
-//
-//   - MergeDeterministic (default): every request's completion is parked and
-//     folded into the response-time accumulators at the epoch barrier in
-//     arrival order — the same order, and therefore the same floating-point
-//     sequence, as serial execution of the same shard layout. Results are
-//     bit-identical run to run and to in-order execution of the same
-//     configuration, which is what the differential suite pins.
-//   - MergeRelaxed: workers fold single-page requests' latencies into
-//     per-shard accumulators as they complete; Result merges the per-shard
-//     accumulators in shard order. Histograms and counters merge exactly;
-//     Welford means/variances differ from deterministic mode only in
-//     floating-point rounding. Still deterministic run to run.
+// Every request's completion is parked and folded into the response-time
+// accumulators in arrival order — the same order, and therefore the same
+// floating-point sequence, as serial execution of the same shard layout. So
+// results are bit-identical run to run and to in-order execution of the same
+// configuration, which is what the differential suite pins.
 //
 // An FTLShards=N device is a different device organization than FTLShards=1
 // (placement depends on per-shard write order, like striping across N
-// sub-drives in RAID 0), so results are comparable across merge modes and
-// worker schedules at fixed N, not across N.
+// sub-drives in RAID 0), so results are comparable across worker schedules
+// at fixed N, not across N.
 //
 // Serial execution mode (frontEnd.serial) runs the same shard partitioning
 // inline on the host goroutine in dispatch order. It is the baseline the
@@ -70,32 +56,21 @@ import (
 // semantics, so they keep the old contract: serial execution with a
 // translating per-shard wrapper.
 
-// Completion-merge modes for Config.Merge.
-const (
-	MergeDeterministic = "deterministic"
-	MergeRelaxed       = "relaxed"
-)
-
 // autoShardMinChannels is the smallest channel count on which AutoShards
 // engages the front end. Below it the per-request shard overhead
 // (queue hops, barriers) outweighs what little parallelism the shape offers;
 // the 4-channel bench shapes regress, the 8-channel ones win.
 const autoShardMinChannels = 8
 
-// doorbellBatch is the default for Config.DoorbellBatch: how many staged
-// page commands the front end accumulates before ringing the shard
-// doorbells. Barriers ring unconditionally, so batching only defers
-// visibility, never loses it.
+// doorbellBatch is how many staged page commands the front end accumulates
+// before ringing the shard doorbells. Barriers ring unconditionally, so
+// batching only defers visibility, never loses it.
 const doorbellBatch = 64
 
-// defaultEpochPages is the default for Config.EpochPages: how many parked
-// page completions close a pipeline epoch. Large enough to amortize the
-// handoff, small enough that two in-flight epochs stay cache-resident.
+// defaultEpochPages is how many parked page completions close a pipeline
+// epoch: large enough to amortize the handoff, small enough that two
+// in-flight epochs stay cache-resident.
 const defaultEpochPages = 4096
-
-// maxEpochPages caps Config.EpochPages well below a FutureSlab's 2^26
-// slots so an epoch can never overflow its completion slab.
-const maxEpochPages = 1 << 22
 
 // feQueueCap bounds each shard's submission ring. Epoch flushes keep
 // occupancy far below this; the cap is backpressure against a runaway
@@ -113,25 +88,10 @@ type pendingDone struct {
 
 // pageCmd is one page operation in a shard's submission ring.
 type pageCmd struct {
-	lpn     int64    // shard-local logical page
+	lpn     ftl.LPN  // shard-local logical page
 	arrival sim.Time // request arrival (the response-time origin)
-	slot    int32    // slab slot<<1 | epoch-buffer parity; -1 = fold on the worker
+	slot    int32    // slab slot<<1 | epoch-buffer parity
 	read    bool
-}
-
-// shardAcc is the per-shard response-time accumulator the relaxed merge mode
-// folds into on the worker. Deterministic mode leaves it empty.
-type shardAcc struct {
-	resp, readResp, writeResp stats.Welford
-	hist                      stats.LatencyHist
-	lastDone                  sim.Time
-	served                    int64
-}
-
-func (a *shardAcc) clone() shardAcc {
-	out := *a
-	out.hist = a.hist.Clone()
-	return out
 }
 
 // feEpoch is one stage of the front end's two-deep completion pipeline: a
@@ -156,21 +116,24 @@ func (ep *feEpoch) reset() {
 	ep.pages = 0
 }
 
-// dispReq is one classified request in the batch dispatch stage: validated,
-// page-spanned, and bounds-checked, ready to stage onto the rings.
+// dispReq is one classified request: validated, page-spanned, and
+// bounds-checked, ready to execute or to stage onto the rings.
 type dispReq struct {
 	arrival     sim.Time
 	first, last ftl.LPN
 	read        bool
 }
 
-// ftlShard is one control-plane shard: a private sub-device, FTL, and GC
-// engine, plus the plumbing that connects it to the front end.
+// ftlShard is one control-plane shard: a device, its FTL and GC engine, and
+// the index maps placing it in the whole device. The single-FTL engine is
+// one shard spanning the device, with identity maps; the multi-queue engine
+// runs N shards over Channels/N-channel sub-devices, each fed by its own
+// submission ring.
 type ftlShard struct {
 	idx int
 	dev *flash.Device
 	f   ftl.FTL
-	sq  *sim.SPSC[pageCmd]
+	sq  *sim.SPSC[pageCmd] // nil on the single-FTL engine
 
 	// planeMap / chipMap / chanMap translate shard-local resource indices to
 	// whole-device ones. Packages spread round-robin over channels, so the
@@ -179,27 +142,19 @@ type ftlShard struct {
 	chipMap  []int32
 	chanMap  []int32
 
-	// acc is written by the worker (relaxed merge) and read by the host only
-	// after a quiescence barrier, which orders the accesses.
-	acc shardAcc
 	// mqLat, when a collector is attached, is the shard child's "mq.lat"
-	// submission→completion histogram; the worker observes into it, and like
-	// acc the host reads it only behind a quiescence barrier.
+	// submission→completion histogram; the worker observes into it, and the
+	// host reads it only behind a quiescence barrier.
 	mqLat *obs.Hist
 	// err is the first execution error, latched by the worker and surfaced
 	// by the host at the next barrier.
 	err error
 }
 
-// frontEnd is the multi-queue host front end over N FTL shards.
+// frontEnd is the multi-queue host front end over the controller's shards.
 type frontEnd struct {
 	shards []*ftlShard
-	n      int64
-	geo    flash.Geometry // whole-device geometry
-	cap    ftl.LPN        // total exported pages (sum of shard capacities)
-	subCap ftl.LPN        // exported pages per shard
 
-	relaxed bool
 	// serial executes page operations inline on the host goroutine in
 	// dispatch order instead of routing them through the rings. Forced by an
 	// attached recorder and by Close; the differential tests use it as the
@@ -210,23 +165,12 @@ type frontEnd struct {
 
 	// epochs double-buffers the completion pipeline (see feEpoch): cur is
 	// the epoch being filled, 1-cur the previous epoch, whose completions
-	// fold while the shards execute. With depth 1 the pipeline degenerates
-	// to the old stop-the-world barrier at every epoch close.
+	// fold while the shards execute.
 	epochs [2]feEpoch
 	cur    int
-
-	// epochPages, doorbell, and depth are the resolved Config tunables
-	// (EpochPages, DoorbellBatch, PipelineDepth).
+	// epochPages is how many parked pages close an epoch: defaultEpochPages,
+	// which the epoch-sweep tests shorten.
 	epochPages int
-	doorbell   int
-	depth      int
-
-	// shardMask/shardShift route pages to shards without integer division
-	// when the shard count is a power of two (channel counts almost always
-	// are).
-	shardPow2  bool
-	shardMask  int64
-	shardShift uint
 
 	staged int   // page commands staged since the last doorbell
 	err    error // sticky first error; surfaced by Serve/Enqueue
@@ -294,23 +238,15 @@ func resolveFTLShards(v, channels int) int {
 	return v
 }
 
-// newFrontEnd builds n shards over sub-devices of geo (Channels/n channels
-// each), constructing each shard's FTL with build. Worker goroutines start
-// immediately.
-func newFrontEnd(geo flash.Geometry, timing flash.Timing, n int, cfg Config,
-	build func(dev *flash.Device) (ftl.FTL, error)) (*frontEnd, error) {
-	if cfg.BufferPages > 0 {
-		return nil, fmt.Errorf("ssd: FTLShards is incompatible with BufferPages (the DRAM buffer is a single ordered cache)")
-	}
+// buildShards lays n FTL shards over sub-devices of geo (Channels/n channels
+// each), constructing each shard's FTL with build. With n = 1 the one shard
+// is the whole device.
+func buildShards(geo flash.Geometry, timing flash.Timing, n int,
+	build func(dev *flash.Device) (ftl.FTL, error)) ([]*ftlShard, error) {
 	subGeo := geo
 	subGeo.Channels = geo.Channels / n
-	fe := &frontEnd{
-		n:       int64(n),
-		geo:     geo,
-		relaxed: cfg.Merge == MergeRelaxed,
-	}
-	fe.initTunables(cfg)
-	for s := 0; s < n; s++ {
+	shards := make([]*ftlShard, n)
+	for s := range shards {
 		dev, err := flash.NewDevice(subGeo, timing)
 		if err != nil {
 			return nil, err
@@ -319,57 +255,21 @@ func newFrontEnd(geo flash.Geometry, timing flash.Timing, n int, cfg Config,
 		if err != nil {
 			return nil, err
 		}
-		sh := &ftlShard{
-			idx: s,
-			dev: dev,
-			f:   f,
-			sq:  sim.NewSPSC[pageCmd](feQueueCap),
+		if s > 0 && f.Capacity() != shards[0].f.Capacity() {
+			return nil, fmt.Errorf("ssd: shard %d capacity %d != shard 0 capacity %d", s, f.Capacity(), shards[0].f.Capacity())
 		}
-		sh.buildMaps(geo, subGeo, s)
-		fe.shards = append(fe.shards, sh)
-		if fe.subCap == 0 {
-			fe.subCap = f.Capacity()
-		} else if f.Capacity() != fe.subCap {
-			return nil, fmt.Errorf("ssd: shard %d capacity %d != shard 0 capacity %d", s, f.Capacity(), fe.subCap)
-		}
+		shards[s] = &ftlShard{idx: s, dev: dev, f: f}
+		shards[s].buildMaps(geo, subGeo, s)
 	}
-	fe.cap = fe.subCap * ftl.LPN(n)
-	fe.start()
-	return fe, nil
-}
-
-// initTunables resolves the pipeline knobs from cfg (zero values select the
-// defaults) and precomputes the division-free shard route.
-func (fe *frontEnd) initTunables(cfg Config) {
-	fe.epochPages = cfg.EpochPages
-	if fe.epochPages <= 0 {
-		fe.epochPages = defaultEpochPages
-	}
-	if fe.epochPages > maxEpochPages {
-		fe.epochPages = maxEpochPages
-	}
-	fe.doorbell = cfg.DoorbellBatch
-	if fe.doorbell <= 0 {
-		fe.doorbell = doorbellBatch
-	}
-	fe.depth = cfg.PipelineDepth
-	if fe.depth <= 0 {
-		fe.depth = 2
-	}
-	if fe.n&(fe.n-1) == 0 {
-		fe.shardPow2 = true
-		fe.shardMask = fe.n - 1
-		for int64(1)<<fe.shardShift < fe.n {
-			fe.shardShift++
-		}
-	}
+	return shards, nil
 }
 
 // buildMaps computes the shard-local -> global index translations. Shard s
 // owns global channels [s*subC, (s+1)*subC); global packages are laid out
 // round-robin over channels (package g lives on channel g % Channels), so
 // sub-package k of the shard — itself on sub-channel k % subC, round
-// k / subC — is global package (k/subC)*Channels + s*subC + k%subC.
+// k / subC — is global package (k/subC)*Channels + s*subC + k%subC. With one
+// shard (subC = Channels, s = 0) every map is the identity.
 func (sh *ftlShard) buildMaps(geo, subGeo flash.Geometry, s int) {
 	subC := subGeo.Channels
 	planesPerPkg := geo.ChipsPerPackage * geo.DiesPerChip * geo.PlanesPerDie
@@ -389,26 +289,31 @@ func (sh *ftlShard) buildMaps(geo, subGeo flash.Geometry, s int) {
 	}
 }
 
-// shardOfChannel maps every global channel to its owning FTL shard (shard s
-// owns the contiguous range [s*subC, (s+1)*subC)).
-func (fe *frontEnd) shardOfChannel() []int32 {
-	subC := fe.geo.Channels / int(fe.n)
-	out := make([]int32, fe.geo.Channels)
-	for ch := range out {
-		out[ch] = int32(ch / subC)
+// run executes one page operation on the shard's FTL, observing its
+// submission→completion latency when a collector is attached.
+func (sh *ftlShard) run(lpn ftl.LPN, arrival sim.Time, read bool) (sim.Time, error) {
+	var end sim.Time
+	var err error
+	if read {
+		end, err = sh.f.ReadPage(lpn, arrival)
+	} else {
+		end, err = sh.f.WritePage(lpn, arrival)
 	}
-	return out
+	if err == nil && sh.mqLat != nil {
+		sh.mqLat.Observe(end.Sub(arrival))
+	}
+	return end, err
 }
 
-// channelOfPlane computes the whole-device plane-to-channel map (packages
-// spread round-robin over channels), matching flash.Device.ChannelOfPlane.
-func (fe *frontEnd) channelOfPlane() []int32 {
-	planesPerPkg := fe.geo.ChipsPerPackage * fe.geo.DiesPerChip * fe.geo.PlanesPerDie
-	out := make([]int32, fe.geo.Planes())
-	for p := range out {
-		out[p] = int32((p / planesPerPkg) % fe.geo.Channels)
+// newFrontEnd puts a submission ring in front of every shard and starts one
+// worker goroutine per shard.
+func newFrontEnd(shards []*ftlShard) *frontEnd {
+	fe := &frontEnd{shards: shards, epochPages: defaultEpochPages}
+	for _, sh := range shards {
+		sh.sq = sim.NewSPSC[pageCmd](feQueueCap)
 	}
-	return out
+	fe.start()
+	return fe
 }
 
 // start launches one worker goroutine per shard.
@@ -450,82 +355,35 @@ func (fe *frontEnd) worker(sh *ftlShard) {
 	}
 }
 
-// exec runs one page command against the shard's FTL. After an error the
-// shard keeps consuming commands without executing them (resolving their
-// slots so the host never blocks); the host surfaces the latched error at
-// the next barrier. A command's slot carries the epoch-buffer parity in its
-// low bit, naming which of the two in-flight slabs owns the completion.
+// exec runs one page command against the shard's FTL and resolves its slot,
+// whose low bit names which of the two in-flight slabs owns the completion.
+// After an error the shard keeps consuming commands without executing them,
+// resolving each slot to its arrival so the host never blocks; the host
+// surfaces the latched error at the next barrier.
 func (fe *frontEnd) exec(sh *ftlShard, cmd pageCmd) {
-	if sh.err != nil {
-		if cmd.slot >= 0 {
-			fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), cmd.arrival)
+	end := cmd.arrival
+	if sh.err == nil {
+		t, err := sh.run(cmd.lpn, cmd.arrival, cmd.read)
+		if err != nil {
+			sh.err = err
+			fe.failed.Store(true)
+		} else {
+			end = t
 		}
-		return
 	}
-	var end sim.Time
-	var err error
-	if cmd.read {
-		end, err = sh.f.ReadPage(ftl.LPN(cmd.lpn), cmd.arrival)
-	} else {
-		end, err = sh.f.WritePage(ftl.LPN(cmd.lpn), cmd.arrival)
-	}
-	if err != nil {
-		sh.err = err
-		fe.failed.Store(true)
-		if cmd.slot >= 0 {
-			fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), cmd.arrival)
-		}
-		return
-	}
-	if sh.mqLat != nil {
-		sh.mqLat.Observe(end.Sub(cmd.arrival))
-	}
-	if cmd.slot >= 0 {
-		fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), end)
-		return
-	}
-	rt := end.Sub(cmd.arrival)
-	ms := rt.Milliseconds()
-	sh.acc.resp.Add(ms)
-	if cmd.read {
-		sh.acc.readResp.Add(ms)
-	} else {
-		sh.acc.writeResp.Add(ms)
-	}
-	sh.acc.hist.Add(rt)
-	if end > sh.acc.lastDone {
-		sh.acc.lastDone = end
-	}
-	sh.acc.served++
+	fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), end)
 }
 
-// shardOf returns the shard owning a logical page and its shard-local page.
-func (fe *frontEnd) shardOf(lpn ftl.LPN) (*ftlShard, int64) {
-	l := int64(lpn)
-	if fe.shardPow2 {
-		return fe.shards[l&fe.shardMask], l >> fe.shardShift
-	}
-	return fe.shards[l%fe.n], l / fe.n
-}
-
-// enqueue classifies and dispatches one request. With deferred=false (the
-// synchronous Serve path) the request always parks a completion record so
-// the immediately following Flush can return its response time; with
-// deferred=true, relaxed merge folds single-page requests on the workers
-// and parks nothing.
-func (fe *frontEnd) enqueue(c *Controller, r trace.Request, deferred bool) error {
+// enqueue classifies and dispatches one request.
+func (fe *frontEnd) enqueue(c *Controller, r trace.Request) error {
 	if fe.err != nil {
 		return fe.err
 	}
-	if err := r.Validate(); err != nil {
+	d, err := c.classify(r)
+	if err != nil {
 		return err
 	}
-	first, last := c.pageSpan(r)
-	if err := ftl.CheckLPN(last, fe.cap); err != nil {
-		return fmt.Errorf("ssd: request [%d,%d) exceeds device: %w", r.LBN, r.End(), err)
-	}
-	d := dispReq{arrival: r.Arrival, first: first, last: last, read: r.Op == trace.OpRead}
-	return fe.dispatch(c, d, deferred)
+	return fe.dispatch(c, d)
 }
 
 // enqueueBatch is the batch dispatch stage: classify the whole chunk first
@@ -538,23 +396,16 @@ func (fe *frontEnd) enqueueBatch(c *Controller, reqs []trace.Request) error {
 	if fe.err != nil {
 		return fe.err
 	}
-	if cap(fe.disp) < len(reqs) {
-		fe.disp = make([]dispReq, 0, len(reqs))
-	}
 	fe.disp = fe.disp[:0]
 	for i := range reqs {
-		r := &reqs[i]
-		if err := r.Validate(); err != nil {
+		d, err := c.classify(reqs[i])
+		if err != nil {
 			return err
 		}
-		first, last := c.pageSpan(*r)
-		if err := ftl.CheckLPN(last, fe.cap); err != nil {
-			return fmt.Errorf("ssd: request [%d,%d) exceeds device: %w", r.LBN, r.End(), err)
-		}
-		fe.disp = append(fe.disp, dispReq{arrival: r.Arrival, first: first, last: last, read: r.Op == trace.OpRead})
+		fe.disp = append(fe.disp, d)
 	}
 	for i := range fe.disp {
-		if err := fe.dispatch(c, fe.disp[i], true); err != nil {
+		if err := fe.dispatch(c, fe.disp[i]); err != nil {
 			return err
 		}
 		fe.maybeAdvance(c)
@@ -562,39 +413,37 @@ func (fe *frontEnd) enqueueBatch(c *Controller, reqs []trace.Request) error {
 	return nil
 }
 
-// dispatch stages one classified request: route each page to its shard,
-// park the completion record in the current epoch, and ring doorbells.
-func (fe *frontEnd) dispatch(c *Controller, d dispReq, deferred bool) error {
+// dispatch routes each page of a classified request to its shard — staged
+// onto the shard's ring, or executed inline in serial mode — parks the
+// request's completion record in the current epoch, and rings doorbells.
+// Serial completion times park exactly like the concurrent path's futures,
+// so the fold treats both identically.
+func (fe *frontEnd) dispatch(c *Controller, d dispReq) error {
 	npages := int(d.last - d.first + 1)
 	if d.read {
 		c.pagesRead += int64(npages)
 	} else {
 		c.pagesWrit += int64(npages)
 	}
-	if fe.serial {
-		if err := fe.serveSerial(c, d.arrival, d.first, d.last, d.read); err != nil {
-			return err
-		}
-		fe.bell(npages)
-		return nil
-	}
-	// Relaxed merge folds single-page requests entirely on the worker; any
-	// consumer that needs the host-side arrival-order stream (latency hook,
-	// time series, recorder, the synchronous Serve API) disqualifies it.
-	if fe.relaxed && deferred && npages == 1 && c.latHook == nil && c.series == nil && c.rec == nil {
-		sh, lpn := fe.shardOf(d.first)
-		sh.sq.PushStaged(pageCmd{lpn: lpn, arrival: d.arrival, slot: -1, read: d.read})
-		fe.bell(1)
-		return nil
-	}
 	ep := &fe.epochs[fe.cur]
 	parity := int32(fe.cur)
 	off := len(ep.ends)
 	for lpn := d.first; lpn <= d.last; lpn++ {
-		sh, local := fe.shardOf(lpn)
-		slot, future := ep.slab.NewSlot()
-		sh.sq.PushStaged(pageCmd{lpn: local, arrival: d.arrival, slot: int32(slot)<<1 | parity, read: d.read})
-		ep.ends = append(ep.ends, future)
+		sh, local := c.shardOf(lpn)
+		var end sim.Time
+		if fe.serial {
+			var err error
+			if end, err = sh.run(local, d.arrival, d.read); err != nil {
+				ep.ends = ep.ends[:off]
+				fe.err = err
+				return err
+			}
+		} else {
+			var slot int
+			slot, end = ep.slab.NewSlot()
+			sh.sq.PushStaged(pageCmd{lpn: local, arrival: d.arrival, slot: int32(slot)<<1 | parity, read: d.read})
+		}
+		ep.ends = append(ep.ends, end)
 		if fe.tele != nil {
 			fe.tele.shardPages[sh.idx]++
 		}
@@ -614,7 +463,7 @@ func (fe *frontEnd) dispatch(c *Controller, d dispReq, deferred bool) error {
 // accumulated.
 func (fe *frontEnd) bell(pages int) {
 	fe.staged += pages
-	if fe.staged < fe.doorbell {
+	if fe.staged < doorbellBatch {
 		return
 	}
 	fe.ring()
@@ -641,44 +490,6 @@ func (fe *frontEnd) ring() {
 		}
 	}
 	fe.staged = 0
-}
-
-// serveSerial executes a request's pages inline in dispatch order: the
-// in-order baseline. Completion times park exactly like the concurrent
-// path's, so Flush folds both identically.
-func (fe *frontEnd) serveSerial(c *Controller, arrival sim.Time, first, last ftl.LPN, read bool) error {
-	ep := &fe.epochs[fe.cur]
-	off := len(ep.ends)
-	for lpn := first; lpn <= last; lpn++ {
-		sh, local := fe.shardOf(lpn)
-		var end sim.Time
-		var err error
-		if read {
-			end, err = sh.f.ReadPage(ftl.LPN(local), arrival)
-		} else {
-			end, err = sh.f.WritePage(ftl.LPN(local), arrival)
-		}
-		if err != nil {
-			ep.ends = ep.ends[:off]
-			fe.err = err
-			return err
-		}
-		if sh.mqLat != nil {
-			sh.mqLat.Observe(end.Sub(arrival))
-		}
-		if fe.tele != nil {
-			fe.tele.shardPages[sh.idx]++
-		}
-		ep.ends = append(ep.ends, end)
-	}
-	ep.pend = append(ep.pend, pendingDone{
-		arrival: arrival,
-		off:     int32(off),
-		n:       int32(last - first + 1),
-		read:    read,
-	})
-	ep.pages += int(last - first + 1)
-	return nil
 }
 
 // barrier waits until every dispatched page command has fully executed. On
@@ -714,12 +525,6 @@ func (fe *frontEnd) maybeAdvance(c *Controller) {
 // runs at most two epochs ahead of the slowest shard — the natural
 // backpressure that bounds both slabs.
 func (fe *frontEnd) advance(c *Controller) {
-	if fe.depth < 2 {
-		// Degenerate pipeline: the classic stop-the-world barrier epoch
-		// (Flush also fires the pulse, matching the pre-pipeline cadence).
-		c.Flush()
-		return
-	}
 	fe.ring()
 	if fe.failed.Load() {
 		// A worker latched an error; quiesce now so fe.err surfaces on the
@@ -760,29 +565,7 @@ func (fe *frontEnd) foldEpoch(c *Controller, ep *feEpoch) {
 				done = t
 			}
 		}
-		rt := done.Sub(p.arrival)
-		ms := rt.Milliseconds()
-		c.resp.Add(ms)
-		if p.read {
-			c.readResp.Add(ms)
-		} else {
-			c.writeResp.Add(ms)
-		}
-		c.hist.Add(rt)
-		if c.series != nil {
-			c.series.Add(p.arrival, ms)
-		}
-		if done > c.lastDone {
-			c.lastDone = done
-		}
-		c.served++
-		c.lastRT = rt
-		if c.rec != nil {
-			c.rec.RecordRequest(p.read, p.arrival, done)
-		}
-		if c.latHook != nil {
-			c.latHook(rt)
-		}
+		c.lastRT = c.account(p.read, p.arrival, done)
 	}
 	ep.reset()
 }
@@ -808,161 +591,6 @@ func (fe *frontEnd) discard() {
 	fe.barrier()
 	fe.epochs[0].reset()
 	fe.epochs[1].reset()
-}
-
-// precondition sequentially writes the first pages logical pages, chaining
-// times within each shard (shards fill concurrently in simulated time,
-// exactly as independent sub-drives would). Runs inline on the host
-// goroutine; preconditioning is setup, not the measured hot path.
-func (fe *frontEnd) precondition(c *Controller, pages ftl.LPN) error {
-	if pages > fe.cap {
-		return fmt.Errorf("ssd: precondition %d pages exceeds capacity %d", pages, fe.cap)
-	}
-	fe.flush(c) // nothing in flight while the host touches shard FTLs
-	if fe.err != nil {
-		return fe.err
-	}
-	tails := make([]sim.Time, len(fe.shards)) // each shard's write chain
-	for lpn := ftl.LPN(0); lpn < pages; lpn++ {
-		sh, local := fe.shardOf(lpn)
-		end, err := sh.f.WritePage(ftl.LPN(local), tails[sh.idx])
-		if err != nil {
-			return fmt.Errorf("ssd: precondition lpn %d: %w", lpn, err)
-		}
-		tails[sh.idx] = end
-	}
-	c.ResetMeasurement()
-	return nil
-}
-
-// result aggregates the measurement window across shards. Counters and
-// histograms merge exactly; per-plane and per-block series scatter through
-// the shard maps into whole-device indexing, so SDRPP and wear metrics read
-// identically to an unsharded device's.
-func (fe *frontEnd) result(c *Controller) Result {
-	c.Flush()
-	resp, readResp, writeResp := c.resp, c.readResp, c.writeResp
-	hist := c.hist.Clone()
-	lastDone, served := c.lastDone, c.served
-	for _, sh := range fe.shards {
-		resp.Merge(sh.acc.resp)
-		readResp.Merge(sh.acc.readResp)
-		writeResp.Merge(sh.acc.writeResp)
-		hist.Merge(sh.acc.hist)
-		if sh.acc.lastDone > lastDone {
-			lastDone = sh.acc.lastDone
-		}
-		served += sh.acc.served
-	}
-	res := Result{
-		FTL:         fe.shards[0].f.Name(),
-		Requests:    served,
-		PagesRead:   c.pagesRead,
-		PagesWrit:   c.pagesWrit,
-		SimulatedS:  sim.Duration(lastDone).Seconds(),
-		MeanRespMs:  resp.Mean(),
-		StdRespMs:   resp.StdDev(),
-		MaxRespMs:   resp.Max(),
-		ReadMeanMs:  readResp.Mean(),
-		WriteMeanMs: writeResp.Mean(),
-		P50Ms:       hist.Quantile(0.5).Milliseconds(),
-		P99Ms:       hist.Quantile(0.99).Milliseconds(),
-		PlaneOps:    make([]int64, fe.geo.Planes()),
-	}
-	if p, ok := fe.shards[0].f.(interface{ GCPolicyName() string }); ok {
-		res.GCPolicy = p.GCPolicyName()
-	}
-	erases := make([]int64, fe.geo.TotalBlocks())
-	bpp := fe.geo.BlocksPerPlane
-	var cmtHits, cmtMisses int64
-	for _, sh := range fe.shards {
-		ds := sh.dev.Stats()
-		for sp, v := range ds.PlaneTotals() {
-			res.PlaneOps[sh.planeMap[sp]] = v
-		}
-		for bi, e := range ds.BlockErases {
-			gp := int64(sh.planeMap[bi/bpp])
-			erases[gp*int64(bpp)+int64(bi%bpp)] = int64(e)
-			res.TotalErases += int64(e)
-		}
-		res.Reads += ds.Reads()
-		res.Writes += ds.Writes()
-		res.CopyBacks += ds.CopyBacks()
-		res.Erases += ds.Erases()
-		res.WastedPages += ds.WastedPages
-		cb, ext := ds.GCMoves()
-		res.GCCopyBacks += cb
-		res.GCExternalMoves += ext
-		addFTLStats(sh.f, &res, &cmtHits, &cmtMisses)
-	}
-	res.SDRPP = stats.SDRPP(res.PlaneOps)
-	res.WearCV = stats.CV(erases)
-	if cmtHits+cmtMisses > 0 {
-		res.CMTHitRate = float64(cmtHits) / float64(cmtHits+cmtMisses)
-	}
-	return res
-}
-
-// addFTLStats folds one shard FTL's scheme-specific counters into the
-// result. CMT hits and misses accumulate separately so the merged hit rate
-// is the whole-device ratio, not a mean of per-shard ratios.
-func addFTLStats(f ftl.FTL, res *Result, cmtHits, cmtMisses *int64) {
-	if cr, ok := f.(interface {
-		CMTHitRate() (float64, int64, int64)
-	}); ok {
-		_, h, m := cr.CMTHitRate()
-		*cmtHits += h
-		*cmtMisses += m
-	}
-	switch f := f.(type) {
-	case *dloop.DLOOP:
-		s := f.Stats()
-		res.GCRuns += s.GCRuns
-		res.TransReads += s.MapperStats.TransReads
-		res.TransWrites += s.MapperStats.TransWrites
-		res.LearnedHits += s.MapperStats.LearnedHits
-	case *dftl.DFTL:
-		s := f.Stats()
-		res.GCRuns += s.GCRuns
-		res.TransReads += s.MapperStats.TransReads
-		res.TransWrites += s.MapperStats.TransWrites
-		res.LearnedHits += s.MapperStats.LearnedHits
-	case *fast.FAST:
-		s := f.Stats()
-		res.SwitchMerges += s.SwitchMerges
-		res.PartialMerges += s.PartialMerges
-		res.FullMerges += s.FullMerges
-		res.MergeCopies += s.MergeCopies
-	case *bast.BAST:
-		s := f.Stats()
-		res.SwitchMerges += s.SwitchMerges
-		res.FullMerges += s.FullMerges
-		res.MergeCopies += s.MergeCopies
-	case *pagemap.PureMap:
-		s := f.Stats()
-		res.GCRuns += s.GCRuns
-	}
-}
-
-// busyTimes aggregates per-shard cumulative busy times into whole-device
-// vectors; the observability collector samples it at Close.
-func (fe *frontEnd) busyTimes() (planes, chipBus, channels []sim.Duration) {
-	planes = make([]sim.Duration, fe.geo.Planes())
-	chipBus = make([]sim.Duration, fe.geo.Chips())
-	channels = make([]sim.Duration, fe.geo.Channels)
-	for _, sh := range fe.shards {
-		p, cb, ch := sh.dev.BusyTimes()
-		for i, v := range p {
-			planes[sh.planeMap[i]] = v
-		}
-		for i, v := range cb {
-			chipBus[sh.chipMap[i]] = v
-		}
-		for i, v := range ch {
-			channels[sh.chanMap[i]] = v
-		}
-	}
-	return planes, chipBus, channels
 }
 
 // gcVictimRecorder is the GC engine's optional victim-histogram extension of
@@ -1031,13 +659,26 @@ func (r *shardRecorder) RecordGCSpan(plane int32, start, end sim.Time, policy st
 // (local indices, merged at quiescent points), and the front end's
 // dispatch-side queue telemetry switches on. Any other Recorder has no merge
 // semantics and keeps the old contract: serial execution through a
-// translating per-shard wrapper.
+// translating per-shard wrapper. Whatever replaces a collector detaches it
+// completely, its queue telemetry and shard latency histograms included.
 func (fe *frontEnd) setRecorder(c *Controller, r obs.Recorder) {
 	fe.flush(c)
 	c.rec = r
-	if col, ok := r.(*obs.Collector); ok && col != nil {
-		subC := fe.geo.Channels / int(fe.n)
-		for _, sh := range fe.shards {
+	col, _ := r.(*obs.Collector)
+	switch {
+	case col != nil:
+		// A collector keeps the execution mode as it is.
+	case r != nil:
+		fe.serial = true
+	default:
+		fe.serial = !fe.running
+	}
+	subC := c.geo.Channels / len(fe.shards)
+	for _, sh := range fe.shards {
+		var rec obs.Recorder // nil detaches
+		sh.mqLat = nil
+		switch {
+		case col != nil:
 			child := col.Shard(obs.ShardOptions{
 				Index:          sh.idx,
 				Planes:         len(sh.planeMap),
@@ -1046,131 +687,25 @@ func (fe *frontEnd) setRecorder(c *Controller, r obs.Recorder) {
 				PlaneMap:       sh.planeMap,
 				ChanMap:        sh.chanMap,
 			})
-			sh.dev.SetRecorder(child)
-			if o, ok := sh.f.(ftl.Observable); ok {
-				o.SetRecorder(child)
-			}
-			sh.mqLat = child.Registry().Hist("mq.lat")
+			rec, sh.mqLat = child, child.Registry().Hist("mq.lat")
+		case r != nil:
+			rec = newShardRecorder(r, sh)
 		}
-		col.SetUtilizationSource(fe.busyTimes)
-		if fe.teleCol != col {
-			fe.teleCol = col
-			fe.teleState = &feTele{shardPages: make([]int64, len(fe.shards))}
-			st := fe.teleState
-			col.AddAuxSource(func(reg *obs.Registry) { st.fold(reg) })
+		sh.dev.SetRecorder(rec)
+		if o, ok := sh.f.(ftl.Observable); ok {
+			o.SetRecorder(rec)
 		}
-		fe.tele = fe.teleState
-		return
-	}
-	if r != nil {
-		fe.serial = true
-		for _, sh := range fe.shards {
-			wrapped := newShardRecorder(r, sh)
-			sh.dev.SetRecorder(wrapped)
-			if o, ok := sh.f.(ftl.Observable); ok {
-				o.SetRecorder(wrapped)
-			}
-		}
-		return
 	}
 	fe.tele = nil
-	for _, sh := range fe.shards {
-		sh.dev.SetRecorder(nil)
-		if o, ok := sh.f.(ftl.Observable); ok {
-			o.SetRecorder(nil)
-		}
-		sh.mqLat = nil
+	if col == nil {
+		return
 	}
-	if fe.running {
-		fe.serial = false
+	col.SetUtilizationSource(c.busyTimes)
+	if fe.teleCol != col {
+		fe.teleCol = col
+		fe.teleState = &feTele{shardPages: make([]int64, len(fe.shards))}
+		st := fe.teleState
+		col.AddAuxSource(func(reg *obs.Registry) { st.fold(reg) })
 	}
-}
-
-// resetMeasurement zeroes shard-side statistics (the host-side accumulators
-// are the controller's).
-func (fe *frontEnd) resetMeasurement() {
-	for _, sh := range fe.shards {
-		sh.dev.ResetStats()
-		sh.acc = shardAcc{}
-	}
-}
-
-// feCheckpoint is the per-shard portion of a front-end controller's
-// Checkpoint: one device state, FTL state, and relaxed-merge accumulator per
-// shard.
-type feCheckpoint struct {
-	devs []*flash.DeviceState
-	ftls []any
-	accs []shardAcc
-}
-
-// snapshot deep-copies every shard's state after a barrier.
-func (fe *frontEnd) snapshot(c *Controller) (*feCheckpoint, error) {
-	fe.flush(c)
-	cp := &feCheckpoint{}
-	for _, sh := range fe.shards {
-		snapper, ok := sh.f.(ftl.Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
-		}
-		cp.devs = append(cp.devs, sh.dev.Snapshot())
-		cp.ftls = append(cp.ftls, snapper.Snapshot())
-		cp.accs = append(cp.accs, sh.acc.clone())
-	}
-	return cp, nil
-}
-
-// restore rewinds every shard to a checkpoint taken from an identically
-// configured front end.
-func (fe *frontEnd) restore(c *Controller, cp *feCheckpoint) error {
-	if cp == nil || len(cp.devs) != len(fe.shards) {
-		return fmt.Errorf("ssd: checkpoint does not match this controller's %d FTL shards", len(fe.shards))
-	}
-	fe.discard() // in-flight work belongs to the run being abandoned
-	for i, sh := range fe.shards {
-		snapper, ok := sh.f.(ftl.Snapshotter)
-		if !ok {
-			return fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
-		}
-		if err := snapper.Restore(cp.ftls[i]); err != nil {
-			return err
-		}
-		sh.dev.Restore(cp.devs[i])
-		sh.acc = cp.accs[i].clone()
-	}
-	return nil
-}
-
-// recoverShards rebuilds every shard's FTL from its sub-device's out-of-band
-// page tags (simulated power loss) and returns a fresh front end over the
-// same sub-devices. The old front end's workers stop first; its controller
-// stays usable for read-only lookups.
-func (fe *frontEnd) recoverShards(cfg Config, extra int) (*frontEnd, error) {
-	fe.stop()
-	nfe := &frontEnd{
-		n:       fe.n,
-		geo:     fe.geo,
-		cap:     fe.cap,
-		subCap:  fe.subCap,
-		relaxed: cfg.Merge == MergeRelaxed,
-	}
-	nfe.initTunables(cfg)
-	for _, sh := range fe.shards {
-		f, err := recoverFTL(sh.dev, cfg, extra)
-		if err != nil {
-			return nil, err
-		}
-		sh.dev.SetRecorder(nil)
-		nfe.shards = append(nfe.shards, &ftlShard{
-			idx:      sh.idx,
-			dev:      sh.dev,
-			f:        f,
-			sq:       sim.NewSPSC[pageCmd](feQueueCap),
-			planeMap: sh.planeMap,
-			chipMap:  sh.chipMap,
-			chanMap:  sh.chanMap,
-		})
-	}
-	nfe.start()
-	return nfe, nil
+	fe.tele = fe.teleState
 }

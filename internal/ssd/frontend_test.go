@@ -3,7 +3,6 @@ package ssd
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -35,7 +34,7 @@ func tiny8Geometry() flash.Geometry {
 	}
 }
 
-func mqConfig(scheme string, geo flash.Geometry, ftlShards int, merge string) Config {
+func mqConfig(scheme string, geo flash.Geometry, ftlShards int) Config {
 	g := geo
 	return Config{
 		FTL:        scheme,
@@ -43,7 +42,6 @@ func mqConfig(scheme string, geo flash.Geometry, ftlShards int, merge string) Co
 		ExtraPct:   0.25,
 		CMTEntries: 64,
 		FTLShards:  ftlShards,
-		Merge:      merge,
 	}
 }
 
@@ -79,27 +77,12 @@ func lookupMQ(t *testing.T, c *Controller, lpn ftl.LPN) flash.PPN {
 	return flash.InvalidPPN
 }
 
-func closeEnough(a, b float64) bool {
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= 1e-9*scale
-}
-
-// stripWelfordFloats zeroes the fields relaxed merge folds in a different
-// floating-point order (running means/variances). Everything else — counts,
-// histograms, maxima, device counters — must merge exactly in both modes.
-func stripWelfordFloats(r Result) Result {
-	r.MeanRespMs, r.StdRespMs, r.ReadMeanMs, r.WriteMeanMs = 0, 0, 0, 0
-	return r
-}
-
 // TestMQDifferential is the randomized differential suite for the multi-queue
-// front end: for every scheme, shard counts 2/4/8 across two channel shapes
-// and both merge modes, a concurrently executing front end replays the same
-// trace as a serially executing one with the identical shard layout.
-// Deterministic merge must reproduce the serial baseline bit for bit —
-// Results, per-request latency streams, mapping tables, and per-shard device
-// states; relaxed merge must match everything except the Welford running
-// floats, which it may re-associate but not change materially.
+// front end: for every scheme and shard counts 2/4/8 across two channel
+// shapes, a concurrently executing front end replays the same trace as a
+// serially executing one with the identical shard layout, and must reproduce
+// it bit for bit — Results, per-request latency streams, mapping tables, and
+// per-shard device states.
 func TestMQDifferential(t *testing.T) {
 	shapes := []struct {
 		name   string
@@ -113,68 +96,46 @@ func TestMQDifferential(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			for _, sp := range shapes {
-				for _, merge := range []string{MergeDeterministic, MergeRelaxed} {
-					t.Run(sp.name+"/"+merge, func(t *testing.T) {
-						cfg := mqConfig(scheme, sp.geo, sp.shards, merge)
-						ser := buildMQ(t, cfg)
-						ser.fe.flush(ser)
-						ser.fe.serial = true // in-order baseline, same shard layout
-						par := buildMQ(t, cfg)
-						if got := par.FTLShards(); got != sp.shards {
-							t.Fatalf("FTLShards = %d, want %d", got, sp.shards)
+				t.Run(sp.name+"/deterministic", func(t *testing.T) {
+					cfg := mqConfig(scheme, sp.geo, sp.shards)
+					ser := buildMQ(t, cfg)
+					ser.fe.flush(ser)
+					ser.fe.serial = true // in-order baseline, same shard layout
+					par := buildMQ(t, cfg)
+					if got := par.FTLShards(); got != sp.shards {
+						t.Fatalf("FTLShards = %d, want %d", got, sp.shards)
+					}
+					var serLat, parLat []sim.Duration
+					ser.SetLatencyHook(func(d sim.Duration) { serLat = append(serLat, d) })
+					par.SetLatencyHook(func(d sim.Duration) { parLat = append(parLat, d) })
+					preconditionTiny(t, ser)
+					preconditionTiny(t, par)
+					w := tinyWorkload(t, ser, 1600, 37)
+					want, err := ser.Run(trace.NewSliceReader(w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := par.Run(trace.NewSliceReader(w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("Results differ\nserial:     %+v\nconcurrent: %+v", want, got)
+					}
+					if !reflect.DeepEqual(serLat, parLat) {
+						t.Fatalf("latency streams differ: %d vs %d samples", len(serLat), len(parLat))
+					}
+					for lpn := ftl.LPN(0); lpn < ser.Capacity(); lpn++ {
+						if a, b := lookupMQ(t, ser, lpn), lookupMQ(t, par, lpn); a != b {
+							t.Fatalf("lpn %d maps to %d (serial) vs %d (concurrent)", lpn, a, b)
 						}
-						det := merge == MergeDeterministic
-						var serLat, parLat []sim.Duration
-						if det {
-							ser.SetLatencyHook(func(d sim.Duration) { serLat = append(serLat, d) })
-							par.SetLatencyHook(func(d sim.Duration) { parLat = append(parLat, d) })
+					}
+					for i := 0; i < sp.shards; i++ {
+						if !reflect.DeepEqual(ser.ShardDevice(i).Snapshot(), par.ShardDevice(i).Snapshot()) {
+							t.Fatalf("shard %d device state diverged", i)
 						}
-						preconditionTiny(t, ser)
-						preconditionTiny(t, par)
-						w := tinyWorkload(t, ser, 1600, 37)
-						want, err := ser.Run(trace.NewSliceReader(w))
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := par.Run(trace.NewSliceReader(w))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if det {
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("Results differ\nserial:     %+v\nconcurrent: %+v", want, got)
-							}
-							if !reflect.DeepEqual(serLat, parLat) {
-								t.Fatalf("latency streams differ: %d vs %d samples", len(serLat), len(parLat))
-							}
-						} else {
-							if !reflect.DeepEqual(stripWelfordFloats(got), stripWelfordFloats(want)) {
-								t.Fatalf("non-float Results differ\nserial:     %+v\nconcurrent: %+v", want, got)
-							}
-							for _, f := range [][2]float64{
-								{got.MeanRespMs, want.MeanRespMs},
-								{got.StdRespMs, want.StdRespMs},
-								{got.ReadMeanMs, want.ReadMeanMs},
-								{got.WriteMeanMs, want.WriteMeanMs},
-							} {
-								if !closeEnough(f[0], f[1]) {
-									t.Fatalf("relaxed merge float drifted: %v vs %v\nserial:     %+v\nconcurrent: %+v",
-										f[0], f[1], want, got)
-								}
-							}
-						}
-						for lpn := ftl.LPN(0); lpn < ser.Capacity(); lpn++ {
-							if a, b := lookupMQ(t, ser, lpn), lookupMQ(t, par, lpn); a != b {
-								t.Fatalf("lpn %d maps to %d (serial) vs %d (concurrent)", lpn, a, b)
-							}
-						}
-						for i := 0; i < sp.shards; i++ {
-							if !reflect.DeepEqual(ser.ShardDevice(i).Snapshot(), par.ShardDevice(i).Snapshot()) {
-								t.Fatalf("shard %d device state diverged", i)
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		})
 	}
@@ -182,42 +143,38 @@ func TestMQDifferential(t *testing.T) {
 
 // TestMQDeterministicRepeat pins run-to-run determinism of the concurrent
 // front end itself: two fresh controllers with the same configuration and
-// workload produce bit-identical Results in both merge modes, regardless of
-// how the scheduler interleaved the shard workers.
+// workload produce bit-identical Results, regardless of how the scheduler
+// interleaved the shard workers.
 func TestMQDeterministicRepeat(t *testing.T) {
-	for _, merge := range []string{MergeDeterministic, MergeRelaxed} {
-		t.Run(merge, func(t *testing.T) {
-			run := func() Result {
-				c := buildMQ(t, mqConfig(SchemeDLOOP, tiny8Geometry(), 8, merge))
-				preconditionTiny(t, c)
-				res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2000, 7)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+	t.Run("deterministic", func(t *testing.T) {
+		run := func() Result {
+			c := buildMQ(t, mqConfig(SchemeDLOOP, tiny8Geometry(), 8))
+			preconditionTiny(t, c)
+			res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2000, 7)))
+			if err != nil {
+				t.Fatal(err)
 			}
-			a, b := run(), run()
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("repeat run diverged\nfirst:  %+v\nsecond: %+v", a, b)
-			}
-		})
-	}
+			return res
+		}
+		a, b := run(), run()
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("repeat run diverged\nfirst:  %+v\nsecond: %+v", a, b)
+		}
+	})
 }
 
 // TestMQEpochSweepDifferential is the pipeline half of the differential
-// suite: epoch length and pipeline depth are pure scheduling knobs, so
-// sweeping EpochPages across the degenerate single-page epoch, the
-// off-by-one values around the doorbell batch, and a large epoch — each at
-// pipeline depth 1 (stop-the-world folds) and 2 (double-buffered folds) —
-// must reproduce the serial baseline's Results and per-request latency
-// stream bit for bit for every scheme. Folding is per-request in arrival
-// order no matter where the epoch cuts land, which is exactly the property
-// this test pins.
+// suite: the epoch length is a pure scheduling parameter, so setting it to
+// the degenerate single-page epoch, the off-by-one values around the
+// doorbell batch, and a large epoch must reproduce the serial baseline's
+// Results and per-request latency stream bit for bit for every scheme.
+// Folding is per-request in arrival order no matter where the epoch cuts
+// land, which is exactly the property this test pins.
 func TestMQEpochSweepDifferential(t *testing.T) {
 	for si, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			seed := int64(41 + si*13) // a different workload per scheme
-			base := mqConfig(scheme, tiny8Geometry(), 4, MergeDeterministic)
+			base := mqConfig(scheme, tiny8Geometry(), 4)
 			ser := buildMQ(t, base)
 			ser.fe.flush(ser)
 			ser.fe.serial = true
@@ -230,27 +187,23 @@ func TestMQEpochSweepDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pages := range []int{1, doorbellBatch - 1, doorbellBatch, 8192} {
-				for _, depth := range []int{1, 2} {
-					t.Run(fmt.Sprintf("pages%d-depth%d", pages, depth), func(t *testing.T) {
-						cfg := base
-						cfg.EpochPages = pages
-						cfg.PipelineDepth = depth
-						c := buildMQ(t, cfg)
-						var lat []sim.Duration
-						c.SetLatencyHook(func(d sim.Duration) { lat = append(lat, d) })
-						preconditionTiny(t, c)
-						got, err := c.Run(trace.NewSliceReader(w))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("Results differ from serial baseline\nserial:   %+v\npipeline: %+v", want, got)
-						}
-						if !reflect.DeepEqual(lat, wantLat) {
-							t.Fatalf("latency streams differ: %d vs %d samples", len(lat), len(wantLat))
-						}
-					})
-				}
+				t.Run(fmt.Sprintf("pages%d-depth2", pages), func(t *testing.T) {
+					c := buildMQ(t, base)
+					c.fe.epochPages = pages
+					var lat []sim.Duration
+					c.SetLatencyHook(func(d sim.Duration) { lat = append(lat, d) })
+					preconditionTiny(t, c)
+					got, err := c.Run(trace.NewSliceReader(w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("Results differ from serial baseline\nserial:   %+v\npipeline: %+v", want, got)
+					}
+					if !reflect.DeepEqual(lat, wantLat) {
+						t.Fatalf("latency streams differ: %d vs %d samples", len(lat), len(wantLat))
+					}
+				})
 			}
 		})
 	}
@@ -258,13 +211,11 @@ func TestMQEpochSweepDifferential(t *testing.T) {
 
 // TestMQForkAtMidEpoch pins checkpointing against the pipeline: a Snapshot
 // taken while an epoch is still open — parked completions not yet folded,
-// and at depth 2 possibly a whole previous epoch still unfolded — must
-// quiesce, fold, and capture a state from which any number of forks replay
-// bit-identically.
+// and possibly a whole previous epoch still unfolded — must quiesce, fold,
+// and capture a state from which any number of forks replay bit-identically.
 func TestMQForkAtMidEpoch(t *testing.T) {
-	cfg := mqConfig(SchemeDLOOP, tiny8Geometry(), 4, MergeDeterministic)
-	cfg.EpochPages = 256 // small epochs so the cut lands mid-stream
-	c := buildMQ(t, cfg)
+	c := buildMQ(t, mqConfig(SchemeDLOOP, tiny8Geometry(), 4))
+	c.fe.epochPages = 256 // small epochs so the cut lands mid-stream
 	preconditionTiny(t, c)
 	w := tinyWorkload(t, c, 1500, 23)
 	for _, r := range w[:777] { // stop mid-epoch: no flush before the snapshot
@@ -308,7 +259,7 @@ func TestMQLogicalEquivalence(t *testing.T) {
 			var mapped []map[ftl.LPN]bool
 			var caps []ftl.LPN
 			for _, shards := range []int{1, 2, 4, 8} {
-				c := buildMQ(t, mqConfig(scheme, tiny8Geometry(), shards, ""))
+				c := buildMQ(t, mqConfig(scheme, tiny8Geometry(), shards))
 				preconditionTiny(t, c)
 				if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2000, 11))); err != nil {
 					t.Fatal(err)
@@ -339,7 +290,7 @@ func TestMQLogicalEquivalence(t *testing.T) {
 // its own completion, so the returned response times must match the serial
 // baseline's call for call, and the final Results bit for bit.
 func TestMQServePath(t *testing.T) {
-	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2, MergeDeterministic)
+	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2)
 	ser := buildMQ(t, cfg)
 	ser.fe.serial = true
 	par := buildMQ(t, cfg)
@@ -372,7 +323,7 @@ func TestMQServePath(t *testing.T) {
 func TestMQCrashRecovery(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			c := buildMQ(t, mqConfig(scheme, tinyGeometry(), 2, ""))
+			c := buildMQ(t, mqConfig(scheme, tinyGeometry(), 2))
 			preconditionTiny(t, c)
 			res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 2000, 5)))
 			if err != nil {
@@ -408,7 +359,7 @@ func TestMQCrashRecovery(t *testing.T) {
 // a checkpoint taken mid-run forks any number of bit-identical continuations,
 // and the checkpoint itself survives restores untouched.
 func TestMQSnapshotFork(t *testing.T) {
-	c := buildMQ(t, mqConfig(SchemeDLOOP, tiny8Geometry(), 4, MergeDeterministic))
+	c := buildMQ(t, mqConfig(SchemeDLOOP, tiny8Geometry(), 4))
 	preconditionTiny(t, c)
 	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 1200, 21))); err != nil {
 		t.Fatal(err)
@@ -442,7 +393,7 @@ func TestMQSnapshotFork(t *testing.T) {
 // carries the device-wide and per-shard telemetry, and detaching leaves the
 // engine concurrent.
 func TestMQRecorderStaysConcurrent(t *testing.T) {
-	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2, ""))
+	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
 	preconditionTiny(t, c)
 	if c.fe.serial {
 		t.Fatal("front end serial before any recorder attached")
@@ -496,7 +447,7 @@ func (r *countingRecorder) RecordRequest(bool, sim.Time, sim.Time)             {
 // execution through the translating shard wrapper, and detaching restores
 // concurrency.
 func TestMQRecorderSerialFallback(t *testing.T) {
-	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2, ""))
+	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
 	preconditionTiny(t, c)
 	rec := &countingRecorder{}
 	c.SetRecorder(rec)
@@ -518,10 +469,39 @@ func TestMQRecorderSerialFallback(t *testing.T) {
 	}
 }
 
+// TestMQForeignRecorderDetachesCollector pins the hand-over from a collector
+// to a foreign recorder: the collector stops observing the front end, so its
+// queue telemetry and shard latency histograms stay where the switch left
+// them while the foreign recorder's requests run.
+func TestMQForeignRecorderDetachesCollector(t *testing.T) {
+	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
+	preconditionTiny(t, c)
+	col := obs.NewCollector(c.ObsOptions())
+	c.SetRecorder(col)
+	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 3))); err != nil {
+		t.Fatal(err)
+	}
+	c.SetRecorder(&countingRecorder{})
+	counts := func() [3]int64 {
+		reg := col.SnapshotRegistry()
+		return [3]int64{reg.Counter("mq.doorbells").Value(), reg.Counter("mq.doorbell.pages").Value(), reg.Hist("mq.lat").N()}
+	}
+	before := counts()
+	if before[0] == 0 || before[1] == 0 || before[2] == 0 {
+		t.Fatalf("collector saw no queue traffic: doorbells, pages, mq.lat = %v", before)
+	}
+	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 4))); err != nil {
+		t.Fatal(err)
+	}
+	if after := counts(); after != before {
+		t.Fatalf("replaced collector kept counting: doorbells, pages, mq.lat %v -> %v", before, after)
+	}
+}
+
 // TestMQObservedMetricsDifferential is the telemetry half of the
-// differential suite: for every scheme, a fully observed concurrent
-// deterministic-merge run and a serially executed run of the identical shard
-// layout must produce byte-identical metrics.json and trace-event documents.
+// differential suite: for every scheme, a fully observed concurrent run and
+// a serially executed run of the identical shard layout must produce
+// byte-identical metrics.json and trace-event documents.
 // Everything the collector gathers — per-op counters and latency histograms,
 // per-plane/channel vectors, per-shard mq.lat and gc.pause distributions,
 // snapshot series, queue telemetry, trace buffers — is covered by the byte
@@ -530,7 +510,7 @@ func TestMQObservedMetricsDifferential(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
 			run := func(serial bool) (metrics, traceDoc []byte) {
-				c := buildMQ(t, mqConfig(scheme, tiny8Geometry(), 4, MergeDeterministic))
+				c := buildMQ(t, mqConfig(scheme, tiny8Geometry(), 4))
 				if serial {
 					c.fe.flush(c)
 					c.fe.serial = true
@@ -568,36 +548,34 @@ func TestMQObservedMetricsDifferential(t *testing.T) {
 }
 
 // TestMQSteadyStateAllocFree asserts the multi-queue serving path is
-// allocation-free per request at steady state in both merge modes: staged
-// ring pushes, slab slots, and accumulator folds all reuse their arenas. The
-// batch is read-only to keep GC (which allocates on its own) out of the
-// measured window.
+// allocation-free per request at steady state: staged ring pushes, slab
+// slots, and accumulator folds all reuse their arenas. The batch is
+// read-only to keep GC (which allocates on its own) out of the measured
+// window.
 func TestMQSteadyStateAllocFree(t *testing.T) {
-	for _, merge := range []string{MergeDeterministic, MergeRelaxed} {
-		t.Run(merge, func(t *testing.T) {
-			c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2, merge))
-			preconditionTiny(t, c)
-			reqs := tinyWorkload(t, c, 2000, 29)
-			for i := range reqs {
-				reqs[i].Op = trace.OpRead
-			}
-			i := 0
-			serveBatch := func() {
-				for n := 0; n < 100; n++ {
-					if err := c.Enqueue(reqs[i%len(reqs)]); err != nil {
-						t.Fatal(err)
-					}
-					i++
+	t.Run("deterministic", func(t *testing.T) {
+		c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
+		preconditionTiny(t, c)
+		reqs := tinyWorkload(t, c, 2000, 29)
+		for i := range reqs {
+			reqs[i].Op = trace.OpRead
+		}
+		i := 0
+		serveBatch := func() {
+			for n := 0; n < 100; n++ {
+				if err := c.Enqueue(reqs[i%len(reqs)]); err != nil {
+					t.Fatal(err)
 				}
-				c.Flush()
+				i++
 			}
-			serveBatch() // reach steady state: rings, slab chunks, pending slices
-			serveBatch()
-			if avg := testing.AllocsPerRun(10, serveBatch); avg > 0 {
-				t.Fatalf("multi-queue serve path allocates %.1f times per 100-request epoch, want 0", avg)
-			}
-		})
-	}
+			c.Flush()
+		}
+		serveBatch() // reach steady state: rings, slab chunks, pending slices
+		serveBatch()
+		if avg := testing.AllocsPerRun(10, serveBatch); avg > 0 {
+			t.Fatalf("multi-queue serve path allocates %.1f times per 100-request epoch, want 0", avg)
+		}
+	})
 }
 
 // TestObservedMQSteadyStateAllocFree is the observed twin of
@@ -608,50 +586,43 @@ func TestMQSteadyStateAllocFree(t *testing.T) {
 // RecordRequest calls all reuse arenas sized during warm-up; this pins the
 // 0 B/op that BenchmarkSimulateThroughputObservedMQ reports.
 func TestObservedMQSteadyStateAllocFree(t *testing.T) {
-	for _, merge := range []string{MergeDeterministic, MergeRelaxed} {
-		t.Run(merge, func(t *testing.T) {
-			c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2, merge))
-			preconditionTiny(t, c)
-			col := obs.NewCollector(c.ObsOptions())
-			c.SetRecorder(col)
-			if c.fe.serial {
-				t.Fatal("collector forced serial execution")
-			}
-			reqs := tinyWorkload(t, c, 2000, 29)
-			for i := range reqs {
-				reqs[i].Op = trace.OpRead
-			}
-			i := 0
-			serveBatch := func() {
-				for n := 0; n < 100; n++ {
-					if err := c.Enqueue(reqs[i%len(reqs)]); err != nil {
-						t.Fatal(err)
-					}
-					i++
+	t.Run("deterministic", func(t *testing.T) {
+		c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
+		preconditionTiny(t, c)
+		col := obs.NewCollector(c.ObsOptions())
+		c.SetRecorder(col)
+		if c.fe.serial {
+			t.Fatal("collector forced serial execution")
+		}
+		reqs := tinyWorkload(t, c, 2000, 29)
+		for i := range reqs {
+			reqs[i].Op = trace.OpRead
+		}
+		i := 0
+		serveBatch := func() {
+			for n := 0; n < 100; n++ {
+				if err := c.Enqueue(reqs[i%len(reqs)]); err != nil {
+					t.Fatal(err)
 				}
-				c.Flush()
+				i++
 			}
-			serveBatch() // reach steady state: rings, slabs, epoch slices, hist buckets
-			serveBatch()
-			if avg := testing.AllocsPerRun(10, serveBatch); avg > 0 {
-				t.Fatalf("observed multi-queue serve path allocates %.1f times per 100-request epoch, want 0", avg)
-			}
-		})
-	}
+			c.Flush()
+		}
+		serveBatch() // reach steady state: rings, slabs, epoch slices, hist buckets
+		serveBatch()
+		if avg := testing.AllocsPerRun(10, serveBatch); avg > 0 {
+			t.Fatalf("observed multi-queue serve path allocates %.1f times per 100-request epoch, want 0", avg)
+		}
+	})
 }
 
-// TestMQBuildRejections pins the configurations Build must refuse: the DRAM
-// buffer is a single ordered cache (incompatible with independent shards),
-// and merge modes are a closed set.
+// TestMQBuildRejections pins the configuration Build must refuse: the DRAM
+// buffer is a single ordered cache, incompatible with independent shards.
 func TestMQBuildRejections(t *testing.T) {
-	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2, "")
+	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2)
 	cfg.BufferPages = 16
 	if _, err := Build(cfg); err == nil {
 		t.Error("Build accepted FTLShards > 1 with BufferPages > 0")
-	}
-	cfg = mqConfig(SchemeDLOOP, tinyGeometry(), 0, "bogus")
-	if _, err := Build(cfg); err == nil {
-		t.Error("Build accepted unknown merge mode")
 	}
 }
 

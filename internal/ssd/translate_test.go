@@ -118,7 +118,7 @@ func TestTranslatePolicyMQDifferential(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			mapped := make(map[string][]bool)
 			for _, pol := range translatePoliciesUnderTest {
-				cfg := mqConfig(scheme, tiny8Geometry(), 2, "")
+				cfg := mqConfig(scheme, tiny8Geometry(), 2)
 				cfg.TranslatePolicy = pol
 				c := buildMQ(t, cfg)
 				preconditionTiny(t, c)

@@ -11,7 +11,7 @@
 #   scripts/profile-mq.sh -requests 2000000     # longer run, steadier profile
 #   scripts/profile-mq.sh -o /tmp/mq.pprof      # keep the profile elsewhere
 #   scripts/profile-mq.sh -http :8080           # interactive pprof web UI
-#   scripts/profile-mq.sh -- -merge relaxed -epoch-pages 512
+#   scripts/profile-mq.sh -- -ftl DFTL -translate learned
 #                                               # extra dloopsim flags after --
 set -eu
 
