@@ -69,5 +69,5 @@ func main() {
 	fmt.Printf("after recovery: %d more requests, mean %.3f ms, %d further GC runs\n",
 		res.Requests, res.MeanRespMs, res.GCRuns)
 	fmt.Println("(the mapping-consistency proof lives in the test suite:")
-	fmt.Println(" internal/ftl/dloop TestRecoveryRebuildsMapping compares every LPN)")
+	fmt.Println(" internal/ftl/pagemap TestRecoveryRebuildsMapping compares every LPN)")
 }

@@ -2,8 +2,8 @@
 // controller drives, plus the machinery shared by page-mapping FTLs: the
 // free-block pools, the SRAM cached mapping table (CMT, segmented LRU), the
 // global translation directory (GTD), and the demand-paging of translation
-// pages. The three FTLs the paper evaluates live in the subpackages dloop,
-// dftl, and fast.
+// pages. The page-mapping schemes (DLOOP, DFTL, PureMap) are presets of the
+// one FTL in subpackage pagemap; the hybrids live in fast and bast.
 package ftl
 
 import (

@@ -78,11 +78,11 @@ type Config struct {
 	// striped placement); otherwise trigger and victim search are
 	// device-wide and destinations come from write point 0.
 	PerPlane bool
-	// ProgressGuard breaks the collect loop when a collection's destination
-	// pages (moves plus parity waste) consumed everything it freed —
-	// retrying immediately would livelock.
-	ProgressGuard bool
-	Style         MoveStyle
+	// Style is the move style. Every style but MoveOffsetOrder (plain
+	// DFTL's original loop) also guards the collect loop: it breaks when a
+	// collection's destination pages (moves plus parity waste) consumed
+	// everything it freed, as retrying immediately would livelock.
+	Style MoveStyle
 	// LowSpaceExternal moves a wrong-parity page through the buses instead
 	// of wasting a destination page when the plane is critically low on
 	// free pages (under two blocks' worth). Without it mismatches always
@@ -174,14 +174,15 @@ func (e *Engine) Retarget(tr *ftl.Tracker) {
 }
 
 // MaybeCollect runs collections on the plane until its pool is above the
-// trigger watermark, nothing is reclaimable, or (with ProgressGuard) a
+// trigger watermark, nothing is reclaimable, or (outside MoveOffsetOrder) a
 // collection makes no net progress. It returns the time placement may
 // proceed.
 func (e *Engine) MaybeCollect(plane int, ready sim.Time) (sim.Time, error) {
 	t := ready
+	guard := e.cfg.Style != MoveOffsetOrder
 	for e.scheme.PoolLow(plane) {
 		var before int
-		if e.cfg.ProgressGuard {
+		if guard {
 			before = e.scheme.FreePages(plane)
 		}
 		end, reclaimed, err := e.collectOnce(plane, t)
@@ -192,7 +193,7 @@ func (e *Engine) MaybeCollect(plane int, ready sim.Time) (sim.Time, error) {
 			break // nothing invalid to reclaim
 		}
 		t = end
-		if e.cfg.ProgressGuard && e.scheme.FreePages(plane) <= before {
+		if guard && e.scheme.FreePages(plane) <= before {
 			// The collection's destination pages (moves plus parity waste)
 			// consumed everything it freed. Retrying immediately would
 			// livelock; break and let the invalid pages host updates keep

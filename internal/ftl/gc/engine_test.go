@@ -46,7 +46,7 @@ func newPageFTL(tb testing.TB, geo flash.Geometry, lpns int) *pageFTL {
 		tb.Fatal(err)
 	}
 	f.engine = NewEngine(Config{Dev: dev, Policy: policy, Tracker: f.tracker, Scheme: f, PerPlane: true, Style: MoveCopyBack,
-		ProgressGuard: true, LowSpaceExternal: true})
+		LowSpaceExternal: true})
 	return f
 }
 

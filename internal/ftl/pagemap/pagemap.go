@@ -1,15 +1,30 @@
-// Package pagemap implements an idealized page-mapping FTL: the complete
-// logical-to-physical table lives in SRAM, so address translation is free.
-// No real controller can afford that RAM at SSD scale (§II.A: the table
-// "generates an expensive SRAM cache overhead"), which is exactly why DFTL
-// and DLOOP demand-page it — but the ideal makes a useful upper-bound
-// baseline: the gap between PureMap and DFTL is the price of demand paging;
-// the gap between PureMap striped and unstriped isolates placement effects
-// from mapping effects.
+// Package pagemap implements the page-mapping FTL family: DLOOP (the paper's
+// contribution, §III), the DFTL baseline (Gupta et al., ASPLOS'09) and two
+// idealized all-in-SRAM maps, PureMap and PureMap-striped. They are one FTL;
+// a Layout names the four choices they differ in, and Preset returns each
+// scheme's.
 //
-// Placement is configurable: Striped follows DLOOP's equation (1) and
-// collects per plane with copy-back; unstriped appends to one global write
-// point and collects globally with external moves, like DFTL's layout.
+// Placement. A striped layout follows equation (1): plane(LPN) = LPN mod
+// #planes (through a StripeBy permutation), for first writes and — because
+// the mapping is static — every update, so each plane keeps its own free
+// pool, write point and collections, and garbage collection can relocate
+// every valid page with an intra-plane copy-back that never occupies the
+// chip serial bus or the channel. The same-parity restriction of that
+// command is met by deliberately wasting a destination page on mismatch.
+// Translation pages stripe the same way (tvpn mod #planes). A global layout
+// is plane-oblivious, like DFTL: data pages append to one current block (and
+// translation pages to another) drawn from one pool in plane-major order, so
+// consecutive writes queue on one plane and the translation pages start out
+// on plane 0 (§V.B/§V.D explain how both hurt DFTL); it collects the block
+// with the most invalid pages device-wide.
+//
+// Translation. A demand-paged layout keeps hot mappings in an SRAM CMT and
+// the full table in translation pages on flash, located through the GTD. The
+// ideal table lives wholly in SRAM, so translation is free. No real
+// controller can afford that RAM at SSD scale (§II.A), but the ideal bounds
+// the others: the gap between PureMap and DFTL is the price of demand
+// paging, and the gap between PureMap striped and unstriped isolates
+// placement from mapping effects.
 package pagemap
 
 import (
@@ -18,36 +33,112 @@ import (
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/gc"
+	"dloop/internal/ftl/translate"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
-// Config parameterizes the ideal FTL.
+// Layout is what the page-mapping schemes differ in.
+type Layout struct {
+	// StripeBy is the unit consecutive logical pages stripe over first
+	// (equation (1) at StripePlane), with per-plane pools, write points and
+	// collections. Empty selects a global append.
+	StripeBy Striping
+	// Moves is how garbage collection relocates valid pages.
+	Moves gc.MoveStyle
+	// LowSpaceExternal moves a wrong-parity page through the buses rather
+	// than wasting a page on a plane short of free pages (see gc.Config).
+	LowSpaceExternal bool
+	// DemandPaged keeps the mapping table in translation pages behind an
+	// SRAM cache; otherwise the whole table is in SRAM and translation free.
+	DemandPaged bool
+}
+
+// The four presets are the corners of (striped, demand-paged); Name tells
+// them apart.
+var presets = [...]Layout{
+	{StripeBy: StripePlane, Moves: gc.MoveCopyBack, LowSpaceExternal: true, DemandPaged: true},
+	{Moves: gc.MoveOffsetOrder, DemandPaged: true},
+	{Moves: gc.MoveExternalParity},
+	{StripeBy: StripePlane, Moves: gc.MoveCopyBack},
+}
+
+// Preset returns the layout of a page-mapping scheme: "DLOOP", "DFTL",
+// "PureMap" or "PureMap-striped".
+func Preset(name string) (Layout, bool) {
+	for _, l := range presets {
+		if l.Name() == name {
+			return l, true
+		}
+	}
+	return Layout{}, false
+}
+
+// Name returns the scheme a layout is a variant of.
+func (l Layout) Name() string {
+	switch {
+	case l.DemandPaged && l.striped():
+		return "DLOOP"
+	case l.DemandPaged:
+		return "DFTL"
+	case l.striped():
+		return "PureMap-striped"
+	}
+	return "PureMap"
+}
+
+func (l Layout) striped() bool { return l.StripeBy != "" }
+
+// twinLogs reports a global demand-paged layout: DFTL appends translation
+// pages to a write point of their own beside the data log.
+func (l Layout) twinLogs() bool { return l.DemandPaged && !l.striped() }
+
+// countsPlaneWrites reports DLOOP's layout, which counts host writes per
+// plane for AdaptiveGC (and checkpoints the counts).
+func (l Layout) countsPlaneWrites() bool { return l.DemandPaged && l.striped() }
+
+// Config parameterizes a page-mapping FTL.
 type Config struct {
-	// GCThreshold triggers collection when a pool drops below it (default 3).
+	// Layout selects the scheme: a Preset, possibly adjusted.
+	Layout Layout
+	// CMTEntries is the SRAM mapping-cache capacity of a demand-paged layout
+	// (default 4096).
+	CMTEntries int
+	// GCThreshold triggers garbage collection when a pool (the plane's, or
+	// the device's on a global layout) drops below it (the paper uses 3).
 	GCThreshold int
-	// ExtraPerPlane matches the over-provisioning of the other FTLs.
+	// ExtraPerPlane is the number of over-provisioned blocks per plane,
+	// excluded from the exported capacity (§III.C).
 	ExtraPerPlane int
-	// Striped selects DLOOP-style placement (equation (1), per-plane pools,
-	// copy-back GC). False selects DFTL-style plane-oblivious appending
-	// with external GC moves.
-	Striped bool
+	// AdaptiveGC is the E7 extension (the paper's future work) on DLOOP's
+	// layout: planes that absorb a larger share of the write traffic keep
+	// proportionally more free blocks, collecting earlier to smooth their
+	// latency.
+	AdaptiveGC bool
 	// GCPolicy selects the garbage-collection victim policy (default
-	// "greedy"; see gc.ParsePolicy for the alternatives).
+	// "greedy", the paper's max-invalid pick; see gc.ParsePolicy for the
+	// alternatives).
 	GCPolicy string
+	// TranslatePolicy selects the address-translation policy of a
+	// demand-paged layout (default "slru"; see translate.ParsePolicy).
+	TranslatePolicy string
 }
 
 func (c *Config) setDefaults() {
+	if c.CMTEntries == 0 {
+		c.CMTEntries = 4096
+	}
 	if c.GCThreshold == 0 {
 		c.GCThreshold = 3
 	}
 }
 
-// Stats exposes the ideal FTL's counters.
+// Stats exposes counters beyond what the device records.
 type Stats struct {
-	GCRuns      int64
-	GCMoves     int64
-	ParityWaste int64
+	GCRuns      int64 // garbage collections completed
+	GCMoves     int64 // valid pages relocated by GC
+	ParityWaste int64 // free pages wasted to satisfy the same-parity rule
+	MapperStats translate.Stats
 }
 
 type writePoint struct {
@@ -56,30 +147,45 @@ type writePoint struct {
 	active bool
 }
 
-// PureMap is the ideal page-mapping FTL. Not safe for concurrent use.
-type PureMap struct {
+// FTL is a page-mapping FTL. Not safe for concurrent use.
+type FTL struct {
 	dev      *flash.Device
 	geo      flash.Geometry
 	cfg      Config
 	capacity ftl.LPN
 
-	table   flash.PPNMap
+	mapper  *translate.Engine // demand-paged layouts
+	table   flash.PPNMap      // the ideal SRAM table otherwise
 	pool    *ftl.FreeBlocks
 	tracker *ftl.Tracker
-	cur     []writePoint // per plane when striped; index 0 otherwise
-	engine  *gc.Engine   // owns the collect loop and reentrancy guards
+	// cur holds the write points: one per plane on a striped layout; DFTL's
+	// data and translation logs; PureMap's one log in slot 0 of a
+	// planes-long list, the shape its checkpoint has always had.
+	cur    []writePoint
+	engine *gc.Engine // owns the collect loop and reentrancy guards
 
-	rec obs.Recorder // nil when observability is disabled
+	perm []int // striping permutation: LPN mod planes -> plane; nil when global
+
+	planeWrites []int64 // host write pages per plane, drives AdaptiveGC
+	totalWrites int64
 }
 
-// New builds an ideal page-mapping FTL over dev.
-func New(dev *flash.Device, cfg Config) (*PureMap, error) {
+// New builds a page-mapping FTL over dev.
+func New(dev *flash.Device, cfg Config) (*FTL, error) {
 	cfg.setDefaults()
 	geo := dev.Geometry()
-	if cfg.ExtraPerPlane < cfg.GCThreshold+1 || cfg.ExtraPerPlane >= geo.BlocksPerPlane {
-		return nil, fmt.Errorf("pagemap: bad ExtraPerPlane %d", cfg.ExtraPerPlane)
+	l := cfg.Layout
+	if cfg.ExtraPerPlane < cfg.GCThreshold+1 {
+		return nil, fmt.Errorf("pagemap: ExtraPerPlane %d must exceed GCThreshold %d",
+			cfg.ExtraPerPlane, cfg.GCThreshold)
 	}
-	f := &PureMap{
+	if cfg.ExtraPerPlane >= geo.BlocksPerPlane {
+		return nil, fmt.Errorf("pagemap: ExtraPerPlane %d leaves no data blocks", cfg.ExtraPerPlane)
+	}
+	if cfg.AdaptiveGC && !l.countsPlaneWrites() {
+		return nil, fmt.Errorf("pagemap: AdaptiveGC needs DLOOP's layout, not %s's", l.Name())
+	}
+	f := &FTL{
 		dev:      dev,
 		geo:      geo,
 		cfg:      cfg,
@@ -88,7 +194,41 @@ func New(dev *flash.Device, cfg Config) (*PureMap, error) {
 		tracker:  ftl.NewTracker(geo),
 		cur:      make([]writePoint, geo.Planes()),
 	}
-	f.table = make(flash.PPNMap, f.capacity)
+	if l.twinLogs() {
+		f.cur = make([]writePoint, 2)
+	}
+	if l.countsPlaneWrites() {
+		f.planeWrites = make([]int64, geo.Planes())
+	}
+	var err error
+	if l.striped() {
+		if f.perm, err = stripePermutation(geo, l.StripeBy); err != nil {
+			return nil, err
+		}
+	}
+	if l.DemandPaged {
+		tpol, err := translate.ParsePolicy(cfg.TranslatePolicy)
+		if err != nil {
+			return nil, err
+		}
+		// Striping puts same-plane logical neighbors #planes apart, so the
+		// learned index trains one plane's progression at a time; a global
+		// log appends consecutive LPNs to consecutive pages.
+		stride := 1
+		if l.striped() {
+			stride = geo.Planes()
+		}
+		f.mapper, err = translate.NewEngine(translate.Config{
+			Dev: dev, Placer: f, Tracker: f.tracker,
+			Capacity: f.capacity, CMTEntries: cfg.CMTEntries, Policy: tpol,
+			StrideHint: stride,
+		})
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		f.table = make(flash.PPNMap, f.capacity)
+	}
 	name := cfg.GCPolicy
 	if name == "" {
 		name = gc.DefaultPagePolicy
@@ -97,92 +237,122 @@ func New(dev *flash.Device, cfg Config) (*PureMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	style := gc.MoveExternalParity
-	if cfg.Striped {
-		style = gc.MoveCopyBack
-	}
 	f.engine = gc.NewEngine(gc.Config{
-		Dev:           dev,
-		Policy:        policy,
-		Tracker:       f.tracker,
-		Scheme:        hooks{f},
-		PerPlane:      cfg.Striped,
-		ProgressGuard: true,
-		Style:         style,
-		// Unlike DLOOP, the striped ideal always wastes on parity mismatch
-		// (no low-space external fallback), so LowSpaceExternal stays false.
+		Dev:              dev,
+		Policy:           policy,
+		Tracker:          f.tracker,
+		Scheme:           hooks{f},
+		PerPlane:         l.striped(),
+		Style:            l.Moves,
+		LowSpaceExternal: l.LowSpaceExternal,
 	})
 	return f, nil
 }
 
 // Name implements ftl.FTL.
-func (f *PureMap) Name() string {
-	if f.cfg.Striped {
-		return "PureMap-striped"
-	}
-	return "PureMap"
-}
+func (f *FTL) Name() string { return f.cfg.Layout.Name() }
 
 // Capacity implements ftl.FTL.
-func (f *PureMap) Capacity() ftl.LPN { return f.capacity }
+func (f *FTL) Capacity() ftl.LPN { return f.capacity }
 
-// Stats returns the ideal FTL's counters, derived from the GC engine.
-func (f *PureMap) Stats() Stats {
+// Stats returns the internal counters, derived from the GC engine and the
+// translation engine.
+func (f *FTL) Stats() Stats {
 	es := f.engine.Stats()
-	return Stats{GCRuns: es.Runs, GCMoves: es.Moves, ParityWaste: es.ParityWaste}
+	s := Stats{GCRuns: es.Runs, GCMoves: es.Moves, ParityWaste: es.ParityWaste}
+	if f.mapper != nil {
+		s.MapperStats = f.mapper.Stats()
+	}
+	return s
 }
 
 // GCPolicyName reports the victim-selection policy in effect.
-func (f *PureMap) GCPolicyName() string { return f.engine.PolicyName() }
+func (f *FTL) GCPolicyName() string { return f.engine.PolicyName() }
 
-// SetRecorder implements ftl.Observable. PureMap has no CMT, so only GC
-// spans and parity-waste events flow.
-func (f *PureMap) SetRecorder(r obs.Recorder) {
-	f.rec = r
+// TranslatePolicyName reports the address-translation policy in effect
+// (empty for the ideal table).
+func (f *FTL) TranslatePolicyName() string {
+	if f.mapper == nil {
+		return ""
+	}
+	return f.mapper.Policy().String()
+}
+
+// LearnedSegments reports the learned index's live segment count (0 unless
+// the learned translation policy is active).
+func (f *FTL) LearnedSegments() int {
+	if f.mapper == nil {
+		return 0
+	}
+	return f.mapper.LearnedSegments()
+}
+
+// CMTHitRate reports the mapping-cache hit rate, hits and misses (all zero
+// for the ideal table).
+func (f *FTL) CMTHitRate() (float64, int64, int64) {
+	if f.mapper == nil {
+		return 0, 0, 0
+	}
+	return f.mapper.Cache.HitRate()
+}
+
+// SetRecorder implements ftl.Observable: GC spans and parity-waste events
+// flow from the GC engine, CMT events from the translation engine.
+func (f *FTL) SetRecorder(r obs.Recorder) {
+	if f.mapper != nil {
+		f.mapper.SetRecorder(r)
+	}
 	f.engine.SetRecorder(r)
 }
 
-// Lookup returns the current physical page of lpn without side effects.
-func (f *PureMap) Lookup(lpn ftl.LPN) flash.PPN {
-	if ftl.CheckLPN(lpn, f.capacity) != nil {
+// Lookup returns the current physical page of lpn without charging simulated
+// time or perturbing the CMT; tests and consistency checks use it.
+func (f *FTL) Lookup(lpn ftl.LPN) flash.PPN {
+	if err := ftl.CheckLPN(lpn, f.capacity); err != nil {
 		return flash.InvalidPPN
+	}
+	return f.ppn(lpn)
+}
+
+func (f *FTL) ppn(lpn ftl.LPN) flash.PPN {
+	if f.mapper != nil {
+		return f.mapper.PPN(lpn)
 	}
 	return f.table.Get(int64(lpn))
 }
 
-func (f *PureMap) planeFor(lpn ftl.LPN) int {
-	if f.cfg.Striped {
-		return int(int64(lpn) % int64(f.geo.Planes()))
-	}
-	return 0 // single global write point, stored in cur[pb.Plane] of its block
-}
-
-// ReadPage implements ftl.FTL. Translation is free: the table is in SRAM.
-func (f *PureMap) ReadPage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
+// ReadPage implements ftl.FTL.
+func (f *FTL) ReadPage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err := ftl.CheckLPN(lpn, f.capacity); err != nil {
 		return 0, err
 	}
-	ppn := f.table.Get(int64(lpn))
-	if ppn == flash.InvalidPPN {
-		return ready, nil
+	t := ready
+	if f.mapper != nil {
+		var err error
+		if t, err = f.mapper.Resolve(lpn, ready); err != nil {
+			return 0, err
+		}
 	}
-	return f.dev.ReadPage(ppn, ready, flash.CauseHost)
+	ppn := f.ppn(lpn)
+	if ppn == flash.InvalidPPN {
+		return t, nil // never written: controller answers with zeros
+	}
+	return f.dev.ReadPage(ppn, t, flash.CauseHost)
 }
 
 // WritePage implements ftl.FTL.
-func (f *PureMap) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
+func (f *FTL) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err := ftl.CheckLPN(lpn, f.capacity); err != nil {
 		return 0, err
 	}
 	t := ready
 	var err error
-	if f.engine.Idle(f.planeFor(lpn)) {
-		t, err = f.engine.MaybeCollect(f.planeFor(lpn), t)
-		if err != nil {
+	if f.mapper != nil {
+		if t, err = f.mapper.Resolve(lpn, ready); err != nil {
 			return 0, err
 		}
 	}
-	ppn, err := f.nextFreePage(f.planeFor(lpn))
+	ppn, t, err := f.PlacePage(int64(lpn), t)
 	if err != nil {
 		return 0, err
 	}
@@ -190,21 +360,114 @@ func (f *PureMap) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	if old := f.table.Get(int64(lpn)); old != flash.InvalidPPN {
-		if err := f.dev.Invalidate(old); err != nil {
+	if f.mapper != nil {
+		if _, err := f.mapper.RecordWrite(lpn, ppn); err != nil {
 			return 0, err
 		}
-		f.tracker.Invalidated(f.dev.BlockOf(old))
+	} else {
+		if old := f.table.Get(int64(lpn)); old != flash.InvalidPPN {
+			if err := f.dev.Invalidate(old); err != nil {
+				return 0, err
+			}
+			f.tracker.Invalidated(f.dev.BlockOf(old))
+		}
+		f.table.Set(int64(lpn), ppn)
 	}
-	f.table.Set(int64(lpn), ppn)
+	if f.planeWrites != nil {
+		f.planeWrites[f.dev.PlaneOf(ppn)]++
+		f.totalWrites++
+	}
 	return end, nil
 }
 
-// nextFreePage advances a write point. In striped mode `wp` is the plane;
-// unstriped mode uses a single global write point (slot 0) drawing from any
-// plane in plane-major order.
-func (f *PureMap) nextFreePage(wpIdx int) (flash.PPN, error) {
-	wp := &f.cur[wpIdx]
+// slotFor returns the write point a stored tag (an LPN or an encoded
+// translation-page number) appends to: its plane under equation (1) — or
+// the analogous striping of translation pages — on a striped layout, the
+// data or translation log on a global one.
+func (f *FTL) slotFor(stored int64) int {
+	trans := ftl.IsTrans(stored)
+	if f.perm == nil {
+		if trans {
+			return 1
+		}
+		return 0
+	}
+	if trans {
+		stored = ftl.DecodeTrans(stored)
+	}
+	return f.perm[stored%int64(f.geo.Planes())]
+}
+
+// PlacePage implements ftl.Placer: it appends the page to its write point,
+// collecting garbage first if the write point's pool has dropped below
+// threshold.
+func (f *FTL) PlacePage(stored int64, ready sim.Time) (flash.PPN, sim.Time, error) {
+	slot := f.slotFor(stored)
+	unit := slot // the plane a striped layout collects
+	if f.perm == nil {
+		unit = 0
+	}
+	t := ready
+	// Collections allocate destination pages directly and never place
+	// through this path (GC mapping redirects are lazy), so the engine's
+	// idle guard is pure defense against reentry.
+	if f.engine.Idle(unit) {
+		var err error
+		t, err = f.engine.MaybeCollect(unit, t)
+		if err != nil {
+			return flash.InvalidPPN, 0, err
+		}
+	}
+	ppn, err := f.nextFreePage(slot)
+	if err != nil {
+		return flash.InvalidPPN, 0, err
+	}
+	return ppn, t, nil
+}
+
+// thresholdFor returns the plane's GC trigger level. With AdaptiveGC, planes
+// carrying more than their fair share of writes keep up to 3x the base
+// threshold in free blocks.
+func (f *FTL) thresholdFor(plane int) int {
+	base := f.cfg.GCThreshold
+	if !f.cfg.AdaptiveGC || f.totalWrites == 0 {
+		return base
+	}
+	share := float64(f.planeWrites[plane]) / float64(f.totalWrites) * float64(f.geo.Planes())
+	thr := int(float64(base) * share)
+	if thr < base {
+		return base
+	}
+	if max := 3 * base; thr > max {
+		return max
+	}
+	return thr
+}
+
+// freePages counts the writable pages available to a collection unit: whole
+// free blocks in its pool plus the unwritten tails of its open blocks.
+func (f *FTL) freePages(plane int) int {
+	if f.perm != nil {
+		n := f.pool.InPlane(plane) * f.geo.PagesPerBlock
+		if wp := &f.cur[plane]; wp.active {
+			n += f.geo.PagesPerBlock - wp.next
+		}
+		return n
+	}
+	n := f.pool.Total() * f.geo.PagesPerBlock
+	for _, wp := range f.cur {
+		if wp.active {
+			n += f.geo.PagesPerBlock - wp.next
+		}
+	}
+	return n
+}
+
+// nextFreePage advances a write point, opening a new free block — from its
+// plane's pool, or plane-major from the global one — when the current one
+// fills.
+func (f *FTL) nextFreePage(slot int) (flash.PPN, error) {
+	wp := &f.cur[slot]
 	if wp.active && wp.next >= f.geo.PagesPerBlock {
 		f.tracker.Close(wp.pb)
 		wp.active = false
@@ -212,13 +475,13 @@ func (f *PureMap) nextFreePage(wpIdx int) (flash.PPN, error) {
 	if !wp.active {
 		var pb flash.PlaneBlock
 		var ok bool
-		if f.cfg.Striped {
-			pb, ok = f.pool.TakeFromPlane(wpIdx)
+		if f.perm != nil {
+			pb, ok = f.pool.TakeFromPlane(slot)
 		} else {
 			pb, ok = f.pool.TakeAny()
 		}
 		if !ok {
-			return flash.InvalidPPN, fmt.Errorf("pagemap: free blocks exhausted (capacity overcommitted)")
+			return flash.InvalidPPN, fmt.Errorf("pagemap: %s write point %d exhausted (capacity overcommitted)", f.Name(), slot)
 		}
 		wp.pb, wp.next, wp.active = pb, 0, true
 	}
@@ -227,58 +490,44 @@ func (f *PureMap) nextFreePage(wpIdx int) (flash.PPN, error) {
 	return ppn, nil
 }
 
-// destParity returns the in-block parity of the next page the plane's write
-// point will hand out (a fresh block starts at even offset 0).
-func (f *PureMap) destParity(plane int) int {
-	wp := &f.cur[plane]
-	if !wp.active || wp.next >= f.geo.PagesPerBlock {
+// hooks adapts the pools, thresholds and write points to the GC engine's
+// Scheme surface. The engine owns the collect loop (victim pick, moves in
+// the layout's style, erase accounting, §III.C); the FTL supplies
+// placement.
+type hooks struct{ f *FTL }
+
+func (h hooks) PoolLow(plane int) bool {
+	if h.f.perm == nil {
+		return h.f.pool.Total() < h.f.cfg.GCThreshold
+	}
+	return h.f.pool.InPlane(plane) < h.f.thresholdFor(plane)
+}
+
+func (h hooks) FreePages(plane int) int { return h.f.freePages(plane) }
+
+// DestParity returns the in-block offset parity of the next page the
+// plane's write point will hand out, mirroring nextFreePage's roll-over to a
+// fresh block (whose first page is offset 0, even).
+func (h hooks) DestParity(plane int) int {
+	wp := &h.f.cur[plane]
+	if !wp.active || wp.next >= h.f.geo.PagesPerBlock {
 		return 0
 	}
 	return wp.next % 2
 }
 
-func (f *PureMap) poolLow(plane int) bool {
-	if f.cfg.Striped {
-		return f.pool.InPlane(plane) < f.cfg.GCThreshold
-	}
-	return f.pool.Total() < f.cfg.GCThreshold
-}
-
-// freePages counts writable pages available to a write point's pool.
-func (f *PureMap) freePages(plane int) int {
-	var n int
-	if f.cfg.Striped {
-		n = f.pool.InPlane(plane) * f.geo.PagesPerBlock
-		if wp := &f.cur[plane]; wp.active {
-			n += f.geo.PagesPerBlock - wp.next
-		}
-	} else {
-		n = f.pool.Total() * f.geo.PagesPerBlock
-		if wp := &f.cur[0]; wp.active {
-			n += f.geo.PagesPerBlock - wp.next
-		}
-	}
-	return n
-}
-
-// hooks adapts PureMap's pools and write points to the GC engine's Scheme
-// surface. Striped mode collects per plane with copy-back (always wasting on
-// parity mismatch); unstriped mode collects globally with external moves.
-type hooks struct{ f *PureMap }
-
-func (h hooks) PoolLow(plane int) bool { return h.f.poolLow(plane) }
-
-func (h hooks) FreePages(plane int) int { return h.f.freePages(plane) }
-
-func (h hooks) DestParity(plane int) int { return h.f.destParity(plane) }
-
 func (h hooks) NextDest(plane int, stored int64) (flash.PPN, error) {
-	// Striped collections pass the victim's plane; unstriped ones pass 0,
-	// which is exactly the global write point's slot.
+	if h.f.perm == nil {
+		plane = h.f.slotFor(stored) // the data or translation log
+	}
+	// Striping already put the victim's pages on its plane.
 	return h.f.nextFreePage(plane)
 }
 
 func (h hooks) Redirect(moved []ftl.Moved, at sim.Time) (sim.Time, error) {
+	if h.f.mapper != nil {
+		return h.f.mapper.RedirectMoved(moved, at)
+	}
 	for _, mv := range moved {
 		h.f.table.Set(mv.Stored, mv.New) // translation is free: the table is SRAM
 	}

@@ -7,31 +7,55 @@ import (
 	"dloop/internal/ftl"
 )
 
-// NewRecovered rebuilds the ideal page-mapping FTL from an existing device's
-// out-of-band page tags after a simulated power loss. The full table is
-// reconstructed by the scan; partial blocks resume as write points (one per
-// plane when striped, one global otherwise).
-func NewRecovered(dev *flash.Device, cfg Config) (*PureMap, error) {
+// NewRecovered builds a page-mapping FTL from an existing device's state by
+// scanning the out-of-band page tags, the way a controller rebuilds its
+// mapping after power loss. The CMT starts cold. Partially-written blocks
+// resume as write points: their plane's on a striped layout, where a plane
+// holds at most one. A global layout keeps one log, or DFTL's two (data and
+// translation); recovery cannot tell from page state alone which partial
+// block served which role, so it resumes them in scan order — both roles
+// only append, so the assignment does not affect correctness.
+func NewRecovered(dev *flash.Device, cfg Config) (*FTL, error) {
 	f, err := New(dev, cfg)
 	if err != nil {
 		return nil, err
 	}
-	st, err := ftl.ScanOOB(dev, f.capacity, 0)
+	transPages := 0
+	if f.mapper != nil {
+		transPages = f.mapper.TranslationPages()
+	}
+	st, err := ftl.ScanOOB(dev, f.capacity, transPages)
 	if err != nil {
 		return nil, err
 	}
-	copy(f.table, st.Table)
+	// The mapper and the GC engine must work through the recovered tracker,
+	// not the one New wired up.
+	if f.mapper != nil {
+		if err := f.mapper.AdoptState(st.Table, st.GTD); err != nil {
+			return nil, err
+		}
+		f.mapper.Retarget(f, st.Tracker)
+	} else {
+		copy(f.table, st.Table)
+	}
 	f.pool = st.Pool
 	f.tracker = st.Tracker
 	f.engine.Retarget(st.Tracker)
-	for _, p := range st.Partial {
-		slot := 0
-		if f.cfg.Striped {
+	logs := 1
+	if cfg.Layout.twinLogs() {
+		logs = 2
+	}
+	if f.perm == nil && len(st.Partial) > logs {
+		return nil, fmt.Errorf("pagemap: recovery found %d partial blocks, want at most %d", len(st.Partial), logs)
+	}
+	for i, p := range st.Partial {
+		slot := i
+		if f.perm != nil {
 			slot = p.PB.Plane
 		}
 		wp := &f.cur[slot]
 		if wp.active {
-			return nil, fmt.Errorf("pagemap: recovery found two partial blocks for write point %d", slot)
+			return nil, fmt.Errorf("pagemap: recovery found two partial blocks on plane %d", slot)
 		}
 		wp.pb, wp.next, wp.active = p.PB, p.NextWrite, true
 	}

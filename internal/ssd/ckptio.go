@@ -9,8 +9,6 @@ import (
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/bast"
-	"dloop/internal/ftl/dftl"
-	"dloop/internal/ftl/dloop"
 	"dloop/internal/ftl/fast"
 	"dloop/internal/ftl/pagemap"
 	"dloop/internal/sim"
@@ -128,32 +126,25 @@ func (c *Controller) DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // every scheme a controller can run has a codec here.
 func encodeFTLState(w *ckpt.Writer, scheme string, st any) error {
 	switch scheme {
-	case SchemeDLOOP:
-		return dloop.EncodeState(w, st)
-	case SchemeDFTL:
-		return dftl.EncodeState(w, st)
+	case SchemeDLOOP, SchemeDFTL, SchemePureMap, SchemePureMapStriped:
+		return pagemap.EncodeState(w, st)
 	case SchemeFAST:
 		return fast.EncodeState(w, st)
 	case SchemeBAST:
 		return bast.EncodeState(w, st)
-	case SchemePureMap, SchemePureMapStriped:
-		return pagemap.EncodeState(w, st)
 	}
 	return fmt.Errorf("ssd: no checkpoint codec for FTL %q", scheme)
 }
 
 func decodeFTLState(r *ckpt.Reader, scheme string) any {
 	switch scheme {
-	case SchemeDLOOP:
-		return dloop.DecodeState(r)
-	case SchemeDFTL:
-		return dftl.DecodeState(r)
+	case SchemeDLOOP, SchemeDFTL, SchemePureMap, SchemePureMapStriped:
+		l, _ := pagemap.Preset(scheme)
+		return pagemap.DecodeState(r, l)
 	case SchemeFAST:
 		return fast.DecodeState(r)
 	case SchemeBAST:
 		return bast.DecodeState(r)
-	case SchemePureMap, SchemePureMapStriped:
-		return pagemap.DecodeState(r)
 	}
 	r.Failf("ssd: no checkpoint codec for FTL %q", scheme)
 	return nil

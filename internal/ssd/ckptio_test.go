@@ -423,7 +423,7 @@ func TestCheckpointBytesStable(t *testing.T) {
 // more than a small multiple of the bytes it was given: every count is
 // checked against the bytes left before it sizes anything.
 func TestDecodeFTLStateCountSweep(t *testing.T) {
-	for _, scheme := range []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap} {
+	for _, scheme := range []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap, SchemePureMapStriped} {
 		t.Run(scheme, func(t *testing.T) {
 			c, err := Build(tinyConfig(scheme))
 			if err != nil {

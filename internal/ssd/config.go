@@ -11,16 +11,16 @@ import (
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/bast"
-	"dloop/internal/ftl/dftl"
-	"dloop/internal/ftl/dloop"
 	"dloop/internal/ftl/fast"
+	"dloop/internal/ftl/gc"
 	"dloop/internal/ftl/pagemap"
 	"dloop/internal/ftl/translate"
 )
 
 // FTL scheme names accepted by Config.FTL. The paper evaluates the first
 // three; the PureMap pair are idealized all-in-SRAM page maps used as upper
-// bounds (see internal/ftl/pagemap).
+// bounds. DLOOP, DFTL and the PureMap pair are presets of the one
+// page-mapping FTL in internal/ftl/pagemap.
 const (
 	SchemeDLOOP          = "DLOOP"
 	SchemeDFTL           = "DFTL"
@@ -218,25 +218,8 @@ func resolveGeometry(cfg Config) (flash.Geometry, int, error) {
 // buildFTL constructs the configured FTL scheme, fresh, over dev.
 func buildFTL(dev *flash.Device, cfg Config, extra int) (ftl.FTL, error) {
 	switch cfg.FTL {
-	case SchemeDLOOP:
-		return dloop.New(dev, dloop.Config{
-			CMTEntries:      cfg.CMTEntries,
-			TranslatePolicy: cfg.TranslatePolicy,
-			GCThreshold:     cfg.GCThreshold,
-			ExtraPerPlane:   extra,
-			DisableCopyBack: cfg.DisableCopyBack,
-			AdaptiveGC:      cfg.AdaptiveGC,
-			StripeBy:        dloop.Striping(cfg.StripeBy),
-			GCPolicy:        cfg.GCPolicy,
-		})
-	case SchemeDFTL:
-		return dftl.New(dev, dftl.Config{
-			CMTEntries:      cfg.CMTEntries,
-			TranslatePolicy: cfg.TranslatePolicy,
-			GCThreshold:     cfg.GCThreshold,
-			ExtraPerPlane:   extra,
-			GCPolicy:        cfg.GCPolicy,
-		})
+	case SchemeDLOOP, SchemeDFTL, SchemePureMap, SchemePureMapStriped:
+		return pagemap.New(dev, pageMapConfig(cfg, extra))
 	case SchemeFAST:
 		return fast.New(dev, fast.Config{
 			ExtraPerPlane: extra,
@@ -249,13 +232,6 @@ func buildFTL(dev *flash.Device, cfg Config, extra int) (ftl.FTL, error) {
 			LogBlocks:     cfg.LogBlocks,
 			GCPolicy:      cfg.GCPolicy,
 		})
-	case SchemePureMap, SchemePureMapStriped:
-		return pagemap.New(dev, pagemap.Config{
-			GCThreshold:   cfg.GCThreshold,
-			ExtraPerPlane: extra,
-			Striped:       cfg.FTL == SchemePureMapStriped,
-			GCPolicy:      cfg.GCPolicy,
-		})
 	}
 	return nil, fmt.Errorf("ssd: unknown FTL %q (want %v)", cfg.FTL, Schemes())
 }
@@ -264,25 +240,8 @@ func buildFTL(dev *flash.Device, cfg Config, extra int) (ftl.FTL, error) {
 // out-of-band page tags (each scheme's NewRecovered).
 func recoverFTL(dev *flash.Device, cfg Config, extra int) (ftl.FTL, error) {
 	switch cfg.FTL {
-	case SchemeDLOOP:
-		return dloop.NewRecovered(dev, dloop.Config{
-			CMTEntries:      cfg.CMTEntries,
-			TranslatePolicy: cfg.TranslatePolicy,
-			GCThreshold:     cfg.GCThreshold,
-			ExtraPerPlane:   extra,
-			DisableCopyBack: cfg.DisableCopyBack,
-			AdaptiveGC:      cfg.AdaptiveGC,
-			StripeBy:        dloop.Striping(cfg.StripeBy),
-			GCPolicy:        cfg.GCPolicy,
-		})
-	case SchemeDFTL:
-		return dftl.NewRecovered(dev, dftl.Config{
-			CMTEntries:      cfg.CMTEntries,
-			TranslatePolicy: cfg.TranslatePolicy,
-			GCThreshold:     cfg.GCThreshold,
-			ExtraPerPlane:   extra,
-			GCPolicy:        cfg.GCPolicy,
-		})
+	case SchemeDLOOP, SchemeDFTL, SchemePureMap, SchemePureMapStriped:
+		return pagemap.NewRecovered(dev, pageMapConfig(cfg, extra))
 	case SchemeFAST:
 		return fast.NewRecovered(dev, fast.Config{
 			ExtraPerPlane: extra,
@@ -295,15 +254,29 @@ func recoverFTL(dev *flash.Device, cfg Config, extra int) (ftl.FTL, error) {
 			LogBlocks:     cfg.LogBlocks,
 			GCPolicy:      cfg.GCPolicy,
 		})
-	case SchemePureMap, SchemePureMapStriped:
-		return pagemap.NewRecovered(dev, pagemap.Config{
-			GCThreshold:   cfg.GCThreshold,
-			ExtraPerPlane: extra,
-			Striped:       cfg.FTL == SchemePureMapStriped,
-			GCPolicy:      cfg.GCPolicy,
-		})
 	}
 	return nil, fmt.Errorf("ssd: unknown FTL %q (want %v)", cfg.FTL, Schemes())
+}
+
+// pageMapConfig maps a page-mapping scheme to its preset layout, adjusted
+// by DLOOP's ablation settings (Build rejects them on the other schemes).
+func pageMapConfig(cfg Config, extra int) pagemap.Config {
+	l, _ := pagemap.Preset(cfg.FTL)
+	if cfg.DisableCopyBack {
+		l.Moves = gc.MoveExternalParity
+	}
+	if cfg.StripeBy != "" {
+		l.StripeBy = pagemap.Striping(cfg.StripeBy)
+	}
+	return pagemap.Config{
+		Layout:          l,
+		CMTEntries:      cfg.CMTEntries,
+		TranslatePolicy: cfg.TranslatePolicy,
+		GCThreshold:     cfg.GCThreshold,
+		ExtraPerPlane:   extra,
+		AdaptiveGC:      cfg.AdaptiveGC,
+		GCPolicy:        cfg.GCPolicy,
+	}
 }
 
 // Build constructs the device and FTL described by cfg — or, with
@@ -315,11 +288,12 @@ func Build(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("ssd: %w", err)
 	}
 	if p := cfg.TranslatePolicy; p != "" && p != translate.DefaultPolicy {
-		switch cfg.FTL {
-		case SchemeDLOOP, SchemeDFTL, "":
-		default:
+		if l, _ := pagemap.Preset(cfg.FTL); !l.DemandPaged {
 			return nil, fmt.Errorf("ssd: translate policy %q needs a demand-paged scheme (DLOOP or DFTL), not %s", p, cfg.FTL)
 		}
+	}
+	if cfg.FTL != SchemeDLOOP && (cfg.DisableCopyBack || cfg.AdaptiveGC || cfg.StripeBy != "") {
+		return nil, fmt.Errorf("ssd: DisableCopyBack, AdaptiveGC and StripeBy apply to DLOOP only, not %s", cfg.FTL)
 	}
 	geo, extra, err := resolveGeometry(cfg)
 	if err != nil {

@@ -9,8 +9,6 @@ import (
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/bast"
-	"dloop/internal/ftl/dftl"
-	"dloop/internal/ftl/dloop"
 	"dloop/internal/ftl/fast"
 	"dloop/internal/ftl/pagemap"
 	"dloop/internal/obs"
@@ -664,26 +662,16 @@ func (c *Controller) Result() Result {
 // result. CMT hits and misses accumulate separately so the merged hit rate
 // is the whole-device ratio, not a mean of per-shard ratios.
 func addFTLStats(f ftl.FTL, res *Result, cmtHits, cmtMisses *int64) {
-	if cr, ok := f.(interface {
-		CMTHitRate() (float64, int64, int64)
-	}); ok {
-		_, h, m := cr.CMTHitRate()
+	switch f := f.(type) {
+	case *pagemap.FTL:
+		s := f.Stats()
+		res.GCRuns += s.GCRuns
+		res.TransReads += s.MapperStats.TransReads
+		res.TransWrites += s.MapperStats.TransWrites
+		res.LearnedHits += s.MapperStats.LearnedHits
+		_, h, m := f.CMTHitRate()
 		*cmtHits += h
 		*cmtMisses += m
-	}
-	switch f := f.(type) {
-	case *dloop.DLOOP:
-		s := f.Stats()
-		res.GCRuns += s.GCRuns
-		res.TransReads += s.MapperStats.TransReads
-		res.TransWrites += s.MapperStats.TransWrites
-		res.LearnedHits += s.MapperStats.LearnedHits
-	case *dftl.DFTL:
-		s := f.Stats()
-		res.GCRuns += s.GCRuns
-		res.TransReads += s.MapperStats.TransReads
-		res.TransWrites += s.MapperStats.TransWrites
-		res.LearnedHits += s.MapperStats.LearnedHits
 	case *fast.FAST:
 		s := f.Stats()
 		res.SwitchMerges += s.SwitchMerges
@@ -695,8 +683,5 @@ func addFTLStats(f ftl.FTL, res *Result, cmtHits, cmtMisses *int64) {
 		res.SwitchMerges += s.SwitchMerges
 		res.FullMerges += s.FullMerges
 		res.MergeCopies += s.MergeCopies
-	case *pagemap.PureMap:
-		s := f.Stats()
-		res.GCRuns += s.GCRuns
 	}
 }

@@ -6,32 +6,18 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
-	"dloop/internal/ftl/bast"
-	"dloop/internal/ftl/dftl"
-	"dloop/internal/ftl/dloop"
-	"dloop/internal/ftl/fast"
-	"dloop/internal/ftl/pagemap"
 	"dloop/internal/sim"
 	"dloop/internal/trace"
 )
 
-// lookupAny resolves an lpn through whichever FTL the controller carries.
-func lookupAny(t *testing.T, c *Controller, lpn ftl.LPN) flash.PPN {
+// lookup resolves an lpn through any FTL; every scheme exports Lookup.
+func lookup(t *testing.T, f ftl.FTL, lpn ftl.LPN) flash.PPN {
 	t.Helper()
-	switch f := c.FTL().(type) {
-	case *dloop.DLOOP:
-		return f.Lookup(lpn)
-	case *dftl.DFTL:
-		return f.Lookup(lpn)
-	case *fast.FAST:
-		return f.Lookup(lpn)
-	case *bast.BAST:
-		return f.Lookup(lpn)
-	case *pagemap.PureMap:
-		return f.Lookup(lpn)
+	l, ok := f.(interface{ Lookup(ftl.LPN) flash.PPN })
+	if !ok {
+		t.Fatalf("FTL %T has no Lookup", f)
 	}
-	t.Fatal("unknown FTL type")
-	return flash.InvalidPPN
+	return l.Lookup(lpn)
 }
 
 // TestCrossFTLLogicalEquivalence replays one request stream through all
@@ -50,7 +36,7 @@ func TestCrossFTLLogicalEquivalence(t *testing.T) {
 			}
 			m := make(map[ftl.LPN]bool)
 			for lpn := ftl.LPN(0); lpn < c.FTL().Capacity(); lpn++ {
-				ppn := lookupAny(t, c, lpn)
+				ppn := lookup(t, c.FTL(), lpn)
 				if ppn == flash.InvalidPPN {
 					continue
 				}
@@ -338,7 +324,7 @@ func TestControllerRecovery(t *testing.T) {
 			// even the hybrids' reconstructed (not identical) block roles must
 			// resolve every lookup to the same physical page.
 			for lpn := ftl.LPN(0); lpn < c.FTL().Capacity(); lpn++ {
-				if got, want := lookupAny(t, r, lpn), lookupAny(t, c, lpn); got != want {
+				if got, want := lookup(t, r.FTL(), lpn), lookup(t, c.FTL(), lpn); got != want {
 					t.Fatalf("lpn %d recovered %d want %d", lpn, got, want)
 				}
 			}

@@ -8,11 +8,6 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
-	"dloop/internal/ftl/bast"
-	"dloop/internal/ftl/dftl"
-	"dloop/internal/ftl/dloop"
-	"dloop/internal/ftl/fast"
-	"dloop/internal/ftl/pagemap"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
 	"dloop/internal/trace"
@@ -61,20 +56,7 @@ func buildMQ(t *testing.T, cfg Config) *Controller {
 func lookupMQ(t *testing.T, c *Controller, lpn ftl.LPN) flash.PPN {
 	t.Helper()
 	s, local := c.ShardOfLPN(lpn)
-	switch f := c.ShardFTL(s).(type) {
-	case *dloop.DLOOP:
-		return f.Lookup(local)
-	case *dftl.DFTL:
-		return f.Lookup(local)
-	case *fast.FAST:
-		return f.Lookup(local)
-	case *bast.BAST:
-		return f.Lookup(local)
-	case *pagemap.PureMap:
-		return f.Lookup(local)
-	}
-	t.Fatal("unknown FTL type")
-	return flash.InvalidPPN
+	return lookup(t, c.ShardFTL(s), local)
 }
 
 // TestMQDifferential is the randomized differential suite for the multi-queue

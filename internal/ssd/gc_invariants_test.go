@@ -87,7 +87,7 @@ func checkValidPagesMapped(t *testing.T, c *Controller) {
 					// they are owned by the mapper, not the data path.
 					continue
 				}
-				if got := lookupAny(t, c, ftl.LPN(tag)); got != ppn {
+				if got := lookup(t, c.FTL(), ftl.LPN(tag)); got != ppn {
 					t.Fatalf("valid page %d holds lpn %d, but the FTL maps it to %d", ppn, tag, got)
 				}
 			}

@@ -6,10 +6,6 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
-	"dloop/internal/ftl/bast"
-	"dloop/internal/ftl/dftl"
-	"dloop/internal/ftl/dloop"
-	"dloop/internal/ftl/fast"
 	"dloop/internal/ftl/pagemap"
 	"dloop/internal/sim"
 	"dloop/internal/trace"
@@ -136,6 +132,44 @@ func TestBuildRejectsUnknownFTL(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsDLOOPOnlySettings: DLOOP's ablation and extension settings
+// fail on every other scheme, naming it, rather than being ignored; the
+// translate-policy gate admits exactly the demand-paged schemes.
+func TestBuildRejectsDLOOPOnlySettings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"DisableCopyBack", func(c *Config) { c.DisableCopyBack = true }},
+		{"AdaptiveGC", func(c *Config) { c.AdaptiveGC = true }},
+		{"StripeBy", func(c *Config) { c.StripeBy = "channel" }},
+		{"TranslatePolicy", func(c *Config) { c.TranslatePolicy = "learned" }},
+	} {
+		for _, scheme := range allSchemes {
+			t.Run(tc.name+"/"+scheme, func(t *testing.T) {
+				cfg := tinyConfig(scheme)
+				tc.set(&cfg)
+				c, err := Build(cfg)
+				ok := scheme == SchemeDLOOP || tc.name == "TranslatePolicy" && scheme == SchemeDFTL
+				if ok {
+					if err != nil {
+						t.Fatalf("rejected: %v", err)
+					}
+					c.Close()
+					return
+				}
+				if err == nil {
+					c.Close()
+					t.Fatal("accepted")
+				}
+				if !strings.Contains(err.Error(), scheme) {
+					t.Fatalf("error %q does not name the scheme", err)
+				}
+			})
+		}
+	}
+}
+
 func TestPreconditionFillsDevice(t *testing.T) {
 	for _, scheme := range Schemes() {
 		c := buildTiny(t, scheme)
@@ -157,25 +191,9 @@ func TestPreconditionFillsDevice(t *testing.T) {
 func checkMappingConsistency(t *testing.T, c *Controller) {
 	t.Helper()
 	seen := make(map[flash.PPN]ftl.LPN)
-	lookup := func(lpn ftl.LPN) flash.PPN {
-		switch f := c.FTL().(type) {
-		case *dloop.DLOOP:
-			return f.Lookup(lpn)
-		case *dftl.DFTL:
-			return f.Lookup(lpn)
-		case *fast.FAST:
-			return f.Lookup(lpn)
-		case *bast.BAST:
-			return f.Lookup(lpn)
-		case *pagemap.PureMap:
-			return f.Lookup(lpn)
-		}
-		t.Fatal("unknown FTL type")
-		return flash.InvalidPPN
-	}
 	mapped := 0
 	for lpn := ftl.LPN(0); lpn < c.FTL().Capacity(); lpn++ {
-		ppn := lookup(lpn)
+		ppn := lookup(t, c.FTL(), lpn)
 		if ppn == flash.InvalidPPN {
 			continue
 		}
@@ -391,7 +409,7 @@ func TestDLOOPPlacementInvariant(t *testing.T) {
 	}
 	// Equation (1): every mapped data page lives on plane lpn mod planes,
 	// even after arbitrary GC activity.
-	f := c.FTL().(*dloop.DLOOP)
+	f := c.FTL().(*pagemap.FTL)
 	geo := c.Device().Geometry()
 	for lpn := ftl.LPN(0); lpn < f.Capacity(); lpn++ {
 		ppn := f.Lookup(lpn)

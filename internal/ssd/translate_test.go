@@ -77,7 +77,7 @@ func TestTranslatePolicyDifferential(t *testing.T) {
 					results[pol] = res
 					tbl := make([]flash.PPN, c.FTL().Capacity())
 					for lpn := range tbl {
-						tbl[lpn] = lookupAny(t, c, ftl.LPN(lpn))
+						tbl[lpn] = lookup(t, c.FTL(), ftl.LPN(lpn))
 					}
 					mappings[pol] = tbl
 					c.Close()
@@ -251,7 +251,7 @@ func TestTranslateRecoveryRetrainsLearned(t *testing.T) {
 				t.Fatalf("recovery kept %d learned segments; SRAM state must not survive power loss", got)
 			}
 			for lpn := ftl.LPN(0); lpn < c.FTL().Capacity(); lpn++ {
-				if got, want := lookupAny(t, r, lpn), lookupAny(t, c, lpn); got != want {
+				if got, want := lookup(t, r.FTL(), lpn), lookup(t, c.FTL(), lpn); got != want {
 					t.Fatalf("lpn %d recovered %d want %d", lpn, got, want)
 				}
 			}
