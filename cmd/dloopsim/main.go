@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		ftlName    = flag.String("ftl", "DLOOP", "FTL scheme: DLOOP|DFTL|FAST|BAST|PureMap|PureMap-striped")
+		ftlName    = flag.String("ftl", "DLOOP", "FTL scheme: DLOOP|DFTL|FAST|PureMap|PureMap-striped")
 		capacity   = flag.Int("capacity", 8, "SSD capacity in GB (4/8/16/32/64)")
 		pageKB     = flag.Int("page", 2, "page size in KB (2/4/8/16)")
 		extraPct   = flag.Float64("extra", 0.03, "extra blocks as a fraction of data blocks")
@@ -40,9 +40,8 @@ func main() {
 		adaptive   = flag.Bool("adaptive-gc", false, "DLOOP E7 extension: hot-plane-aware GC thresholds")
 		stripeBy   = flag.String("stripe-by", "", "DLOOP E8 ablation: plane|die|chip|channel")
 		gcPolicy   = flag.String("gc-policy", "", "GC victim policy: greedy|costbenefit|windowed|fifo (empty = scheme default)")
-		translate  = flag.String("translate", "", "translation policy for DLOOP/DFTL: slru|lru|learned (empty = slru)")
+		translate  = flag.String("translate", "", "translation policy for DLOOP/DFTL: slru|learned (empty = slru)")
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL (0 = default 4096); validated against the logical space")
-		bufPages   = flag.Int("buffer-pages", 0, "DRAM write buffer capacity in pages (0 = off)")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards: the logical space splits LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
 		warmCache  = flag.String("warmup-cache", "", "directory of persistent warm-up checkpoints, content-addressed by (config, footprint); matching warm-ups restore from disk instead of simulating, fresh ones are published for later runs")
 
@@ -85,7 +84,6 @@ func main() {
 		GCPolicy:        *gcPolicy,
 		TranslatePolicy: *translate,
 		CMTEntries:      *cmtEntries,
-		BufferPages:     *bufPages,
 		FTLShards:       nFTLShards,
 	}
 

@@ -34,9 +34,8 @@ func main() {
 		seed       = flag.Int64("seed", 42, "workload seed")
 		scale      = flag.Float64("scale", 1.0, "shrink device+footprint for quick runs (0,1]")
 		workers    = flag.Int("workers", 0, "concurrent runs (0 = NumCPU)")
-		cells      = flag.Int("parallel-cells", 0, "explicit worker-pool size; overrides -workers (0 = derive)")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards per cell: LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
-		translate  = flag.String("translate", "", "translation policy for the DLOOP/DFTL runs: slru|lru|learned (empty = slru; the translate experiment sweeps its own)")
+		translate  = flag.String("translate", "", "translation policy for the DLOOP/DFTL runs: slru|learned (empty = slru; the translate experiment sweeps its own)")
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL runs (0 = scheme default; the translate experiment sweeps its own)")
 		outDir     = flag.String("out", "", "directory for CSV output (optional)")
 		quiet      = flag.Bool("q", false, "suppress per-run progress")
@@ -73,7 +72,7 @@ func main() {
 
 	opt := dloop.Options{
 		Requests: *requests, Seed: *seed, Scale: *scale, Workers: *workers,
-		ParallelCells: *cells, FTLShards: nFTLShards,
+		FTLShards:       nFTLShards,
 		TranslatePolicy: *translate, CMTEntries: *cmtEntries,
 		MetricsDir: *metricsOut, TraceDir: *traceEvents, SnapshotIntervalMs: *snapshotMs,
 		NoFork: *noFork, WarmupCache: *warmCache,

@@ -33,12 +33,7 @@ type Options struct {
 	// experiment uses the same seed so FTLs see identical request streams.
 	Seed int64
 	// Workers bounds concurrent runs (default runtime.NumCPU()).
-	// ParallelCells, when set, wins.
 	Workers int
-	// ParallelCells is the explicit worker-pool size (same meaning as
-	// Workers, but set deliberately from the -parallel-cells flag rather
-	// than defaulted from GOMAXPROCS). Non-zero overrides Workers.
-	ParallelCells int
 	// FTLShards is the per-cell concurrent-FTL shard count, copied into every
 	// job's ssd.Config that does not set its own: 0/1 = single FTL,
 	// ssd.AutoShards = one shard per channel on shapes of 8+ channels.
@@ -47,8 +42,8 @@ type Options struct {
 	// should leave it zero.
 	FTLShards int
 	// TranslatePolicy, when non-empty, is copied into every demand-paged
-	// (DLOOP/DFTL) job's ssd.Config that does not set its own: "slru", "lru",
-	// or "learned" (see internal/ftl/translate). Schemes without a
+	// (DLOOP/DFTL) job's ssd.Config that does not set its own: "slru" or
+	// "learned" (see internal/ftl/translate). Schemes without a
 	// demand-paged map ignore it.
 	TranslatePolicy string
 	// CMTEntries, when non-zero, overrides the SRAM mapping-cache size for
@@ -111,9 +106,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.ParallelCells > 0 {
-		o.Workers = o.ParallelCells
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.NumCPU()

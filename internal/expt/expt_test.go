@@ -332,7 +332,7 @@ func TestRunAllPoolSizeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.ParallelCells = 2 // exercise the explicit pool-size override too
+	opt.Workers = 2
 	two, err := runAll(jobs, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -342,15 +342,9 @@ func TestRunAllPoolSizeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOptionsWorkerDerivation pins the Workers default: ParallelCells wins,
-// and otherwise the pool has one worker per CPU.
+// TestOptionsWorkerDerivation pins the Workers default: one worker per CPU.
 func TestOptionsWorkerDerivation(t *testing.T) {
-	o := Options{ParallelCells: 3, Workers: 9}
-	o.setDefaults()
-	if o.Workers != 3 {
-		t.Fatalf("ParallelCells should override Workers: got %d", o.Workers)
-	}
-	o = Options{}
+	o := Options{}
 	o.setDefaults()
 	if want := runtime.NumCPU(); o.Workers != want {
 		t.Fatalf("default Workers = %d, want %d", o.Workers, want)

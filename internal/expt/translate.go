@@ -8,9 +8,7 @@ import (
 )
 
 // TranslatePolicies lists the translation policies the E10 study compares:
-// the default segmented-LRU cache against the learned LPN→PPN index (the
-// plain-LRU baseline exists for A/B runs via -translate but adds nothing to
-// this sweep's question).
+// the default segmented-LRU cache against the learned LPN→PPN index.
 func TranslatePolicies() []string { return []string{"slru", "learned"} }
 
 // translateCMTSizes are the SRAM cache capacities E10 sweeps, honoring

@@ -27,10 +27,6 @@ type Config struct {
 	// ExtraPerPlane is the over-provisioning per plane, matching the other
 	// FTLs so every scheme exports the same capacity.
 	ExtraPerPlane int
-	// LogBlocks is the size of the log buffer (1 SW + the rest RW). Default:
-	// half the device's extra blocks, minimum 4. More over-provisioning
-	// means a larger log and later, cheaper merges — the Fig. 10 trend.
-	LogBlocks int
 	// GCPolicy selects the RW log-block eviction policy (default "fifo", the
 	// original FAST order; see gc.ParsePolicy for the alternatives).
 	GCPolicy string
@@ -51,6 +47,10 @@ type FAST struct {
 	cfg      Config
 	capacity ftl.LPN
 	lbns     int64 // logical blocks exported
+	// logBlocks is the size of the log buffer (1 SW + the rest RW): half the
+	// device's extra blocks, minimum 4. More over-provisioning means a larger
+	// log and later, cheaper merges — the Fig. 10 trend.
+	logBlocks int
 
 	pool      *ftl.FreeBlocks
 	dataBlock []int64      // lbn -> dense physical block index, -1 if none
@@ -78,15 +78,10 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 		return nil, fmt.Errorf("fast: bad ExtraPerPlane %d", cfg.ExtraPerPlane)
 	}
 	totalExtra := cfg.ExtraPerPlane * geo.Planes()
-	if cfg.LogBlocks == 0 {
-		cfg.LogBlocks = totalExtra / 2
-	}
-	if cfg.LogBlocks < 4 {
-		cfg.LogBlocks = 4
-	}
-	if cfg.LogBlocks > totalExtra-2 {
-		return nil, fmt.Errorf("fast: LogBlocks %d leaves no merge slack in %d extra blocks",
-			cfg.LogBlocks, totalExtra)
+	logBlocks := max(totalExtra/2, 4)
+	if logBlocks > totalExtra-2 {
+		return nil, fmt.Errorf("fast: a %d-block log leaves no merge slack in %d extra blocks",
+			logBlocks, totalExtra)
 	}
 	capacity := ftl.ExportedPages(geo, cfg.ExtraPerPlane)
 	f := &FAST{
@@ -95,6 +90,7 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 		cfg:       cfg,
 		capacity:  capacity,
 		lbns:      int64(capacity) / int64(geo.PagesPerBlock),
+		logBlocks: logBlocks,
 		pool:      ftl.NewFreeBlocks(geo),
 		dataBlock: make([]int64, int64(capacity)/int64(geo.PagesPerBlock)),
 		logMap:    make(flash.PPNMap, capacity),
@@ -270,7 +266,7 @@ func (f *FAST) rwWrite(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	}
 	if !f.rwActive {
 		// Respect the log-buffer budget (1 SW + RW blocks).
-		for f.LogBlocksInUse() >= f.cfg.LogBlocks {
+		for f.LogBlocksInUse() >= f.logBlocks {
 			var err error
 			t, err = f.fullMerge(t)
 			if err != nil {

@@ -17,18 +17,20 @@ func testGeo() flash.Geometry {
 	}
 }
 
-func newTestFTL(t *testing.T, cfg Config) (*FAST, *flash.Device) {
+// newTestFTL builds FAST over the test geometry with 4 extra blocks per
+// plane; logBlocks, when non-zero, shrinks the derived log budget.
+func newTestFTL(t *testing.T, logBlocks int) (*FAST, *flash.Device) {
 	t.Helper()
 	dev, err := flash.NewDevice(testGeo(), flash.DefaultTiming())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ExtraPerPlane == 0 {
-		cfg.ExtraPerPlane = 4
-	}
-	f, err := New(dev, cfg)
+	f, err := New(dev, Config{ExtraPerPlane: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if logBlocks != 0 {
+		f.logBlocks = logBlocks
 	}
 	return f, dev
 }
@@ -38,13 +40,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(dev, Config{ExtraPerPlane: 0}); err == nil {
 		t.Error("zero extra accepted")
 	}
-	if _, err := New(dev, Config{ExtraPerPlane: 1, LogBlocks: 100}); err == nil {
+	// Two planes with two extra blocks each cannot hold the minimum 4-block
+	// log plus merge slack.
+	small := testGeo()
+	small.Channels, small.ChipsPerPackage = 1, 1
+	sdev, _ := flash.NewDevice(small, flash.DefaultTiming())
+	if _, err := New(sdev, Config{ExtraPerPlane: 2}); err == nil {
 		t.Error("log exceeding extra accepted")
 	}
 }
 
 func TestInPlaceFirstWrite(t *testing.T) {
-	f, dev := newTestFTL(t, Config{})
+	f, dev := newTestFTL(t, 0)
 	geo := dev.Geometry()
 	// First writes of one logical block land at their in-block offsets of a
 	// single data block.
@@ -70,7 +77,7 @@ func TestInPlaceFirstWrite(t *testing.T) {
 }
 
 func TestUpdateGoesToLog(t *testing.T) {
-	f, dev := newTestFTL(t, Config{})
+	f, dev := newTestFTL(t, 0)
 	geo := dev.Geometry()
 	var at sim.Time
 	at, err := f.WritePage(3, at) // in-place (offset 3)
@@ -96,7 +103,7 @@ func TestUpdateGoesToLog(t *testing.T) {
 }
 
 func TestSwitchMergeOnSequentialRewrite(t *testing.T) {
-	f, dev := newTestFTL(t, Config{})
+	f, dev := newTestFTL(t, 0)
 	var at sim.Time
 	// Populate logical block 2 fully.
 	for off := 0; off < 8; off++ {
@@ -139,7 +146,7 @@ func TestSwitchMergeOnSequentialRewrite(t *testing.T) {
 }
 
 func TestPartialMergeOnInterruptedStream(t *testing.T) {
-	f, _ := newTestFTL(t, Config{})
+	f, _ := newTestFTL(t, 0)
 	var at sim.Time
 	// Populate logical blocks 1 and 2.
 	for _, lbn := range []int64{1, 2} {
@@ -180,7 +187,7 @@ func TestPartialMergeOnInterruptedStream(t *testing.T) {
 }
 
 func TestFullMergeWhenLogExhausted(t *testing.T) {
-	f, dev := newTestFTL(t, Config{LogBlocks: 4})
+	f, dev := newTestFTL(t, 4)
 	var at sim.Time
 	// Populate a spread of logical blocks.
 	for lpn := ftl.LPN(0); lpn < 96; lpn++ {
@@ -227,7 +234,7 @@ func TestFullMergeWhenLogExhausted(t *testing.T) {
 }
 
 func TestReadPaths(t *testing.T) {
-	f, _ := newTestFTL(t, Config{})
+	f, _ := newTestFTL(t, 0)
 	// Unwritten: free.
 	if end, err := f.ReadPage(50, 10); err != nil || end != 10 {
 		t.Fatalf("unwritten read: %v %v", end, err)
@@ -255,7 +262,7 @@ func TestReadPaths(t *testing.T) {
 }
 
 func TestBoundsChecking(t *testing.T) {
-	f, _ := newTestFTL(t, Config{})
+	f, _ := newTestFTL(t, 0)
 	if _, err := f.ReadPage(f.Capacity(), 0); err == nil {
 		t.Error("read beyond capacity accepted")
 	}
@@ -265,14 +272,14 @@ func TestBoundsChecking(t *testing.T) {
 }
 
 func TestCapacityMatchesOtherFTLs(t *testing.T) {
-	f, dev := newTestFTL(t, Config{})
+	f, dev := newTestFTL(t, 0)
 	if got, want := f.Capacity(), ftl.ExportedPages(dev.Geometry(), 4); got != want {
 		t.Fatalf("Capacity = %d, want %d", got, want)
 	}
 }
 
 func TestDisturbedStreamConsolidates(t *testing.T) {
-	f, _ := newTestFTL(t, Config{})
+	f, _ := newTestFTL(t, 0)
 	var at sim.Time
 	// Populate logical blocks 1 and 2 (block 2 must exist so its offset-0
 	// update below goes through the log path and displaces the SW log).
@@ -316,7 +323,7 @@ func TestDisturbedStreamConsolidates(t *testing.T) {
 }
 
 func TestSWLogFullySupersededIsJustErased(t *testing.T) {
-	f, dev := newTestFTL(t, Config{LogBlocks: 6})
+	f, dev := newTestFTL(t, 6)
 	var at sim.Time
 	// Populate logical block 1, start its SW stream (offsets 0..1).
 	for off := 0; off < 8; off++ {
@@ -375,7 +382,7 @@ func TestSWLogFullySupersededIsJustErased(t *testing.T) {
 // steady state: random single-page updates force partial and full merges,
 // whose victim-candidate list is scratch the FTL keeps.
 func TestMergesAllocFree(t *testing.T) {
-	f, _ := newTestFTL(t, Config{})
+	f, _ := newTestFTL(t, 0)
 	rng := rand.New(rand.NewSource(1))
 	var at sim.Time
 	batch := func() {

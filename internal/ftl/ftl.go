@@ -3,7 +3,7 @@
 // free-block pools, the SRAM cached mapping table (CMT, segmented LRU), the
 // global translation directory (GTD), and the demand-paging of translation
 // pages. The page-mapping schemes (DLOOP, DFTL, PureMap) are presets of the
-// one FTL in subpackage pagemap; the hybrids live in fast and bast.
+// one FTL in subpackage pagemap; the hybrid FAST lives in fast.
 package ftl
 
 import (

@@ -31,8 +31,8 @@ type Candidate struct {
 	// for log-block lists it is the reverse list position.
 	Age int64
 	// Key is a scheme-private handle identifying the candidate to its owner
-	// (a log-list index for FAST, a logical block number for BAST). The
-	// engine and policies carry it through untouched.
+	// (a log-list index for FAST). The engine and policies carry it through
+	// untouched.
 	Key int64
 }
 
@@ -180,8 +180,7 @@ func (p windowed) Pick(src Source, plane int) (Candidate, bool) {
 }
 
 // fifo picks the oldest candidate regardless of utilization — the seed
-// eviction order of the hybrid log schemes (FAST's rwFull[0], BAST's
-// logOrder[0]).
+// eviction order of FAST's log (rwFull[0]).
 type fifo struct{}
 
 func (fifo) Name() string { return "fifo" }

@@ -15,8 +15,7 @@ import (
 // In its default segmented-LRU mode it keeps a probationary segment for
 // entries seen once and a protected segment for entries hit again; victims
 // come from the probationary tail, so scan-like bursts cannot flush the hot
-// set. The plain mode (PolicyLRU) collapses both segments into one recency
-// list — every hit moves to the front, victims come from the tail.
+// set.
 //
 // The cache also indexes dirty entries by translation page, supporting
 // DFTL's batch-update optimization: when a dirty victim forces a
@@ -32,10 +31,9 @@ import (
 // map-of-maps insertion.
 type Cache struct {
 	capacity int
-	protCap  int  // capacity of the protected segment
-	epp      int  // mapping entries per translation page
-	plain    bool // plain LRU: single recency list, no protected segment
-	n        int  // cached entries
+	protCap  int // capacity of the protected segment
+	epp      int // mapping entries per translation page
+	n        int // cached entries
 
 	slab     []entry // 1-based; slab[0] is the nil sentinel
 	freeHead int32   // free-list head, linked through entry.next
@@ -47,7 +45,7 @@ type Cache struct {
 	dense []int32
 	index map[ftl.LPN]int32
 
-	probation list // MRU at head; the only list in plain mode
+	probation list // MRU at head
 	protected list // MRU at head
 
 	tpHead  []int32 // tvpn -> head of the intrusive dirty list
@@ -113,28 +111,21 @@ func (c *Cache) listRemove(l *list, h int32) {
 // batched write-back. Capacity must be at least 2 and entriesPerPage at
 // least 1.
 func NewCache(capacity, entriesPerPage int) (*Cache, error) {
-	return newCache(capacity, entriesPerPage, 0, 0, false)
-}
-
-// NewLRUCache is NewCache in plain least-recently-used mode: one recency
-// list, hits move to the front, victims come from the tail.
-func NewLRUCache(capacity, entriesPerPage int) (*Cache, error) {
-	return newCache(capacity, entriesPerPage, 0, 0, true)
+	return newCache(capacity, entriesPerPage, 0, 0)
 }
 
 // NewCacheForSpace is NewCache for a caller that knows the logical space the
 // cache fronts: space logical pages grouped into translationPages
 // translation pages. Lookups then go through a dense handle array instead of
-// a hash map, which matters on the request-serving hot path. plain selects
-// the single-list LRU mode.
-func NewCacheForSpace(capacity, entriesPerPage int, space ftl.LPN, translationPages int, plain bool) (*Cache, error) {
+// a hash map, which matters on the request-serving hot path.
+func NewCacheForSpace(capacity, entriesPerPage int, space ftl.LPN, translationPages int) (*Cache, error) {
 	if space < 1 || translationPages < 1 {
 		return nil, fmt.Errorf("translate: cache space %d / %d translation pages too small", space, translationPages)
 	}
-	return newCache(capacity, entriesPerPage, space, translationPages, plain)
+	return newCache(capacity, entriesPerPage, space, translationPages)
 }
 
-func newCache(capacity, entriesPerPage int, space ftl.LPN, translationPages int, plain bool) (*Cache, error) {
+func newCache(capacity, entriesPerPage int, space ftl.LPN, translationPages int) (*Cache, error) {
 	if capacity < 2 {
 		return nil, fmt.Errorf("translate: cache capacity %d too small", capacity)
 	}
@@ -145,7 +136,6 @@ func newCache(capacity, entriesPerPage int, space ftl.LPN, translationPages int,
 		capacity: capacity,
 		protCap:  capacity / 2,
 		epp:      entriesPerPage,
-		plain:    plain,
 		slab:     make([]entry, capacity+1),
 	}
 	// Chain every handle onto the free list.
@@ -330,12 +320,6 @@ func (c *Cache) Get(lpn ftl.LPN) (flash.PPN, bool) {
 func (c *Cache) Contains(lpn ftl.LPN) bool { return c.lookup(lpn) != 0 }
 
 func (c *Cache) touch(h int32) {
-	if c.plain {
-		// Plain LRU: one list, hits move to the front.
-		c.listRemove(&c.probation, h)
-		c.pushFront(&c.probation, h)
-		return
-	}
 	if c.slab[h].protected {
 		c.listRemove(&c.protected, h)
 		c.pushFront(&c.protected, h)

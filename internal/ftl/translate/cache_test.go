@@ -77,30 +77,6 @@ func TestCacheSegmentedLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCachePlainLRUEviction pins the lru policy's difference from slru: a
-// re-referenced entry gains no scan resistance, so a burst of one-shot
-// inserts flushes it.
-func TestCachePlainLRUEviction(t *testing.T) {
-	c, _ := NewLRUCache(4, 256)
-	for i := ftl.LPN(1); i <= 4; i++ {
-		c.Insert(i, flash.PPN(i*10), false)
-	}
-	c.Get(1)
-	c.Get(2)
-	// LRU order (most recent first): 2, 1, 4, 3 — the victim is 3.
-	victim, evicted := c.Insert(5, 50, false)
-	if !evicted || victim.LPN != 3 {
-		t.Fatalf("victim %+v evicted=%v, want lpn 3", victim, evicted)
-	}
-	// Unlike slru, a scan evicts the previously-hit entries too.
-	for i := ftl.LPN(100); i < 120; i++ {
-		c.Insert(i, flash.PPN(i), false)
-	}
-	if c.Contains(1) || c.Contains(2) {
-		t.Fatal("plain LRU kept re-referenced entries through a scan")
-	}
-}
-
 func TestCacheEvictFromProtectedWhenProbationEmpty(t *testing.T) {
 	c, _ := NewCache(2, 256)
 	c.Insert(1, 10, false)
@@ -235,7 +211,7 @@ func TestCacheUpdatePromotesCleanToDirtyOnce(t *testing.T) {
 func TestCacheDenseVariantMatchesMap(t *testing.T) {
 	const space, epp = 40, 4
 	a, _ := NewCache(8, epp)
-	b, err := NewCacheForSpace(8, epp, space, (space+epp-1)/epp, false)
+	b, err := NewCacheForSpace(8, epp, space, (space+epp-1)/epp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,17 +257,11 @@ func TestCacheDenseVariantMatchesMap(t *testing.T) {
 }
 
 // Property: the cache never exceeds capacity, Get returns what was last
-// Insert/Update-ed, and the dirty index matches entry dirty flags — for both
-// the segmented and plain-LRU builds.
+// Insert/Update-ed, and the dirty index matches entry dirty flags.
 func TestCacheModelProperty(t *testing.T) {
-	f := func(seed int64, plain bool) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var c *Cache
-		if plain {
-			c, _ = NewLRUCache(8, 4)
-		} else {
-			c, _ = NewCache(8, 4)
-		}
+		c, _ := NewCache(8, 4)
 		model := map[ftl.LPN]flash.PPN{} // what the cache should hold if present
 		dirty := map[ftl.LPN]bool{}
 		for i := 0; i < 500; i++ {

@@ -79,7 +79,7 @@ func allocBound(n int) uint64 { return 4*uint64(n) + 4096 }
 // TestDecodeStateRoundTrip: every policy's state decodes and re-encodes to
 // the same bytes.
 func TestDecodeStateRoundTrip(t *testing.T) {
-	for _, policy := range []Policy{PolicySLRU, PolicyLRU, PolicyLearned} {
+	for _, policy := range []Policy{PolicySLRU, PolicyLearned} {
 		data := encodedEngineState(t, policy)
 		r := ckpt.NewReader(data)
 		s := DecodeState(r)
@@ -170,7 +170,7 @@ func TestDecodeStateCrafted(t *testing.T) {
 // never panic, and it may allocate only in proportion to the bytes given:
 // no count the payload does not back may size anything.
 func FuzzDecodeTranslateState(f *testing.F) {
-	for _, policy := range []Policy{PolicySLRU, PolicyLRU, PolicyLearned} {
+	for _, policy := range []Policy{PolicySLRU, PolicyLearned} {
 		f.Add(encodedEngineState(f, policy))
 	}
 	f.Add([]byte{})

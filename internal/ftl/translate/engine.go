@@ -80,7 +80,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("translate: page size %d too small for translation entries", cfg.Dev.Geometry().PageSize)
 	}
 	nTP := (int64(cfg.Capacity) + int64(per) - 1) / int64(per)
-	cache, err := NewCacheForSpace(cfg.CMTEntries, per, cfg.Capacity, int(nTP), cfg.Policy == PolicyLRU)
+	cache, err := NewCacheForSpace(cfg.CMTEntries, per, cfg.Capacity, int(nTP))
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,7 @@ func TestEngineGeometryDerived(t *testing.T) {
 }
 
 func TestEngineResolveMissIsFreeWhenNothingPersisted(t *testing.T) {
-	for _, policy := range []Policy{PolicySLRU, PolicyLRU, PolicyLearned} {
+	for _, policy := range []Policy{PolicySLRU, PolicyLearned} {
 		m, _, _ := newTestEngine(t, 8, policy)
 		end, err := m.Resolve(5, 100)
 		if err != nil {

@@ -14,8 +14,6 @@
 //   - slru (default): the segmented-LRU cache the seed code used — a
 //     probationary segment for entries seen once and a protected segment for
 //     entries hit again, victims from the probationary tail.
-//   - lru: a plain least-recently-used cache, the textbook baseline the
-//     segmented variant is usually compared against.
 //   - learned: the slru cache plus a LearnedFTL-style learned index
 //     (Wang et al.): piecewise-linear LPN→PPN segments trained at
 //     translation-page write-back predict the physical location of regularly
@@ -32,8 +30,6 @@ type Policy uint8
 const (
 	// PolicySLRU is the segmented-LRU cache, the seed behavior and default.
 	PolicySLRU Policy = iota
-	// PolicyLRU is the plain least-recently-used baseline.
-	PolicyLRU
 	// PolicyLearned is slru plus the learned LPN→PPN index on the miss path.
 	PolicyLearned
 )
@@ -42,8 +38,6 @@ func (p Policy) String() string {
 	switch p {
 	case PolicySLRU:
 		return "slru"
-	case PolicyLRU:
-		return "lru"
 	case PolicyLearned:
 		return "learned"
 	default:
@@ -55,7 +49,7 @@ func (p Policy) String() string {
 const DefaultPolicy = "slru"
 
 // PolicyNames lists the selectable translation policies.
-func PolicyNames() []string { return []string{"slru", "lru", "learned"} }
+func PolicyNames() []string { return []string{"slru", "learned"} }
 
 // ParsePolicy returns the policy named name; the empty string selects the
 // default (slru).
@@ -63,10 +57,8 @@ func ParsePolicy(name string) (Policy, error) {
 	switch name {
 	case "", "slru":
 		return PolicySLRU, nil
-	case "lru":
-		return PolicyLRU, nil
 	case "learned":
 		return PolicyLearned, nil
 	}
-	return 0, fmt.Errorf("translate: unknown policy %q (have slru, lru, learned)", name)
+	return 0, fmt.Errorf("translate: unknown policy %q (have slru, learned)", name)
 }

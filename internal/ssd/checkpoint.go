@@ -10,10 +10,10 @@ import (
 )
 
 // Checkpoint is a deep, immutable copy of a controller's complete simulation
-// state: every FTL shard's flash device and FTL, the write buffer, and the
-// measurement accumulators. One checkpoint taken after a shared warm-up can
-// fork any number of divergent runs, each bit-identical to an uninterrupted
-// fresh run of the same cell.
+// state: every FTL shard's flash device and FTL, and the measurement
+// accumulators. One checkpoint taken after a shared warm-up can fork any
+// number of divergent runs, each bit-identical to an uninterrupted fresh run
+// of the same cell.
 //
 // The attached observability recorder is deliberately NOT part of the
 // checkpoint: recorders are per-cell plumbing, attached after a restore and
@@ -24,7 +24,6 @@ type Checkpoint struct {
 	resp, readResp, writeResp stats.Welford
 	hist                      stats.LatencyHist
 	series                    *stats.TimeSeries
-	buffer                    *bufferState
 	lastDone                  sim.Time
 	served                    int64
 	pagesRead                 int64
@@ -61,9 +60,6 @@ func (c *Controller) Snapshot() (*Checkpoint, error) {
 	cp.served = c.served
 	cp.pagesRead = c.pagesRead
 	cp.pagesWrit = c.pagesWrit
-	if c.buffer != nil {
-		cp.buffer = c.buffer.snapshot()
-	}
 	return cp, nil
 }
 
@@ -93,9 +89,6 @@ func (c *Controller) Restore(cp *Checkpoint) error {
 	c.writeResp = cp.writeResp
 	c.hist = cp.hist.Clone()
 	c.series = cp.series.Clone()
-	if c.buffer != nil && cp.buffer != nil {
-		c.buffer.restore(cp.buffer)
-	}
 	c.lastDone = cp.lastDone
 	c.served = cp.served
 	c.pagesRead = cp.pagesRead

@@ -2,13 +2,11 @@ package ssd
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
-	"sort"
 
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
-	"dloop/internal/ftl"
-	"dloop/internal/ftl/bast"
 	"dloop/internal/ftl/fast"
 	"dloop/internal/ftl/pagemap"
 	"dloop/internal/sim"
@@ -22,6 +20,12 @@ import (
 // result is exactly the run forked from the original in-memory checkpoint —
 // which is what lets the warm-up cache in internal/expt substitute a file
 // read for minutes of preconditioning.
+
+// ErrBufferedCheckpoint rejects a checkpoint taken with the DRAM write
+// buffer enabled. The simulator no longer models the buffer; the encoding
+// keeps its presence byte, which is always false, so every other checkpoint
+// keeps its length.
+var ErrBufferedCheckpoint = errors.New("ssd: checkpoint holds DRAM write-buffer state, which is no longer modelled")
 
 // EncodeCheckpoint serializes a checkpoint taken from this controller into
 // a self-validating container. The convenience form of AppendCheckpoint.
@@ -59,10 +63,7 @@ func (c *Controller) AppendCheckpoint(w *ckpt.Writer, cp *Checkpoint) ([]byte, e
 	stats.EncodeWelford(w, cp.writeResp)
 	stats.EncodeLatencyHist(w, cp.hist)
 	stats.EncodeTimeSeries(w, cp.series)
-	w.Bool(cp.buffer != nil)
-	if cp.buffer != nil {
-		encodeBufferState(w, cp.buffer)
-	}
+	w.Bool(false) // the retired DRAM write buffer (see ErrBufferedCheckpoint)
 	w.I64(int64(cp.lastDone))
 	w.I64(cp.served)
 	w.I64(cp.pagesRead)
@@ -110,7 +111,7 @@ func (c *Controller) DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	cp.hist = stats.DecodeLatencyHist(r)
 	cp.series = stats.DecodeTimeSeries(r)
 	if r.Bool() {
-		cp.buffer = decodeBufferState(r)
+		return nil, ErrBufferedCheckpoint
 	}
 	cp.lastDone = sim.Time(r.I64())
 	cp.served = r.I64()
@@ -130,8 +131,6 @@ func encodeFTLState(w *ckpt.Writer, scheme string, st any) error {
 		return pagemap.EncodeState(w, st)
 	case SchemeFAST:
 		return fast.EncodeState(w, st)
-	case SchemeBAST:
-		return bast.EncodeState(w, st)
 	}
 	return fmt.Errorf("ssd: no checkpoint codec for FTL %q", scheme)
 }
@@ -143,8 +142,6 @@ func decodeFTLState(r *ckpt.Reader, scheme string) any {
 		return pagemap.DecodeState(r, l)
 	case SchemeFAST:
 		return fast.DecodeState(r)
-	case SchemeBAST:
-		return bast.DecodeState(r)
 	}
 	r.Failf("ssd: no checkpoint codec for FTL %q", scheme)
 	return nil
@@ -172,47 +169,4 @@ func decodeGeometry(r *ckpt.Reader) flash.Geometry {
 		PagesPerBlock:      r.Int(),
 		PageSize:           r.Int(),
 	}
-}
-
-// encodeBufferState writes the DRAM write buffer's state with the dirty map
-// in sorted LPN order, so equal buffers encode identically.
-func encodeBufferState(w *ckpt.Writer, b *bufferState) {
-	keys := make([]ftl.LPN, 0, len(b.dirty))
-	for k := range b.dirty {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.I64(int64(k))
-		w.Int(b.dirty[k])
-	}
-	w.Int(b.seq)
-	w.U32(uint32(len(b.order)))
-	for _, l := range b.order {
-		w.I64(int64(l))
-	}
-	w.I64(b.hitsW)
-	w.I64(b.hitsR)
-	w.I64(b.flushes)
-}
-
-func decodeBufferState(r *ckpt.Reader) *bufferState {
-	n := r.SliceLen(16) // lpn, count
-	b := &bufferState{dirty: make(map[ftl.LPN]int, n)}
-	for i := 0; i < n; i++ {
-		k := ftl.LPN(r.I64())
-		b.dirty[k] = r.Int()
-	}
-	b.seq = r.Int()
-	if no := r.SliceLen(8); no > 0 {
-		b.order = make([]ftl.LPN, no)
-		for i := range b.order {
-			b.order[i] = ftl.LPN(r.I64())
-		}
-	}
-	b.hitsW = r.I64()
-	b.hitsR = r.I64()
-	b.flushes = r.I64()
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -22,8 +23,7 @@ import (
 // to an uninterrupted fresh run — and re-encoding the decoded checkpoint must
 // reproduce the original container byte for byte.
 func TestEncodedCheckpointRoundTrip(t *testing.T) {
-	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST,
-		SchemePureMap, SchemePureMapStriped}
+	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
 		t.Run(scheme, func(t *testing.T) {
 			fresh := buildTiny(t, scheme)
@@ -121,17 +121,11 @@ func TestEncodedCheckpointRoundTripMQ(t *testing.T) {
 	}
 }
 
-// TestEncodedCheckpointWithBufferAndSeries reaches the controller state the
-// plain round trip does not: the DRAM write buffer and the time series.
-func TestEncodedCheckpointWithBufferAndSeries(t *testing.T) {
+// TestEncodedCheckpointWithSeries reaches the controller state the plain
+// round trip does not: the time series.
+func TestEncodedCheckpointWithSeries(t *testing.T) {
 	build := func() *Controller {
-		cfg := tinyConfig(SchemeDLOOP)
-		cfg.BufferPages = 16
-		c, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
+		c := buildTiny(t, SchemeDLOOP)
 		if err := c.EnableTimeSeries(1 * sim.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +159,7 @@ func TestEncodedCheckpointWithBufferAndSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("buffered run forked from decoded checkpoint differs:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("run forked from decoded checkpoint differs:\n got %+v\nwant %+v", got, want)
 	}
 	if rec.TimeSeries().Buckets() != donor.TimeSeries().Buckets() {
 		t.Fatalf("series buckets %d, want %d", rec.TimeSeries().Buckets(), donor.TimeSeries().Buckets())
@@ -260,10 +254,7 @@ func rejectCrafted(t *testing.T, donor *Controller, data []byte, damage func(b [
 	t.Helper()
 	bad := append([]byte(nil), data...)
 	damage(bad)
-	header := ckpt.NewWriter().Len()
-	sealed := ckpt.NewWriter()
-	copy(sealed.Raw(len(bad)-header), bad[header:])
-	bad = sealed.Seal()
+	bad = reseal(bad)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -276,6 +267,31 @@ func rejectCrafted(t *testing.T, donor *Controller, data []byte, damage func(b [
 	// encoding; a slice sized by a crafted count is far past that.
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(bad)) {
 		t.Fatalf("allocated %d bytes rejecting a %d-byte container", got, len(bad))
+	}
+}
+
+// reseal recomputes a damaged container's header so that only the decoder
+// can reject it.
+func reseal(data []byte) []byte {
+	header := ckpt.NewWriter().Len()
+	sealed := ckpt.NewWriter()
+	copy(sealed.Raw(len(data)-header), data[header:])
+	return sealed.Seal()
+}
+
+// TestDecodeCheckpointRejectsBufferState sets the retired DRAM write buffer's
+// presence byte, which precedes the four trailing counters, and requires the
+// typed error.
+func TestDecodeCheckpointRejectsBufferState(t *testing.T) {
+	donor, data, _ := craftedDonor(t)
+	bad := append([]byte(nil), data...)
+	off := len(bad) - 4*8 - 1
+	if bad[off] != 0 {
+		t.Fatalf("buffer presence byte is %d, want 0", bad[off])
+	}
+	bad[off] = 1
+	if _, err := donor.DecodeCheckpoint(reseal(bad)); !errors.Is(err, ErrBufferedCheckpoint) {
+		t.Fatalf("got %v, want ErrBufferedCheckpoint", err)
 	}
 }
 
@@ -378,13 +394,12 @@ func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "d5cc2d68e7ec830b0c95733fb9337c726c55fc09cf99ced3cf5d99c93da945e8"},
-		{SchemeDLOOP, "learned", "dd944df6419251e2a462b625d89bbf26c52eba9ea01d9fef8f4db3802cbb77f8"},
-		{SchemeDFTL, "", "7463a87f60423e4d3bb8d4e584676287915cef1908b8a352adbab7995f2fee01"},
-		{SchemeFAST, "", "c7df2c1a12237244e01954d8bad0405354c8cde8cf73969cf2c888b9527c0a9e"},
-		{SchemeBAST, "", "98d706554939f8af3ed3af0cbee6b87b1b8451806652201a67a64586ab21033b"},
-		{SchemePureMap, "", "e9de4889312d9b0526c758ece153bca02314df1059604c84606ec1c62dec9098"},
-		{SchemePureMapStriped, "", "3ad6aae5b6e158d40a1a9dbe7dde4627b77772b053728d1eb944d3fb6aea0e8d"},
+		{SchemeDLOOP, "", "08a8584f96b3686302e8a9d66ee08dcb873a5628feefe3ca3e5185fe5d1b83eb"},
+		{SchemeDLOOP, "learned", "51dec49c193dbbd3daf906152b710b57db1d95686268d2fa088579fc93c01fad"},
+		{SchemeDFTL, "", "87afb23d868ab8ba50dc6651e23f0196d0494c2c6f1f6a8773525e7d94d59f74"},
+		{SchemeFAST, "", "04490d025dd54203a801bba3da418bff58aa6b3e71ffe0a5b69c315a175b65a1"},
+		{SchemePureMap, "", "fa005f273f7dc59d1016541e15efe800f0f260d36957b72c5b804c9092a0d6e1"},
+		{SchemePureMapStriped, "", "52869bce67532b715984fb63990a04ae542342a87f154c8945854e2ea2a3345c"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {
@@ -423,7 +438,7 @@ func TestCheckpointBytesStable(t *testing.T) {
 // more than a small multiple of the bytes it was given: every count is
 // checked against the bytes left before it sizes anything.
 func TestDecodeFTLStateCountSweep(t *testing.T) {
-	for _, scheme := range []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap, SchemePureMapStriped} {
+	for _, scheme := range []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped} {
 		t.Run(scheme, func(t *testing.T) {
 			c, err := Build(tinyConfig(scheme))
 			if err != nil {

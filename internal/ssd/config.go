@@ -1,5 +1,5 @@
 // Package ssd assembles a complete simulated solid-state disk: a flash
-// device, one of the three FTLs, and a controller that splits host requests
+// device, one of the FTL schemes, and a controller that splits host requests
 // into page operations, preconditions the device into steady state, replays
 // traces, and collects the paper's metrics (mean response time, SDRPP, and
 // the garbage-collection/merge accounting behind them).
@@ -10,7 +10,6 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
-	"dloop/internal/ftl/bast"
 	"dloop/internal/ftl/fast"
 	"dloop/internal/ftl/gc"
 	"dloop/internal/ftl/pagemap"
@@ -25,13 +24,16 @@ const (
 	SchemeDLOOP          = "DLOOP"
 	SchemeDFTL           = "DFTL"
 	SchemeFAST           = "FAST"
-	SchemeBAST           = "BAST"
 	SchemePureMap        = "PureMap"
 	SchemePureMapStriped = "PureMap-striped"
 )
 
 // Schemes lists the three FTLs in the order the paper's figures plot them.
 func Schemes() []string { return []string{SchemeDLOOP, SchemeDFTL, SchemeFAST} }
+
+// allSchemes lists every scheme Build accepts: the paper's three, then the
+// PureMap pair.
+var allSchemes = []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped}
 
 // AutoShards, as Config.FTLShards, selects one FTL shard per channel on
 // shapes of at least eight channels.
@@ -48,7 +50,8 @@ type Config struct {
 	// ExtraPct is over-provisioning as a fraction of the data blocks.
 	// Table I varies 0.03/0.05/0.07/0.10 with 0.03 the default.
 	ExtraPct float64
-	// FTL picks the scheme: SchemeDLOOP, SchemeDFTL, or SchemeFAST.
+	// FTL picks the scheme: SchemeDLOOP (the default), SchemeDFTL,
+	// SchemeFAST, SchemePureMap, or SchemePureMapStriped.
 	FTL string
 
 	// CMTEntries sizes the SRAM mapping cache of DLOOP and DFTL (default
@@ -58,13 +61,13 @@ type Config struct {
 	GCThreshold int
 	// GCPolicy selects the garbage-collection victim policy for every
 	// scheme: "greedy" (default for the page-mapping FTLs), "costbenefit",
-	// "windowed", or "fifo" (default log-block eviction of FAST/BAST).
-	// Empty keeps each scheme's historical default.
+	// "windowed", or "fifo" (FAST's default log-block eviction). Empty keeps
+	// each scheme's historical default.
 	GCPolicy string
 	// TranslatePolicy selects the address-translation policy of the
-	// demand-paged schemes (DLOOP, DFTL): "slru" (default), "lru", or
-	// "learned" (see internal/ftl/translate). Other schemes keep their
-	// all-in-SRAM maps and reject a non-default setting.
+	// demand-paged schemes (DLOOP, DFTL): "slru" (default) or "learned" (see
+	// internal/ftl/translate). Other schemes keep their all-in-SRAM maps and
+	// reject a non-default setting.
 	TranslatePolicy string
 	// DisableCopyBack runs DLOOP's E5 ablation (external GC moves).
 	DisableCopyBack bool
@@ -74,12 +77,6 @@ type Config struct {
 	// stripe over first ("plane" — the paper's equation (1) and the
 	// default — "die", "chip", or "channel").
 	StripeBy string
-	// LogBlocks overrides FAST's log-buffer size (0 = derive from ExtraPct).
-	LogBlocks int
-	// BufferPages enables the Fig. 1a DRAM buffer manager: up to this many
-	// dirty logical pages are absorbed at DRAM speed and flushed to the FTL
-	// lazily. 0 (the default, used by all experiments) disables it.
-	BufferPages int
 	// FTLShards partitions the logical address space over this many
 	// concurrent FTL shards behind a multi-queue host front end (see
 	// frontend.go). Each shard owns a private sub-device of
@@ -95,7 +92,7 @@ type Config struct {
 	// channel count. Attaching an *obs.Collector keeps the shards concurrent
 	// (each shard records into a private child collector, merged
 	// deterministically at epoch barriers); any other recorder forces serial
-	// in-order execution while attached. Incompatible with BufferPages.
+	// in-order execution while attached.
 	FTLShards int
 
 	// Geometry, when non-nil, overrides the capacity-derived geometry
@@ -221,19 +218,9 @@ func buildFTL(dev *flash.Device, cfg Config, extra int) (ftl.FTL, error) {
 	case SchemeDLOOP, SchemeDFTL, SchemePureMap, SchemePureMapStriped:
 		return pagemap.New(dev, pageMapConfig(cfg, extra))
 	case SchemeFAST:
-		return fast.New(dev, fast.Config{
-			ExtraPerPlane: extra,
-			LogBlocks:     cfg.LogBlocks,
-			GCPolicy:      cfg.GCPolicy,
-		})
-	case SchemeBAST:
-		return bast.New(dev, bast.Config{
-			ExtraPerPlane: extra,
-			LogBlocks:     cfg.LogBlocks,
-			GCPolicy:      cfg.GCPolicy,
-		})
+		return fast.New(dev, fast.Config{ExtraPerPlane: extra, GCPolicy: cfg.GCPolicy})
 	}
-	return nil, fmt.Errorf("ssd: unknown FTL %q (want %v)", cfg.FTL, Schemes())
+	return nil, unknownScheme(cfg.FTL)
 }
 
 // recoverFTL reconstructs the configured FTL scheme over dev from its
@@ -243,19 +230,13 @@ func recoverFTL(dev *flash.Device, cfg Config, extra int) (ftl.FTL, error) {
 	case SchemeDLOOP, SchemeDFTL, SchemePureMap, SchemePureMapStriped:
 		return pagemap.NewRecovered(dev, pageMapConfig(cfg, extra))
 	case SchemeFAST:
-		return fast.NewRecovered(dev, fast.Config{
-			ExtraPerPlane: extra,
-			LogBlocks:     cfg.LogBlocks,
-			GCPolicy:      cfg.GCPolicy,
-		})
-	case SchemeBAST:
-		return bast.NewRecovered(dev, bast.Config{
-			ExtraPerPlane: extra,
-			LogBlocks:     cfg.LogBlocks,
-			GCPolicy:      cfg.GCPolicy,
-		})
+		return fast.NewRecovered(dev, fast.Config{ExtraPerPlane: extra, GCPolicy: cfg.GCPolicy})
 	}
-	return nil, fmt.Errorf("ssd: unknown FTL %q (want %v)", cfg.FTL, Schemes())
+	return nil, unknownScheme(cfg.FTL)
+}
+
+func unknownScheme(name string) error {
+	return fmt.Errorf("ssd: unknown FTL %q (want %v)", name, allSchemes)
 }
 
 // pageMapConfig maps a page-mapping scheme to its preset layout, adjusted
@@ -311,11 +292,7 @@ func Build(cfg Config) (*Controller, error) {
 	if cfg.Timing != nil {
 		timing = *cfg.Timing
 	}
-	n := resolveFTLShards(cfg.FTLShards, geo.Channels)
-	if n > 1 && cfg.BufferPages > 0 {
-		return nil, fmt.Errorf("ssd: FTLShards is incompatible with BufferPages (the DRAM buffer is a single ordered cache)")
-	}
-	shards, err := buildShards(geo, timing, n, func(dev *flash.Device) (ftl.FTL, error) {
+	shards, err := buildShards(geo, timing, resolveFTLShards(cfg.FTLShards, geo.Channels), func(dev *flash.Device) (ftl.FTL, error) {
 		return buildFTL(dev, cfg, extra)
 	})
 	if err != nil {
@@ -364,10 +341,10 @@ func ExportedBytes(cfg Config) (int64, error) {
 // Recover simulates a power loss: it builds a fresh controller over c's
 // device with all SRAM state (mapping table, GTD, CMT, pools, write points)
 // rebuilt from the out-of-band page tags, the way a real controller comes
-// back up. Page-mapping schemes (DLOOP, DFTL, PureMap) rebuild their exact
-// tables; the hybrids (FAST, BAST) keep block-role metadata the OOB tags do
-// not capture, so their recovery reconstructs an equivalent — not identical —
-// assignment of data and log blocks (see each scheme's NewRecovered).
+// back up. The page-mapping schemes (DLOOP, DFTL, PureMap) rebuild their
+// exact tables; the hybrid FAST keeps block-role metadata the OOB tags do not
+// capture, so its recovery reconstructs an equivalent — not identical —
+// assignment of data and log blocks (see fast.NewRecovered).
 func (c *Controller) Recover() (*Controller, error) {
 	cfg := c.cfg
 	cfg.setDefaults()

@@ -8,7 +8,6 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
-	"dloop/internal/ftl/bast"
 	"dloop/internal/ftl/fast"
 	"dloop/internal/ftl/pagemap"
 	"dloop/internal/obs"
@@ -61,7 +60,6 @@ type Controller struct {
 	writeResp stats.Welford
 	hist      stats.LatencyHist
 	series    *stats.TimeSeries // optional, see EnableTimeSeries
-	buffer    *writeBuffer      // optional, see Config.BufferPages
 	lastDone  sim.Time
 	served    int64
 	pagesRead int64
@@ -106,9 +104,6 @@ func newController(shards []*ftlShard, geo flash.Geometry, cfg Config) *Controll
 		c.fe = newFrontEnd(shards)
 	} else {
 		c.dev, c.f = shards[0].dev, shards[0].f
-		if cfg.BufferPages > 0 {
-			c.buffer = newWriteBuffer(cfg.BufferPages)
-		}
 	}
 	return c
 }
@@ -377,17 +372,10 @@ func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 	for lpn := d.first; lpn <= d.last; lpn++ {
 		var end sim.Time
 		var err error
-		switch {
-		case d.read && c.buffer != nil && c.buffer.readHit(lpn):
-			end = d.arrival.Add(c.buffer.dramLat)
-			c.pagesRead++
-		case d.read:
+		if d.read {
 			end, err = c.f.ReadPage(lpn, d.arrival)
 			c.pagesRead++
-		case c.buffer != nil:
-			end, err = c.buffer.put(c.f, lpn, d.arrival)
-			c.pagesWrit++
-		default:
+		} else {
 			end, err = c.f.WritePage(lpn, d.arrival)
 			c.pagesWrit++
 		}
@@ -436,24 +424,6 @@ func (c *Controller) account(read bool, arrival, done sim.Time) sim.Duration {
 // single-FTL one per Serve, the multi-queue one as each epoch's completions
 // are folded — so equivalence tests can compare the exact latency streams.
 func (c *Controller) SetLatencyHook(fn func(sim.Duration)) { c.latHook = fn }
-
-// Drain flushes every dirty buffered page through the FTL (a clean
-// shutdown). Without a buffer it only waits out in-flight work.
-func (c *Controller) Drain(at sim.Time) (sim.Time, error) {
-	if err := c.quiesce(false); err != nil || c.buffer == nil {
-		return at, err
-	}
-	return c.buffer.flushAll(c.f, at)
-}
-
-// BufferStats reports the DRAM buffer's dirty page count, write hits, read
-// hits, and background flushes (zeros without a buffer).
-func (c *Controller) BufferStats() (dirty int, hitsW, hitsR, flushes int64) {
-	if c.buffer == nil {
-		return 0, 0, 0, 0
-	}
-	return c.buffer.Len(), c.buffer.hitsW, c.buffer.hitsR, c.buffer.flushes
-}
 
 // runChunk is how many requests Run pulls from a batching reader per
 // EnqueueBatch call.
@@ -676,11 +646,6 @@ func addFTLStats(f ftl.FTL, res *Result, cmtHits, cmtMisses *int64) {
 		s := f.Stats()
 		res.SwitchMerges += s.SwitchMerges
 		res.PartialMerges += s.PartialMerges
-		res.FullMerges += s.FullMerges
-		res.MergeCopies += s.MergeCopies
-	case *bast.BAST:
-		s := f.Stats()
-		res.SwitchMerges += s.SwitchMerges
 		res.FullMerges += s.FullMerges
 		res.MergeCopies += s.MergeCopies
 	}

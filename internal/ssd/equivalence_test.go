@@ -185,8 +185,7 @@ func TestTimeSeriesRecording(t *testing.T) {
 // survive being restored repeatedly (catching any aliasing between snapshot
 // and live state).
 func TestForkBitIdentical(t *testing.T) {
-	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST,
-		SchemePureMap, SchemePureMapStriped}
+	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
 		t.Run(scheme+"/seq", func(t *testing.T) {
 			fresh := buildTiny(t, scheme)
@@ -245,16 +244,11 @@ func TestForkBitIdentical(t *testing.T) {
 	}
 }
 
-// TestForkWithBufferAndSeries covers the controller state the plain fork
-// test does not reach: the DRAM write buffer and the response time series.
-func TestForkWithBufferAndSeries(t *testing.T) {
+// TestForkWithSeries covers the controller state the plain fork test does
+// not reach: the response time series.
+func TestForkWithSeries(t *testing.T) {
 	build := func() *Controller {
-		cfg := tinyConfig(SchemeDLOOP)
-		cfg.BufferPages = 16
-		c, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := buildTiny(t, SchemeDLOOP)
 		if err := c.EnableTimeSeries(1 * sim.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -283,19 +277,10 @@ func TestForkWithBufferAndSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("forked buffered run differs:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("forked run differs:\n got %+v\nwant %+v", got, want)
 	}
 	if c.TimeSeries().Buckets() != wantBuckets {
 		t.Fatalf("series buckets %d, want %d", c.TimeSeries().Buckets(), wantBuckets)
-	}
-	dirty, hitsW, _, _ := c.BufferStats()
-	fresh := build()
-	if _, err := fresh.Run(trace.NewSliceReader(w)); err != nil {
-		t.Fatal(err)
-	}
-	fDirty, fHitsW, _, _ := fresh.BufferStats()
-	if dirty != fDirty || hitsW != fHitsW {
-		t.Fatalf("buffer state diverged: dirty %d/%d hitsW %d/%d", dirty, fDirty, hitsW, fHitsW)
 	}
 }
 
@@ -304,7 +289,7 @@ func TestForkWithBufferAndSeries(t *testing.T) {
 // blocks, half-consumed pools) — and checks the recovered one exposes
 // identical mappings and keeps serving.
 func TestControllerRecovery(t *testing.T) {
-	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap, SchemePureMapStriped}
+	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
 		t.Run(scheme, func(t *testing.T) {
 			c := buildTiny(t, scheme)
@@ -340,7 +325,7 @@ func TestControllerRecovery(t *testing.T) {
 // the crash: the recovered controller rebuilds its GC engine with the same
 // policy the original was configured with.
 func TestRecoveryKeepsGCPolicy(t *testing.T) {
-	for _, scheme := range []string{SchemeDLOOP, SchemeFAST, SchemeBAST, SchemePureMap} {
+	for _, scheme := range []string{SchemeDLOOP, SchemeFAST, SchemePureMap} {
 		cfg := tinyConfig(scheme)
 		cfg.GCPolicy = "costbenefit"
 		c, err := Build(cfg)

@@ -598,16 +598,6 @@ func TestObservedMQSteadyStateAllocFree(t *testing.T) {
 	})
 }
 
-// TestMQBuildRejections pins the configuration Build must refuse: the DRAM
-// buffer is a single ordered cache, incompatible with independent shards.
-func TestMQBuildRejections(t *testing.T) {
-	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2)
-	cfg.BufferPages = 16
-	if _, err := Build(cfg); err == nil {
-		t.Error("Build accepted FTLShards > 1 with BufferPages > 0")
-	}
-}
-
 // TestResolveFTLShards pins the shard-count resolution: AutoShards engages
 // per-channel sharding only at 8+ channels, and explicit counts reduce to the
 // largest divisor of the channel count so every shard owns the same whole

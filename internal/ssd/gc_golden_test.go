@@ -34,7 +34,6 @@ var goldenDefaults = map[string]goldenGC{
 	SchemeDLOOP:          {policy: "greedy", reads: 7521, writes: 6785, copyBacks: 9138, erases: 2249, extMoves: 0, wastedPages: 2482, gcRuns: 2249},
 	SchemeDFTL:           {policy: "greedy", reads: 10646, writes: 9910, copyBacks: 0, erases: 1166, extMoves: 3176, wastedPages: 0, gcRuns: 1166},
 	SchemeFAST:           {policy: "fifo", reads: 17996, writes: 21529, copyBacks: 0, erases: 2678, extMoves: 15250, wastedPages: 0, mergeCopies: 15250},
-	SchemeBAST:           {policy: "fifo", reads: 22602, writes: 26135, copyBacks: 0, erases: 4964, extMoves: 19856, wastedPages: 0, mergeCopies: 19856},
 	SchemePureMap:        {policy: "greedy", reads: 5617, writes: 9150, copyBacks: 0, erases: 1069, extMoves: 2871, wastedPages: 0, gcRuns: 1069},
 	SchemePureMapStriped: {policy: "greedy", reads: 2746, writes: 6279, copyBacks: 8084, erases: 2030, extMoves: 0, wastedPages: 2306, gcRuns: 2030},
 }

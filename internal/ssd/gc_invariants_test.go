@@ -23,7 +23,7 @@ import (
 //     must never waste a page, and any waste reported implies copy-back moves
 //     happened.
 func TestGCInvariants(t *testing.T) {
-	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap, SchemePureMapStriped}
+	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
 		for _, pol := range []string{"", "greedy", "costbenefit", "windowed", "fifo"} {
 			name := scheme + "/default/seq"
@@ -53,7 +53,7 @@ func TestGCInvariants(t *testing.T) {
 					t.Errorf("%d pages wasted with zero copy-back moves; the parity rule binds only copy-back", res.WastedPages)
 				}
 				switch scheme {
-				case SchemeDFTL, SchemeFAST, SchemeBAST, SchemePureMap:
+				case SchemeDFTL, SchemeFAST, SchemePureMap:
 					// External-move schemes: parity never constrains the buses.
 					if res.WastedPages != 0 {
 						t.Errorf("external-move scheme wasted %d pages", res.WastedPages)

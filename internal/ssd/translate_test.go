@@ -17,7 +17,7 @@ var demandPagedSchemes = []string{SchemeDLOOP, SchemeDFTL}
 
 // translatePoliciesUnderTest is every selectable policy plus the empty
 // default, which must behave exactly like explicit "slru".
-var translatePoliciesUnderTest = []string{"", "slru", "lru", "learned"}
+var translatePoliciesUnderTest = []string{"", "slru", "learned"}
 
 // tinySeqWorkload is tinyWorkload's sequential sibling: a pure write stream
 // that sweeps the footprint in order, the pattern that trains the learned
@@ -297,13 +297,18 @@ func TestTranslateBuildRejections(t *testing.T) {
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("CMTEntries beyond the logical space accepted")
 	}
+	cfg = tinyConfig(SchemeDLOOP)
+	cfg.TranslatePolicy = "lru" // the retired plain-LRU policy
+	if _, err := Build(cfg); err == nil {
+		t.Fatal("lru accepted")
+	}
 	cfg = tinyConfig(SchemeDFTL)
-	cfg.TranslatePolicy = "lru"
+	cfg.TranslatePolicy = "learned"
 	c, err := Build(cfg)
 	if err != nil {
-		t.Fatalf("lru on DFTL rejected: %v", err)
+		t.Fatalf("learned on DFTL rejected: %v", err)
 	}
-	if got := c.FTL().(learnedSegmentCounter).TranslatePolicyName(); got != "lru" {
-		t.Fatalf("policy %q in effect, want lru", got)
+	if got := c.FTL().(learnedSegmentCounter).TranslatePolicyName(); got != "learned" {
+		t.Fatalf("policy %q in effect, want learned", got)
 	}
 }
