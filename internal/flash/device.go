@@ -105,6 +105,10 @@ type Device struct {
 
 	stats Stats
 	rec   obs.Recorder // nil when observability is disabled
+
+	// untimed is set only inside Untimed: operations then change state
+	// exactly as usual but occupy no timeline and count in no statistic.
+	untimed bool
 }
 
 // NewDevice builds an erased device with the given geometry and timing.
@@ -200,6 +204,27 @@ func (d *Device) ResetStats() {
 	erases := d.stats.BlockErases // wear is physical state, survives the reset
 	d.stats.init(d.geo)
 	d.stats.BlockErases = erases
+}
+
+// Untimed runs fn with every device of devs untimed, and restores them to
+// timed operation however fn returns. An untimed operation checks its pages
+// and changes page and block state (wear included) exactly as a timed one
+// does, so it fails with the same errors; but it occupies no plane, bus or
+// channel timeline, counts in no statistic, reports nothing to a recorder,
+// and completes at the time it was ready. Warm-ups whose timelines and
+// statistics are reset afterwards (Controller.Precondition) use it to skip
+// the timing model: no FTL decision reads a completion time, so the state
+// they leave is the same either way.
+func Untimed(devs []*Device, fn func() error) error {
+	for _, d := range devs {
+		d.untimed = true
+	}
+	defer func() {
+		for _, d := range devs {
+			d.untimed = false
+		}
+	}()
+	return fn()
 }
 
 // DeviceState is an opaque deep copy of a device's mutable state — page
@@ -367,6 +392,9 @@ func (d *Device) schedule(kind opKind, plane int, ready sim.Time) (start, end si
 // returns its completion time: the scheduled end, accounted and reported to
 // the recorder. stored is the operation's obs.Op.Stored tag.
 func (d *Device) issue(kind opKind, cause Cause, plane int, stored int64, ready sim.Time) sim.Time {
+	if d.untimed {
+		return ready
+	}
 	start, end := d.schedule(kind, plane, ready)
 	d.stats.note(kind, cause, plane, 1, end.Sub(ready))
 	if d.rec != nil {
@@ -507,12 +535,14 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 	d.blocks[db].Written += n
 	d.raiseNextWrite(db, top)
 	end := ready
-	if d.rec != nil {
+	switch {
+	case d.untimed:
+	case d.rec != nil:
 		// Op records are per operation: issue one by one.
 		for _, dst := range dsts[:n] {
 			end = d.issue(opCopyBack, cause, plane, d.tags[dst]-1, end)
 		}
-	} else {
+	default:
 		end = d.planes[plane].AcquireChain(ready, d.cbLat, n)
 		d.stats.note(opCopyBack, cause, plane, int64(n), end.Sub(ready))
 	}

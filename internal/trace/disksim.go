@@ -173,19 +173,3 @@ func parseDiskSimLine(line string) (Request, error) {
 	}
 	return req, req.Validate()
 }
-
-// WriteDiskSim writes requests in the DiskSim ASCII format.
-func WriteDiskSim(w io.Writer, reqs []Request) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range reqs {
-		flags := 0
-		if r.Op == OpRead {
-			flags = 1
-		}
-		ms := sim.Duration(r.Arrival).Milliseconds()
-		if _, err := fmt.Fprintf(bw, "%.6f 0 %d %d %d\n", ms, r.LBN, r.Sectors, flags); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

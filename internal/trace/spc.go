@@ -105,19 +105,3 @@ func (r *SPCReader) parseLine(line []byte) (Request, error) {
 	}
 	return req, req.Validate()
 }
-
-// WriteSPC writes requests in the SPC-1 CSV format, using ASU 0.
-func WriteSPC(w io.Writer, reqs []Request) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range reqs {
-		opc := "w"
-		if r.Op == OpRead {
-			opc = "r"
-		}
-		secs := sim.Duration(r.Arrival).Seconds()
-		if _, err := fmt.Fprintf(bw, "0,%d,%d,%s,%.6f\n", r.LBN, r.Bytes(), opc, secs); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
