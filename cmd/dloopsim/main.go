@@ -241,23 +241,17 @@ func replayFile(cfg dloop.Config, path, format string, footprintMiB int64, wc *d
 	st := arena.Stats()
 	fmt.Printf("trace: %s\n", st)
 
-	c, err := ssd.Build(cfg)
-	if err != nil {
-		return dloop.Result{}, err
-	}
-	defer c.Close()
 	footprint := st.MaxEnd * trace.SectorSize
 	if footprintMiB > 0 {
 		footprint = footprintMiB << 20
 	}
 	// A cached warm-up replaces the preconditioning simulation when the cache
 	// holds this (config, footprint); otherwise precondition and publish.
-	if !wc.LoadInto(c, cfg, footprint) {
-		if err := c.PreconditionBytes(footprint); err != nil {
-			return dloop.Result{}, err
-		}
-		_ = wc.Save(c, cfg, footprint)
+	c, err := wc.Warm(cfg, footprint)
+	if err != nil {
+		return dloop.Result{}, err
 	}
+	defer c.Close()
 	if rec := ob.attach(c); rec != nil {
 		c.SetRecorder(rec)
 	}

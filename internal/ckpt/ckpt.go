@@ -25,7 +25,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Format constants for the file container.
@@ -50,29 +52,69 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Reader compares the claimed byte size against the bytes actually left.
 const maxSliceElems = 1 << 31
 
+// nativeLE reports a little-endian host, where a column of fixed-width
+// integers is laid out in memory exactly as its slab is encoded: the slab
+// codecs then copy whole columns instead of converting element by element.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// bytesOf views a column of fixed-width integers as the bytes it occupies.
+func bytesOf[T int32 | int64 | uint32 | uint64](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
+}
+
+// Load fills dst with the little-endian elements at the start of src, which
+// must hold them all: a whole slab, or the next chunk of one for a decoder
+// that converts a chunk at a time through an aligned buffer.
+func Load[T int32 | int64 | uint32 | uint64](dst []T, src []byte) {
+	if nativeLE {
+		copy(bytesOf(dst), src[:len(bytesOf(dst))])
+		return
+	}
+	for i := range dst {
+		if unsafe.Sizeof(dst[i]) == 4 {
+			dst[i] = T(binary.LittleEndian.Uint32(src[4*i:]))
+		} else {
+			dst[i] = T(binary.LittleEndian.Uint64(src[8*i:]))
+		}
+	}
+}
+
+// Store writes src's elements little-endian at the start of dst, which must
+// have room for them all: Load's counterpart.
+func Store[T int32 | int64 | uint32 | uint64](dst []byte, src []T) {
+	if nativeLE {
+		copy(dst[:len(bytesOf(src))], bytesOf(src))
+		return
+	}
+	for i, v := range src {
+		if unsafe.Sizeof(v) == 4 {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+		} else {
+			binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
+		}
+	}
+}
+
+// Bytes views a column of byte-sized values as its bytes, which encode it.
+func Bytes[T ~uint8](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
 // A Writer appends fixed-width little-endian values to a growing buffer.
 // The zero value is ready to use.
 type Writer struct {
 	buf []byte
 }
 
-var writerPool = sync.Pool{New: func() any { return &Writer{} }}
+// NewWriter returns a Writer with the container header reserved; finish
+// with Seal.
+func NewWriter() *Writer { return NewWriterSize(0) }
 
-// NewWriter returns a pooled Writer with the container header reserved;
-// finish with Seal and recycle with PutWriter.
-func NewWriter() *Writer {
-	w := writerPool.Get().(*Writer)
-	w.buf = append(w.buf[:0], make([]byte, headerSize)...)
-	return w
-}
-
-// PutWriter recycles a Writer's buffer. The caller must be done with every
-// slice obtained from Bytes or Seal.
-func PutWriter(w *Writer) {
-	if cap(w.buf) > 64<<20 { // don't pin giant buffers forever
-		w.buf = nil
-	}
-	writerPool.Put(w)
+// NewWriterSize is NewWriter with room for an n-byte payload: a caller that
+// keeps the sealed bytes sizes the buffer once instead of growing it.
+func NewWriterSize(n int) *Writer {
+	return &Writer{buf: make([]byte, headerSize, headerSize+n)}
 }
 
 // Len returns the number of bytes written so far (including the reserved
@@ -155,19 +197,13 @@ func (w *Writer) String(s string) {
 // I64s appends a length-prefixed []int64 slab.
 func (w *Writer) I64s(s []int64) {
 	w.U32(uint32(len(s)))
-	dst := w.grow(8 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(v))
-	}
+	Store(w.grow(8*len(s)), s)
 }
 
 // I32s appends a length-prefixed []int32 slab.
 func (w *Writer) I32s(s []int32) {
 	w.U32(uint32(len(s)))
-	dst := w.grow(4 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
-	}
+	Store(w.grow(4*len(s)), s)
 }
 
 // Ints appends a length-prefixed []int slab, widened to int64.
@@ -227,6 +263,11 @@ func Open(data []byte) (*Reader, error) {
 	}
 	return NewReader(payload), nil
 }
+
+// Reopen returns a Reader over the payload of a container Open has already
+// accepted, without checking it again: a holder that keeps its validated
+// bytes to itself decodes them as often as it likes at no checksum cost.
+func Reopen(data []byte) *Reader { return NewReader(data[headerSize:]) }
 
 // Err returns the first error encountered, if any.
 func (r *Reader) Err() error { return r.err }
@@ -343,61 +384,101 @@ func (r *Reader) I64s() []int64 {
 	if n == 0 {
 		return nil
 	}
-	b := r.take(8 * n)
 	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	Load(out, r.take(8*n))
 	return out
 }
 
-// I32s reads a length-prefixed []int32 slab into a fresh slice.
-func (r *Reader) I32s() []int32 {
-	n := r.SliceLen(4)
-	if n == 0 {
-		return nil
+// ExpectLen reads a length prefix that must equal n, the length of the live
+// column a decoder is about to overwrite, for elements of elemSize encoded
+// bytes each (a lower bound will do). It returns n, or 0 after a fault.
+func (r *Reader) ExpectLen(n, elemSize int) int {
+	if got := r.SliceLen(elemSize); r.err == nil && got != n {
+		r.fail("slab of %d elements where the live column has %d", got, n)
 	}
-	b := r.take(4 * n)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+	if r.err != nil {
+		return 0
 	}
-	return out
+	return n
 }
 
-// Ints reads a length-prefixed int64-encoded []int slab into a fresh slice.
-func (r *Reader) Ints() []int {
-	n := r.SliceLen(8)
-	if n == 0 {
-		return nil
-	}
-	b := r.take(8 * n)
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-	}
-	return out
+// slab reads a length prefix that must equal n and returns the n*size bytes
+// of elements that follow, or nil after a fault.
+func (r *Reader) slab(n, size int) []byte {
+	return r.take(r.ExpectLen(n, size) * size)
 }
 
-// Bools reads a length-prefixed []bool slab into a fresh slice.
-func (r *Reader) Bools() []bool {
-	n := r.SliceLen(1)
-	if n == 0 {
-		return nil
+// I64sInto reads a length-prefixed []int64 slab over dst, whose length the
+// slab must have. After a fault dst is left as it was.
+func (r *Reader) I64sInto(dst []int64) {
+	if b := r.slab(len(dst), 8); b != nil {
+		Load(dst, b)
 	}
-	b := r.take(n)
-	out := make([]bool, n)
-	for i, v := range b {
-		switch v {
-		case 0:
-		case 1:
-			out[i] = true
-		default:
-			r.fail("bad bool byte in slab")
-			return nil
+}
+
+// I32sInto reads a length-prefixed []int32 slab over dst, whose length the
+// slab must have.
+func (r *Reader) I32sInto(dst []int32) {
+	if b := r.slab(len(dst), 4); b != nil {
+		Load(dst, b)
+	}
+}
+
+// IntsInto reads a length-prefixed int64-encoded []int slab over dst, whose
+// length the slab must have.
+func (r *Reader) IntsInto(dst []int) {
+	if b := r.slab(len(dst), 8); b != nil {
+		for i := range dst {
+			dst[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 		}
 	}
-	return out
+}
+
+// BoolsInto reads a length-prefixed []bool slab over dst, whose length the
+// slab must have, rejecting bytes other than 0 and 1.
+func (r *Reader) BoolsInto(dst []bool) {
+	b := r.slab(len(dst), 1)
+	for _, v := range b {
+		if v > 1 {
+			r.fail("bad bool byte in slab")
+			return
+		}
+	}
+	for i, v := range b {
+		dst[i] = v == 1
+	}
+}
+
+// AppendI32s reads a length-prefixed []int32 slab of any length onto
+// dst[:0], reusing dst's array when it is large enough. After a fault it
+// returns dst as it was.
+func (r *Reader) AppendI32s(dst []int32) []int32 {
+	n := r.SliceLen(4)
+	b := r.take(4 * n)
+	if b == nil {
+		return dst
+	}
+	dst = slices.Grow(dst[:0], n)
+	for i := 0; i < len(b); i += 4 {
+		dst = append(dst, int32(binary.LittleEndian.Uint32(b[i:])))
+	}
+	return dst
+}
+
+// AppendInts reads a length-prefixed int64-encoded []int slab of any length
+// onto dst[:0], reusing dst's array when it is large enough. After a fault it
+// returns dst as it was.
+func (r *Reader) AppendInts(dst []int) []int {
+	n := r.SliceLen(8)
+	b := r.take(8 * n)
+	if b == nil {
+		return dst
+	}
+	dst = slices.Grow(dst[:0], n)
+	for i := 0; i < len(b); i += 8 {
+		dst = append(dst, int(int64(binary.LittleEndian.Uint64(b[i:]))))
+	}
+	return dst
 }
 
 // bufPool recycles whole-file read buffers so repeated cache loads do not

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,6 @@ import (
 // TestPrimitivesRoundTrip writes one of everything and reads it back.
 func TestPrimitivesRoundTrip(t *testing.T) {
 	w := NewWriter()
-	defer PutWriter(w)
 	w.U8(0xAB)
 	w.Bool(true)
 	w.Bool(false)
@@ -75,14 +75,16 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if got := r.I64s(); got != nil {
 		t.Fatalf("nil I64s = %v", got)
 	}
-	if got := r.I32s(); len(got) != 2 || got[0] != -1 {
-		t.Fatalf("I32s = %v", got)
+	i32s := make([]int32, 2)
+	if r.I32sInto(i32s); i32s[0] != -1 || i32s[1] != 2 {
+		t.Fatalf("I32sInto = %v", i32s)
 	}
-	if got := r.Ints(); len(got) != 3 || got[2] != 7 {
-		t.Fatalf("Ints = %v", got)
+	if got := r.AppendInts(make([]int, 1, 8)); len(got) != 3 || got[2] != 7 {
+		t.Fatalf("AppendInts = %v", got)
 	}
-	if got := r.Bools(); len(got) != 3 || !got[0] || got[1] {
-		t.Fatalf("Bools = %v", got)
+	bools := make([]bool, 3)
+	if r.BoolsInto(bools); !bools[0] || bools[1] || !bools[2] {
+		t.Fatalf("BoolsInto = %v", bools)
 	}
 	if got := r.Raw(3); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Fatalf("Raw = %v", got)
@@ -104,7 +106,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 func TestContainerValidation(t *testing.T) {
 	seal := func() []byte {
 		w := NewWriter()
-		defer PutWriter(w)
 		w.I64s([]int64{1, 2, 3, 4})
 		w.String("payload")
 		return append([]byte(nil), w.Seal()...)
@@ -140,7 +141,6 @@ func TestContainerValidation(t *testing.T) {
 // than the payload holds; the reader must fail, not allocate gigabytes.
 func TestSliceLenGuard(t *testing.T) {
 	w := NewWriter()
-	defer PutWriter(w)
 	w.U32(1 << 30) // claims 2^30 int64s = 8 GB
 	r, err := Open(w.Seal())
 	if err != nil {
@@ -163,8 +163,24 @@ func TestBoolRejectsJunk(t *testing.T) {
 		t.Fatal("bool byte 2 accepted")
 	}
 	r = NewReader([]byte{6, 0, 0, 0, 1, 0, 1, 0, 2, 0})
-	if r.Bools() != nil {
+	dst := make([]bool, 6)
+	if r.BoolsInto(dst); r.Err() == nil || dst[0] {
 		t.Fatal("bool slab with junk byte decoded")
+	}
+}
+
+// TestIntoRejectsOtherLength: a slab decoded over a live column must have
+// the column's length, and a mismatch leaves the column as it was.
+func TestIntoRejectsOtherLength(t *testing.T) {
+	w := NewWriter()
+	w.I64s([]int64{1, 2, 3})
+	r, err := Open(w.Seal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := []int64{7, 7}
+	if r.I64sInto(dst); r.Err() == nil || dst[0] != 7 {
+		t.Fatalf("3-element slab decoded over a 2-element column: %v, %v", dst, r.Err())
 	}
 }
 
@@ -174,7 +190,6 @@ func TestBoolRejectsJunk(t *testing.T) {
 func TestLoadFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.ckpt")
 	w := NewWriter()
-	defer PutWriter(w)
 	w.String("persisted")
 	w.I64(99)
 	if err := os.WriteFile(path, w.Seal(), 0o644); err != nil {
@@ -210,7 +225,6 @@ func TestLoadFileRoundTrip(t *testing.T) {
 func TestSealedBytesDeterministic(t *testing.T) {
 	mk := func() []byte {
 		w := NewWriter()
-		defer PutWriter(w)
 		w.String("abc")
 		w.Ints([]int{5, 6})
 		w.F64(2.5)
@@ -218,5 +232,40 @@ func TestSealedBytesDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(mk(), mk()) {
 		t.Fatal("identical writes sealed to different bytes")
+	}
+}
+
+// TestSlabsWithoutNativeLayout runs the slab codecs down their portable
+// element-by-element path, the one a big-endian host takes, and requires
+// the bytes and values of the column-copying path.
+func TestSlabsWithoutNativeLayout(t *testing.T) {
+	i64s, i32s := []int64{1, -2, 1 << 40}, []int32{-1, 2, 1 << 30}
+	u64s, u32s := []uint64{7, 1<<63 + 5}, []uint32{9, 1<<31 + 3}
+	encode := func() []byte {
+		var w Writer
+		w.I64s(i64s)
+		w.I32s(i32s)
+		dst := w.Raw(8*len(u64s) + 4*len(u32s))
+		Store(dst, u64s)
+		Store(dst[8*len(u64s):], u32s)
+		return w.Bytes()
+	}
+	native := encode()
+	defer func(le bool) { nativeLE = le }(nativeLE)
+	nativeLE = false
+	if portable := encode(); !bytes.Equal(portable, native) {
+		t.Fatalf("portable encoding %x, native %x", portable, native)
+	}
+	r := NewReader(native)
+	gotI64, gotI32 := make([]int64, len(i64s)), make([]int32, len(i32s))
+	r.I64sInto(gotI64)
+	r.I32sInto(gotI32)
+	raw := r.Raw(8*len(u64s) + 4*len(u32s))
+	gotU64, gotU32 := make([]uint64, len(u64s)), make([]uint32, len(u32s))
+	Load(gotU64, raw)
+	Load(gotU32, raw[8*len(u64s):])
+	if r.Err() != nil || !slices.Equal(gotI64, i64s) || !slices.Equal(gotI32, i32s) ||
+		!slices.Equal(gotU64, u64s) || !slices.Equal(gotU32, u32s) {
+		t.Fatalf("portable decoding: %v %v %v %v (%v)", gotI64, gotI32, gotU64, gotU32, r.Err())
 	}
 }

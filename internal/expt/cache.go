@@ -52,9 +52,10 @@ func (wc *WarmupCache) path(key string) string {
 }
 
 // load builds a controller for cfg and restores the cached warm-up for key
-// into it. Any failure — no file, bad container, configuration mismatch —
-// returns nils and the caller warms up fresh; only a controller build error
-// is surfaced, since fresh warm-up would hit it too.
+// into it. Any failure — no file, bad container, configuration mismatch, a
+// body that does not decode — returns nils and the caller warms up a freshly
+// built controller; the half-restored one is closed, never run. Only a
+// controller build error is surfaced, since fresh warm-up would hit it too.
 func (wc *WarmupCache) load(cfg ssd.Config, key string) (*ssd.Controller, *ssd.Checkpoint, error) {
 	if !wc.enabled() {
 		return nil, nil, nil
@@ -70,12 +71,10 @@ func (wc *WarmupCache) load(cfg ssd.Config, key string) (*ssd.Controller, *ssd.C
 		return nil, nil, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
 	}
 	cp, err := c.DecodeCheckpoint(data)
-	if err != nil {
-		c.Close()
-		wc.Stats.noteReject()
-		return nil, nil, nil
+	if err == nil {
+		err = c.Restore(cp)
 	}
-	if err := c.Restore(cp); err != nil {
+	if err != nil {
 		c.Close()
 		wc.Stats.noteReject()
 		return nil, nil, nil
@@ -84,13 +83,13 @@ func (wc *WarmupCache) load(cfg ssd.Config, key string) (*ssd.Controller, *ssd.C
 	return c, cp, nil
 }
 
-// store encodes cp and publishes it under key atomically. Store failures
-// are counted, not fatal: the sweep already has its in-memory checkpoint.
-func (wc *WarmupCache) store(key string, c *ssd.Controller, cp *ssd.Checkpoint) {
+// store publishes cp under key atomically. Store failures are counted, not
+// fatal: the sweep already has its in-memory checkpoint.
+func (wc *WarmupCache) store(key string, cp *ssd.Checkpoint) {
 	if !wc.enabled() {
 		return
 	}
-	n, err := wc.write(key, c, cp)
+	n, err := wc.write(key, cp)
 	if err != nil {
 		wc.Stats.noteStoreError()
 		return
@@ -98,13 +97,7 @@ func (wc *WarmupCache) store(key string, c *ssd.Controller, cp *ssd.Checkpoint) 
 	wc.Stats.noteStore(n)
 }
 
-func (wc *WarmupCache) write(key string, c *ssd.Controller, cp *ssd.Checkpoint) (int64, error) {
-	w := ckpt.NewWriter()
-	defer ckpt.PutWriter(w)
-	data, err := c.AppendCheckpoint(w, cp)
-	if err != nil {
-		return 0, err
-	}
+func (wc *WarmupCache) write(key string, cp *ssd.Checkpoint) (int64, error) {
 	if err := os.MkdirAll(wc.Dir, 0o755); err != nil {
 		return 0, err
 	}
@@ -112,65 +105,46 @@ func (wc *WarmupCache) write(key string, c *ssd.Controller, cp *ssd.Checkpoint) 
 	if err != nil {
 		return 0, err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	n, err := cp.WriteTo(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), wc.path(key))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return 0, err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), wc.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
-	}
-	return int64(len(data)), nil
+	return n, nil
 }
 
-// LoadInto restores the cached warm-up for (cfg, footprint) into an already
-// built controller, reporting whether it hit. The single-run commands use it
-// to skip preconditioning.
-func (wc *WarmupCache) LoadInto(c *ssd.Controller, cfg ssd.Config, footprintBytes int64) bool {
-	if !wc.enabled() {
-		return false
+// Warm returns a controller for cfg holding the warm-up of a footprint: the
+// cached one when the cache holds a valid entry for (cfg, footprint), and
+// otherwise a freshly built controller, preconditioned and then published
+// for later processes. A nil or directory-less cache always warms up fresh.
+// The single-run commands use it to skip preconditioning.
+func (wc *WarmupCache) Warm(cfg ssd.Config, footprintBytes int64) (*ssd.Controller, error) {
+	key := WarmupKey(cfg, footprintBytes)
+	c, _, err := wc.load(cfg, key)
+	if c != nil || err != nil {
+		return c, err
 	}
-	data, release, err := ckpt.LoadFile(wc.path(WarmupKey(cfg, footprintBytes)))
+	c, err = ssd.Build(cfg)
 	if err != nil {
-		wc.Stats.noteMiss()
-		return false
+		return nil, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
 	}
-	defer release()
-	cp, err := c.DecodeCheckpoint(data)
-	if err != nil {
-		wc.Stats.noteReject()
-		return false
+	if err := c.PreconditionBytes(footprintBytes); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("expt: precondition %s: %w", cfg.FTL, err)
 	}
-	if err := c.Restore(cp); err != nil {
-		wc.Stats.noteReject()
-		return false
+	if wc.enabled() {
+		wc.Stats.noteWarmup()
+		if cp, err := c.Snapshot(); err == nil {
+			wc.store(key, cp)
+		}
 	}
-	wc.Stats.noteHit(int64(len(data)))
-	return true
-}
-
-// Save checkpoints a freshly warmed controller and publishes it for
-// (cfg, footprint). The error is informative; callers may ignore it.
-func (wc *WarmupCache) Save(c *ssd.Controller, cfg ssd.Config, footprintBytes int64) error {
-	if !wc.enabled() {
-		return nil
-	}
-	cp, err := c.Snapshot()
-	if err != nil {
-		return err
-	}
-	n, err := wc.write(WarmupKey(cfg, footprintBytes), c, cp)
-	if err != nil {
-		wc.Stats.noteStoreError()
-		return err
-	}
-	wc.Stats.noteStore(n)
-	return nil
+	return c, nil
 }
 
 // SweepStats accumulates sweep-execution counters: warm-up cache traffic and

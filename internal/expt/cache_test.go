@@ -1,12 +1,16 @@
 package expt
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/ssd"
 	"dloop/internal/workload"
 )
@@ -227,9 +231,11 @@ func TestWarmupCacheRobustness(t *testing.T) {
 	}
 }
 
-// TestLoadIntoAndSave covers the single-run command path: Save from a warmed
-// controller, LoadInto a freshly built one, identical subsequent behavior.
-func TestLoadIntoAndSave(t *testing.T) {
+// TestWarmPublishesAndRestores covers the single-run command path: Warm on
+// an empty cache warms up fresh and publishes, Warm again restores a freshly
+// built controller with identical subsequent behavior, and a different
+// footprint misses.
+func TestWarmPublishesAndRestores(t *testing.T) {
 	opt := quickOptions()
 	opt.Requests = 300
 	cfg, ok := configFor(4, 2, 0.03, ssd.SchemeDLOOP, opt)
@@ -239,42 +245,42 @@ func TestLoadIntoAndSave(t *testing.T) {
 	p := scaleProfile(workload.Financial1(), opt.Scale)
 	wc := &WarmupCache{Dir: t.TempDir(), Stats: &SweepStats{}}
 
-	warm, err := buildWarm(cfg, p)
+	warm, err := wc.Warm(cfg, p.FootprintBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer warm.Close()
-	if err := wc.Save(warm, cfg, p.FootprintBytes); err != nil {
-		t.Fatal(err)
+	if wc.Stats.Warmups() != 1 || wc.Stats.CacheMisses() != 1 {
+		t.Fatalf("first Warm: %s", wc.Stats.Summary())
 	}
 	want, err := resumeObserved(warm, cfg, p, opt.Requests, opt.Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	c, err := ssd.Build(cfg)
+	c, err := wc.Warm(cfg, p.FootprintBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !wc.LoadInto(c, cfg, p.FootprintBytes) {
-		t.Fatal("LoadInto missed a just-saved checkpoint")
+	if wc.Stats.CacheHits() != 1 || wc.Stats.Warmups() != 1 {
+		t.Fatalf("Warm missed a just-published checkpoint: %s", wc.Stats.Summary())
 	}
 	got, err := resumeObserved(c, cfg, p, opt.Requests, opt.Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("run from LoadInto diverged:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("run from the cached warm-up diverged:\n got %+v\nwant %+v", got, want)
 	}
 	// A different footprint must miss.
-	c2, err := ssd.Build(cfg)
+	c2, err := wc.Warm(cfg, p.FootprintBytes+1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if wc.LoadInto(c2, cfg, p.FootprintBytes+1) {
-		t.Fatal("LoadInto hit on a different footprint")
+	if wc.Stats.CacheHits() != 1 || wc.Stats.Warmups() != 2 {
+		t.Fatalf("Warm hit on a different footprint: %s", wc.Stats.Summary())
 	}
 }
 
@@ -296,5 +302,74 @@ func BenchmarkSweepWarmupCached(b *testing.B) {
 		if _, err := runAll(jobs, opt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWarmupCacheRejectsDamagedBody damages a cache entry where only Restore
+// can see it: the container stays sound (magic, version and checksum pass)
+// but one written block's row breaks Valid+Invalid == Written. The cell must
+// never run on the half-restored controller: RunCachedObserved equals the
+// uncached run, the entry counts as a reject, and the fresh warm-up heals it.
+func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
+	opt := quickOptions()
+	opt.Requests = 300
+	cfg, ok := configFor(4, 2, 0.03, ssd.SchemeDLOOP, opt)
+	if !ok {
+		t.Fatal("configFor failed")
+	}
+	p := scaleProfile(workload.Financial1(), opt.Scale)
+	want, err := RunObserved(cfg, p, opt.Requests, opt.Seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wc := &WarmupCache{Dir: t.TempDir(), Stats: &SweepStats{}}
+	c, err := wc.Warm(cfg, p.FootprintBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := c.Geometry()
+	c.Close()
+	path := wc.path(WarmupKey(cfg, p.FootprintBytes))
+	pristine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The device's block rows follow the container header, the preamble
+	// (scheme, digest, eight geometry fields, layout tag), and the page-state
+	// and tag columns.
+	header := ckpt.NewWriter().Len()
+	pages := int(geo.TotalPages())
+	blocks := header + 4 + len(cfg.FTL) + sha256.Size + 8*8 + 1 + (4 + pages) + (4 + 8*pages)
+	u32 := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
+	if got := u32(pristine, blocks); int64(got) != geo.TotalBlocks() {
+		t.Fatalf("block count at offset %d reads %d, want %d: the layout moved", blocks, got, geo.TotalBlocks())
+	}
+	row := blocks + 4 // Valid, Invalid, Written, Erases, NextWrite
+	for u32(pristine, row+8) == 0 {
+		row += 20
+	}
+	bad := append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint32(bad[row+4:], u32(bad, row+4)+1)
+	w := ckpt.NewWriter()
+	copy(w.Raw(len(bad)-header), bad[header:])
+	if err := os.WriteFile(path, w.Seal(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	wc.Stats = &SweepStats{}
+	got, err := RunCachedObserved(cfg, p, opt.Requests, opt.Seed, wc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run over a damaged entry differs from the uncached run:\n got %+v\nwant %+v", got, want)
+	}
+	if wc.Stats.CacheRejects() != 1 || wc.Stats.CacheHits() != 0 || wc.Stats.Warmups() != 1 {
+		t.Fatalf("damaged entry not rejected and rewarmed: %s", wc.Stats.Summary())
+	}
+	if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, pristine) {
+		t.Fatalf("fresh warm-up did not heal the entry (err %v)", err)
 	}
 }

@@ -147,26 +147,16 @@ func RunObserved(cfg ssd.Config, profile workload.Profile, requests int, seed in
 // RunCachedObserved is RunObserved backed by a persistent warm-up cache: when
 // the cache holds a checkpoint for (cfg, footprint) the preconditioning phase
 // is restored from disk instead of simulated, and a freshly simulated warm-up
-// is published back for later processes. A nil or directory-less cache
-// degrades to RunObserved exactly. Cache publication failures are counted in
-// the cache's Stats but never fail the run.
+// is published back for later processes (see WarmupCache.Warm). With a nil or
+// directory-less cache it returns RunObserved's result. Cache publication
+// failures are counted in the cache's Stats but never fail the run.
 func RunCachedObserved(cfg ssd.Config, profile workload.Profile, requests int, seed int64,
 	wc *WarmupCache, attach func(*ssd.Controller) obs.Recorder) (ssd.Result, error) {
-	if !wc.enabled() {
-		return RunObserved(cfg, profile, requests, seed, attach)
-	}
-	c, err := ssd.Build(cfg)
+	c, err := wc.Warm(cfg, profile.FootprintBytes)
 	if err != nil {
-		return ssd.Result{}, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
+		return ssd.Result{}, err
 	}
 	defer c.Close()
-	if !wc.LoadInto(c, cfg, profile.FootprintBytes) {
-		if err := c.PreconditionBytes(profile.FootprintBytes); err != nil {
-			return ssd.Result{}, fmt.Errorf("expt: precondition %s/%s: %w", cfg.FTL, profile.Name, err)
-		}
-		wc.Stats.noteWarmup()
-		_ = wc.Save(c, cfg, profile.FootprintBytes)
-	}
 	return resumeObserved(c, cfg, profile, requests, seed, attach)
 }
 

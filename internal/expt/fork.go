@@ -41,8 +41,8 @@ type task struct {
 }
 
 // forkGroup is the shared, immutable fork source for one group's re-enqueued
-// cells. Restore clones state out of cp, never into it, so any number of
-// workers fork from the same checkpoint concurrently.
+// cells. Restore only reads cp's bytes, so any number of workers fork from
+// the same checkpoint concurrently.
 type forkGroup struct {
 	key string
 	cfg ssd.Config
@@ -93,10 +93,9 @@ type sweepCtx struct {
 // pool as a fork task before the lead cell runs, so idle workers fork from
 // the shared checkpoint concurrently instead of the group running serially on
 // one worker. Forked, cached, and fresh runs are bit-identical (see
-// TestForkMatchesNoFork and TestCachedSweepMatchesNoFork). If the FTL cannot
-// checkpoint, the group degrades to per-cell fresh runs.
+// TestForkMatchesNoFork and TestCachedSweepMatchesNoFork).
 func runGroupTask(sc *sweepCtx, ws *workerState, g []job) {
-	runFresh := func(g []job) {
+	if sc.opt.NoFork || (len(g) == 1 && !sc.cache.enabled()) {
 		for _, j := range g {
 			if sc.stopped() {
 				return
@@ -109,9 +108,6 @@ func runGroupTask(sc *sweepCtx, ws *workerState, g []job) {
 			sc.stats.noteFresh()
 			sc.emit(j, res)
 		}
-	}
-	if sc.opt.NoFork || (len(g) == 1 && !sc.cache.enabled()) {
-		runFresh(g)
 		return
 	}
 	if sc.stopped() {
@@ -132,13 +128,12 @@ func runGroupTask(sc *sweepCtx, ws *workerState, g []job) {
 			return
 		}
 		sc.stats.noteWarmup()
-		cp, err = c.Snapshot()
-		if err != nil { // FTL without checkpoint support
+		if cp, err = c.Snapshot(); err != nil {
 			c.Close()
-			runFresh(g)
+			sc.fail(err)
 			return
 		}
-		sc.cache.store(key, c, cp)
+		sc.cache.store(key, cp)
 	}
 	// Park the warm controller in the worker's cache: fork cells of this
 	// group landing back here restore into it instead of rebuilding.

@@ -7,105 +7,42 @@ import (
 	"dloop/internal/sim"
 )
 
-// EncodeDeviceState appends a DeviceState to w. The big columns (page
+// EncodeState appends the device's mutable state to w. The big columns (page
 // states, OOB logical tags, block bookkeeping) go out as contiguous
-// length-prefixed slabs; the resource timelines follow per unit.
-func EncodeDeviceState(w *ckpt.Writer, s *DeviceState) {
-	dst := w.Raw(4 + len(s.state))
-	binary.LittleEndian.PutUint32(dst, uint32(len(s.state)))
-	for i, v := range s.state {
-		dst[4+i] = byte(v)
-	}
+// length-prefixed slabs; the resource timelines follow per unit, then the
+// statistics.
+func (d *Device) EncodeState(w *ckpt.Writer) {
+	w.U32(uint32(len(d.state)))
+	copy(w.Raw(len(d.state)), ckpt.Bytes(d.state))
 	// The tags go out as the OOB values themselves (-1 for none), not as
 	// the tag+1 the device keeps.
-	dst = w.Raw(4 + 8*len(s.tags))
-	binary.LittleEndian.PutUint32(dst, uint32(len(s.tags)))
-	for i, v := range s.tags {
-		binary.LittleEndian.PutUint64(dst[4+8*i:], uint64(v-1))
-	}
-	w.U32(uint32(len(s.blocks)))
-	for _, b := range s.blocks {
-		w.I32(int32(b.Valid))
-		w.I32(int32(b.Invalid))
-		w.I32(int32(b.Written))
-		w.I32(int32(b.Erases))
-		w.I32(int32(b.NextWrite))
-	}
-	encodeResources(w, s.planes)
-	encodeResources(w, s.chipBus)
-	encodeResources(w, s.channels)
-	encodeStats(w, &s.stats)
-}
-
-// DecodeDeviceState reads a DeviceState written by EncodeDeviceState and
-// validates the column lengths against geo, so a checkpoint from a
-// different device shape fails cleanly instead of half-restoring.
-func DecodeDeviceState(r *ckpt.Reader, geo Geometry) *DeviceState {
-	s := &DeviceState{}
-	raw := r.Raw(r.SliceLen(1))
-	s.state = make([]PageState, len(raw))
-	for i, v := range raw {
-		s.state[i] = PageState(v)
-	}
-	s.tags = r.I64s()
-	for i := range s.tags {
-		s.tags[i]++
-	}
-	s.blocks = make([]BlockInfo, r.SliceLen(20)) // five i32 per block
-	for i := range s.blocks {
-		b := BlockInfo{
-			Valid:     int(r.I32()),
-			Invalid:   int(r.I32()),
-			Written:   int(r.I32()),
-			Erases:    int(r.I32()),
-			NextWrite: int(r.I32()),
+	w.U32(uint32(len(d.tags)))
+	dst := w.Raw(8 * len(d.tags))
+	var buf [256]uint64
+	for i := 0; i < len(d.tags); i += len(buf) {
+		chunk := buf[:min(len(buf), len(d.tags)-i)]
+		for j, v := range d.tags[i : i+len(chunk)] {
+			chunk[j] = uint64(v - 1)
 		}
-		// The device updates these counters by deltas and never recounts
-		// them, so a row that breaks their invariants would stay broken.
-		if b.Valid < 0 || b.Invalid < 0 || b.Erases < 0 || b.Valid+b.Invalid != b.Written ||
-			b.Written > b.NextWrite || b.NextWrite > geo.PagesPerBlock {
-			r.Failf("flash: block %d bookkeeping %+v is inconsistent", i, b)
-			return nil
+		ckpt.Store(dst[8*i:], chunk)
+	}
+	dst = w.Raw(4 + 20*len(d.blocks))
+	binary.LittleEndian.PutUint32(dst, uint32(len(d.blocks)))
+	for i, b := range d.blocks {
+		row := dst[4+20*i:]
+		binary.LittleEndian.PutUint32(row, uint32(int32(b.Valid)))
+		binary.LittleEndian.PutUint32(row[4:], uint32(int32(b.Invalid)))
+		binary.LittleEndian.PutUint32(row[8:], uint32(int32(b.Written)))
+		binary.LittleEndian.PutUint32(row[12:], uint32(int32(b.Erases)))
+		binary.LittleEndian.PutUint32(row[16:], uint32(int32(b.NextWrite)))
+	}
+	for _, rs := range [][]*sim.Resource{d.planes, d.chipBus, d.channels} {
+		w.U32(uint32(len(rs)))
+		for _, r := range rs {
+			r.EncodeState(w)
 		}
-		s.blocks[i] = b
 	}
-	s.planes = decodeResources(r)
-	s.chipBus = decodeResources(r)
-	s.channels = decodeResources(r)
-	decodeStats(r, &s.stats)
-	if r.Err() != nil {
-		return nil
-	}
-	if int64(len(s.state)) != geo.TotalPages() || int64(len(s.tags)) != geo.TotalPages() ||
-		int64(len(s.blocks)) != geo.TotalBlocks() || len(s.planes) != geo.Planes() ||
-		len(s.chipBus) != geo.Chips() || len(s.channels) != geo.Channels ||
-		len(s.stats.PlaneOps) != geo.Planes() || int64(len(s.stats.BlockErases)) != geo.TotalBlocks() {
-		r.Failf("flash: device state does not match geometry %s", geo)
-		return nil
-	}
-	return s
-}
-
-func encodeResources(w *ckpt.Writer, rs []sim.ResourceState) {
-	w.U32(uint32(len(rs)))
-	for _, s := range rs {
-		sim.EncodeResourceState(w, s)
-	}
-}
-
-func decodeResources(r *ckpt.Reader) []sim.ResourceState {
-	n := r.SliceLen(28) // an idle resource's encoding: three i64 and a count
-	if n == 0 {
-		return nil
-	}
-	out := make([]sim.ResourceState, n)
-	for i := range out {
-		out[i] = sim.DecodeResourceState(r)
-	}
-	return out
-}
-
-func encodeStats(w *ckpt.Writer, s *Stats) {
+	s := &d.stats
 	for op := opKind(0); op < numOps; op++ {
 		for c := Cause(0); c < numCauses; c++ {
 			w.I64(s.ops[op][c])
@@ -122,19 +59,88 @@ func encodeStats(w *ckpt.Writer, s *Stats) {
 	w.I64(s.WastedPages)
 }
 
-func decodeStats(r *ckpt.Reader, s *Stats) {
+// DecodeState overwrites the device's mutable state with one EncodeState
+// wrote, reusing the live columns. Every column must have the length the
+// device's geometry gives it, and every block row must keep the counter
+// invariants the device maintains by deltas (it never recounts them, so a
+// broken row would stay broken). On any failure r holds the error and the
+// device is partly overwritten.
+func (d *Device) DecodeState(r *ckpt.Reader) {
+	raw := r.Raw(r.ExpectLen(len(d.state), 1))
+	if i := firstNonState(raw); i >= 0 {
+		r.Failf("flash: page %d holds state %d", i, raw[i])
+		return
+	}
+	copy(ckpt.Bytes(d.state), raw)
+	raw = r.Raw(8 * r.ExpectLen(len(d.tags), 8))
+	var buf [256]uint64
+	for i := 0; i < len(raw)/8; i += len(buf) {
+		chunk := buf[:min(len(buf), len(raw)/8-i)]
+		ckpt.Load(chunk, raw[8*i:])
+		dst := d.tags[i : i+len(chunk)]
+		for j, v := range chunk {
+			dst[j] = int64(v) + 1
+		}
+	}
+	blocks := d.blocks // a local header: stores through d.blocks would reload it
+	raw = r.Raw(20 * r.ExpectLen(len(blocks), 20))
+	for i := range blocks[:len(raw)/20] {
+		row := raw[20*i : 20*i+20]
+		b := BlockInfo{
+			Valid:     int(int32(binary.LittleEndian.Uint32(row))),
+			Invalid:   int(int32(binary.LittleEndian.Uint32(row[4:]))),
+			Written:   int(int32(binary.LittleEndian.Uint32(row[8:]))),
+			Erases:    int(int32(binary.LittleEndian.Uint32(row[12:]))),
+			NextWrite: int(int32(binary.LittleEndian.Uint32(row[16:]))),
+		}
+		if b.Valid < 0 || b.Invalid < 0 || b.Erases < 0 || b.Valid+b.Invalid != b.Written ||
+			b.Written > b.NextWrite || b.NextWrite > d.geo.PagesPerBlock {
+			r.Failf("flash: block %d bookkeeping %+v is inconsistent", i, b)
+			return
+		}
+		blocks[i] = b
+	}
+	for _, rs := range [][]*sim.Resource{d.planes, d.chipBus, d.channels} {
+		r.ExpectLen(len(rs), 28) // an idle resource's encoding: three i64 and a count
+		for _, res := range rs {
+			if r.Err() != nil {
+				return
+			}
+			res.DecodeState(r)
+		}
+	}
+	s := &d.stats
 	for op := opKind(0); op < numOps; op++ {
 		for c := Cause(0); c < numCauses; c++ {
 			s.ops[op][c] = r.I64()
 			s.latency[op][c] = sim.Duration(r.I64())
 		}
 	}
-	s.PlaneOps = make([][numCauses]int64, r.SliceLen(8*int(numCauses)))
+	r.ExpectLen(len(s.PlaneOps), 8*int(numCauses))
 	for i := range s.PlaneOps {
 		for c := Cause(0); c < numCauses; c++ {
 			s.PlaneOps[i][c] = r.I64()
 		}
 	}
-	s.BlockErases = r.I32s()
+	r.I32sInto(s.BlockErases)
 	s.WastedPages = r.I64()
+}
+
+// firstNonState returns the index of the first byte of raw that is no
+// PageState, or -1. It checks eight bytes at a time: a byte holds 0, 1 or 2
+// when no bit above the lowest two is set, and not both of those.
+func firstNonState(raw []byte) int {
+	i := 0
+	for ; i+8 <= len(raw); i += 8 {
+		w := binary.LittleEndian.Uint64(raw[i : i+8])
+		if w&0xFCFC_FCFC_FCFC_FCFC != 0 || w&(w>>1)&0x0101_0101_0101_0101 != 0 {
+			break
+		}
+	}
+	for ; i < len(raw); i++ {
+		if PageState(raw[i]) > PageInvalid {
+			return i
+		}
+	}
+	return -1
 }

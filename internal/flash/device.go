@@ -164,7 +164,7 @@ func (d *Device) Geometry() Geometry { return d.geo }
 func (d *Device) Timing() Timing { return d.timing }
 
 // Stats returns a snapshot of accumulated operation statistics.
-func (d *Device) Stats() Stats { return d.stats.snapshot() }
+func (d *Device) Stats() Stats { return d.stats.clone() }
 
 // SetRecorder attaches (or, with nil, detaches) an observability recorder.
 // Each flash operation then reports its kind, cause, location, and timestamps
@@ -225,62 +225,6 @@ func Untimed(devs []*Device, fn func() error) error {
 		}
 	}()
 	return fn()
-}
-
-// DeviceState is an opaque deep copy of a device's mutable state — page
-// states, block bookkeeping, resource timelines, statistics — taken by
-// Snapshot and reapplied by Restore. It shares nothing with the live device,
-// so one snapshot can fork any number of runs.
-type DeviceState struct {
-	state    []PageState
-	tags     []int64
-	blocks   []BlockInfo
-	planes   []sim.ResourceState
-	chipBus  []sim.ResourceState
-	channels []sim.ResourceState
-	stats    Stats
-}
-
-// Snapshot captures the device's complete mutable state.
-func (d *Device) Snapshot() *DeviceState {
-	s := &DeviceState{
-		state:    append([]PageState(nil), d.state...),
-		tags:     append([]int64(nil), d.tags...),
-		blocks:   append([]BlockInfo(nil), d.blocks...),
-		planes:   make([]sim.ResourceState, len(d.planes)),
-		chipBus:  make([]sim.ResourceState, len(d.chipBus)),
-		channels: make([]sim.ResourceState, len(d.channels)),
-		stats:    d.stats.snapshot(),
-	}
-	for i, r := range d.planes {
-		s.planes[i] = r.Snapshot()
-	}
-	for i, r := range d.chipBus {
-		s.chipBus[i] = r.Snapshot()
-	}
-	for i, r := range d.channels {
-		s.channels[i] = r.Snapshot()
-	}
-	return s
-}
-
-// Restore rewinds the device to a snapshot taken from the same geometry.
-// Existing slices are reused, so restoring does not grow the heap; the
-// snapshot is untouched and may be restored again.
-func (d *Device) Restore(s *DeviceState) {
-	copy(d.state, s.state)
-	copy(d.tags, s.tags)
-	copy(d.blocks, s.blocks)
-	for i, r := range d.planes {
-		r.Restore(s.planes[i])
-	}
-	for i, r := range d.chipBus {
-		r.Restore(s.chipBus[i])
-	}
-	for i, r := range d.channels {
-		r.Restore(s.channels[i])
-	}
-	d.stats.restoreFrom(s.stats)
 }
 
 // PageState returns the state of a physical page.

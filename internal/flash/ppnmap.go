@@ -1,8 +1,6 @@
 package flash
 
 import (
-	"encoding/binary"
-
 	"dloop/internal/ckpt"
 )
 
@@ -26,31 +24,38 @@ func (m PPNMap) Len() int { return len(m) }
 // number some device could have.
 func Mappable(ppn PPN) bool { return ppn == InvalidPPN || uint64(ppn) < maxPages }
 
-// EncodePPNMap appends m to w as a u32 count and one little-endian int64 per
+// EncodeState appends m to w as a u32 count and one little-endian int64 per
 // entry, -1 for InvalidPPN.
-func EncodePPNMap(w *ckpt.Writer, m PPNMap) {
+func (m PPNMap) EncodeState(w *ckpt.Writer) {
 	w.U32(uint32(len(m)))
 	dst := w.Raw(8 * len(m))
-	for i := range m {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(m.Get(int64(i))))
+	var buf [256]uint64
+	for i := 0; i < len(m); i += len(buf) {
+		chunk := buf[:min(len(buf), len(m)-i)]
+		for j, v := range m[i : i+len(chunk)] {
+			chunk[j] = uint64(v) - 1 // ppn+1 back to ppn; 0 to InvalidPPN
+		}
+		ckpt.Store(dst[8*i:], chunk)
 	}
 }
 
-// DecodePPNMap reads a column written by EncodePPNMap, nil if empty. An entry
-// that is not Mappable fails r with ErrUnmappable.
-func DecodePPNMap(r *ckpt.Reader) PPNMap {
-	raw := r.Raw(8 * r.SliceLen(8))
-	if len(raw) == 0 {
-		return nil
-	}
-	m := make(PPNMap, len(raw)/8)
-	for i := range m {
-		ppn := PPN(binary.LittleEndian.Uint64(raw[8*i:]))
-		if !Mappable(ppn) {
-			r.Failf("flash: PPN column entry %d holds %d: %w", i, ppn, ErrUnmappable)
-			return nil
+// DecodeState overwrites m with a column EncodeState wrote, which must have
+// m's length. An entry that is not Mappable fails r with ErrUnmappable.
+func (m PPNMap) DecodeState(r *ckpt.Reader) {
+	raw := r.Raw(8 * r.ExpectLen(len(m), 8))
+	var buf [256]uint64
+	for i := 0; i < len(raw)/8; i += len(buf) {
+		chunk := buf[:min(len(buf), len(raw)/8-i)]
+		ckpt.Load(chunk, raw[8*i:])
+		dst := m[i : i+len(chunk)]
+		for j, v := range chunk {
+			// The stored ppn+1 is at most maxPages exactly when the entry
+			// is Mappable: InvalidPPN stores 0.
+			if v++; v > maxPages {
+				r.Failf("flash: PPN column entry %d holds %d: %w", i+j, int64(v-1), ErrUnmappable)
+				return
+			}
+			dst[j] = uint32(v)
 		}
-		m.Set(int64(i), ppn)
 	}
-	return m
 }

@@ -55,14 +55,14 @@ func TestNewDeviceRejectsUnmappablePages(t *testing.T) {
 }
 
 // TestPPNMapCodec: the column encodes as int64 page numbers with -1 for
-// absent entries, decodes back exactly, and rejects an entry no device
-// could hold with ErrUnmappable.
+// absent entries, decodes back exactly over a column of its length, and
+// rejects an entry no device could hold with ErrUnmappable.
 func TestPPNMapCodec(t *testing.T) {
 	m := make(PPNMap, 4)
 	m.Set(1, 0)
 	m.Set(3, maxPages-1)
 	var w ckpt.Writer
-	EncodePPNMap(&w, m)
+	m.EncodeState(&w)
 	var want ckpt.Writer
 	want.U32(4)
 	for _, v := range []int64{-1, 0, -1, maxPages - 1} {
@@ -71,9 +71,11 @@ func TestPPNMapCodec(t *testing.T) {
 	if string(w.Bytes()) != string(want.Bytes()) {
 		t.Fatalf("encoded %x, want %x", w.Bytes(), want.Bytes())
 	}
-	got := DecodePPNMap(ckpt.NewReader(w.Bytes()))
-	if len(got) != 4 || got.Get(0) != InvalidPPN || got.Get(1) != 0 || got.Get(3) != maxPages-1 {
-		t.Fatalf("decoded %v", got)
+	got := PPNMap{7, 7, 7, 7}
+	r := ckpt.NewReader(w.Bytes())
+	got.DecodeState(r)
+	if r.Err() != nil || got.Get(0) != InvalidPPN || got.Get(1) != 0 || got.Get(2) != InvalidPPN || got.Get(3) != maxPages-1 {
+		t.Fatalf("decoded %v, %v", got, r.Err())
 	}
 
 	for _, bad := range []int64{maxPages, -2} {
@@ -81,7 +83,7 @@ func TestPPNMapCodec(t *testing.T) {
 		b.U32(1)
 		b.I64(bad)
 		r := ckpt.NewReader(b.Bytes())
-		if DecodePPNMap(r) != nil || !errors.Is(r.Err(), ErrUnmappable) {
+		if make(PPNMap, 1).DecodeState(r); !errors.Is(r.Err(), ErrUnmappable) {
 			t.Fatalf("entry %d: error %v, want ErrUnmappable", bad, r.Err())
 		}
 	}

@@ -1,11 +1,13 @@
 package flash
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
@@ -117,11 +119,19 @@ func (tw *runTwins) relocate(victim, dest PlaneBlock, wp int, ready sim.Time) (r
 	return runEnd, perEnd
 }
 
+// stateBytes encodes a device's state: twin devices compare by their bytes,
+// which hold every field of the state.
+func stateBytes(d *Device) []byte {
+	var w ckpt.Writer
+	d.EncodeState(&w)
+	return w.Bytes()
+}
+
 // equal compares everything a device holds: pages, tags, block counters, all
 // three timeline sets and the statistics.
 func (tw *runTwins) equal(what string) {
 	tw.t.Helper()
-	if !reflect.DeepEqual(tw.run.Snapshot(), tw.per.Snapshot()) {
+	if !bytes.Equal(stateBytes(tw.run), stateBytes(tw.per)) {
 		tw.t.Fatalf("%s: device after CopyBackRun differs from its per-page twin\nrun: %+v\nper: %+v",
 			what, tw.run.Stats(), tw.per.Stats())
 	}

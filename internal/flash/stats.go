@@ -44,21 +44,11 @@ func (s *Stats) note(op opKind, cause Cause, plane int, n int64, lat sim.Duratio
 	s.PlaneOps[plane][cause] += n
 }
 
-func (s *Stats) snapshot() Stats {
+func (s *Stats) clone() Stats {
 	out := *s
 	out.PlaneOps = append([][numCauses]int64(nil), s.PlaneOps...)
 	out.BlockErases = append([]int32(nil), s.BlockErases...)
 	return out
-}
-
-// restoreFrom copies a snapshot's contents back into s, reusing the live
-// slices (geometry, and hence their lengths, never changes).
-func (s *Stats) restoreFrom(o Stats) {
-	s.ops = o.ops
-	s.latency = o.latency
-	copy(s.PlaneOps, o.PlaneOps)
-	copy(s.BlockErases, o.BlockErases)
-	s.WastedPages = o.WastedPages
 }
 
 func (s Stats) sum(op opKind) int64 {

@@ -1,11 +1,13 @@
 package flash
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
@@ -90,12 +92,12 @@ func TestScheduleMatchesPhases(t *testing.T) {
 					{got.planeChip[plane], want.planeChip[plane]},
 					{got.planeChannel[plane], want.planeChannel[plane]},
 				} {
-					if !reflect.DeepEqual(pair[0].Snapshot(), pair[1].Snapshot()) {
+					if !bytes.Equal(timelineBytes(pair[0]), timelineBytes(pair[1])) {
 						t.Fatalf("op %d (%d on plane %d, ready %d): %s timeline differs from the phase-by-phase one", i, kind, plane, ready, pair[0].Name())
 					}
 				}
 			}
-			if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			if !bytes.Equal(stateBytes(got), stateBytes(want)) {
 				t.Fatal("devices differ after the stream")
 			}
 			if closed < 5000 || general < 5000 {
@@ -103,6 +105,13 @@ func TestScheduleMatchesPhases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// timelineBytes encodes a resource's timeline and statistics.
+func timelineBytes(r *sim.Resource) []byte {
+	var w ckpt.Writer
+	r.EncodeState(&w)
+	return w.Bytes()
 }
 
 // truncate forgets every op after the first n.
@@ -120,7 +129,7 @@ func (r *countingRecorder) truncate(n int) {
 // stay in step.
 func (tw *runTwins) movePair(src, dst PPN, ready sim.Time) (end sim.Time, err error) {
 	tw.t.Helper()
-	runBefore, perBefore := tw.run.Snapshot(), tw.per.Snapshot()
+	runBefore, perBefore := stateBytes(tw.run), stateBytes(tw.per)
 	perRec, _ := tw.per.rec.(*countingRecorder)
 	var perSeen int
 	if perRec != nil {
@@ -139,10 +148,13 @@ func (tw *runTwins) movePair(src, dst PPN, ready sim.Time) (end sim.Time, err er
 				tw.t.Fatalf("move %d -> %d: %v, per operation %v", src, dst, err, perErr)
 			}
 		}
-		if !reflect.DeepEqual(tw.run.Snapshot(), runBefore) {
+		if !bytes.Equal(stateBytes(tw.run), runBefore) {
 			tw.t.Fatalf("move %d -> %d failed (%v) but changed the device", src, dst, err)
 		}
-		tw.per.Restore(perBefore)
+		r := ckpt.NewReader(perBefore)
+		if tw.per.DecodeState(r); r.Err() != nil {
+			tw.t.Fatal(r.Err())
+		}
 		if perRec != nil {
 			perRec.truncate(perSeen)
 		}

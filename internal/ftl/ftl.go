@@ -9,6 +9,7 @@ package ftl
 import (
 	"fmt"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
@@ -34,6 +35,14 @@ type FTL interface {
 	WritePage(lpn LPN, ready sim.Time) (sim.Time, error)
 	// Capacity returns the number of logical pages the FTL exports.
 	Capacity() LPN
+	// EncodeState appends every piece of mutable FTL state (mapping tables,
+	// CMT, free pools, GC trackers, log-block state) to a checkpoint.
+	EncodeState(w *ckpt.Writer)
+	// DecodeState overwrites that state, in place, with what EncodeState
+	// wrote on an FTL of the same configuration. It records any error in r
+	// and may leave the FTL partly overwritten, so a caller that sees one
+	// must not run the FTL until a later DecodeState succeeds.
+	DecodeState(r *ckpt.Reader)
 }
 
 // Observable is implemented by FTLs that can report internal activity (GC
@@ -43,21 +52,6 @@ type FTL interface {
 type Observable interface {
 	// SetRecorder attaches (or, with nil, detaches) the recorder.
 	SetRecorder(r obs.Recorder)
-}
-
-// Snapshotter is implemented by FTLs that support deterministic
-// checkpoint/fork. Snapshot returns an opaque deep copy of every piece of
-// mutable FTL state (mapping tables, CMT, free pools, GC trackers, log-block
-// state); Restore copies a snapshot's contents back into the receiver.
-// Snapshots never alias live state, so one snapshot taken after a shared
-// warm-up can fork any number of divergent runs, each bit-identical to a
-// fresh run. All FTLs in this repository implement it.
-type Snapshotter interface {
-	// Snapshot captures the FTL's mutable state.
-	Snapshot() any
-	// Restore rewinds the FTL to a snapshot it produced earlier. It returns
-	// an error if the snapshot came from a different scheme.
-	Restore(snap any) error
 }
 
 // Stored-page tagging. The flash device records one int64 per physical page;

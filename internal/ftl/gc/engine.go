@@ -451,27 +451,3 @@ func (e *Engine) RecordVictim(valid int, at sim.Time) {
 		e.victimRec.RecordGCVictim(valid, at)
 	}
 }
-
-// State is a deep copy of the engine's mutable state, for checkpoint/fork.
-type State struct {
-	depth      int
-	collecting []bool
-	stats      Stats
-}
-
-// Snapshot captures the engine's reentrancy guards and counters. The
-// tracker is scheme-owned state and is snapshotted by the scheme.
-func (e *Engine) Snapshot() State {
-	return State{
-		depth:      e.depth,
-		collecting: append([]bool(nil), e.collecting...),
-		stats:      e.stats,
-	}
-}
-
-// Restore rewinds the engine to a snapshot.
-func (e *Engine) Restore(s State) {
-	e.depth = s.depth
-	copy(e.collecting, s.collecting)
-	e.stats = s.stats
-}

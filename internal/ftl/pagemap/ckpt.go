@@ -1,0 +1,65 @@
+package pagemap
+
+import (
+	"dloop/internal/ckpt"
+	"dloop/internal/flash"
+)
+
+// EncodeState implements ftl.FTL: everything that changes as requests are
+// served. Geometry, config, capacity, and the striping permutation are
+// construction-time constants and stay out. Each preset keeps the byte
+// layout it had as a package of its own, so warm-up cache files stay valid:
+// the ideal table in place of the translation state, DFTL's two logs without
+// a count, and DLOOP's per-plane write counts at the end.
+func (f *FTL) EncodeState(w *ckpt.Writer) {
+	if f.mapper != nil {
+		f.mapper.EncodeState(w)
+	} else {
+		f.table.EncodeState(w)
+	}
+	f.pool.EncodeState(w)
+	f.tracker.EncodeState(w)
+	if !f.cfg.Layout.twinLogs() {
+		w.U32(uint32(len(f.cur)))
+	}
+	for _, wp := range f.cur {
+		w.Int(wp.pb.Plane)
+		w.Int(wp.pb.Block)
+		w.Int(wp.next)
+		w.Bool(wp.active)
+	}
+	f.engine.EncodeState(w)
+	if f.cfg.Layout.countsPlaneWrites() {
+		w.I64s(f.planeWrites)
+		w.I64(f.totalWrites)
+	}
+}
+
+// DecodeState implements ftl.FTL, overwriting the live state in place.
+func (f *FTL) DecodeState(r *ckpt.Reader) {
+	if f.mapper != nil {
+		f.mapper.DecodeState(r)
+	} else {
+		f.table.DecodeState(r)
+	}
+	f.pool.DecodeState(r)
+	f.tracker.DecodeState(r)
+	n := len(f.cur)
+	if !f.cfg.Layout.twinLogs() {
+		n = r.ExpectLen(n, 25) // three i64 and a bool each
+	}
+	for i := range f.cur[:n] {
+		wp := writePoint{pb: flash.PlaneBlock{Plane: r.Int(), Block: r.Int()}, next: r.Int(), active: r.Bool()}
+		if wp.pb.Plane < 0 || wp.pb.Plane >= f.geo.Planes() || wp.pb.Block < 0 ||
+			wp.pb.Block >= f.geo.BlocksPerPlane || wp.next < 0 || wp.next > f.geo.PagesPerBlock {
+			r.Failf("pagemap: write point %d %+v is off the device", i, wp)
+			return
+		}
+		f.cur[i] = wp
+	}
+	f.engine.DecodeState(r)
+	if f.cfg.Layout.countsPlaneWrites() {
+		r.I64sInto(f.planeWrites)
+		f.totalWrites = r.I64()
+	}
+}

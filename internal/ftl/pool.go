@@ -96,44 +96,6 @@ func (f *FreeBlocks) Put(pb flash.PlaneBlock) {
 	f.total++
 }
 
-// FreeBlocksState is a deep copy of a pool, for checkpoint/fork. Contents
-// are stored linearized in queue order, so the state is ring-layout
-// independent.
-type FreeBlocksState struct {
-	perPlane [][]int
-	total    int
-}
-
-// Snapshot captures the pool's contents.
-func (f *FreeBlocks) Snapshot() FreeBlocksState {
-	s := FreeBlocksState{perPlane: make([][]int, len(f.planes)), total: f.total}
-	for p := range f.planes {
-		q := &f.planes[p]
-		blocks := make([]int, q.n)
-		for i := 0; i < q.n; i++ {
-			j := q.head + i
-			if j >= len(q.buf) {
-				j -= len(q.buf)
-			}
-			blocks[i] = q.buf[j]
-		}
-		s.perPlane[p] = blocks
-	}
-	return s
-}
-
-// Restore rewinds the pool to a snapshot of the same geometry, reusing the
-// live ring buffers.
-func (f *FreeBlocks) Restore(s FreeBlocksState) {
-	for p, blocks := range s.perPlane {
-		q := &f.planes[p]
-		q.head = 0
-		q.n = len(blocks)
-		copy(q.buf, blocks)
-	}
-	f.total = s.total
-}
-
 func (f *FreeBlocks) String() string {
 	return fmt.Sprintf("free blocks: %d over %d planes", f.total, len(f.planes))
 }

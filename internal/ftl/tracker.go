@@ -144,51 +144,6 @@ func (t *Tracker) ForEachCandidate(plane int, fn func(pb flash.PlaneBlock, inval
 	}
 }
 
-// TrackerState is a deep copy of a tracker, for checkpoint/fork.
-type TrackerState struct {
-	invalid  []int32
-	inBkt    []int32
-	buckets  [][][]int32
-	maxCount []int
-	closeSeq []int64
-	seq      int64
-}
-
-// Snapshot captures the tracker's candidate index.
-func (t *Tracker) Snapshot() TrackerState {
-	s := TrackerState{
-		invalid:  append([]int32(nil), t.invalid...),
-		inBkt:    append([]int32(nil), t.inBkt...),
-		buckets:  make([][][]int32, len(t.buckets)),
-		maxCount: append([]int(nil), t.maxCount...),
-		closeSeq: append([]int64(nil), t.closeSeq...),
-		seq:      t.seq,
-	}
-	for p, bkts := range t.buckets {
-		s.buckets[p] = make([][]int32, len(bkts))
-		for c, bkt := range bkts {
-			if len(bkt) > 0 {
-				s.buckets[p][c] = append([]int32(nil), bkt...)
-			}
-		}
-	}
-	return s
-}
-
-// Restore rewinds the tracker to a snapshot of the same geometry.
-func (t *Tracker) Restore(s TrackerState) {
-	copy(t.invalid, s.invalid)
-	copy(t.inBkt, s.inBkt)
-	copy(t.maxCount, s.maxCount)
-	copy(t.closeSeq, s.closeSeq)
-	t.seq = s.seq
-	for p, bkts := range s.buckets {
-		for c, bkt := range bkts {
-			t.buckets[p][c] = append(t.buckets[p][c][:0], bkt...)
-		}
-	}
-}
-
 func (t *Tracker) addBucket(pb flash.PlaneBlock, count int) {
 	bkt := &t.buckets[pb.Plane][count]
 	t.inBkt[t.geo.BlockIndex(pb)] = int32(len(*bkt))

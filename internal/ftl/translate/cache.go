@@ -242,67 +242,6 @@ func (c *Cache) unmarkDirty(h int32) {
 	c.tpCount[tp]--
 }
 
-// CacheState is a deep copy of the cache, for checkpoint/fork. Entries are
-// plain values, so copying the slab copies every list link with it.
-type CacheState struct {
-	n                    int
-	slab                 []entry
-	freeHead             int32
-	dense                []int32
-	index                map[ftl.LPN]int32
-	probation, protected list
-	tpHead               []int32
-	tpCount              []int32
-	hits, misses         int64
-}
-
-// Snapshot captures the cache's contents and statistics.
-func (c *Cache) Snapshot() CacheState {
-	s := CacheState{
-		n:         c.n,
-		slab:      append([]entry(nil), c.slab...),
-		freeHead:  c.freeHead,
-		probation: c.probation,
-		protected: c.protected,
-		tpHead:    append([]int32(nil), c.tpHead...),
-		tpCount:   append([]int32(nil), c.tpCount...),
-		hits:      c.hits,
-		misses:    c.misses,
-	}
-	if c.dense != nil {
-		s.dense = append([]int32(nil), c.dense...)
-	} else {
-		s.index = make(map[ftl.LPN]int32, len(c.index))
-		for k, v := range c.index {
-			s.index[k] = v
-		}
-	}
-	return s
-}
-
-// Restore rewinds the cache to a snapshot from a Cache of the same shape.
-// The map-indexed variant's translation-page arrays grow on demand, so the
-// slices are re-appended rather than copied in place.
-func (c *Cache) Restore(s CacheState) {
-	c.n = s.n
-	copy(c.slab, s.slab)
-	c.freeHead = s.freeHead
-	c.probation = s.probation
-	c.protected = s.protected
-	c.tpHead = append(c.tpHead[:0], s.tpHead...)
-	c.tpCount = append(c.tpCount[:0], s.tpCount...)
-	c.hits = s.hits
-	c.misses = s.misses
-	if c.dense != nil {
-		copy(c.dense, s.dense)
-		return
-	}
-	c.index = make(map[ftl.LPN]int32, len(s.index))
-	for k, v := range s.index {
-		c.index[k] = v
-	}
-}
-
 // Get looks up a mapping, updating recency and segment membership on a hit.
 func (c *Cache) Get(lpn ftl.LPN) (flash.PPN, bool) {
 	h := c.lookup(lpn)

@@ -1,24 +1,29 @@
 package translate
 
 import (
-	"sort"
+	"slices"
 
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 )
 
-// EncodeState appends an engine State to w: mapping table, CMT, GTD,
-// learned segments, and counters. The CMT slab goes out entry-by-entry in
-// slab order, so handles (slab indices) survive the round-trip and a
-// restored cache is bit-identical to the snapshotted one, free list and
-// recency links included.
-func EncodeState(w *ckpt.Writer, s State) {
-	flash.EncodePPNMap(w, s.table)
-	encodeCacheState(w, s.cache)
-	flash.EncodePPNMap(w, s.gtd)
-	w.U32(uint32(len(s.learned.segs)))
-	for _, segs := range s.learned.segs {
+// EncodeState appends the engine's mutable state to w: mapping table, CMT,
+// GTD, learned segments, and counters. The placer and tracker pointers are
+// construction-time wiring, not state. The CMT slab goes out entry by entry
+// in slab order, so handles (slab indices) survive the round trip and a
+// decoded cache is bit-identical to the encoded one, free list and recency
+// links included.
+func (m *Engine) EncodeState(w *ckpt.Writer) {
+	m.table.EncodeState(w)
+	m.Cache.encodeState(w)
+	m.GTD.EncodeState(w)
+	var segs [][]segment
+	if m.li != nil {
+		segs = m.li.segs
+	}
+	w.U32(uint32(len(segs)))
+	for _, segs := range segs {
 		w.U32(uint32(len(segs)))
 		for _, sg := range segs {
 			w.I64(int64(sg.start))
@@ -28,61 +33,42 @@ func EncodeState(w *ckpt.Writer, s State) {
 			w.I64(sg.ppnDelta)
 		}
 	}
-	w.I64(s.stats.Evictions)
-	w.I64(s.stats.DirtyEvictions)
-	w.I64(s.stats.TransReads)
-	w.I64(s.stats.TransWrites)
-	w.I64(s.stats.BatchCleaned)
-	w.I64(s.stats.LazyRedirects)
-	w.I64(s.stats.LearnedHits)
-	w.I64(s.stats.LearnedFalse)
+	s := &m.stats
+	for _, v := range []int64{s.Evictions, s.DirtyEvictions, s.TransReads, s.TransWrites,
+		s.BatchCleaned, s.LazyRedirects, s.LearnedHits, s.LearnedFalse} {
+		w.I64(v)
+	}
 }
 
-// DecodeState reads a State written by EncodeState. Every count is checked
-// against the bytes left before anything is sized by it, and a learned index
-// must cover exactly the GTD's translation pages, as the engine's does.
-func DecodeState(r *ckpt.Reader) State {
-	s := State{
-		table: flash.DecodePPNMap(r),
-		cache: decodeCacheState(r),
-		gtd:   flash.DecodePPNMap(r),
-	}
+// DecodeState overwrites the engine's state with what EncodeState wrote on an
+// engine of the same shape, in place. Every count is checked against the
+// bytes left and the live columns before anything is written by it, and a
+// learned index must cover exactly the GTD's translation pages, as the
+// engine's does. A learned index from a checkpoint without one starts cold;
+// one in a checkpoint for an engine without one is checked and dropped.
+func (m *Engine) DecodeState(r *ckpt.Reader) {
+	m.table.DecodeState(r)
+	m.Cache.decodeState(r)
+	m.GTD.DecodeState(r)
 	n := r.SliceLen(4) // one u32 segment count per translation page
 	if r.Err() != nil {
-		return State{}
+		return
 	}
-	if n != 0 && n != len(s.gtd) {
-		r.Failf("translate: learned index over %d translation pages, GTD has %d", n, len(s.gtd))
-		return State{}
+	if n != 0 && n != len(m.GTD) {
+		r.Failf("translate: learned index over %d translation pages, GTD has %d", n, len(m.GTD))
+		return
 	}
-	if n > 0 {
-		s.learned.segs = make([][]segment, n)
-		for i := range s.learned.segs {
-			cnt := r.SliceLen(32) // start, stride, count, base, delta
-			if r.Err() != nil {
-				return State{}
-			}
-			if cnt == 0 {
-				continue
-			}
-			segs := make([]segment, cnt)
-			for j := range segs {
-				segs[j] = segment{
-					start:     ftl.LPN(r.I64()),
-					lpnStride: r.I32(),
-					count:     r.I32(),
-					base:      flash.PPN(r.I64()),
-					ppnDelta:  r.I64(),
-				}
-				if segs[j].lpnStride < 1 {
-					r.Failf("translate: learned segment with stride %d", segs[j].lpnStride)
-					return State{}
-				}
-			}
-			s.learned.segs[i] = segs
+	if m.li != nil && n == 0 {
+		m.li.reset()
+	}
+	for i := 0; i < n; i++ {
+		if m.li != nil {
+			m.li.segs[i] = decodeSegments(r, m.li.segs[i])
+		} else {
+			decodeSegments(r, nil)
 		}
 	}
-	s.stats = Stats{
+	m.stats = Stats{
 		Evictions:      r.I64(),
 		DirtyEvictions: r.I64(),
 		TransReads:     r.I64(),
@@ -92,7 +78,27 @@ func DecodeState(r *ckpt.Reader) State {
 		LearnedHits:    r.I64(),
 		LearnedFalse:   r.I64(),
 	}
-	return s
+}
+
+// decodeSegments reads one translation page's segments onto dst[:0].
+func decodeSegments(r *ckpt.Reader, dst []segment) []segment {
+	cnt := r.SliceLen(32) // start, stride, count, base, delta
+	dst = slices.Grow(dst[:0], cnt)
+	for j := 0; j < cnt; j++ {
+		sg := segment{
+			start:     ftl.LPN(r.I64()),
+			lpnStride: r.I32(),
+			count:     r.I32(),
+			base:      flash.PPN(r.I64()),
+			ppnDelta:  r.I64(),
+		}
+		if sg.lpnStride < 1 {
+			r.Failf("translate: learned segment with stride %d", sg.lpnStride)
+			return dst
+		}
+		dst = append(dst, sg)
+	}
+	return dst
 }
 
 // cache entry flag bits.
@@ -101,10 +107,10 @@ const (
 	entryProtected = 1 << 1
 )
 
-func encodeCacheState(w *ckpt.Writer, s CacheState) {
-	w.Int(s.n)
-	w.U32(uint32(len(s.slab)))
-	for _, e := range s.slab {
+func (c *Cache) encodeState(w *ckpt.Writer) {
+	w.Int(c.n)
+	w.U32(uint32(len(c.slab)))
+	for _, e := range c.slab {
 		w.I64(int64(e.lpn))
 		w.I64(int64(e.ppn))
 		var flags uint8
@@ -120,83 +126,96 @@ func encodeCacheState(w *ckpt.Writer, s CacheState) {
 		w.I32(e.dPrev)
 		w.I32(e.dNext)
 	}
-	w.I32(s.freeHead)
+	w.I32(c.freeHead)
 	// Exactly one of the two lookup indexes is live (see Cache). The map
 	// variant is encoded sorted by LPN so equal caches encode identically.
-	w.Bool(s.dense != nil)
-	if s.dense != nil {
-		w.I32s(s.dense)
+	w.Bool(c.dense != nil)
+	if c.dense != nil {
+		w.I32s(c.dense)
 	} else {
-		keys := make([]ftl.LPN, 0, len(s.index))
-		for k := range s.index {
+		keys := make([]ftl.LPN, 0, len(c.index))
+		for k := range c.index {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		w.U32(uint32(len(keys)))
 		for _, k := range keys {
 			w.I64(int64(k))
-			w.I32(s.index[k])
+			w.I32(c.index[k])
 		}
 	}
-	encodeList(w, s.probation)
-	encodeList(w, s.protected)
-	w.I32s(s.tpHead)
-	w.I32s(s.tpCount)
-	w.I64(s.hits)
-	w.I64(s.misses)
+	for _, l := range []list{c.probation, c.protected} {
+		w.I32(l.head)
+		w.I32(l.tail)
+		w.Int(l.n)
+	}
+	w.I32s(c.tpHead)
+	w.I32s(c.tpCount)
+	w.I64(c.hits)
+	w.I64(c.misses)
 }
 
-func decodeCacheState(r *ckpt.Reader) CacheState {
-	s := CacheState{n: r.Int()}
-	ns := r.SliceLen(33) // lpn, ppn, flags, four links
-	if r.Err() != nil {
-		return CacheState{}
+// decodeState overwrites the cache with what encodeState wrote on a cache of
+// the same capacity and index variant. Every handle must name a slab entry.
+func (c *Cache) decodeState(r *ckpt.Reader) {
+	c.n = r.Int()
+	handle := func(h int32) int32 {
+		if h < 0 || int(h) >= len(c.slab) {
+			r.Failf("translate: cache handle %d outside a %d-entry slab", h, len(c.slab))
+			return 0
+		}
+		return h
 	}
-	s.slab = make([]entry, ns)
-	for i := range s.slab {
-		e := &s.slab[i]
+	for i := range c.slab[:r.ExpectLen(len(c.slab), 33)] { // lpn, ppn, flags, four links
+		e := &c.slab[i]
 		e.lpn = ftl.LPN(r.I64())
 		if e.ppn = flash.PPN(r.I64()); !flash.Mappable(e.ppn) {
 			r.Failf("translate: cached mapping %d holds ppn %d: %w", i, e.ppn, flash.ErrUnmappable)
-			return CacheState{}
+			return
 		}
 		flags := r.U8()
 		e.dirty = flags&entryDirty != 0
 		e.protected = flags&entryProtected != 0
-		e.prev = r.I32()
-		e.next = r.I32()
-		e.dPrev = r.I32()
-		e.dNext = r.I32()
+		e.prev = handle(r.I32())
+		e.next = handle(r.I32())
+		e.dPrev = handle(r.I32())
+		e.dNext = handle(r.I32())
 	}
-	s.freeHead = r.I32()
-	if r.Bool() {
-		s.dense = r.I32s()
+	c.freeHead = handle(r.I32())
+	if isDense := r.Bool(); r.Err() == nil && isDense != (c.dense != nil) {
+		r.Failf("translate: checkpoint and cache disagree on the lookup index")
+	}
+	if dense := c.dense; dense != nil {
+		slab := uint32(len(c.slab))
+		raw := r.Raw(4 * r.ExpectLen(len(dense), 4))
+		var buf [512]uint32
+		for i := 0; i < len(raw)/4; i += len(buf) {
+			chunk := buf[:min(len(buf), len(raw)/4-i)]
+			ckpt.Load(chunk, raw[4*i:])
+			dst := dense[i : i+len(chunk)]
+			for j, h := range chunk {
+				if h >= slab {
+					handle(int32(h))
+					return
+				}
+				dst[j] = int32(h)
+			}
+		}
 	} else {
-		nk := r.SliceLen(12) // lpn, handle
-		if r.Err() != nil {
-			return CacheState{}
-		}
-		s.index = make(map[ftl.LPN]int32, nk)
-		for i := 0; i < nk; i++ {
+		clear(c.index)
+		for i := r.SliceLen(12); i > 0; i-- { // lpn, handle
 			k := ftl.LPN(r.I64())
-			s.index[k] = r.I32()
+			c.index[k] = handle(r.I32())
 		}
 	}
-	s.probation = decodeList(r)
-	s.protected = decodeList(r)
-	s.tpHead = r.I32s()
-	s.tpCount = r.I32s()
-	s.hits = r.I64()
-	s.misses = r.I64()
-	return s
-}
-
-func encodeList(w *ckpt.Writer, l list) {
-	w.I32(l.head)
-	w.I32(l.tail)
-	w.Int(l.n)
-}
-
-func decodeList(r *ckpt.Reader) list {
-	return list{head: r.I32(), tail: r.I32(), n: r.Int()}
+	for _, l := range []*list{&c.probation, &c.protected} {
+		*l = list{head: handle(r.I32()), tail: handle(r.I32()), n: r.Int()}
+	}
+	c.tpHead = r.AppendI32s(c.tpHead)
+	c.tpCount = r.AppendI32s(c.tpCount)
+	if r.Err() == nil && len(c.tpHead) != len(c.tpCount) {
+		r.Failf("translate: %d dirty-list heads for %d dirty counts", len(c.tpHead), len(c.tpCount))
+	}
+	c.hits = r.I64()
+	c.misses = r.I64()
 }

@@ -11,10 +11,9 @@ import (
 	"dloop/internal/sim"
 )
 
-// encodedEngineState runs a small write stream through a fresh engine and
-// returns its encoded state: a table and GTD with live entries, a CMT with
-// dirty and clean entries, and — under the learned policy — trained segments.
-func encodedEngineState(tb testing.TB, policy Policy) []byte {
+// newCodecEngine builds the engine the codec tests encode from and decode
+// into: a 64-page space behind a 4-entry CMT.
+func newCodecEngine(tb testing.TB, policy Policy) (*Engine, *flash.Device) {
 	tb.Helper()
 	dev, err := flash.NewDevice(testGeo(), flash.DefaultTiming())
 	if err != nil {
@@ -27,7 +26,26 @@ func encodedEngineState(tb testing.TB, policy Policy) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var at sim.Time
+	return m, dev
+}
+
+// engineBytes encodes an engine's state.
+func engineBytes(m *Engine) []byte {
+	var w ckpt.Writer
+	m.EncodeState(&w)
+	return w.Bytes()
+}
+
+// encodedEngineState runs a small write stream through a fresh engine and
+// returns its encoded state: a table and GTD with live entries, a CMT with
+// dirty and clean entries, and — under the learned policy — trained segments.
+func encodedEngineState(tb testing.TB, policy Policy) []byte {
+	tb.Helper()
+	m, dev := newCodecEngine(tb, policy)
+	var (
+		at  sim.Time
+		err error
+	)
 	for lpn := ftl.LPN(0); lpn < 24; lpn++ {
 		if at, err = m.Resolve(lpn, at); err != nil {
 			tb.Fatal(err)
@@ -46,21 +64,19 @@ func encodedEngineState(tb testing.TB, policy Policy) []byte {
 	if policy == PolicyLearned && m.LearnedSegments() == 0 {
 		tb.Fatal("no learned segments trained")
 	}
-	var w ckpt.Writer
-	EncodeState(&w, m.Snapshot())
-	return w.Bytes()
+	return engineBytes(m)
 }
 
-// decodeAllocs decodes data as an engine state and reports the bytes the
-// decode allocated and its error. The heap counters are process-wide and a
+// decodeAllocs decodes data into m and reports the bytes the decode
+// allocated and its error. The heap counters are process-wide and a
 // fuzzing worker's own goroutines allocate too, so a reading over the bound
 // is taken again, and the smallest of three stands.
-func decodeAllocs(data []byte) (alloc uint64, err error) {
+func decodeAllocs(m *Engine, data []byte) (alloc uint64, err error) {
 	for try := 0; try < 3 && (try == 0 || alloc > allocBound(len(data))); try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		r := ckpt.NewReader(data)
-		DecodeState(r)
+		m.DecodeState(r)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; try == 0 || n < alloc {
 			alloc = n
@@ -76,30 +92,30 @@ func decodeAllocs(data []byte) (alloc uint64, err error) {
 // bytes do not back would be far past it.
 func allocBound(n int) uint64 { return 4*uint64(n) + 4096 }
 
-// TestDecodeStateRoundTrip: every policy's state decodes and re-encodes to
-// the same bytes.
+// TestDecodeStateRoundTrip: every policy's state decodes into a fresh
+// engine and re-encodes to the same bytes.
 func TestDecodeStateRoundTrip(t *testing.T) {
 	for _, policy := range []Policy{PolicySLRU, PolicyLearned} {
 		data := encodedEngineState(t, policy)
+		m, _ := newCodecEngine(t, policy)
 		r := ckpt.NewReader(data)
-		s := DecodeState(r)
-		if err := r.Err(); err != nil {
-			t.Fatalf("%v: %v", policy, err)
+		if m.DecodeState(r); r.Err() != nil {
+			t.Fatalf("%v: %v", policy, r.Err())
 		}
-		var w ckpt.Writer
-		EncodeState(&w, s)
-		if string(w.Bytes()) != string(data) {
+		if string(engineBytes(m)) != string(data) {
 			t.Fatalf("%v: re-encoding changed the bytes", policy)
 		}
 	}
 }
 
 // TestDecodeStateCrafted damages the counts and PPN columns of a valid
-// encoding. Each must fail with an error, allocating only what the payload
-// backs: unbounded, a slab or learned-index count of 2^32-1 sizes a slice of
-// 96 GB or more, and a PPN column truncates whatever int64 it is given.
+// encoding and decodes it into a built engine. Each must fail with an error,
+// allocating only what the payload backs: unbounded, a slab or learned-index
+// count of 2^32-1 sizes a slice of 96 GB or more, and a PPN column truncates
+// whatever int64 it is given.
 func TestDecodeStateCrafted(t *testing.T) {
 	data := encodedEngineState(t, PolicyLearned)
+	m, _ := newCodecEngine(t, PolicyLearned)
 	const table = 4 + 8*64 // the 64-entry table; the CMT follows
 	slab := table + 8      // after the cached-entry count n
 	put := func(b []byte, off int, v uint64, width int) {
@@ -121,7 +137,7 @@ func TestDecodeStateCrafted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), data...)
 			tc.damage(bad)
-			alloc, err := decodeAllocs(bad)
+			alloc, err := decodeAllocs(m, bad)
 			if err == nil {
 				t.Fatal("damaged state accepted")
 			}
@@ -136,26 +152,27 @@ func TestDecodeStateCrafted(t *testing.T) {
 
 	// The learned index's counts: the outer one must match the GTD, each
 	// page's must be backed by the payload.
-	r := ckpt.NewReader(data)
-	s := DecodeState(r)
+	if _, err := decodeAllocs(m, data); err != nil {
+		t.Fatal(err)
+	}
 	var w ckpt.Writer
-	flash.EncodePPNMap(&w, s.table)
-	encodeCacheState(&w, s.cache)
-	flash.EncodePPNMap(&w, s.gtd)
+	m.table.EncodeState(&w)
+	m.Cache.encodeState(&w)
+	m.GTD.EncodeState(&w)
 	learned := w.Len()
 	for _, tc := range []struct {
 		name string
 		off  int
 		v    uint64
 	}{
-		{"learned page count beyond the GTD", learned, uint64(len(s.gtd)) + 1},
+		{"learned page count beyond the GTD", learned, uint64(len(m.GTD)) + 1},
 		{"learned page count beyond payload", learned, 0xFFFFFFFF},
 		{"segment count beyond payload", learned + 4, 0xFFFFFFFF},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), data...)
 			put(bad, tc.off, tc.v, 4)
-			alloc, err := decodeAllocs(bad)
+			alloc, err := decodeAllocs(m, bad)
 			if err == nil {
 				t.Fatal("damaged state accepted")
 			}
@@ -166,18 +183,23 @@ func TestDecodeStateCrafted(t *testing.T) {
 	}
 }
 
-// FuzzDecodeTranslateState feeds arbitrary bytes to DecodeState. It must
-// never panic, and it may allocate only in proportion to the bytes given:
-// no count the payload does not back may size anything.
+// FuzzDecodeTranslateState decodes arbitrary bytes into a built engine of
+// each policy. It must never panic, and it may allocate only in proportion
+// to the bytes given: no count the payload does not back may size anything.
 func FuzzDecodeTranslateState(f *testing.F) {
+	var engines []*Engine
 	for _, policy := range []Policy{PolicySLRU, PolicyLearned} {
 		f.Add(encodedEngineState(f, policy))
+		m, _ := newCodecEngine(f, policy)
+		engines = append(engines, m)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if alloc, _ := decodeAllocs(data); alloc > allocBound(len(data)) {
-			t.Fatalf("allocated %d bytes decoding %d", alloc, len(data))
+		for _, m := range engines {
+			if alloc, _ := decodeAllocs(m, data); alloc > allocBound(len(data)) {
+				t.Fatalf("%v: allocated %d bytes decoding %d", m.Policy(), alloc, len(data))
+			}
 		}
 	})
 }

@@ -336,38 +336,6 @@ func (m *Engine) RedirectMoved(moved []ftl.Moved, ready sim.Time) (sim.Time, err
 	return ready, nil
 }
 
-// State is a deep copy of an engine's mutable state, for checkpoint/fork.
-// The placer and tracker pointers are construction-time wiring, not state,
-// and survive a restore untouched.
-type State struct {
-	table   flash.PPNMap
-	cache   CacheState
-	gtd     flash.PPNMap
-	learned learnedState
-	stats   Stats
-}
-
-// Snapshot captures the mapping table, cache, GTD, learned segments, and
-// counters.
-func (m *Engine) Snapshot() State {
-	return State{
-		table:   append(flash.PPNMap(nil), m.table...),
-		cache:   m.Cache.Snapshot(),
-		gtd:     append(flash.PPNMap(nil), m.GTD...),
-		learned: m.li.snapshot(),
-		stats:   m.stats,
-	}
-}
-
-// Restore rewinds the engine to a snapshot of the same shape.
-func (m *Engine) Restore(s State) {
-	copy(m.table, s.table)
-	m.Cache.Restore(s.cache)
-	copy(m.GTD, s.gtd)
-	m.li.restore(s.learned)
-	m.stats = s.stats
-}
-
 // Retarget repoints the engine's placer and invalidation tracker; recovery
 // uses it after rebuilding those structures from an OOB scan.
 func (m *Engine) Retarget(placer ftl.Placer, tracker *ftl.Tracker) {

@@ -1,8 +1,10 @@
 package translate
 
 import (
+	"bytes"
 	"testing"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/sim"
@@ -359,6 +361,8 @@ func TestEngineLazyRedirectPersistsAtNextWriteBack(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotRestore encodes an engine, runs it on, and decodes the
+// bytes back into it: the state must be the encoded one again.
 func TestEngineSnapshotRestore(t *testing.T) {
 	for _, policy := range []Policy{PolicySLRU, PolicyLearned} {
 		m, dev, _ := newTestEngine(t, 4, policy)
@@ -374,7 +378,7 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			}
 			at = end
 		}
-		snap := m.Snapshot()
+		snap := engineBytes(m)
 		tableAt := append(flash.PPNMap(nil), m.table...)
 		statsAt := m.Stats()
 		segsAt := m.LearnedSegments()
@@ -392,7 +396,13 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			at = end
 		}
 
-		m.Restore(snap)
+		r := ckpt.NewReader(snap)
+		if m.DecodeState(r); r.Err() != nil {
+			t.Fatalf("%v: %v", policy, r.Err())
+		}
+		if !bytes.Equal(engineBytes(m), snap) {
+			t.Fatalf("%v: state after decoding differs from the encoded one", policy)
+		}
 		for i := range tableAt {
 			if got, want := m.PPN(ftl.LPN(i)), tableAt.Get(int64(i)); got != want {
 				t.Fatalf("%v: PPN(%d) = %d after restore, want %d", policy, i, got, want)

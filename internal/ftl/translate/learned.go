@@ -162,35 +162,3 @@ func (li *learnedIndex) segments() int {
 	}
 	return n
 }
-
-// learnedState is a deep copy of the index for checkpoint/fork.
-type learnedState struct {
-	segs [][]segment
-}
-
-func (li *learnedIndex) snapshot() learnedState {
-	if li == nil {
-		return learnedState{}
-	}
-	s := learnedState{segs: make([][]segment, len(li.segs))}
-	for i, v := range li.segs {
-		if len(v) > 0 {
-			s.segs[i] = append([]segment(nil), v...)
-		}
-	}
-	return s
-}
-
-func (li *learnedIndex) restore(s learnedState) {
-	if li == nil {
-		return
-	}
-	if len(s.segs) != len(li.segs) {
-		// Snapshot from an engine without a learned index: start cold.
-		li.reset()
-		return
-	}
-	for i := range li.segs {
-		li.segs[i] = append(li.segs[i][:0], s.segs[i]...)
-	}
-}

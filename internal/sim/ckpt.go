@@ -2,49 +2,48 @@ package sim
 
 import "dloop/internal/ckpt"
 
-// EncodeResourceState appends a ResourceState to w. Layout: solidUntil,
-// busyFor, ops, then the live intervals as a length-prefixed slab of
-// (start, end) int64 pairs.
-func EncodeResourceState(w *ckpt.Writer, s ResourceState) {
-	w.I64(int64(s.solidUntil))
-	w.I64(int64(s.busyFor))
-	w.I64(s.ops)
-	w.U32(uint32(len(s.live)))
-	for _, iv := range s.live {
+// EncodeState appends the resource's timeline and statistics to w. Layout:
+// solidUntil, busyFor, ops, then the live intervals as a length-prefixed
+// slab of (start, end) int64 pairs.
+func (r *Resource) EncodeState(w *ckpt.Writer) {
+	w.I64(int64(r.solidUntil))
+	w.I64(int64(r.busyFor))
+	w.I64(r.ops)
+	live := r.buf[r.head:]
+	w.U32(uint32(len(live)))
+	for _, iv := range live {
 		w.I64(int64(iv.start))
 		w.I64(int64(iv.end))
 	}
 }
 
-// DecodeResourceState reads a ResourceState written by EncodeResourceState.
-// Checkpoints cross process boundaries, so it admits only what a Resource
-// can hold — at most retainIntervals intervals, all present in the payload,
-// each non-empty, in order, disjoint, and none before solidUntil — and fails
-// the reader on anything else.
-func DecodeResourceState(r *ckpt.Reader) ResourceState {
-	s := ResourceState{
-		solidUntil: Time(r.I64()),
-		busyFor:    Duration(r.I64()),
-		ops:        r.I64(),
-	}
-	n := r.SliceLen(16)
+// DecodeState overwrites the resource with a timeline EncodeState wrote,
+// reusing the backing array, so repeated forks stay allocation-free once the
+// high-water capacity is reached. Checkpoints cross process boundaries, so it
+// admits only what a Resource can hold — at most retainIntervals intervals,
+// all present in the payload, each non-empty, in order, disjoint, and none
+// before solidUntil — and fails the reader on anything else, leaving the
+// resource partly overwritten.
+func (r *Resource) DecodeState(rd *ckpt.Reader) {
+	solidUntil, busyFor, ops := Time(rd.I64()), Duration(rd.I64()), rd.I64()
+	n := rd.SliceLen(16)
 	if n > retainIntervals {
-		r.Failf("sim: resource timeline holds %d intervals, the window is %d", n, retainIntervals)
+		rd.Failf("sim: resource timeline holds %d intervals, the window is %d", n, retainIntervals)
 	}
-	if r.Err() != nil {
-		return ResourceState{}
+	if rd.Err() != nil {
+		return
 	}
-	if n > 0 {
-		s.live = make([]interval, n)
+	*r = Resource{
+		name: r.name, free: solidUntil, solidUntil: solidUntil,
+		buf: r.buf[:0], busyFor: busyFor, ops: ops,
 	}
-	floor := s.solidUntil
-	for i := range s.live {
-		iv := interval{Time(r.I64()), Time(r.I64())}
-		if iv.start < floor || iv.end <= iv.start {
-			r.Failf("sim: resource timeline interval %d [%d,%d) is empty or starts before %d", i, iv.start, iv.end, floor)
-			return ResourceState{}
+	for i := 0; i < n; i++ {
+		iv := interval{Time(rd.I64()), Time(rd.I64())}
+		if iv.start < r.free || iv.end <= iv.start {
+			rd.Failf("sim: resource timeline interval %d [%d,%d) is empty or starts before %d", i, iv.start, iv.end, r.free)
+			return
 		}
-		s.live[i], floor = iv, iv.end
+		r.buf = append(r.buf, iv)
+		r.free = iv.end
 	}
-	return s
 }

@@ -37,8 +37,8 @@ type Resource struct {
 	// the gap it found, which is where occupy backfills the occupation.
 	// Requests chain (a merge, a collection, the rounds of one
 	// EarliestStart), so the next search starts there. It is a hint, never
-	// state: any value yields the same timeline, it is not part of
-	// ResourceState, and Reset and Restore clear it.
+	// state: any value yields the same timeline, it is not checkpointed,
+	// and Reset and DecodeState clear it.
 	cur     int
 	busyFor Duration
 	ops     int64
@@ -78,39 +78,6 @@ func (r *Resource) Ops() int64 { return r.ops }
 // backing array is kept, so a reset resource stays allocation-free.
 func (r *Resource) Reset() {
 	*r = Resource{name: r.name, buf: r.buf[:0]}
-}
-
-// ResourceState is an opaque deep copy of a Resource's timeline, taken by
-// Snapshot and reapplied by Restore. It never aliases live state, so one
-// snapshot can seed any number of forked runs.
-type ResourceState struct {
-	solidUntil Time
-	live       []interval
-	busyFor    Duration
-	ops        int64
-}
-
-// Snapshot captures the resource's occupied timeline and statistics.
-func (r *Resource) Snapshot() ResourceState {
-	return ResourceState{
-		solidUntil: r.solidUntil,
-		live:       append([]interval(nil), r.buf[r.head:]...),
-		busyFor:    r.busyFor,
-		ops:        r.ops,
-	}
-}
-
-// Restore rewinds the resource to a snapshot, reusing the backing array so
-// repeated forks stay allocation-free once the high-water capacity is
-// reached.
-func (r *Resource) Restore(s ResourceState) {
-	*r = Resource{
-		name: r.name, free: s.solidUntil, solidUntil: s.solidUntil,
-		buf: append(r.buf[:0], s.live...), busyFor: s.busyFor, ops: s.ops,
-	}
-	if n := len(s.live); n > 0 {
-		r.free = s.live[n-1].end
-	}
 }
 
 // fit returns the earliest start >= ready at which a duration d fits into

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -68,8 +69,9 @@ func (m *refResource) occupy(start Time, d Duration) {
 	}
 }
 
-func (m *refResource) snapshot() ResourceState {
-	return ResourceState{solidUntil: m.solidUntil, live: slices.Clone(m.live), busyFor: m.busyFor, ops: m.ops}
+// encode writes the model in Resource.EncodeState's layout.
+func (m *refResource) encode() []byte {
+	return encodeTimeline(m.solidUntil, m.busyFor, m.ops, m.live)
 }
 
 // refEarliestStart is the least common fit by plain iteration to a fixpoint.
@@ -172,14 +174,10 @@ func (p *resourcePair) check() {
 			p.t.Fatalf("resource %d: FreeAt/BusyTime/Ops %d/%d/%d, reference %d/%d/%d",
 				i, r.FreeAt(), r.BusyTime(), r.Ops(), m.freeAt(), m.busyFor, m.ops)
 		}
-		if got, want := r.Snapshot(), m.snapshot(); !equalState(got, want) {
-			p.t.Fatalf("resource %d: timeline %+v, reference %+v", i, got, want)
+		if got, want := timeline(r), m.encode(); !bytes.Equal(got, want) {
+			p.t.Fatalf("resource %d: timeline %x, reference %x", i, got, want)
 		}
 	}
-}
-
-func equalState(a, b ResourceState) bool {
-	return a.solidUntil == b.solidUntil && a.busyFor == b.busyFor && a.ops == b.ops && slices.Equal(a.live, b.live)
 }
 
 // fuzzDurations mixes zero, the unit steps that make intervals touch and
@@ -230,10 +228,10 @@ func (p *resourcePair) run(ops []fuzzOp) {
 			p.acquireChain(op.sel/len(fuzzDurations)%3, op.ready, op.d, (op.off&0xFFFF)%81)
 		case 5:
 			p.earliestStart(op.ready, op.d)
-		case 6: // Snapshot -> Restore, which also drops the hints; sel picks who
+		case 6: // encode -> decode into, which also drops the hints; sel picks who
 			for i, r := range p.real {
 				if op.sel>>i&1 == 1 {
-					r.Restore(r.Snapshot())
+					reload(p.t, r, timeline(r))
 				}
 			}
 		case 7:
@@ -356,7 +354,7 @@ func FuzzResourceDifferential(f *testing.F) {
 }
 
 // TestResourceHintIndependence checks that the cursor carries nothing the
-// timeline depends on: cutting a run anywhere with Snapshot -> Restore into
+// timeline depends on: cutting a run anywhere with an encode decoded into
 // fresh resources (cursor back at zero, another backing array) and replaying
 // the rest gives the results and the timelines of the uninterrupted run.
 func TestResourceHintIndependence(t *testing.T) {
@@ -390,14 +388,14 @@ func TestResourceHintIndependence(t *testing.T) {
 			head, tail := fresh(), fresh()
 			got := replay(head, ops[:cut])
 			for i, r := range head {
-				tail[i].Restore(r.Snapshot())
+				reload(t, tail[i], timeline(r))
 			}
 			got = append(got, replay(tail, ops[cut:])...)
 			if !slices.Equal(got, want) {
 				t.Fatalf("round %d cut %d: results differ from the uninterrupted run", round, cut)
 			}
 			for i := range whole {
-				if !equalState(whole[i].Snapshot(), tail[i].Snapshot()) {
+				if !bytes.Equal(timeline(whole[i]), timeline(tail[i])) {
 					t.Fatalf("round %d cut %d: resource %d timeline differs from the uninterrupted run", round, cut, i)
 				}
 			}

@@ -1,97 +1,217 @@
 package ssd
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
+	"sync"
 
+	"dloop/internal/ckpt"
 	"dloop/internal/flash"
-	"dloop/internal/ftl"
 	"dloop/internal/sim"
 	"dloop/internal/stats"
 )
 
-// Checkpoint is a deep, immutable copy of a controller's complete simulation
-// state: every FTL shard's flash device and FTL, and the measurement
-// accumulators. One checkpoint taken after a shared warm-up can fork any
-// number of divergent runs, each bit-identical to an uninterrupted fresh run
-// of the same cell.
+// Checkpoint is a controller's complete simulation state — every FTL shard's
+// flash device and FTL, and the measurement accumulators — held as its
+// encoded bytes: a versioned, self-validating container (see internal/ckpt)
+// that starts with the scheme name, the controller's ConfigDigest, the device
+// geometry and the shard layout. One checkpoint taken after a shared warm-up
+// can fork any number of divergent runs, each bit-identical to an
+// uninterrupted fresh run of the same cell, in this process or, written to a
+// file, in any later one. A checkpoint is immutable: nothing writes its bytes
+// after it is made, so any number of goroutines restore from it at once.
 //
 // The attached observability recorder is deliberately NOT part of the
 // checkpoint: recorders are per-cell plumbing, attached after a restore and
 // detached before the next one.
 type Checkpoint struct {
-	shards []shardState // in shard order; one on a single-FTL controller
-
-	resp, readResp, writeResp stats.Welford
-	hist                      stats.LatencyHist
-	series                    *stats.TimeSeries
-	lastDone                  sim.Time
-	served                    int64
-	pagesRead                 int64
-	pagesWrit                 int64
+	data []byte // a sealed container
 }
 
-// shardState is one FTL shard's device and FTL state.
-type shardState struct {
-	dev *flash.DeviceState
-	ftl any
-}
+// ErrBufferedCheckpoint rejects a checkpoint taken with the DRAM write
+// buffer enabled. The simulator no longer models the buffer; the encoding
+// keeps its presence byte, which is always false, so every other checkpoint
+// keeps its length.
+var ErrBufferedCheckpoint = errors.New("ssd: checkpoint holds DRAM write-buffer state, which is no longer modelled")
 
-// Snapshot captures the controller's state, after folding any in-flight
-// work. It fails if the FTL scheme does not implement ftl.Snapshotter (all
-// in-tree schemes do).
+// Snapshot encodes the controller's state, after folding any in-flight work.
 func (c *Controller) Snapshot() (*Checkpoint, error) {
+	if c.broken != nil {
+		return nil, c.broken
+	}
 	if err := c.quiesce(false); err != nil {
 		return nil, err
 	}
-	cp := &Checkpoint{shards: make([]shardState, len(c.shards))}
-	for i, sh := range c.shards {
-		snapper, ok := sh.f.(ftl.Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
-		}
-		cp.shards[i] = shardState{dev: sh.dev.Snapshot(), ftl: snapper.Snapshot()}
+	d := ConfigDigest(c.cfg)
+	size, _ := snapshotSizes.Load(d)
+	n, _ := size.(int)
+	w := ckpt.NewWriterSize(n + n/64) // room for a few more timeline intervals
+	w.String(c.cfg.FTL)
+	copy(w.Raw(len(d)), d[:])
+	encodeGeometry(w, c.geo)
+	// The layout tag: one FTL or several shards. The shard count itself
+	// follows from the digest and the geometry.
+	w.Bool(len(c.shards) > 1)
+	for _, sh := range c.shards {
+		sh.dev.EncodeState(w)
+		sh.f.EncodeState(w)
 	}
-	cp.resp = c.resp
-	cp.readResp = c.readResp
-	cp.writeResp = c.writeResp
-	cp.hist = c.hist.Clone()
-	cp.series = c.series.Clone()
-	cp.lastDone = c.lastDone
-	cp.served = c.served
-	cp.pagesRead = c.pagesRead
-	cp.pagesWrit = c.pagesWrit
-	return cp, nil
+	stats.EncodeWelford(w, c.resp)
+	stats.EncodeWelford(w, c.readResp)
+	stats.EncodeWelford(w, c.writeResp)
+	stats.EncodeLatencyHist(w, c.hist)
+	stats.EncodeTimeSeries(w, c.series)
+	w.Bool(false) // the retired DRAM write buffer (see ErrBufferedCheckpoint)
+	w.I64(int64(c.lastDone))
+	w.I64(c.served)
+	w.I64(c.pagesRead)
+	w.I64(c.pagesWrit)
+	data := w.Seal()
+	if cap(data) > len(data)+len(data)/32 { // grown by appends: trim the slack
+		data = bytes.Clone(data)
+	}
+	snapshotSizes.Store(d, len(data))
+	return &Checkpoint{data: data}, nil
 }
 
+// snapshotSizes holds the length of each configuration's last checkpoint,
+// by ConfigDigest, so that Snapshot sizes its buffer once instead of growing
+// it by appends: a sweep checkpoints a freshly built controller per group.
+var snapshotSizes sync.Map
+
 // Restore rewinds the controller to a checkpoint taken from an identically
-// configured one. The checkpoint is untouched — Restore clones anything
-// mutable on its way in — so the same checkpoint may seed any number of
-// forks.
+// configured one, decoding its bytes straight into the live devices, FTLs and
+// accumulators. The checkpoint is untouched, so the same checkpoint may seed
+// any number of forks.
+//
+// Restore fails on a checkpoint that does not match this controller or whose
+// body does not decode. A body can fail halfway through, leaving the state
+// partly overwritten, so after any failure Enqueue, EnqueueBatch, Serve, Run,
+// Precondition, Snapshot and Recover return the error too (and Result is
+// empty) until a later Restore succeeds.
 func (c *Controller) Restore(cp *Checkpoint) error {
-	if cp == nil || len(cp.shards) != len(c.shards) {
-		return fmt.Errorf("ssd: checkpoint does not match this controller's %d FTL shards", len(c.shards))
-	}
 	// In-flight work belongs to the run being abandoned; a failed run's
 	// error stays sticky and surfaces at the next request.
 	_ = c.quiesce(true)
-	for i, sh := range c.shards {
-		snapper, ok := sh.f.(ftl.Snapshotter)
-		if !ok {
-			return fmt.Errorf("ssd: FTL %s does not support checkpointing", sh.f.Name())
-		}
-		if err := snapper.Restore(cp.shards[i].ftl); err != nil {
+	c.broken = c.restore(cp)
+	return c.broken
+}
+
+func (c *Controller) restore(cp *Checkpoint) error {
+	if cp == nil {
+		return errors.New("ssd: restore from a nil checkpoint")
+	}
+	r := ckpt.Reopen(cp.data)
+	if err := c.checkPreamble(r); err != nil {
+		return err
+	}
+	for _, sh := range c.shards {
+		sh.dev.DecodeState(r)
+		sh.f.DecodeState(r)
+		if err := r.Err(); err != nil {
 			return err
 		}
-		sh.dev.Restore(cp.shards[i].dev)
 	}
-	c.resp = cp.resp
-	c.readResp = cp.readResp
-	c.writeResp = cp.writeResp
-	c.hist = cp.hist.Clone()
-	c.series = cp.series.Clone()
-	c.lastDone = cp.lastDone
-	c.served = cp.served
-	c.pagesRead = cp.pagesRead
-	c.pagesWrit = cp.pagesWrit
+	c.resp = stats.DecodeWelford(r)
+	c.readResp = stats.DecodeWelford(r)
+	c.writeResp = stats.DecodeWelford(r)
+	c.hist = stats.DecodeLatencyHist(r)
+	c.series = stats.DecodeTimeSeries(r)
+	if r.Bool() {
+		return ErrBufferedCheckpoint
+	}
+	c.lastDone = sim.Time(r.I64())
+	c.served = r.I64()
+	c.pagesRead = r.I64()
+	c.pagesWrit = r.I64()
+	return r.Err()
+}
+
+// Err reports why the controller refuses to run: the error of a failed
+// Restore, until a later one succeeds, or nil.
+func (c *Controller) Err() error { return c.broken }
+
+// EncodeCheckpoint returns a copy of a checkpoint's bytes, the form the
+// warm-up cache in internal/expt stores; DecodeCheckpoint reads it back.
+func (c *Controller) EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
+	if cp == nil {
+		return nil, errors.New("ssd: encode a nil checkpoint")
+	}
+	return bytes.Clone(cp.data), nil
+}
+
+// WriteTo writes the checkpoint's bytes to w.
+func (cp *Checkpoint) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(cp.data)
+	return int64(n), err
+}
+
+// DecodeCheckpoint accepts bytes EncodeCheckpoint produced on an identically
+// configured controller. It validates the container (magic, version,
+// checksum), the FTL scheme, the ConfigDigest, the geometry and the shard
+// layout, so a checkpoint from any other configuration fails here; the body
+// is decoded, and any error in it surfaces, at Restore. The result copies
+// data, so the caller may recycle the buffer immediately.
+func (c *Controller) DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	r, err := ckpt.Open(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.checkPreamble(r); err != nil {
+		return nil, err
+	}
+	return &Checkpoint{data: bytes.Clone(data)}, nil
+}
+
+// checkPreamble reads the fields a checkpoint opens with and checks them
+// against this controller.
+func (c *Controller) checkPreamble(r *ckpt.Reader) error {
+	scheme := r.String()
+	var d [sha256.Size]byte
+	copy(d[:], r.Raw(sha256.Size))
+	geo := decodeGeometry(r)
+	sharded := r.Bool()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if scheme != c.cfg.FTL {
+		return fmt.Errorf("ssd: checkpoint holds %s state, controller runs %s", scheme, c.cfg.FTL)
+	}
+	if d != ConfigDigest(c.cfg) {
+		return fmt.Errorf("ssd: checkpoint was taken under a different configuration")
+	}
+	if geo != c.geo {
+		return fmt.Errorf("ssd: checkpoint geometry %v does not match device %v", geo, c.geo)
+	}
+	if sharded != (len(c.shards) > 1) {
+		return fmt.Errorf("ssd: checkpoint shard layout does not match controller")
+	}
 	return nil
+}
+
+func encodeGeometry(w *ckpt.Writer, g flash.Geometry) {
+	w.Int(g.Channels)
+	w.Int(g.PackagesPerChannel)
+	w.Int(g.ChipsPerPackage)
+	w.Int(g.DiesPerChip)
+	w.Int(g.PlanesPerDie)
+	w.Int(g.BlocksPerPlane)
+	w.Int(g.PagesPerBlock)
+	w.Int(g.PageSize)
+}
+
+func decodeGeometry(r *ckpt.Reader) flash.Geometry {
+	return flash.Geometry{
+		Channels:           r.Int(),
+		PackagesPerChannel: r.Int(),
+		ChipsPerPackage:    r.Int(),
+		DiesPerChip:        r.Int(),
+		PlanesPerDie:       r.Int(),
+		BlocksPerPlane:     r.Int(),
+		PagesPerBlock:      r.Int(),
+		PageSize:           r.Int(),
+	}
 }

@@ -12,7 +12,8 @@ import (
 	"testing"
 
 	"dloop/internal/ckpt"
-	"dloop/internal/ftl"
+	"dloop/internal/flash"
+
 	"dloop/internal/sim"
 	"dloop/internal/trace"
 )
@@ -247,9 +248,9 @@ func craftedDonor(t *testing.T) (donor *Controller, data []byte, device int) {
 }
 
 // rejectCrafted damages a copy of a valid container, re-seals it (so magic,
-// length and checksum all pass) and requires the decoder to return an error:
-// no panic, and no allocation sized by a claimed count rather than by the
-// bytes present.
+// length and checksum all pass) and requires DecodeCheckpoint or Restore to
+// return an error: no panic, and no allocation sized by a claimed count
+// rather than by the bytes present.
 func rejectCrafted(t *testing.T, donor *Controller, data []byte, damage func(b []byte)) {
 	t.Helper()
 	bad := append([]byte(nil), data...)
@@ -258,13 +259,16 @@ func rejectCrafted(t *testing.T, donor *Controller, data []byte, damage func(b [
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := donor.DecodeCheckpoint(bad)
+	cp, err := donor.DecodeCheckpoint(bad)
+	if err == nil {
+		err = donor.Restore(cp)
+	}
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("damaged container accepted")
 	}
-	// A healthy decode allocates the in-memory columns, about twice their
-	// encoding; a slice sized by a crafted count is far past that.
+	// DecodeCheckpoint copies the container and Restore decodes into the
+	// live columns; a slice sized by a crafted count is far past that.
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*uint64(len(bad)) {
 		t.Fatalf("allocated %d bytes rejecting a %d-byte container", got, len(bad))
 	}
@@ -290,9 +294,21 @@ func TestDecodeCheckpointRejectsBufferState(t *testing.T) {
 		t.Fatalf("buffer presence byte is %d, want 0", bad[off])
 	}
 	bad[off] = 1
-	if _, err := donor.DecodeCheckpoint(reseal(bad)); !errors.Is(err, ErrBufferedCheckpoint) {
+	cp, err := donor.DecodeCheckpoint(reseal(bad))
+	if err == nil {
+		err = donor.Restore(cp)
+	}
+	if !errors.Is(err, ErrBufferedCheckpoint) {
 		t.Fatalf("got %v, want ErrBufferedCheckpoint", err)
 	}
+}
+
+// deviceBytes encodes a device's state: twin devices compare by their bytes,
+// which hold every field of the state.
+func deviceBytes(d *flash.Device) []byte {
+	var w ckpt.Writer
+	d.EncodeState(&w)
+	return w.Bytes()
 }
 
 func u32At(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
@@ -434,9 +450,10 @@ func TestCheckpointBytesStable(t *testing.T) {
 
 // TestDecodeFTLStateCountSweep overwrites every 4-byte window of each
 // scheme's encoded FTL state with 0xFFFFFFFF — at some offset that is each
-// count the state holds — and decodes it. No decode may panic or allocate
-// more than a small multiple of the bytes it was given: every count is
-// checked against the bytes left before it sizes anything.
+// count the state holds — and decodes it into the built FTL. No decode may
+// panic or allocate more than a small multiple of the bytes it was given:
+// every count is checked against the bytes left and the live shape before it
+// sizes or writes anything.
 func TestDecodeFTLStateCountSweep(t *testing.T) {
 	for _, scheme := range []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped} {
 		t.Run(scheme, func(t *testing.T) {
@@ -450,9 +467,7 @@ func TestDecodeFTLStateCountSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			var w ckpt.Writer
-			if err := encodeFTLState(&w, scheme, c.f.(ftl.Snapshotter).Snapshot()); err != nil {
-				t.Fatal(err)
-			}
+			c.f.EncodeState(&w)
 			data := w.Bytes()
 			bad := make([]byte, len(data))
 			const batch = 32 // offsets per heap reading; one count-sized slice is gigabytes
@@ -462,7 +477,7 @@ func TestDecodeFTLStateCountSweep(t *testing.T) {
 				for off := first; off < first+batch && off+4 <= len(data); off++ {
 					copy(bad, data)
 					putU32At(bad, off, 0xFFFFFFFF)
-					decodeFTLState(ckpt.NewReader(bad), scheme)
+					c.f.DecodeState(ckpt.NewReader(bad))
 				}
 				runtime.ReadMemStats(&after)
 				if got := after.TotalAlloc - before.TotalAlloc; got > batch*(4*uint64(len(bad))+4096) {
@@ -495,35 +510,32 @@ func benchCheckpoint(b *testing.B) (*Controller, *Checkpoint) {
 	return c, cp
 }
 
+// BenchmarkCheckpointEncode times Snapshot, which encodes the live state.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	c, cp := benchCheckpoint(b)
-	data, err := c.EncodeCheckpoint(cp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(len(cp.data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := ckpt.NewWriter()
-		if _, err := c.AppendCheckpoint(w, cp); err != nil {
+		if _, err := c.Snapshot(); err != nil {
 			b.Fatal(err)
 		}
-		ckpt.PutWriter(w)
 	}
 }
 
+// BenchmarkCheckpointDecode times a cache hit: DecodeCheckpoint checks and
+// copies the container, Restore decodes it into the live state.
 func BenchmarkCheckpointDecode(b *testing.B) {
 	c, cp := benchCheckpoint(b)
-	data, err := c.EncodeCheckpoint(cp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(len(cp.data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.DecodeCheckpoint(data); err != nil {
+		cp, err := c.DecodeCheckpoint(cp.data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Restore(cp); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -346,6 +346,9 @@ func ExportedBytes(cfg Config) (int64, error) {
 // capture, so its recovery reconstructs an equivalent — not identical —
 // assignment of data and log blocks (see fast.NewRecovered).
 func (c *Controller) Recover() (*Controller, error) {
+	if c.broken != nil {
+		return nil, c.broken
+	}
 	cfg := c.cfg
 	cfg.setDefaults()
 	var extra int

@@ -65,6 +65,11 @@ type Controller struct {
 	pagesRead int64
 	pagesWrit int64
 
+	// broken is the error of a failed Restore, which left the state partly
+	// overwritten: every entry point that would run on it or read it
+	// returns the error until a later Restore succeeds.
+	broken error
+
 	rec obs.Recorder // nil when observability is disabled
 
 	// lastRT is the response time the multi-queue front end most recently
@@ -291,6 +296,9 @@ func (c *Controller) Precondition(pages ftl.LPN) error {
 	if pages > c.cap {
 		return fmt.Errorf("ssd: precondition %d pages exceeds capacity %d", pages, c.cap)
 	}
+	if c.broken != nil {
+		return c.broken
+	}
 	if err := c.quiesce(false); err != nil {
 		return err
 	}
@@ -371,6 +379,9 @@ func (c *Controller) ResetMeasurement() {
 // callers replaying whole traces should prefer Run (or Enqueue+Flush), which
 // pipelines many requests per barrier.
 func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
+	if c.broken != nil {
+		return 0, c.broken
+	}
 	if c.fe != nil {
 		if err := c.fe.enqueue(c, r); err != nil {
 			return 0, err
@@ -451,6 +462,9 @@ const runChunk = 256
 // runChunk chunks, which on a multi-queue controller keeps classification
 // off the staging path.
 func (c *Controller) Run(r trace.Reader) (Result, error) {
+	if c.broken != nil {
+		return Result{}, c.broken
+	}
 	if br, ok := r.(trace.BatchReader); ok {
 		buf := make([]trace.Request, runChunk)
 		for {
@@ -493,6 +507,9 @@ func (c *Controller) Run(r trace.Reader) (Result, error) {
 // before any is staged, so an error means nothing from the chunk was
 // dispatched. On the single-FTL engine it is Enqueue in a loop.
 func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
+	if c.broken != nil {
+		return c.broken
+	}
 	if c.fe != nil {
 		return c.fe.enqueueBatch(c, reqs)
 	}
@@ -511,6 +528,9 @@ func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
 // indefinitely. On a single-FTL controller it is Serve with the response
 // time discarded.
 func (c *Controller) Enqueue(r trace.Request) error {
+	if c.broken != nil {
+		return c.broken
+	}
 	if c.fe != nil {
 		if err := c.fe.enqueue(c, r); err != nil {
 			return err
@@ -592,8 +612,11 @@ type Result struct {
 // Result snapshots the current measurement window. Device and FTL counters
 // sum over the shards; per-plane and per-block series scatter through the
 // shard maps into whole-device indexing, so SDRPP and wear metrics read the
-// same on either engine.
+// same on either engine. After a failed Restore it is empty (see Err).
 func (c *Controller) Result() Result {
+	if c.broken != nil {
+		return Result{}
+	}
 	c.Flush()
 	f := c.shards[0].f
 	res := Result{

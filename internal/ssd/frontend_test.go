@@ -113,7 +113,7 @@ func TestMQDifferential(t *testing.T) {
 						}
 					}
 					for i := 0; i < sp.shards; i++ {
-						if !reflect.DeepEqual(ser.ShardDevice(i).Snapshot(), par.ShardDevice(i).Snapshot()) {
+						if !bytes.Equal(deviceBytes(ser.ShardDevice(i)), deviceBytes(par.ShardDevice(i))) {
 							t.Fatalf("shard %d device state diverged", i)
 						}
 					}

@@ -47,7 +47,7 @@ func buildTiny(t *testing.T, scheme string) *Controller {
 }
 
 // preconditionTiny populates the footprint tinyWorkload uses.
-func preconditionTiny(t *testing.T, c *Controller) {
+func preconditionTiny(t testing.TB, c *Controller) {
 	t.Helper()
 	capBytes := int64(c.Capacity()) * int64(c.Geometry().PageSize)
 	if err := c.PreconditionBytes(capBytes * 3 / 4); err != nil {
@@ -56,7 +56,7 @@ func preconditionTiny(t *testing.T, c *Controller) {
 }
 
 // tinyWorkload generates requests that fit the tiny device's exported space.
-func tinyWorkload(t *testing.T, c *Controller, n int, seed int64) []trace.Request {
+func tinyWorkload(t testing.TB, c *Controller, n int, seed int64) []trace.Request {
 	t.Helper()
 	capBytes := int64(c.Capacity()) * int64(c.Geometry().PageSize)
 	p := workload.Profile{
