@@ -107,24 +107,21 @@ type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns a Writer with the container header reserved; finish
-// with Seal.
-func NewWriter() *Writer { return NewWriterSize(0) }
-
-// NewWriterSize is NewWriter with room for an n-byte payload: a caller that
-// keeps the sealed bytes sizes the buffer once instead of growing it.
+// NewWriterSize returns a Writer with the container header reserved and room
+// for an n-byte payload, so a caller that keeps the sealed bytes sizes the
+// buffer once instead of growing it; finish with Seal.
 func NewWriterSize(n int) *Writer {
 	return &Writer{buf: make([]byte, headerSize, headerSize+n)}
 }
 
 // Len returns the number of bytes written so far (including the reserved
-// header for writers from NewWriter).
+// header for writers from NewWriterSize).
 func (w *Writer) Len() int { return len(w.buf) }
 
 // Bytes returns the written buffer. The slice aliases the writer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Seal fills in the container header over the space NewWriter reserved —
+// Seal fills in the container header over the space NewWriterSize reserved —
 // magic, version, payload length, payload checksum — and returns the
 // complete container. The slice aliases the writer.
 func (w *Writer) Seal() []byte {

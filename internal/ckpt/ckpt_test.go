@@ -12,7 +12,7 @@ import (
 
 // TestPrimitivesRoundTrip writes one of everything and reads it back.
 func TestPrimitivesRoundTrip(t *testing.T) {
-	w := NewWriter()
+	w := NewWriterSize(0)
 	w.U8(0xAB)
 	w.Bool(true)
 	w.Bool(false)
@@ -105,7 +105,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 // can lie and checks Open rejects each one.
 func TestContainerValidation(t *testing.T) {
 	seal := func() []byte {
-		w := NewWriter()
+		w := NewWriterSize(0)
 		w.I64s([]int64{1, 2, 3, 4})
 		w.String("payload")
 		return append([]byte(nil), w.Seal()...)
@@ -140,7 +140,7 @@ func TestContainerValidation(t *testing.T) {
 // TestSliceLenGuard feeds a payload whose length prefix claims more elements
 // than the payload holds; the reader must fail, not allocate gigabytes.
 func TestSliceLenGuard(t *testing.T) {
-	w := NewWriter()
+	w := NewWriterSize(0)
 	w.U32(1 << 30) // claims 2^30 int64s = 8 GB
 	r, err := Open(w.Seal())
 	if err != nil {
@@ -172,7 +172,7 @@ func TestBoolRejectsJunk(t *testing.T) {
 // TestIntoRejectsOtherLength: a slab decoded over a live column must have
 // the column's length, and a mismatch leaves the column as it was.
 func TestIntoRejectsOtherLength(t *testing.T) {
-	w := NewWriter()
+	w := NewWriterSize(0)
 	w.I64s([]int64{1, 2, 3})
 	r, err := Open(w.Seal())
 	if err != nil {
@@ -189,7 +189,7 @@ func TestIntoRejectsOtherLength(t *testing.T) {
 // of the released buffer.
 func TestLoadFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.ckpt")
-	w := NewWriter()
+	w := NewWriterSize(0)
 	w.String("persisted")
 	w.I64(99)
 	if err := os.WriteFile(path, w.Seal(), 0o644); err != nil {
@@ -224,7 +224,7 @@ func TestLoadFileRoundTrip(t *testing.T) {
 // the property the content-addressed warm-up cache leans on.
 func TestSealedBytesDeterministic(t *testing.T) {
 	mk := func() []byte {
-		w := NewWriter()
+		w := NewWriterSize(0)
 		w.String("abc")
 		w.Ints([]int{5, 6})
 		w.F64(2.5)

@@ -236,15 +236,6 @@ func (s *SweepStats) noteForkRebuild() {
 	atomic.AddInt64(&s.forkRebuilds, 1)
 }
 
-// CacheHits returns the number of warm-ups restored from the cache.
-func (s *SweepStats) CacheHits() int64 { return atomic.LoadInt64(&s.cacheHits) }
-
-// CacheMisses returns the number of absent cache entries.
-func (s *SweepStats) CacheMisses() int64 { return atomic.LoadInt64(&s.cacheMisses) }
-
-// CacheRejects returns the number of rejected (corrupt or mismatched) files.
-func (s *SweepStats) CacheRejects() int64 { return atomic.LoadInt64(&s.cacheRejects) }
-
 // Warmups returns the number of warm-up prefixes simulated fresh for shared
 // groups.
 func (s *SweepStats) Warmups() int64 { return atomic.LoadInt64(&s.warmups) }

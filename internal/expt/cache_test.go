@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"dloop/internal/ckpt"
@@ -339,7 +340,7 @@ func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
 	// The device's block rows follow the container header, the preamble
 	// (scheme, digest, eight geometry fields, layout tag), and the page-state
 	// and tag columns.
-	header := ckpt.NewWriter().Len()
+	header := ckpt.NewWriterSize(0).Len()
 	pages := int(geo.TotalPages())
 	blocks := header + 4 + len(cfg.FTL) + sha256.Size + 8*8 + 1 + (4 + pages) + (4 + 8*pages)
 	u32 := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
@@ -352,7 +353,7 @@ func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
 	}
 	bad := append([]byte(nil), pristine...)
 	binary.LittleEndian.PutUint32(bad[row+4:], u32(bad, row+4)+1)
-	w := ckpt.NewWriter()
+	w := ckpt.NewWriterSize(0)
 	copy(w.Raw(len(bad)-header), bad[header:])
 	if err := os.WriteFile(path, w.Seal(), 0o644); err != nil {
 		t.Fatal(err)
@@ -373,3 +374,12 @@ func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
 		t.Fatalf("fresh warm-up did not heal the entry (err %v)", err)
 	}
 }
+
+// CacheHits returns the number of warm-ups restored from the cache.
+func (s *SweepStats) CacheHits() int64 { return atomic.LoadInt64(&s.cacheHits) }
+
+// CacheMisses returns the number of absent cache entries.
+func (s *SweepStats) CacheMisses() int64 { return atomic.LoadInt64(&s.cacheMisses) }
+
+// CacheRejects returns the number of rejected (corrupt or mismatched) files.
+func (s *SweepStats) CacheRejects() int64 { return atomic.LoadInt64(&s.cacheRejects) }

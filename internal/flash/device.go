@@ -69,9 +69,6 @@ type BlockInfo struct {
 	NextWrite int // high-water mark: next sequentially programmable page
 }
 
-// Free returns the number of never-programmed pages remaining in the block.
-func (b BlockInfo) Free(pagesPerBlock int) int { return pagesPerBlock - b.Written }
-
 // Device is a simulated NAND flash SSD. It owns the page/block state machine
 // and the resource timelines, and it charges time for every operation. It is
 // not safe for concurrent use; the simulator is single-threaded per device,
@@ -244,10 +241,8 @@ func (d *Device) PageLPN(ppn PPN) int64 { return d.tags[ppn] - 1 }
 // Block returns a copy of the bookkeeping for one block.
 func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockIndex(pb)] }
 
-// PlaneFreeAt reports when the plane's cell array next becomes idle.
-func (d *Device) PlaneFreeAt(plane int) sim.Time { return d.planes[plane].FreeAt() }
-
-// validPPN is Geometry.ValidPPN against the cached page total.
+// validPPN reports whether ppn is within the device, against the cached
+// page total.
 func (d *Device) validPPN(ppn PPN) bool {
 	return uint64(ppn) < uint64(d.totalPages)
 }

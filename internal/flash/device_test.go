@@ -151,8 +151,8 @@ func TestCopyBackRules(t *testing.T) {
 		t.Error("destination not valid with moved lpn")
 	}
 	// Copy-back must not touch buses.
-	u := d.Utilization()
-	busBusy := u.ChipBusBusy[0] + u.ChannelBusy[0]
+	_, chipBus, channels := d.BusyTimes()
+	busBusy := chipBus[0] + channels[0]
 	wantBus := d.Timing().Transfer(g.PageSize) * 2 // only the initial write's transfer (chip+channel)
 	if busBusy != wantBus {
 		t.Errorf("bus busy %v, want %v (copy-back must bypass buses)", busBusy, wantBus)
@@ -359,3 +359,6 @@ func TestDeviceAccountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PlaneFreeAt reports when the plane's cell array next becomes idle.
+func (d *Device) PlaneFreeAt(plane int) sim.Time { return d.planes[plane].FreeAt() }

@@ -77,11 +77,6 @@ func (g Geometry) Planes() int { return g.Dies() * g.PlanesPerDie }
 // PlanesPerChip returns the number of planes behind one chip's serial bus.
 func (g Geometry) PlanesPerChip() int { return g.DiesPerChip * g.PlanesPerDie }
 
-// PlanesPerChannel returns the number of planes behind one channel.
-func (g Geometry) PlanesPerChannel() int {
-	return g.PackagesPerChannel * g.ChipsPerPackage * g.PlanesPerChip()
-}
-
 // TotalBlocks returns the number of physical blocks in the device.
 func (g Geometry) TotalBlocks() int64 {
 	return int64(g.Planes()) * int64(g.BlocksPerPlane)
@@ -97,9 +92,6 @@ func (g Geometry) TotalPages() int64 {
 func (g Geometry) PhysicalBytes() int64 {
 	return g.TotalPages() * int64(g.PageSize)
 }
-
-// BlockBytes returns the size of one block in bytes.
-func (g Geometry) BlockBytes() int64 { return int64(g.PagesPerBlock) * int64(g.PageSize) }
 
 // ChipOfPlane returns the index of the chip containing the given plane.
 func (g Geometry) ChipOfPlane(plane int) int { return plane / g.PlanesPerChip() }
@@ -184,9 +176,4 @@ func (g Geometry) FirstPPN(pb PlaneBlock) PPN {
 // ValidBlock reports whether the block address is within the geometry.
 func (g Geometry) ValidBlock(pb PlaneBlock) bool {
 	return pb.Plane >= 0 && pb.Plane < g.Planes() && pb.Block >= 0 && pb.Block < g.BlocksPerPlane
-}
-
-// ValidPPN reports whether the physical page number is within the geometry.
-func (g Geometry) ValidPPN(ppn PPN) bool {
-	return ppn >= 0 && int64(ppn) < g.TotalPages()
 }

@@ -164,3 +164,8 @@ func TestValidBlockBounds(t *testing.T) {
 		}
 	}
 }
+
+// ValidPPN reports whether the physical page number is within the geometry.
+func (g Geometry) ValidPPN(ppn PPN) bool {
+	return ppn >= 0 && int64(ppn) < g.TotalPages()
+}

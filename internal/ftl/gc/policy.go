@@ -65,9 +65,6 @@ const (
 	DefaultLogPolicy  = "fifo"
 )
 
-// PolicyNames lists the selectable victim policies.
-func PolicyNames() []string { return []string{"greedy", "costbenefit", "windowed", "fifo"} }
-
 // ParsePolicy returns the victim policy named name; ppb is the device's
 // pages-per-block, which cost-benefit needs to compute utilization.
 func ParsePolicy(name string, ppb int) (VictimPolicy, error) {

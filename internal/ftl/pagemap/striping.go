@@ -33,11 +33,6 @@ const (
 	StripeChannel Striping = "channel"
 )
 
-// Stripings lists the policies in the paper's §II.C discussion order.
-func Stripings() []Striping {
-	return []Striping{StripePlane, StripeDie, StripeChip, StripeChannel}
-}
-
 // stripePermutation returns perm where perm[i] is the plane serving LPNs
 // congruent to i modulo the plane count. Planes are grouped by the chosen
 // unit and dealt round-robin across groups, so consecutive indices land on

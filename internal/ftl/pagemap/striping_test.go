@@ -8,9 +8,12 @@ import (
 	"dloop/internal/sim"
 )
 
+// stripings lists the policies in the paper's §II.C discussion order.
+var stripings = []Striping{StripePlane, StripeDie, StripeChip, StripeChannel}
+
 func TestStripePermutationProperties(t *testing.T) {
 	geo := testGeo() // 2ch x 1pkg x 2chip x 1die x 2plane = 8 planes, 4 chips
-	for _, policy := range Stripings() {
+	for _, policy := range stripings {
 		perm, err := stripePermutation(geo, policy)
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
@@ -79,7 +82,7 @@ func TestStripeChipSpreadsChips(t *testing.T) {
 // every policy: updates stay on their original's plane, so GC remains
 // copy-back only.
 func TestStripingKeepsUpdateLocality(t *testing.T) {
-	for _, policy := range Stripings() {
+	for _, policy := range stripings {
 		l := layout(t, "DLOOP")
 		l.StripeBy = policy
 		f, dev := newTestFTL(t, Config{Layout: l})

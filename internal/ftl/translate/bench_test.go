@@ -17,7 +17,7 @@ func benchGeo() flash.Geometry {
 
 // BenchmarkCMT measures the cache's hot path: hit, miss+insert, eviction.
 func BenchmarkCMT(b *testing.B) {
-	c, err := NewCache(4096, 256)
+	c, err := NewCacheForSpace(4096, 256, 8192, 8192/256)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,12 +38,8 @@ type Cache struct {
 	slab     []entry // 1-based; slab[0] is the nil sentinel
 	freeHead int32   // free-list head, linked through entry.next
 
-	// Exactly one of the two lookup indexes is active: dense maps the whole
-	// logical space to handles (O(1), no hashing) when the space size is
-	// known at build time; index is the fallback for callers that size only
-	// the cache.
+	// dense maps the whole logical space to handles: O(1), no hashing.
 	dense []int32
-	index map[ftl.LPN]int32
 
 	probation list // MRU at head
 	protected list // MRU at head
@@ -105,27 +101,16 @@ func (c *Cache) listRemove(l *list, h int32) {
 	l.n--
 }
 
-// NewCache returns a segmented-LRU cache holding at most capacity entries,
-// with the protected segment getting half. entriesPerPage is the number of
-// mapping entries per translation page, used to group dirty entries for
-// batched write-back. Capacity must be at least 2 and entriesPerPage at
-// least 1.
-func NewCache(capacity, entriesPerPage int) (*Cache, error) {
-	return newCache(capacity, entriesPerPage, 0, 0)
-}
-
-// NewCacheForSpace is NewCache for a caller that knows the logical space the
-// cache fronts: space logical pages grouped into translationPages
-// translation pages. Lookups then go through a dense handle array instead of
-// a hash map, which matters on the request-serving hot path.
+// NewCacheForSpace returns a segmented-LRU cache holding at most capacity
+// entries, with the protected segment getting half, in front of space
+// logical pages grouped into translationPages translation pages.
+// entriesPerPage is the number of mapping entries per translation page, used
+// to group dirty entries for batched write-back. Capacity must be at least 2
+// and entriesPerPage, space and translationPages at least 1.
 func NewCacheForSpace(capacity, entriesPerPage int, space ftl.LPN, translationPages int) (*Cache, error) {
 	if space < 1 || translationPages < 1 {
 		return nil, fmt.Errorf("translate: cache space %d / %d translation pages too small", space, translationPages)
 	}
-	return newCache(capacity, entriesPerPage, space, translationPages)
-}
-
-func newCache(capacity, entriesPerPage int, space ftl.LPN, translationPages int) (*Cache, error) {
 	if capacity < 2 {
 		return nil, fmt.Errorf("translate: cache capacity %d too small", capacity)
 	}
@@ -137,6 +122,9 @@ func newCache(capacity, entriesPerPage int, space ftl.LPN, translationPages int)
 		protCap:  capacity / 2,
 		epp:      entriesPerPage,
 		slab:     make([]entry, capacity+1),
+		dense:    make([]int32, space),
+		tpHead:   make([]int32, translationPages),
+		tpCount:  make([]int32, translationPages),
 	}
 	// Chain every handle onto the free list.
 	for h := 1; h <= capacity; h++ {
@@ -144,13 +132,6 @@ func newCache(capacity, entriesPerPage int, space ftl.LPN, translationPages int)
 	}
 	c.slab[capacity].next = 0
 	c.freeHead = 1
-	if space > 0 {
-		c.dense = make([]int32, space)
-		c.tpHead = make([]int32, translationPages)
-		c.tpCount = make([]int32, translationPages)
-	} else {
-		c.index = make(map[ftl.LPN]int32, capacity)
-	}
 	return c, nil
 }
 
@@ -164,29 +145,6 @@ func (c *Cache) alloc() int32 {
 func (c *Cache) release(h int32) {
 	c.slab[h].next = c.freeHead
 	c.freeHead = h
-}
-
-func (c *Cache) lookup(lpn ftl.LPN) int32 {
-	if c.dense != nil {
-		return c.dense[lpn]
-	}
-	return c.index[lpn]
-}
-
-func (c *Cache) setIndex(lpn ftl.LPN, h int32) {
-	if c.dense != nil {
-		c.dense[lpn] = h
-		return
-	}
-	c.index[lpn] = h
-}
-
-func (c *Cache) delIndex(lpn ftl.LPN) {
-	if c.dense != nil {
-		c.dense[lpn] = 0
-		return
-	}
-	delete(c.index, lpn)
 }
 
 // Len returns the number of cached entries.
@@ -205,19 +163,9 @@ func (c *Cache) HitRate() (rate float64, hits, misses int64) {
 
 func (c *Cache) tvpn(lpn ftl.LPN) int64 { return int64(lpn) / int64(c.epp) }
 
-// ensureTP grows the map-indexed cache's translation-page arrays to cover
-// tvpn; the dense variant sized them at construction.
-func (c *Cache) ensureTP(tvpn int64) {
-	for int64(len(c.tpHead)) <= tvpn {
-		c.tpHead = append(c.tpHead, 0)
-		c.tpCount = append(c.tpCount, 0)
-	}
-}
-
 func (c *Cache) markDirty(h int32) {
 	e := &c.slab[h]
 	tp := c.tvpn(e.lpn)
-	c.ensureTP(tp)
 	e.dPrev = 0
 	e.dNext = c.tpHead[tp]
 	if e.dNext != 0 {
@@ -244,7 +192,7 @@ func (c *Cache) unmarkDirty(h int32) {
 
 // Get looks up a mapping, updating recency and segment membership on a hit.
 func (c *Cache) Get(lpn ftl.LPN) (flash.PPN, bool) {
-	h := c.lookup(lpn)
+	h := c.dense[lpn]
 	if h == 0 {
 		c.misses++
 		return flash.InvalidPPN, false
@@ -253,10 +201,6 @@ func (c *Cache) Get(lpn ftl.LPN) (flash.PPN, bool) {
 	c.touch(h)
 	return c.slab[h].ppn, true
 }
-
-// Contains reports whether a mapping is cached without perturbing recency or
-// hit statistics (used by garbage collection).
-func (c *Cache) Contains(lpn ftl.LPN) bool { return c.lookup(lpn) != 0 }
 
 func (c *Cache) touch(h int32) {
 	if c.slab[h].protected {
@@ -281,7 +225,7 @@ func (c *Cache) touch(h int32) {
 // returns it with evicted=true; the caller must write the victim back to its
 // translation page if it is dirty.
 func (c *Cache) Insert(lpn ftl.LPN, ppn flash.PPN, dirty bool) (victim Entry, evicted bool) {
-	if c.lookup(lpn) != 0 {
+	if c.dense[lpn] != 0 {
 		panic(fmt.Sprintf("translate: Cache.Insert of cached lpn %d", lpn))
 	}
 	if c.n >= c.capacity {
@@ -290,7 +234,7 @@ func (c *Cache) Insert(lpn ftl.LPN, ppn flash.PPN, dirty bool) (victim Entry, ev
 	h := c.alloc()
 	e := &c.slab[h]
 	e.lpn, e.ppn, e.dirty = lpn, ppn, dirty
-	c.setIndex(lpn, h)
+	c.dense[lpn] = h
 	c.pushFront(&c.probation, h)
 	c.n++
 	if dirty {
@@ -314,7 +258,7 @@ func (c *Cache) evict() (Entry, bool) {
 	if e.dirty {
 		c.unmarkDirty(h)
 	}
-	c.delIndex(e.lpn)
+	c.dense[e.lpn] = 0
 	c.n--
 	victim := Entry{LPN: e.lpn, PPN: e.ppn, Dirty: e.dirty}
 	c.release(h)
@@ -324,7 +268,7 @@ func (c *Cache) evict() (Entry, bool) {
 // Update rewrites the PPN of a cached mapping and ORs in dirty. It reports
 // whether the entry was present.
 func (c *Cache) Update(lpn ftl.LPN, ppn flash.PPN, dirty bool) bool {
-	h := c.lookup(lpn)
+	h := c.dense[lpn]
 	if h == 0 {
 		return false
 	}
@@ -335,15 +279,6 @@ func (c *Cache) Update(lpn ftl.LPN, ppn flash.PPN, dirty bool) bool {
 		c.markDirty(h)
 	}
 	return true
-}
-
-// DirtyInPage returns how many cached dirty mappings belong to the
-// translation page tvpn.
-func (c *Cache) DirtyInPage(tvpn int64) int {
-	if tvpn < 0 || tvpn >= int64(len(c.tpCount)) {
-		return 0
-	}
-	return int(c.tpCount[tvpn])
 }
 
 // CleanPage marks every cached dirty mapping of translation page tvpn clean

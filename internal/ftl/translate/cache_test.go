@@ -9,20 +9,37 @@ import (
 	"dloop/internal/ftl"
 )
 
+// testSpace is the logical space of the caches below: it covers every LPN
+// the tests insert.
+const testSpace = 128
+
+// newTestCache builds a cache over testSpace logical pages.
+func newTestCache(t *testing.T, capacity, entriesPerPage int) *Cache {
+	t.Helper()
+	c, err := NewCacheForSpace(capacity, entriesPerPage, testSpace, (testSpace+entriesPerPage-1)/entriesPerPage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCacheRejectsBadConfig(t *testing.T) {
-	if _, err := NewCache(1, 256); err == nil {
+	if _, err := NewCacheForSpace(1, 256, testSpace, 1); err == nil {
 		t.Error("capacity 1 accepted")
 	}
-	if _, err := NewCache(8, 0); err == nil {
+	if _, err := NewCacheForSpace(8, 0, testSpace, 1); err == nil {
 		t.Error("entriesPerPage 0 accepted")
+	}
+	if _, err := NewCacheForSpace(8, 256, 0, 1); err == nil {
+		t.Error("empty logical space accepted")
+	}
+	if _, err := NewCacheForSpace(8, 256, testSpace, 0); err == nil {
+		t.Error("zero translation pages accepted")
 	}
 }
 
 func TestCacheBasicHitMiss(t *testing.T) {
-	c, err := NewCache(4, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCache(t, 4, 256)
 	if _, ok := c.Get(1); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -44,7 +61,7 @@ func TestCacheBasicHitMiss(t *testing.T) {
 }
 
 func TestCacheInsertPanicsOnDuplicate(t *testing.T) {
-	c, _ := NewCache(4, 256)
+	c := newTestCache(t, 4, 256)
 	c.Insert(1, 100, false)
 	defer func() {
 		if recover() == nil {
@@ -55,7 +72,7 @@ func TestCacheInsertPanicsOnDuplicate(t *testing.T) {
 }
 
 func TestCacheSegmentedLRUEviction(t *testing.T) {
-	c, _ := NewCache(4, 256)
+	c := newTestCache(t, 4, 256)
 	// Fill with 4 entries; touch 1 and 2 so they get protected.
 	for i := ftl.LPN(1); i <= 4; i++ {
 		c.Insert(i, flash.PPN(i*10), false)
@@ -78,7 +95,7 @@ func TestCacheSegmentedLRUEviction(t *testing.T) {
 }
 
 func TestCacheEvictFromProtectedWhenProbationEmpty(t *testing.T) {
-	c, _ := NewCache(2, 256)
+	c := newTestCache(t, 2, 256)
 	c.Insert(1, 10, false)
 	c.Insert(2, 20, false)
 	c.Get(1)
@@ -94,7 +111,7 @@ func TestCacheEvictFromProtectedWhenProbationEmpty(t *testing.T) {
 }
 
 func TestCacheDirtyTracking(t *testing.T) {
-	c, _ := NewCache(8, 4) // tvpn = lpn/4
+	c := newTestCache(t, 8, 4) // tvpn = lpn/4
 	c.Insert(0, 10, true)
 	c.Insert(1, 11, false)
 	c.Update(1, 12, true)
@@ -114,14 +131,14 @@ func TestCacheDirtyTracking(t *testing.T) {
 }
 
 func TestCacheUpdateMissing(t *testing.T) {
-	c, _ := NewCache(4, 256)
+	c := newTestCache(t, 4, 256)
 	if c.Update(9, 1, true) {
 		t.Fatal("Update of missing entry returned true")
 	}
 }
 
 func TestCacheEvictedDirtyEntryLeavesIndex(t *testing.T) {
-	c, _ := NewCache(2, 4)
+	c := newTestCache(t, 2, 4)
 	c.Insert(0, 10, true)
 	c.Insert(1, 11, true)
 	victim, evicted := c.Insert(2, 12, false)
@@ -136,7 +153,7 @@ func TestCacheEvictedDirtyEntryLeavesIndex(t *testing.T) {
 }
 
 func TestCacheCleanPageNoDirtyEntries(t *testing.T) {
-	c, _ := NewCache(8, 4)
+	c := newTestCache(t, 8, 4)
 	c.Insert(0, 10, false)
 	c.Insert(1, 11, false)
 	if n := c.CleanPage(0); n != 0 {
@@ -158,7 +175,7 @@ func TestCacheCleanPageNoDirtyEntries(t *testing.T) {
 // the protected segment: the victim must come from the protected tail and its
 // dirty accounting must be unwound.
 func TestCacheEvictDirectlyWithEmptyProbation(t *testing.T) {
-	c, _ := NewCache(4, 4)
+	c := newTestCache(t, 4, 4)
 	c.Insert(0, 10, true)
 	c.Insert(1, 11, false)
 	c.Get(0)
@@ -179,7 +196,7 @@ func TestCacheEvictDirectlyWithEmptyProbation(t *testing.T) {
 }
 
 func TestCacheUpdatePromotesCleanToDirtyOnce(t *testing.T) {
-	c, _ := NewCache(8, 4)
+	c := newTestCache(t, 8, 4)
 	c.Insert(2, 10, false)
 	if c.DirtyInPage(0) != 0 {
 		t.Fatal("clean insert counted dirty")
@@ -206,62 +223,12 @@ func TestCacheUpdatePromotesCleanToDirtyOnce(t *testing.T) {
 	}
 }
 
-// TestCacheDenseVariantMatchesMap runs the same operation stream against the
-// map-indexed and dense-indexed builds; they must behave identically.
-func TestCacheDenseVariantMatchesMap(t *testing.T) {
-	const space, epp = 40, 4
-	a, _ := NewCache(8, epp)
-	b, err := NewCacheForSpace(8, epp, space, (space+epp-1)/epp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		lpn := ftl.LPN(rng.Intn(space))
-		switch rng.Intn(4) {
-		case 0:
-			pa, oka := a.Get(lpn)
-			pb, okb := b.Get(lpn)
-			if pa != pb || oka != okb {
-				t.Fatalf("op %d: Get(%d) diverged: (%d,%v) vs (%d,%v)", i, lpn, pa, oka, pb, okb)
-			}
-		case 1:
-			ppn := flash.PPN(rng.Intn(1000))
-			dirty := rng.Intn(2) == 0
-			if a.Contains(lpn) != b.Contains(lpn) {
-				t.Fatalf("op %d: Contains(%d) diverged", i, lpn)
-			}
-			if a.Contains(lpn) {
-				if a.Update(lpn, ppn, dirty) != b.Update(lpn, ppn, dirty) {
-					t.Fatalf("op %d: Update(%d) diverged", i, lpn)
-				}
-			} else {
-				va, ea := a.Insert(lpn, ppn, dirty)
-				vb, eb := b.Insert(lpn, ppn, dirty)
-				if va != vb || ea != eb {
-					t.Fatalf("op %d: Insert(%d) diverged: %+v/%v vs %+v/%v", i, lpn, va, ea, vb, eb)
-				}
-			}
-		case 2:
-			tvpn := int64(rng.Intn(space / epp))
-			if na, nb := a.CleanPage(tvpn), b.CleanPage(tvpn); na != nb {
-				t.Fatalf("op %d: CleanPage(%d) diverged: %d vs %d", i, tvpn, na, nb)
-			}
-		case 3:
-			tvpn := int64(rng.Intn(space / epp))
-			if na, nb := a.DirtyInPage(tvpn), b.DirtyInPage(tvpn); na != nb {
-				t.Fatalf("op %d: DirtyInPage(%d) diverged: %d vs %d", i, tvpn, na, nb)
-			}
-		}
-	}
-}
-
 // Property: the cache never exceeds capacity, Get returns what was last
 // Insert/Update-ed, and the dirty index matches entry dirty flags.
 func TestCacheModelProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		c, _ := NewCache(8, 4)
+		c := newTestCache(t, 8, 4)
 		model := map[ftl.LPN]flash.PPN{} // what the cache should hold if present
 		dirty := map[ftl.LPN]bool{}
 		for i := 0; i < 500; i++ {
@@ -316,4 +283,17 @@ func TestCacheModelProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Contains reports whether a mapping is cached without perturbing recency or
+// hit statistics (used by garbage collection).
+func (c *Cache) Contains(lpn ftl.LPN) bool { return c.dense[lpn] != 0 }
+
+// DirtyInPage returns how many cached dirty mappings belong to the
+// translation page tvpn.
+func (c *Cache) DirtyInPage(tvpn int64) int {
+	if tvpn < 0 || tvpn >= int64(len(c.tpCount)) {
+		return 0
+	}
+	return int(c.tpCount[tvpn])
 }

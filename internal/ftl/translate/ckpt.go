@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"errors"
 	"slices"
 
 	"dloop/internal/ckpt"
@@ -101,6 +102,11 @@ func decodeSegments(r *ckpt.Reader, dst []segment) []segment {
 	return dst
 }
 
+// ErrMapIndexedCache reports a checkpoint whose CMT was indexed by a hash
+// map. Every cache is now built over a dense index of its logical space, so
+// such a checkpoint has no cache to decode into.
+var ErrMapIndexedCache = errors.New("translate: checkpoint holds a map-indexed cache, which is no longer built")
+
 // cache entry flag bits.
 const (
 	entryDirty     = 1 << 0
@@ -127,23 +133,10 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 		w.I32(e.dNext)
 	}
 	w.I32(c.freeHead)
-	// Exactly one of the two lookup indexes is live (see Cache). The map
-	// variant is encoded sorted by LPN so equal caches encode identically.
-	w.Bool(c.dense != nil)
-	if c.dense != nil {
-		w.I32s(c.dense)
-	} else {
-		keys := make([]ftl.LPN, 0, len(c.index))
-		for k := range c.index {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			w.I64(int64(k))
-			w.I32(c.index[k])
-		}
-	}
+	// The flag once told a dense index from a map-indexed one; only the
+	// dense one is left, and the flag stays so the bytes do not move.
+	w.Bool(true)
+	w.I32s(c.dense)
 	for _, l := range []list{c.probation, c.protected} {
 		w.I32(l.head)
 		w.I32(l.tail)
@@ -156,7 +149,7 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 }
 
 // decodeState overwrites the cache with what encodeState wrote on a cache of
-// the same capacity and index variant. Every handle must name a slab entry.
+// the same capacity and logical space. Every handle must name a slab entry.
 func (c *Cache) decodeState(r *ckpt.Reader) {
 	c.n = r.Int()
 	handle := func(h int32) int32 {
@@ -182,30 +175,23 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 		e.dNext = handle(r.I32())
 	}
 	c.freeHead = handle(r.I32())
-	if isDense := r.Bool(); r.Err() == nil && isDense != (c.dense != nil) {
-		r.Failf("translate: checkpoint and cache disagree on the lookup index")
+	if isDense := r.Bool(); r.Err() == nil && !isDense {
+		r.Failf("%w", ErrMapIndexedCache)
+		return
 	}
-	if dense := c.dense; dense != nil {
-		slab := uint32(len(c.slab))
-		raw := r.Raw(4 * r.ExpectLen(len(dense), 4))
-		var buf [512]uint32
-		for i := 0; i < len(raw)/4; i += len(buf) {
-			chunk := buf[:min(len(buf), len(raw)/4-i)]
-			ckpt.Load(chunk, raw[4*i:])
-			dst := dense[i : i+len(chunk)]
-			for j, h := range chunk {
-				if h >= slab {
-					handle(int32(h))
-					return
-				}
-				dst[j] = int32(h)
+	slab := uint32(len(c.slab))
+	raw := r.Raw(4 * r.ExpectLen(len(c.dense), 4))
+	var buf [512]uint32
+	for i := 0; i < len(raw)/4; i += len(buf) {
+		chunk := buf[:min(len(buf), len(raw)/4-i)]
+		ckpt.Load(chunk, raw[4*i:])
+		dst := c.dense[i : i+len(chunk)]
+		for j, h := range chunk {
+			if h >= slab {
+				handle(int32(h))
+				return
 			}
-		}
-	} else {
-		clear(c.index)
-		for i := r.SliceLen(12); i > 0; i-- { // lpn, handle
-			k := ftl.LPN(r.I64())
-			c.index[k] = handle(r.I32())
+			dst[j] = int32(h)
 		}
 	}
 	for _, l := range []*list{&c.probation, &c.protected} {

@@ -116,8 +116,9 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 func TestDecodeStateCrafted(t *testing.T) {
 	data := encodedEngineState(t, PolicyLearned)
 	m, _ := newCodecEngine(t, PolicyLearned)
-	const table = 4 + 8*64 // the 64-entry table; the CMT follows
-	slab := table + 8      // after the cached-entry count n
+	const table = 4 + 8*64                           // the 64-entry table; the CMT follows
+	slab := table + 8                                // after the cached-entry count n
+	indexFlag := slab + 4 + 33*len(m.Cache.slab) + 4 // after the slab and the free-list head
 	put := func(b []byte, off int, v uint64, width int) {
 		for i := 0; i < width; i++ {
 			b[off+i] = byte(v >> (8 * i))
@@ -133,6 +134,7 @@ func TestDecodeStateCrafted(t *testing.T) {
 		{"table entry beyond any device", func(b []byte) { put(b, 4, 1<<32-1, 8) }, flash.ErrUnmappable},
 		{"table entry negative", func(b []byte) { put(b, 4+8, ^uint64(1), 8) }, flash.ErrUnmappable},
 		{"cached ppn beyond any device", func(b []byte) { put(b, slab+4+33+8, 1<<40, 8) }, flash.ErrUnmappable},
+		{"map-indexed cache", func(b []byte) { b[indexFlag] = 0 }, ErrMapIndexedCache},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), data...)

@@ -114,9 +114,6 @@ func (m *Engine) Policy() Policy { return m.policy }
 // for cache hit/miss/evict/write-back and translation-traffic events.
 func (m *Engine) SetRecorder(r obs.Recorder) { m.rec = r }
 
-// EntriesPerTP returns how many mapping entries one translation page holds.
-func (m *Engine) EntriesPerTP() int { return m.entriesPerTP }
-
 // TVPN returns the translation-page number covering lpn.
 func (m *Engine) TVPN(lpn ftl.LPN) int64 { return int64(lpn) / int64(m.entriesPerTP) }
 

@@ -448,3 +448,6 @@ func TestEngineAdoptStateResetsLearned(t *testing.T) {
 		t.Fatal("mismatched shapes accepted")
 	}
 }
+
+// EntriesPerTP returns how many mapping entries one translation page holds.
+func (m *Engine) EntriesPerTP() int { return m.entriesPerTP }

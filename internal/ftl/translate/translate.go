@@ -48,9 +48,6 @@ func (p Policy) String() string {
 // DefaultPolicy is the policy used when none is named.
 const DefaultPolicy = "slru"
 
-// PolicyNames lists the selectable translation policies.
-func PolicyNames() []string { return []string{"slru", "learned"} }
-
 // ParsePolicy returns the policy named name; the empty string selects the
 // default (slru).
 func ParsePolicy(name string) (Policy, error) {

@@ -50,8 +50,7 @@ type Options struct {
 
 // Collector is the standard Recorder: it maintains the metrics registry,
 // streams the op trace to the configured sinks, and emits periodic
-// snapshots. It also implements sim.QueueObserver so event-queue pressure is
-// visible.
+// snapshots.
 //
 // A single collector is not safe for concurrent use, but a multi-queue run
 // does not share one: each shard worker records into a private child
@@ -91,10 +90,6 @@ type Collector struct {
 	winBusy   sim.Duration
 
 	utilSrc UtilizationSource
-
-	// Event-queue observation.
-	qScheduled, qFired *Counter
-	qHighWater         int
 
 	// GC span enrichment (policy, relocated pages) pre-resolved like the
 	// other hot-path handles.
@@ -155,8 +150,6 @@ func NewCollector(opts Options) *Collector {
 	if opts.PagesPerBlock > 0 {
 		c.victimValid = c.reg.CounterVec("gc.victim_valid", "valid", opts.PagesPerBlock+1)
 	}
-	c.qScheduled = c.reg.Counter("sim.events.scheduled")
-	c.qFired = c.reg.Counter("sim.events.fired")
 	c.gcPause = c.reg.Hist("gc.pause")
 	c.gcMoved = c.reg.Counter("gc.relocated_pages")
 	c.planeCum = make([]int64, opts.Planes)
@@ -305,20 +298,6 @@ func (c *Collector) RecordRequest(read bool, arrival, done sim.Time) {
 	c.advance(done)
 }
 
-// EventScheduled implements sim.QueueObserver.
-func (c *Collector) EventScheduled(at sim.Time, queued int) {
-	c.qScheduled.Inc()
-	if queued > c.qHighWater {
-		c.qHighWater = queued
-	}
-}
-
-// EventFired implements sim.QueueObserver.
-func (c *Collector) EventFired(at sim.Time, queued int) {
-	c.qFired.Inc()
-	c.advance(at)
-}
-
 // advance moves the simulated-time watermark and emits any snapshot
 // boundaries it crossed.
 func (c *Collector) advance(t sim.Time) {
@@ -360,7 +339,7 @@ func (c *Collector) flushTrailing() {
 }
 
 // foldGauges writes the collector's live typed state — span busy times,
-// queue high-water, device utilization, trace drops — into dst as gauges and
+// CMT hit rate, device utilization, trace drops — into dst as gauges and
 // vectors, summing across shard children. Both Close (dst = the live
 // registry) and SnapshotRegistry (dst = a clone) use it.
 func (c *Collector) foldGauges(dst *Registry) {
@@ -371,13 +350,6 @@ func (c *Collector) foldGauges(dst *Registry) {
 		}
 		dst.Gauge(s.String() + ".busy_ms").Set(busy.Milliseconds())
 	}
-	hw := c.qHighWater
-	for _, ch := range c.children {
-		if ch.col.qHighWater > hw {
-			hw = ch.col.qHighWater
-		}
-	}
-	dst.Gauge("sim.queue.highwater").Set(float64(hw))
 	hits := c.events[EvCMTHit].Value()
 	misses := c.events[EvCMTMiss].Value()
 	for _, ch := range c.children {
@@ -413,7 +385,7 @@ func (c *Collector) foldGauges(dst *Registry) {
 // Close finalizes the run: it flushes trailing partial snapshot windows,
 // merges every shard child into the registry and trace buffer (in shard
 // order, so the merge is deterministic), samples the utilization source,
-// folds span and queue gauges and auxiliary sources into the registry, and
+// folds span gauges and auxiliary sources into the registry, and
 // flushes the trace and op-log sinks. It returns the first sink error.
 func (c *Collector) Close() error {
 	c.flushTrailing()

@@ -2,26 +2,6 @@ package sim
 
 import "testing"
 
-// BenchmarkEventQueue measures pooled op scheduling: a rolling window of
-// pending events, every slot recycled through the free-list.
-func BenchmarkEventQueue(b *testing.B) {
-	q := NewEventQueue()
-	var sink int64
-	fn := func(at Time, a0, a1 int64) { sink += a0 }
-	for i := 0; i < 64; i++ {
-		q.ScheduleOp(Time(i), fn, int64(i), 0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.ScheduleOp(Time(i+64), fn, int64(i), 0)
-		if ev, ok := q.Next(); ok {
-			ev.Fire()
-		}
-	}
-	_ = sink
-}
-
 // BenchmarkResourceAcquire measures the monotone fast path of the busy
 // timeline, the innermost loop of every flash operation.
 func BenchmarkResourceAcquire(b *testing.B) {

@@ -70,9 +70,6 @@ func (r *Resource) FreeAt() Time { return r.free }
 // BusyTime returns the total simulated time r has spent occupied.
 func (r *Resource) BusyTime() Duration { return r.busyFor }
 
-// Ops returns the number of occupations served by r.
-func (r *Resource) Ops() int64 { return r.ops }
-
 // Reset returns the resource to idle at time zero and clears statistics.
 // The SSD controller uses it to discard preconditioning activity. The
 // backing array is kept, so a reset resource stays allocation-free.

@@ -161,124 +161,6 @@ func TestAcquireAllBackfillCommonGap(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	q := NewEventQueue()
-	var order []int
-	q.Schedule(30, func(Time) { order = append(order, 3) })
-	q.Schedule(10, func(Time) { order = append(order, 1) })
-	q.Schedule(20, func(Time) { order = append(order, 2) })
-	// Equal time: insertion order.
-	q.Schedule(20, func(Time) { order = append(order, 21) })
-	last := q.RunAll()
-	want := []int{1, 2, 21, 3}
-	if len(order) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-	if last != 30 {
-		t.Fatalf("RunAll returned %d, want 30", last)
-	}
-}
-
-func TestEventQueueReentrantScheduling(t *testing.T) {
-	q := NewEventQueue()
-	var fired []Time
-	q.Schedule(5, func(at Time) {
-		fired = append(fired, at)
-		q.Schedule(at.Add(5), func(at2 Time) { fired = append(fired, at2) })
-	})
-	q.RunAll()
-	if len(fired) != 2 || fired[0] != 5 || fired[1] != 10 {
-		t.Fatalf("fired %v, want [5 10]", fired)
-	}
-}
-
-func TestEventQueueEmptyNext(t *testing.T) {
-	q := NewEventQueue()
-	if _, ok := q.Next(); ok {
-		t.Fatal("Next on empty queue should report no event")
-	}
-	if q.RunAll() != 0 {
-		t.Fatal("RunAll on empty queue should return 0")
-	}
-}
-
-func TestEventQueueOpDescriptor(t *testing.T) {
-	q := NewEventQueue()
-	type fired struct {
-		at     Time
-		a0, a1 int64
-	}
-	var got []fired
-	record := func(at Time, a0, a1 int64) { got = append(got, fired{at, a0, a1}) }
-	q.ScheduleOp(20, record, 3, 4)
-	q.ScheduleOp(10, record, 1, 2)
-	q.RunAll()
-	want := []fired{{10, 1, 2}, {20, 3, 4}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-}
-
-// queueSpy records QueueObserver callbacks with the depths they reported.
-type queueSpy struct {
-	scheduled, fired []int
-}
-
-func (s *queueSpy) EventScheduled(at Time, queued int) { s.scheduled = append(s.scheduled, queued) }
-func (s *queueSpy) EventFired(at Time, queued int)     { s.fired = append(s.fired, queued) }
-
-func TestEventQueueObserver(t *testing.T) {
-	q := NewEventQueue()
-	spy := &queueSpy{}
-	q.SetObserver(spy)
-	noop := func(Time, int64, int64) {}
-	q.ScheduleOp(10, noop, 0, 0)
-	q.ScheduleOp(5, noop, 0, 0)
-	q.RunAll()
-	// Depth after each schedule: 1 then 2; after each fire: 1 then 0.
-	if len(spy.scheduled) != 2 || spy.scheduled[0] != 1 || spy.scheduled[1] != 2 {
-		t.Errorf("scheduled depths %v, want [1 2]", spy.scheduled)
-	}
-	if len(spy.fired) != 2 || spy.fired[0] != 1 || spy.fired[1] != 0 {
-		t.Errorf("fired depths %v, want [1 0]", spy.fired)
-	}
-	// Detach: further activity must not reach the observer.
-	q.SetObserver(nil)
-	q.ScheduleOp(20, noop, 0, 0)
-	q.RunAll()
-	if len(spy.scheduled) != 2 || len(spy.fired) != 2 {
-		t.Error("detached observer still received callbacks")
-	}
-}
-
-// TestEventQueueSteadyStateAllocs verifies the tentpole property: once the
-// pool reaches its high-water mark, scheduling and firing allocate nothing.
-func TestEventQueueSteadyStateAllocs(t *testing.T) {
-	q := NewEventQueue()
-	var sink int64
-	fn := func(at Time, a0, a1 int64) { sink += a0 + a1 }
-	// Warm the slab and free-list.
-	for i := 0; i < 64; i++ {
-		q.ScheduleOp(Time(i), fn, 1, 2)
-	}
-	q.RunAll()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			q.ScheduleOp(Time(i), fn, int64(i), 0)
-		}
-		q.RunAll()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state schedule/fire allocated %v times per run, want 0", allocs)
-	}
-	_ = sink
-}
-
 // Property: acquisitions never overlap each other (they may backfill gaps),
 // never start before ready, and busy time equals the sum of durations.
 func TestResourceNoOverlapProperty(t *testing.T) {
@@ -313,75 +195,11 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
-// Property: the event queue pops events in non-decreasing time order for any
-// insertion order.
-func TestEventQueueHeapProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		q := NewEventQueue()
-		for _, at := range times {
-			q.Schedule(Time(at), func(Time) {})
-		}
-		var prev Time = -1
-		for {
-			ev, ok := q.Next()
-			if !ok {
-				break
-			}
-			if ev.At < prev {
-				return false
-			}
-			prev = ev.At
-		}
-		return q.Len() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
+// Before reports whether t precedes u.
+func (t Time) Before(u Time) bool { return t < u }
 
-// Property: equal-time events fire in insertion order even while the pool
-// recycles event slots — interleaved schedule/drain cycles must not let a
-// reused slot jump the queue. This is the determinism guarantee trace replay
-// depends on.
-func TestEventQueueInsertionOrderWithPoolReuse(t *testing.T) {
-	f := func(rounds []uint8) bool {
-		q := NewEventQueue()
-		next := 0 // next expected global insertion index at each timestamp
-		ok := true
-		for r, n := range rounds {
-			at := Time(r % 4) // few distinct times: lots of equal-time ties
-			count := int(n%8) + 1
-			next = 0
-			for i := 0; i < count; i++ {
-				i := i
-				q.ScheduleOp(at, func(Time, int64, int64) {}, int64(i), 0)
-			}
-			// Drain half, schedule more at the same time, then drain all:
-			// freed slots get reused while equal-time events are pending.
-			for i := 0; i < count/2; i++ {
-				ev, popped := q.Next()
-				if !popped || ev.A0 != int64(next) {
-					ok = false
-				}
-				next++
-			}
-			for i := 0; i < count; i++ {
-				q.ScheduleOp(at, func(Time, int64, int64) {}, int64(count+i), 0)
-			}
-			for {
-				ev, popped := q.Next()
-				if !popped {
-					break
-				}
-				if ev.A0 != int64(next) {
-					ok = false
-				}
-				next++
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
+// After reports whether t follows u.
+func (t Time) After(u Time) bool { return t > u }
+
+// Ops returns the number of occupations served by r.
+func (r *Resource) Ops() int64 { return r.ops }

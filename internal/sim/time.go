@@ -41,15 +41,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the span from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
-// Std converts a simulated duration to a time.Duration for reporting.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds reports the duration in seconds as a float.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
@@ -62,14 +53,6 @@ func (d Duration) Microseconds() float64 { return float64(d) / float64(Microseco
 
 func (t Time) String() string {
 	return fmt.Sprintf("t+%s", time.Duration(t))
-}
-
-// MaxTime returns the later of two times.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Microseconds builds a Duration from a (possibly fractional) count of

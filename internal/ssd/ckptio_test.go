@@ -239,7 +239,7 @@ func craftedDonor(t *testing.T) (donor *Controller, data []byte, device int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := ckpt.NewWriter()
+	w := ckpt.NewWriterSize(0)
 	w.String(SchemeDLOOP)
 	w.Raw(sha256.Size)
 	encodeGeometry(w, donor.Geometry())
@@ -277,8 +277,8 @@ func rejectCrafted(t *testing.T, donor *Controller, data []byte, damage func(b [
 // reseal recomputes a damaged container's header so that only the decoder
 // can reject it.
 func reseal(data []byte) []byte {
-	header := ckpt.NewWriter().Len()
-	sealed := ckpt.NewWriter()
+	header := ckpt.NewWriterSize(0).Len()
+	sealed := ckpt.NewWriterSize(0)
 	copy(sealed.Raw(len(data)-header), data[header:])
 	return sealed.Seal()
 }

@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -57,15 +56,6 @@ func (w *Welford) Var() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// SampleVar returns the unbiased sample variance (m2/(n-1), Bessel's
-// correction), or 0 with fewer than two samples.
-func (w *Welford) SampleVar() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
 }
 
 // StdDev returns the population standard deviation.
@@ -273,16 +263,4 @@ func CV(xs []int64) float64 {
 		return 0
 	}
 	return StdDevInt64(xs) / mean
-}
-
-// Describe formats a five-number summary of an integer series for reports.
-func Describe(xs []int64) string {
-	if len(xs) == 0 {
-		return "n=0"
-	}
-	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	q := func(p float64) int64 { return s[int(p*float64(len(s)-1))] }
-	return fmt.Sprintf("n=%d min=%d p25=%d med=%d p75=%d max=%d sd=%.1f",
-		len(s), s[0], q(0.25), q(0.5), q(0.75), s[len(s)-1], StdDevInt64(s))
 }

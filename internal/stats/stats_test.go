@@ -321,27 +321,6 @@ func TestCV(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	if got := Describe(nil); got != "n=0" {
-		t.Errorf("empty Describe: %q", got)
-	}
-	s := Describe([]int64{3, 1, 2})
-	for _, want := range []string{"n=3", "min=1", "max=3", "med=2"} {
-		if !containsStr(s, want) {
-			t.Errorf("Describe %q missing %q", s, want)
-		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 func TestTimeSeries(t *testing.T) {
 	if _, err := NewTimeSeries(0); err == nil {
 		t.Fatal("zero bucket accepted")
@@ -471,4 +450,24 @@ func TestTimeSeriesMergeMatchesSequential(t *testing.T) {
 	other, _ := NewTimeSeries(2 * sim.Second)
 	other.Add(0, 1)
 	m1.Merge(other)
+}
+
+// Peak returns the bucket index with the highest mean, or -1 if empty.
+func (ts *TimeSeries) Peak() int {
+	best, idx := -1.0, -1
+	for i, b := range ts.buckets {
+		if b.N() > 0 && b.Mean() > best {
+			best, idx = b.Mean(), i
+		}
+	}
+	return idx
+}
+
+// SampleVar returns the unbiased sample variance (m2/(n-1), Bessel's
+// correction), or 0 with fewer than two samples.
+func (w *Welford) SampleVar() float64 {
+	if w.n < 2 {
+		return 0
+	}
+	return w.m2 / float64(w.n-1)
 }

@@ -96,14 +96,3 @@ func (ts *TimeSeries) Render(w io.Writer) error {
 	}
 	return nil
 }
-
-// Peak returns the bucket index with the highest mean, or -1 if empty.
-func (ts *TimeSeries) Peak() int {
-	best, idx := -1.0, -1
-	for i, b := range ts.buckets {
-		if b.N() > 0 && b.Mean() > best {
-			best, idx = b.Mean(), i
-		}
-	}
-	return idx
-}

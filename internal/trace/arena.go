@@ -54,21 +54,6 @@ func BuildArena(r Reader) (*Arena, error) {
 	}
 }
 
-// ArenaOf builds an Arena directly from an in-memory request slice.
-func ArenaOf(reqs []Request) *Arena {
-	a := &Arena{
-		arrival: make([]sim.Time, 0, len(reqs)),
-		lbn:     make([]int64, 0, len(reqs)),
-		sectors: make([]int32, 0, len(reqs)),
-		ops:     make([]uint8, 0, len(reqs)),
-	}
-	a.stats.MinLBN = -1
-	for _, req := range reqs {
-		a.append(req)
-	}
-	return a
-}
-
 func (a *Arena) append(req Request) {
 	a.arrival = append(a.arrival, req.Arrival)
 	a.lbn = append(a.lbn, req.LBN)

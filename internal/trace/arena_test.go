@@ -37,12 +37,22 @@ func genRequests(n int, seed int64) []Request {
 	return reqs
 }
 
+// arenaOf builds an arena over an in-memory request slice.
+func arenaOf(t testing.TB, reqs []Request) *Arena {
+	t.Helper()
+	a, err := BuildArena(NewSliceReader(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // Golden test: an arena cursor must replay the exact Request sequence the
 // streaming readers produce.
 func TestArenaCursorMatchesStreamingReader(t *testing.T) {
 	reqs := genRequests(500, 1)
 	var buf bytes.Buffer
-	if err := WriteSPC(&buf, reqs); err != nil {
+	if _, err := WriteAll(&buf, FormatSPC, NewSliceReader(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -69,7 +79,7 @@ func TestArenaCursorMatchesStreamingReader(t *testing.T) {
 
 func TestArenaOfAndReset(t *testing.T) {
 	reqs := genRequests(100, 2)
-	a := ArenaOf(reqs)
+	a := arenaOf(t, reqs)
 	if a.Len() != len(reqs) {
 		t.Fatalf("Len = %d, want %d", a.Len(), len(reqs))
 	}
@@ -90,7 +100,7 @@ func TestArenaOfAndReset(t *testing.T) {
 
 // Many goroutines may replay one arena concurrently; run under -race.
 func TestArenaConcurrentCursors(t *testing.T) {
-	a := ArenaOf(genRequests(2000, 3))
+	a := arenaOf(t, genRequests(2000, 3))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -267,7 +277,7 @@ func BenchmarkDiskSimParse(b *testing.B) {
 // BenchmarkArenaReplay pins the per-cell replay cost: iterating a shared
 // arena through a cursor must stay allocation-free.
 func BenchmarkArenaReplay(b *testing.B) {
-	a := ArenaOf(genRequests(10000, 6))
+	a := arenaOf(b, genRequests(10000, 6))
 	c := a.Cursor()
 	b.ReportAllocs()
 	b.ResetTimer()

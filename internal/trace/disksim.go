@@ -101,13 +101,28 @@ func (r *DiskSimReader) parseLine(line []byte) (Request, error) {
 	if flags&1 != 0 {
 		op = OpRead
 	}
+	at, err := arrivalAt(ms, sim.Millisecond)
+	if err != nil {
+		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
+	}
 	req := Request{
-		Arrival: sim.Time(0).Add(sim.Duration(math.Round(ms * float64(sim.Millisecond)))),
+		Arrival: at,
 		LBN:     lbn,
 		Sectors: size,
 		Op:      op,
 	}
 	return req, req.Validate()
+}
+
+// arrivalAt converts a parsed timestamp, in units of unit, to a simulated
+// time. Go leaves a float→int64 conversion outside int64's range to the
+// implementation, so NaN, ±Inf and out-of-range values are rejected first.
+func arrivalAt(v float64, unit sim.Duration) (sim.Time, error) {
+	ns := math.Round(v * float64(unit))
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, errors.New("out of range")
+	}
+	return sim.Time(ns), nil
 }
 
 // parseFlagsBytes parses the flags column. The flags field has base-0
@@ -165,8 +180,12 @@ func parseDiskSimLine(line string) (Request, error) {
 	if flags&1 != 0 {
 		op = OpRead
 	}
+	at, err := arrivalAt(ms, sim.Millisecond)
+	if err != nil {
+		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
+	}
 	req := Request{
-		Arrival: sim.Time(0).Add(sim.Duration(math.Round(ms * float64(sim.Millisecond)))),
+		Arrival: at,
 		LBN:     lbn,
 		Sectors: size,
 		Op:      op,

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 
 	"dloop/internal/sim"
 )
@@ -97,8 +96,12 @@ func (r *SPCReader) parseLine(line []byte) (Request, error) {
 	if sectors == 0 {
 		sectors = 1
 	}
+	at, err := arrivalAt(secs, sim.Second)
+	if err != nil {
+		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
+	}
 	req := Request{
-		Arrival: sim.Time(0).Add(sim.Duration(math.Round(secs * float64(sim.Second)))),
+		Arrival: at,
 		LBN:     lba,
 		Sectors: sectors,
 		Op:      op,

@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"dloop/internal/sim"
@@ -71,7 +72,12 @@ func (r Request) Bytes() int64 { return int64(r.Sectors) * SectorSize }
 // End returns the first sector past the request.
 func (r Request) End() int64 { return r.LBN + int64(r.Sectors) }
 
-// Validate reports whether the request is well formed.
+// maxSector bounds a request's end so its byte address fits an int64.
+const maxSector = math.MaxInt64 / SectorSize
+
+// Validate reports whether the request is well formed: a non-negative
+// arrival and LBN, a size an Arena column holds (1 to MaxInt32 sectors), an
+// end whose byte address fits an int64, and a known op.
 func (r Request) Validate() error {
 	if r.Arrival < 0 {
 		return fmt.Errorf("trace: negative arrival time %v", r.Arrival)
@@ -81,6 +87,12 @@ func (r Request) Validate() error {
 	}
 	if r.Sectors <= 0 {
 		return fmt.Errorf("trace: non-positive size %d sectors", r.Sectors)
+	}
+	if r.Sectors > math.MaxInt32 {
+		return fmt.Errorf("trace: size %d sectors exceeds %d", r.Sectors, math.MaxInt32)
+	}
+	if r.LBN > maxSector-int64(r.Sectors) {
+		return fmt.Errorf("trace: request of %d sectors at LBN %d ends past sector %d", r.Sectors, r.LBN, int64(maxSector))
 	}
 	if r.Op != OpRead && r.Op != OpWrite {
 		return fmt.Errorf("trace: unknown op %d", r.Op)
@@ -135,19 +147,4 @@ func (r *SliceReader) NextN(dst []Request) (int, error) {
 	n := copy(dst, r.reqs[r.pos:])
 	r.pos += n
 	return n, nil
-}
-
-// ReadAll drains a Reader into a slice.
-func ReadAll(r Reader) ([]Request, error) {
-	var out []Request
-	for {
-		req, err := r.Next()
-		if err != nil {
-			if isEOF(err) {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, req)
-	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -11,6 +12,21 @@ import (
 
 	"dloop/internal/sim"
 )
+
+// ReadAll drains a Reader into a slice.
+func ReadAll(r Reader) ([]Request, error) {
+	var out []Request
+	for {
+		req, err := r.Next()
+		if err != nil {
+			if isEOF(err) {
+				return out, nil
+			}
+			return out, err
+		}
+		out = append(out, req)
+	}
+}
 
 func TestRequestValidate(t *testing.T) {
 	good := Request{Arrival: 10, LBN: 5, Sectors: 8, Op: OpRead}
@@ -22,10 +38,24 @@ func TestRequestValidate(t *testing.T) {
 		{Arrival: 0, LBN: -2, Sectors: 1, Op: OpRead},
 		{Arrival: 0, LBN: 0, Sectors: 0, Op: OpRead},
 		{Arrival: 0, LBN: 0, Sectors: 1, Op: Op(9)},
+		{Arrival: 0, LBN: 0, Sectors: math.MaxInt32 + 1, Op: OpWrite}, // an Arena column would wrap it
+		{Arrival: 0, LBN: maxSector - 7, Sectors: 8, Op: OpWrite},     // its byte address overflows
+		{Arrival: 0, LBN: math.MaxInt64 - 1, Sectors: 8, Op: OpWrite}, // LBN+Sectors overflows
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, r)
+		}
+	}
+}
+
+func TestRequestValidateEdges(t *testing.T) {
+	for _, r := range []Request{
+		{LBN: 0, Sectors: math.MaxInt32, Op: OpWrite},
+		{LBN: maxSector - 8, Sectors: 8, Op: OpRead},
+	} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("Validate rejected %+v: %v", r, err)
 		}
 	}
 }
@@ -84,17 +114,29 @@ func TestDiskSimParsesCommentsAndBlank(t *testing.T) {
 }
 
 func TestDiskSimRejectsMalformed(t *testing.T) {
-	for _, in := range []string{
-		"1.0 0 100 8",    // missing field
-		"x 0 100 8 0",    // bad arrival
-		"1.0 0 y 8 0",    // bad lbn
-		"1.0 0 100 z 0",  // bad size
-		"1.0 0 100 8 gg", // bad flags
-		"1.0 0 -5 8 0",   // negative lbn
-		"1.0 0 100 0 0",  // zero size
+	for _, tc := range []struct{ in, want string }{
+		{"1.0 0 100 8", "want 5 fields"},             // missing field
+		{"x 0 100 8 0", "arrival"},                   // bad arrival
+		{"1.0 0 y 8 0", "blkno"},                     // bad lbn
+		{"1.0 0 100 z 0", "size"},                    // bad size
+		{"1.0 0 100 8 gg", "flags"},                  // bad flags
+		{"1.0 0 -5 8 0", "negative LBN"},             // negative lbn
+		{"1.0 0 100 0 0", "non-positive size"},       // zero size
+		{"1 0 64 4294967304 0", "exceeds"},           // would wrap to 8 sectors in an Arena
+		{"1 0 9223372036854775000 8 0", "ends past"}, // byte address overflows
+		{"NaN 0 0 8 0", "out of range"},              // float→int64 is implementation-defined
+		{"Inf 0 0 8 0", "out of range"},
+		{"-Inf 0 0 8 0", "out of range"},
+		{"1e300 0 0 8 0", "out of range"},
+		{"-9.3e12 0 0 8 0", "out of range"}, // below int64 nanoseconds
+		{"-1 0 0 8 0", "negative arrival"},  // in range, rejected by Validate
+		// A multi-byte space sends the line to the reference parser.
+		{"NaN\u00a00 0 8 0", "out of range"},
+		{"1 0 64 4294967304\u00a00", "exceeds"},
 	} {
-		if _, err := ReadAll(NewDiskSimReader(strings.NewReader(in))); err == nil {
-			t.Errorf("accepted malformed line %q", in)
+		_, err := ReadAll(NewDiskSimReader(strings.NewReader(tc.in)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("line %q: error %v, want one containing %q", tc.in, err, tc.want)
 		}
 	}
 }
@@ -105,7 +147,7 @@ func TestSPCRoundTrip(t *testing.T) {
 		{Arrival: sim.Time(2 * sim.Second), LBN: 16, Sectors: 4, Op: OpRead},
 	}
 	var buf bytes.Buffer
-	if err := WriteSPC(&buf, reqs); err != nil {
+	if _, err := WriteAll(&buf, FormatSPC, NewSliceReader(reqs)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAll(NewSPCReader(&buf))
@@ -129,15 +171,21 @@ func TestSPCSubSectorSizeRoundsUp(t *testing.T) {
 }
 
 func TestSPCRejectsMalformed(t *testing.T) {
-	for _, in := range []string{
-		"0,100,512,x,0.5", // bad opcode
-		"0,a,512,r,0.5",   // bad lba
-		"0,100,b,r,0.5",   // bad size
-		"0,100,512,r,c",   // bad timestamp
-		"0,100,512",       // short line
+	for _, tc := range []struct{ in, want string }{
+		{"0,100,512,x,0.5", "opcode"},                   // bad opcode
+		{"0,a,512,r,0.5", "lba"},                        // bad lba
+		{"0,100,b,r,0.5", "size"},                       // bad size
+		{"0,100,512,r,c", "timestamp"},                  // bad timestamp
+		{"0,100,512", "want at least 5 fields"},         // short line
+		{"0,100,2199023256064,r,0.5", "exceeds"},        // 2^32+… sectors would wrap in an Arena
+		{"0,18014398509481980,4096,r,0.5", "ends past"}, // byte address overflows
+		{"0,100,512,r,NaN", "out of range"},             // float→int64 is implementation-defined
+		{"0,100,512,r,+Inf", "out of range"},
+		{"0,100,512,r,1e10", "out of range"}, // beyond int64 nanoseconds
 	} {
-		if _, err := ReadAll(NewSPCReader(strings.NewReader(in))); err == nil {
-			t.Errorf("accepted malformed line %q", in)
+		_, err := ReadAll(NewSPCReader(strings.NewReader(tc.in)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("line %q: error %v, want one containing %q", tc.in, err, tc.want)
 		}
 	}
 }

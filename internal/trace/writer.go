@@ -84,12 +84,6 @@ func WriteDiskSim(w io.Writer, reqs []Request) error {
 	return err
 }
 
-// WriteSPC writes requests in the SPC-1 CSV format, using ASU 0.
-func WriteSPC(w io.Writer, reqs []Request) error {
-	_, err := WriteAll(w, FormatSPC, NewSliceReader(reqs))
-	return err
-}
-
 // WriteAll streams every request of r to w in the given format, one at a
 // time, so memory does not grow with the stream, and returns their summary.
 func WriteAll(w io.Writer, format string, r Reader) (Stats, error) {

@@ -62,7 +62,7 @@ func FuzzWriteTrace(f *testing.F) {
 	})
 }
 
-// TestWritersMatchFmt checks whole traces: WriteDiskSim and WriteSPC emit
+// TestWritersMatchFmt checks whole traces: WriteDiskSim and WriteAll emit
 // the fmt lines in order, and Writer.Stats equals Summarize.
 func TestWritersMatchFmt(t *testing.T) {
 	reqs := genRequests(2000, 17)
@@ -71,7 +71,10 @@ func TestWritersMatchFmt(t *testing.T) {
 		write  func(*bytes.Buffer, []Request) error
 	}{
 		{FormatDiskSim, func(b *bytes.Buffer, r []Request) error { return WriteDiskSim(b, r) }},
-		{FormatSPC, func(b *bytes.Buffer, r []Request) error { return WriteSPC(b, r) }},
+		{FormatSPC, func(b *bytes.Buffer, r []Request) error {
+			_, err := WriteAll(b, FormatSPC, NewSliceReader(r))
+			return err
+		}},
 	} {
 		var got, want bytes.Buffer
 		if err := tc.write(&got, reqs); err != nil {

@@ -9,7 +9,7 @@ import (
 
 // TestMaterializeArenaMatchesGenerate holds the streamed arena to the slice
 // path it replaced: for every profile and two seeds, the arena built straight
-// from the generator equals trace.ArenaOf over Generate, request by request
+// from the generator equals trace.BuildArena over Generate, request by request
 // and in its summary.
 func TestMaterializeArenaMatchesGenerate(t *testing.T) {
 	const n = 3000
@@ -23,7 +23,10 @@ func TestMaterializeArenaMatchesGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := trace.ArenaOf(reqs)
+			want, err := trace.BuildArena(trace.NewSliceReader(reqs))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got.Len() != want.Len() {
 				t.Fatalf("%s seed %d: Len %d, want %d", p.Name, seed, got.Len(), want.Len())
 			}

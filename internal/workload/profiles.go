@@ -137,37 +137,3 @@ func SeqWrite() Profile {
 		AlignSectors:   64,
 	}
 }
-
-// RandWrite returns uniformly random single-page writes, the worst case for
-// every log-structured design.
-func RandWrite() Profile {
-	return Profile{
-		Name:           "RandWrite",
-		WriteRatio:     1.0,
-		Sizes:          []SizeWeight{{Sectors: 4, Weight: 1}},
-		RatePerSec:     500,
-		FootprintBytes: 2000 << 20,
-		AlignSectors:   4,
-	}
-}
-
-// SeqRead returns a purely sequential read stream.
-func SeqRead() Profile {
-	p := SeqWrite()
-	p.Name = "SeqRead"
-	p.WriteRatio = 0
-	return p
-}
-
-// RandRead returns uniformly random single-page reads.
-func RandRead() Profile {
-	p := RandWrite()
-	p.Name = "RandRead"
-	p.WriteRatio = 0
-	return p
-}
-
-// Micro returns the four microbenchmark profiles.
-func Micro() []Profile {
-	return []Profile{SeqWrite(), RandWrite(), SeqRead(), RandRead()}
-}

@@ -85,17 +85,6 @@ func (p Profile) maxSectors() int {
 	return m
 }
 
-// MeanSizeSectors returns the expected request length under the profile's
-// size distribution.
-func (p Profile) MeanSizeSectors() float64 {
-	var sum, w float64
-	for _, s := range p.Sizes {
-		sum += float64(s.Sectors) * s.Weight
-		w += s.Weight
-	}
-	return sum / w
-}
-
 // Generator produces a deterministic request stream for a profile.
 type Generator struct {
 	p   Profile

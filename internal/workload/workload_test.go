@@ -237,15 +237,9 @@ func TestGeneratorInvariantProperty(t *testing.T) {
 	}
 }
 
-func TestMicroProfiles(t *testing.T) {
-	micro := Micro()
-	if len(micro) != 4 {
-		t.Fatalf("want 4 micro profiles, got %d", len(micro))
-	}
-	for _, p := range micro {
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s: %v", p.Name, err)
-		}
+func TestSeqWriteProfile(t *testing.T) {
+	if err := SeqWrite().Validate(); err != nil {
+		t.Fatal(err)
 	}
 	// SeqWrite is nearly all sequential continuations.
 	reqs, err := Generate(SeqWrite().ScaleFootprint(0.05), 5, 2000)
@@ -261,14 +255,27 @@ func TestMicroProfiles(t *testing.T) {
 	if frac := float64(seq) / float64(len(reqs)-1); frac < 0.95 {
 		t.Errorf("SeqWrite sequential fraction %.3f, want > 0.95", frac)
 	}
-	// RandRead issues no writes.
-	reqs, err = Generate(RandRead().ScaleFootprint(0.05), 5, 500)
+	// A write ratio of 0 issues no writes.
+	reads := SeqWrite().ScaleFootprint(0.05)
+	reads.WriteRatio = 0
+	reqs, err = Generate(reads, 5, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reqs {
 		if r.Op != trace.OpRead {
-			t.Fatal("RandRead produced a write")
+			t.Fatal("write ratio 0 produced a write")
 		}
 	}
+}
+
+// MeanSizeSectors returns the expected request length under the profile's
+// size distribution.
+func (p Profile) MeanSizeSectors() float64 {
+	var sum, w float64
+	for _, s := range p.Sizes {
+		sum += float64(s.Sectors) * s.Weight
+		w += s.Weight
+	}
+	return sum / w
 }

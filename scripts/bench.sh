@@ -65,8 +65,8 @@ trap 'rm -f "$raw"' EXIT
 # including the batched-dispatch 8ch/mq-pipelined one — plus the
 # sustained-GC regime and BenchmarkBuild, a 64 GB device built per scheme in
 # a fresh child process), not the figure sweeps. Internal packages: every
-# benchmark they define — for ./internal/sim/ that is BenchmarkEventQueue and
-# the three timeline regimes: BenchmarkResourceAcquire (tail appends),
+# benchmark they define — for ./internal/sim/ that is the three timeline
+# regimes: BenchmarkResourceAcquire (tail appends),
 # BenchmarkResourceBackfill (one resource, gaps), and
 # BenchmarkAcquireAllContended (three interlocked resources, a backfilled
 # chain: many EarliestStart rounds per call); for ./internal/flash/
