@@ -34,7 +34,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "workload seed")
 		scale      = flag.Float64("scale", 1.0, "shrink device+footprint for quick runs (0,1]")
 		workers    = flag.Int("workers", 0, "concurrent runs (0 = NumCPU)")
-		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards per cell: LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
 		translate  = flag.String("translate", "", "translation policy for the DLOOP/DFTL runs: slru|learned (empty = slru; the translate experiment sweeps its own)")
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL runs (0 = scheme default; the translate experiment sweeps its own)")
 		outDir     = flag.String("out", "", "directory for CSV output (optional)")
@@ -64,15 +63,8 @@ func main() {
 		}
 	}()
 
-	nFTLShards, err := dloop.ParseShards(*ftlShards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: -ftl-shards:", err)
-		os.Exit(1)
-	}
-
 	opt := dloop.Options{
 		Requests: *requests, Seed: *seed, Scale: *scale, Workers: *workers,
-		FTLShards:       nFTLShards,
 		TranslatePolicy: *translate, CMTEntries: *cmtEntries,
 		MetricsDir: *metricsOut, TraceDir: *traceEvents, SnapshotIntervalMs: *snapshotMs,
 		NoFork: *noFork, WarmupCache: *warmCache,

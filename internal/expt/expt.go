@@ -34,13 +34,6 @@ type Options struct {
 	Seed int64
 	// Workers bounds concurrent runs (default runtime.NumCPU()).
 	Workers int
-	// FTLShards is the per-cell concurrent-FTL shard count, copied into every
-	// job's ssd.Config that does not set its own: 0/1 = single FTL,
-	// ssd.AutoShards = one shard per channel on shapes of 8+ channels.
-	// FTLShards = N is its own device organization — the logical space is partitioned LPN mod N over N
-	// independent FTLs — so sweeps comparing against recorded baselines
-	// should leave it zero.
-	FTLShards int
 	// TranslatePolicy, when non-empty, is copied into every demand-paged
 	// (DLOOP/DFTL) job's ssd.Config that does not set its own: "slru" or
 	// "learned" (see internal/ftl/translate). Schemes without a
@@ -340,16 +333,6 @@ func runCell(j job, opt Options, warmed *ssd.Controller) (ssd.Result, error) {
 // failure the remaining queue drains without running.
 func runAll(jobs []job, opt Options) (map[string]ssd.Result, error) {
 	opt.setDefaults()
-	// Jobs that don't pin their own concurrent-FTL front end inherit the
-	// sweep-wide option. FTLShards is part of the config, so the warm-up
-	// grouping below keeps differently sharded cells in separate groups.
-	if opt.FTLShards != 0 {
-		for i := range jobs {
-			if jobs[i].cfg.FTLShards == 0 {
-				jobs[i].cfg.FTLShards = opt.FTLShards
-			}
-		}
-	}
 	// Translation-engine knobs: the policy applies only to the demand-paged
 	// schemes (ssd.Build rejects it elsewhere), the cache size to any job
 	// that did not pin its own.

@@ -56,7 +56,7 @@ type Options struct {
 // does not share one: each shard worker records into a private child
 // collector (Shard), and the parent folds the children back in at quiescent
 // points — Close and SnapshotRegistry — in shard order, so the merged
-// registry is deterministic and bit-identical to serial execution of the
+// registry is deterministic and bit-identical to inline execution of the
 // same dispatch streams.
 type Collector struct {
 	reg  *Registry
@@ -97,10 +97,8 @@ type Collector struct {
 	gcMoved *Counter
 	gcNames map[string]string
 
-	// Multi-queue children (see shard.go) and host-side auxiliary sources
-	// folded into every merged view.
+	// Multi-queue children (see shard.go), folded into every merged view.
 	children []*shardChild
-	aux      []func(*Registry)
 	// snapIv remembers the configured snapshot interval: spawning children
 	// zeroes the parent's own interval (ops flow through the children, so
 	// parent windows would be empty rows) but children inherit it.
@@ -385,8 +383,8 @@ func (c *Collector) foldGauges(dst *Registry) {
 // Close finalizes the run: it flushes trailing partial snapshot windows,
 // merges every shard child into the registry and trace buffer (in shard
 // order, so the merge is deterministic), samples the utilization source,
-// folds span gauges and auxiliary sources into the registry, and
-// flushes the trace and op-log sinks. It returns the first sink error.
+// folds span gauges into the registry, and flushes the trace and op-log
+// sinks. It returns the first sink error.
 func (c *Collector) Close() error {
 	c.flushTrailing()
 	for _, ch := range c.children {
@@ -397,9 +395,6 @@ func (c *Collector) Close() error {
 		}
 	}
 	c.foldGauges(c.reg)
-	for _, fn := range c.aux {
-		fn(c.reg)
-	}
 	c.closed = true
 	var firstErr error
 	if c.tr != nil {

@@ -17,7 +17,7 @@ import (
 //
 //   - counters and histograms add/merge by name (integer-exact; Welford
 //     accumulators combine in the fixed shard order, so the result is
-//     deterministic and identical to serial execution of the same per-shard
+//     deterministic and identical to inline execution of the same per-shard
 //     dispatch streams);
 //   - vectors translate shard-local plane/channel indices to whole-device
 //     ones through the shard's maps;
@@ -91,18 +91,12 @@ func (c *Collector) Shard(o ShardOptions) *Collector {
 	return child
 }
 
-// AddAuxSource registers fn to contribute host-side metrics (e.g. the front
-// end's doorbell and ring telemetry) into every merged view: Close and each
-// SnapshotRegistry. The target registry never holds the names beforehand, so
-// fn may use plain Add/Set semantics.
-func (c *Collector) AddAuxSource(fn func(*Registry)) { c.aux = append(c.aux, fn) }
-
 // SnapshotRegistry returns an independent merged view of the registry —
-// parent, shard children, live gauges, and auxiliary sources — safe to
-// serialize while the run continues. Call it only from the host goroutine at
-// a quiescent point (an epoch barrier); the live collectors are read, never
-// written. Open snapshot windows stay open (they close at Close). After
-// Close it returns a plain copy, since the children are already folded in.
+// parent, shard children and live gauges — safe to serialize while the run
+// continues. Call it only from the host goroutine at a quiescent point (an
+// epoch barrier); the live collectors are read, never written. Open
+// snapshot windows stay open (they close at Close). After Close it returns a
+// plain copy, since the children are already folded in.
 func (c *Collector) SnapshotRegistry() *Registry {
 	dst := c.reg.clone()
 	if c.closed {
@@ -112,9 +106,6 @@ func (c *Collector) SnapshotRegistry() *Registry {
 		mergeChildRegistry(dst, ch, c)
 	}
 	c.foldGauges(dst)
-	for _, fn := range c.aux {
-		fn(dst)
-	}
 	return dst
 }
 

@@ -6,27 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Future-time handles.
+// Future slabs.
 //
 // The multi-queue front end in internal/ssd dispatches page commands to FTL
 // shard workers and parks each request's completion until an epoch fold, so
-// the host must record a page's completion time *before* the worker that
-// executes it has computed it. A future handle is that promise: a Time whose
-// bit pattern encodes a slot in a FutureSlab instead of a point in simulated
-// time. Legitimate times are non-negative (nanoseconds since simulation
-// start), so the negative half of the Time domain is free to carry handles:
-// slot s is encoded as ^s, which is always negative. The host resolves every
-// handle it parked while folding the epoch, in arrival order.
-
-// MakeFutureTime encodes a FutureSlab slot as a Time handle.
-func MakeFutureTime(slot int) Time { return Time(^int64(slot)) }
-
-// IsFutureTime reports whether t is a future handle rather than a concrete
-// point in simulated time.
-func IsFutureTime(t Time) bool { return t < 0 }
-
-// FutureSlot decodes the slab slot behind a future handle.
-func FutureSlot(t Time) int { return int(^int64(t)) }
+// the host must name a page's completion time *before* the worker that
+// executes it has computed it. A slab slot is that promise: the host
+// allocates one per dispatched page, in dispatch order, the worker that
+// executes the page resolves it, and the host waits on it while folding the
+// epoch, in arrival order.
 
 const (
 	slabChunkBits = 14
@@ -36,16 +24,16 @@ const (
 )
 
 // futureUnresolved marks a slot whose worker has not published an end time
-// yet. Concrete times are non-negative, so any negative sentinel works.
+// yet. Simulated times are non-negative, so any negative sentinel works.
 const futureUnresolved = int64(-1)
 
 type slabChunk [slabChunkSize]atomic.Int64
 
-// FutureSlab is the single-producer store behind future-time handles. The
+// FutureSlab is the single-producer store of parked completion times. The
 // host goroutine allocates slots and reads them back when it folds the
 // epoch; exactly one shard worker publishes each slot's value. Slots are
 // recycled wholesale by Reset at epoch boundaries, when the front end has
-// proven no live handle survives — individual slots are never freed.
+// read every slot back — individual slots are never freed.
 //
 // Storage is a table of atomically published fixed-size chunks so that a
 // growing slab never moves a slot a worker might be writing.
@@ -54,9 +42,9 @@ type FutureSlab struct {
 	next   int // host only
 }
 
-// NewSlot allocates the next slot, marks it unresolved, and returns its index
-// and handle. Host only.
-func (s *FutureSlab) NewSlot() (int, Time) {
+// NewSlot allocates the next slot, marks it unresolved, and returns its
+// index: slots count up from 0 after every Reset. Host only.
+func (s *FutureSlab) NewSlot() int {
 	idx := s.next
 	ci := idx >> slabChunkBits
 	if ci >= slabMaxChunks {
@@ -69,7 +57,7 @@ func (s *FutureSlab) NewSlot() (int, Time) {
 	}
 	ch[idx&slabChunkMask].Store(futureUnresolved)
 	s.next++
-	return idx, MakeFutureTime(idx)
+	return idx
 }
 
 // Resolve publishes the end time for a slot. Called by the one worker that
@@ -94,9 +82,6 @@ func (s *FutureSlab) Wait(slot int) Time {
 	}
 }
 
-// InUse returns the number of slots allocated since the last Reset.
-func (s *FutureSlab) InUse() int { return s.next }
-
 // Reset recycles every slot. The caller must have synchronized with all
-// workers and dropped every outstanding handle first.
+// workers and read back every slot it still needs first.
 func (s *FutureSlab) Reset() { s.next = 0 }

@@ -58,14 +58,6 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	}
 }
 
-// Push appends v and publishes it immediately: PushStaged plus Ring.
-// Producer only. If the ring is full it yields until the consumer frees a
-// slot; backpressure, not growth, bounds memory.
-func (q *SPSC[T]) Push(v T) {
-	q.PushStaged(v)
-	q.Ring()
-}
-
 // PushStaged appends v without publishing it: the element is written into
 // the ring but stays invisible to the consumer until the next Ring (or any
 // call that implies one). Batching several stores per doorbell is what keeps

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// Push appends v and publishes it immediately: PushStaged plus Ring.
+// Producer only. The front end only stages and rings in batches; the tests
+// use the one-element form.
+func (q *SPSC[T]) Push(v T) {
+	q.PushStaged(v)
+	q.Ring()
+}
+
 func TestSPSCOrderAndQuiescence(t *testing.T) {
 	q := NewSPSC[int](8) // tiny ring: exercise backpressure
 	const n = 100000

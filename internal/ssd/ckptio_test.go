@@ -467,7 +467,7 @@ func TestDecodeFTLStateCountSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			var w ckpt.Writer
-			c.f.EncodeState(&w)
+			c.FTL().EncodeState(&w)
 			data := w.Bytes()
 			bad := make([]byte, len(data))
 			const batch = 32 // offsets per heap reading; one count-sized slice is gigabytes
@@ -477,7 +477,7 @@ func TestDecodeFTLStateCountSweep(t *testing.T) {
 				for off := first; off < first+batch && off+4 <= len(data); off++ {
 					copy(bad, data)
 					putU32At(bad, off, 0xFFFFFFFF)
-					c.f.DecodeState(ckpt.NewReader(bad))
+					c.FTL().DecodeState(ckpt.NewReader(bad))
 				}
 				runtime.ReadMemStats(&after)
 				if got := after.TotalAlloc - before.TotalAlloc; got > batch*(4*uint64(len(bad))+4096) {

@@ -85,14 +85,14 @@ type Config struct {
 	// collection decisions run concurrently — a different (striped) device
 	// organization, not an accelerated identical one. Completions fold into
 	// the statistics in arrival order, so a sharded run is bit-identical run
-	// to run and to serial in-order execution of the same shard layout.
-	// 0 or 1 keeps the single-FTL engine; AutoShards uses one shard per
-	// channel on devices with at least 8 channels and the single-FTL engine
-	// below that; other values are reduced to the largest divisor of the
-	// channel count. Attaching an *obs.Collector keeps the shards concurrent
-	// (each shard records into a private child collector, merged
-	// deterministically at epoch barriers); any other recorder forces serial
-	// in-order execution while attached.
+	// to run and to the controller's inline loop over the same shard layout.
+	// 0 or 1 keeps a single FTL; AutoShards uses one shard per channel on
+	// devices with at least 8 channels and a single FTL below that; other
+	// values are reduced to the largest divisor of the channel count.
+	// Attaching an *obs.Collector keeps the shards concurrent (each shard
+	// records into a private child collector, merged deterministically at
+	// epoch barriers); any other recorder stops the workers, so requests run
+	// inline while it is attached.
 	FTLShards int
 
 	// Geometry, when non-nil, overrides the capacity-derived geometry

@@ -23,9 +23,8 @@ import (
 // page. Not safe for concurrent use.
 type Controller struct {
 	// shards is the FTL layout: logical page lpn lives on shard lpn mod N as
-	// shard-local page lpn / N. The single-FTL engine is one shard spanning
-	// the whole device, so its index maps are the identity; the multi-queue
-	// engine runs N shards behind fe.
+	// shard-local page lpn / N. A single FTL is one shard spanning the whole
+	// device, so its index maps are the identity.
 	shards []*ftlShard
 	geo    flash.Geometry // whole-device geometry
 	cap    ftl.LPN        // exported logical pages, summed over the shards
@@ -36,17 +35,18 @@ type Controller struct {
 	shardMask  int64
 	shardShift uint
 
-	// dev and f are the single-FTL engine's device and translation layer
-	// (shard 0). They are nil on a multi-queue controller, where every page
-	// operation routes through fe; use Geometry/Capacity/ShardDevice/ShardFTL
-	// to stay engine-agnostic.
-	dev *flash.Device
-	f   ftl.FTL
 	cfg Config
 
-	// fe, when non-nil, is the multi-queue front end over the shards (see
-	// frontend.go).
-	fe *frontEnd
+	// fe, when non-nil, is the running multi-queue front end over the shards
+	// (see frontend.go): classified requests are dispatched to its workers.
+	// When it is nil they execute inline on the caller's goroutine — always
+	// with one shard, and with several after Close (closed) or while a
+	// recorder that is not an *obs.Collector is attached.
+	fe     *frontEnd
+	closed bool
+
+	// disp is EnqueueBatch's classification scratch.
+	disp []dispReq
 
 	sectorsPerPage int64
 	// pageShift replaces pageSpan's divisions with shifts when the page
@@ -72,24 +72,20 @@ type Controller struct {
 
 	rec obs.Recorder // nil when observability is disabled
 
-	// lastRT is the response time the multi-queue front end most recently
-	// folded, which Serve returns there.
-	lastRT sim.Duration
-
 	// latHook, when set, receives every request's response time in arrival
-	// order on both engines; the differential tests use it to compare the
-	// single-FTL and multi-queue latency streams element-for-element.
+	// order on both request paths; the differential tests use it to compare
+	// the inline and concurrent latency streams element-for-element.
 	latHook func(sim.Duration)
 
 	// pulse, when set, fires at quiescent points (after every Flush epoch, or
-	// per request on the single-FTL engine); the live HTTP exporter publishes
-	// registry snapshots from it. The callback is responsible for its own
-	// rate limiting.
+	// per request inline); the live HTTP exporter publishes registry
+	// snapshots from it. The callback is responsible for its own rate
+	// limiting.
 	pulse func()
 }
 
 // newController assembles a controller over its FTL shards: one shard runs
-// the single-FTL engine, more run behind the multi-queue front end.
+// inline, more run behind the multi-queue front end.
 func newController(shards []*ftlShard, geo flash.Geometry, cfg Config) *Controller {
 	n := int64(len(shards))
 	c := &Controller{
@@ -107,8 +103,6 @@ func newController(shards []*ftlShard, geo flash.Geometry, cfg Config) *Controll
 	}
 	if n > 1 {
 		c.fe = newFrontEnd(shards)
-	} else {
-		c.dev, c.f = shards[0].dev, shards[0].f
 	}
 	return c
 }
@@ -129,12 +123,22 @@ func (c *Controller) EnableTimeSeries(bucket sim.Duration) error {
 func (c *Controller) TimeSeries() *stats.TimeSeries { return c.series }
 
 // Device exposes the underlying flash device (read-only use intended). It is
-// nil on a front-end controller — use ShardDevice there.
-func (c *Controller) Device() *flash.Device { return c.dev }
+// nil on a multi-shard controller — use ShardDevice there.
+func (c *Controller) Device() *flash.Device {
+	if len(c.shards) > 1 {
+		return nil
+	}
+	return c.shards[0].dev
+}
 
-// FTL exposes the flash translation layer in use. It is nil on a front-end
+// FTL exposes the flash translation layer in use. It is nil on a multi-shard
 // controller — use ShardFTL there.
-func (c *Controller) FTL() ftl.FTL { return c.f }
+func (c *Controller) FTL() ftl.FTL {
+	if len(c.shards) > 1 {
+		return nil
+	}
+	return c.shards[0].f
+}
 
 // Geometry returns the whole-device geometry.
 func (c *Controller) Geometry() flash.Geometry { return c.geo }
@@ -145,20 +149,9 @@ func (c *Controller) Capacity() ftl.LPN { return c.cap }
 // FTLShards returns the number of concurrent FTL shards (1 = single FTL).
 func (c *Controller) FTLShards() int { return len(c.shards) }
 
-// ShardFTL returns FTL shard i's translation layer (read-only use intended).
-// On a single-FTL controller, shard 0 is the FTL itself.
-func (c *Controller) ShardFTL(i int) ftl.FTL { return c.shards[i].f }
-
 // ShardDevice returns FTL shard i's sub-device (read-only use intended). On
 // a single-FTL controller, shard 0 is the device itself.
 func (c *Controller) ShardDevice(i int) *flash.Device { return c.shards[i].dev }
-
-// ShardOfLPN returns the FTL shard owning a logical page and the
-// shard-local page it maps to there (identity on a single-FTL controller).
-func (c *Controller) ShardOfLPN(lpn ftl.LPN) (shard int, local ftl.LPN) {
-	sh, local := c.shardOf(lpn)
-	return sh.idx, local
-}
 
 // shardOf returns the shard owning a logical page and its shard-local page.
 func (c *Controller) shardOf(lpn ftl.LPN) (*ftlShard, ftl.LPN) {
@@ -202,24 +195,54 @@ func (c *Controller) ObsOptions() obs.Options {
 
 // SetRecorder attaches (or, with nil, detaches) an observability recorder to
 // the whole stack: host-request completions here, flash operations at the
-// device, and GC/merge/CMT activity at the FTL (via ftl.Observable). When
+// devices, and GC/merge/CMT activity at the FTLs (via ftl.Observable). When
 // the recorder is an *obs.Collector it is also wired to sample the device's
-// busy-time utilization at Close. On a multi-queue controller a collector
-// observes the shards while they run concurrently (each worker records into
-// a private child merged back at barriers). Attach after preconditioning so
-// the stream covers exactly the measured window.
+// busy-time utilization at Close. On a multi-shard controller a collector
+// observes the shards while they run concurrently: each shard records into
+// a private child merged back at barriers. Any other recorder has no merge
+// semantics, so it observes each shard through a wrapper that translates
+// shard-local indices, and the front end's workers stop while it is
+// attached; detaching it restarts them unless the controller is closed.
+// Attach after preconditioning so the stream covers exactly the measured
+// window.
 func (c *Controller) SetRecorder(r obs.Recorder) {
-	if c.fe != nil {
-		c.fe.setRecorder(c, r)
-		return
-	}
+	// A latched worker error stays sticky in a running front end, and
+	// surfaces at the next request.
+	_ = c.quiesce(false)
 	c.rec = r
-	c.dev.SetRecorder(r)
-	if o, ok := c.f.(ftl.Observable); ok {
-		o.SetRecorder(r)
-	}
-	if col, ok := r.(*obs.Collector); ok && col != nil {
+	col, _ := r.(*obs.Collector)
+	if col != nil {
 		col.SetUtilizationSource(c.busyTimes)
+	}
+	sharded, foreign := len(c.shards) > 1, r != nil && col == nil
+	if sharded && foreign {
+		c.stopFrontEnd()
+	}
+	subC := c.geo.Channels / len(c.shards)
+	for _, sh := range c.shards {
+		rec := r // one shard records straight into r; nil detaches
+		sh.mqLat = nil
+		switch {
+		case sharded && col != nil:
+			child := col.Shard(obs.ShardOptions{
+				Index:          sh.idx,
+				Planes:         len(sh.planeMap),
+				Channels:       subC,
+				ChannelOfPlane: sh.dev.ChannelOfPlane(),
+				PlaneMap:       sh.planeMap,
+				ChanMap:        sh.chanMap,
+			})
+			rec, sh.mqLat = child, child.Registry().Hist("mq.lat")
+		case sharded && foreign:
+			rec = newShardRecorder(r, sh)
+		}
+		sh.dev.SetRecorder(rec)
+		if o, ok := sh.f.(ftl.Observable); ok {
+			o.SetRecorder(rec)
+		}
+	}
+	if sharded && !foreign && c.fe == nil && !c.closed {
+		c.fe = newFrontEnd(c.shards)
 	}
 }
 
@@ -245,8 +268,8 @@ func (c *Controller) busyTimes() (planes, chipBus, channels []sim.Duration) {
 }
 
 // SetPulse registers fn (nil detaches) to run at quiescent points: after
-// every epoch Flush on the multi-queue engine, and after every served
-// request on the single-FTL one. The collector's SnapshotRegistry is safe to
+// every epoch Flush of the multi-queue front end, and after every request
+// Enqueue serves inline. The collector's SnapshotRegistry is safe to
 // call from inside it, which is how dloopsim's -listen exporter publishes
 // live metrics mid-run. The callback should rate-limit itself; pulses arrive at
 // epoch frequency.
@@ -262,6 +285,14 @@ func (c *Controller) pageSpan(r trace.Request) (first, last ftl.LPN) {
 	first = ftl.LPN(r.LBN / c.sectorsPerPage)
 	last = ftl.LPN((r.End() - 1) / c.sectorsPerPage)
 	return first, last
+}
+
+// dispReq is one classified request: validated, page-spanned, and
+// bounds-checked, ready to execute inline or to dispatch to the shards.
+type dispReq struct {
+	arrival     sim.Time
+	first, last ftl.LPN
+	read        bool
 }
 
 // classify validates a request and resolves the logical pages it spans,
@@ -329,10 +360,10 @@ func (c *Controller) PreconditionBytes(bytes int64) error {
 }
 
 // quiesce is the barrier every reader and writer of shard state goes
-// through. On the multi-queue engine it waits until every dispatched page
+// through. With the front end running it waits until every dispatched page
 // command has executed, then folds the parked completions — or, with drop,
-// discards them — and returns the engine's sticky error. The single-FTL
-// engine executes inline, so nothing is ever in flight there.
+// discards them — and returns the front end's sticky error. Inline
+// execution leaves nothing in flight.
 func (c *Controller) quiesce(drop bool) error {
 	if c.fe == nil {
 		return nil
@@ -359,7 +390,6 @@ func (c *Controller) ResetMeasurement() {
 	for _, sh := range c.shards {
 		sh.dev.ResetStats()
 	}
-	c.lastRT = 0
 	c.resp = stats.Welford{}
 	c.readResp = stats.Welford{}
 	c.writeResp = stats.Welford{}
@@ -374,39 +404,33 @@ func (c *Controller) ResetMeasurement() {
 	c.pagesWrit = 0
 }
 
-// Serve executes one host request, returning its response time. On a
-// multi-queue controller it issues the work and immediately barriers;
-// callers replaying whole traces should prefer Run (or Enqueue+Flush), which
-// pipelines many requests per barrier.
+// Serve executes one host request inline, returning its response time. With
+// the multi-queue front end running it barriers first, so callers replaying
+// whole traces should prefer Run (or Enqueue+Flush), which pipelines many
+// requests per barrier.
 func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 	if c.broken != nil {
 		return 0, c.broken
 	}
-	if c.fe != nil {
-		if err := c.fe.enqueue(c, r); err != nil {
-			return 0, err
-		}
-		c.Flush()
-		if c.fe.err != nil {
-			return 0, c.fe.err
-		}
-		return c.lastRT, nil
+	if err := c.quiesce(false); err != nil {
+		return 0, err
 	}
 	d, err := c.classify(r)
 	if err != nil {
 		return 0, err
 	}
+	return c.serve(d)
+}
+
+// serve is the inline loop: it executes each page of a classified request on
+// the shard that owns it, on the caller's goroutine, and folds the request
+// into the measurement window.
+func (c *Controller) serve(d dispReq) (sim.Duration, error) {
+	c.countPages(d)
 	done := d.arrival
 	for lpn := d.first; lpn <= d.last; lpn++ {
-		var end sim.Time
-		var err error
-		if d.read {
-			end, err = c.f.ReadPage(lpn, d.arrival)
-			c.pagesRead++
-		} else {
-			end, err = c.f.WritePage(lpn, d.arrival)
-			c.pagesWrit++
-		}
+		sh, local := c.shardOf(lpn)
+		end, err := sh.run(local, d.arrival, d.read)
 		if err != nil {
 			return 0, err
 		}
@@ -417,9 +441,21 @@ func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 	return c.account(d.read, d.arrival, done), nil
 }
 
+// countPages adds a classified request's pages to the window's page counts
+// and returns how many it spans.
+func (c *Controller) countPages(d dispReq) int {
+	n := int(d.last - d.first + 1)
+	if d.read {
+		c.pagesRead += int64(n)
+	} else {
+		c.pagesWrit += int64(n)
+	}
+	return n
+}
+
 // account folds one completed request into the measurement window and the
-// attached observers, returning its response time. Both engines call it in
-// arrival order — the single-FTL one per Serve, the multi-queue one as each
+// attached observers, returning its response time. Both request paths call
+// it in arrival order — the inline loop per request, the front end as each
 // epoch folds — so the accumulators see the same floating-point sequence.
 func (c *Controller) account(read bool, arrival, done sim.Time) sim.Duration {
 	rt := done.Sub(arrival)
@@ -448,9 +484,9 @@ func (c *Controller) account(read bool, arrival, done sim.Time) sim.Duration {
 }
 
 // SetLatencyHook registers fn to receive every served request's response
-// time in arrival order (nil detaches). Both engines call it — the
-// single-FTL one per Serve, the multi-queue one as each epoch's completions
-// are folded — so equivalence tests can compare the exact latency streams.
+// time in arrival order (nil detaches). Both request paths call it — the
+// inline loop per request, the front end as each epoch's completions are
+// folded — so equivalence tests can compare the exact latency streams.
 func (c *Controller) SetLatencyHook(fn func(sim.Duration)) { c.latHook = fn }
 
 // runChunk is how many requests Run pulls from a batching reader per
@@ -459,8 +495,7 @@ const runChunk = 256
 
 // Run replays every request from the reader and returns the results. A
 // reader that also implements trace.BatchReader feeds EnqueueBatch in
-// runChunk chunks, which on a multi-queue controller keeps classification
-// off the staging path.
+// runChunk chunks, which keeps classification off the staging path.
 func (c *Controller) Run(r trace.Reader) (Result, error) {
 	if c.broken != nil {
 		return Result{}, c.broken
@@ -484,7 +519,7 @@ func (c *Controller) Run(r trace.Reader) (Result, error) {
 				break
 			}
 		}
-		return c.Result(), nil
+		return c.finish()
 	}
 	for {
 		req, err := r.Next()
@@ -498,56 +533,70 @@ func (c *Controller) Run(r trace.Reader) (Result, error) {
 			return Result{}, err
 		}
 	}
+	return c.finish()
+}
+
+// finish quiesces a completed Run and returns its results, or the error a
+// shard worker latched after the last request was dispatched.
+func (c *Controller) finish() (Result, error) {
+	if err := c.quiesce(false); err != nil {
+		return Result{}, err
+	}
 	return c.Result(), nil
 }
 
-// EnqueueBatch dispatches a chunk of requests on the pipelined path. On a
-// multi-queue controller the chunk flows through the batch dispatch stage —
-// every request is classified (validated, page-spanned, bounds-checked)
-// before any is staged, so an error means nothing from the chunk was
-// dispatched. On the single-FTL engine it is Enqueue in a loop.
+// EnqueueBatch serves a chunk of requests on the pipelined path. Every
+// request is classified (validated, page-spanned, bounds-checked) before any
+// executes, so a classification error means nothing from the chunk was
+// served.
 func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
 	if c.broken != nil {
 		return c.broken
 	}
-	if c.fe != nil {
-		return c.fe.enqueueBatch(c, reqs)
-	}
+	c.disp = c.disp[:0]
 	for i := range reqs {
-		if err := c.Enqueue(reqs[i]); err != nil {
+		d, err := c.classify(reqs[i])
+		if err != nil {
+			return err
+		}
+		c.disp = append(c.disp, d)
+	}
+	for _, d := range c.disp {
+		if err := c.issue(d); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Enqueue serves one request on the pipelined path: on the multi-queue
-// engine FTL decisions happen now and timing resolves at the next epoch
-// fold. Epoch handoffs are automatic — every 4096 parked pages, and
-// implicitly in every statistics reader — so callers may Enqueue
-// indefinitely. On a single-FTL controller it is Serve with the response
-// time discarded.
+// Enqueue serves one request on the pipelined path: dispatched to the
+// multi-queue front end, FTL decisions happen now and timing resolves at the
+// next epoch fold. Epoch handoffs are automatic — every 4096 parked pages,
+// and implicitly in every statistics reader — so callers may Enqueue
+// indefinitely. Inline it is Serve with the response time discarded.
 func (c *Controller) Enqueue(r trace.Request) error {
-	if c.broken != nil {
-		return c.broken
-	}
-	if c.fe != nil {
-		if err := c.fe.enqueue(c, r); err != nil {
-			return err
-		}
-		c.fe.maybeAdvance(c)
-		return nil
-	}
-	_, err := c.Serve(r)
-	if err == nil && c.pulse != nil {
-		c.pulse()
-	}
-	return err
+	return c.EnqueueBatch([]trace.Request{r})
 }
 
-// Flush is the epoch barrier of the multi-queue engine: quiesce every shard,
-// then fold each parked request into the response-time accumulators in
-// arrival order. No-op on a single-FTL controller.
+// issue executes a classified request: dispatched to the front end's
+// workers while they run, inline otherwise. This is the request path's one
+// engine branch.
+func (c *Controller) issue(d dispReq) error {
+	if c.fe != nil {
+		return c.fe.dispatch(c, d)
+	}
+	if _, err := c.serve(d); err != nil {
+		return err
+	}
+	if c.pulse != nil {
+		c.pulse()
+	}
+	return nil
+}
+
+// Flush is the epoch barrier of the multi-queue front end: quiesce every
+// shard, then fold each parked request into the response-time accumulators
+// in arrival order. No-op while requests run inline.
 func (c *Controller) Flush() {
 	if c.fe == nil {
 		return
@@ -559,13 +608,24 @@ func (c *Controller) Flush() {
 }
 
 // Close stops the multi-queue front end's worker goroutines after a final
-// barrier. Harmless on a single-FTL controller; the controller remains
-// usable (the front end falls back to serial execution).
+// barrier. The controller remains usable: requests run inline from then on.
+// Harmless on a single-shard controller.
 func (c *Controller) Close() {
-	if c.fe != nil {
-		c.fe.flush(c)
-		c.fe.stop()
+	c.closed = true
+	c.stopFrontEnd()
+}
+
+// stopFrontEnd quiesces the front end, stops its workers and drops it, so
+// requests run inline until a new one starts. An error a worker latched
+// after the last barrier goes with the front end: the inline loop reports
+// its own errors request by request.
+func (c *Controller) stopFrontEnd() {
+	if c.fe == nil {
+		return
 	}
+	c.fe.flush(c)
+	c.fe.stop()
+	c.fe = nil
 }
 
 func isEOF(err error) bool { return errors.Is(err, io.EOF) }
@@ -612,7 +672,7 @@ type Result struct {
 // Result snapshots the current measurement window. Device and FTL counters
 // sum over the shards; per-plane and per-block series scatter through the
 // shard maps into whole-device indexing, so SDRPP and wear metrics read the
-// same on either engine. After a failed Restore it is empty (see Err).
+// same for every shard count. After a failed Restore it is empty (see Err).
 func (c *Controller) Result() Result {
 	if c.broken != nil {
 		return Result{}

@@ -9,7 +9,6 @@ import (
 	"dloop/internal/ftl"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
-	"dloop/internal/trace"
 )
 
 // Concurrent FTL shards behind a multi-queue host front end.
@@ -26,35 +25,36 @@ import (
 // The host side is an NVMe-style multi-queue front end: one submission ring
 // (sim.SPSC) per shard carrying fixed-size page commands, with doorbells
 // batched (PushStaged/Ring) so the producer publishes many commands per tail
-// store. Completions resolve into future-time slabs double-buffered across
+// store. Completions resolve into future slabs double-buffered across
 // epochs: while the shards execute epoch K+1's commands, the host folds
 // epoch K's parked completions and recycles its slab (see feEpoch/advance),
 // so the stop-the-world barrier survives only at true quiescent points
-// (statistics readers, checkpoints, recorder switches).
+// (statistics readers, checkpoints, recorder switches, Serve).
 //
 // Every request's completion is parked and folded into the response-time
 // accumulators in arrival order — the same order, and therefore the same
-// floating-point sequence, as serial execution of the same shard layout. So
-// results are bit-identical run to run and to in-order execution of the same
-// configuration, which is what the differential suite pins.
+// floating-point sequence, as the controller's inline loop over the same
+// shard layout. So results are bit-identical run to run and to inline
+// execution of the same configuration, which is what the differential suite
+// pins.
 //
 // An FTLShards=N device is a different device organization than FTLShards=1
 // (placement depends on per-shard write order, like striping across N
 // sub-drives in RAID 0), so results are comparable across worker schedules
 // at fixed N, not across N.
 //
-// Serial execution mode (frontEnd.serial) runs the same shard partitioning
-// inline on the host goroutine in dispatch order. It is the baseline the
-// differential tests compare concurrent execution against.
+// The front end has no execution mode: while it exists, its workers run.
+// Requests reach the shards through it or through the controller's inline
+// loop, which serves one shard, a closed controller, and every Serve call.
 //
 // Observability is shard-native: attaching an *obs.Collector gives every
 // shard a private child collector (obs.Collector.Shard) that only its worker
 // touches, so metrics and traces are gathered while the shards run
 // concurrently; the parent folds the children back in shard order at
-// quiescent points, making the merged registry bit-identical to a serial run
-// of the same configuration. Non-Collector recorders have no merge
-// semantics, so they keep the old contract: serial execution with a
-// translating per-shard wrapper.
+// quiescent points, making the merged registry bit-identical to an inline
+// run of the same configuration. Non-Collector recorders have no merge
+// semantics: while one is attached the workers stop and requests run inline
+// through a translating per-shard wrapper.
 
 // autoShardMinChannels is the smallest channel count on which AutoShards
 // engages the front end. Below it the per-request shard overhead
@@ -78,10 +78,11 @@ const defaultEpochPages = 4096
 const feQueueCap = 1 << 13
 
 // pendingDone is one request whose response time is deferred to an epoch
-// fold: its page completion times live in feEpoch.ends[off:off+n].
+// fold. Slots are allocated in dispatch order, so its n page completion
+// times resolve in the n slab slots after those of the requests parked
+// before it.
 type pendingDone struct {
 	arrival sim.Time
-	off     int32
 	n       int32
 	read    bool
 }
@@ -101,39 +102,29 @@ type pageCmd struct {
 // that epoch's slab for the epoch after next. Ownership alternates along the
 // quiescence protocol: the host allocates slots and appends parked records,
 // exactly one worker resolves each slot, and the host reads slots back only
-// while folding, after which no live handle survives into the recycled slab.
+// while folding, after which no live slot survives into the recycled slab.
 type feEpoch struct {
 	slab  sim.FutureSlab
 	pend  []pendingDone // parked requests, in arrival order
-	ends  []sim.Time    // per-page completion times or future handles
-	pages int           // page commands dispatched into this epoch
+	pages int           // page commands dispatched into this epoch: its slots
 }
 
 func (ep *feEpoch) reset() {
 	ep.pend = ep.pend[:0]
-	ep.ends = ep.ends[:0]
 	ep.slab.Reset()
 	ep.pages = 0
 }
 
-// dispReq is one classified request: validated, page-spanned, and
-// bounds-checked, ready to execute or to stage onto the rings.
-type dispReq struct {
-	arrival     sim.Time
-	first, last ftl.LPN
-	read        bool
-}
-
 // ftlShard is one control-plane shard: a device, its FTL and GC engine, and
-// the index maps placing it in the whole device. The single-FTL engine is
-// one shard spanning the device, with identity maps; the multi-queue engine
-// runs N shards over Channels/N-channel sub-devices, each fed by its own
-// submission ring.
+// the index maps placing it in the whole device. A single FTL is one shard
+// spanning the device, with identity maps; N shards run over
+// Channels/N-channel sub-devices, each fed by its own submission ring while
+// the front end runs.
 type ftlShard struct {
 	idx int
 	dev *flash.Device
 	f   ftl.FTL
-	sq  *sim.SPSC[pageCmd] // nil on the single-FTL engine
+	sq  *sim.SPSC[pageCmd] // the latest front end's ring; nil with one shard
 
 	// planeMap / chipMap / chanMap translate shard-local resource indices to
 	// whole-device ones. Packages spread round-robin over channels, so the
@@ -147,21 +138,16 @@ type ftlShard struct {
 	// host reads it only behind a quiescence barrier.
 	mqLat *obs.Hist
 	// err is the first execution error, latched by the worker and surfaced
-	// by the host at the next barrier.
+	// by the host at the next barrier. The inline loop returns its errors
+	// directly instead.
 	err error
 }
 
-// frontEnd is the multi-queue host front end over the controller's shards.
+// frontEnd is the multi-queue host front end over the controller's shards:
+// one ring and one worker goroutine per shard. It exists only while the
+// workers run (see Controller.SetRecorder and Close).
 type frontEnd struct {
 	shards []*ftlShard
-
-	// serial executes page operations inline on the host goroutine in
-	// dispatch order instead of routing them through the rings. Forced by an
-	// attached recorder and by Close; the differential tests use it as the
-	// in-order baseline.
-	serial bool
-	// running is true while the worker goroutines are alive.
-	running bool
 
 	// epochs double-buffers the completion pipeline (see feEpoch): cur is
 	// the epoch being filled, 1-cur the previous epoch, whose completions
@@ -173,45 +159,12 @@ type frontEnd struct {
 	epochPages int
 
 	staged int   // page commands staged since the last doorbell
-	err    error // sticky first error; surfaced by Serve/Enqueue
+	err    error // sticky first error; surfaced by dispatch and quiesce
 	// failed is raised by any worker that latches an execution error, so
 	// the host can escalate to a full barrier at the next epoch handoff
 	// instead of dispatching the rest of the run into a dead shard.
 	failed atomic.Bool
 	wg     sync.WaitGroup
-
-	// disp is the batch dispatch stage's classification scratch.
-	disp []dispReq
-
-	// tele is the host-side queue telemetry, non-nil only while a collector
-	// is attached; teleCol/teleState keep the state paired with its collector
-	// across detach/re-attach.
-	tele      *feTele
-	teleCol   *obs.Collector
-	teleState *feTele
-}
-
-// feTele accumulates the front end's dispatch-side queue telemetry: doorbell
-// rings, pages per ring, the staged-batch high-water mark, and pages per
-// shard. It is defined on the dispatch side — identical in serial and
-// concurrent execution — so the merged metrics document stays bit-identical
-// across modes; consumer-side ring occupancy would be schedule-dependent. An
-// attached collector folds it in via an aux source.
-type feTele struct {
-	doorbells  int64
-	pages      int64
-	ringHW     int
-	shardPages []int64
-}
-
-func (t *feTele) fold(r *obs.Registry) {
-	r.Counter("mq.doorbells").Add(t.doorbells)
-	r.Counter("mq.doorbell.pages").Add(t.pages)
-	r.Gauge("mq.ring.highwater").Set(float64(t.ringHW))
-	v := r.CounterVec("mq.shard.pages", "shard", len(t.shardPages))
-	for i, p := range t.shardPages {
-		v.Add(i, p)
-	}
 }
 
 // resolveFTLShards maps a Config.FTLShards value to an effective shard
@@ -305,44 +258,33 @@ func (sh *ftlShard) run(lpn ftl.LPN, arrival sim.Time, read bool) (sim.Time, err
 	return end, err
 }
 
-// newFrontEnd puts a submission ring in front of every shard and starts one
-// worker goroutine per shard.
+// newFrontEnd puts a fresh submission ring in front of every shard and
+// starts one worker goroutine per shard. The shards start with no latched
+// error: what a previous front end latched went with it (see
+// Controller.stopFrontEnd).
 func newFrontEnd(shards []*ftlShard) *frontEnd {
 	fe := &frontEnd{shards: shards, epochPages: defaultEpochPages}
 	for _, sh := range shards {
 		sh.sq = sim.NewSPSC[pageCmd](feQueueCap)
-	}
-	fe.start()
-	return fe
-}
-
-// start launches one worker goroutine per shard.
-func (fe *frontEnd) start() {
-	fe.running = true
-	fe.serial = false
-	for _, sh := range fe.shards {
+		sh.err = nil
 		fe.wg.Add(1)
 		go fe.worker(sh)
 	}
+	return fe
 }
 
-// stop drains and terminates the workers; the front end falls back to serial
-// execution and remains usable.
+// stop drains and terminates the workers. The caller has quiesced the front
+// end and drops it afterwards.
 func (fe *frontEnd) stop() {
-	if !fe.running {
-		return
-	}
 	for _, sh := range fe.shards {
 		sh.sq.Close()
 	}
 	fe.wg.Wait()
-	fe.running = false
-	fe.serial = true
 }
 
 // worker is one shard's control plane: it drains the submission ring FIFO,
 // so the shard's FTL sees exactly the dispatch-order subsequence of requests
-// the serial baseline would feed it.
+// the inline loop would feed it.
 func (fe *frontEnd) worker(sh *ftlShard) {
 	defer fe.wg.Done()
 	for {
@@ -374,120 +316,41 @@ func (fe *frontEnd) exec(sh *ftlShard, cmd pageCmd) {
 	fe.epochs[cmd.slot&1].slab.Resolve(int(cmd.slot>>1), end)
 }
 
-// enqueue classifies and dispatches one request.
-func (fe *frontEnd) enqueue(c *Controller, r trace.Request) error {
-	if fe.err != nil {
-		return fe.err
-	}
-	d, err := c.classify(r)
-	if err != nil {
-		return err
-	}
-	return fe.dispatch(c, d)
-}
-
-// enqueueBatch is the batch dispatch stage: classify the whole chunk first
-// (validation, page spans, bounds checks — pure address math, no ring or
-// slab traffic), then stage the classified requests onto the rings with
-// epoch handoffs interleaved at their boundaries. Splitting the phases
-// keeps classification off the staging path and lets one doorbell cover
-// many requests. On error nothing from the chunk has been dispatched.
-func (fe *frontEnd) enqueueBatch(c *Controller, reqs []trace.Request) error {
-	if fe.err != nil {
-		return fe.err
-	}
-	fe.disp = fe.disp[:0]
-	for i := range reqs {
-		d, err := c.classify(reqs[i])
-		if err != nil {
-			return err
-		}
-		fe.disp = append(fe.disp, d)
-	}
-	for i := range fe.disp {
-		if err := fe.dispatch(c, fe.disp[i]); err != nil {
-			return err
-		}
-		fe.maybeAdvance(c)
-	}
-	return nil
-}
-
-// dispatch routes each page of a classified request to its shard — staged
-// onto the shard's ring, or executed inline in serial mode — parks the
-// request's completion record in the current epoch, and rings doorbells.
-// Serial completion times park exactly like the concurrent path's futures,
-// so the fold treats both identically.
+// dispatch stages each page of a classified request onto its shard's ring,
+// parks the request's completion record in the current epoch, rings the
+// doorbells once enough commands are staged, and closes the epoch once it
+// holds enough pages.
 func (fe *frontEnd) dispatch(c *Controller, d dispReq) error {
-	npages := int(d.last - d.first + 1)
-	if d.read {
-		c.pagesRead += int64(npages)
-	} else {
-		c.pagesWrit += int64(npages)
+	if fe.err != nil {
+		return fe.err
 	}
+	npages := c.countPages(d)
 	ep := &fe.epochs[fe.cur]
 	parity := int32(fe.cur)
-	off := len(ep.ends)
 	for lpn := d.first; lpn <= d.last; lpn++ {
 		sh, local := c.shardOf(lpn)
-		var end sim.Time
-		if fe.serial {
-			var err error
-			if end, err = sh.run(local, d.arrival, d.read); err != nil {
-				ep.ends = ep.ends[:off]
-				fe.err = err
-				return err
-			}
-		} else {
-			var slot int
-			slot, end = ep.slab.NewSlot()
-			sh.sq.PushStaged(pageCmd{lpn: local, arrival: d.arrival, slot: int32(slot)<<1 | parity, read: d.read})
-		}
-		ep.ends = append(ep.ends, end)
-		if fe.tele != nil {
-			fe.tele.shardPages[sh.idx]++
-		}
+		slot := ep.slab.NewSlot()
+		sh.sq.PushStaged(pageCmd{lpn: local, arrival: d.arrival, slot: int32(slot)<<1 | parity, read: d.read})
 	}
-	ep.pend = append(ep.pend, pendingDone{
-		arrival: d.arrival,
-		off:     int32(off),
-		n:       int32(npages),
-		read:    d.read,
-	})
+	ep.pend = append(ep.pend, pendingDone{arrival: d.arrival, n: int32(npages), read: d.read})
 	ep.pages += npages
-	fe.bell(npages)
+	if fe.staged += npages; fe.staged >= doorbellBatch {
+		fe.ring()
+	}
+	if ep.pages >= fe.epochPages {
+		fe.advance(c)
+	}
 	return nil
 }
 
-// bell counts staged page commands and rings the doorbells once enough have
-// accumulated.
-func (fe *frontEnd) bell(pages int) {
-	fe.staged += pages
-	if fe.staged < doorbellBatch {
-		return
-	}
-	fe.ring()
-}
-
-// ring publishes the staged batch: telemetry accounts it, and the concurrent
-// path stores every shard's ring tail (a no-op on shards with nothing
-// staged). Serial mode accounts the same batches without touching the rings,
-// so dispatch-side telemetry is identical in both execution modes.
+// ring publishes the staged batch: it stores every shard's ring tail (a
+// no-op on shards with nothing staged).
 func (fe *frontEnd) ring() {
 	if fe.staged == 0 {
 		return
 	}
-	if fe.tele != nil {
-		fe.tele.doorbells++
-		fe.tele.pages += int64(fe.staged)
-		if fe.staged > fe.tele.ringHW {
-			fe.tele.ringHW = fe.staged
-		}
-	}
-	if !fe.serial && fe.running {
-		for _, sh := range fe.shards {
-			sh.sq.Ring()
-		}
+	for _, sh := range fe.shards {
+		sh.sq.Ring()
 	}
 	fe.staged = 0
 }
@@ -497,23 +360,14 @@ func (fe *frontEnd) ring() {
 // synchronization edge, and the next ring publish hands the state back to
 // the worker.
 func (fe *frontEnd) barrier() {
-	fe.ring() // account (and, concurrent, publish) the partial batch
-	if !fe.serial && fe.running {
-		for _, sh := range fe.shards {
-			sh.sq.AwaitQuiesced() // rings the doorbell itself
-		}
-		for _, sh := range fe.shards {
-			if sh.err != nil && fe.err == nil {
-				fe.err = sh.err
-			}
-		}
+	fe.staged = 0
+	for _, sh := range fe.shards {
+		sh.sq.AwaitQuiesced() // rings the doorbell itself
 	}
-}
-
-// maybeAdvance closes the current epoch once it holds enough parked pages.
-func (fe *frontEnd) maybeAdvance(c *Controller) {
-	if fe.epochs[fe.cur].pages >= fe.epochPages {
-		fe.advance(c)
+	for _, sh := range fe.shards {
+		if sh.err != nil && fe.err == nil {
+			fe.err = sh.err
+		}
 	}
 }
 
@@ -528,7 +382,7 @@ func (fe *frontEnd) advance(c *Controller) {
 	fe.ring()
 	if fe.failed.Load() {
 		// A worker latched an error; quiesce now so fe.err surfaces on the
-		// next enqueue instead of at the end of the run.
+		// next request instead of at the end of the run.
 		c.Flush()
 		return
 	}
@@ -546,26 +400,22 @@ func (fe *frontEnd) advance(c *Controller) {
 // accumulators in arrival order — the same order, and therefore the same
 // floating-point sequence, no matter how the stream was cut into epochs or
 // how long fold was deferred; that invariance is why determinism survives
-// the pipelining. Afterwards the epoch recycles: every handle has been
-// resolved, so no live reference survives into the reused slab.
+// the pipelining. Afterwards the epoch recycles: every slot has been
+// resolved, so none stays live into the reused slab.
 func (fe *frontEnd) foldEpoch(c *Controller, ep *feEpoch) {
 	if fe.err != nil {
 		ep.reset() // the run is being abandoned; drop, don't fold
 		return
 	}
+	slot := 0
 	for _, p := range ep.pend {
 		done := p.arrival
-		for i := int32(0); i < p.n; i++ {
-			idx := p.off + i
-			t := ep.ends[idx]
-			if sim.IsFutureTime(t) {
-				t = ep.slab.Wait(sim.FutureSlot(t))
-			}
-			if t > done {
+		for end := slot + int(p.n); slot < end; slot++ {
+			if t := ep.slab.Wait(slot); t > done {
 				done = t
 			}
 		}
-		c.lastRT = c.account(p.read, p.arrival, done)
+		c.account(p.read, p.arrival, done)
 	}
 	ep.reset()
 }
@@ -573,7 +423,7 @@ func (fe *frontEnd) foldEpoch(c *Controller, ep *feEpoch) {
 // flush is the full epoch barrier: quiesce every shard, fold both in-flight
 // epochs in arrival order (previous epoch first), and recycle both slabs.
 // This is the quiescent point every statistics reader, checkpoint, recorder
-// switch, and mode change goes through.
+// switch, and Serve goes through.
 func (fe *frontEnd) flush(c *Controller) {
 	fe.barrier()
 	if fe.err != nil {
@@ -652,60 +502,4 @@ func (r *shardRecorder) RecordGCSpan(plane int32, start, end sim.Time, policy st
 		return
 	}
 	r.inner.RecordSpan(obs.SpanGC, r.planeMap[plane], start, end)
-}
-
-// setRecorder attaches (or detaches) observability across every shard. An
-// *obs.Collector stays concurrent: each shard gets a private child collector
-// (local indices, merged at quiescent points), and the front end's
-// dispatch-side queue telemetry switches on. Any other Recorder has no merge
-// semantics and keeps the old contract: serial execution through a
-// translating per-shard wrapper. Whatever replaces a collector detaches it
-// completely, its queue telemetry and shard latency histograms included.
-func (fe *frontEnd) setRecorder(c *Controller, r obs.Recorder) {
-	fe.flush(c)
-	c.rec = r
-	col, _ := r.(*obs.Collector)
-	switch {
-	case col != nil:
-		// A collector keeps the execution mode as it is.
-	case r != nil:
-		fe.serial = true
-	default:
-		fe.serial = !fe.running
-	}
-	subC := c.geo.Channels / len(fe.shards)
-	for _, sh := range fe.shards {
-		var rec obs.Recorder // nil detaches
-		sh.mqLat = nil
-		switch {
-		case col != nil:
-			child := col.Shard(obs.ShardOptions{
-				Index:          sh.idx,
-				Planes:         len(sh.planeMap),
-				Channels:       subC,
-				ChannelOfPlane: sh.dev.ChannelOfPlane(),
-				PlaneMap:       sh.planeMap,
-				ChanMap:        sh.chanMap,
-			})
-			rec, sh.mqLat = child, child.Registry().Hist("mq.lat")
-		case r != nil:
-			rec = newShardRecorder(r, sh)
-		}
-		sh.dev.SetRecorder(rec)
-		if o, ok := sh.f.(ftl.Observable); ok {
-			o.SetRecorder(rec)
-		}
-	}
-	fe.tele = nil
-	if col == nil {
-		return
-	}
-	col.SetUtilizationSource(c.busyTimes)
-	if fe.teleCol != col {
-		fe.teleCol = col
-		fe.teleState = &feTele{shardPages: make([]int64, len(fe.shards))}
-		st := fe.teleState
-		col.AddAuxSource(func(reg *obs.Registry) { st.fold(reg) })
-	}
-	fe.tele = fe.teleState
 }

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -50,21 +51,35 @@ func buildMQ(t *testing.T, cfg Config) *Controller {
 	return c
 }
 
+// buildInline builds and preconditions a controller, then closes it, so its
+// front end's workers are stopped and every request runs on the inline loop:
+// the independent baseline the concurrent pipeline is checked against.
+func buildInline(t *testing.T, cfg Config) *Controller {
+	t.Helper()
+	c := buildMQ(t, cfg)
+	preconditionTiny(t, c)
+	c.Close()
+	if c.fe != nil {
+		t.Fatal("front end still running after Close")
+	}
+	return c
+}
+
 // lookupMQ resolves one logical page through whichever FTL shard owns it.
 // The returned PPN is shard-local; comparisons are meaningful between
 // controllers with the same shard count (or against InvalidPPN).
 func lookupMQ(t *testing.T, c *Controller, lpn ftl.LPN) flash.PPN {
 	t.Helper()
-	s, local := c.ShardOfLPN(lpn)
-	return lookup(t, c.ShardFTL(s), local)
+	sh, local := c.shardOf(lpn)
+	return lookup(t, sh.f, local)
 }
 
 // TestMQDifferential is the randomized differential suite for the multi-queue
 // front end: for every scheme and shard counts 2/4/8 across two channel
-// shapes, a concurrently executing front end replays the same trace as a
-// serially executing one with the identical shard layout, and must reproduce
-// it bit for bit — Results, per-request latency streams, mapping tables, and
-// per-shard device states.
+// shapes, the concurrent pipeline replays the same trace as the inline loop
+// over the identical shard layout, and must reproduce it bit for bit —
+// Results, per-request latency streams, mapping tables, and per-shard device
+// states.
 func TestMQDifferential(t *testing.T) {
 	shapes := []struct {
 		name   string
@@ -80,9 +95,7 @@ func TestMQDifferential(t *testing.T) {
 			for _, sp := range shapes {
 				t.Run(sp.name+"/deterministic", func(t *testing.T) {
 					cfg := mqConfig(scheme, sp.geo, sp.shards)
-					ser := buildMQ(t, cfg)
-					ser.fe.flush(ser)
-					ser.fe.serial = true // in-order baseline, same shard layout
+					ser := buildInline(t, cfg)
 					par := buildMQ(t, cfg)
 					if got := par.FTLShards(); got != sp.shards {
 						t.Fatalf("FTLShards = %d, want %d", got, sp.shards)
@@ -90,7 +103,6 @@ func TestMQDifferential(t *testing.T) {
 					var serLat, parLat []sim.Duration
 					ser.SetLatencyHook(func(d sim.Duration) { serLat = append(serLat, d) })
 					par.SetLatencyHook(func(d sim.Duration) { parLat = append(parLat, d) })
-					preconditionTiny(t, ser)
 					preconditionTiny(t, par)
 					w := tinyWorkload(t, ser, 1600, 37)
 					want, err := ser.Run(trace.NewSliceReader(w))
@@ -102,14 +114,14 @@ func TestMQDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("Results differ\nserial:     %+v\nconcurrent: %+v", want, got)
+						t.Fatalf("Results differ\ninline:     %+v\nconcurrent: %+v", want, got)
 					}
 					if !reflect.DeepEqual(serLat, parLat) {
 						t.Fatalf("latency streams differ: %d vs %d samples", len(serLat), len(parLat))
 					}
 					for lpn := ftl.LPN(0); lpn < ser.Capacity(); lpn++ {
 						if a, b := lookupMQ(t, ser, lpn), lookupMQ(t, par, lpn); a != b {
-							t.Fatalf("lpn %d maps to %d (serial) vs %d (concurrent)", lpn, a, b)
+							t.Fatalf("lpn %d maps to %d (inline) vs %d (concurrent)", lpn, a, b)
 						}
 					}
 					for i := 0; i < sp.shards; i++ {
@@ -148,7 +160,7 @@ func TestMQDeterministicRepeat(t *testing.T) {
 // TestMQEpochSweepDifferential is the pipeline half of the differential
 // suite: the epoch length is a pure scheduling parameter, so setting it to
 // the degenerate single-page epoch, the off-by-one values around the
-// doorbell batch, and a large epoch must reproduce the serial baseline's
+// doorbell batch, and a large epoch must reproduce the inline loop's
 // Results and per-request latency stream bit for bit for every scheme.
 // Folding is per-request in arrival order no matter where the epoch cuts
 // land, which is exactly the property this test pins.
@@ -157,12 +169,9 @@ func TestMQEpochSweepDifferential(t *testing.T) {
 		t.Run(scheme, func(t *testing.T) {
 			seed := int64(41 + si*13) // a different workload per scheme
 			base := mqConfig(scheme, tiny8Geometry(), 4)
-			ser := buildMQ(t, base)
-			ser.fe.flush(ser)
-			ser.fe.serial = true
+			ser := buildInline(t, base)
 			var wantLat []sim.Duration
 			ser.SetLatencyHook(func(d sim.Duration) { wantLat = append(wantLat, d) })
-			preconditionTiny(t, ser)
 			w := tinyWorkload(t, ser, 1600, seed)
 			want, err := ser.Run(trace.NewSliceReader(w))
 			if err != nil {
@@ -180,7 +189,7 @@ func TestMQEpochSweepDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("Results differ from serial baseline\nserial:   %+v\npipeline: %+v", want, got)
+						t.Fatalf("Results differ from the inline loop\ninline:   %+v\npipeline: %+v", want, got)
 					}
 					if !reflect.DeepEqual(lat, wantLat) {
 						t.Fatalf("latency streams differ: %d vs %d samples", len(lat), len(wantLat))
@@ -268,28 +277,36 @@ func TestMQLogicalEquivalence(t *testing.T) {
 	}
 }
 
-// TestMQServePath covers the synchronous Serve API: every call barriers on
-// its own completion, so the returned response times must match the serial
-// baseline's call for call, and the final Results bit for bit.
+// TestMQServePath covers the synchronous Serve API: every call barriers and
+// then runs inline, so the returned response times must match, call for
+// call, the latency stream a pipelined Run of the same requests folds, and
+// the final Results must match bit for bit.
 func TestMQServePath(t *testing.T) {
 	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2)
 	ser := buildMQ(t, cfg)
-	ser.fe.serial = true
 	par := buildMQ(t, cfg)
 	preconditionTiny(t, ser)
 	preconditionTiny(t, par)
-	for i, r := range tinyWorkload(t, ser, 600, 5) {
-		a, err := ser.Serve(r)
+	w := tinyWorkload(t, ser, 600, 5)
+	var want []sim.Duration
+	par.SetLatencyHook(func(d sim.Duration) { want = append(want, d) })
+	if _, err := par.Run(trace.NewSliceReader(w)); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(w) {
+		t.Fatalf("latency hook saw %d requests, want %d", len(want), len(w))
+	}
+	for i, r := range w {
+		got, err := ser.Serve(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.Serve(r)
-		if err != nil {
-			t.Fatal(err)
+		if got != want[i] {
+			t.Fatalf("request %d: rt %v (Serve) vs %v (pipelined Run)", i, got, want[i])
 		}
-		if a != b {
-			t.Fatalf("request %d: rt %v (serial) vs %v (concurrent)", i, a, b)
-		}
+	}
+	if ser.fe == nil {
+		t.Fatal("Serve stopped the front end's workers")
 	}
 	if !reflect.DeepEqual(ser.Result(), par.Result()) {
 		t.Fatal("results diverged on the Serve path")
@@ -337,6 +354,35 @@ func TestMQCrashRecovery(t *testing.T) {
 	}
 }
 
+// failingFTL passes its first ok page writes through and fails every later
+// one with err.
+type failingFTL struct {
+	ftl.FTL
+	ok  int
+	err error
+}
+
+func (f *failingFTL) WritePage(lpn ftl.LPN, at sim.Time) (sim.Time, error) {
+	if f.ok == 0 {
+		return 0, f.err
+	}
+	f.ok--
+	return f.FTL.WritePage(lpn, at)
+}
+
+// TestMQRunReportsWorkerError pins that a page error a shard worker latches
+// reaches Run's caller even when no epoch handoff follows it: the whole run
+// here fits in one epoch.
+func TestMQRunReportsWorkerError(t *testing.T) {
+	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
+	preconditionTiny(t, c)
+	errInjected := errors.New("injected page error")
+	c.shards[1].f = &failingFTL{FTL: c.shards[1].f, ok: 10, err: errInjected}
+	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 3))); !errors.Is(err, errInjected) {
+		t.Fatalf("Run returned %v, want the worker's error", err)
+	}
+}
+
 // TestMQSnapshotFork checks the warm-up checkpoint contract on the front end:
 // a checkpoint taken mid-run forks any number of bit-identical continuations,
 // and the checkpoint itself survives restores untouched.
@@ -370,27 +416,28 @@ func TestMQSnapshotFork(t *testing.T) {
 }
 
 // TestMQRecorderStaysConcurrent checks the shard-native observability
-// contract: attaching a collector keeps the front end concurrent (each shard
-// records into a private child merged at barriers), the merged registry
-// carries the device-wide and per-shard telemetry, and detaching leaves the
-// engine concurrent.
+// contract: attaching a collector keeps the front end's workers running
+// (each shard records into a private child merged at barriers), the merged
+// registry carries the device-wide and per-shard telemetry, and detaching
+// leaves the workers running.
 func TestMQRecorderStaysConcurrent(t *testing.T) {
 	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
 	preconditionTiny(t, c)
-	if c.fe.serial {
-		t.Fatal("front end serial before any recorder attached")
+	if c.fe == nil {
+		t.Fatal("front end not running before any recorder attached")
 	}
 	col := obs.NewCollector(c.ObsOptions())
 	c.SetRecorder(col)
-	if c.fe.serial {
-		t.Fatal("collector forced serial execution; shards must stay concurrent")
+	fe := c.fe
+	if fe == nil {
+		t.Fatal("collector stopped the workers; shards must stay concurrent")
 	}
 	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 600, 3))); err != nil {
 		t.Fatal(err)
 	}
 	c.SetRecorder(nil)
-	if c.fe.serial {
-		t.Fatal("front end serial after detaching recorder")
+	if c.fe != fe {
+		t.Fatal("detaching the collector restarted the workers")
 	}
 	if err := col.Close(); err != nil {
 		t.Fatal(err)
@@ -398,9 +445,6 @@ func TestMQRecorderStaysConcurrent(t *testing.T) {
 	reg := col.Registry()
 	if n := reg.Counter("flash.write.host").Value(); n == 0 {
 		t.Error("no host writes recorded through the shard children")
-	}
-	if n := reg.Counter("mq.doorbells").Value(); n == 0 {
-		t.Error("no doorbell telemetry recorded")
 	}
 	for s := 0; s < 2; s++ {
 		if n := reg.Hist("mq.lat.shard" + string(rune('0'+s))).N(); n == 0 {
@@ -415,8 +459,8 @@ func TestMQRecorderStaysConcurrent(t *testing.T) {
 	}
 }
 
-// countingRecorder is a minimal non-Collector recorder for the serial
-// fallback test.
+// countingRecorder is a minimal non-Collector recorder for the inline
+// fallback tests.
 type countingRecorder struct{ ops, reqs int }
 
 func (r *countingRecorder) RecordOp(obs.Op)                                    { r.ops++ }
@@ -425,16 +469,17 @@ func (r *countingRecorder) RecordSpan(obs.SpanKind, int32, sim.Time, sim.Time) {
 func (r *countingRecorder) RecordRequest(bool, sim.Time, sim.Time)             { r.reqs++ }
 
 // TestMQRecorderSerialFallback pins the contract for recorders that are not
-// collectors: with no merge semantics to lean on they still force serial
-// execution through the translating shard wrapper, and detaching restores
-// concurrency.
+// collectors: with no merge semantics to lean on they stop the front end's
+// workers, so requests run inline through the translating shard wrapper,
+// and detaching restarts the workers — except after Close, which keeps them
+// stopped.
 func TestMQRecorderSerialFallback(t *testing.T) {
 	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
 	preconditionTiny(t, c)
 	rec := &countingRecorder{}
 	c.SetRecorder(rec)
-	if !c.fe.serial {
-		t.Fatal("non-Collector recorder attached but front end still concurrent")
+	if c.fe != nil {
+		t.Fatal("non-Collector recorder attached but the workers still run")
 	}
 	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 3))); err != nil {
 		t.Fatal(err)
@@ -443,18 +488,27 @@ func TestMQRecorderSerialFallback(t *testing.T) {
 		t.Fatalf("fallback recorder saw %d ops, %d requests; want both > 0", rec.ops, rec.reqs)
 	}
 	c.SetRecorder(nil)
-	if c.fe.serial {
-		t.Fatal("front end still serial after detaching recorder")
+	if c.fe == nil {
+		t.Fatal("workers still stopped after detaching recorder")
 	}
 	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 4))); err != nil {
+		t.Fatal(err)
+	}
+	c.SetRecorder(rec)
+	c.Close()
+	c.SetRecorder(nil)
+	if c.fe != nil {
+		t.Fatal("detaching a recorder after Close restarted the workers")
+	}
+	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 5))); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestMQForeignRecorderDetachesCollector pins the hand-over from a collector
-// to a foreign recorder: the collector stops observing the front end, so its
-// queue telemetry and shard latency histograms stay where the switch left
-// them while the foreign recorder's requests run.
+// to a foreign recorder: the collector stops observing the shards, so its
+// counters and shard latency histograms stay where the switch left them
+// while the foreign recorder's requests run.
 func TestMQForeignRecorderDetachesCollector(t *testing.T) {
 	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
 	preconditionTiny(t, c)
@@ -466,44 +520,48 @@ func TestMQForeignRecorderDetachesCollector(t *testing.T) {
 	c.SetRecorder(&countingRecorder{})
 	counts := func() [3]int64 {
 		reg := col.SnapshotRegistry()
-		return [3]int64{reg.Counter("mq.doorbells").Value(), reg.Counter("mq.doorbell.pages").Value(), reg.Hist("mq.lat").N()}
+		return [3]int64{reg.Counter("flash.write.host").Value(), reg.Hist("host.write").N(), reg.Hist("mq.lat").N()}
 	}
 	before := counts()
 	if before[0] == 0 || before[1] == 0 || before[2] == 0 {
-		t.Fatalf("collector saw no queue traffic: doorbells, pages, mq.lat = %v", before)
+		t.Fatalf("collector saw no traffic: flash.write.host, host.write, mq.lat = %v", before)
 	}
 	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 4))); err != nil {
 		t.Fatal(err)
 	}
 	if after := counts(); after != before {
-		t.Fatalf("replaced collector kept counting: doorbells, pages, mq.lat %v -> %v", before, after)
+		t.Fatalf("replaced collector kept counting: flash.write.host, host.write, mq.lat %v -> %v", before, after)
 	}
 }
 
 // TestMQObservedMetricsDifferential is the telemetry half of the
 // differential suite: for every scheme, a fully observed concurrent run and
-// a serially executed run of the identical shard layout must produce
-// byte-identical metrics.json and trace-event documents.
+// an inline run of the identical shard layout must produce byte-identical
+// metrics.json and trace-event documents.
 // Everything the collector gathers — per-op counters and latency histograms,
 // per-plane/channel vectors, per-shard mq.lat and gc.pause distributions,
-// snapshot series, queue telemetry, trace buffers — is covered by the byte
-// comparison.
+// snapshot series, trace buffers — is covered by the byte comparison.
 func TestMQObservedMetricsDifferential(t *testing.T) {
 	for _, scheme := range allSchemes {
 		t.Run(scheme, func(t *testing.T) {
-			run := func(serial bool) (metrics, traceDoc []byte) {
-				c := buildMQ(t, mqConfig(scheme, tiny8Geometry(), 4))
-				if serial {
-					c.fe.flush(c)
-					c.fe.serial = true
+			run := func(inline bool) (metrics, traceDoc []byte) {
+				cfg := mqConfig(scheme, tiny8Geometry(), 4)
+				var c *Controller
+				if inline {
+					c = buildInline(t, cfg)
+				} else {
+					c = buildMQ(t, cfg)
+					preconditionTiny(t, c)
 				}
-				preconditionTiny(t, c)
 				var traceBuf bytes.Buffer
 				o := c.ObsOptions()
 				o.TraceEvents = &traceBuf
 				o.SnapshotInterval = 500 * sim.Microsecond
 				col := obs.NewCollector(o)
 				c.SetRecorder(col)
+				if (c.fe == nil) != inline {
+					t.Fatalf("inline=%v but front end running=%v", inline, c.fe != nil)
+				}
 				if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 1200, 13))); err != nil {
 					t.Fatal(err)
 				}
@@ -520,10 +578,10 @@ func TestMQObservedMetricsDifferential(t *testing.T) {
 			serM, serT := run(true)
 			parM, parT := run(false)
 			if !bytes.Equal(serM, parM) {
-				t.Errorf("metrics.json differs between serial and concurrent runs\nserial:\n%s\nconcurrent:\n%s", serM, parM)
+				t.Errorf("metrics.json differs between inline and concurrent runs\ninline:\n%s\nconcurrent:\n%s", serM, parM)
 			}
 			if !bytes.Equal(serT, parT) {
-				t.Error("trace-event document differs between serial and concurrent runs")
+				t.Error("trace-event document differs between inline and concurrent runs")
 			}
 		})
 	}
@@ -573,8 +631,8 @@ func TestObservedMQSteadyStateAllocFree(t *testing.T) {
 		preconditionTiny(t, c)
 		col := obs.NewCollector(c.ObsOptions())
 		c.SetRecorder(col)
-		if c.fe.serial {
-			t.Fatal("collector forced serial execution")
+		if c.fe == nil {
+			t.Fatal("collector stopped the workers")
 		}
 		reqs := tinyWorkload(t, c, 2000, 29)
 		for i := range reqs {

@@ -17,12 +17,12 @@ func timedFill(t *testing.T, c *Controller, pages ftl.LPN) (moves int64) {
 	t.Helper()
 	tails := make([]sim.Time, c.FTLShards())
 	for lpn := ftl.LPN(0); lpn < pages; lpn++ {
-		s, local := c.ShardOfLPN(lpn)
-		end, err := c.ShardFTL(s).WritePage(local, tails[s])
+		sh, local := c.shardOf(lpn)
+		end, err := sh.f.WritePage(local, tails[sh.idx])
 		if err != nil {
 			t.Fatalf("reference fill lpn %d: %v", lpn, err)
 		}
-		tails[s] = end
+		tails[sh.idx] = end
 	}
 	for i := 0; i < c.FTLShards(); i++ {
 		cb, ext := c.ShardDevice(i).Stats().GCMoves()

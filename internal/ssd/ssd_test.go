@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -316,6 +317,25 @@ func TestServeRejectsOutOfRange(t *testing.T) {
 	bad := trace.Request{Arrival: 0, LBN: 0, Sectors: 0, Op: trace.OpRead}
 	if _, err := c.Serve(bad); err == nil {
 		t.Fatal("invalid request accepted")
+	}
+}
+
+// TestEnqueueBatchAllOrNothing pins EnqueueBatch's contract on both request
+// paths: a chunk with an invalid request is rejected whole, so the valid
+// requests before it are not served either.
+func TestEnqueueBatchAllOrNothing(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), shards))
+			valid := trace.Request{Arrival: 0, LBN: 0, Sectors: 4, Op: trace.OpWrite}
+			invalid := trace.Request{Arrival: 1, LBN: 0, Sectors: 0, Op: trace.OpRead}
+			if err := c.EnqueueBatch([]trace.Request{valid, invalid}); err == nil {
+				t.Fatal("chunk with an invalid request accepted")
+			}
+			if res := c.Result(); res.Requests != 0 || res.PagesWrit != 0 {
+				t.Fatalf("rejected chunk served %d requests, %d pages", res.Requests, res.PagesWrit)
+			}
+		})
 	}
 }
 
