@@ -96,11 +96,6 @@ func Store[T int32 | int64 | uint32 | uint64](dst []byte, src []T) {
 	}
 }
 
-// Bytes views a column of byte-sized values as its bytes, which encode it.
-func Bytes[T ~uint8](s []T) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
-}
-
 // A Writer appends fixed-width little-endian values to a growing buffer.
 // The zero value is ready to use.
 type Writer struct {

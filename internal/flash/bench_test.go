@@ -142,9 +142,9 @@ func BenchmarkCopyBackRun(b *testing.B) {
 				}
 				at = end
 				if off += k; off+k > g.PagesPerBlock {
-					for p, st := range d.BlockStates(src) {
-						if st == PageValid { // the tail no whole run fits in
-							if err := d.Invalidate(g.FirstPPN(src) + PPN(p)); err != nil {
+					for p := 0; p < g.PagesPerBlock; p++ {
+						if ppn := g.FirstPPN(src) + PPN(p); d.PageState(ppn) == PageValid { // the tail no whole run fits in
+							if err := d.Invalidate(ppn); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -190,7 +190,7 @@ func BenchmarkMoveExternal(b *testing.B) {
 				far := at.Add(1e6 * sim.Second)
 				for _, plane := range []int{src.Plane, dst.Plane} {
 					island := g.PPNOf(plane, 1, 0)
-					if _, err := d.WritePage(island, -1, at, CauseHost); err != nil {
+					if _, err := d.WritePage(island, int64(g.PagesPerBlock), at, CauseHost); err != nil {
 						b.Fatal(err)
 					}
 					if _, err := d.ReadPage(island, far, CauseHost); err != nil {

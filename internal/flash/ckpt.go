@@ -2,27 +2,31 @@ package flash
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"dloop/internal/ckpt"
 	"dloop/internal/sim"
 )
 
-// EncodeState appends the device's mutable state to w. The big columns (page
-// states, OOB logical tags, block bookkeeping) go out as contiguous
-// length-prefixed slabs; the resource timelines follow per unit, then the
+// EncodeState appends the device's mutable state to w. The big columns go
+// out as contiguous length-prefixed slabs: the page words widened into a
+// state byte per page and an int64 OOB tag per page (-1 for none), then the
+// block bookkeeping; the resource timelines follow per unit, then the
 // statistics.
 func (d *Device) EncodeState(w *ckpt.Writer) {
-	w.U32(uint32(len(d.state)))
-	copy(w.Raw(len(d.state)), ckpt.Bytes(d.state))
-	// The tags go out as the OOB values themselves (-1 for none), not as
-	// the tag+1 the device keeps.
-	w.U32(uint32(len(d.tags)))
-	dst := w.Raw(8 * len(d.tags))
+	n := len(d.pages)
+	w.U32(uint32(n))
+	states := w.Raw(n)
+	for i, pw := range d.pages {
+		states[i] = byte(wordState(pw))
+	}
+	w.U32(uint32(n))
+	dst := w.Raw(8 * n)
 	var buf [256]uint64
-	for i := 0; i < len(d.tags); i += len(buf) {
-		chunk := buf[:min(len(buf), len(d.tags)-i)]
-		for j, v := range d.tags[i : i+len(chunk)] {
-			chunk[j] = uint64(v - 1)
+	for i := 0; i < n; i += len(buf) {
+		chunk := buf[:min(len(buf), n-i)]
+		for j, pw := range d.pages[i : i+len(chunk)] {
+			chunk[j] = uint64(wordTag(pw))
 		}
 		ckpt.Store(dst[8*i:], chunk)
 	}
@@ -61,29 +65,33 @@ func (d *Device) EncodeState(w *ckpt.Writer) {
 
 // DecodeState overwrites the device's mutable state with one EncodeState
 // wrote, reusing the live columns. Every column must have the length the
-// device's geometry gives it, and every block row must keep the counter
-// invariants the device maintains by deltas (it never recounts them, so a
-// broken row would stay broken). On any failure r holds the error and the
-// device is partly overwritten.
+// device's geometry gives it; every page's state and tag must agree (a valid
+// page holds a tag a page word can hold, a free or invalid one none); and
+// every block row must keep the counter invariants the device maintains by
+// deltas and match a recount of its pages (the device never recounts them,
+// so a broken row would stay broken). On any failure r holds the error and
+// the device is partly overwritten.
 func (d *Device) DecodeState(r *ckpt.Reader) {
-	raw := r.Raw(r.ExpectLen(len(d.state), 1))
-	if i := firstNonState(raw); i >= 0 {
-		r.Failf("flash: page %d holds state %d", i, raw[i])
+	states := r.Raw(r.ExpectLen(len(d.pages), 1))
+	tags := r.Raw(8 * r.ExpectLen(len(d.pages), 8))
+	if r.Err() != nil {
 		return
 	}
-	copy(ckpt.Bytes(d.state), raw)
-	raw = r.Raw(8 * r.ExpectLen(len(d.tags), 8))
 	var buf [256]uint64
-	for i := 0; i < len(raw)/8; i += len(buf) {
-		chunk := buf[:min(len(buf), len(raw)/8-i)]
-		ckpt.Load(chunk, raw[8*i:])
-		dst := d.tags[i : i+len(chunk)]
+	for i := 0; i < len(states); i += len(buf) {
+		chunk := buf[:min(len(buf), len(states)-i)]
+		ckpt.Load(chunk, tags[8*i:])
 		for j, v := range chunk {
-			dst[j] = int64(v) + 1
+			w, err := decodeWord(PageState(states[i+j]), int64(v))
+			if err != nil {
+				r.Failf("flash: page %d: %w", i+j, err)
+				return
+			}
+			d.pages[i+j] = w
 		}
 	}
 	blocks := d.blocks // a local header: stores through d.blocks would reload it
-	raw = r.Raw(20 * r.ExpectLen(len(blocks), 20))
+	raw := r.Raw(20 * r.ExpectLen(len(blocks), 20))
 	for i := range blocks[:len(raw)/20] {
 		row := raw[20*i : 20*i+20]
 		b := BlockInfo{
@@ -95,7 +103,12 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 		}
 		if b.Valid < 0 || b.Invalid < 0 || b.Erases < 0 || b.Valid+b.Invalid != b.Written ||
 			b.Written > b.NextWrite || b.NextWrite > d.geo.PagesPerBlock {
-			r.Failf("flash: block %d bookkeeping %+v is inconsistent", i, b)
+			r.Failf("flash: block %d row %+v: %w", i, b, ErrBookkeeping)
+			return
+		}
+		if valid, invalid := d.countPages(int64(i)); valid != b.Valid || invalid != b.Invalid {
+			r.Failf("flash: block %d row %+v, its pages hold %d valid and %d invalid: %w",
+				i, b, valid, invalid, ErrBookkeeping)
 			return
 		}
 		blocks[i] = b
@@ -126,21 +139,39 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 	s.WastedPages = r.I64()
 }
 
-// firstNonState returns the index of the first byte of raw that is no
-// PageState, or -1. It checks eight bytes at a time: a byte holds 0, 1 or 2
-// when no bit above the lowest two is set, and not both of those.
-func firstNonState(raw []byte) int {
-	i := 0
-	for ; i+8 <= len(raw); i += 8 {
-		w := binary.LittleEndian.Uint64(raw[i : i+8])
-		if w&0xFCFC_FCFC_FCFC_FCFC != 0 || w&(w>>1)&0x0101_0101_0101_0101 != 0 {
-			break
+// decodeWord returns the page word of a decoded page's state and tag.
+func decodeWord(s PageState, tag int64) (uint32, error) {
+	switch s {
+	case PageValid:
+		if tag == -1 {
+			return 0, fmt.Errorf("valid page without a tag: %w", ErrPageTag)
+		}
+		w, ok := pageWord(tag)
+		if !ok {
+			return 0, fmt.Errorf("valid page tag %d: %w", tag, ErrTagRange)
+		}
+		return w, nil
+	case PageFree, PageInvalid:
+		if tag != -1 {
+			return 0, fmt.Errorf("%v page with tag %d: %w", s, tag, ErrPageTag)
+		}
+		if s == PageFree {
+			return wordFree, nil
+		}
+		return wordInvalid, nil
+	}
+	return 0, fmt.Errorf("state %d is no page state", uint8(s))
+}
+
+// countPages recounts block bi's valid and invalid pages.
+func (d *Device) countPages(bi int64) (valid, invalid int) {
+	first := bi * d.pagesPerBlock
+	for _, w := range d.pages[first : first+d.pagesPerBlock] {
+		if w == wordInvalid {
+			invalid++
+		} else if w != wordFree {
+			valid++
 		}
 	}
-	for ; i < len(raw); i++ {
-		if PageState(raw[i]) > PageInvalid {
-			return i
-		}
-	}
-	return -1
+	return valid, invalid
 }

@@ -77,8 +77,7 @@ type Device struct {
 	geo    Geometry
 	timing Timing
 
-	state  []PageState // indexed by PPN
-	tags   []int64     // OOB tag + 1 of each PPN: 0 (the -1 tag) when the page holds no live data
+	pages  []uint32    // indexed by PPN: the page word, state and OOB tag in one
 	blocks []BlockInfo // indexed by Geometry.BlockIndex
 
 	planes   []*sim.Resource // cell arrays + data registers
@@ -119,8 +118,7 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	d := &Device{
 		geo:    geo,
 		timing: timing,
-		state:  make([]PageState, geo.TotalPages()),
-		tags:   make([]int64, geo.TotalPages()),
+		pages:  make([]uint32, geo.TotalPages()),
 		blocks: make([]BlockInfo, geo.TotalBlocks()),
 	}
 	d.planes = make([]*sim.Resource, geo.Planes())
@@ -225,18 +223,11 @@ func Untimed(devs []*Device, fn func() error) error {
 }
 
 // PageState returns the state of a physical page.
-func (d *Device) PageState(ppn PPN) PageState { return d.state[ppn] }
-
-// BlockStates returns the states of one block's pages by in-block offset: a
-// read-only view of live device state.
-func (d *Device) BlockStates(pb PlaneBlock) []PageState {
-	first := d.geo.FirstPPN(pb)
-	return d.state[first : first+PPN(d.pagesPerBlock) : first+PPN(d.pagesPerBlock)]
-}
+func (d *Device) PageState(ppn PPN) PageState { return wordState(d.pages[ppn]) }
 
 // PageLPN returns the logical page stored at ppn, or -1 if the page does not
 // hold live data.
-func (d *Device) PageLPN(ppn PPN) int64 { return d.tags[ppn] - 1 }
+func (d *Device) PageLPN(ppn PPN) int64 { return wordTag(d.pages[ppn]) }
 
 // Block returns a copy of the bookkeeping for one block.
 func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockIndex(pb)] }
@@ -247,12 +238,64 @@ func (d *Device) validPPN(ppn PPN) bool {
 	return uint64(ppn) < uint64(d.totalPages)
 }
 
-// maxPages bounds the device so every page number divides by reciprocal and
-// fits a PPNMap entry as ppn+1. Host memory grows with the pages a run
-// touches, not with this bound: a programmed physical page costs 9 bytes of
-// device state (its state byte and 8-byte OOB tag), a mapped logical page 4
-// more in its FTL's PPNMap, and a page never written only address space.
-const maxPages = 1<<32 - 1
+// maxPages bounds the device so every LPN below its page count fits a data
+// tag of the page word (maxDataTag+1 pages), which also keeps every page
+// number under the 2^32 the reciprocal division is exact for and lets it fit
+// a PPNMap entry as ppn+1. Host memory grows with the pages a run touches,
+// not with this bound: a programmed physical page costs its 4-byte word, a
+// mapped logical page 4 more in its FTL's PPNMap, and a page never written
+// only address space.
+const maxPages = maxDataTag + 1
+
+// TransTagBase is the OOB tag of translation page 0: a translation page v
+// is tagged TransTagBase+v, far above every data LPN (ftl.EncodeTrans).
+const TransTagBase = int64(1) << 60
+
+// The page word packs a physical page's state and its OOB tag into 32 bits.
+// Zero is a free page, so a fresh column needs no fill and stays
+// non-resident until written; wordInvalid is a stale or wasted page; every
+// other word is a valid page holding its tag: data tag t as t+2 (below
+// wordTrans), translation tag TransTagBase+v as wordTrans|v.
+const (
+	wordFree    = 0
+	wordInvalid = 1
+	wordTrans   = 1 << 31
+	maxDataTag  = wordTrans - 3 // stored as wordTrans-1
+	maxTransTag = wordTrans - 1 // the largest v of TransTagBase+v
+)
+
+// pageWord returns the word of a valid page holding tag, and false when no
+// word can hold it.
+func pageWord(tag int64) (uint32, bool) {
+	switch {
+	case uint64(tag) <= maxDataTag:
+		return uint32(tag) + 2, true
+	case uint64(tag-TransTagBase) <= maxTransTag:
+		return wordTrans | uint32(tag-TransTagBase), true
+	}
+	return 0, false
+}
+
+// wordTag returns the OOB tag a page word holds, or -1 for a free or
+// invalid page.
+func wordTag(w uint32) int64 {
+	switch {
+	case w <= wordInvalid:
+		return -1
+	case w < wordTrans:
+		return int64(w) - 2
+	}
+	return TransTagBase + int64(w&^wordTrans)
+}
+
+// wordState returns the state a page word encodes: PageValid above
+// wordInvalid, and below it the word doubled (PageFree is 0, PageInvalid 2).
+func wordState(w uint32) PageState {
+	if w > wordInvalid {
+		return PageValid
+	}
+	return PageState(2 * w)
+}
 
 // recip returns ceil(2^64 / d). For d >= 2 (Validate: PagesPerBlock is even)
 // and n < 2^32 the high word of recip(d) * n is exactly n / d (Lemire &
@@ -350,12 +393,12 @@ func (d *Device) issue(kind opKind, cause Cause, plane int, stored int64, ready 
 // into its data register, then the page crosses the chip serial bus and the
 // channel to the controller. It returns the completion time.
 func (d *Device) ReadPage(ppn PPN, ready sim.Time, cause Cause) (sim.Time, error) {
-	if !d.validPPN(ppn) || d.state[ppn] != PageValid {
+	if !d.validPPN(ppn) || d.pages[ppn] <= wordInvalid {
 		return 0, d.readErr(ppn)
 	}
 	var stored int64
-	if d.rec != nil { // only the recorder wants the tag; skip the lookup otherwise
-		stored = d.tags[ppn] - 1
+	if d.rec != nil { // only the recorder wants the tag; skip the decode otherwise
+		stored = wordTag(d.pages[ppn])
 	}
 	return d.issue(opRead, cause, d.PlaneOf(ppn), stored, ready), nil
 }
@@ -366,17 +409,23 @@ func (d *Device) readErr(ppn PPN) error {
 		return fmt.Errorf("flash: read %w: ppn %d", ErrOutOfRange, ppn)
 	}
 	return fmt.Errorf("flash: read ppn %d (%v): %w, page is %v",
-		ppn, d.BlockOf(ppn), ErrReadInvalid, d.state[ppn])
+		ppn, d.BlockOf(ppn), ErrReadInvalid, d.PageState(ppn))
 }
 
-// WritePage programs a free page with the given logical page. The page
-// crosses the channel and chip bus into the plane register, then the plane
-// programs the cell array. It returns the completion time.
+// WritePage programs a free page with the given logical page, its OOB tag:
+// a data LPN up to maxDataTag or a translation tag (TransTagBase+v, v up to
+// maxTransTag); any other tag fails with ErrTagRange and leaves the page
+// free. The page crosses the channel and chip bus into the plane register,
+// then the plane programs the cell array. It returns the completion time.
 func (d *Device) WritePage(ppn PPN, lpn int64, ready sim.Time, cause Cause) (sim.Time, error) {
-	if !d.validPPN(ppn) || d.state[ppn] != PageFree {
+	if !d.validPPN(ppn) || d.pages[ppn] != wordFree {
 		return 0, d.writeErr(ppn)
 	}
-	d.program(ppn, lpn)
+	w, ok := pageWord(lpn)
+	if !ok {
+		return 0, fmt.Errorf("flash: write ppn %d tag %d: %w", ppn, lpn, ErrTagRange)
+	}
+	d.program(ppn, w)
 	return d.issue(opWrite, cause, d.PlaneOf(ppn), lpn, ready), nil
 }
 
@@ -386,7 +435,7 @@ func (d *Device) writeErr(ppn PPN) error {
 		return fmt.Errorf("flash: write %w: ppn %d", ErrOutOfRange, ppn)
 	}
 	return fmt.Errorf("flash: write ppn %d (%v): %w, page is %v",
-		ppn, d.BlockOf(ppn), ErrWriteNotFree, d.state[ppn])
+		ppn, d.BlockOf(ppn), ErrWriteNotFree, d.PageState(ppn))
 }
 
 // MoveExternal relocates a valid page through the buses: ReadPage(src), then
@@ -397,15 +446,16 @@ func (d *Device) writeErr(ppn PPN) error {
 // ReadPage's or WritePage's error and leaves the device as it found it. It
 // returns when the write completes.
 func (d *Device) MoveExternal(src, dst PPN, ready sim.Time, cause Cause) (sim.Time, error) {
-	if !d.validPPN(src) || d.state[src] != PageValid {
+	if !d.validPPN(src) || d.pages[src] <= wordInvalid {
 		return 0, d.readErr(src)
 	}
-	if !d.validPPN(dst) || d.state[dst] != PageFree {
+	if !d.validPPN(dst) || d.pages[dst] != wordFree {
 		return 0, d.writeErr(dst)
 	}
-	lpn := d.tags[src] - 1
+	w := d.pages[src]
+	lpn := wordTag(w)
 	sp, dp := d.PlaneOf(src), d.PlaneOf(dst)
-	d.program(dst, lpn)
+	d.program(dst, w)
 	d.invalidate(src)
 	t := d.issue(opRead, cause, sp, lpn, ready)
 	return d.issue(opWrite, cause, dp, lpn, t), nil
@@ -456,16 +506,15 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 			err = fmt.Errorf("flash: copy-back run src %d dst %d leaves blocks %d, %d: %w", src, dst, sb, db, ErrRunShape)
 		case (src^dst)&1 != 0:
 			err = fmt.Errorf("flash: copy-back src page %d dst page %d: %w", src-sFirst, dst-dFirst, ErrParity)
-		case d.state[src] != PageValid:
-			err = fmt.Errorf("flash: copy-back src ppn %d: %w, page is %v", src, ErrReadInvalid, d.state[src])
-		case d.state[dst] != PageFree:
-			err = fmt.Errorf("flash: copy-back dst ppn %d: %w, page is %v", dst, ErrWriteNotFree, d.state[dst])
+		case d.pages[src] <= wordInvalid:
+			err = fmt.Errorf("flash: copy-back src ppn %d: %w, page is %v", src, ErrReadInvalid, d.PageState(src))
+		case d.pages[dst] != wordFree:
+			err = fmt.Errorf("flash: copy-back dst ppn %d: %w, page is %v", dst, ErrWriteNotFree, d.PageState(dst))
 		}
 		if err != nil {
 			break
 		}
-		d.state[src], d.state[dst] = PageInvalid, PageValid
-		d.tags[src], d.tags[dst] = 0, d.tags[src]
+		d.pages[src], d.pages[dst] = wordInvalid, d.pages[src]
 		top = max(top, dst)
 	}
 	d.blocks[sb].Valid -= n
@@ -479,7 +528,7 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 	case d.rec != nil:
 		// Op records are per operation: issue one by one.
 		for _, dst := range dsts[:n] {
-			end = d.issue(opCopyBack, cause, plane, d.tags[dst]-1, end)
+			end = d.issue(opCopyBack, cause, plane, wordTag(d.pages[dst]), end)
 		}
 	default:
 		end = d.planes[plane].AcquireChain(ready, d.cbLat, n)
@@ -500,10 +549,7 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 		return 0, fmt.Errorf("flash: erase %v: %w (%d valid pages)", pb, ErrEraseValid, d.blocks[bi].Valid)
 	}
 	first := d.geo.FirstPPN(pb)
-	for p := 0; p < d.geo.PagesPerBlock; p++ {
-		d.state[first+PPN(p)] = PageFree
-		d.tags[first+PPN(p)] = 0
-	}
+	clear(d.pages[first : first+PPN(d.pagesPerBlock)])
 	d.blocks[bi].Valid = 0
 	d.blocks[bi].Invalid = 0
 	d.blocks[bi].Written = 0
@@ -519,8 +565,8 @@ func (d *Device) Invalidate(ppn PPN) error {
 	if !d.validPPN(ppn) {
 		return fmt.Errorf("flash: invalidate %w: ppn %d", ErrOutOfRange, ppn)
 	}
-	if d.state[ppn] != PageValid {
-		return fmt.Errorf("flash: invalidate ppn %d: %w, page is %v", ppn, ErrReadInvalid, d.state[ppn])
+	if d.pages[ppn] <= wordInvalid {
+		return fmt.Errorf("flash: invalidate ppn %d: %w, page is %v", ppn, ErrReadInvalid, d.PageState(ppn))
 	}
 	d.invalidate(ppn)
 	return nil
@@ -528,8 +574,7 @@ func (d *Device) Invalidate(ppn PPN) error {
 
 func (d *Device) invalidate(ppn PPN) {
 	bi := d.blockIndexOf(ppn)
-	d.state[ppn] = PageInvalid
-	d.tags[ppn] = 0
+	d.pages[ppn] = wordInvalid
 	d.blocks[bi].Valid--
 	d.blocks[bi].Invalid++
 }
@@ -541,11 +586,11 @@ func (d *Device) WastePage(ppn PPN) error {
 	if !d.validPPN(ppn) {
 		return fmt.Errorf("flash: waste %w: ppn %d", ErrOutOfRange, ppn)
 	}
-	if d.state[ppn] != PageFree {
-		return fmt.Errorf("flash: waste ppn %d: %w, page is %v", ppn, ErrWriteNotFree, d.state[ppn])
+	if d.pages[ppn] != wordFree {
+		return fmt.Errorf("flash: waste ppn %d: %w, page is %v", ppn, ErrWriteNotFree, d.PageState(ppn))
 	}
 	bi := d.blockIndexOf(ppn)
-	d.state[ppn] = PageInvalid
+	d.pages[ppn] = wordInvalid
 	d.blocks[bi].Invalid++
 	d.blocks[bi].Written++
 	d.raiseNextWrite(bi, ppn)
@@ -553,10 +598,10 @@ func (d *Device) WastePage(ppn PPN) error {
 	return nil
 }
 
-func (d *Device) program(ppn PPN, lpn int64) {
+// program stores a valid page's word w at the free page ppn.
+func (d *Device) program(ppn PPN, w uint32) {
 	bi := d.blockIndexOf(ppn)
-	d.state[ppn] = PageValid
-	d.tags[ppn] = lpn + 1
+	d.pages[ppn] = w
 	d.blocks[bi].Valid++
 	d.blocks[bi].Written++
 	d.raiseNextWrite(bi, ppn)

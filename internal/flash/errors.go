@@ -24,10 +24,18 @@ var (
 	// ErrRunShape marks a copy-back run whose source and destination lists
 	// differ in length or do not each stay inside one block.
 	ErrRunShape = errors.New("copy-back run leaves its block")
-	// ErrTooManyPages marks a geometry with more pages than a PPNMap entry
-	// can name (maxPages, just under the 2^32 the device's reciprocal
-	// addressing is exact for).
+	// ErrTooManyPages marks a geometry with more pages than maxPages, the
+	// page count whose every LPN a page word's data tag can hold.
 	ErrTooManyPages = errors.New("geometry exceeds addressable pages")
+	// ErrTagRange marks an OOB tag no page word can hold: neither a data
+	// LPN up to maxDataTag nor TransTagBase plus up to maxTransTag.
+	ErrTagRange = errors.New("tag outside the page word's domain")
+	// ErrPageTag marks a decoded page whose state and tag contradict each
+	// other: a valid page without a tag, or a free or invalid one with one.
+	ErrPageTag = errors.New("page state and tag disagree")
+	// ErrBookkeeping marks a decoded block row whose counters contradict
+	// each other or a recount of its block's pages.
+	ErrBookkeeping = errors.New("block bookkeeping is inconsistent")
 	// ErrUnmappable marks a decoded page number that is neither InvalidPPN
 	// nor below maxPages, so no PPNMap can hold it.
 	ErrUnmappable = errors.New("page number beyond any device")

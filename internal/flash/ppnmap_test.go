@@ -39,13 +39,14 @@ func TestPPNMapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNewDeviceRejectsUnmappablePages: a device's last page must fit a
-// PPNMap entry as ppn+1, so the page count stops at maxPages = 2^32-1.
-// Page counts are even, so 2^32 — which the reciprocal addressing alone
-// would admit — is the first one refused.
+// TestNewDeviceRejectsUnmappablePages: every LPN of a device must fit a data
+// tag of its page words, so the page count stops at maxPages = 2^31-2 (and
+// every page fits a PPNMap entry as ppn+1). Page counts are even, so 2^31 —
+// which the reciprocal addressing alone would admit — is the first one
+// refused.
 func TestNewDeviceRejectsUnmappablePages(t *testing.T) {
 	geo := runTestGeometry()
-	geo.BlocksPerPlane = 1 << 26 // 4 planes x 2^26 blocks x 16 pages = 2^32 pages
+	geo.BlocksPerPlane = 1 << 25 // 4 planes x 2^25 blocks x 16 pages = 2^31 pages
 	if _, err := NewDevice(geo, DefaultTiming()); !errors.Is(err, ErrTooManyPages) {
 		t.Fatalf("NewDevice with %d pages: %v, want ErrTooManyPages", geo.TotalPages(), err)
 	}
@@ -89,9 +90,9 @@ func TestPPNMapCodec(t *testing.T) {
 	}
 }
 
-// TestDeviceTagsZeroIsAbsent: the device keeps OOB tags as tag+1, so an
-// untouched, invalidated or erased page reads -1, and every tag written —
-// a translation page's 1<<60 bias included — reads back unchanged.
+// TestDeviceTagsZeroIsAbsent: a zero page word is a free page, so an
+// untouched page reads -1, as do invalidated and erased ones, and every tag
+// written — a translation page's 1<<60 bias included — reads back unchanged.
 func TestDeviceTagsZeroIsAbsent(t *testing.T) {
 	d, err := NewDevice(runTestGeometry(), DefaultTiming())
 	if err != nil {

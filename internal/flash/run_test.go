@@ -81,9 +81,9 @@ func (tw *runTwins) relocate(victim, dest PlaneBlock, wp int, ready sim.Time) (r
 	geo := tw.run.Geometry()
 	ppb := geo.PagesPerBlock
 	var queue [2][]PPN
-	for p, st := range tw.run.BlockStates(victim) {
-		if st == PageValid {
-			queue[p&1] = append(queue[p&1], geo.FirstPPN(victim)+PPN(p))
+	for p := 0; p < ppb; p++ {
+		if ppn := geo.FirstPPN(victim) + PPN(p); tw.run.PageState(ppn) == PageValid {
+			queue[p&1] = append(queue[p&1], ppn)
 		}
 	}
 	runEnd, perEnd = ready, ready
@@ -313,7 +313,7 @@ func TestReciprocalAddressing(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		divisors = append(divisors, 2+rng.Int63n(1<<32-1))
 	}
-	const exact = 1 << 32 // recip's domain, one past maxPages
+	const exact = 1 << 32 // recip's domain, past maxPages
 	for _, d := range divisors {
 		m := recip(d)
 		check := func(n uint64) {

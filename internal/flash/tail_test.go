@@ -196,9 +196,9 @@ func (tw *runTwins) randomMoves(rng *rand.Rand, n int) (moved int) {
 				}
 				continue
 			}
-			for off, st := range tw.run.BlockStates(pb) {
-				if st == want && rng.Intn(3) == 0 {
-					return geo.FirstPPN(pb) + PPN(off)
+			for off := 0; off < ppb; off++ {
+				if ppn := geo.FirstPPN(pb) + PPN(off); tw.run.PageState(ppn) == want && rng.Intn(3) == 0 {
+					return ppn
 				}
 			}
 		}

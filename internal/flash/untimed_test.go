@@ -67,8 +67,7 @@ func TestUntimedChangesStateOnly(t *testing.T) {
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("untimed error %v, want %v", gotErr, wantErr)
 	}
-	if !reflect.DeepEqual(untimed.state, timed.state) || !reflect.DeepEqual(untimed.tags, timed.tags) ||
-		!reflect.DeepEqual(untimed.blocks, timed.blocks) {
+	if !reflect.DeepEqual(untimed.pages, timed.pages) || !reflect.DeepEqual(untimed.blocks, timed.blocks) {
 		t.Fatal("untimed page or block state differs from the timed run")
 	}
 	st := untimed.Stats()

@@ -54,20 +54,21 @@ type Observable interface {
 	SetRecorder(r obs.Recorder)
 }
 
-// Stored-page tagging. The flash device records one int64 per physical page;
-// FTLs use it to remember which logical content lives there so garbage
+// Stored-page tagging. The flash device records one OOB tag per physical
+// page; FTLs use it to remember which logical content lives there so garbage
 // collection can redirect mappings. Data pages store the LPN itself
-// (non-negative); translation pages store an encoded translation-page number.
-const storedTransBias = int64(1) << 60
+// (non-negative); translation pages store an encoded translation-page number,
+// biased by flash.TransTagBase, the bias the device's tag domain is built
+// around.
 
 // EncodeTrans tags a translation-page number for storage in a physical page.
-func EncodeTrans(tvpn int64) int64 { return storedTransBias + tvpn }
+func EncodeTrans(tvpn int64) int64 { return flash.TransTagBase + tvpn }
 
 // IsTrans reports whether a stored tag names a translation page.
-func IsTrans(stored int64) bool { return stored >= storedTransBias }
+func IsTrans(stored int64) bool { return stored >= flash.TransTagBase }
 
 // DecodeTrans recovers the translation-page number from a stored tag.
-func DecodeTrans(stored int64) int64 { return stored - storedTransBias }
+func DecodeTrans(stored int64) int64 { return stored - flash.TransTagBase }
 
 // CheckLPN validates an LPN against an exported capacity.
 func CheckLPN(lpn LPN, capacity LPN) error {

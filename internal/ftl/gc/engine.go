@@ -336,8 +336,8 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 		// the scratch buffers keep their full capacity for the next
 		// collection.
 		var head, count [2]int
-		for p, st := range e.dev.BlockStates(victim) {
-			if st == flash.PageValid {
+		for p := 0; p < ppb; p++ {
+			if e.dev.PageState(first+flash.PPN(p)) == flash.PageValid {
 				sc.parity[p&1][count[p&1]] = p
 				count[p&1]++
 			}

@@ -1,11 +1,16 @@
 package ssd
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"dloop/internal/ckpt"
+	"dloop/internal/flash"
 	"dloop/internal/trace"
 )
 
@@ -61,6 +66,44 @@ func decodeRestore(c *Controller, data []byte) (alloc uint64, restored bool, err
 // the error; a slice sized by a count the bytes do not back is far past it.
 func allocBound(n int) uint64 { return 4*uint64(n) + 4096 }
 
+// taglessValidPage returns a single-shard controller's checkpoint data,
+// resealed, with the OOB tag of its first valid page cleared to -1: a page
+// no device produces, whose first relocation would hand -1 to a redirect.
+func taglessValidPage(tb testing.TB, c *Controller, data []byte) []byte {
+	tb.Helper()
+	w := ckpt.NewWriterSize(0)
+	w.String(c.cfg.FTL)
+	w.Raw(sha256.Size)
+	encodeGeometry(w, c.Geometry())
+	w.Bool(false)
+	n := int(c.Geometry().TotalPages())
+	states := w.Len() + 4
+	if got := u32At(data, states-4); got != uint32(n) {
+		tb.Fatalf("page count at offset %d reads %d, want %d: the layout moved", states-4, got, n)
+	}
+	p := bytes.IndexByte(data[states:states+n], byte(flash.PageValid))
+	if p < 0 {
+		tb.Fatal("the checkpoint holds no valid page")
+	}
+	bad := bytes.Clone(data)
+	binary.LittleEndian.PutUint64(bad[states+n+4+8*p:], ^uint64(0))
+	bad = reseal(bad)
+	cp, err := c.DecodeCheckpoint(bad)
+	if err == nil {
+		err = c.Restore(cp)
+	}
+	if !errors.Is(err, flash.ErrPageTag) {
+		tb.Fatalf("restoring a valid page without a tag: %v, want flash.ErrPageTag", err)
+	}
+	if cp, err = c.DecodeCheckpoint(data); err == nil {
+		err = c.Restore(cp)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bad
+}
+
 // FuzzDecodeCheckpoint feeds arbitrary bytes to DecodeCheckpoint and, when it
 // accepts them, to Restore, on a controller of each seed's configuration.
 // Neither may panic or allocate more than the bytes given back. A Restore
@@ -78,12 +121,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		cells = append(cells, newFuzzCell(f, cfg))
 	}
 	cells = append(cells, newFuzzCell(f, mqConfig(SchemeDLOOP, tiny8Geometry(), 2)))
-	for _, cell := range cells {
+	for i, cell := range cells {
 		data, err := cell.c.EncodeCheckpoint(cell.good)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		if i == 0 {
+			f.Add(taglessValidPage(f, cell.c, data))
+		}
 	}
 	probe := trace.Request{Arrival: 0, LBN: 0, Sectors: 4, Op: trace.OpWrite}
 	f.Fuzz(func(t *testing.T, data []byte) {
