@@ -232,7 +232,7 @@ func (ob *observer) finish() error {
 }
 
 func replayFile(cfg dloop.Config, path, format string, footprintMiB int64, wc *dloop.WarmupCache, ob *observer) (dloop.Result, error) {
-	// LoadArena parses the file once into a shared columnar arena; repeated
+	// LoadArena parses the file once into a shared packed arena; repeated
 	// replays of the same file (and the stats summary below) reuse it.
 	arena, err := trace.LoadArena(path, format)
 	if err != nil {

@@ -167,7 +167,7 @@ func buildWarm(cfg ssd.Config, profile workload.Profile) (*ssd.Controller, error
 }
 
 // resumeObserved replays the measured window on an already warmed controller.
-// The request stream comes from the shared columnar arena for (profile, seed)
+// The request stream comes from the shared packed arena for (profile, seed)
 // — generated once per process, replayed read-only through a private cursor —
 // so concurrent cells serving the same stream never regenerate it. Any
 // recorder the attach hook wires up is detached again before returning, which
@@ -184,20 +184,14 @@ func resumeObserved(c *ssd.Controller, cfg ssd.Config, profile workload.Profile,
 	if err != nil {
 		return ssd.Result{}, err
 	}
-	cur := arena.Cursor()
-	for i := 0; i < requests; i++ {
-		req, err := cur.Next()
-		if err != nil {
-			return ssd.Result{}, err
-		}
-		// Enqueue pipelines page commands onto the FTL shard workers on a
-		// multi-queue controller (epoch handoffs happen inside the
-		// controller); on a single-FTL controller it is Serve.
-		if err := c.Enqueue(req); err != nil {
-			return ssd.Result{}, fmt.Errorf("expt: %s/%s request %d: %w", cfg.FTL, profile.Name, i, err)
-		}
+	// Run replays the cursor in chunks (NextN + EnqueueBatch), pipelining
+	// page commands onto the FTL shard workers on a multi-queue controller;
+	// on a single-FTL controller each request is served inline.
+	res, err := c.Run(arena.Cursor())
+	if err != nil {
+		return ssd.Result{}, fmt.Errorf("expt: %s/%s: %w", cfg.FTL, profile.Name, err)
 	}
-	return c.Result(), nil
+	return res, nil
 }
 
 // job is one (config, workload) cell of a sweep.

@@ -4,8 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -218,10 +218,11 @@ func TestOpenArenaFormats(t *testing.T) {
 }
 
 // TestBuildArenaAllocBound pins the parse-time allocation profile: with a
-// sized source the columns preallocate from the reader's SizeHint, so one
-// full parse costs a fixed handful of allocations (reader + scanner buffer +
-// field scratch + arena + 4 columns) regardless of trace length. Regrowing
-// columns mid-parse would blow well past the bound.
+// sized source the block headers preallocate from the reader's SizeHint and
+// the records fill 64 KiB segments that are never regrown, so one full parse
+// costs a handful of allocations (reader + scanner buffer + field scratch +
+// arena + headers + segments) that grows only with the segment count.
+// Regrowing the headers or the records mid-parse would blow past the bound.
 func TestBuildArenaAllocBound(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteDiskSim(&buf, genRequests(10000, 5)); err != nil {
@@ -275,25 +276,216 @@ func BenchmarkDiskSimParse(b *testing.B) {
 }
 
 // BenchmarkArenaReplay pins the per-cell replay cost: iterating a shared
-// arena through a cursor must stay allocation-free.
+// arena through a cursor, one request at a time (Next) or in the chunks
+// Controller.Run takes (NextN), must stay allocation-free.
 func BenchmarkArenaReplay(b *testing.B) {
-	a := arenaOf(b, genRequests(10000, 6))
-	c := a.Cursor()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sectors int64
-	for i := 0; i < b.N; i++ {
-		c.Reset()
-		for {
-			req, err := c.Next()
-			if err != nil {
-				break
+	reqs := genRequests(10000, 6)
+	a := arenaOf(b, reqs)
+	b.Run("Next", func(b *testing.B) {
+		c := a.Cursor()
+		b.ReportAllocs()
+		var sectors int64
+		for i := 0; i < b.N; i++ {
+			c.Reset()
+			for {
+				req, err := c.Next()
+				if err != nil {
+					break
+				}
+				sectors += int64(req.Sectors)
 			}
-			sectors += int64(req.Sectors)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
+		if sectors == 0 {
+			b.Fatal("empty replay")
+		}
+	})
+	b.Run("NextN", func(b *testing.B) {
+		c := a.Cursor()
+		buf := make([]Request, 256)
+		b.ReportAllocs()
+		var sectors int64
+		for i := 0; i < b.N; i++ {
+			c.Reset()
+			for {
+				n, _ := c.NextN(buf)
+				if n == 0 {
+					break
+				}
+				for _, req := range buf[:n] {
+					sectors += int64(req.Sectors)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/req")
+		if sectors == 0 {
+			b.Fatal("empty replay")
+		}
+	})
+}
+
+// TestBuildArenaRejectsInvalidRequests checks BuildArena refuses a request
+// that fails Validate — in particular one whose size a record cannot hold —
+// with an error naming its index, and keeps the requests before it.
+func TestBuildArenaRejectsInvalidRequests(t *testing.T) {
+	for _, bad := range []Request{
+		{Arrival: 5, LBN: 8, Sectors: 1<<32 + 8, Op: OpWrite}, // 8 sectors if narrowed to 32 bits
+		{Arrival: 5, LBN: 8, Sectors: math.MaxInt32 + 1, Op: OpRead},
+		{Arrival: 5, LBN: 8, Sectors: 0, Op: OpRead},
+		{Arrival: 5, LBN: -1, Sectors: 8, Op: OpRead},
+		{Arrival: -1, LBN: 8, Sectors: 8, Op: OpRead},
+		{Arrival: 5, LBN: maxSector - 7, Sectors: 8, Op: OpRead},
+		{Arrival: 5, LBN: 8, Sectors: 8, Op: Op(2)},
+	} {
+		reqs := append(genRequests(70, 8), bad, Request{Arrival: 9, LBN: 1, Sectors: 1, Op: OpRead})
+		a, err := BuildArena(NewSliceReader(reqs))
+		if err == nil {
+			t.Errorf("BuildArena accepted %+v", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), "request 70") {
+			t.Errorf("error %q for %+v does not name request 70", err, bad)
+		}
+		if a.Len() != 70 {
+			t.Errorf("arena holds %d requests before %+v, want 70", a.Len(), bad)
+			continue
+		}
+		got, _ := ReadAll(a.Cursor())
+		if !reflect.DeepEqual(got, reqs[:70]) {
+			t.Errorf("arena before %+v diverges from its input", bad)
 		}
 	}
-	if sectors == 0 {
-		b.Fatal("empty replay")
+}
+
+// arenaStream decodes FuzzArena's input into valid requests. Each request
+// is a control byte (bit 0 the op; bits 1-3 and 4-6 one less than the
+// number of little-endian bytes of arrival and LBN; bit 7 four bytes of
+// sectors instead of one) and its fields. Values are taken modulo what
+// Validate admits, and an LBN past the last sector a request may start at
+// is pinned to it, so the end of the address space is hit often.
+func arenaStream(data []byte) []Request {
+	le := func(n int) uint64 {
+		var v uint64
+		for i := 0; i < n && i < len(data); i++ {
+			v |= uint64(data[i]) << (8 * i)
+		}
+		data = data[min(n, len(data)):]
+		return v
 	}
-	_ = fmt.Sprint(sectors)
+	var reqs []Request
+	for len(data) > 0 {
+		c := data[0]
+		data = data[1:]
+		r := Request{Op: Op(c & 1)}
+		r.Arrival = sim.Time(le(int(c>>1&7)+1) & math.MaxInt64)
+		r.LBN = int64(le(int(c>>4&7)+1) & math.MaxInt64)
+		if c&0x80 != 0 {
+			r.Sectors = int(le(4) & math.MaxInt32)
+		} else {
+			r.Sectors = int(le(1))
+		}
+		r.Sectors = max(r.Sectors, 1)
+		r.LBN = min(r.LBN, maxSector-int64(r.Sectors))
+		reqs = append(reqs, r)
+	}
+	return reqs
+}
+
+// arenaBytes is arenaStream's inverse, for seed inputs.
+func arenaBytes(reqs []Request) []byte {
+	var out []byte
+	put := func(v uint64, n int) {
+		for i := 0; i < n; i++ {
+			out = append(out, byte(v>>(8*i)))
+		}
+	}
+	for _, r := range reqs {
+		wa, wl := int(byteWidth(uint64(r.Arrival))), int(byteWidth(uint64(r.LBN)))
+		c := byte(r.Op) | byte(wa-1)<<1 | byte(wl-1)<<4
+		ws := 1
+		if r.Sectors > 255 {
+			c, ws = c|0x80, 4
+		}
+		out = append(out, c)
+		put(uint64(r.Arrival), wa)
+		put(uint64(r.LBN), wl)
+		put(uint64(r.Sectors), ws)
+	}
+	return out
+}
+
+// FuzzArena builds an arena from a byte-coded request stream and checks
+// that every way of reading it back — At, Next, NextN at several chunk
+// sizes, and a replay after Reset — returns the input exactly, and that
+// Stats equals Summarize.
+func FuzzArena(f *testing.F) {
+	for _, n := range []int{0, 1, 63, 64, 65, 129} {
+		f.Add(arenaBytes(genRequests(n, int64(n))))
+	}
+	backwards := genRequests(130, 9)
+	for i := range backwards {
+		backwards[i].Arrival = sim.Time(int64(len(backwards)-i) * int64(sim.Millisecond))
+	}
+	f.Add(arenaBytes(backwards))
+	f.Add(arenaBytes([]Request{
+		{Arrival: 1, LBN: 0, Sectors: 8, Op: OpRead},
+		{Arrival: 2, LBN: maxSector - 8, Sectors: 8, Op: OpWrite},
+		{Arrival: 3, LBN: maxSector - math.MaxInt32, Sectors: math.MaxInt32, Op: OpRead},
+		{Arrival: math.MaxInt64, LBN: 0, Sectors: math.MaxInt32, Op: OpWrite},
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs := arenaStream(data)
+		a, err := BuildArena(NewSliceReader(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Len() != len(reqs) {
+			t.Fatalf("Len %d, want %d", a.Len(), len(reqs))
+		}
+		for i, want := range reqs {
+			if got := a.At(i); got != want {
+				t.Fatalf("At(%d) = %+v, want %+v", i, got, want)
+			}
+		}
+		if s := a.Stats(); s != Summarize(reqs) {
+			t.Fatalf("Stats %+v, Summarize %+v", s, Summarize(reqs))
+		}
+		c := a.Cursor()
+		for pass := 0; pass < 2; pass++ {
+			for i, want := range reqs {
+				if got, err := c.Next(); err != nil || got != want {
+					t.Fatalf("pass %d: Next #%d = %+v, %v; want %+v", pass, i, got, err, want)
+				}
+			}
+			if _, err := c.Next(); !errors.Is(err, io.EOF) {
+				t.Fatalf("pass %d: Next past the end: %v", pass, err)
+			}
+			c.Reset()
+		}
+		buf := make([]Request, 200)
+		for _, chunk := range []int{1, 3, 63, 64, 65, 200, 0} {
+			c.Reset()
+			var got []Request
+			for k := 0; ; k++ {
+				size := chunk
+				if size == 0 { // varied: 1 to 130
+					size = k*37%130 + 1
+				}
+				n, err := c.NextN(buf[:size])
+				got = append(got, buf[:n]...)
+				if err != nil {
+					if !errors.Is(err, io.EOF) || n != 0 {
+						t.Fatalf("chunk %d: NextN = %d, %v", chunk, n, err)
+					}
+					break
+				}
+				if n == 0 {
+					t.Fatalf("chunk %d: NextN returned 0 before the end", chunk)
+				}
+			}
+			if len(got) != len(reqs) || (len(reqs) > 0 && !reflect.DeepEqual(got, reqs)) {
+				t.Fatalf("chunk %d: NextN replayed %d requests, diverging from the %d put in", chunk, len(got), len(reqs))
+			}
+		}
+	})
 }

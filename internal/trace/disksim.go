@@ -43,7 +43,7 @@ func NewDiskSimReader(r io.Reader) *DiskSimReader {
 }
 
 // SizeHint reports the estimated number of requests in the stream (0 when
-// the source's size is unknown), so BuildArena can preallocate its columns.
+// the source's size is unknown), so BuildArena can size the arena up front.
 func (r *DiskSimReader) SizeHint() int { return r.hint }
 
 // Next implements Reader.

@@ -7,7 +7,7 @@ import (
 
 // FuzzTraceReaders feeds arbitrary bytes to both line readers. Neither may
 // panic; every request either accepts passes Validate and comes back
-// unchanged from an Arena built over it (an Arena stores sectors as int32);
+// unchanged from an Arena built over it (an Arena holds 31-bit sizes);
 // and on every ASCII DiskSim line the byte-wise parser agrees with the
 // reference parseDiskSimLine, in value and in error text.
 func FuzzTraceReaders(f *testing.F) {

@@ -37,7 +37,7 @@ func NewSPCReader(r io.Reader) *SPCReader {
 }
 
 // SizeHint reports the estimated number of requests in the stream (0 when
-// the source's size is unknown), so BuildArena can preallocate its columns.
+// the source's size is unknown), so BuildArena can size the arena up front.
 func (r *SPCReader) SizeHint() int { return r.hint }
 
 // Next implements Reader.

@@ -19,8 +19,8 @@ const SectorSize = 512
 // minTraceLineBytes is the lower-bound line length lineCountHint divides by.
 // Real trace lines run 20-40 bytes; dividing by a low bound overestimates the
 // request count slightly, which is the right direction for a preallocation —
-// the columns never grow-and-copy, and the slack is no larger than the slack
-// append's doubling would have left anyway.
+// the arena's block headers never grow-and-copy, and the slack is no larger
+// than the slack append's doubling would have left anyway.
 const minTraceLineBytes = 16
 
 // lineCountHint estimates how many lines a trace source holds, from its byte
@@ -75,26 +75,54 @@ func (r Request) End() int64 { return r.LBN + int64(r.Sectors) }
 // maxSector bounds a request's end so its byte address fits an int64.
 const maxSector = math.MaxInt64 / SectorSize
 
+// The rules of Validate, in the order it checks them.
+const (
+	wellFormed = iota
+	negativeArrival
+	negativeLBN
+	noSectors
+	tooManySectors
+	endPastMaxSector
+	unknownOp
+)
+
+// flaw returns the first rule of Validate that r breaks, or wellFormed. It
+// is small enough to inline, so per-request callers test it before paying
+// for Validate's call.
+func (r Request) flaw() int {
+	switch {
+	case r.Arrival < 0:
+		return negativeArrival
+	case r.LBN < 0:
+		return negativeLBN
+	case r.Sectors <= 0:
+		return noSectors
+	case r.Sectors > math.MaxInt32:
+		return tooManySectors
+	case r.LBN > maxSector-int64(r.Sectors):
+		return endPastMaxSector
+	case r.Op != OpRead && r.Op != OpWrite:
+		return unknownOp
+	}
+	return wellFormed
+}
+
 // Validate reports whether the request is well formed: a non-negative
-// arrival and LBN, a size an Arena column holds (1 to MaxInt32 sectors), an
+// arrival and LBN, a size an Arena record holds (1 to MaxInt32 sectors), an
 // end whose byte address fits an int64, and a known op.
 func (r Request) Validate() error {
-	if r.Arrival < 0 {
+	switch r.flaw() {
+	case negativeArrival:
 		return fmt.Errorf("trace: negative arrival time %v", r.Arrival)
-	}
-	if r.LBN < 0 {
+	case negativeLBN:
 		return fmt.Errorf("trace: negative LBN %d", r.LBN)
-	}
-	if r.Sectors <= 0 {
+	case noSectors:
 		return fmt.Errorf("trace: non-positive size %d sectors", r.Sectors)
-	}
-	if r.Sectors > math.MaxInt32 {
+	case tooManySectors:
 		return fmt.Errorf("trace: size %d sectors exceeds %d", r.Sectors, math.MaxInt32)
-	}
-	if r.LBN > maxSector-int64(r.Sectors) {
+	case endPastMaxSector:
 		return fmt.Errorf("trace: request of %d sectors at LBN %d ends past sector %d", r.Sectors, r.LBN, int64(maxSector))
-	}
-	if r.Op != OpRead && r.Op != OpWrite {
+	case unknownOp:
 		return fmt.Errorf("trace: unknown op %d", r.Op)
 	}
 	return nil
@@ -110,7 +138,7 @@ type Reader interface {
 // fills dst with up to len(dst) requests and returns how many it wrote.
 // Like io.Reader, it may return n > 0 at the end of the stream and io.EOF
 // (with n == 0) only on a subsequent call. Sources that hold requests
-// columnar or generate them in bulk (Arena cursors, workload generators)
+// packed or generate them in bulk (Arena cursors, workload generators)
 // implement it so consumers can move whole chunks without a per-request
 // interface call.
 type BatchReader interface {

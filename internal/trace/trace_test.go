@@ -38,7 +38,7 @@ func TestRequestValidate(t *testing.T) {
 		{Arrival: 0, LBN: -2, Sectors: 1, Op: OpRead},
 		{Arrival: 0, LBN: 0, Sectors: 0, Op: OpRead},
 		{Arrival: 0, LBN: 0, Sectors: 1, Op: Op(9)},
-		{Arrival: 0, LBN: 0, Sectors: math.MaxInt32 + 1, Op: OpWrite}, // an Arena column would wrap it
+		{Arrival: 0, LBN: 0, Sectors: math.MaxInt32 + 1, Op: OpWrite}, // an Arena record cannot hold it
 		{Arrival: 0, LBN: maxSector - 7, Sectors: 8, Op: OpWrite},     // its byte address overflows
 		{Arrival: 0, LBN: math.MaxInt64 - 1, Sectors: 8, Op: OpWrite}, // LBN+Sectors overflows
 	}

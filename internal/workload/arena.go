@@ -11,11 +11,11 @@ import (
 // materializedCache memoizes MaterializeArena so each (profile, seed, n)
 // stream is generated exactly once per process. Sweeps replay the same
 // synthetic stream across many configurations; with the cache they share one
-// generation pass and one columnar arena instead of paying both per cell. The
-// cache is never evicted — entries are 21 bytes per request (the arena's four
-// columns) and a sweep touches only a handful of (profile, seed)
-// combinations — so a whole experiment suite stays within a few tens of
-// megabytes.
+// generation pass and one packed arena instead of paying both per cell. The
+// cache is never evicted — entries are about 8.5 bytes per request (the
+// arena's records and block headers) and a sweep touches only a handful of
+// (profile, seed) combinations — so a whole experiment suite stays within a
+// few tens of megabytes.
 var materializedCache sync.Map // string -> *materializedEntry
 
 type materializedEntry struct {
@@ -25,11 +25,11 @@ type materializedEntry struct {
 }
 
 // MaterializeArena generates the first n requests of the (p, seed) stream
-// into an immutable columnar trace.Arena. Equal (profile, seed, n) calls —
+// into an immutable packed trace.Arena. Equal (profile, seed, n) calls —
 // including concurrent ones — return the same shared Arena; callers replay it
 // read-only through their own cursors. The stream is identical to n calls of
 // Generator.Next on a fresh generator. The generator feeds trace.BuildArena
-// directly, so the columns are allocated once at their final size and no
+// directly, so the arena is allocated once at its final size and no
 // request slice is built on the way.
 func MaterializeArena(p Profile, seed int64, n int) (*trace.Arena, error) {
 	key := fmt.Sprintf("%+v|%d|%d", p, seed, n)
@@ -48,7 +48,7 @@ func MaterializeArena(p Profile, seed int64, n int) (*trace.Arena, error) {
 
 // LimitReader is a trace.Reader over the next n requests of a generator's
 // stream, like io.LimitReader over bytes. Its SizeHint is exact, so
-// trace.BuildArena sizes the arena columns once.
+// trace.BuildArena sizes the arena once.
 type LimitReader struct {
 	g    *Generator
 	left int

@@ -43,10 +43,11 @@ func TestMaterializeArenaMatchesGenerate(t *testing.T) {
 }
 
 // TestMaterializeArenaAllocBound pins what a fresh materialisation costs:
-// the arena's four columns (8+8+4+1 = 21 bytes per request), allocated once
-// at their final size, plus a small fixed overhead for the generator and the
-// cache entry. Building the stream as a request slice first (32 bytes per
-// request) and copying it would more than double the figure.
+// the arena's packed records (8 bytes per request at these widths: 4 + 3 + 1)
+// and block headers (0.5 bytes per request), allocated once, plus a small
+// fixed overhead for the generator and the cache entry. Building the stream
+// as a request slice first (32 bytes per request) and copying it would
+// more than quadruple the figure.
 func TestMaterializeArenaAllocBound(t *testing.T) {
 	const n = 200_000
 	p := Financial1().ScaleFootprint(0.05)
@@ -58,7 +59,7 @@ func TestMaterializeArenaAllocBound(t *testing.T) {
 		t.Fatalf("Len %d, err %v", a.Len(), err)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(21*n + 64<<10); alloc > limit {
+	if limit := uint64(10*n + 64<<10); alloc > limit {
 		t.Fatalf("materialising %d requests allocated %d bytes (%.1f per request), want <= %d",
 			n, alloc, float64(alloc)/n, limit)
 	}
