@@ -332,15 +332,15 @@ func BenchmarkGCHeavy(b *testing.B) {
 }
 
 // BenchmarkShardedThroughput compares the multi-queue front end against the
-// single-FTL baseline on two shapes, driving the pipelined Enqueue path they
-// share:
+// single-FTL baseline on two shapes, driving the pipelined EnqueueBatch path
+// they share, one request per call:
 //
 //   - 4ch (the paper's 8 GB shape, scaled): the single-FTL engine alone.
 //   - 8ch (the 16 GB shape, scaled): "mq" runs 8 concurrent FTL shards
 //     behind the multi-queue front end, and "mq-pipelined" drives the same
-//     engine through the batch dispatch stage (EnqueueBatch: classification
-//     split from staging). Sub-benchmarks with different engines replay the
-//     same stream; the differential suites pin their equivalence contracts.
+//     engine with 250-request batches (classification split from staging).
+//     Sub-benchmarks with different engines replay the same stream; the
+//     differential suites pin their equivalence contracts.
 //
 // The ns/op ratio of seq to the mq modes is the speedup the front end buys;
 // on a single-core machine it degrades to scheduling overhead instead — the
@@ -392,7 +392,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 			// short -benchtime windows measure the steady state.
 			stream := cyclicStream{reqs: reqs}
 			for i := 0; i < 3*len(reqs); i++ {
-				if err := ssd.Enqueue(stream.one()); err != nil {
+				if err := ssd.EnqueueBatch(stream.next(1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -411,7 +411,7 @@ func BenchmarkShardedThroughput(b *testing.B) {
 				}
 			} else {
 				for i := 0; i < b.N; i++ {
-					if err := ssd.Enqueue(stream.one()); err != nil {
+					if err := ssd.EnqueueBatch(stream.next(1)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -436,7 +436,9 @@ func BenchmarkSimulateThroughputObserved(b *testing.B) {
 	if err := ssd.PreconditionBytes(p.FootprintBytes); err != nil {
 		b.Fatal(err)
 	}
-	ssd.SetRecorder(obs.NewCollector(ssd.ObsOptions()))
+	if err := ssd.SetRecorder(obs.NewCollector(ssd.ObsOptions())); err != nil {
+		b.Fatal(err)
+	}
 	reqs, err := dloop.GenerateTrace(p, 42, 10_000)
 	if err != nil {
 		b.Fatal(err)
@@ -484,14 +486,16 @@ func BenchmarkSimulateThroughputObservedMQ(b *testing.B) {
 	if err := ssd.PreconditionBytes(p.FootprintBytes); err != nil {
 		b.Fatal(err)
 	}
-	ssd.SetRecorder(obs.NewCollector(ssd.ObsOptions()))
+	if err := ssd.SetRecorder(obs.NewCollector(ssd.ObsOptions())); err != nil {
+		b.Fatal(err)
+	}
 	reqs, err := dloop.GenerateTrace(p, 42, 10_000)
 	if err != nil {
 		b.Fatal(err)
 	}
 	stream := cyclicStream{reqs: reqs}
 	for range reqs { // warm-up: grow epoch slices, slab chunks, hist buckets
-		if err := ssd.Enqueue(stream.one()); err != nil {
+		if err := ssd.EnqueueBatch(stream.next(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -499,7 +503,7 @@ func BenchmarkSimulateThroughputObservedMQ(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ssd.Enqueue(stream.one()); err != nil {
+		if err := ssd.EnqueueBatch(stream.next(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

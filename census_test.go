@@ -1,18 +1,23 @@
 package dloop_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
-	"io/fs"
-	"path"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"dloop/internal/expt"
@@ -27,192 +32,88 @@ import (
 // non-test code of the repository (bench/ and cmd/ included)
 // outside its own declaration, or have a row in KNOBS.md's "Exports read
 // only by tests" table saying why it stays. A row must name an export that
-// exists and that no non-test code reads. Methods are out of scope: a type
-// can satisfy an interface without naming the method anywhere.
+// exists and that no non-test code reads. TestMethodsHaveReaders does the
+// same for methods.
 func TestExportsHaveReaders(t *testing.T) {
-	exports, read := exportCensus(t, ".")
-	const heading = "## Exports read only by tests"
-	listed := map[string]bool{}
-	for _, r := range readKnobRows(t, "KNOBS.md")[heading] {
-		switch {
-		case !exports[r.name]:
-			t.Errorf("%s: row names %s, which is not an exported top-level identifier of internal/", heading, r.name)
-		case read[r.name]:
-			t.Errorf("%s: %s has a non-test reader; drop its row", heading, r.name)
-		case listed[r.name]:
-			t.Errorf("%s: %s has two rows", heading, r.name)
-		case r.verdict == "":
-			t.Errorf("%s: %s gives no reason", heading, r.name)
-		}
-		listed[r.name] = true
-	}
-	var missing []string
-	for name := range exports {
-		if !read[name] && !listed[name] {
-			missing = append(missing, name)
-		}
-	}
-	sort.Strings(missing)
-	for _, name := range missing {
-		t.Errorf("%s is read by no non-test code: delete it, or give it a row in KNOBS.md %q", name, heading)
-	}
+	exports, read := exportCensus(t, loadTree(t))
+	checkTestOnlyRows(t, "## Exports read only by tests", "exported top-level identifier of internal/", exports, read)
 }
 
-// exportCensus parses every non-test Go file under root and returns the
-// exported top-level identifiers of the packages under internal/, keyed
-// "pkg.Name", and the subset of them that some code names outside the
-// identifier's own declaration.
-func exportCensus(t *testing.T, root string) (exports, read map[string]bool) {
+// exportCensus returns the exported top-level identifiers of the packages
+// under internal/, keyed "pkg.Name", and the subset of them that some
+// non-test code names outside the identifier's own declaration. A method's
+// receiver does not name its type.
+func exportCensus(t *testing.T, tr *typedTree) (exports, read map[string]bool) {
 	t.Helper()
-	fset := token.NewFileSet()
-	type file struct {
-		ast  *ast.File
-		path string // import path of the file's package
-	}
-	var files []file
-	pkgName := map[string]string{} // import path -> package name
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); p != root && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ip := path.Join("dloop", filepath.ToSlash(filepath.Dir(p)))
-		pkgName[ip] = f.Name.Name
-		files = append(files, file{f, ip})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// key names an identifier of an internal package, or "" for any other.
-	key := func(importPath, name string) string {
-		if !strings.HasPrefix(importPath, "dloop/internal/") || !ast.IsExported(name) {
-			return ""
-		}
-		return pkgName[importPath] + "." + name
-	}
+	key := map[types.Object]string{}
 	owner := map[string]string{} // package name -> import path, to catch clashes
-	for ip, name := range pkgName {
-		if key(ip, "X") == "" {
+	for _, p := range tr.pkgs {
+		if !strings.HasPrefix(p.path, "dloop/internal/") {
 			continue
 		}
+		name := p.types.Name()
 		if other, dup := owner[name]; dup {
-			t.Fatalf("packages %s and %s share the name %s; the census keys by name", other, ip, name)
+			t.Fatalf("packages %s and %s share the name %s; the census keys by name", other, p.path, name)
 		}
-		owner[name] = ip
+		owner[name] = p.path
+		for _, id := range p.types.Scope().Names() {
+			if obj := p.types.Scope().Lookup(id); obj.Exported() {
+				key[obj] = name + "." + id
+			}
+		}
 	}
 
-	// Declarations, with the span each one's own references are ignored in.
+	// The span of each declaration, inside which its own name is no read,
+	// and the receiver identifiers of every method.
 	type span struct{ from, to token.Pos }
-	exports = map[string]bool{}
-	declared := map[string][]span{}
-	declare := func(ip string, id *ast.Ident, n ast.Node) {
-		if k := key(ip, id.Name); k != "" {
-			exports[k] = true
-			declared[k] = append(declared[k], span{n.Pos(), n.End()})
-		}
-	}
-	for _, f := range files {
-		for _, d := range f.ast.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					declare(f.path, d.Name, d)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						declare(f.path, s.Name, s)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							declare(f.path, id, s)
-						}
+	declared := map[types.Object]span{}
+	receiver := map[*ast.Ident]bool{}
+	for _, p := range tr.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						declared[p.info.Defs[d.Name]] = span{d.Pos(), d.End()}
+						continue
 					}
-				}
-			}
-		}
-	}
-
-	// References: pkg.Name from an importing file, a bare Name inside the
-	// package. Declared names, method receivers, field names and selected
-	// members are not references to a top-level identifier.
-	read = map[string]bool{}
-	use := func(k string, at token.Pos) {
-		if k == "" {
-			return
-		}
-		for _, s := range declared[k] {
-			if s.from <= at && at < s.to {
-				return
-			}
-		}
-		read[k] = true
-	}
-	for _, f := range files {
-		imports := map[string]string{}
-		for _, im := range f.ast.Imports {
-			ip, err := strconv.Unquote(im.Path.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := path.Base(ip)
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = ip
-		}
-		skip := map[*ast.Ident]bool{}
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				skip[n.Name] = true
-				if n.Recv != nil {
-					ast.Inspect(n.Recv, func(m ast.Node) bool {
-						if id, ok := m.(*ast.Ident); ok {
-							skip[id] = true
+					ast.Inspect(d.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							receiver[id] = true
 						}
 						return true
 					})
-				}
-			case *ast.TypeSpec:
-				skip[n.Name] = true
-			case *ast.ValueSpec:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.Field:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if ip, ok := imports[x.Name]; ok {
-						use(key(ip, n.Sel.Name), n.Sel.Pos())
-						return false
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							declared[p.info.Defs[s.Name]] = span{s.Pos(), s.End()}
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								declared[p.info.Defs[id]] = span{s.Pos(), s.End()}
+							}
+						}
 					}
 				}
-				skip[n.Sel] = true
-			case *ast.Ident:
-				if !skip[n] {
-					use(key(f.path, n.Name), n.Pos())
-				}
 			}
-			return true
-		})
+		}
+	}
+
+	exports, read = map[string]bool{}, map[string]bool{}
+	for _, k := range key {
+		exports[k] = true
+	}
+	for _, p := range tr.pkgs {
+		for id, obj := range p.info.Uses {
+			k := key[obj]
+			if k == "" || receiver[id] {
+				continue
+			}
+			if s := declared[obj]; s.from <= id.Pos() && id.Pos() < s.to {
+				continue
+			}
+			read[k] = true
+		}
 	}
 	return exports, read
 }
@@ -330,4 +231,266 @@ func TestMetricsListed(t *testing.T) {
 	for _, name := range missing {
 		t.Errorf("%s: family %s (non-zero: %v) has no row", heading, name, nonZero[name])
 	}
+}
+
+// TestMethodsHaveReaders extends TestExportsHaveReaders to methods: every
+// exported method of a package-level type of internal/ must be reached by
+// some non-test code of the repository (bench/ and cmd/ included), or have a
+// row in KNOBS.md's "Methods read only by tests" table saying why it stays.
+// Reached means selected (x.M, T.M, promoted through an embedded field
+// included), or called through an interface — named, anonymous, or a type
+// parameter's constraint — that the type or a pointer to it implements. The
+// interfaces of the standard-library packages the tree imports count as
+// called, since the standard library calls them (String, Error).
+func TestMethodsHaveReaders(t *testing.T) {
+	methods, read := methodCensus(loadTree(t))
+	checkTestOnlyRows(t, "## Methods read only by tests", "exported method of a package-level type of internal/", methods, read)
+}
+
+// checkTestOnlyRows holds a KNOBS.md table of identifiers only tests read to
+// a census: a row must name an identifier of the census that no non-test
+// code reads, once, with a reason, and every such identifier needs a row.
+func checkTestOnlyRows(t *testing.T, heading, what string, all, read map[string]bool) {
+	t.Helper()
+	listed := map[string]bool{}
+	for _, r := range readKnobRows(t, "KNOBS.md")[heading] {
+		switch {
+		case !all[r.name]:
+			t.Errorf("%s: row names %s, which is not an %s", heading, r.name, what)
+		case read[r.name]:
+			t.Errorf("%s: %s has a non-test reader; drop its row", heading, r.name)
+		case listed[r.name]:
+			t.Errorf("%s: %s has two rows", heading, r.name)
+		case r.verdict == "":
+			t.Errorf("%s: %s gives no reason", heading, r.name)
+		}
+		listed[r.name] = true
+	}
+	var missing []string
+	for name := range all {
+		if !read[name] && !listed[name] {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		t.Errorf("%s is read by no non-test code: delete it, or give it a row in KNOBS.md %q", name, heading)
+	}
+}
+
+// methodCensus returns the exported methods of the package-level types of
+// internal/, keyed "pkg.Type.Method", and the subset non-test code reaches
+// (see TestMethodsHaveReaders).
+func methodCensus(tr *typedTree) (methods, read map[string]bool) {
+	key := map[*types.Func]string{}
+	owner := map[*types.Func]*types.Named{}
+	for _, p := range tr.pkgs {
+		if !strings.HasPrefix(p.path, "dloop/internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					key[m] = p.types.Name() + "." + name + "." + m.Name()
+					owner[m] = named
+				}
+			}
+		}
+	}
+
+	selected := map[*types.Func]bool{}
+	called := map[string][]*types.Interface{} // method name -> interfaces it is called through
+	callAll := func(iface *types.Interface) {
+		for i := 0; i < iface.NumMethods(); i++ {
+			name := iface.Method(i).Name()
+			called[name] = append(called[name], iface)
+		}
+	}
+	// The standard library calls the methods of its own interfaces
+	// dynamically (fmt.Stringer's String, error's Error), so every interface
+	// of a standard-library package the tree imports counts as called.
+	callAll(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	std := map[string]*types.Package{}
+	for _, p := range tr.pkgs {
+		for _, dep := range p.types.Imports() {
+			std[dep.Path()] = dep
+		}
+	}
+	for _, p := range tr.pkgs {
+		delete(std, p.path)
+	}
+	for _, dep := range std {
+		for _, name := range dep.Scope().Names() {
+			if tn, ok := dep.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+					callAll(iface)
+				}
+			}
+		}
+	}
+	for _, p := range tr.pkgs {
+		for _, sel := range p.info.Selections {
+			if sel.Kind() == types.FieldVal {
+				continue
+			}
+			f := sel.Obj().(*types.Func)
+			if iface, ok := sel.Recv().Underlying().(*types.Interface); ok {
+				called[f.Name()] = append(called[f.Name()], iface)
+				continue
+			}
+			selected[f.Origin()] = true
+		}
+	}
+
+	methods, read = map[string]bool{}, map[string]bool{}
+	for m, k := range key {
+		methods[k] = true
+		if selected[m] {
+			read[k] = true
+			continue
+		}
+		T := owner[m]
+		if T.TypeParams().Len() > 0 {
+			continue // an uninstantiated generic type implements nothing
+		}
+		for _, iface := range called[m.Name()] {
+			if types.Implements(T, iface) || types.Implements(types.NewPointer(T), iface) {
+				read[k] = true
+				break
+			}
+		}
+	}
+	return methods, read
+}
+
+// typedTree is every non-test package of the repository, bench/ included,
+// type-checked from source.
+type typedTree struct {
+	pkgs []*typedPkg // in go list order
+}
+
+// typedPkg is one type-checked package.
+type typedPkg struct {
+	path  string // import path
+	types *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+var (
+	treeOnce sync.Once
+	tree     *typedTree
+	treeErr  error
+)
+
+// loadTree type-checks the tree once per test binary: the root module and
+// the benchmark's module in bench/.
+func loadTree(t *testing.T) *typedTree {
+	t.Helper()
+	treeOnce.Do(func() { tree, treeErr = typeCheckTree(".", "bench") })
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// typeCheckTree lists the packages of the modules rooted at dirs with go
+// list and type-checks their non-test files from source, in dependency
+// order; other imports (the standard library) come from importer.Default.
+func typeCheckTree(dirs ...string) (*typedTree, error) {
+	type listed struct {
+		ImportPath, Dir string
+		GoFiles         []string
+	}
+	meta := map[string]listed{}
+	var order []string
+	for _, dir := range dirs {
+		cmd := exec.Command("go", "list", "-json", "./...")
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			var p listed
+			if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+				break
+			} else if err != nil {
+				return nil, fmt.Errorf("go list in %s: %w", dir, err)
+			}
+			if _, dup := meta[p.ImportPath]; !dup {
+				order = append(order, p.ImportPath)
+			}
+			meta[p.ImportPath] = p
+		}
+	}
+
+	fset := token.NewFileSet()
+	std := importer.Default()
+	checked := map[string]*typedPkg{} // nil while a package is being checked
+	var check func(ip string) (*typedPkg, error)
+	imp := importerFunc(func(ip string) (*types.Package, error) {
+		if _, ok := meta[ip]; !ok {
+			return std.Import(ip)
+		}
+		p, err := check(ip)
+		if err != nil {
+			return nil, err
+		}
+		return p.types, nil
+	})
+	check = func(ip string) (*typedPkg, error) {
+		if p, seen := checked[ip]; seen {
+			if p == nil {
+				return nil, fmt.Errorf("import cycle through %s", ip)
+			}
+			return p, nil
+		}
+		checked[ip] = nil
+		m := meta[ip]
+		p := &typedPkg{path: ip, info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range m.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, f)
+		}
+		var err error
+		if p.types, err = (&types.Config{Importer: imp}).Check(ip, fset, p.files, p.info); err != nil {
+			return nil, err
+		}
+		checked[ip] = p
+		return p, nil
+	}
+	tr := &typedTree{}
+	for _, ip := range order {
+		p, err := check(ip)
+		if err != nil {
+			return nil, err
+		}
+		tr.pkgs = append(tr.pkgs, p)
+	}
+	return tr, nil
 }

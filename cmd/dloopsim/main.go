@@ -253,7 +253,9 @@ func replayFile(cfg dloop.Config, path, format string, footprintMiB int64, wc *d
 	}
 	defer c.Close()
 	if rec := ob.attach(c); rec != nil {
-		c.SetRecorder(rec)
+		if err := c.SetRecorder(rec); err != nil {
+			return dloop.Result{}, err
+		}
 	}
 	return c.Run(arena.Cursor())
 }

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 
 	"dloop/internal/ckpt"
-	"dloop/internal/obs"
 	"dloop/internal/ssd"
 )
 
@@ -83,18 +82,15 @@ func (wc *WarmupCache) load(cfg ssd.Config, key string) (*ssd.Controller, *ssd.C
 	return c, cp, nil
 }
 
-// store publishes cp under key atomically. Store failures are counted, not
+// store publishes cp under key atomically. Store failures are dropped, not
 // fatal: the sweep already has its in-memory checkpoint.
 func (wc *WarmupCache) store(key string, cp *ssd.Checkpoint) {
 	if !wc.enabled() {
 		return
 	}
-	n, err := wc.write(key, cp)
-	if err != nil {
-		wc.Stats.noteStoreError()
-		return
+	if n, err := wc.write(key, cp); err == nil {
+		wc.Stats.noteStore(n)
 	}
-	wc.Stats.noteStore(n)
 }
 
 func (wc *WarmupCache) write(key string, cp *ssd.Checkpoint) (int64, error) {
@@ -155,14 +151,11 @@ type SweepStats struct {
 	cacheHits    int64 // warm-ups restored from the cache
 	cacheMisses  int64 // cache files absent
 	cacheRejects int64 // cache files rejected: corrupt, truncated, or mismatched
-	storeErrors  int64 // failed cache publications
 	bytesRead    int64 // encoded checkpoint bytes loaded
 	bytesWritten int64 // encoded checkpoint bytes published
 	warmups      int64 // warm-up prefixes simulated for a shared group
 	forkedCells  int64 // cells served from a shared warm-up checkpoint
 	freshCells   int64 // cells that built and warmed their own simulator
-	forkReuses   int64 // forked cells restored into the worker's cached controller
-	forkRebuilds int64 // forked cells that had to build a controller first
 }
 
 func (s *SweepStats) noteHit(bytes int64) {
@@ -185,13 +178,6 @@ func (s *SweepStats) noteReject() {
 		return
 	}
 	atomic.AddInt64(&s.cacheRejects, 1)
-}
-
-func (s *SweepStats) noteStoreError() {
-	if s == nil {
-		return
-	}
-	atomic.AddInt64(&s.storeErrors, 1)
 }
 
 func (s *SweepStats) noteStore(bytes int64) {
@@ -222,20 +208,6 @@ func (s *SweepStats) noteFresh() {
 	atomic.AddInt64(&s.freshCells, 1)
 }
 
-func (s *SweepStats) noteForkReuse() {
-	if s == nil {
-		return
-	}
-	atomic.AddInt64(&s.forkReuses, 1)
-}
-
-func (s *SweepStats) noteForkRebuild() {
-	if s == nil {
-		return
-	}
-	atomic.AddInt64(&s.forkRebuilds, 1)
-}
-
 // Warmups returns the number of warm-up prefixes simulated fresh for shared
 // groups.
 func (s *SweepStats) Warmups() int64 { return atomic.LoadInt64(&s.warmups) }
@@ -245,22 +217,6 @@ func (s *SweepStats) ForkedCells() int64 { return atomic.LoadInt64(&s.forkedCell
 
 // FreshCells returns the number of cells that warmed up on their own.
 func (s *SweepStats) FreshCells() int64 { return atomic.LoadInt64(&s.freshCells) }
-
-// Publish copies the counters into an observability registry under the
-// expt.* namespace (see internal/obs).
-func (s *SweepStats) Publish(r *obs.Registry) {
-	r.Counter("expt.warmup.cache.hits").Add(atomic.LoadInt64(&s.cacheHits))
-	r.Counter("expt.warmup.cache.misses").Add(atomic.LoadInt64(&s.cacheMisses))
-	r.Counter("expt.warmup.cache.rejects").Add(atomic.LoadInt64(&s.cacheRejects))
-	r.Counter("expt.warmup.cache.store_errors").Add(atomic.LoadInt64(&s.storeErrors))
-	r.Counter("expt.warmup.cache.read_bytes").Add(atomic.LoadInt64(&s.bytesRead))
-	r.Counter("expt.warmup.cache.written_bytes").Add(atomic.LoadInt64(&s.bytesWritten))
-	r.Counter("expt.warmup.simulated").Add(atomic.LoadInt64(&s.warmups))
-	r.Counter("expt.cells.forked").Add(atomic.LoadInt64(&s.forkedCells))
-	r.Counter("expt.cells.fresh").Add(atomic.LoadInt64(&s.freshCells))
-	r.Counter("expt.fork.controller_reuses").Add(atomic.LoadInt64(&s.forkReuses))
-	r.Counter("expt.fork.controller_rebuilds").Add(atomic.LoadInt64(&s.forkRebuilds))
-}
 
 // Summary renders the counters as one human-readable line.
 func (s *SweepStats) Summary() string {

@@ -176,8 +176,10 @@ func resumeObserved(c *ssd.Controller, cfg ssd.Config, profile workload.Profile,
 	attach func(*ssd.Controller) obs.Recorder) (ssd.Result, error) {
 	if attach != nil {
 		if rec := attach(c); rec != nil {
-			c.SetRecorder(rec)
-			defer c.SetRecorder(nil)
+			if err := c.SetRecorder(rec); err != nil {
+				return ssd.Result{}, fmt.Errorf("expt: %w", err)
+			}
+			defer c.SetRecorder(nil) // detaching cannot fail
 		}
 	}
 	arena, err := workload.MaterializeArena(profile, seed, requests)

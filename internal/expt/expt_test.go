@@ -52,7 +52,7 @@ func TestGridSetGetRender(t *testing.T) {
 	if !strings.Contains(csv, "1,1.5,9") || !strings.Contains(csv, "2,2.5,") {
 		t.Errorf("CSV rows: %q", csv)
 	}
-	if got := g.Series(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+	if got := g.series; len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Series: %v", got)
 	}
 }

@@ -3,6 +3,7 @@ package expt
 import (
 	"fmt"
 
+	"dloop/internal/ftl"
 	"dloop/internal/ssd"
 	"dloop/internal/workload"
 )
@@ -112,7 +113,7 @@ func configFor(capacityGB, pageKB int, extraPct float64, scheme string, opt Opti
 		FTL:        scheme,
 	}
 	if opt.Scale < 1 {
-		geo, err := ssd.ScaledGeometryFor(capacityGB, pageKB, extraPct, 3, opt.Scale)
+		geo, err := ssd.ScaledGeometryFor(capacityGB, pageKB, extraPct, ftl.GCThreshold, opt.Scale)
 		if err != nil {
 			return ssd.Config{}, false
 		}

@@ -170,9 +170,6 @@ func runForkTask(sc *sweepCtx, ws *workerState, t task) {
 			return
 		}
 		ws.set(fg.key, c)
-		sc.stats.noteForkRebuild()
-	} else {
-		sc.stats.noteForkReuse()
 	}
 	if err := ws.c.Restore(fg.cp); err != nil {
 		sc.fail(fmt.Errorf("expt: restore %s/%s: %w", t.cell.cfg.FTL, t.cell.profile.Name, err))

@@ -72,9 +72,6 @@ func (g *Grid) Get(series, x string) (float64, bool) {
 	return 0, false
 }
 
-// Series returns the series names in insertion order.
-func (g *Grid) Series() []string { return append([]string(nil), g.series...) }
-
 // Render writes an aligned text table.
 func (g *Grid) Render(w io.Writer) error {
 	var b strings.Builder

@@ -80,7 +80,7 @@ func TestObservedRunReconcilesGCCounters(t *testing.T) {
 	}
 
 	// Per-plane op counts are the SDRPP input; they must match the device's.
-	planeOps := reg.CounterVec("plane.ops", "plane", len(res.PlaneOps)).Values()
+	planeOps := reg.Snapshot().Vectors["plane.ops"].Values
 	for i, want := range res.PlaneOps {
 		if planeOps[i] != want {
 			t.Fatalf("plane.ops[%d] = %d, Result.PlaneOps[%d] = %d", i, planeOps[i], i, want)

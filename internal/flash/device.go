@@ -123,15 +123,15 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	}
 	d.planes = make([]*sim.Resource, geo.Planes())
 	for i := range d.planes {
-		d.planes[i] = sim.NewResource(fmt.Sprintf("plane%d", i))
+		d.planes[i] = sim.NewResource("plane")
 	}
 	d.chipBus = make([]*sim.Resource, geo.Chips())
 	for i := range d.chipBus {
-		d.chipBus[i] = sim.NewResource(fmt.Sprintf("chipbus%d", i))
+		d.chipBus[i] = sim.NewResource("chipbus")
 	}
 	d.channels = make([]*sim.Resource, geo.Channels)
 	for i := range d.channels {
-		d.channels[i] = sim.NewResource(fmt.Sprintf("channel%d", i))
+		d.channels[i] = sim.NewResource("channel")
 	}
 	d.totalPages = geo.TotalPages()
 	d.pagesPerBlock = int64(geo.PagesPerBlock)
@@ -302,7 +302,8 @@ func wordState(w uint32) PageState {
 // Kaser, "Faster remainders when the divisor is a constant").
 func recip(d int64) uint64 { return ^uint64(0)/uint64(d) + 1 }
 
-// PlaneOf is Geometry.PlaneOf without the divisions.
+// PlaneOf returns the plane containing a physical page: Geometry.BlockOf's
+// plane without the divisions.
 func (d *Device) PlaneOf(ppn PPN) int {
 	hi, _ := bits.Mul64(d.planeRecip, uint64(ppn))
 	return int(hi)

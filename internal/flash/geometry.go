@@ -142,11 +142,6 @@ func (g Geometry) PPNOf(plane, block, page int) PPN {
 	return PPN((int64(plane)*int64(g.BlocksPerPlane)+int64(block))*int64(g.PagesPerBlock) + int64(page))
 }
 
-// PlaneOf returns the plane containing a physical page.
-func (g Geometry) PlaneOf(ppn PPN) int {
-	return int(int64(ppn) / int64(g.PagesPerBlock) / int64(g.BlocksPerPlane))
-}
-
 // BlockOf returns the block containing a physical page.
 func (g Geometry) BlockOf(ppn PPN) PlaneBlock {
 	b := int64(ppn) / int64(g.PagesPerBlock)
@@ -154,12 +149,6 @@ func (g Geometry) BlockOf(ppn PPN) PlaneBlock {
 		Plane: int(b / int64(g.BlocksPerPlane)),
 		Block: int(b % int64(g.BlocksPerPlane)),
 	}
-}
-
-// PageOf returns the in-block page offset of a physical page. The copy-back
-// parity rule is defined over this offset.
-func (g Geometry) PageOf(ppn PPN) int {
-	return int(int64(ppn) % int64(g.PagesPerBlock))
 }
 
 // BlockIndex returns a dense index over all physical blocks for the given

@@ -77,15 +77,12 @@ func TestPPNRoundTrip(t *testing.T) {
 				if !g.ValidPPN(ppn) {
 					t.Fatalf("PPNOf(%d,%d,%d)=%d invalid", plane, block, page, ppn)
 				}
-				if got := g.PlaneOf(ppn); got != plane {
-					t.Fatalf("PlaneOf(%d): got %d, want %d", ppn, got, plane)
-				}
 				pb := g.BlockOf(ppn)
 				if pb.Plane != plane || pb.Block != block {
 					t.Fatalf("BlockOf(%d): got %v, want plane %d block %d", ppn, pb, plane, block)
 				}
-				if got := g.PageOf(ppn); got != page {
-					t.Fatalf("PageOf(%d): got %d, want %d", ppn, got, page)
+				if got := g.FirstPPN(pb) + PPN(page); got != ppn {
+					t.Fatalf("FirstPPN(%v)+%d: got %d, want %d", pb, page, got, ppn)
 				}
 			}
 		}
@@ -105,8 +102,7 @@ func TestPPNRoundTripProperty(t *testing.T) {
 		page := rng.Intn(g.PagesPerBlock)
 		ppn := g.PPNOf(plane, block, page)
 		pb := g.BlockOf(ppn)
-		return g.PlaneOf(ppn) == plane && pb.Plane == plane && pb.Block == block &&
-			g.PageOf(ppn) == page && g.FirstPPN(pb)+PPN(page) == ppn
+		return pb.Plane == plane && pb.Block == block && g.FirstPPN(pb)+PPN(page) == ppn
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -302,7 +302,7 @@ func TestCopyBackRunErrors(t *testing.T) {
 // TestReciprocalAddressing checks the multiply-high division against the
 // hardware one: divisors of every shape, numerators at the multiples'
 // edges up to the 2^32 bound, and the device's BlockOf/PlaneOf against
-// Geometry's on a geometry with no power of two in it.
+// Geometry.BlockOf on a geometry with no power of two in it.
 func TestReciprocalAddressing(t *testing.T) {
 	div := func(m uint64, n uint64) uint64 {
 		d := Device{blockRecip: m}
@@ -339,9 +339,9 @@ func TestReciprocalAddressing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ppn := PPN(0); int64(ppn) < geo.TotalPages(); ppn++ {
-		if d.BlockOf(ppn) != geo.BlockOf(ppn) || d.PlaneOf(ppn) != geo.PlaneOf(ppn) {
+		if d.BlockOf(ppn) != geo.BlockOf(ppn) || d.PlaneOf(ppn) != geo.BlockOf(ppn).Plane {
 			t.Fatalf("ppn %d: device says %v / plane %d, geometry %v / plane %d",
-				ppn, d.BlockOf(ppn), d.PlaneOf(ppn), geo.BlockOf(ppn), geo.PlaneOf(ppn))
+				ppn, d.BlockOf(ppn), d.PlaneOf(ppn), geo.BlockOf(ppn), geo.BlockOf(ppn).Plane)
 		}
 	}
 }

@@ -87,13 +87,16 @@ func TestScheduleMatchesPhases(t *testing.T) {
 				if s1 != s2 || e1 != e2 {
 					t.Fatalf("op %d (%d on plane %d, ready %d): [%d, %d), phase by phase [%d, %d)", i, kind, plane, ready, s1, e1, s2, e2)
 				}
-				for _, pair := range [][2]*sim.Resource{
-					{got.planes[plane], want.planes[plane]},
-					{got.planeChip[plane], want.planeChip[plane]},
-					{got.planeChannel[plane], want.planeChannel[plane]},
+				for _, r := range []struct {
+					name      string
+					got, want *sim.Resource
+				}{
+					{"plane", got.planes[plane], want.planes[plane]},
+					{"chipbus", got.planeChip[plane], want.planeChip[plane]},
+					{"channel", got.planeChannel[plane], want.planeChannel[plane]},
 				} {
-					if !bytes.Equal(timelineBytes(pair[0]), timelineBytes(pair[1])) {
-						t.Fatalf("op %d (%d on plane %d, ready %d): %s timeline differs from the phase-by-phase one", i, kind, plane, ready, pair[0].Name())
+					if !bytes.Equal(timelineBytes(r.got), timelineBytes(r.want)) {
+						t.Fatalf("op %d (%d on plane %d, ready %d): %s timeline differs from the phase-by-phase one", i, kind, plane, ready, r.name)
 					}
 				}
 			}

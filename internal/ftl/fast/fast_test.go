@@ -66,9 +66,8 @@ func TestInPlaceFirstWrite(t *testing.T) {
 	db := geo.BlockOf(f.Lookup(0))
 	for off := 0; off < 8; off++ {
 		ppn := f.Lookup(ftl.LPN(off))
-		if geo.BlockOf(ppn) != db || geo.PageOf(ppn) != off {
-			t.Fatalf("lpn %d at %v offset %d, want %v offset %d",
-				off, geo.BlockOf(ppn), geo.PageOf(ppn), db, off)
+		if want := geo.FirstPPN(db) + flash.PPN(off); ppn != want {
+			t.Fatalf("lpn %d at ppn %d, want %d (%v offset %d)", off, ppn, want, db, off)
 		}
 	}
 	if f.LogBlocksInUse() != 0 {

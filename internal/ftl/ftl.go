@@ -86,13 +86,17 @@ func ExportedPages(geo flash.Geometry, extraPerPlane int) LPN {
 	return LPN(int64(geo.Planes()) * int64(data) * int64(geo.PagesPerBlock))
 }
 
+// GCThreshold is the free-block count below which a pool triggers garbage
+// collection: the paper's 3. No figure of the paper varies it.
+const GCThreshold = 3
+
 // ExtraBlocksPerPlane converts the paper's "percentage of extra blocks"
 // (extra as a fraction of data blocks) into a per-plane block count, rounding
-// up and keeping at least the GC threshold + 1 so collection always has room.
-func ExtraBlocksPerPlane(blocksPerPlane int, extraPct float64, gcThreshold int) int {
+// up and keeping at least GCThreshold + 1 so collection always has room.
+func ExtraBlocksPerPlane(blocksPerPlane int, extraPct float64) int {
 	// blocksPerPlane = data + extra, extra = data*pct  =>  extra = total*pct/(1+pct)
 	extra := int(float64(blocksPerPlane)*extraPct/(1+extraPct) + 0.999999)
-	if min := gcThreshold + 1; extra < min {
+	if min := GCThreshold + 1; extra < min {
 		extra = min
 	}
 	if extra >= blocksPerPlane {

@@ -55,16 +55,16 @@ func TestExportedPages(t *testing.T) {
 
 func TestExtraBlocksPerPlane(t *testing.T) {
 	// 3% of 2048 data blocks: extra = total*pct/(1+pct).
-	got := ExtraBlocksPerPlane(2110, 0.03, 3)
+	got := ExtraBlocksPerPlane(2110, 0.03)
 	if got < 61 || got > 63 {
 		t.Errorf("3%% of ~2048: got %d, want ≈62", got)
 	}
-	// Tiny pools clamp to gcThreshold+1.
-	if got := ExtraBlocksPerPlane(10, 0.01, 3); got != 4 {
+	// Tiny pools clamp to GCThreshold+1.
+	if got := ExtraBlocksPerPlane(10, 0.01); got != 4 {
 		t.Errorf("clamp: got %d, want 4", got)
 	}
 	// Never consumes the whole plane.
-	if got := ExtraBlocksPerPlane(5, 0.99, 3); got >= 5 {
+	if got := ExtraBlocksPerPlane(5, 0.99); got >= 5 {
 		t.Errorf("overflow: got %d", got)
 	}
 }
@@ -165,7 +165,7 @@ func TestTrackerVictimSelection(t *testing.T) {
 		t.Fatalf("after Take: %v, want b1", pb)
 	}
 	tr.Erased(b2)
-	if tr.Invalid(b2) != 0 {
+	if int(tr.invalid[tr.geo.BlockIndex(b2)]) != 0 {
 		t.Fatal("Erased did not reset count")
 	}
 

@@ -21,8 +21,8 @@ func TestPlaneObliviousAllocation(t *testing.T) {
 		}
 		at = end
 		ppn := f.Lookup(lpn)
-		if geo.PlaneOf(ppn) != 0 {
-			t.Fatalf("lpn %d on plane %d, want 0", lpn, geo.PlaneOf(ppn))
+		if geo.BlockOf(ppn).Plane != 0 {
+			t.Fatalf("lpn %d on plane %d, want 0", lpn, geo.BlockOf(ppn).Plane)
 		}
 	}
 	// Consecutive writes on one plane serialize: total time ~ 8x a single
@@ -54,8 +54,8 @@ func TestTranslationPagesStartOnPlaneZero(t *testing.T) {
 			continue
 		}
 		found = true
-		if geo.PlaneOf(ppn) != 0 {
-			t.Fatalf("early translation page on plane %d, want 0 (plane-major allocation)", geo.PlaneOf(ppn))
+		if geo.BlockOf(ppn).Plane != 0 {
+			t.Fatalf("early translation page on plane %d, want 0 (plane-major allocation)", geo.BlockOf(ppn).Plane)
 		}
 	}
 	if !found {

@@ -28,8 +28,8 @@ func TestEquationOnePlacement(t *testing.T) {
 		}
 		at = end
 		ppn := f.Lookup(lpn)
-		if want := int(int64(lpn) % int64(geo.Planes())); geo.PlaneOf(ppn) != want {
-			t.Fatalf("lpn %d placed on plane %d, want %d", lpn, geo.PlaneOf(ppn), want)
+		if want := int(int64(lpn) % int64(geo.Planes())); geo.BlockOf(ppn).Plane != want {
+			t.Fatalf("lpn %d placed on plane %d, want %d", lpn, geo.BlockOf(ppn).Plane, want)
 		}
 	}
 }
@@ -53,7 +53,7 @@ func TestUpdateStaysOnPlane(t *testing.T) {
 	if cur == first {
 		t.Fatal("update did not relocate the page")
 	}
-	if geo.PlaneOf(cur) != geo.PlaneOf(first) {
+	if geo.BlockOf(cur).Plane != geo.BlockOf(first).Plane {
 		t.Fatal("update left the original plane")
 	}
 	if dev.PageState(first) != flash.PageInvalid {
@@ -135,8 +135,8 @@ func TestTranslationPagesStriped(t *testing.T) {
 			continue
 		}
 		found++
-		if want := tvpn % geo.Planes(); geo.PlaneOf(ppn) != want {
-			t.Fatalf("tvpn %d on plane %d, want %d", tvpn, geo.PlaneOf(ppn), want)
+		if want := tvpn % geo.Planes(); geo.BlockOf(ppn).Plane != want {
+			t.Fatalf("tvpn %d on plane %d, want %d", tvpn, geo.BlockOf(ppn).Plane, want)
 		}
 	}
 	if found == 0 {
@@ -188,7 +188,7 @@ func TestReadUnwrittenIsFree(t *testing.T) {
 
 func TestAdaptiveThreshold(t *testing.T) {
 	f, _ := newTestFTL(t, Config{Layout: layout(t, "DLOOP"), AdaptiveGC: true})
-	base := f.cfg.GCThreshold
+	base := ftl.GCThreshold
 	// No writes yet: base threshold.
 	if got := f.thresholdFor(0); got != base {
 		t.Fatalf("cold threshold %d, want %d", got, base)

@@ -104,9 +104,6 @@ type Config struct {
 	// CMTEntries is the SRAM mapping-cache capacity of a demand-paged layout
 	// (default 4096).
 	CMTEntries int
-	// GCThreshold triggers garbage collection when a pool (the plane's, or
-	// the device's on a global layout) drops below it (the paper uses 3).
-	GCThreshold int
 	// ExtraPerPlane is the number of over-provisioned blocks per plane,
 	// excluded from the exported capacity (§III.C).
 	ExtraPerPlane int
@@ -127,9 +124,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.CMTEntries == 0 {
 		c.CMTEntries = 4096
-	}
-	if c.GCThreshold == 0 {
-		c.GCThreshold = 3
 	}
 }
 
@@ -175,9 +169,9 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 	cfg.setDefaults()
 	geo := dev.Geometry()
 	l := cfg.Layout
-	if cfg.ExtraPerPlane < cfg.GCThreshold+1 {
-		return nil, fmt.Errorf("pagemap: ExtraPerPlane %d must exceed GCThreshold %d",
-			cfg.ExtraPerPlane, cfg.GCThreshold)
+	if cfg.ExtraPerPlane < ftl.GCThreshold+1 {
+		return nil, fmt.Errorf("pagemap: ExtraPerPlane %d must exceed the GC threshold %d",
+			cfg.ExtraPerPlane, ftl.GCThreshold)
 	}
 	if cfg.ExtraPerPlane >= geo.BlocksPerPlane {
 		return nil, fmt.Errorf("pagemap: ExtraPerPlane %d leaves no data blocks", cfg.ExtraPerPlane)
@@ -268,15 +262,6 @@ func (f *FTL) Stats() Stats {
 
 // GCPolicyName reports the victim-selection policy in effect.
 func (f *FTL) GCPolicyName() string { return f.engine.PolicyName() }
-
-// TranslatePolicyName reports the address-translation policy in effect
-// (empty for the ideal table).
-func (f *FTL) TranslatePolicyName() string {
-	if f.mapper == nil {
-		return ""
-	}
-	return f.mapper.Policy().String()
-}
 
 // LearnedSegments reports the learned index's live segment count (0 unless
 // the learned translation policy is active).
@@ -429,7 +414,7 @@ func (f *FTL) PlacePage(stored int64, ready sim.Time) (flash.PPN, sim.Time, erro
 // carrying more than their fair share of writes keep up to 3x the base
 // threshold in free blocks.
 func (f *FTL) thresholdFor(plane int) int {
-	base := f.cfg.GCThreshold
+	base := ftl.GCThreshold
 	if !f.cfg.AdaptiveGC || f.totalWrites == 0 {
 		return base
 	}
@@ -498,7 +483,7 @@ type hooks struct{ f *FTL }
 
 func (h hooks) PoolLow(plane int) bool {
 	if h.f.perm == nil {
-		return h.f.pool.Total() < h.f.cfg.GCThreshold
+		return h.f.pool.Total() < ftl.GCThreshold
 	}
 	return h.f.pool.InPlane(plane) < h.f.thresholdFor(plane)
 }

@@ -88,7 +88,7 @@ func TestNewValidation(t *testing.T) {
 			if _, err := New(dev, Config{Layout: l, ExtraPerPlane: 0}); err == nil {
 				t.Error("zero extra accepted")
 			}
-			if _, err := New(dev, Config{Layout: l, ExtraPerPlane: 2, GCThreshold: 3}); err == nil {
+			if _, err := New(dev, Config{Layout: l, ExtraPerPlane: 2}); err == nil {
 				t.Error("extra <= threshold accepted")
 			}
 			if _, err := New(dev, Config{Layout: l, ExtraPerPlane: 16}); err == nil {
@@ -169,8 +169,8 @@ func TestStripedPlacementFollowsEquationOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		at = end
-		if want := int(int64(lpn) % int64(geo.Planes())); geo.PlaneOf(f.Lookup(lpn)) != want {
-			t.Fatalf("lpn %d on plane %d, want %d", lpn, geo.PlaneOf(f.Lookup(lpn)), want)
+		if want := int(int64(lpn) % int64(geo.Planes())); geo.BlockOf(f.Lookup(lpn)).Plane != want {
+			t.Fatalf("lpn %d on plane %d, want %d", lpn, geo.BlockOf(f.Lookup(lpn)).Plane, want)
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestUnstripedAppendsPlaneMajor(t *testing.T) {
 			t.Fatal(err)
 		}
 		at = end
-		if geo.PlaneOf(f.Lookup(lpn)) != 0 {
+		if geo.BlockOf(f.Lookup(lpn)).Plane != 0 {
 			t.Fatalf("lpn %d not on plane 0", lpn)
 		}
 	}

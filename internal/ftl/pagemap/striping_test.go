@@ -114,8 +114,8 @@ func TestStripingKeepsUpdateLocality(t *testing.T) {
 			if ppn == flash.InvalidPPN {
 				continue
 			}
-			if want := f.perm[int64(lpn)%int64(geo.Planes())]; geo.PlaneOf(ppn) != want {
-				t.Fatalf("%s: lpn %d on plane %d, want %d", policy, lpn, geo.PlaneOf(ppn), want)
+			if want := f.perm[int64(lpn)%int64(geo.Planes())]; geo.BlockOf(ppn).Plane != want {
+				t.Fatalf("%s: lpn %d on plane %d, want %d", policy, lpn, geo.BlockOf(ppn).Plane, want)
 			}
 		}
 	}

@@ -83,11 +83,6 @@ func (t *Tracker) Erased(pb flash.PlaneBlock) {
 	t.invalid[bi] = 0
 }
 
-// Invalid returns the tracked invalid-page count of pb.
-func (t *Tracker) Invalid(pb flash.PlaneBlock) int {
-	return int(t.invalid[t.geo.BlockIndex(pb)])
-}
-
 // MaxInPlane returns the candidate with the most invalid pages on one plane.
 // ok is false if the plane has no candidate with at least one invalid page.
 func (t *Tracker) MaxInPlane(plane int) (pb flash.PlaneBlock, invalid int, ok bool) {

@@ -73,9 +73,9 @@ func TestTrackerModelProperty(t *testing.T) {
 						t.Fatalf("seed %d step %d: MaxInPlane returned %v (cand=%v inv=%d), want inv=%d",
 							seed, step, got, s.candidate, s.invalid, wantInv)
 					}
-					if tr.Invalid(got) != wantInv {
+					if int(tr.invalid[tr.geo.BlockIndex(got)]) != wantInv {
 						t.Fatalf("seed %d step %d: tracker.Invalid(%v)=%d, model %d",
-							seed, step, got, tr.Invalid(got), wantInv)
+							seed, step, got, int(tr.invalid[tr.geo.BlockIndex(got)]), wantInv)
 					}
 				}
 			}

@@ -150,9 +150,6 @@ func (c *Cache) release(h int32) {
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return c.n }
 
-// Capacity returns the maximum number of entries.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // HitRate returns the fraction of Get calls that hit, and the totals.
 func (c *Cache) HitRate() (rate float64, hits, misses int64) {
 	if c.hits+c.misses == 0 {

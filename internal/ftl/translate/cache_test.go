@@ -55,7 +55,7 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	if !c.Contains(1) || c.Contains(2) {
 		t.Fatal("Contains wrong")
 	}
-	if c.Len() != 1 || c.Capacity() != 4 {
+	if c.Len() != 1 || c.capacity != 4 {
 		t.Fatal("len/capacity wrong")
 	}
 }
@@ -262,7 +262,7 @@ func TestCacheModelProperty(t *testing.T) {
 					}
 				}
 			}
-			if c.Len() > c.Capacity() {
+			if c.Len() > c.capacity {
 				return false
 			}
 		}

@@ -200,7 +200,7 @@ func FuzzDecodeTranslateState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, m := range engines {
 			if alloc, _ := decodeAllocs(m, data); alloc > allocBound(len(data)) {
-				t.Fatalf("%v: allocated %d bytes decoding %d", m.Policy(), alloc, len(data))
+				t.Fatalf("%v: allocated %d bytes decoding %d", m.policy, alloc, len(data))
 			}
 		}
 	})

@@ -107,9 +107,6 @@ func (m *Engine) PPN(lpn ftl.LPN) flash.PPN { return m.table.Get(int64(lpn)) }
 // Stats returns the accumulated translation overhead counters.
 func (m *Engine) Stats() Stats { return m.stats }
 
-// Policy reports the translation policy in effect.
-func (m *Engine) Policy() Policy { return m.policy }
-
 // SetRecorder attaches (or, with nil, detaches) an observability recorder
 // for cache hit/miss/evict/write-back and translation-traffic events.
 func (m *Engine) SetRecorder(r obs.Recorder) { m.rec = r }
@@ -121,7 +118,7 @@ func (m *Engine) TVPN(lpn ftl.LPN) int64 { return int64(lpn) / int64(m.entriesPe
 func (m *Engine) TranslationPages() int { return m.GTD.Len() }
 
 // LearnedSegments reports the live learned-segment count (0 unless the
-// learned policy is active). Tests and telemetry use it.
+// learned policy is active).
 func (m *Engine) LearnedSegments() int {
 	if m.li == nil {
 		return 0

@@ -99,8 +99,8 @@ func TestEngineGeometryDerived(t *testing.T) {
 	if m.TVPN(0) != 0 || m.TVPN(63) != 0 {
 		t.Fatal("TVPN wrong")
 	}
-	if m.Policy() != PolicySLRU {
-		t.Fatalf("Policy = %v", m.Policy())
+	if m.policy != PolicySLRU {
+		t.Fatalf("Policy = %v", m.policy)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -41,8 +40,6 @@ type Options struct {
 	// TraceLimit caps buffered trace events (0 = DefaultTraceLimit). Events
 	// beyond the cap are dropped and counted in the trace.dropped metric.
 	TraceLimit int
-	// OpLog, when non-nil, receives one JSON line per flash operation.
-	OpLog io.Writer
 	// SnapshotInterval emits SDRPP/utilization/throughput snapshots into the
 	// registry's time series every interval of simulated time (0 = off).
 	SnapshotInterval sim.Duration
@@ -78,8 +75,7 @@ type Collector struct {
 	chanOps     *CounterVec
 	victimValid *CounterVec // victims by valid-page count; nil without PagesPerBlock
 
-	tr    *TraceWriter
-	oplog *OpLog
+	tr *TraceWriter
 
 	// Snapshot state: watermark is the latest completion seen; the window
 	// accumulators reset at every snapshot boundary.
@@ -103,10 +99,7 @@ type Collector struct {
 	// zeroes the parent's own interval (ops flow through the children, so
 	// parent windows would be empty rows) but children inherit it.
 	snapIv sim.Duration
-	// oplogBuf, on a child, backs its oplog so the parent can splice the
-	// lines into the real sink at Close.
-	oplogBuf *bytes.Buffer
-	closed   bool
+	closed bool
 }
 
 // NewCollector builds a Collector. Planes and Channels must be positive.
@@ -159,9 +152,6 @@ func NewCollector(opts Options) *Collector {
 		}
 		c.tr = newTraceWriter(opts.TraceEvents, opts.TraceLimit, opts.Channels, opts.ChannelOfPlane, shards, opts.ShardOfChannel)
 	}
-	if opts.OpLog != nil {
-		c.oplog = newOpLog(opts.OpLog)
-	}
 	if opts.SnapshotInterval > 0 {
 		c.nextSnap = sim.Time(opts.SnapshotInterval)
 	}
@@ -201,9 +191,6 @@ func (c *Collector) RecordOp(op Op) {
 			dur:    op.ServiceTime(),
 			stored: op.Stored,
 		})
-	}
-	if c.oplog != nil {
-		c.oplog.record(op)
 	}
 }
 
@@ -383,8 +370,8 @@ func (c *Collector) foldGauges(dst *Registry) {
 // Close finalizes the run: it flushes trailing partial snapshot windows,
 // merges every shard child into the registry and trace buffer (in shard
 // order, so the merge is deterministic), samples the utilization source,
-// folds span gauges into the registry, and flushes the trace and op-log
-// sinks. It returns the first sink error.
+// folds span gauges into the registry, and flushes the trace sink. It
+// returns the sink's error.
 func (c *Collector) Close() error {
 	c.flushTrailing()
 	for _, ch := range c.children {
@@ -396,27 +383,12 @@ func (c *Collector) Close() error {
 	}
 	c.foldGauges(c.reg)
 	c.closed = true
-	var firstErr error
 	if c.tr != nil {
 		if err := c.tr.Flush(); err != nil {
-			firstErr = fmt.Errorf("obs: trace events: %w", err)
+			return fmt.Errorf("obs: trace events: %w", err)
 		}
 	}
-	if c.oplog != nil {
-		for _, ch := range c.children {
-			if ch.col.oplog == nil {
-				continue
-			}
-			if err := ch.col.oplog.Flush(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("obs: op log (shard %d): %w", ch.opt.Index, err)
-			}
-			c.oplog.append(ch.col.oplogBuf.Bytes())
-		}
-		if err := c.oplog.Flush(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("obs: op log: %w", err)
-		}
-	}
-	return firstErr
+	return nil
 }
 
 // WriteMetrics writes the registry as a metrics.json document.

@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: a metrics registry of
 // named counters, gauges, and latency histograms; a structured trace of every
-// scheduled flash operation exportable as JSONL and as Chrome
-// trace-event/Perfetto timelines; and periodic snapshots that turn per-plane
+// scheduled flash operation exportable as Chrome trace-event/Perfetto
+// timelines; and periodic snapshots that turn per-plane
 // load balance (SDRPP) and utilization into time series.
 //
 // The layer is threaded through the stack as a nil-able Recorder held by the

@@ -12,8 +12,8 @@ import (
 func ms(n int64) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
 
 // testCollector builds a 2-channel, 4-plane collector (planes 0,1 on channel
-// 0; planes 2,3 on channel 1) with the given sinks.
-func testCollector(tr, oplog *bytes.Buffer, snap sim.Duration) *Collector {
+// 0; planes 2,3 on channel 1) with the given trace sink.
+func testCollector(tr *bytes.Buffer, snap sim.Duration) *Collector {
 	o := Options{
 		FTL:            "DLOOP",
 		Planes:         4,
@@ -24,9 +24,6 @@ func testCollector(tr, oplog *bytes.Buffer, snap sim.Duration) *Collector {
 	}
 	if tr != nil {
 		o.TraceEvents = tr
-	}
-	if oplog != nil {
-		o.OpLog = oplog
 	}
 	return NewCollector(o)
 }
@@ -41,7 +38,7 @@ func opAt(kind OpKind, cause Cause, plane int32, ready, start, end sim.Time) Op 
 }
 
 func TestCollectorCountsAndVectors(t *testing.T) {
-	c := testCollector(nil, nil, 0)
+	c := testCollector(nil, 0)
 	c.RecordOp(opAt(OpWrite, CauseHost, 0, 0, ms(0), ms(1)))
 	c.RecordOp(opAt(OpWrite, CauseGC, 1, ms(1), ms(1), ms(2)))
 	c.RecordOp(opAt(OpRead, CauseMap, 2, ms(2), ms(2), ms(3)))
@@ -68,13 +65,13 @@ func TestCollectorCountsAndVectors(t *testing.T) {
 			t.Errorf("counter %q = %d, want %d", name, got, want)
 		}
 	}
-	if got := reg.CounterVec("plane.ops", "plane", 4).Values(); got[0] != 1 || got[1] != 1 || got[2] != 1 || got[3] != 2 {
+	if got := reg.vecs["plane.ops"].vals; got[0] != 1 || got[1] != 1 || got[2] != 1 || got[3] != 2 {
 		t.Errorf("plane.ops = %v", got)
 	}
-	if got := reg.CounterVec("channel.ops", "channel", 2).Values(); got[0] != 2 || got[1] != 3 {
+	if got := reg.vecs["channel.ops"].vals; got[0] != 2 || got[1] != 3 {
 		t.Errorf("channel.ops = %v", got)
 	}
-	if got := reg.CounterVec("plane.erases", "plane", 4).Values(); got[3] != 1 {
+	if got := reg.vecs["plane.erases"].vals; got[3] != 1 {
 		t.Errorf("plane.erases = %v", got)
 	}
 	if got := reg.Hist("host.write").N(); got != 1 {
@@ -87,13 +84,13 @@ func TestCollectorCountsAndVectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The GC span covered 3 ms.
-	if got := reg.Gauge("gc.busy_ms").Value(); got != 3 {
+	if got := reg.Gauge("gc.busy_ms").v; got != 3 {
 		t.Errorf("gc.busy_ms = %v, want 3", got)
 	}
 }
 
 func TestCollectorSnapshots(t *testing.T) {
-	c := testCollector(nil, nil, sim.Millisecond)
+	c := testCollector(nil, sim.Millisecond)
 	// Two ops in window [0,1ms), one in [1ms,2ms), then a partial window
 	// [2ms,2.5ms) flushed by Close.
 	c.RecordOp(opAt(OpWrite, CauseHost, 0, 0, 0, ms(1)/2))
@@ -143,7 +140,7 @@ type traceDoc struct {
 // flash op renders with pid = the channel of the plane in tid.
 func TestTraceEventSchema(t *testing.T) {
 	var buf bytes.Buffer
-	c := testCollector(&buf, nil, 0)
+	c := testCollector(&buf, 0)
 	chanOfPlane := []int32{0, 0, 1, 1}
 	// Deliberately record out of order: backfill schedules into past gaps, and
 	// the writer must sort at flush.
@@ -230,39 +227,8 @@ func TestTraceWriterCapDrops(t *testing.T) {
 	if doc.OtherData.Dropped != 3 {
 		t.Errorf("dropped = %d, want 3", doc.OtherData.Dropped)
 	}
-	if got := c.Registry().Gauge("trace.dropped").Value(); got != 3 {
+	if got := c.Registry().Gauge("trace.dropped").v; got != 3 {
 		t.Errorf("trace.dropped gauge = %v, want 3", got)
-	}
-}
-
-func TestOpLogJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	c := testCollector(nil, &buf, 0)
-	c.RecordOp(opAt(OpErase, CauseGC, 3, ms(1), ms(2), ms(4)))
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("op log lines = %d, want 1", len(lines))
-	}
-	var rec struct {
-		Kind    string `json:"kind"`
-		Cause   string `json:"cause"`
-		Plane   int32  `json:"plane"`
-		Channel int32  `json:"channel"`
-		ReadyNs int64  `json:"ready_ns"`
-		StartNs int64  `json:"start_ns"`
-		EndNs   int64  `json:"end_ns"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("op log line is not JSON: %v: %s", err, lines[0])
-	}
-	if rec.Kind != "erase" || rec.Cause != "gc" || rec.Plane != 3 || rec.Channel != 1 {
-		t.Errorf("op log record: %+v", rec)
-	}
-	if !(rec.ReadyNs < rec.StartNs && rec.StartNs < rec.EndNs) {
-		t.Errorf("timestamps not ordered: %+v", rec)
 	}
 }
 
@@ -270,7 +236,7 @@ func TestOpLogJSONL(t *testing.T) {
 // the document must parse.
 func TestRegistryJSONDeterministic(t *testing.T) {
 	build := func() *Collector {
-		c := testCollector(nil, nil, sim.Millisecond)
+		c := testCollector(nil, sim.Millisecond)
 		c.RecordOp(opAt(OpWrite, CauseHost, 1, 0, 0, ms(1)))
 		c.RecordOp(opAt(OpRead, CauseMap, 2, ms(1), ms(1), ms(2)))
 		c.RecordEvent(EvCMTMiss, ms(2))

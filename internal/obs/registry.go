@@ -28,9 +28,6 @@ type Gauge struct{ v float64 }
 // Set overwrites the gauge's value.
 func (g *Gauge) Set(v float64) { g.v = v }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Hist is a latency distribution: a streaming mean/extremes accumulator in
 // milliseconds plus a logarithmic histogram for quantiles, both reused from
 // the stats package.
@@ -47,9 +44,6 @@ func (h *Hist) Observe(d sim.Duration) {
 
 // N returns the sample count.
 func (h *Hist) N() int64 { return h.w.N() }
-
-// MeanMs returns the sample mean in milliseconds.
-func (h *Hist) MeanMs() float64 { return h.w.Mean() }
 
 // Quantile returns the approximate q-quantile.
 func (h *Hist) Quantile(q float64) sim.Duration { return h.h.Quantile(q) }
@@ -87,9 +81,6 @@ func (v *CounterVec) Inc(i int) { v.vals[i]++ }
 
 // Add adds d to slot i.
 func (v *CounterVec) Add(i int, d int64) { v.vals[i] += d }
-
-// Values returns the live backing slice (callers must not modify it).
-func (v *CounterVec) Values() []int64 { return v.vals }
 
 // Registry holds a run's named metrics. Names are created on first use and
 // stable for the lifetime of the registry. Like the simulator, it is not

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"strconv"
 )
 
@@ -61,7 +60,7 @@ var perShardHists = map[string]bool{
 // Shard returns the child collector for one FTL shard, creating it on first
 // use (repeat calls with the same Index return the same child, so
 // re-attaching a recorder resumes its stream). The child inherits the
-// parent's snapshot interval and trace/oplog buffering; the parent's own
+// parent's snapshot interval and trace buffering; the parent's own
 // snapshot series switch off, since in a multi-queue run every flash
 // operation flows through a child and the parent's windows would be empty.
 func (c *Collector) Shard(o ShardOptions) *Collector {
@@ -81,10 +80,6 @@ func (c *Collector) Shard(o ShardOptions) *Collector {
 		// The child buffers locally (flat local layout, never flushed); the
 		// parent translates the events into its own sharded buffer at Close.
 		child.tr = newTraceWriter(nil, c.tr.limit, o.Channels, o.ChannelOfPlane, 0, nil)
-	}
-	if c.oplog != nil {
-		child.oplogBuf = &bytes.Buffer{}
-		child.oplog = newOpLog(child.oplogBuf)
 	}
 	c.opts.SnapshotInterval = 0
 	c.children = append(c.children, &shardChild{col: child, opt: o})

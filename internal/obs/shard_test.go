@@ -92,7 +92,7 @@ func TestLatencySummaryTailFields(t *testing.T) {
 
 func TestRecordGCSpan(t *testing.T) {
 	var buf bytes.Buffer
-	c := testCollector(&buf, nil, 0)
+	c := testCollector(&buf, 0)
 	c.RecordGCSpan(1, ms(2), ms(5), "greedy", 7, 2)
 	c.RecordGCSpan(3, ms(5), ms(6), "costbenefit", 3, 0)
 	reg := c.Registry()
@@ -105,13 +105,13 @@ func TestRecordGCSpan(t *testing.T) {
 	if got := reg.Hist("gc.pause").N(); got != 2 {
 		t.Errorf("gc.pause N = %d, want 2", got)
 	}
-	if got := reg.Hist("gc.pause").MeanMs(); got != 2 {
+	if got := reg.Hist("gc.pause").w.Mean(); got != 2 {
 		t.Errorf("gc.pause mean = %v ms, want 2 (pauses of 3ms and 1ms)", got)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Gauge("gc.busy_ms").Value(); got != 4 {
+	if got := reg.Gauge("gc.busy_ms").v; got != 4 {
 		t.Errorf("gc.busy_ms = %v, want 4", got)
 	}
 	var doc traceDoc
@@ -172,10 +172,10 @@ func TestShardMergeFoldsChildren(t *testing.T) {
 	}
 	// Local planes 0,1 of shard 1 are global planes 2,3; an identity merge
 	// would pile everything onto planes 0,1 / channel 0 instead.
-	if got := reg.CounterVec("plane.ops", "plane", 4).Values(); got[0] != 1 || got[1] != 1 || got[2] != 1 || got[3] != 1 {
+	if got := reg.vecs["plane.ops"].vals; got[0] != 1 || got[1] != 1 || got[2] != 1 || got[3] != 1 {
 		t.Errorf("plane.ops = %v, want [1 1 1 1] (shard-local indices leaked?)", got)
 	}
-	if got := reg.CounterVec("channel.ops", "channel", 2).Values(); got[0] != 2 || got[1] != 2 {
+	if got := reg.vecs["channel.ops"].vals; got[0] != 2 || got[1] != 2 {
 		t.Errorf("channel.ops = %v, want [2 2]", got)
 	}
 	if got := reg.Hist("mq.lat").N(); got != 2 {
@@ -184,7 +184,7 @@ func TestShardMergeFoldsChildren(t *testing.T) {
 	if got := reg.Hist("mq.lat.shard0").N(); got != 1 {
 		t.Errorf("mq.lat.shard0 N = %d, want 1", got)
 	}
-	if got := reg.Hist("mq.lat.shard1").MeanMs(); got != 3 {
+	if got := reg.Hist("mq.lat.shard1").w.Mean(); got != 3 {
 		t.Errorf("mq.lat.shard1 mean = %v, want 3", got)
 	}
 	if got := reg.Hist("gc.pause.shard1").N(); got != 1 {
@@ -198,7 +198,7 @@ func TestShardMergeFoldsChildren(t *testing.T) {
 		t.Error("parent emitted its own ops series in a sharded run")
 	}
 	// GC busy time folds from the child's span ledger.
-	if got := reg.Gauge("gc.busy_ms").Value(); got != 2 {
+	if got := reg.Gauge("gc.busy_ms").v; got != 2 {
 		t.Errorf("gc.busy_ms = %v, want 2", got)
 	}
 }

@@ -174,41 +174,3 @@ var opNames = func() (names [NumOpKinds][NumCauses]string) {
 	}
 	return
 }()
-
-// OpLog streams one JSON line per flash operation: kind, cause, stored tag,
-// plane, channel, and the ready/start/end timestamps in nanoseconds.
-type OpLog struct {
-	bw  *bufio.Writer
-	err error
-}
-
-func newOpLog(w io.Writer) *OpLog {
-	return &OpLog{bw: bufio.NewWriterSize(w, 1<<16)}
-}
-
-func (l *OpLog) record(op Op) {
-	if l.err != nil {
-		return
-	}
-	_, l.err = fmt.Fprintf(l.bw,
-		"{\"kind\":%q,\"cause\":%q,\"stored\":%d,\"plane\":%d,\"channel\":%d,\"ready_ns\":%d,\"start_ns\":%d,\"end_ns\":%d}\n",
-		op.Kind.String(), op.Cause.String(), op.Stored, op.Plane, op.Channel,
-		int64(op.Ready), int64(op.Start), int64(op.End))
-}
-
-// append splices raw, already-formatted lines (a child shard's buffered log)
-// into the stream.
-func (l *OpLog) append(b []byte) {
-	if l.err != nil {
-		return
-	}
-	_, l.err = l.bw.Write(b)
-}
-
-// Flush drains the buffer and returns the first write error encountered.
-func (l *OpLog) Flush() error {
-	if l.err != nil {
-		return l.err
-	}
-	return l.bw.Flush()
-}

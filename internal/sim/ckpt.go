@@ -34,7 +34,7 @@ func (r *Resource) DecodeState(rd *ckpt.Reader) {
 		return
 	}
 	*r = Resource{
-		name: r.name, free: solidUntil, solidUntil: solidUntil,
+		free: solidUntil, solidUntil: solidUntil,
 		buf: r.buf[:0], busyFor: busyFor, ops: ops,
 	}
 	for i := 0; i < n; i++ {

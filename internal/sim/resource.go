@@ -42,7 +42,6 @@ type Resource struct {
 	cur     int
 	busyFor Duration
 	ops     int64
-	name    string
 }
 
 type interval struct {
@@ -54,13 +53,11 @@ type interval struct {
 // gaps while bounding what a search far from the cursor can cost.
 const retainIntervals = 64
 
-// NewResource returns an idle resource with the given diagnostic name.
+// NewResource returns an idle resource. The name labels it at the call site
+// only: nothing reads it back, so the resource does not keep it.
 func NewResource(name string) *Resource {
-	return &Resource{name: name}
+	return &Resource{}
 }
-
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
 
 // FreeAt returns the time the resource's last scheduled occupation ends —
 // the earliest start for an operation that must follow everything scheduled
@@ -74,7 +71,7 @@ func (r *Resource) BusyTime() Duration { return r.busyFor }
 // The SSD controller uses it to discard preconditioning activity. The
 // backing array is kept, so a reset resource stays allocation-free.
 func (r *Resource) Reset() {
-	*r = Resource{name: r.name, buf: r.buf[:0]}
+	*r = Resource{buf: r.buf[:0]}
 }
 
 // fit returns the earliest start >= ready at which a duration d fits into

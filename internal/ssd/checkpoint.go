@@ -89,7 +89,7 @@ var snapshotSizes sync.Map
 //
 // Restore fails on a checkpoint that does not match this controller or whose
 // body does not decode. A body can fail halfway through, leaving the state
-// partly overwritten, so after any failure Enqueue, EnqueueBatch, Serve, Run,
+// partly overwritten, so after any failure EnqueueBatch, Serve, Run,
 // Precondition, Snapshot and Recover return the error too (and Result is
 // empty) until a later Restore succeeds.
 func (c *Controller) Restore(cp *Checkpoint) error {

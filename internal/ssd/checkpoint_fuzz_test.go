@@ -107,7 +107,7 @@ func taglessValidPage(tb testing.TB, c *Controller, data []byte) []byte {
 // FuzzDecodeCheckpoint feeds arbitrary bytes to DecodeCheckpoint and, when it
 // accepts them, to Restore, on a controller of each seed's configuration.
 // Neither may panic or allocate more than the bytes given back. A Restore
-// that fails leaves the controller refusing Enqueue, Run, Snapshot and
+// that fails leaves the controller refusing EnqueueBatch, Run, Snapshot and
 // Result with that error until a later Restore succeeds; a DecodeCheckpoint
 // that fails leaves it untouched.
 func FuzzDecodeCheckpoint(f *testing.F) {
@@ -151,7 +151,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 				}
 				continue
 			}
-			if !errors.Is(c.Err(), err) || !errors.Is(c.Enqueue(probe), err) {
+			if !errors.Is(c.Err(), err) || !errors.Is(c.EnqueueBatch([]trace.Request{probe}), err) {
 				t.Fatalf("%s: after a failed Restore (%v), Err %v", c.cfg.FTL, err, c.Err())
 			}
 			if _, rerr := c.Run(trace.NewSliceReader(nil)); !errors.Is(rerr, err) {

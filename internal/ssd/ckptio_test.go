@@ -410,12 +410,12 @@ func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "08a8584f96b3686302e8a9d66ee08dcb873a5628feefe3ca3e5185fe5d1b83eb"},
-		{SchemeDLOOP, "learned", "51dec49c193dbbd3daf906152b710b57db1d95686268d2fa088579fc93c01fad"},
-		{SchemeDFTL, "", "87afb23d868ab8ba50dc6651e23f0196d0494c2c6f1f6a8773525e7d94d59f74"},
-		{SchemeFAST, "", "04490d025dd54203a801bba3da418bff58aa6b3e71ffe0a5b69c315a175b65a1"},
-		{SchemePureMap, "", "fa005f273f7dc59d1016541e15efe800f0f260d36957b72c5b804c9092a0d6e1"},
-		{SchemePureMapStriped, "", "52869bce67532b715984fb63990a04ae542342a87f154c8945854e2ea2a3345c"},
+		{SchemeDLOOP, "", "6f7fadfdc1eb49b1cd5e37707753ca36351494cec965642571f266df74b92754"},
+		{SchemeDLOOP, "learned", "391a92bb5729032f97344b962be6168955983c06df21aeb921ac8beffc3660f6"},
+		{SchemeDFTL, "", "1f248a6f5694a36daa5186ce985e9a267f9333ec2c701d9baf527d464acf16bb"},
+		{SchemeFAST, "", "95646a311f9f98ef87aa80b3edb756b1d9a8cc0e1c105b431eb3deb8e03de707"},
+		{SchemePureMap, "", "68e25e973e64aa929e9ec124ccc8eb3e0a140e1d77ba64ed7fdf8713038be3ee"},
+		{SchemePureMapStriped, "", "788e870b12a4ed622c6fcd0b4200538094539c60e086362627b2c0a91eb6aa8f"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {

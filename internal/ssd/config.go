@@ -57,8 +57,6 @@ type Config struct {
 	// CMTEntries sizes the SRAM mapping cache of DLOOP and DFTL (default
 	// 4096 entries = 32 KB at 8 B/entry).
 	CMTEntries int
-	// GCThreshold is the free-block trigger (the paper's 3).
-	GCThreshold int
 	// GCPolicy selects the garbage-collection victim policy for every
 	// scheme: "greedy" (default for the page-mapping FTLs), "costbenefit",
 	// "windowed", or "fifo" (FAST's default log-block eviction). Empty keeps
@@ -91,15 +89,13 @@ type Config struct {
 	// values are reduced to the largest divisor of the channel count.
 	// Attaching an *obs.Collector keeps the shards concurrent (each shard
 	// records into a private child collector, merged deterministically at
-	// epoch barriers); any other recorder stops the workers, so requests run
-	// inline while it is attached.
+	// epoch barriers); SetRecorder refuses any other recorder on more than
+	// one shard (ErrForeignRecorder).
 	FTLShards int
 
 	// Geometry, when non-nil, overrides the capacity-derived geometry
 	// entirely (tests use miniature devices).
 	Geometry *flash.Geometry
-	// Timing, when non-nil, overrides Table I's latencies.
-	Timing *flash.Timing
 }
 
 func (c *Config) setDefaults() {
@@ -117,9 +113,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CMTEntries == 0 {
 		c.CMTEntries = 4096
-	}
-	if c.GCThreshold == 0 {
-		c.GCThreshold = 3
 	}
 }
 
@@ -203,9 +196,9 @@ func resolveGeometry(cfg Config) (flash.Geometry, int, error) {
 		if err := geo.Validate(); err != nil {
 			return flash.Geometry{}, 0, err
 		}
-		return geo, ftl.ExtraBlocksPerPlane(geo.BlocksPerPlane, cfg.ExtraPct, cfg.GCThreshold), nil
+		return geo, ftl.ExtraBlocksPerPlane(geo.BlocksPerPlane, cfg.ExtraPct), nil
 	}
-	geo, err := GeometryFor(cfg.CapacityGB, cfg.PageSizeKB, cfg.ExtraPct, cfg.GCThreshold)
+	geo, err := GeometryFor(cfg.CapacityGB, cfg.PageSizeKB, cfg.ExtraPct, ftl.GCThreshold)
 	if err != nil {
 		return flash.Geometry{}, 0, err
 	}
@@ -253,7 +246,6 @@ func pageMapConfig(cfg Config, extra int) pagemap.Config {
 		Layout:          l,
 		CMTEntries:      cfg.CMTEntries,
 		TranslatePolicy: cfg.TranslatePolicy,
-		GCThreshold:     cfg.GCThreshold,
 		ExtraPerPlane:   extra,
 		AdaptiveGC:      cfg.AdaptiveGC,
 		GCPolicy:        cfg.GCPolicy,
@@ -288,11 +280,7 @@ func Build(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("ssd: CMTEntries %d exceeds the %d-page logical space (the cache would never evict)", cfg.CMTEntries, space)
 		}
 	}
-	timing := flash.DefaultTiming()
-	if cfg.Timing != nil {
-		timing = *cfg.Timing
-	}
-	shards, err := buildShards(geo, timing, resolveFTLShards(cfg.FTLShards, geo.Channels), func(dev *flash.Device) (ftl.FTL, error) {
+	shards, err := buildShards(geo, flash.DefaultTiming(), resolveFTLShards(cfg.FTLShards, geo.Channels), func(dev *flash.Device) (ftl.FTL, error) {
 		return buildFTL(dev, cfg, extra)
 	})
 	if err != nil {
@@ -353,7 +341,7 @@ func (c *Controller) Recover() (*Controller, error) {
 	cfg.setDefaults()
 	var extra int
 	if cfg.Geometry != nil {
-		extra = ftl.ExtraBlocksPerPlane(cfg.Geometry.BlocksPerPlane, cfg.ExtraPct, cfg.GCThreshold)
+		extra = ftl.ExtraBlocksPerPlane(cfg.Geometry.BlocksPerPlane, cfg.ExtraPct)
 	} else {
 		extra = c.geo.BlocksPerPlane - refBlocksPerPlane*refPageKB/cfg.PageSizeKB
 	}

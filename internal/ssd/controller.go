@@ -37,13 +37,12 @@ type Controller struct {
 
 	cfg Config
 
-	// fe, when non-nil, is the running multi-queue front end over the shards
-	// (see frontend.go): classified requests are dispatched to its workers.
-	// When it is nil they execute inline on the caller's goroutine — always
-	// with one shard, and with several after Close (closed) or while a
-	// recorder that is not an *obs.Collector is attached.
-	fe     *frontEnd
-	closed bool
+	// fe is the multi-queue front end over the shards (see frontend.go):
+	// classified requests are dispatched to its workers. A controller with
+	// several shards runs one from newController to Close. When it is nil
+	// requests execute inline on the caller's goroutine: always with one
+	// shard, and with several after Close.
+	fe *frontEnd
 
 	// disp is EnqueueBatch's classification scratch.
 	disp []dispReq
@@ -132,7 +131,7 @@ func (c *Controller) Device() *flash.Device {
 }
 
 // FTL exposes the flash translation layer in use. It is nil on a multi-shard
-// controller — use ShardFTL there.
+// controller, whose shards each run their own.
 func (c *Controller) FTL() ftl.FTL {
 	if len(c.shards) > 1 {
 		return nil
@@ -193,6 +192,10 @@ func (c *Controller) ObsOptions() obs.Options {
 	return opts
 }
 
+// ErrForeignRecorder is SetRecorder's refusal of a recorder other than an
+// *obs.Collector on a controller with more than one FTL shard.
+var ErrForeignRecorder = errors.New("ssd: a multi-shard controller records only into an *obs.Collector")
+
 // SetRecorder attaches (or, with nil, detaches) an observability recorder to
 // the whole stack: host-request completions here, flash operations at the
 // devices, and GC/merge/CMT activity at the FTLs (via ftl.Observable). When
@@ -200,30 +203,27 @@ func (c *Controller) ObsOptions() obs.Options {
 // busy-time utilization at Close. On a multi-shard controller a collector
 // observes the shards while they run concurrently: each shard records into
 // a private child merged back at barriers. Any other recorder has no merge
-// semantics, so it observes each shard through a wrapper that translates
-// shard-local indices, and the front end's workers stop while it is
-// attached; detaching it restarts them unless the controller is closed.
-// Attach after preconditioning so the stream covers exactly the measured
-// window.
-func (c *Controller) SetRecorder(r obs.Recorder) {
-	// A latched worker error stays sticky in a running front end, and
-	// surfaces at the next request.
+// semantics, so there SetRecorder returns ErrForeignRecorder and changes
+// nothing. Attach after preconditioning so the stream covers exactly the
+// measured window.
+func (c *Controller) SetRecorder(r obs.Recorder) error {
+	col, _ := r.(*obs.Collector)
+	sharded := len(c.shards) > 1
+	if sharded && r != nil && col == nil {
+		return fmt.Errorf("%w, not %T", ErrForeignRecorder, r)
+	}
+	// A latched worker error stays sticky in the front end, and surfaces at
+	// the next request.
 	_ = c.quiesce(false)
 	c.rec = r
-	col, _ := r.(*obs.Collector)
 	if col != nil {
 		col.SetUtilizationSource(c.busyTimes)
-	}
-	sharded, foreign := len(c.shards) > 1, r != nil && col == nil
-	if sharded && foreign {
-		c.stopFrontEnd()
 	}
 	subC := c.geo.Channels / len(c.shards)
 	for _, sh := range c.shards {
 		rec := r // one shard records straight into r; nil detaches
 		sh.mqLat = nil
-		switch {
-		case sharded && col != nil:
+		if sharded && col != nil {
 			child := col.Shard(obs.ShardOptions{
 				Index:          sh.idx,
 				Planes:         len(sh.planeMap),
@@ -233,17 +233,13 @@ func (c *Controller) SetRecorder(r obs.Recorder) {
 				ChanMap:        sh.chanMap,
 			})
 			rec, sh.mqLat = child, child.Registry().Hist("mq.lat")
-		case sharded && foreign:
-			rec = newShardRecorder(r, sh)
 		}
 		sh.dev.SetRecorder(rec)
 		if o, ok := sh.f.(ftl.Observable); ok {
 			o.SetRecorder(rec)
 		}
 	}
-	if sharded && !foreign && c.fe == nil && !c.closed {
-		c.fe = newFrontEnd(c.shards)
-	}
+	return nil
 }
 
 // busyTimes aggregates the shards' cumulative busy times into whole-device
@@ -269,7 +265,7 @@ func (c *Controller) busyTimes() (planes, chipBus, channels []sim.Duration) {
 
 // SetPulse registers fn (nil detaches) to run at quiescent points: after
 // every epoch Flush of the multi-queue front end, and after every request
-// Enqueue serves inline. The collector's SnapshotRegistry is safe to
+// EnqueueBatch serves inline. The collector's SnapshotRegistry is safe to
 // call from inside it, which is how dloopsim's -listen exporter publishes
 // live metrics mid-run. The callback should rate-limit itself; pulses arrive at
 // epoch frequency.
@@ -406,8 +402,8 @@ func (c *Controller) ResetMeasurement() {
 
 // Serve executes one host request inline, returning its response time. With
 // the multi-queue front end running it barriers first, so callers replaying
-// whole traces should prefer Run (or Enqueue+Flush), which pipelines many
-// requests per barrier.
+// whole traces should prefer Run (or EnqueueBatch+Flush), which pipelines
+// many requests per barrier.
 func (c *Controller) Serve(r trace.Request) (sim.Duration, error) {
 	if c.broken != nil {
 		return 0, c.broken
@@ -493,52 +489,32 @@ func (c *Controller) SetLatencyHook(fn func(sim.Duration)) { c.latHook = fn }
 // EnqueueBatch call.
 const runChunk = 256
 
-// Run replays every request from the reader and returns the results. A
-// reader that also implements trace.BatchReader feeds EnqueueBatch in
-// runChunk chunks, which keeps classification off the staging path.
-func (c *Controller) Run(r trace.Reader) (Result, error) {
+// Run replays every request from the reader and returns the results, or
+// the error a shard worker latched after the last request was dispatched.
+// It feeds EnqueueBatch in runChunk chunks, which keeps classification off
+// the staging path.
+func (c *Controller) Run(r trace.BatchReader) (Result, error) {
 	if c.broken != nil {
 		return Result{}, c.broken
 	}
-	if br, ok := r.(trace.BatchReader); ok {
-		buf := make([]trace.Request, runChunk)
-		for {
-			n, err := br.NextN(buf)
-			if n > 0 {
-				if derr := c.EnqueueBatch(buf[:n]); derr != nil {
-					return Result{}, derr
-				}
-			}
-			if err != nil {
-				if isEOF(err) {
-					break
-				}
-				return Result{}, err
-			}
-			if n == 0 {
-				break
-			}
-		}
-		return c.finish()
-	}
+	buf := make([]trace.Request, runChunk)
 	for {
-		req, err := r.Next()
+		n, err := r.NextN(buf)
+		if n > 0 {
+			if derr := c.EnqueueBatch(buf[:n]); derr != nil {
+				return Result{}, derr
+			}
+		}
 		if err != nil {
-			if isEOF(err) {
+			if errors.Is(err, io.EOF) {
 				break
 			}
 			return Result{}, err
 		}
-		if err := c.Enqueue(req); err != nil {
-			return Result{}, err
+		if n == 0 {
+			break
 		}
 	}
-	return c.finish()
-}
-
-// finish quiesces a completed Run and returns its results, or the error a
-// shard worker latched after the last request was dispatched.
-func (c *Controller) finish() (Result, error) {
 	if err := c.quiesce(false); err != nil {
 		return Result{}, err
 	}
@@ -548,7 +524,11 @@ func (c *Controller) finish() (Result, error) {
 // EnqueueBatch serves a chunk of requests on the pipelined path. Every
 // request is classified (validated, page-spanned, bounds-checked) before any
 // executes, so a classification error means nothing from the chunk was
-// served.
+// served. Dispatched to the multi-queue front end, FTL decisions happen now
+// and timing resolves at the next epoch fold. Epoch handoffs are automatic —
+// every 4096 parked pages, and implicitly in every statistics reader — so
+// callers may enqueue indefinitely. Inline it is Serve per request with the
+// response times discarded.
 func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
 	if c.broken != nil {
 		return c.broken
@@ -567,15 +547,6 @@ func (c *Controller) EnqueueBatch(reqs []trace.Request) error {
 		}
 	}
 	return nil
-}
-
-// Enqueue serves one request on the pipelined path: dispatched to the
-// multi-queue front end, FTL decisions happen now and timing resolves at the
-// next epoch fold. Epoch handoffs are automatic — every 4096 parked pages,
-// and implicitly in every statistics reader — so callers may Enqueue
-// indefinitely. Inline it is Serve with the response time discarded.
-func (c *Controller) Enqueue(r trace.Request) error {
-	return c.EnqueueBatch([]trace.Request{r})
 }
 
 // issue executes a classified request: dispatched to the front end's
@@ -608,18 +579,11 @@ func (c *Controller) Flush() {
 }
 
 // Close stops the multi-queue front end's worker goroutines after a final
-// barrier. The controller remains usable: requests run inline from then on.
-// Harmless on a single-shard controller.
+// barrier and drops the front end. The controller remains usable: requests
+// run inline from then on, and report their own errors request by request,
+// while an error a worker latched after the last barrier goes with the front
+// end. Harmless on a single-shard controller, and when repeated.
 func (c *Controller) Close() {
-	c.closed = true
-	c.stopFrontEnd()
-}
-
-// stopFrontEnd quiesces the front end, stops its workers and drops it, so
-// requests run inline until a new one starts. An error a worker latched
-// after the last barrier goes with the front end: the inline loop reports
-// its own errors request by request.
-func (c *Controller) stopFrontEnd() {
 	if c.fe == nil {
 		return
 	}
@@ -627,8 +591,6 @@ func (c *Controller) stopFrontEnd() {
 	c.fe.stop()
 	c.fe = nil
 }
-
-func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 
 // Result summarizes a measurement window.
 type Result struct {

@@ -17,7 +17,7 @@ const digestSalt = "dloop-config-digest-v1"
 // ConfigDigest returns a stable, collision-resistant digest of a Config.
 // Two configs digest equally exactly when they describe the same simulator:
 // defaults are applied first (so the zero FTL and "DLOOP" coalesce) and
-// Geometry/Timing are hashed by value, not by pointer. The digest keys the
+// Geometry is hashed by value, not by pointer. The digest keys the
 // warm-up grouping and the persistent checkpoint cache, and is embedded in
 // every encoded checkpoint so a restore into a differently configured
 // controller is rejected.

@@ -143,6 +143,10 @@ func (failingReader) Next() (trace.Request, error) {
 	return trace.Request{}, errBoom
 }
 
+func (failingReader) NextN([]trace.Request) (int, error) {
+	return 0, errBoom
+}
+
 var errBoom = errorString("boom")
 
 type errorString string

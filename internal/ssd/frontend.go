@@ -43,18 +43,18 @@ import (
 // sub-drives in RAID 0), so results are comparable across worker schedules
 // at fixed N, not across N.
 //
-// The front end has no execution mode: while it exists, its workers run.
-// Requests reach the shards through it or through the controller's inline
-// loop, which serves one shard, a closed controller, and every Serve call.
+// The front end has no execution mode: a multi-shard controller creates it
+// with its workers running and drops it at Close. Requests reach the shards
+// through it or through the controller's inline loop, which serves one
+// shard, a closed controller, and every Serve call.
 //
 // Observability is shard-native: attaching an *obs.Collector gives every
 // shard a private child collector (obs.Collector.Shard) that only its worker
 // touches, so metrics and traces are gathered while the shards run
 // concurrently; the parent folds the children back in shard order at
 // quiescent points, making the merged registry bit-identical to an inline
-// run of the same configuration. Non-Collector recorders have no merge
-// semantics: while one is attached the workers stop and requests run inline
-// through a translating per-shard wrapper.
+// run of the same configuration. Other recorders have no merge semantics,
+// so a multi-shard controller refuses them (ErrForeignRecorder).
 
 // autoShardMinChannels is the smallest channel count on which AutoShards
 // engages the front end. Below it the per-request shard overhead
@@ -124,7 +124,7 @@ type ftlShard struct {
 	idx int
 	dev *flash.Device
 	f   ftl.FTL
-	sq  *sim.SPSC[pageCmd] // the latest front end's ring; nil with one shard
+	sq  *sim.SPSC[pageCmd] // the front end's ring; nil with one shard
 
 	// planeMap / chipMap / chanMap translate shard-local resource indices to
 	// whole-device ones. Packages spread round-robin over channels, so the
@@ -145,7 +145,7 @@ type ftlShard struct {
 
 // frontEnd is the multi-queue host front end over the controller's shards:
 // one ring and one worker goroutine per shard. It exists only while the
-// workers run (see Controller.SetRecorder and Close).
+// workers run: from newController to Controller.Close.
 type frontEnd struct {
 	shards []*ftlShard
 
@@ -258,15 +258,12 @@ func (sh *ftlShard) run(lpn ftl.LPN, arrival sim.Time, read bool) (sim.Time, err
 	return end, err
 }
 
-// newFrontEnd puts a fresh submission ring in front of every shard and
-// starts one worker goroutine per shard. The shards start with no latched
-// error: what a previous front end latched went with it (see
-// Controller.stopFrontEnd).
+// newFrontEnd puts a submission ring in front of every shard and starts one
+// worker goroutine per shard.
 func newFrontEnd(shards []*ftlShard) *frontEnd {
 	fe := &frontEnd{shards: shards, epochPages: defaultEpochPages}
 	for _, sh := range shards {
 		sh.sq = sim.NewSPSC[pageCmd](feQueueCap)
-		sh.err = nil
 		fe.wg.Add(1)
 		go fe.worker(sh)
 	}
@@ -441,65 +438,4 @@ func (fe *frontEnd) discard() {
 	fe.barrier()
 	fe.epochs[0].reset()
 	fe.epochs[1].reset()
-}
-
-// gcVictimRecorder is the GC engine's optional victim-histogram extension of
-// obs.Recorder (see gc.Config); the shard wrapper must forward it or a
-// wrapped collector would silently lose the victim-validity distribution.
-type gcVictimRecorder interface {
-	RecordGCVictim(valid int, at sim.Time)
-}
-
-// shardRecorder translates a shard's local plane/channel indices into
-// whole-device ones before forwarding to the real recorder, so N shards
-// produce one coherent device-wide stream.
-type shardRecorder struct {
-	inner    obs.Recorder
-	victim   gcVictimRecorder   // non-nil when inner reports GC victims
-	gcSpan   obs.GCSpanRecorder // non-nil when inner takes rich GC spans
-	planeMap []int32
-	chanMap  []int32
-}
-
-func newShardRecorder(inner obs.Recorder, sh *ftlShard) *shardRecorder {
-	r := &shardRecorder{inner: inner, planeMap: sh.planeMap, chanMap: sh.chanMap}
-	if vr, ok := inner.(gcVictimRecorder); ok {
-		r.victim = vr
-	}
-	if sr, ok := inner.(obs.GCSpanRecorder); ok {
-		r.gcSpan = sr
-	}
-	return r
-}
-
-func (r *shardRecorder) RecordOp(op obs.Op) {
-	op.Plane = r.planeMap[op.Plane]
-	op.Channel = r.chanMap[op.Channel]
-	r.inner.RecordOp(op)
-}
-
-func (r *shardRecorder) RecordEvent(kind obs.EventKind, at sim.Time) {
-	r.inner.RecordEvent(kind, at)
-}
-
-func (r *shardRecorder) RecordSpan(kind obs.SpanKind, plane int32, start, end sim.Time) {
-	r.inner.RecordSpan(kind, r.planeMap[plane], start, end)
-}
-
-func (r *shardRecorder) RecordRequest(read bool, arrival, done sim.Time) {
-	r.inner.RecordRequest(read, arrival, done)
-}
-
-func (r *shardRecorder) RecordGCVictim(valid int, at sim.Time) {
-	if r.victim != nil {
-		r.victim.RecordGCVictim(valid, at)
-	}
-}
-
-func (r *shardRecorder) RecordGCSpan(plane int32, start, end sim.Time, policy string, moved, wasted int) {
-	if r.gcSpan != nil {
-		r.gcSpan.RecordGCSpan(r.planeMap[plane], start, end, policy, moved, wasted)
-		return
-	}
-	r.inner.RecordSpan(obs.SpanGC, r.planeMap[plane], start, end)
 }

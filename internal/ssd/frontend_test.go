@@ -209,8 +209,8 @@ func TestMQForkAtMidEpoch(t *testing.T) {
 	c.fe.epochPages = 256 // small epochs so the cut lands mid-stream
 	preconditionTiny(t, c)
 	w := tinyWorkload(t, c, 1500, 23)
-	for _, r := range w[:777] { // stop mid-epoch: no flush before the snapshot
-		if err := c.Enqueue(r); err != nil {
+	for i := range w[:777] { // stop mid-epoch: no flush before the snapshot
+		if err := c.EnqueueBatch(w[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,8 +459,7 @@ func TestMQRecorderStaysConcurrent(t *testing.T) {
 	}
 }
 
-// countingRecorder is a minimal non-Collector recorder for the inline
-// fallback tests.
+// countingRecorder is a minimal non-Collector recorder.
 type countingRecorder struct{ ops, reqs int }
 
 func (r *countingRecorder) RecordOp(obs.Op)                                    { r.ops++ }
@@ -468,69 +467,70 @@ func (r *countingRecorder) RecordEvent(obs.EventKind, sim.Time)                {
 func (r *countingRecorder) RecordSpan(obs.SpanKind, int32, sim.Time, sim.Time) {}
 func (r *countingRecorder) RecordRequest(bool, sim.Time, sim.Time)             { r.reqs++ }
 
-// TestMQRecorderSerialFallback pins the contract for recorders that are not
-// collectors: with no merge semantics to lean on they stop the front end's
-// workers, so requests run inline through the translating shard wrapper,
-// and detaching restarts the workers — except after Close, which keeps them
-// stopped.
-func TestMQRecorderSerialFallback(t *testing.T) {
-	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
-	preconditionTiny(t, c)
-	rec := &countingRecorder{}
-	c.SetRecorder(rec)
-	if c.fe != nil {
-		t.Fatal("non-Collector recorder attached but the workers still run")
-	}
-	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 3))); err != nil {
+// TestMQSetRecorderRefusesForeign pins the recorder contract of a sharded
+// controller: a recorder that is not a collector has no merge semantics, so
+// SetRecorder refuses it with ErrForeignRecorder and changes nothing — the
+// attached collector keeps counting, the workers keep running, and the next
+// Run still matches the inline loop over the same shard layout. A
+// single-shard controller takes any recorder.
+func TestMQSetRecorderRefusesForeign(t *testing.T) {
+	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2)
+	ser := buildInline(t, cfg)
+	par := buildMQ(t, cfg)
+	preconditionTiny(t, par)
+	serCol, parCol := obs.NewCollector(ser.ObsOptions()), obs.NewCollector(par.ObsOptions())
+	if err := ser.SetRecorder(serCol); err != nil {
 		t.Fatal(err)
 	}
-	if rec.ops == 0 || rec.reqs == 0 {
-		t.Fatalf("fallback recorder saw %d ops, %d requests; want both > 0", rec.ops, rec.reqs)
-	}
-	c.SetRecorder(nil)
-	if c.fe == nil {
-		t.Fatal("workers still stopped after detaching recorder")
-	}
-	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 4))); err != nil {
+	if err := par.SetRecorder(parCol); err != nil {
 		t.Fatal(err)
 	}
-	c.SetRecorder(rec)
-	c.Close()
-	c.SetRecorder(nil)
-	if c.fe != nil {
-		t.Fatal("detaching a recorder after Close restarted the workers")
+	hostWrites := func(col *obs.Collector) int64 {
+		return col.SnapshotRegistry().Counter("flash.write.host").Value()
 	}
-	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 5))); err != nil {
-		t.Fatal(err)
+	w := tinyWorkload(t, ser, 600, 3)
+	replay := func(reqs []trace.Request) {
+		t.Helper()
+		want, err := ser.Run(trace.NewSliceReader(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := par.Run(trace.NewSliceReader(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Results differ\ninline:     %+v\nconcurrent: %+v", want, got)
+		}
 	}
-}
+	replay(w[:300])
+	before := hostWrites(parCol)
 
-// TestMQForeignRecorderDetachesCollector pins the hand-over from a collector
-// to a foreign recorder: the collector stops observing the shards, so its
-// counters and shard latency histograms stay where the switch left them
-// while the foreign recorder's requests run.
-func TestMQForeignRecorderDetachesCollector(t *testing.T) {
-	c := buildMQ(t, mqConfig(SchemeDLOOP, tinyGeometry(), 2))
-	preconditionTiny(t, c)
-	col := obs.NewCollector(c.ObsOptions())
-	c.SetRecorder(col)
-	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 3))); err != nil {
+	fe := par.fe
+	if err := par.SetRecorder(&countingRecorder{}); !errors.Is(err, ErrForeignRecorder) {
+		t.Fatalf("foreign recorder on 2 shards: err %v, want ErrForeignRecorder", err)
+	}
+	if par.fe == nil || par.fe != fe {
+		t.Fatal("the refused recorder stopped or replaced the workers")
+	}
+	replay(w[300:])
+	if after := hostWrites(parCol); after <= before {
+		t.Fatalf("collector stopped counting after the refusal: flash.write.host %d -> %d", before, after)
+	}
+	if a, b := hostWrites(serCol), hostWrites(parCol); a != b {
+		t.Fatalf("flash.write.host reads %d inline, %d concurrent", a, b)
+	}
+
+	one := buildTiny(t, SchemeDLOOP)
+	rec := &countingRecorder{}
+	if err := one.SetRecorder(rec); err != nil {
+		t.Fatalf("single-shard controller refused a recorder: %v", err)
+	}
+	if _, err := one.Run(trace.NewSliceReader(tinyWorkload(t, one, 100, 5))); err != nil {
 		t.Fatal(err)
 	}
-	c.SetRecorder(&countingRecorder{})
-	counts := func() [3]int64 {
-		reg := col.SnapshotRegistry()
-		return [3]int64{reg.Counter("flash.write.host").Value(), reg.Hist("host.write").N(), reg.Hist("mq.lat").N()}
-	}
-	before := counts()
-	if before[0] == 0 || before[1] == 0 || before[2] == 0 {
-		t.Fatalf("collector saw no traffic: flash.write.host, host.write, mq.lat = %v", before)
-	}
-	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 4))); err != nil {
-		t.Fatal(err)
-	}
-	if after := counts(); after != before {
-		t.Fatalf("replaced collector kept counting: flash.write.host, host.write, mq.lat %v -> %v", before, after)
+	if rec.ops == 0 || rec.reqs != 100 {
+		t.Fatalf("single-shard recorder saw %d ops, %d requests", rec.ops, rec.reqs)
 	}
 }
 
@@ -603,7 +603,7 @@ func TestMQSteadyStateAllocFree(t *testing.T) {
 		i := 0
 		serveBatch := func() {
 			for n := 0; n < 100; n++ {
-				if err := c.Enqueue(reqs[i%len(reqs)]); err != nil {
+				if err := c.EnqueueBatch(reqs[i%len(reqs) : i%len(reqs)+1]); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -641,7 +641,7 @@ func TestObservedMQSteadyStateAllocFree(t *testing.T) {
 		i := 0
 		serveBatch := func() {
 			for n := 0; n < 100; n++ {
-				if err := c.Enqueue(reqs[i%len(reqs)]); err != nil {
+				if err := c.EnqueueBatch(reqs[i%len(reqs) : i%len(reqs)+1]); err != nil {
 					t.Fatal(err)
 				}
 				i++

@@ -444,7 +444,7 @@ func TestDLOOPPlacementInvariant(t *testing.T) {
 			continue
 		}
 		want := int(int64(lpn) % int64(geo.Planes()))
-		if got := geo.PlaneOf(ppn); got != want {
+		if got := geo.BlockOf(ppn).Plane; got != want {
 			t.Fatalf("lpn %d on plane %d, want %d", lpn, got, want)
 		}
 	}

@@ -168,9 +168,6 @@ func (h *LatencyHist) Add(d sim.Duration) {
 	h.total++
 }
 
-// N returns the number of recorded samples.
-func (h *LatencyHist) N() int64 { return h.total }
-
 // Clone returns an independent deep copy of the histogram; the checkpoint
 // machinery needs one because the bucket slice is unexported.
 func (h *LatencyHist) Clone() LatencyHist {

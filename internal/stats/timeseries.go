@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"io"
 
 	"dloop/internal/sim"
 )
@@ -80,19 +79,4 @@ func (ts *TimeSeries) Merge(o *TimeSeries) {
 	for i, b := range o.buckets {
 		ts.buckets[i].Merge(b)
 	}
-}
-
-// Render writes "start_seconds n mean max" rows for every non-empty bucket.
-func (ts *TimeSeries) Render(w io.Writer) error {
-	for i, b := range ts.buckets {
-		if b.N() == 0 {
-			continue
-		}
-		start := sim.Duration(int64(ts.bucket) * int64(i)).Seconds()
-		if _, err := fmt.Fprintf(w, "%10.1fs  n=%-7d mean=%10.3f  max=%10.3f\n",
-			start, b.N(), b.Mean(), b.Max()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -268,9 +268,6 @@ func (c *Cursor) NextN(dst []Request) (int, error) {
 	return n, nil
 }
 
-// Reset rewinds the cursor to the first request.
-func (c *Cursor) Reset() { c.pos = 0 }
-
 // Trace file formats accepted by OpenArena/LoadArena.
 const (
 	FormatDiskSim = "disksim"

@@ -83,18 +83,16 @@ func TestArenaOfAndReset(t *testing.T) {
 	if a.Len() != len(reqs) {
 		t.Fatalf("Len = %d, want %d", a.Len(), len(reqs))
 	}
-	c := a.Cursor()
-	first, err := ReadAll(c)
+	first, err := ReadAll(a.Cursor())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Reset()
-	second, err := ReadAll(c)
+	second, err := ReadAll(a.Cursor())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first, reqs) || !reflect.DeepEqual(second, reqs) {
-		t.Fatal("cursor replay or reset diverged from source slice")
+		t.Fatal("cursor replay or a second cursor diverged from source slice")
 	}
 }
 
@@ -286,7 +284,7 @@ func BenchmarkArenaReplay(b *testing.B) {
 		b.ReportAllocs()
 		var sectors int64
 		for i := 0; i < b.N; i++ {
-			c.Reset()
+			*c = Cursor{a: a} // rewind without allocating
 			for {
 				req, err := c.Next()
 				if err != nil {
@@ -306,7 +304,7 @@ func BenchmarkArenaReplay(b *testing.B) {
 		b.ReportAllocs()
 		var sectors int64
 		for i := 0; i < b.N; i++ {
-			c.Reset()
+			*c = Cursor{a: a} // rewind without allocating
 			for {
 				n, _ := c.NextN(buf)
 				if n == 0 {
@@ -416,8 +414,8 @@ func arenaBytes(reqs []Request) []byte {
 
 // FuzzArena builds an arena from a byte-coded request stream and checks
 // that every way of reading it back — At, Next, NextN at several chunk
-// sizes, and a replay after Reset — returns the input exactly, and that
-// Stats equals Summarize.
+// sizes, and a replay on a second cursor — returns the input exactly, and
+// that Stats equals Summarize.
 func FuzzArena(f *testing.F) {
 	for _, n := range []int{0, 1, 63, 64, 65, 129} {
 		f.Add(arenaBytes(genRequests(n, int64(n))))
@@ -450,8 +448,8 @@ func FuzzArena(f *testing.F) {
 		if s := a.Stats(); s != Summarize(reqs) {
 			t.Fatalf("Stats %+v, Summarize %+v", s, Summarize(reqs))
 		}
-		c := a.Cursor()
 		for pass := 0; pass < 2; pass++ {
+			c := a.Cursor()
 			for i, want := range reqs {
 				if got, err := c.Next(); err != nil || got != want {
 					t.Fatalf("pass %d: Next #%d = %+v, %v; want %+v", pass, i, got, err, want)
@@ -460,11 +458,10 @@ func FuzzArena(f *testing.F) {
 			if _, err := c.Next(); !errors.Is(err, io.EOF) {
 				t.Fatalf("pass %d: Next past the end: %v", pass, err)
 			}
-			c.Reset()
 		}
 		buf := make([]Request, 200)
 		for _, chunk := range []int{1, 3, 63, 64, 65, 200, 0} {
-			c.Reset()
+			c := a.Cursor()
 			var got []Request
 			for k := 0; ; k++ {
 				size := chunk

@@ -134,13 +134,13 @@ type Reader interface {
 	Next() (Request, error)
 }
 
-// BatchReader is an optional Reader extension for chunked replay: NextN
-// fills dst with up to len(dst) requests and returns how many it wrote.
-// Like io.Reader, it may return n > 0 at the end of the stream and io.EOF
-// (with n == 0) only on a subsequent call. Sources that hold requests
-// packed or generate them in bulk (Arena cursors, workload generators)
-// implement it so consumers can move whole chunks without a per-request
-// interface call.
+// BatchReader is a Reader for chunked replay: NextN fills dst with up to
+// len(dst) requests and returns how many it wrote. Like io.Reader, it may
+// return n > 0 at the end of the stream and io.EOF (with n == 0) only on a
+// subsequent call. Sources that hold requests packed or generate them in
+// bulk (Arena cursors, workload generators) implement it so consumers move
+// whole chunks without a per-request interface call; ssd.Controller.Run
+// replays one.
 type BatchReader interface {
 	Reader
 	NextN(dst []Request) (int, error)

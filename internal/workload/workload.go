@@ -150,9 +150,6 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.p }
-
 // Next produces the next request in the stream.
 func (g *Generator) Next() (trace.Request, error) {
 	// Arrival process: Poisson with back-to-back bursts.

@@ -5,23 +5,35 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// knobSections maps each KNOBS.md heading to the source of the settings its
-// table must list: a CLI's flag definitions, or a struct's exported fields.
-var knobSections = []struct {
-	heading, file, structName string
-}{
-	{"## `cmd/dloopsim` flags", "cmd/dloopsim/main.go", ""},
-	{"## `cmd/experiments` flags", "cmd/experiments/main.go", ""},
-	{"## `cmd/tracegen` flags", "cmd/tracegen/main.go", ""},
-	{"## `ssd.Config` fields", "internal/ssd/config.go", "Config"},
-	{"## `expt.Options` fields", "internal/expt/expt.go", "Options"},
+// flagSections maps each CLI's KNOBS.md heading to the file defining its
+// flags.
+var flagSections = []struct{ heading, file string }{
+	{"## `cmd/dloopsim` flags", "cmd/dloopsim/main.go"},
+	{"## `cmd/experiments` flags", "cmd/experiments/main.go"},
+	{"## `cmd/tracegen` flags", "cmd/tracegen/main.go"},
 }
+
+// structSections maps the option structs with a KNOBS.md table of their own
+// to its heading; their rows name bare fields. The fields of every other
+// Config, Options and Layout struct of internal/ are listed in
+// otherFieldsHeading's table as "pkg.Struct.Field".
+var structSections = map[string]string{
+	"ssd.Config":   "## `ssd.Config` fields",
+	"expt.Options": "## `expt.Options` fields",
+}
+
+const otherFieldsHeading = "## Fields of the other `internal/` Config, Options and Layout structs"
+
+// testsOnly opens the verdict of a field that no non-test code sets.
+const testsOnly = "tests only"
 
 // knobRow is one table row: the setting it names, the value when the row is
 // about one value of a flag ("-ftl BAST"), and its verdict.
@@ -29,43 +41,161 @@ type knobRow struct {
 	name, value, verdict string
 }
 
+// setting is one flag or struct field a KNOBS.md table must list.
+type setting struct {
+	qualified string // "ssd.Config.FTL"; the row name for a flag
+	set       bool   // some non-test code sets it (always, for a flag)
+}
+
 // TestKnobsListed keeps KNOBS.md in step with the code: every flag of the
-// three CLIs and every exported field of ssd.Config and expt.Options has a
-// live row, every live row names a setting that exists, and every row
-// marked deleted names a setting that is gone.
+// three CLIs and every exported field of every Config, Options and Layout
+// struct of internal/ has a live row, every live row names a setting that
+// exists, and every row marked deleted names a setting that is gone. A field
+// that no non-test code sets must be deleted, or its verdict must start
+// "tests only" and give the reason; only such a field may be marked so.
 func TestKnobsListed(t *testing.T) {
 	rows := readKnobRows(t, "KNOBS.md")
-	for _, sec := range knobSections {
-		have := settingsIn(t, sec.file, sec.structName)
-		table, ok := rows[sec.heading]
-		if !ok {
-			t.Errorf("KNOBS.md has no %q table", sec.heading)
-			continue
+	sections := map[string]map[string]setting{}
+	for _, sec := range flagSections {
+		sections[sec.heading] = map[string]setting{}
+		for name := range flagsIn(t, sec.file) {
+			sections[sec.heading][name] = setting{qualified: name, set: true}
+		}
+	}
+	structs, set := fieldCensus(loadTree(t))
+	for st, fields := range structs {
+		heading, own := structSections[st]
+		if !own {
+			heading = otherFieldsHeading
+		}
+		if sections[heading] == nil {
+			sections[heading] = map[string]setting{}
+		}
+		for _, f := range fields {
+			s := setting{qualified: st + "." + f.Name(), set: set[f]}
+			name := s.qualified
+			if own {
+				name = f.Name()
+			}
+			sections[heading][name] = s
+		}
+	}
+	for heading, have := range sections {
+		if _, ok := rows[heading]; !ok {
+			t.Errorf("KNOBS.md has no %q table", heading)
 		}
 		listed := map[string]bool{}
-		for _, r := range table {
+		for _, r := range rows[heading] {
+			s, exists := have[r.name]
 			deleted := strings.HasPrefix(r.verdict, "deleted")
 			switch {
-			case r.value != "" && !have[r.name]:
-				t.Errorf("%s: row %q names %s, which does not exist", sec.heading, r.name+" "+r.value, r.name)
+			case r.value != "" && !exists:
+				t.Errorf("%s: row %q names %s, which does not exist", heading, r.name+" "+r.value, r.name)
 			case r.value != "":
-			case deleted && have[r.name]:
-				t.Errorf("%s: %s is marked %q but still exists", sec.heading, r.name, r.verdict)
+			case deleted && exists:
+				t.Errorf("%s: %s is marked %q but still exists", heading, r.name, r.verdict)
 			case deleted:
-			case !have[r.name]:
-				t.Errorf("%s: row names %s, which does not exist", sec.heading, r.name)
+			case !exists:
+				t.Errorf("%s: row names %s, which does not exist", heading, r.name)
 			case listed[r.name]:
-				t.Errorf("%s: %s has two rows", sec.heading, r.name)
+				t.Errorf("%s: %s has two rows", heading, r.name)
 			default:
 				listed[r.name] = true
+				switch only := strings.HasPrefix(r.verdict, testsOnly); {
+				case !s.set && !only:
+					t.Errorf("%s: %s is set by no non-test code: delete it, or start its verdict %q with the reason", heading, s.qualified, testsOnly)
+				case s.set && only:
+					t.Errorf("%s: %s is marked %q but non-test code sets it", heading, s.qualified, testsOnly)
+				}
 			}
 		}
-		for name := range have {
-			if !listed[name] {
-				t.Errorf("%s: %s (%s) has no KNOBS.md row", sec.heading, name, sec.file)
+		var missing []string
+		for name, s := range have {
+			switch {
+			case listed[name]:
+			case s.set:
+				missing = append(missing, s.qualified)
+			default:
+				missing = append(missing, s.qualified+" (set by no non-test code)")
+			}
+		}
+		sort.Strings(missing)
+		for _, name := range missing {
+			t.Errorf("%s: %s has no KNOBS.md row", heading, name)
+		}
+	}
+}
+
+// fieldCensus returns the exported fields of every package-level struct
+// named Config, Options or Layout in internal/, keyed "pkg.Struct", and the
+// fields of them that non-test code sets: as a key of a composite literal
+// (every field, for an unkeyed one), on the left of an assignment or ++/--,
+// or by taking the field's address.
+func fieldCensus(tr *typedTree) (structs map[string][]*types.Var, set map[*types.Var]bool) {
+	structs = map[string][]*types.Var{}
+	for _, p := range tr.pkgs {
+		if !strings.HasPrefix(p.path, "dloop/internal/") {
+			continue
+		}
+		for _, name := range []string{"Config", "Options", "Layout"} {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					structs[p.types.Name()+"."+name] = append(structs[p.types.Name()+"."+name], f)
+				}
 			}
 		}
 	}
+
+	set = map[*types.Var]bool{}
+	for _, p := range tr.pkgs {
+		setSel := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					set[s.Obj().(*types.Var)] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						kv, keyed := el.(*ast.KeyValueExpr)
+						switch {
+						case !keyed:
+							set[st.Field(i)] = true
+						case p.info.Uses[kv.Key.(*ast.Ident)] != nil:
+							set[p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setSel(lhs)
+					}
+				case *ast.IncDecStmt:
+					setSel(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setSel(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return structs, set
 }
 
 // readKnobRows returns the rows of every table in a KNOBS.md-style file,
@@ -115,10 +245,9 @@ var flagDefiners = map[string]int{
 	"StringVar": 1, "UintVar": 1, "Uint64Var": 1, "TextVar": 1, "Var": 1,
 }
 
-// settingsIn parses a Go file and returns its settings: with an empty
-// structName, the name of every flag.<Kind>(…) definition as "-name";
-// otherwise the exported fields of the named struct type.
-func settingsIn(t *testing.T, path, structName string) map[string]bool {
+// flagsIn parses a Go file and returns the name of every flag.<Kind>(…)
+// definition in it, as "-name".
+func flagsIn(t *testing.T, path string) map[string]bool {
 	t.Helper()
 	file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 	if err != nil {
@@ -126,24 +255,6 @@ func settingsIn(t *testing.T, path, structName string) map[string]bool {
 	}
 	names := map[string]bool{}
 	ast.Inspect(file, func(n ast.Node) bool {
-		if structName != "" {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != structName {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				t.Fatalf("%s: %s is not a struct", path, structName)
-			}
-			for _, field := range st.Fields.List {
-				for _, id := range field.Names {
-					if id.IsExported() {
-						names[id.Name] = true
-					}
-				}
-			}
-			return false
-		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -172,7 +283,7 @@ func settingsIn(t *testing.T, path, structName string) map[string]bool {
 		return true
 	})
 	if len(names) == 0 {
-		t.Fatalf("%s: found no settings", path)
+		t.Fatalf("%s: found no flags", path)
 	}
 	return names
 }
