@@ -175,22 +175,6 @@ func BenchmarkParityReport(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPlane runs the E7 adaptive-GC extension comparison.
-func BenchmarkHotPlane(b *testing.B) {
-	opt := benchOptions()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, err := dloop.HotPlane(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportCell(b, g, "DLOOP", "p99 ms", "stock-p99-ms")
-			reportCell(b, g, "DLOOP+adaptive", "p99 ms", "adaptive-p99-ms")
-		}
-	}
-}
-
 // BenchmarkSimulateThroughput measures raw simulator speed: host requests
 // simulated per wall-clock second on one mid-size DLOOP configuration.
 func BenchmarkSimulateThroughput(b *testing.B) {

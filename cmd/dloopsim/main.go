@@ -37,9 +37,8 @@ func main() {
 		seed       = flag.Int64("seed", 42, "workload seed")
 		footprint  = flag.Int64("footprint", 0, "precondition footprint in MiB (0 = workload default)")
 		nocb       = flag.Bool("no-copyback", false, "DLOOP E5 ablation: external GC moves")
-		adaptive   = flag.Bool("adaptive-gc", false, "DLOOP E7 extension: hot-plane-aware GC thresholds")
 		stripeBy   = flag.String("stripe-by", "", "DLOOP E8 ablation: plane|die|chip|channel")
-		gcPolicy   = flag.String("gc-policy", "", "GC victim policy: greedy|costbenefit|windowed|fifo (empty = scheme default)")
+		gcPolicy   = flag.String("gc-policy", "", "GC victim policy: greedy|costbenefit|fifo (empty = scheme default)")
 		translate  = flag.String("translate", "", "translation policy for DLOOP/DFTL: slru|learned (empty = slru)")
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL (0 = default 4096); validated against the logical space")
 		ftlShards  = flag.String("ftl-shards", "1", "concurrent FTL shards: the logical space splits LPN mod N over N independent FTLs (1 = single FTL), or 'auto' for one per channel on 8+ channel shapes")
@@ -79,7 +78,6 @@ func main() {
 		ExtraPct:        *extraPct,
 		FTL:             *ftlName,
 		DisableCopyBack: *nocb,
-		AdaptiveGC:      *adaptive,
 		StripeBy:        *stripeBy,
 		GCPolicy:        *gcPolicy,
 		TranslatePolicy: *translate,

@@ -9,9 +9,9 @@
 //
 // Experiments: fig8 (capacity sweep), fig9 (page size), fig10 (extra
 // blocks), headline (improvement ratios, implies fig8), ablation (E5
-// copy-back on/off), parity (E6 same-parity waste), hotplane (E7 adaptive
-// GC), gcpolicy (E9 victim-policy sweep), translate (E10 translation-policy
-// sweep), all.
+// copy-back on/off), parity (E6 same-parity waste), striping (E8 striping
+// unit), gcpolicy (E9 victim-policy sweep), translate (E10
+// translation-policy sweep), all.
 package main
 
 import (
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig8|fig9|fig10|headline|ablation|parity|striping|hotplane|gcpolicy|translate|all")
+		exp        = flag.String("exp", "all", "experiment: fig8|fig9|fig10|headline|ablation|parity|striping|gcpolicy|translate|all")
 		requests   = flag.Int("requests", 400_000, "requests per run")
 		seed       = flag.Int64("seed", 42, "workload seed")
 		scale      = flag.Float64("scale", 1.0, "shrink device+footprint for quick runs (0,1]")
@@ -199,16 +199,6 @@ func run(exp string, opt dloop.Options, outDir string) error {
 			return err
 		}
 	}
-	if want("hotplane") {
-		ran = true
-		g, err := dloop.HotPlane(opt)
-		if err != nil {
-			return err
-		}
-		if err := emit("hotplane", g); err != nil {
-			return err
-		}
-	}
 	if want("gcpolicy") {
 		ran = true
 		mrt, moves, err := dloop.GCPolicyStudy(opt)
@@ -231,7 +221,7 @@ func run(exp string, opt dloop.Options, outDir string) error {
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (want %s)", exp,
-			strings.Join([]string{"fig8", "fig9", "fig10", "headline", "ablation", "parity", "striping", "hotplane", "gcpolicy", "translate", "all"}, "|"))
+			strings.Join([]string{"fig8", "fig9", "fig10", "headline", "ablation", "parity", "striping", "gcpolicy", "translate", "all"}, "|"))
 	}
 	return nil
 }

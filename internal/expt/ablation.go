@@ -87,46 +87,6 @@ func ParityReport(opt Options) (*Grid, error) {
 	return g, nil
 }
 
-// HotPlane (E7) evaluates the paper's future-work direction: adaptive
-// per-plane GC thresholds that collect hot planes earlier. It compares
-// stock DLOOP and DLOOP+AdaptiveGC on the locality-heavy Financial1 at 4 GB,
-// reporting mean and tail response time and wear dispersion.
-func HotPlane(opt Options) (*Grid, error) {
-	opt.setDefaults()
-	p := scaleProfile(workload.Financial1(), opt.Scale)
-	xVals := []string{"mean ms", "p99 ms", "max ms", "wear CV", "GC runs"}
-	variants := []struct {
-		name     string
-		adaptive bool
-	}{{"DLOOP", false}, {"DLOOP+adaptive", true}}
-	var jobs []job
-	for _, v := range variants {
-		cfg, ok := configFor(4, 2, 0.03, ssd.SchemeDLOOP, opt)
-		if !ok || !footprintFits(cfg, p) {
-			continue
-		}
-		cfg.AdaptiveGC = v.adaptive
-		jobs = append(jobs, job{key: v.name, series: v.name, cfg: cfg, profile: p})
-	}
-	results, err := runAll(jobs, opt)
-	if err != nil {
-		return nil, err
-	}
-	g := NewGrid("E7 extension: hot-plane adaptive GC (Financial1, 4 GB)", "metric", "value", xVals)
-	for _, j := range jobs {
-		res, ok := results[j.key]
-		if !ok {
-			continue
-		}
-		g.Set(j.series, "mean ms", res.MeanRespMs)
-		g.Set(j.series, "p99 ms", res.P99Ms)
-		g.Set(j.series, "max ms", res.MaxRespMs)
-		g.Set(j.series, "wear CV", res.WearCV)
-		g.Set(j.series, "GC runs", float64(res.GCRuns))
-	}
-	return g, nil
-}
-
 // StripingStudy (E8) quantifies §II.C's parallelism-priority debate: the
 // same DLOOP FTL striping consecutive logical pages across planes (equation
 // (1)), dies, chips, or channels first. Run on the sequential-heavy Build

@@ -251,7 +251,7 @@ func TestAblationQuick(t *testing.T) {
 	}
 }
 
-func TestParityAndHotPlaneQuick(t *testing.T) {
+func TestParityQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep")
 	}
@@ -262,15 +262,6 @@ func TestParityAndHotPlaneQuick(t *testing.T) {
 	}
 	if _, ok := pg.Get("GC moves", "Financial1"); !ok {
 		t.Error("parity report missing Financial1")
-	}
-	hg, err := HotPlane(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, series := range []string{"DLOOP", "DLOOP+adaptive"} {
-		if _, ok := hg.Get(series, "mean ms"); !ok {
-			t.Errorf("hotplane missing %s", series)
-		}
 	}
 }
 

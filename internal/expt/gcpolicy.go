@@ -8,7 +8,7 @@ import (
 // GCPolicies lists the victim-selection policies the E9 study sweeps. The
 // empty string keeps each scheme's historical default (greedy for the
 // page-mapping FTLs, fifo log eviction for the hybrids).
-func GCPolicies() []string { return []string{"", "costbenefit", "windowed"} }
+func GCPolicies() []string { return []string{"", "costbenefit", "fifo"} }
 
 // gcPolicyLabel names a policy column; the default is labeled by role rather
 // than "" so the table reads.
@@ -22,7 +22,8 @@ func gcPolicyLabel(pol string) string {
 // GCPolicyStudy (E9) sweeps the unified GC engine's victim-selection policy
 // across the paper's three schemes on the update-heavy Financial1 trace:
 // each scheme's historical default against cost-benefit (Kawaguchi's
-// age-scaled benefit/cost ratio) and windowed-greedy (d-choices). It reports
+// age-scaled benefit/cost ratio) and FIFO (oldest block first, FAST's own
+// default). It reports
 // mean response time per (scheme, policy) cell and, in a second grid, the GC
 // relocation volume that explains the differences.
 func GCPolicyStudy(opt Options) (*Grid, *Grid, error) {

@@ -5,14 +5,14 @@
 // read-transfer-write moves), and erase accounting — while each scheme
 // supplies only a small callback surface (Scheme): its pool watermark, write
 // points, and mapping redirection. The default policies reproduce the
-// pre-engine scheme behavior bit-identically; alternative victim policies
-// (cost-benefit, windowed-greedy) plug in without touching scheme code.
+// pre-engine scheme behavior bit-identically; the alternative victim
+// policies (cost-benefit, and FIFO on a page-mapping scheme) plug in without
+// touching scheme code.
 package gc
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dloop/internal/flash"
 )
@@ -73,12 +73,10 @@ func ParsePolicy(name string, ppb int) (VictimPolicy, error) {
 		return greedy{}, nil
 	case "costbenefit", "cost-benefit":
 		return costBenefit{ppb: ppb}, nil
-	case "windowed", "windowed-greedy":
-		return windowed{w: windowSize}, nil
 	case "fifo":
 		return fifo{}, nil
 	}
-	return nil, fmt.Errorf("gc: unknown victim policy %q (have greedy, costbenefit, windowed, fifo)", name)
+	return nil, fmt.Errorf("gc: unknown victim policy %q (have greedy, costbenefit, fifo)", name)
 }
 
 // greedy picks the candidate with the most invalid pages — the seed
@@ -141,39 +139,6 @@ func olderThan(c, best Candidate) bool {
 		return c.PB.Plane < best.PB.Plane
 	}
 	return c.PB.Block < best.PB.Block
-}
-
-// windowSize is the windowed-greedy window: the d of a d-choices policy.
-const windowSize = 8
-
-// windowed is windowed-greedy (d-choices): greedy victim selection
-// restricted to the w oldest candidates. Bounding the search window caps
-// per-collection work on huge devices and adds an age bias that approximates
-// cost-benefit at greedy's price.
-type windowed struct{ w int }
-
-func (windowed) Name() string { return "windowed" }
-
-func (p windowed) Pick(src Source, plane int) (Candidate, bool) {
-	var window []Candidate
-	src.ForEach(plane, func(c Candidate) bool {
-		window = append(window, c)
-		return true
-	})
-	if len(window) == 0 {
-		return Candidate{}, false
-	}
-	sort.Slice(window, func(i, j int) bool { return olderThan(window[i], window[j]) })
-	if len(window) > p.w {
-		window = window[:p.w]
-	}
-	best := window[0]
-	for _, c := range window[1:] {
-		if c.Invalid > best.Invalid { // ties keep the older candidate
-			best = c
-		}
-	}
-	return best, true
 }
 
 // fifo picks the oldest candidate regardless of utilization — the seed

@@ -8,9 +8,8 @@ import (
 // EncodeState implements ftl.FTL: everything that changes as requests are
 // served. Geometry, config, capacity, and the striping permutation are
 // construction-time constants and stay out. Each preset keeps the byte
-// layout it had as a package of its own, so warm-up cache files stay valid:
-// the ideal table in place of the translation state, DFTL's two logs without
-// a count, and DLOOP's per-plane write counts at the end.
+// layout it had as a package of its own: the ideal table in place of the
+// translation state, and DFTL's two logs without a count.
 func (f *FTL) EncodeState(w *ckpt.Writer) {
 	if f.mapper != nil {
 		f.mapper.EncodeState(w)
@@ -29,10 +28,6 @@ func (f *FTL) EncodeState(w *ckpt.Writer) {
 		w.Bool(wp.active)
 	}
 	f.engine.EncodeState(w)
-	if f.cfg.Layout.countsPlaneWrites() {
-		w.I64s(f.planeWrites)
-		w.I64(f.totalWrites)
-	}
 }
 
 // DecodeState implements ftl.FTL, overwriting the live state in place.
@@ -58,8 +53,4 @@ func (f *FTL) DecodeState(r *ckpt.Reader) {
 		f.cur[i] = wp
 	}
 	f.engine.DecodeState(r)
-	if f.cfg.Layout.countsPlaneWrites() {
-		r.I64sInto(f.planeWrites)
-		f.totalWrites = r.I64()
-	}
 }

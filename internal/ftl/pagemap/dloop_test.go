@@ -186,24 +186,6 @@ func TestReadUnwrittenIsFree(t *testing.T) {
 	}
 }
 
-func TestAdaptiveThreshold(t *testing.T) {
-	f, _ := newTestFTL(t, Config{Layout: layout(t, "DLOOP"), AdaptiveGC: true})
-	base := ftl.GCThreshold
-	// No writes yet: base threshold.
-	if got := f.thresholdFor(0); got != base {
-		t.Fatalf("cold threshold %d, want %d", got, base)
-	}
-	// Concentrate writes on plane 0: its threshold rises, capped at 3x.
-	f.planeWrites[0] = 1000
-	f.totalWrites = 1000
-	if got := f.thresholdFor(0); got != 3*base {
-		t.Fatalf("hot threshold %d, want %d", got, 3*base)
-	}
-	if got := f.thresholdFor(1); got != base {
-		t.Fatalf("cold plane threshold %d, want %d", got, base)
-	}
-}
-
 func TestParityWasteOnCraftedVictim(t *testing.T) {
 	f, dev := newPreset(t, "DLOOP")
 	geo := dev.Geometry()

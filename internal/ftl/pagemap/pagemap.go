@@ -93,10 +93,6 @@ func (l Layout) striped() bool { return l.StripeBy != "" }
 // pages to a write point of their own beside the data log.
 func (l Layout) twinLogs() bool { return l.DemandPaged && !l.striped() }
 
-// countsPlaneWrites reports DLOOP's layout, which counts host writes per
-// plane for AdaptiveGC (and checkpoints the counts).
-func (l Layout) countsPlaneWrites() bool { return l.DemandPaged && l.striped() }
-
 // Config parameterizes a page-mapping FTL.
 type Config struct {
 	// Layout selects the scheme: a Preset, possibly adjusted.
@@ -107,11 +103,6 @@ type Config struct {
 	// ExtraPerPlane is the number of over-provisioned blocks per plane,
 	// excluded from the exported capacity (§III.C).
 	ExtraPerPlane int
-	// AdaptiveGC is the E7 extension (the paper's future work) on DLOOP's
-	// layout: planes that absorb a larger share of the write traffic keep
-	// proportionally more free blocks, collecting earlier to smooth their
-	// latency.
-	AdaptiveGC bool
 	// GCPolicy selects the garbage-collection victim policy (default
 	// "greedy", the paper's max-invalid pick; see gc.ParsePolicy for the
 	// alternatives).
@@ -159,9 +150,6 @@ type FTL struct {
 	engine *gc.Engine // owns the collect loop and reentrancy guards
 
 	perm []int // striping permutation: LPN mod planes -> plane; nil when global
-
-	planeWrites []int64 // host write pages per plane, drives AdaptiveGC
-	totalWrites int64
 }
 
 // New builds a page-mapping FTL over dev.
@@ -176,9 +164,6 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 	if cfg.ExtraPerPlane >= geo.BlocksPerPlane {
 		return nil, fmt.Errorf("pagemap: ExtraPerPlane %d leaves no data blocks", cfg.ExtraPerPlane)
 	}
-	if cfg.AdaptiveGC && !l.countsPlaneWrites() {
-		return nil, fmt.Errorf("pagemap: AdaptiveGC needs DLOOP's layout, not %s's", l.Name())
-	}
 	f := &FTL{
 		dev:      dev,
 		geo:      geo,
@@ -190,9 +175,6 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 	}
 	if l.twinLogs() {
 		f.cur = make([]writePoint, 2)
-	}
-	if l.countsPlaneWrites() {
-		f.planeWrites = make([]int64, geo.Planes())
 	}
 	var err error
 	if l.striped() {
@@ -358,10 +340,6 @@ func (f *FTL) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		}
 		f.table.Set(int64(lpn), ppn)
 	}
-	if f.planeWrites != nil {
-		f.planeWrites[f.dev.PlaneOf(ppn)]++
-		f.totalWrites++
-	}
 	return end, nil
 }
 
@@ -410,25 +388,6 @@ func (f *FTL) PlacePage(stored int64, ready sim.Time) (flash.PPN, sim.Time, erro
 	return ppn, t, nil
 }
 
-// thresholdFor returns the plane's GC trigger level. With AdaptiveGC, planes
-// carrying more than their fair share of writes keep up to 3x the base
-// threshold in free blocks.
-func (f *FTL) thresholdFor(plane int) int {
-	base := ftl.GCThreshold
-	if !f.cfg.AdaptiveGC || f.totalWrites == 0 {
-		return base
-	}
-	share := float64(f.planeWrites[plane]) / float64(f.totalWrites) * float64(f.geo.Planes())
-	thr := int(float64(base) * share)
-	if thr < base {
-		return base
-	}
-	if max := 3 * base; thr > max {
-		return max
-	}
-	return thr
-}
-
 // freePages counts the writable pages available to a collection unit: whole
 // free blocks in its pool plus the unwritten tails of its open blocks.
 func (f *FTL) freePages(plane int) int {
@@ -475,7 +434,7 @@ func (f *FTL) nextFreePage(slot int) (flash.PPN, error) {
 	return ppn, nil
 }
 
-// hooks adapts the pools, thresholds and write points to the GC engine's
+// hooks adapts the pools, threshold and write points to the GC engine's
 // Scheme surface. The engine owns the collect loop (victim pick, moves in
 // the layout's style, erase accounting, §III.C); the FTL supplies
 // placement.
@@ -485,7 +444,7 @@ func (h hooks) PoolLow(plane int) bool {
 	if h.f.perm == nil {
 		return h.f.pool.Total() < ftl.GCThreshold
 	}
-	return h.f.pool.InPlane(plane) < h.f.thresholdFor(plane)
+	return h.f.pool.InPlane(plane) < ftl.GCThreshold
 }
 
 func (h hooks) FreePages(plane int) int { return h.f.freePages(plane) }

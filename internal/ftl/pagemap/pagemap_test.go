@@ -97,10 +97,6 @@ func TestNewValidation(t *testing.T) {
 			if _, err := New(dev, Config{Layout: l, ExtraPerPlane: 99}); err == nil {
 				t.Error("oversized extra accepted")
 			}
-			_, err := New(dev, Config{Layout: l, ExtraPerPlane: 4, AdaptiveGC: true})
-			if adaptive := name == "DLOOP"; (err == nil) != adaptive {
-				t.Errorf("AdaptiveGC accepted = %v, want %v", err == nil, adaptive)
-			}
 		})
 	}
 	l := layout(t, "DLOOP")

@@ -91,12 +91,18 @@ var snapshotSizes sync.Map
 // body does not decode. A body can fail halfway through, leaving the state
 // partly overwritten, so after any failure EnqueueBatch, Serve, Run,
 // Precondition, Snapshot and Recover return the error too (and Result is
-// empty) until a later Restore succeeds.
+// empty) until a later Restore succeeds. A Restore that succeeds also clears
+// the error a shard worker latched in the run it abandons.
 func (c *Controller) Restore(cp *Checkpoint) error {
-	// In-flight work belongs to the run being abandoned; a failed run's
-	// error stays sticky and surfaces at the next request.
+	// In-flight work belongs to the run being abandoned, and so does an
+	// error a shard worker latched in it: a successful restore replaces the
+	// state that failed, so it clears the error while the workers are parked
+	// behind the barrier. After a failed restore, broken refuses every run.
 	_ = c.quiesce(true)
 	c.broken = c.restore(cp)
+	if c.broken == nil && c.fe != nil {
+		c.fe.clearErr()
+	}
 	return c.broken
 }
 

@@ -405,17 +405,18 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 // only state holding learned segments). The in-memory columns are free to
 // change shape; the container format is not, because the warm-up cache keys
 // and the ckpt format version promise that a file written before such a
-// change still decodes after it.
+// change still decodes after it. A layout change bumps ckpt.Version and
+// re-pins these hashes (version 2 dropped DLOOP's per-plane write counters).
 func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "6f7fadfdc1eb49b1cd5e37707753ca36351494cec965642571f266df74b92754"},
-		{SchemeDLOOP, "learned", "391a92bb5729032f97344b962be6168955983c06df21aeb921ac8beffc3660f6"},
-		{SchemeDFTL, "", "1f248a6f5694a36daa5186ce985e9a267f9333ec2c701d9baf527d464acf16bb"},
-		{SchemeFAST, "", "95646a311f9f98ef87aa80b3edb756b1d9a8cc0e1c105b431eb3deb8e03de707"},
-		{SchemePureMap, "", "68e25e973e64aa929e9ec124ccc8eb3e0a140e1d77ba64ed7fdf8713038be3ee"},
-		{SchemePureMapStriped, "", "788e870b12a4ed622c6fcd0b4200538094539c60e086362627b2c0a91eb6aa8f"},
+		{SchemeDLOOP, "", "33cc8f48469d70d60580d272a19a251e9db0fa87f374b27cc6d6d1e336bee41a"},
+		{SchemeDLOOP, "learned", "a450e390dfdd74b19e5fd6d1556d861406a0a066edaad48e1a19a7d97b1acc01"},
+		{SchemeDFTL, "", "c9b80d58ecff3f0e6f7982e7925d2de5ad30f61c7872a6e3ad6dd5ecfe4cdff5"},
+		{SchemeFAST, "", "68e0ecde53bdc13cad53b1adeeafce3d1043185a4f97f5dacc40a964b7331854"},
+		{SchemePureMap, "", "0873471dbeaecaf07f0369f6d18ec8109260070fb54fad4ab557a80464f5a43c"},
+		{SchemePureMapStriped, "", "b7a65b59768622802ba1c4385ad14f923e79cace47c77f3655b31d6cab0d930e"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {

@@ -59,8 +59,8 @@ type Config struct {
 	CMTEntries int
 	// GCPolicy selects the garbage-collection victim policy for every
 	// scheme: "greedy" (default for the page-mapping FTLs), "costbenefit",
-	// "windowed", or "fifo" (FAST's default log-block eviction). Empty keeps
-	// each scheme's historical default.
+	// or "fifo" (FAST's default log-block eviction). Empty keeps each
+	// scheme's historical default.
 	GCPolicy string
 	// TranslatePolicy selects the address-translation policy of the
 	// demand-paged schemes (DLOOP, DFTL): "slru" (default) or "learned" (see
@@ -69,8 +69,6 @@ type Config struct {
 	TranslatePolicy string
 	// DisableCopyBack runs DLOOP's E5 ablation (external GC moves).
 	DisableCopyBack bool
-	// AdaptiveGC runs DLOOP's E7 extension (hot-plane-aware thresholds).
-	AdaptiveGC bool
 	// StripeBy runs DLOOP's E8 ablation: the unit consecutive logical pages
 	// stripe over first ("plane" — the paper's equation (1) and the
 	// default — "die", "chip", or "channel").
@@ -247,7 +245,6 @@ func pageMapConfig(cfg Config, extra int) pagemap.Config {
 		CMTEntries:      cfg.CMTEntries,
 		TranslatePolicy: cfg.TranslatePolicy,
 		ExtraPerPlane:   extra,
-		AdaptiveGC:      cfg.AdaptiveGC,
 		GCPolicy:        cfg.GCPolicy,
 	}
 }
@@ -265,8 +262,8 @@ func Build(cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("ssd: translate policy %q needs a demand-paged scheme (DLOOP or DFTL), not %s", p, cfg.FTL)
 		}
 	}
-	if cfg.FTL != SchemeDLOOP && (cfg.DisableCopyBack || cfg.AdaptiveGC || cfg.StripeBy != "") {
-		return nil, fmt.Errorf("ssd: DisableCopyBack, AdaptiveGC and StripeBy apply to DLOOP only, not %s", cfg.FTL)
+	if cfg.FTL != SchemeDLOOP && (cfg.DisableCopyBack || cfg.StripeBy != "") {
+		return nil, fmt.Errorf("ssd: DisableCopyBack and StripeBy apply to DLOOP only, not %s", cfg.FTL)
 	}
 	geo, extra, err := resolveGeometry(cfg)
 	if err != nil {

@@ -368,6 +368,17 @@ func (fe *frontEnd) barrier() {
 	}
 }
 
+// clearErr forgets the error a worker latched in a run that a successful
+// Restore has replaced. The caller has quiesced the front end; the next ring
+// publish hands the cleared shard fields back to the workers.
+func (fe *frontEnd) clearErr() {
+	fe.err = nil
+	fe.failed.Store(false)
+	for _, sh := range fe.shards {
+		sh.err = nil
+	}
+}
+
 // advance is the pipelined epoch handoff: publish the closing epoch's tail
 // batch, fold the previous epoch's completions while the shards execute the
 // one just closed, and recycle the previous slab as the buffer for the next

@@ -383,6 +383,44 @@ func TestMQRunReportsWorkerError(t *testing.T) {
 	}
 }
 
+// TestMQRestoreClearsWorkerError pins DESIGN §11's contract on the front
+// end: a successful Restore discards the error a shard worker latched in the
+// run it abandons, so the next Run serves from the checkpoint exactly as a
+// fresh twin does.
+func TestMQRestoreClearsWorkerError(t *testing.T) {
+	cfg := mqConfig(SchemeDLOOP, tinyGeometry(), 2)
+	c := buildMQ(t, cfg)
+	preconditionTiny(t, c)
+	cp, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := c.shards[1].f
+	errInjected := errors.New("injected page error")
+	c.shards[1].f = &failingFTL{FTL: healthy, ok: 10, err: errInjected}
+	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 300, 3))); !errors.Is(err, errInjected) {
+		t.Fatalf("Run returned %v, want the worker's error", err)
+	}
+	c.shards[1].f = healthy
+	if err := c.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	w := tinyWorkload(t, c, 1200, 4)
+	got, err := c.Run(trace.NewSliceReader(w))
+	if err != nil {
+		t.Fatalf("Run after a successful Restore: %v", err)
+	}
+	twin := buildMQ(t, cfg)
+	preconditionTiny(t, twin)
+	want, err := twin.Run(trace.NewSliceReader(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored run differs from a fresh twin's\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
 // TestMQSnapshotFork checks the warm-up checkpoint contract on the front end:
 // a checkpoint taken mid-run forks any number of bit-identical continuations,
 // and the checkpoint itself survives restores untouched.

@@ -90,12 +90,13 @@ func TestExplicitDefaultPolicyIdentical(t *testing.T) {
 	}
 }
 
-// TestAlternativePoliciesRun drives every scheme under the two alternative
-// victim policies: the runs must complete, report the policy, and remain
-// logically consistent (every written page readable at its mapped location).
+// TestAlternativePoliciesRun drives every scheme under cost-benefit and FIFO
+// victim selection (FIFO is FAST's own default): the runs must complete,
+// report the policy, and remain logically consistent (every written page
+// readable at its mapped location).
 func TestAlternativePoliciesRun(t *testing.T) {
 	for scheme := range goldenDefaults {
-		for _, pol := range []string{"costbenefit", "windowed"} {
+		for _, pol := range []string{"costbenefit", "fifo"} {
 			t.Run(scheme+"/"+pol, func(t *testing.T) {
 				cfg := tinyConfig(scheme)
 				cfg.GCPolicy = pol

@@ -25,7 +25,7 @@ import (
 func TestGCInvariants(t *testing.T) {
 	schemes := []string{SchemeDLOOP, SchemeDFTL, SchemeFAST, SchemePureMap, SchemePureMapStriped}
 	for _, scheme := range schemes {
-		for _, pol := range []string{"", "greedy", "costbenefit", "windowed", "fifo"} {
+		for _, pol := range []string{"", "greedy", "costbenefit", "fifo"} {
 			name := scheme + "/default/seq"
 			if pol != "" {
 				name = scheme + "/" + pol + "/seq"

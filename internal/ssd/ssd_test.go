@@ -140,7 +140,7 @@ func TestBuildRejectsUnknownFTL(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsDLOOPOnlySettings: DLOOP's ablation and extension settings
+// TestBuildRejectsDLOOPOnlySettings: DLOOP's ablation settings
 // fail on every other scheme, naming it, rather than being ignored; the
 // translate-policy gate admits exactly the demand-paged schemes.
 func TestBuildRejectsDLOOPOnlySettings(t *testing.T) {
@@ -149,7 +149,6 @@ func TestBuildRejectsDLOOPOnlySettings(t *testing.T) {
 		set  func(*Config)
 	}{
 		{"DisableCopyBack", func(c *Config) { c.DisableCopyBack = true }},
-		{"AdaptiveGC", func(c *Config) { c.AdaptiveGC = true }},
 		{"StripeBy", func(c *Config) { c.StripeBy = "channel" }},
 		{"TranslatePolicy", func(c *Config) { c.TranslatePolicy = "learned" }},
 	} {
@@ -412,20 +411,6 @@ func TestAblationCopybackOff(t *testing.T) {
 	if res.WastedPages != 0 {
 		t.Errorf("ablation wasted %d pages; parity rule should not apply", res.WastedPages)
 	}
-}
-
-func TestAdaptiveGCRuns(t *testing.T) {
-	cfg := tinyConfig(SchemeDLOOP)
-	cfg.AdaptiveGC = true
-	c, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preconditionTiny(t, c)
-	if _, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 4000, 1))); err != nil {
-		t.Fatal(err)
-	}
-	checkMappingConsistency(t, c)
 }
 
 func TestDLOOPPlacementInvariant(t *testing.T) {
