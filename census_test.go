@@ -247,6 +247,157 @@ func TestMethodsHaveReaders(t *testing.T) {
 	checkTestOnlyRows(t, "## Methods read only by tests", "exported method of a package-level type of internal/", methods, read)
 }
 
+// TestFieldsHaveReaders holds every struct field of a non-test package
+// (bench/ and cmd/ included) to a reader in non-test code, or to a row in
+// KNOBS.md's "Fields read only by tests" table saying why it stays. A store
+// is no read: the left side of = or op= (also through an index, x.f[i] = v),
+// the operand of ++ or --, and a composite-literal key. Nor is a read inside
+// a checkpoint codec of the field's own package (EncodeState, DecodeState
+// and their unexported twins), so a value kept only to be checkpointed, and
+// checked by its decoder, counts as unread. Blank fields, tagged fields
+// (which encoding/json reads) and the fields of structs used as map keys,
+// sync.Map's included (compared on every lookup), are exempt. A field of a
+// generic type is its origin's.
+func TestFieldsHaveReaders(t *testing.T) {
+	fields, read := fieldReadCensus(loadTree(t))
+	checkTestOnlyRows(t, "## Fields read only by tests", "struct field of a non-test package", fields, read)
+}
+
+// fieldReadCensus returns the fields of the structs declared in the tree,
+// keyed "pkg.Type.Field" ("pkg.file.go:line.Field" for an anonymous struct),
+// and the subset non-test code reads (see TestFieldsHaveReaders).
+func fieldReadCensus(tr *typedTree) (fields, read map[string]bool) {
+	// Fields of map-key structs, compared wholesale by every lookup.
+	mapKey := map[*types.Var]bool{}
+	var exemptKey func(T types.Type)
+	exemptKey = func(T types.Type) {
+		if st, ok := T.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); !mapKey[f] {
+					mapKey[f] = true
+					exemptKey(f.Type())
+				}
+			}
+		}
+	}
+	key := map[*types.Var]string{}
+	for _, p := range tr.pkgs {
+		for _, tv := range p.info.Types {
+			if m, ok := tv.Type.(*types.Map); ok {
+				exemptKey(m.Key())
+			}
+		}
+		for _, f := range p.files {
+			named := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr: // a sync.Map key
+					if se, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) > 0 {
+						if sel := p.info.Selections[se]; sel != nil && sel.Kind() == types.MethodVal &&
+							strings.HasPrefix(sel.Obj().(*types.Func).FullName(), "(*sync.Map).") {
+							exemptKey(p.info.TypeOf(n.Args[0]))
+						}
+					}
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						named[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					label, ok := named[n]
+					if !ok {
+						pos := tr.fset.Position(n.Pos())
+						label = fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+					}
+					st := p.info.Types[n].Type.(*types.Struct)
+					for i := 0; i < st.NumFields(); i++ {
+						if fv := st.Field(i); fv.Name() != "_" && st.Tag(i) == "" {
+							key[fv] = p.types.Name() + "." + label + "." + fv.Name()
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	fields, read = map[string]bool{}, map[string]bool{}
+	for fv, k := range key {
+		if !mapKey[fv] {
+			fields[k] = true
+		}
+	}
+	for _, p := range tr.pkgs {
+		for _, f := range p.files {
+			stored := map[*ast.SelectorExpr]bool{}
+			store := func(e ast.Expr) {
+				for {
+					switch x := e.(type) {
+					case *ast.ParenExpr:
+						e = x.X
+						continue
+					case *ast.IndexExpr:
+						e = x.X
+						continue
+					case *ast.SelectorExpr:
+						stored[x] = true
+					}
+					return
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok != token.DEFINE {
+						for _, lhs := range n.Lhs {
+							store(lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					store(n.X)
+				}
+				return true
+			})
+			for _, d := range f.Decls {
+				codec := false // EncodeState, decodeState and so on
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					codec = strings.HasSuffix(fd.Name.Name, "codeState")
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					se, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					sel := p.info.Selections[se]
+					if sel == nil {
+						return true
+					}
+					// The embedded fields a promoted selection passes through.
+					T := sel.Recv()
+					for _, i := range sel.Index()[:len(sel.Index())-1] {
+						if ptr, ok := T.Underlying().(*types.Pointer); ok {
+							T = ptr.Elem()
+						}
+						fv := T.Underlying().(*types.Struct).Field(i)
+						read[key[fv.Origin()]] = true
+						T = fv.Type()
+					}
+					if sel.Kind() != types.FieldVal || stored[se] {
+						return true
+					}
+					fv := sel.Obj().(*types.Var).Origin()
+					if codec && fv.Pkg() == p.types {
+						return true
+					}
+					read[key[fv]] = true
+					return true
+				})
+			}
+		}
+	}
+	delete(read, "")
+	return fields, read
+}
+
 // checkTestOnlyRows holds a KNOBS.md table of identifiers only tests read to
 // a census: a row must name an identifier of the census that no non-test
 // code reads, once, with a reason, and every such identifier needs a row.
@@ -376,6 +527,7 @@ func methodCensus(tr *typedTree) (methods, read map[string]bool) {
 // type-checked from source.
 type typedTree struct {
 	pkgs []*typedPkg // in go list order
+	fset *token.FileSet
 }
 
 // typedPkg is one type-checked package.
@@ -484,7 +636,7 @@ func typeCheckTree(dirs ...string) (*typedTree, error) {
 		checked[ip] = p
 		return p, nil
 	}
-	tr := &typedTree{}
+	tr := &typedTree{fset: fset}
 	for _, ip := range order {
 		p, err := check(ip)
 		if err != nil {

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
@@ -121,6 +122,7 @@ func TestContainerValidation(t *testing.T) {
 		{"short", func(b []byte) []byte { return b[:headerSize-1] }, "short container"},
 		{"magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, "bad magic"},
 		{"version", func(b []byte) []byte { b[4]++; return b }, "format version"},
+		{"previous version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[4:8], Version-1); return b }, "format version"},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }, "length"},
 		{"bitflip", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b }, "checksum"},
 	}

@@ -56,9 +56,9 @@ func FuzzCkptReader(f *testing.F) {
 	script := []byte{opU32, opI64s, opString, opExpectLen, 2, opU32, opU32, opU32, opU32,
 		opI64sInto, 3, opAppendInts, 1, opU32, opString}
 	f.Add(good, script)
-	v1 := bytes.Clone(good)
-	binary.LittleEndian.PutUint32(v1[4:8], 1)
-	f.Add(v1, script)
+	prev := bytes.Clone(good) // the same container in the previous format
+	binary.LittleEndian.PutUint32(prev[4:8], Version-1)
+	f.Add(prev, script)
 	f.Add([]byte{}, []byte{opString, opU32})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
 		r, err := Open(data)

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -452,16 +451,6 @@ func scaleProfile(p workload.Profile, scale float64) workload.Profile {
 		return p
 	}
 	return p.ScaleFootprint(scale)
-}
-
-// sortedKeys returns map keys in sorted order for deterministic rendering.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // footprintFits reports whether a workload's footprint fits the capacity a

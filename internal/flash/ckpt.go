@@ -30,15 +30,14 @@ func (d *Device) EncodeState(w *ckpt.Writer) {
 		}
 		ckpt.Store(dst[8*i:], chunk)
 	}
-	dst = w.Raw(4 + 20*len(d.blocks))
+	dst = w.Raw(4 + 16*len(d.blocks))
 	binary.LittleEndian.PutUint32(dst, uint32(len(d.blocks)))
 	for i, b := range d.blocks {
-		row := dst[4+20*i:]
+		row := dst[4+16*i:]
 		binary.LittleEndian.PutUint32(row, uint32(int32(b.Valid)))
 		binary.LittleEndian.PutUint32(row[4:], uint32(int32(b.Invalid)))
 		binary.LittleEndian.PutUint32(row[8:], uint32(int32(b.Written)))
-		binary.LittleEndian.PutUint32(row[12:], uint32(int32(b.Erases)))
-		binary.LittleEndian.PutUint32(row[16:], uint32(int32(b.NextWrite)))
+		binary.LittleEndian.PutUint32(row[12:], uint32(int32(b.NextWrite)))
 	}
 	for _, rs := range [][]*sim.Resource{d.planes, d.chipBus, d.channels} {
 		w.U32(uint32(len(rs)))
@@ -50,7 +49,6 @@ func (d *Device) EncodeState(w *ckpt.Writer) {
 	for op := opKind(0); op < numOps; op++ {
 		for c := Cause(0); c < numCauses; c++ {
 			w.I64(s.ops[op][c])
-			w.I64(int64(s.latency[op][c]))
 		}
 	}
 	w.U32(uint32(len(s.PlaneOps)))
@@ -91,17 +89,16 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 		}
 	}
 	blocks := d.blocks // a local header: stores through d.blocks would reload it
-	raw := r.Raw(20 * r.ExpectLen(len(blocks), 20))
-	for i := range blocks[:len(raw)/20] {
-		row := raw[20*i : 20*i+20]
+	raw := r.Raw(16 * r.ExpectLen(len(blocks), 16))
+	for i := range blocks[:len(raw)/16] {
+		row := raw[16*i : 16*i+16]
 		b := BlockInfo{
 			Valid:     int(int32(binary.LittleEndian.Uint32(row))),
 			Invalid:   int(int32(binary.LittleEndian.Uint32(row[4:]))),
 			Written:   int(int32(binary.LittleEndian.Uint32(row[8:]))),
-			Erases:    int(int32(binary.LittleEndian.Uint32(row[12:]))),
-			NextWrite: int(int32(binary.LittleEndian.Uint32(row[16:]))),
+			NextWrite: int(int32(binary.LittleEndian.Uint32(row[12:]))),
 		}
-		if b.Valid < 0 || b.Invalid < 0 || b.Erases < 0 || b.Valid+b.Invalid != b.Written ||
+		if b.Valid < 0 || b.Invalid < 0 || b.Valid+b.Invalid != b.Written ||
 			b.Written > b.NextWrite || b.NextWrite > d.geo.PagesPerBlock {
 			r.Failf("flash: block %d row %+v: %w", i, b, ErrBookkeeping)
 			return
@@ -114,7 +111,7 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 		blocks[i] = b
 	}
 	for _, rs := range [][]*sim.Resource{d.planes, d.chipBus, d.channels} {
-		r.ExpectLen(len(rs), 28) // an idle resource's encoding: three i64 and a count
+		r.ExpectLen(len(rs), 20) // an idle resource's encoding: two i64 and a count
 		for _, res := range rs {
 			if r.Err() != nil {
 				return
@@ -126,7 +123,6 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 	for op := opKind(0); op < numOps; op++ {
 		for c := Cause(0); c < numCauses; c++ {
 			s.ops[op][c] = r.I64()
-			s.latency[op][c] = sim.Duration(r.I64())
 		}
 	}
 	r.ExpectLen(len(s.PlaneOps), 8*int(numCauses))

@@ -12,7 +12,7 @@ import (
 )
 
 // columns locates a device encoding's page columns: the state byte of page
-// i is at states+i, its tag at tags+8*i, and block row b at rows+20*b.
+// i is at states+i, its tag at tags+8*i, and block row b at rows+16*b.
 func columns(d *Device) (states, tags, rows int) {
 	n := int(d.Geometry().TotalPages())
 	return 4, 4 + n + 4, 4 + n + 4 + 8*n + 4
@@ -105,7 +105,7 @@ func TestDecodeStateRejectsInconsistentPages(t *testing.T) {
 		}, ErrBookkeeping},
 		{"free page recounted invalid", func(b []byte) { b[states+free] = byte(PageInvalid) }, ErrBookkeeping},
 		{"row counters disagree", func(b []byte) {
-			row := rows + 20*int(g.BlockIndex(PlaneBlock{0, 0}))
+			row := rows + 16*int(g.BlockIndex(PlaneBlock{0, 0}))
 			binary.LittleEndian.PutUint32(b[row+4:], binary.LittleEndian.Uint32(b[row+4:])+1)
 		}, ErrBookkeeping},
 	} {

@@ -65,7 +65,6 @@ type BlockInfo struct {
 	Valid     int // pages currently holding live data
 	Invalid   int // pages holding stale data
 	Written   int // pages programmed since last erase (Valid+Invalid)
-	Erases    int // lifetime erase count
 	NextWrite int // high-water mark: next sequentially programmable page
 }
 
@@ -337,14 +336,14 @@ func (d *Device) schedule(kind opKind, plane int, ready sim.Time) (start, end si
 			if kind == opRead { // plane [r, r+read+xfer); buses [r+read, r+read+xfer)
 				xfer := ready.Add(d.readLat)
 				end = xfer.Add(d.xferLat)
-				pl.OccupyTail(ready, d.readLat+d.xferLat, 2)
-				chip.OccupyTail(xfer, d.xferLat, 1)
-				ch.OccupyTail(xfer, d.xferLat, 1)
+				pl.OccupyTail(ready, d.readLat+d.xferLat)
+				chip.OccupyTail(xfer, d.xferLat)
+				ch.OccupyTail(xfer, d.xferLat)
 			} else { // buses [r, r+xfer); plane [r, r+xfer+program)
 				end = ready.Add(d.xferLat + d.progLat)
-				chip.OccupyTail(ready, d.xferLat, 1)
-				ch.OccupyTail(ready, d.xferLat, 1)
-				pl.OccupyTail(ready, d.xferLat+d.progLat, 2)
+				chip.OccupyTail(ready, d.xferLat)
+				ch.OccupyTail(ready, d.xferLat)
+				pl.OccupyTail(ready, d.xferLat+d.progLat)
 			}
 			return ready, end
 		}
@@ -379,7 +378,7 @@ func (d *Device) issue(kind opKind, cause Cause, plane int, stored int64, ready 
 		return ready
 	}
 	start, end := d.schedule(kind, plane, ready)
-	d.stats.note(kind, cause, plane, 1, end.Sub(ready))
+	d.stats.note(kind, cause, plane, 1)
 	if d.rec != nil {
 		d.rec.RecordOp(obs.Op{
 			Kind: obs.OpKind(kind), Cause: obs.Cause(cause), Stored: stored,
@@ -533,7 +532,7 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 		}
 	default:
 		end = d.planes[plane].AcquireChain(ready, d.cbLat, n)
-		d.stats.note(opCopyBack, cause, plane, int64(n), end.Sub(ready))
+		d.stats.note(opCopyBack, cause, plane, int64(n))
 	}
 	return end, err
 }
@@ -555,7 +554,6 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 	d.blocks[bi].Invalid = 0
 	d.blocks[bi].Written = 0
 	d.blocks[bi].NextWrite = 0
-	d.blocks[bi].Erases++
 	d.stats.BlockErases[bi]++
 	return d.issue(opErase, cause, pb.Plane, bi, ready), nil
 }

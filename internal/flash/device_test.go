@@ -106,8 +106,11 @@ func TestInvalidateAndErase(t *testing.T) {
 		t.Errorf("erase latency %v, want %v", got, d.Timing().BlockErase)
 	}
 	bi := d.Block(pb)
-	if bi.Valid != 0 || bi.Invalid != 0 || bi.Written != 0 || bi.Erases != 1 || bi.NextWrite != 0 {
+	if bi.Valid != 0 || bi.Invalid != 0 || bi.Written != 0 || bi.NextWrite != 0 {
 		t.Errorf("block after erase: %+v", bi)
+	}
+	if n := d.Stats().BlockErases[g.BlockIndex(pb)]; n != 1 {
+		t.Errorf("block erased %d times, want 1", n)
 	}
 	for p := 0; p < g.PagesPerBlock; p++ {
 		if d.PageState(g.PPNOf(1, 1, p)) != PageFree {

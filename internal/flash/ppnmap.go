@@ -20,10 +20,6 @@ func (m PPNMap) Set(i int64, ppn PPN) { m[i] = uint32(ppn + 1) }
 // Len returns the number of entries.
 func (m PPNMap) Len() int { return len(m) }
 
-// Mappable reports whether a PPNMap can hold ppn: InvalidPPN, or a page
-// number some device could have.
-func Mappable(ppn PPN) bool { return ppn == InvalidPPN || uint64(ppn) < maxPages }
-
 // EncodeState appends m to w as a u32 count and one little-endian int64 per
 // entry, -1 for InvalidPPN.
 func (m PPNMap) EncodeState(w *ckpt.Writer) {
@@ -40,7 +36,8 @@ func (m PPNMap) EncodeState(w *ckpt.Writer) {
 }
 
 // DecodeState overwrites m with a column EncodeState wrote, which must have
-// m's length. An entry that is not Mappable fails r with ErrUnmappable.
+// m's length. An entry that is neither InvalidPPN nor a page number some
+// device could have fails r with ErrUnmappable.
 func (m PPNMap) DecodeState(r *ckpt.Reader) {
 	raw := r.Raw(8 * r.ExpectLen(len(m), 8))
 	var buf [256]uint64
@@ -50,7 +47,7 @@ func (m PPNMap) DecodeState(r *ckpt.Reader) {
 		dst := m[i : i+len(chunk)]
 		for j, v := range chunk {
 			// The stored ppn+1 is at most maxPages exactly when the entry
-			// is Mappable: InvalidPPN stores 0.
+			// is InvalidPPN (stored 0) or a page some device could have.
 			if v++; v > maxPages {
 				r.Failf("flash: PPN column entry %d holds %d: %w", i+j, int64(v-1), ErrUnmappable)
 				return

@@ -1,7 +1,5 @@
 package flash
 
-import "dloop/internal/sim"
-
 type opKind uint8
 
 const (
@@ -12,12 +10,11 @@ const (
 	numOps
 )
 
-// Stats accumulates operation counts and latencies, attributed per cause and
-// per plane. PlaneOps feeds the paper's SDRPP metric (standard deviation of
-// requests per plane); BlockErases feeds wear-leveling analysis.
+// Stats accumulates operation counts, attributed per cause and per plane.
+// PlaneOps feeds the paper's SDRPP metric (standard deviation of requests
+// per plane); BlockErases feeds wear-leveling analysis.
 type Stats struct {
-	ops     [numOps][numCauses]int64
-	latency [numOps][numCauses]sim.Duration // includes resource queueing
+	ops [numOps][numCauses]int64
 
 	// PlaneOps[plane][cause] counts operations dispatched to each plane.
 	PlaneOps [][numCauses]int64
@@ -30,17 +27,14 @@ type Stats struct {
 
 func (s *Stats) init(geo Geometry) {
 	s.ops = [numOps][numCauses]int64{}
-	s.latency = [numOps][numCauses]sim.Duration{}
 	s.PlaneOps = make([][numCauses]int64, geo.Planes())
 	s.BlockErases = make([]int32, geo.TotalBlocks())
 	s.WastedPages = 0
 }
 
-// note accounts n operations of one kind on one plane whose latencies sum to
-// lat.
-func (s *Stats) note(op opKind, cause Cause, plane int, n int64, lat sim.Duration) {
+// note accounts n operations of one kind on one plane.
+func (s *Stats) note(op opKind, cause Cause, plane int, n int64) {
 	s.ops[op][cause] += n
-	s.latency[op][cause] += lat
 	s.PlaneOps[plane][cause] += n
 }
 

@@ -44,9 +44,7 @@ type Stats struct {
 type FAST struct {
 	dev      *flash.Device
 	geo      flash.Geometry
-	cfg      Config
 	capacity ftl.LPN
-	lbns     int64 // logical blocks exported
 	// logBlocks is the size of the log buffer (1 SW + the rest RW): half the
 	// device's extra blocks, minimum 4. More over-provisioning means a larger
 	// log and later, cheaper merges — the Fig. 10 trend.
@@ -87,9 +85,7 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 	f := &FAST{
 		dev:       dev,
 		geo:       geo,
-		cfg:       cfg,
 		capacity:  capacity,
-		lbns:      int64(capacity) / int64(geo.PagesPerBlock),
 		logBlocks: logBlocks,
 		pool:      ftl.NewFreeBlocks(geo),
 		dataBlock: make([]int64, int64(capacity)/int64(geo.PagesPerBlock)),

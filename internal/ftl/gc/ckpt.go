@@ -8,10 +8,6 @@ func (e *Engine) EncodeState(w *ckpt.Writer) {
 	w.Int(e.depth)
 	w.Bools(e.collecting)
 	w.I64(e.stats.Runs)
-	w.I64(e.stats.Moves)
-	w.I64(e.stats.CopyBacks)
-	w.I64(e.stats.External)
-	w.I64(e.stats.ParityWaste)
 }
 
 // DecodeState overwrites the engine's guards and counters with what
@@ -19,11 +15,5 @@ func (e *Engine) EncodeState(w *ckpt.Writer) {
 func (e *Engine) DecodeState(r *ckpt.Reader) {
 	e.depth = r.Int()
 	r.BoolsInto(e.collecting)
-	e.stats = Stats{
-		Runs:        r.I64(),
-		Moves:       r.I64(),
-		CopyBacks:   r.I64(),
-		External:    r.I64(),
-		ParityWaste: r.I64(),
-	}
+	e.stats = Stats{Runs: r.I64()}
 }

@@ -50,13 +50,10 @@ type Scheme interface {
 }
 
 // Stats counts the engine's activity. Schemes derive their public GC
-// counters from it.
+// counters from it; the device counts the moves and the pages wasted to the
+// parity rule (flash.Stats.GCMoves and WastedPages).
 type Stats struct {
-	Runs        int64 // collections completed
-	Moves       int64 // valid pages relocated
-	CopyBacks   int64 // moves done with intra-plane copy-back
-	External    int64 // moves done with read-transfer-write through the buses
-	ParityWaste int64 // destination pages wasted to satisfy the parity rule
+	Runs int64 // collections completed
 }
 
 // VictimRecorder is the optional observability hook for the per-victim
@@ -256,14 +253,12 @@ func (e *Engine) queueCopyBack(sc *collectScratch, src, dst flash.PPN, t sim.Tim
 // flushRun hands the pending copy-back run (possibly empty) to the device,
 // starting at t, and returns when its last page lands.
 func (e *Engine) flushRun(sc *collectScratch, t sim.Time) (sim.Time, error) {
-	n := int64(len(sc.srcs))
+	n := len(sc.srcs)
 	t, err := e.dev.CopyBackRun(sc.srcs, sc.dsts, t, flash.CauseGC)
 	if err != nil {
 		return 0, err
 	}
 	sc.srcs, sc.dsts = sc.srcs[:0], sc.dsts[:0]
-	e.stats.Moves += n
-	e.stats.CopyBacks += n
 	if e.rec != nil && n > 0 { // then the run is a single page, see queueCopyBack
 		e.rec.RecordEvent(obs.EvGCCopyBack, t)
 	}
@@ -306,7 +301,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 	defer e.putScratch(sc)
 	first := e.geo.FirstPPN(victim)
 	ppb := e.geo.PagesPerBlock
-	wasteBefore := e.stats.ParityWaste
+	wasted := 0 // destination pages wasted to the parity rule
 
 	if e.cfg.Style == MoveOffsetOrder {
 		for p := 0; p < ppb; p++ {
@@ -367,7 +362,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 						return 0, false, err
 					}
 					e.tracker.Invalidated(e.dev.BlockOf(dst))
-					e.stats.ParityWaste++
+					wasted++
 					if e.rec != nil {
 						e.rec.RecordEvent(obs.EvParityWaste, t)
 					}
@@ -418,7 +413,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 	e.stats.Runs++
 	if e.spanRec != nil {
 		e.spanRec.RecordGCSpan(int32(victim.Plane), ready, t,
-			e.policy.Name(), len(sc.moved), int(e.stats.ParityWaste-wasteBefore))
+			e.policy.Name(), len(sc.moved), wasted)
 	} else if e.rec != nil {
 		e.rec.RecordSpan(obs.SpanGC, int32(victim.Plane), ready, t)
 	}
@@ -435,8 +430,6 @@ func (e *Engine) MoveExternal(src, dst flash.PPN, ready sim.Time) (sim.Time, err
 	if err != nil {
 		return 0, err
 	}
-	e.stats.Moves++
-	e.stats.External++
 	if e.rec != nil {
 		e.rec.RecordEvent(obs.EvGCExternalMove, t)
 	}

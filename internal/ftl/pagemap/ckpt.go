@@ -7,9 +7,10 @@ import (
 
 // EncodeState implements ftl.FTL: everything that changes as requests are
 // served. Geometry, config, capacity, and the striping permutation are
-// construction-time constants and stay out. Each preset keeps the byte
-// layout it had as a package of its own: the ideal table in place of the
-// translation state, and DFTL's two logs without a count.
+// construction-time constants and stay out. An ideal layout writes its
+// table where a demand-paged one writes the translation state; the write
+// points follow as a counted list (one per plane when striped, DFTL's two
+// logs, PureMap's one).
 func (f *FTL) EncodeState(w *ckpt.Writer) {
 	if f.mapper != nil {
 		f.mapper.EncodeState(w)
@@ -18,9 +19,7 @@ func (f *FTL) EncodeState(w *ckpt.Writer) {
 	}
 	f.pool.EncodeState(w)
 	f.tracker.EncodeState(w)
-	if !f.cfg.Layout.twinLogs() {
-		w.U32(uint32(len(f.cur)))
-	}
+	w.U32(uint32(len(f.cur)))
 	for _, wp := range f.cur {
 		w.Int(wp.pb.Plane)
 		w.Int(wp.pb.Block)
@@ -39,10 +38,7 @@ func (f *FTL) DecodeState(r *ckpt.Reader) {
 	}
 	f.pool.DecodeState(r)
 	f.tracker.DecodeState(r)
-	n := len(f.cur)
-	if !f.cfg.Layout.twinLogs() {
-		n = r.ExpectLen(n, 25) // three i64 and a bool each
-	}
+	n := r.ExpectLen(len(f.cur), 25) // three i64 and a bool each
 	for i := range f.cur[:n] {
 		wp := writePoint{pb: flash.PlaneBlock{Plane: r.Int(), Block: r.Int()}, next: r.Int(), active: r.Bool()}
 		if wp.pb.Plane < 0 || wp.pb.Plane >= f.geo.Planes() || wp.pb.Block < 0 ||

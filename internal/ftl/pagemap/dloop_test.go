@@ -109,9 +109,6 @@ func TestGCUsesCopyBackOnly(t *testing.T) {
 	if ext > cb/5 {
 		t.Fatalf("external moves %d not dominated by copy-backs %d", ext, cb)
 	}
-	if st.GCMoves != cb+ext {
-		t.Fatalf("GCMoves %d != device moves %d", st.GCMoves, cb+ext)
-	}
 }
 
 func TestTranslationPagesStriped(t *testing.T) {
@@ -170,7 +167,7 @@ func TestAblationUsesExternalMovesOnly(t *testing.T) {
 	if ext == 0 {
 		t.Fatal("no external moves")
 	}
-	if f.Stats().ParityWaste != 0 {
+	if dev.Stats().WastedPages != 0 {
 		t.Fatal("parity waste without copy-back")
 	}
 }
@@ -214,18 +211,19 @@ func TestParityWasteOnCraftedVictim(t *testing.T) {
 		t.Fatalf("victim invalid = %d, want 4", got)
 	}
 	// Force GC until that block is collected.
-	for i := 0; dev.Block(victim).Erases == 0 && i < 5000; i++ {
+	for i := 0; dev.Stats().BlockErases[geo.BlockIndex(victim)] == 0 && i < 5000; i++ {
 		end, err := f.WritePage(lpns[(i%4)*2], at) // keep updating evens
 		if err != nil {
 			t.Fatal(err)
 		}
 		at = end
 	}
-	if f.Stats().ParityWaste == 0 {
+	st := dev.Stats()
+	if st.WastedPages == 0 {
 		t.Log("no parity waste observed; ordering absorbed all mismatches (acceptable)")
 	}
 	// Invariant either way: waste never exceeds moves.
-	if f.Stats().ParityWaste > f.Stats().GCMoves {
-		t.Fatalf("waste %d > moves %d", f.Stats().ParityWaste, f.Stats().GCMoves)
+	if cb, ext := st.GCMoves(); st.WastedPages > cb+ext {
+		t.Fatalf("waste %d > moves %d", st.WastedPages, cb+ext)
 	}
 }

@@ -89,10 +89,6 @@ func (l Layout) Name() string {
 
 func (l Layout) striped() bool { return l.StripeBy != "" }
 
-// twinLogs reports a global demand-paged layout: DFTL appends translation
-// pages to a write point of their own beside the data log.
-func (l Layout) twinLogs() bool { return l.DemandPaged && !l.striped() }
-
 // Config parameterizes a page-mapping FTL.
 type Config struct {
 	// Layout selects the scheme: a Preset, possibly adjusted.
@@ -118,11 +114,10 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Stats exposes counters beyond what the device records.
+// Stats exposes counters beyond what the device records (the device counts
+// GC moves and parity waste: flash.Stats.GCMoves and WastedPages).
 type Stats struct {
 	GCRuns      int64 // garbage collections completed
-	GCMoves     int64 // valid pages relocated by GC
-	ParityWaste int64 // free pages wasted to satisfy the same-parity rule
 	MapperStats translate.Stats
 }
 
@@ -144,8 +139,7 @@ type FTL struct {
 	pool    *ftl.FreeBlocks
 	tracker *ftl.Tracker
 	// cur holds the write points: one per plane on a striped layout; DFTL's
-	// data and translation logs; PureMap's one log in slot 0 of a
-	// planes-long list, the shape its checkpoint has always had.
+	// data and translation logs; PureMap's one log.
 	cur    []writePoint
 	engine *gc.Engine // owns the collect loop and reentrancy guards
 
@@ -171,10 +165,14 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 		capacity: ftl.ExportedPages(geo, cfg.ExtraPerPlane),
 		pool:     ftl.NewFreeBlocks(geo),
 		tracker:  ftl.NewTracker(geo),
-		cur:      make([]writePoint, geo.Planes()),
 	}
-	if l.twinLogs() {
+	switch {
+	case l.striped():
+		f.cur = make([]writePoint, geo.Planes())
+	case l.DemandPaged: // DFTL appends translation pages to a log of their own
 		f.cur = make([]writePoint, 2)
+	default:
+		f.cur = make([]writePoint, 1)
 	}
 	var err error
 	if l.striped() {
@@ -234,8 +232,7 @@ func (f *FTL) Capacity() ftl.LPN { return f.capacity }
 // Stats returns the internal counters, derived from the GC engine and the
 // translation engine.
 func (f *FTL) Stats() Stats {
-	es := f.engine.Stats()
-	s := Stats{GCRuns: es.Runs, GCMoves: es.Moves, ParityWaste: es.ParityWaste}
+	s := Stats{GCRuns: f.engine.Stats().Runs}
 	if f.mapper != nil {
 		s.MapperStats = f.mapper.Stats()
 	}

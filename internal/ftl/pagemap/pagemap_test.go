@@ -248,7 +248,7 @@ func TestUnstripedGCUsesExternalMoves(t *testing.T) {
 	if ext == 0 || cb != 0 {
 		t.Fatalf("unstriped moves cb=%d ext=%d, want all external", cb, ext)
 	}
-	if f.Stats().ParityWaste != 0 {
+	if dev.Stats().WastedPages != 0 {
 		t.Fatal("unstriped mode wasted pages")
 	}
 }

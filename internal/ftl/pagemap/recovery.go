@@ -41,12 +41,8 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FTL, error) {
 	f.pool = st.Pool
 	f.tracker = st.Tracker
 	f.engine.Retarget(st.Tracker)
-	logs := 1
-	if cfg.Layout.twinLogs() {
-		logs = 2
-	}
-	if f.perm == nil && len(st.Partial) > logs {
-		return nil, fmt.Errorf("pagemap: recovery found %d partial blocks, want at most %d", len(st.Partial), logs)
+	if f.perm == nil && len(st.Partial) > len(f.cur) { // one per log
+		return nil, fmt.Errorf("pagemap: recovery found %d partial blocks, want at most %d", len(st.Partial), len(f.cur))
 	}
 	for i, p := range st.Partial {
 		slot := i

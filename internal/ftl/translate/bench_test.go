@@ -25,8 +25,11 @@ func BenchmarkCMT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lpn := ftl.LPN(i % 8192) // 50% working set over capacity: mixes hits and evictions
-		if _, ok := c.Get(lpn); !ok {
-			c.Insert(lpn, flash.PPN(i), i%2 == 0)
+		if !c.Get(lpn) {
+			c.Insert(lpn)
+			if i%2 == 0 {
+				c.Update(lpn)
+			}
 		}
 	}
 }
@@ -88,7 +91,7 @@ func BenchmarkLearnedLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if m.Stats().LearnedHits == 0 || m.Stats().LearnedFalse != 0 {
+	if m.Stats().LearnedHits == 0 || m.Stats().TransReads != 0 {
 		b.Fatalf("learned predictions off the fast path: %+v", m.Stats())
 	}
 }

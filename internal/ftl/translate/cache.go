@@ -3,14 +3,16 @@ package translate
 import (
 	"fmt"
 
-	"dloop/internal/flash"
 	"dloop/internal/ftl"
 )
 
 // Cache is the Cached Mapping Table: the small SRAM cache of hot
 // logical-to-physical mappings that DFTL introduced and DLOOP reuses
 // (§III.D, algorithm line 6: "select a victim entry for eviction using
-// segmented LRU").
+// segmented LRU"). It models which mappings are resident and dirty, which
+// is what decides the translation traffic a lookup costs; the PPNs
+// themselves are read from the engine's table, so an entry does not hold
+// one.
 //
 // In its default segmented-LRU mode it keeps a probationary segment for
 // entries seen once and a protected segment for entries hit again; victims
@@ -27,8 +29,7 @@ import (
 // handle), recycled through a free list, so the cache performs no per-entry
 // heap allocation in steady state. Recency lists and the per-translation-page
 // dirty index are intrusive: each entry carries its own links, and dirty
-// membership costs one list splice plus a counter update instead of a
-// map-of-maps insertion.
+// membership costs one list splice instead of a map-of-maps insertion.
 type Cache struct {
 	capacity int
 	protCap  int // capacity of the protected segment
@@ -44,8 +45,7 @@ type Cache struct {
 	probation list // MRU at head
 	protected list // MRU at head
 
-	tpHead  []int32 // tvpn -> head of the intrusive dirty list
-	tpCount []int32 // tvpn -> cached dirty mappings
+	tpHead []int32 // tvpn -> head of the intrusive dirty list
 
 	hits, misses int64
 }
@@ -53,13 +53,11 @@ type Cache struct {
 // Entry is the externally visible form of a cache entry.
 type Entry struct {
 	LPN   ftl.LPN
-	PPN   flash.PPN
 	Dirty bool
 }
 
 type entry struct {
 	lpn          ftl.LPN
-	ppn          flash.PPN
 	dirty        bool
 	protected    bool
 	prev, next   int32 // recency-list links (next doubles as the free-list link)
@@ -124,7 +122,6 @@ func NewCacheForSpace(capacity, entriesPerPage int, space ftl.LPN, translationPa
 		slab:     make([]entry, capacity+1),
 		dense:    make([]int32, space),
 		tpHead:   make([]int32, translationPages),
-		tpCount:  make([]int32, translationPages),
 	}
 	// Chain every handle onto the free list.
 	for h := 1; h <= capacity; h++ {
@@ -169,7 +166,6 @@ func (c *Cache) markDirty(h int32) {
 		c.slab[e.dNext].dPrev = h
 	}
 	c.tpHead[tp] = h
-	c.tpCount[tp]++
 }
 
 func (c *Cache) unmarkDirty(h int32) {
@@ -184,19 +180,19 @@ func (c *Cache) unmarkDirty(h int32) {
 		c.slab[e.dNext].dPrev = e.dPrev
 	}
 	e.dPrev, e.dNext = 0, 0
-	c.tpCount[tp]--
 }
 
-// Get looks up a mapping, updating recency and segment membership on a hit.
-func (c *Cache) Get(lpn ftl.LPN) (flash.PPN, bool) {
+// Get reports whether a mapping is cached, updating recency and segment
+// membership on a hit.
+func (c *Cache) Get(lpn ftl.LPN) bool {
 	h := c.dense[lpn]
 	if h == 0 {
 		c.misses++
-		return flash.InvalidPPN, false
+		return false
 	}
 	c.hits++
 	c.touch(h)
-	return c.slab[h].ppn, true
+	return true
 }
 
 func (c *Cache) touch(h int32) {
@@ -217,11 +213,11 @@ func (c *Cache) touch(h int32) {
 	}
 }
 
-// Insert adds a mapping that is not currently cached. If the cache is full it
-// evicts the LRU victim (in segmented mode, the segmented-LRU victim) and
-// returns it with evicted=true; the caller must write the victim back to its
-// translation page if it is dirty.
-func (c *Cache) Insert(lpn ftl.LPN, ppn flash.PPN, dirty bool) (victim Entry, evicted bool) {
+// Insert adds a mapping that is not currently cached, clean. If the cache is
+// full it evicts the LRU victim (in segmented mode, the segmented-LRU victim)
+// and returns it with evicted=true; the caller must write the victim back to
+// its translation page if it is dirty.
+func (c *Cache) Insert(lpn ftl.LPN) (victim Entry, evicted bool) {
 	if c.dense[lpn] != 0 {
 		panic(fmt.Sprintf("translate: Cache.Insert of cached lpn %d", lpn))
 	}
@@ -229,14 +225,10 @@ func (c *Cache) Insert(lpn ftl.LPN, ppn flash.PPN, dirty bool) (victim Entry, ev
 		victim, evicted = c.evict()
 	}
 	h := c.alloc()
-	e := &c.slab[h]
-	e.lpn, e.ppn, e.dirty = lpn, ppn, dirty
+	c.slab[h].lpn = lpn
 	c.dense[lpn] = h
 	c.pushFront(&c.probation, h)
 	c.n++
-	if dirty {
-		c.markDirty(h)
-	}
 	return victim, evicted
 }
 
@@ -257,33 +249,32 @@ func (c *Cache) evict() (Entry, bool) {
 	}
 	c.dense[e.lpn] = 0
 	c.n--
-	victim := Entry{LPN: e.lpn, PPN: e.ppn, Dirty: e.dirty}
+	victim := Entry{LPN: e.lpn, Dirty: e.dirty}
 	c.release(h)
 	return victim, true
 }
 
-// Update rewrites the PPN of a cached mapping and ORs in dirty. It reports
-// whether the entry was present.
-func (c *Cache) Update(lpn ftl.LPN, ppn flash.PPN, dirty bool) bool {
+// Update records that a cached mapping changed: the entry stays dirty until
+// its translation page is written back. It reports whether the entry was
+// present.
+func (c *Cache) Update(lpn ftl.LPN) bool {
 	h := c.dense[lpn]
 	if h == 0 {
 		return false
 	}
-	e := &c.slab[h]
-	e.ppn = ppn
-	if dirty && !e.dirty {
+	if e := &c.slab[h]; !e.dirty {
 		e.dirty = true
 		c.markDirty(h)
 	}
 	return true
 }
 
-// CleanPage marks every cached dirty mapping of translation page tvpn clean
-// and returns how many there were. Engine.writeBack calls it after the
-// read-modify-write that persisted them all at once (DFTL's batch update).
-func (c *Cache) CleanPage(tvpn int64) int {
+// CleanPage marks every cached dirty mapping of translation page tvpn
+// clean. Engine.writeBack calls it after the read-modify-write that
+// persisted them all at once (DFTL's batch update).
+func (c *Cache) CleanPage(tvpn int64) {
 	if tvpn < 0 || tvpn >= int64(len(c.tpHead)) {
-		return 0
+		return
 	}
 	for h := c.tpHead[tvpn]; h != 0; {
 		e := &c.slab[h]
@@ -291,8 +282,5 @@ func (c *Cache) CleanPage(tvpn int64) int {
 		h = e.dNext
 		e.dPrev, e.dNext = 0, 0
 	}
-	n := int(c.tpCount[tvpn])
 	c.tpHead[tvpn] = 0
-	c.tpCount[tvpn] = 0
-	return n
 }

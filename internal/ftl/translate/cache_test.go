@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"dloop/internal/flash"
 	"dloop/internal/ftl"
 )
 
@@ -40,13 +39,12 @@ func TestCacheRejectsBadConfig(t *testing.T) {
 
 func TestCacheBasicHitMiss(t *testing.T) {
 	c := newTestCache(t, 4, 256)
-	if _, ok := c.Get(1); ok {
+	if c.Get(1) {
 		t.Fatal("hit on empty cache")
 	}
-	c.Insert(1, 100, false)
-	ppn, ok := c.Get(1)
-	if !ok || ppn != 100 {
-		t.Fatalf("Get(1) = %d,%v", ppn, ok)
+	c.Insert(1)
+	if !c.Get(1) {
+		t.Fatal("miss on a cached mapping")
 	}
 	rate, hits, misses := c.HitRate()
 	if hits != 1 || misses != 1 || rate != 0.5 {
@@ -62,32 +60,32 @@ func TestCacheBasicHitMiss(t *testing.T) {
 
 func TestCacheInsertPanicsOnDuplicate(t *testing.T) {
 	c := newTestCache(t, 4, 256)
-	c.Insert(1, 100, false)
+	c.Insert(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on duplicate insert")
 		}
 	}()
-	c.Insert(1, 200, false)
+	c.Insert(1)
 }
 
 func TestCacheSegmentedLRUEviction(t *testing.T) {
 	c := newTestCache(t, 4, 256)
 	// Fill with 4 entries; touch 1 and 2 so they get protected.
 	for i := ftl.LPN(1); i <= 4; i++ {
-		c.Insert(i, flash.PPN(i*10), false)
+		c.Insert(i)
 	}
 	c.Get(1)
 	c.Get(2)
 	// Inserting 5 must evict the probationary LRU, which is 3 (4 is more
 	// recent in probation; 1,2 are protected).
-	victim, evicted := c.Insert(5, 50, false)
+	victim, evicted := c.Insert(5)
 	if !evicted || victim.LPN != 3 {
 		t.Fatalf("victim %+v evicted=%v, want lpn 3", victim, evicted)
 	}
 	// Scan through many one-shot entries: protected 1 and 2 must survive.
 	for i := ftl.LPN(100); i < 120; i++ {
-		c.Insert(i, flash.PPN(i), false)
+		c.Insert(i)
 	}
 	if !c.Contains(1) || !c.Contains(2) {
 		t.Fatal("protected entries were flushed by a scan")
@@ -96,12 +94,12 @@ func TestCacheSegmentedLRUEviction(t *testing.T) {
 
 func TestCacheEvictFromProtectedWhenProbationEmpty(t *testing.T) {
 	c := newTestCache(t, 2, 256)
-	c.Insert(1, 10, false)
-	c.Insert(2, 20, false)
+	c.Insert(1)
+	c.Insert(2)
 	c.Get(1)
 	c.Get(2) // both promoted; probation empty (protCap=1 demotes one back)
 	// protCap = 1, so promoting 2 demoted 1 back to probation.
-	victim, evicted := c.Insert(3, 30, false)
+	victim, evicted := c.Insert(3)
 	if !evicted {
 		t.Fatal("no eviction at capacity")
 	}
@@ -112,36 +110,41 @@ func TestCacheEvictFromProtectedWhenProbationEmpty(t *testing.T) {
 
 func TestCacheDirtyTracking(t *testing.T) {
 	c := newTestCache(t, 8, 4) // tvpn = lpn/4
-	c.Insert(0, 10, true)
-	c.Insert(1, 11, false)
-	c.Update(1, 12, true)
-	c.Insert(5, 20, true) // different translation page
+	c.Insert(0)
+	c.Update(0)
+	c.Insert(1)
+	c.Update(1)
+	c.Insert(5) // different translation page
+	c.Update(5)
 	if got := c.DirtyInPage(0); got != 2 {
 		t.Fatalf("DirtyInPage(0) = %d, want 2", got)
 	}
 	if got := c.DirtyInPage(1); got != 1 {
 		t.Fatalf("DirtyInPage(1) = %d, want 1", got)
 	}
-	if n := c.CleanPage(0); n != 2 {
-		t.Fatalf("CleanPage(0) = %d, want 2", n)
-	}
+	c.CleanPage(0)
 	if c.DirtyInPage(0) != 0 {
 		t.Fatal("page 0 still dirty after CleanPage")
+	}
+	if c.DirtyInPage(1) != 1 {
+		t.Fatal("CleanPage(0) cleaned page 1")
 	}
 }
 
 func TestCacheUpdateMissing(t *testing.T) {
 	c := newTestCache(t, 4, 256)
-	if c.Update(9, 1, true) {
+	if c.Update(9) {
 		t.Fatal("Update of missing entry returned true")
 	}
 }
 
 func TestCacheEvictedDirtyEntryLeavesIndex(t *testing.T) {
 	c := newTestCache(t, 2, 4)
-	c.Insert(0, 10, true)
-	c.Insert(1, 11, true)
-	victim, evicted := c.Insert(2, 12, false)
+	c.Insert(0)
+	c.Update(0)
+	c.Insert(1)
+	c.Update(1)
+	victim, evicted := c.Insert(2)
 	if !evicted || !victim.Dirty {
 		t.Fatalf("expected dirty eviction, got %+v %v", victim, evicted)
 	}
@@ -154,20 +157,15 @@ func TestCacheEvictedDirtyEntryLeavesIndex(t *testing.T) {
 
 func TestCacheCleanPageNoDirtyEntries(t *testing.T) {
 	c := newTestCache(t, 8, 4)
-	c.Insert(0, 10, false)
-	c.Insert(1, 11, false)
-	if n := c.CleanPage(0); n != 0 {
-		t.Fatalf("CleanPage of all-clean page = %d, want 0", n)
-	}
+	c.Insert(0)
+	c.Insert(1)
+	c.CleanPage(0)
 	// Translation pages the cache has never seen, including out of range.
-	if n := c.CleanPage(3); n != 0 {
-		t.Fatalf("CleanPage of untouched page = %d, want 0", n)
-	}
-	if n := c.CleanPage(-1); n != 0 {
-		t.Fatalf("CleanPage(-1) = %d, want 0", n)
-	}
-	if n := c.CleanPage(1 << 40); n != 0 {
-		t.Fatalf("CleanPage beyond range = %d, want 0", n)
+	c.CleanPage(3)
+	c.CleanPage(-1)
+	c.CleanPage(1 << 40)
+	if c.DirtyInPage(0) != 0 || c.Len() != 2 || !c.Contains(0) || !c.Contains(1) {
+		t.Fatal("CleanPage of clean or unknown pages changed the cache")
 	}
 }
 
@@ -176,8 +174,9 @@ func TestCacheCleanPageNoDirtyEntries(t *testing.T) {
 // dirty accounting must be unwound.
 func TestCacheEvictDirectlyWithEmptyProbation(t *testing.T) {
 	c := newTestCache(t, 4, 4)
-	c.Insert(0, 10, true)
-	c.Insert(1, 11, false)
+	c.Insert(0)
+	c.Update(0)
+	c.Insert(1)
 	c.Get(0)
 	c.Get(1) // both promoted: probation is empty, protected holds {1, 0}
 	if c.probation.n != 0 || c.protected.n != 2 {
@@ -197,62 +196,57 @@ func TestCacheEvictDirectlyWithEmptyProbation(t *testing.T) {
 
 func TestCacheUpdatePromotesCleanToDirtyOnce(t *testing.T) {
 	c := newTestCache(t, 8, 4)
-	c.Insert(2, 10, false)
+	c.Insert(2)
 	if c.DirtyInPage(0) != 0 {
 		t.Fatal("clean insert counted dirty")
 	}
-	if !c.Update(2, 11, true) {
+	if !c.Update(2) {
 		t.Fatal("Update of cached entry returned false")
 	}
 	if got := c.DirtyInPage(0); got != 1 {
 		t.Fatalf("DirtyInPage after clean->dirty = %d, want 1", got)
 	}
 	// Re-dirtying an already-dirty entry must not double-count it.
-	c.Update(2, 12, true)
+	c.Update(2)
 	if got := c.DirtyInPage(0); got != 1 {
 		t.Fatalf("DirtyInPage after second dirty Update = %d, want 1", got)
 	}
-	if n := c.CleanPage(0); n != 1 {
-		t.Fatalf("CleanPage = %d, want the single entry", n)
+	if c.CleanPage(0); c.DirtyInPage(0) != 0 {
+		t.Fatal("CleanPage left the single entry dirty")
 	}
-	// A dirty=false Update must not clean an entry.
-	c.Update(2, 13, true)
-	c.Update(2, 14, false)
-	if got := c.DirtyInPage(0); got != 1 {
-		t.Fatalf("Update(dirty=false) changed dirty count: %d, want 1", got)
+	// A cleaned entry is dirtied again by the next Update.
+	if c.Update(2); c.DirtyInPage(0) != 1 {
+		t.Fatal("Update after CleanPage left the entry clean")
 	}
 }
 
-// Property: the cache never exceeds capacity, Get returns what was last
-// Insert/Update-ed, and the dirty index matches entry dirty flags.
+// Property: the cache never exceeds capacity, Get hits exactly the mappings
+// inserted and not yet evicted, and the dirty index matches entry dirty
+// flags.
 func TestCacheModelProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := newTestCache(t, 8, 4)
-		model := map[ftl.LPN]flash.PPN{} // what the cache should hold if present
+		cached := map[ftl.LPN]bool{} // inserted and not yet evicted
 		dirty := map[ftl.LPN]bool{}
 		for i := 0; i < 500; i++ {
 			lpn := ftl.LPN(rng.Intn(20))
 			switch rng.Intn(3) {
 			case 0:
-				if c.Contains(lpn) {
-					ppn, ok := c.Get(lpn)
-					if !ok || ppn != model[lpn] {
-						return false
-					}
+				if c.Get(lpn) != cached[lpn] {
+					return false
 				}
 			case 1:
-				ppn := flash.PPN(rng.Intn(1000))
 				if c.Contains(lpn) {
-					c.Update(lpn, ppn, true)
+					c.Update(lpn)
 					dirty[lpn] = true
 				} else {
-					if victim, evicted := c.Insert(lpn, ppn, false); evicted {
-						delete(model, victim.LPN)
+					if victim, evicted := c.Insert(lpn); evicted {
+						delete(cached, victim.LPN)
 						delete(dirty, victim.LPN)
 					}
 				}
-				model[lpn] = ppn
+				cached[lpn] = true
 			case 2:
 				tvpn := int64(rng.Intn(5))
 				c.CleanPage(tvpn)
@@ -292,8 +286,12 @@ func (c *Cache) Contains(lpn ftl.LPN) bool { return c.dense[lpn] != 0 }
 // DirtyInPage returns how many cached dirty mappings belong to the
 // translation page tvpn.
 func (c *Cache) DirtyInPage(tvpn int64) int {
-	if tvpn < 0 || tvpn >= int64(len(c.tpCount)) {
+	if tvpn < 0 || tvpn >= int64(len(c.tpHead)) {
 		return 0
 	}
-	return int(c.tpCount[tvpn])
+	n := 0
+	for h := c.tpHead[tvpn]; h != 0; h = c.slab[h].dNext {
+		n++
+	}
+	return n
 }

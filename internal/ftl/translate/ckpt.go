@@ -1,7 +1,6 @@
 package translate
 
 import (
-	"errors"
 	"slices"
 
 	"dloop/internal/ckpt"
@@ -34,11 +33,9 @@ func (m *Engine) EncodeState(w *ckpt.Writer) {
 			w.I64(sg.ppnDelta)
 		}
 	}
-	s := &m.stats
-	for _, v := range []int64{s.Evictions, s.DirtyEvictions, s.TransReads, s.TransWrites,
-		s.BatchCleaned, s.LazyRedirects, s.LearnedHits, s.LearnedFalse} {
-		w.I64(v)
-	}
+	w.I64(m.stats.TransReads)
+	w.I64(m.stats.TransWrites)
+	w.I64(m.stats.LearnedHits)
 }
 
 // DecodeState overwrites the engine's state with what EncodeState wrote on an
@@ -70,14 +67,9 @@ func (m *Engine) DecodeState(r *ckpt.Reader) {
 		}
 	}
 	m.stats = Stats{
-		Evictions:      r.I64(),
-		DirtyEvictions: r.I64(),
-		TransReads:     r.I64(),
-		TransWrites:    r.I64(),
-		BatchCleaned:   r.I64(),
-		LazyRedirects:  r.I64(),
-		LearnedHits:    r.I64(),
-		LearnedFalse:   r.I64(),
+		TransReads:  r.I64(),
+		TransWrites: r.I64(),
+		LearnedHits: r.I64(),
 	}
 }
 
@@ -102,11 +94,6 @@ func decodeSegments(r *ckpt.Reader, dst []segment) []segment {
 	return dst
 }
 
-// ErrMapIndexedCache reports a checkpoint whose CMT was indexed by a hash
-// map. Every cache is now built over a dense index of its logical space, so
-// such a checkpoint has no cache to decode into.
-var ErrMapIndexedCache = errors.New("translate: checkpoint holds a map-indexed cache, which is no longer built")
-
 // cache entry flag bits.
 const (
 	entryDirty     = 1 << 0
@@ -118,7 +105,6 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 	w.U32(uint32(len(c.slab)))
 	for _, e := range c.slab {
 		w.I64(int64(e.lpn))
-		w.I64(int64(e.ppn))
 		var flags uint8
 		if e.dirty {
 			flags |= entryDirty
@@ -133,9 +119,6 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 		w.I32(e.dNext)
 	}
 	w.I32(c.freeHead)
-	// The flag once told a dense index from a map-indexed one; only the
-	// dense one is left, and the flag stays so the bytes do not move.
-	w.Bool(true)
 	w.I32s(c.dense)
 	for _, l := range []list{c.probation, c.protected} {
 		w.I32(l.head)
@@ -143,13 +126,14 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 		w.Int(l.n)
 	}
 	w.I32s(c.tpHead)
-	w.I32s(c.tpCount)
 	w.I64(c.hits)
 	w.I64(c.misses)
 }
 
 // decodeState overwrites the cache with what encodeState wrote on a cache of
-// the same capacity and logical space. Every handle must name a slab entry.
+// the same capacity and logical space. Every handle must name a slab entry,
+// every entry an LPN of the space, and the dirty-list heads must cover its
+// translation pages.
 func (c *Cache) decodeState(r *ckpt.Reader) {
 	c.n = r.Int()
 	handle := func(h int32) int32 {
@@ -159,11 +143,10 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 		}
 		return h
 	}
-	for i := range c.slab[:r.ExpectLen(len(c.slab), 33)] { // lpn, ppn, flags, four links
+	for i := range c.slab[:r.ExpectLen(len(c.slab), 25)] { // lpn, flags, four links
 		e := &c.slab[i]
-		e.lpn = ftl.LPN(r.I64())
-		if e.ppn = flash.PPN(r.I64()); !flash.Mappable(e.ppn) {
-			r.Failf("translate: cached mapping %d holds ppn %d: %w", i, e.ppn, flash.ErrUnmappable)
+		if e.lpn = ftl.LPN(r.I64()); e.lpn < 0 || int64(e.lpn) >= int64(len(c.dense)) {
+			r.Failf("translate: cache entry %d holds lpn %d outside a %d-page space", i, e.lpn, len(c.dense))
 			return
 		}
 		flags := r.U8()
@@ -175,10 +158,6 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 		e.dNext = handle(r.I32())
 	}
 	c.freeHead = handle(r.I32())
-	if isDense := r.Bool(); r.Err() == nil && !isDense {
-		r.Failf("%w", ErrMapIndexedCache)
-		return
-	}
 	slab := uint32(len(c.slab))
 	raw := r.Raw(4 * r.ExpectLen(len(c.dense), 4))
 	var buf [512]uint32
@@ -197,10 +176,9 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 	for _, l := range []*list{&c.probation, &c.protected} {
 		*l = list{head: handle(r.I32()), tail: handle(r.I32()), n: r.Int()}
 	}
-	c.tpHead = r.AppendI32s(c.tpHead)
-	c.tpCount = r.AppendI32s(c.tpCount)
-	if r.Err() == nil && len(c.tpHead) != len(c.tpCount) {
-		r.Failf("translate: %d dirty-list heads for %d dirty counts", len(c.tpHead), len(c.tpCount))
+	r.I32sInto(c.tpHead)
+	for _, h := range c.tpHead {
+		handle(h)
 	}
 	c.hits = r.I64()
 	c.misses = r.I64()

@@ -108,17 +108,21 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeStateCrafted damages the counts and PPN columns of a valid
-// encoding and decodes it into a built engine. Each must fail with an error,
-// allocating only what the payload backs: unbounded, a slab or learned-index
-// count of 2^32-1 sizes a slice of 96 GB or more, and a PPN column truncates
-// whatever int64 it is given.
+// TestDecodeStateCrafted damages the counts, the PPN columns and the cached
+// LPNs of a valid encoding and decodes it into a built engine. Each must
+// fail with an error, allocating only what the payload backs: unbounded, a
+// slab or learned-index count of 2^32-1 sizes a slice of 96 GB or more, a
+// PPN column truncates whatever int64 it is given, and a cached LPN outside
+// the space or a dirty-list head outside the slab indexes past the cache's
+// columns.
 func TestDecodeStateCrafted(t *testing.T) {
 	data := encodedEngineState(t, PolicyLearned)
 	m, _ := newCodecEngine(t, PolicyLearned)
-	const table = 4 + 8*64                           // the 64-entry table; the CMT follows
-	slab := table + 8                                // after the cached-entry count n
-	indexFlag := slab + 4 + 33*len(m.Cache.slab) + 4 // after the slab and the free-list head
+	const table = 4 + 8*64 // the 64-entry table; the CMT follows
+	const slab = table + 8 // after the cached-entry count n
+	// The first dirty-list head: after the slab, the free-list head, the
+	// 64-entry dense index, both lists and the heads' count.
+	tpHead := slab + 4 + 25*len(m.Cache.slab) + 4 + 4 + 4*64 + 2*16 + 4
 	put := func(b []byte, off int, v uint64, width int) {
 		for i := 0; i < width; i++ {
 			b[off+i] = byte(v >> (8 * i))
@@ -133,8 +137,9 @@ func TestDecodeStateCrafted(t *testing.T) {
 		{"table count beyond payload", func(b []byte) { put(b, 0, 0xFFFFFFFF, 4) }, nil},
 		{"table entry beyond any device", func(b []byte) { put(b, 4, 1<<32-1, 8) }, flash.ErrUnmappable},
 		{"table entry negative", func(b []byte) { put(b, 4+8, ^uint64(1), 8) }, flash.ErrUnmappable},
-		{"cached ppn beyond any device", func(b []byte) { put(b, slab+4+33+8, 1<<40, 8) }, flash.ErrUnmappable},
-		{"map-indexed cache", func(b []byte) { b[indexFlag] = 0 }, ErrMapIndexedCache},
+		{"cached lpn beyond the space", func(b []byte) { put(b, slab+4+25, 64, 8) }, nil},
+		{"cached lpn negative", func(b []byte) { put(b, slab+4+25, ^uint64(0), 8) }, nil},
+		{"dirty-list head beyond the slab", func(b []byte) { put(b, tpHead, uint64(len(m.Cache.slab)), 4) }, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), data...)
@@ -189,8 +194,9 @@ func TestDecodeStateCrafted(t *testing.T) {
 // each policy. It must never panic, and it may allocate only in proportion
 // to the bytes given: no count the payload does not back may size anything.
 func FuzzDecodeTranslateState(f *testing.F) {
+	policies := []Policy{PolicySLRU, PolicyLearned}
 	var engines []*Engine
-	for _, policy := range []Policy{PolicySLRU, PolicyLearned} {
+	for _, policy := range policies {
 		f.Add(encodedEngineState(f, policy))
 		m, _ := newCodecEngine(f, policy)
 		engines = append(engines, m)
@@ -198,9 +204,9 @@ func FuzzDecodeTranslateState(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, m := range engines {
+		for i, m := range engines {
 			if alloc, _ := decodeAllocs(m, data); alloc > allocBound(len(data)) {
-				t.Fatalf("%v: allocated %d bytes decoding %d", m.policy, alloc, len(data))
+				t.Fatalf("%v: allocated %d bytes decoding %d", policies[i], alloc, len(data))
 			}
 		}
 	})

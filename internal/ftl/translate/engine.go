@@ -12,14 +12,9 @@ import (
 // Stats counts the address-translation overhead of a demand-paged mapping
 // table.
 type Stats struct {
-	Evictions      int64 // cache evictions
-	DirtyEvictions int64 // evictions that forced a translation-page write-back
-	TransReads     int64 // translation-page reads (fetch + read-modify-write)
-	TransWrites    int64 // translation-page programs
-	BatchCleaned   int64 // dirty mappings persisted by batched write-backs
-	LazyRedirects  int64 // GC redirects of uncached mappings absorbed lazily (OOB-backed)
-	LearnedHits    int64 // correct learned predictions: translation read skipped
-	LearnedFalse   int64 // learned mispredictions refuted by the OOB tag
+	TransReads  int64 // translation-page reads (fetch + read-modify-write)
+	TransWrites int64 // translation-page programs
+	LearnedHits int64 // correct learned predictions: translation read skipped
 }
 
 // Config assembles a translation engine for one page-mapping FTL.
@@ -64,8 +59,7 @@ type Engine struct {
 	GTD   flash.PPNMap // tvpn -> ppn of its translation page, InvalidPPN if never persisted
 
 	entriesPerTP int
-	tracker      *ftl.Tracker // invalidation bookkeeping for superseded translation pages
-	policy       Policy
+	tracker      *ftl.Tracker  // invalidation bookkeeping for superseded translation pages
 	li           *learnedIndex // non-nil only under PolicyLearned
 
 	stats Stats
@@ -92,7 +86,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		GTD:          make(flash.PPNMap, nTP),
 		entriesPerTP: per,
 		tracker:      cfg.Tracker,
-		policy:       cfg.Policy,
 	}
 	if cfg.Policy == PolicyLearned {
 		m.li = newLearnedIndex(int(nTP), cfg.StrideHint)
@@ -131,7 +124,7 @@ func (m *Engine) LearnedSegments() int {
 // fetch). Under the learned policy a correct, OOB-verified prediction makes
 // the fetch free. It returns the time address translation completes.
 func (m *Engine) Resolve(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
-	if _, ok := m.Cache.Get(lpn); ok {
+	if m.Cache.Get(lpn) {
 		if m.rec != nil {
 			m.rec.RecordEvent(obs.EvCMTHit, ready)
 		}
@@ -141,14 +134,12 @@ func (m *Engine) Resolve(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		m.rec.RecordEvent(obs.EvCMTMiss, ready)
 	}
 	t := ready
-	victim, evicted := m.Cache.Insert(lpn, m.PPN(lpn), false)
+	victim, evicted := m.Cache.Insert(lpn)
 	if evicted {
-		m.stats.Evictions++
 		if m.rec != nil {
 			m.rec.RecordEvent(obs.EvCMTEvict, t)
 		}
 		if victim.Dirty {
-			m.stats.DirtyEvictions++
 			var err error
 			t, err = m.writeBack(victim.LPN, t)
 			if err != nil {
@@ -206,7 +197,6 @@ func (m *Engine) tryLearned(tvpn int64, lpn ftl.LPN, t sim.Time) (skip bool, _ s
 		}
 		return true, t, nil
 	}
-	m.stats.LearnedFalse++
 	m.li.invalidate(tvpn, lpn)
 	if pred >= 0 && int64(pred) < m.dev.Geometry().TotalPages() && m.dev.PageState(pred) == flash.PageValid {
 		end, err := m.dev.ReadPage(pred, t, flash.CauseMap)
@@ -264,7 +254,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	m.GTD.Set(tvpn, ppn)
 	// DFTL's batch update: the rewrite persisted every cached dirty mapping
 	// of this translation page, so clean them all.
-	m.stats.BatchCleaned += int64(m.Cache.CleanPage(tvpn))
+	m.Cache.CleanPage(tvpn)
 	if m.li != nil {
 		lo := ftl.LPN(tvpn) * ftl.LPN(m.entriesPerTP)
 		hi := lo + ftl.LPN(m.entriesPerTP)
@@ -282,7 +272,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 func (m *Engine) RecordWrite(lpn ftl.LPN, newPPN flash.PPN) (flash.PPN, error) {
 	old := m.PPN(lpn)
 	m.table.Set(int64(lpn), newPPN)
-	if !m.Cache.Update(lpn, newPPN, true) {
+	if !m.Cache.Update(lpn) {
 		return flash.InvalidPPN, fmt.Errorf("translate: RecordWrite of unresolved lpn %d", lpn)
 	}
 	if m.li != nil {
@@ -301,7 +291,7 @@ func (m *Engine) RecordWrite(lpn ftl.LPN, newPPN flash.PPN) (flash.PPN, error) {
 
 // RedirectMoved updates mappings after garbage collection relocated pages.
 // Relocated translation pages repoint the GTD; data pages whose mapping is
-// cached are updated in the cache (dirty, flushed at eviction). Uncached
+// cached mark it dirty (flushed at eviction). Uncached
 // data pages update only the in-SRAM table: their on-flash translation page
 // goes stale until its next write-back rewrites it wholesale. This is the
 // lazy, OOB-backed scheme real controllers use — every physical page carries
@@ -323,9 +313,7 @@ func (m *Engine) RedirectMoved(moved []ftl.Moved, ready sim.Time) (sim.Time, err
 			// The relocation moved the page off its learned progression.
 			m.li.invalidate(m.TVPN(lpn), lpn)
 		}
-		if !m.Cache.Update(lpn, mv.New, true) {
-			m.stats.LazyRedirects++
-		}
+		m.Cache.Update(lpn)
 	}
 	return ready, nil
 }

@@ -99,8 +99,8 @@ func TestEngineGeometryDerived(t *testing.T) {
 	if m.TVPN(0) != 0 || m.TVPN(63) != 0 {
 		t.Fatal("TVPN wrong")
 	}
-	if m.policy != PolicySLRU {
-		t.Fatalf("Policy = %v", m.policy)
+	if m.li != nil {
+		t.Fatal("an SLRU engine built a learned index")
 	}
 }
 
@@ -161,9 +161,13 @@ func TestEngineWriteEvictFetchCycle(t *testing.T) {
 	if end < wantMin {
 		t.Fatalf("dirty eviction cost %v, want >= %v", end, wantMin)
 	}
-	st := m.Stats()
-	if st.Evictions != 1 || st.DirtyEvictions != 1 || st.TransWrites != 1 {
+	// The victim was lpn 0, the dirty one: its write-back is the one
+	// translation-page program.
+	if st := m.Stats(); st.TransWrites != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+	if m.Cache.Contains(0) || !m.Cache.Contains(1) || !m.Cache.Contains(2) {
+		t.Fatal("the dirty eviction did not take lpn 0")
 	}
 	if m.GTD.Get(0) == flash.InvalidPPN {
 		t.Fatal("GTD not set after write-back")
@@ -213,8 +217,13 @@ func TestEngineBatchWriteback(t *testing.T) {
 	if st.TransWrites != 1 {
 		t.Fatalf("TransWrites = %d, want 1 (batched)", st.TransWrites)
 	}
-	if st.BatchCleaned < 2 {
-		t.Fatalf("BatchCleaned = %d, want >= 2", st.BatchCleaned)
+	// lpn 0 was the victim; lpns 1 and 2 stay cached, cleaned by its
+	// write-back.
+	if !m.Cache.Contains(1) || !m.Cache.Contains(2) {
+		t.Fatal("test setup: lpns 1 and 2 should stay cached")
+	}
+	if n := m.Cache.DirtyInPage(0); n != 0 {
+		t.Fatalf("%d mappings of the written-back page still dirty, want 0 (batched)", n)
 	}
 	// The remaining dirty entries were cleaned: evicting them writes nothing.
 	before := m.Stats().TransWrites
@@ -292,10 +301,13 @@ func TestEngineRedirectMoved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if m.Cache.Contains(1) {
+		t.Fatal("test setup: lpn 1 should be evicted")
+	}
 	old1 := m.PPN(1)
 	new1, _, _ := m.placer.PlacePage(1, end)
 	end2, _ := dev.CopyBack(old1, new1, end, flash.CauseGC)
-	before := m.Stats().TransWrites
+	before := m.Stats()
 	got, err := m.RedirectMoved([]ftl.Moved{{Stored: 1, New: new1}}, end2)
 	if err != nil {
 		t.Fatal(err)
@@ -306,11 +318,15 @@ func TestEngineRedirectMoved(t *testing.T) {
 	if m.PPN(1) != new1 {
 		t.Fatal("table not redirected for uncached move")
 	}
-	if m.Stats().TransWrites != before {
-		t.Fatalf("uncached redirect wrote %d pages, want 0 (lazy)", m.Stats().TransWrites-before)
+	if m.Stats() != before || m.Cache.Contains(1) {
+		t.Fatalf("uncached redirect moved translation state: %+v, was %+v", m.Stats(), before)
 	}
-	if m.Stats().LazyRedirects == 0 {
-		t.Fatal("lazy redirect not counted")
+	// The moved page resolves to its new location.
+	if _, err := m.Resolve(1, got); err != nil {
+		t.Fatal(err)
+	}
+	if m.PPN(1) != new1 {
+		t.Fatal("lpn 1 resolves to its old page after the redirect")
 	}
 }
 
@@ -339,12 +355,12 @@ func TestEngineLazyRedirectPersistsAtNextWriteBack(t *testing.T) {
 	old := m.PPN(0)
 	dst, _, _ := m.placer.PlacePage(0, at)
 	at, _ = dev.CopyBack(old, dst, at, flash.CauseGC)
+	before := m.Stats()
 	if _, err := m.RedirectMoved([]ftl.Moved{{Stored: 0, New: dst}}, at); err != nil {
 		t.Fatal(err)
 	}
-	lazy := m.Stats().LazyRedirects
-	if lazy == 0 {
-		t.Fatal("redirect not lazy")
+	if m.Stats() != before || m.Cache.Contains(0) {
+		t.Fatal("redirect not lazy: it moved translation state")
 	}
 	// The next write-back of that translation page persists the current
 	// table (including the redirect) — a later fetch of lpn 0 reads a page

@@ -215,23 +215,20 @@ func TestEngineLearnedMispredictFallsBack(t *testing.T) {
 	newPPN, _, _ := m.placer.PlacePage(10, at)
 	at, _ = dev.CopyBack(oldPPN, newPPN, at, flash.CauseGC)
 	m.table.Set(10, newPPN)
-	if m.Cache.Contains(10) {
-		m.Cache.Update(10, newPPN, false)
-	}
 	// Evict lpn 10 if cached so the next Resolve misses.
 	for l := ftl.LPN(40); l < 44; l++ {
 		if _, err := m.Resolve(l, at); err != nil {
 			t.Fatal(err)
 		}
 	}
-	falseBefore := m.Stats().LearnedFalse
+	hitsBefore := m.Stats().LearnedHits
 	readsBefore := m.Stats().TransReads
 	if _, err := m.Resolve(10, at); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.LearnedFalse != falseBefore+1 {
-		t.Fatalf("LearnedFalse = %d, want %d", st.LearnedFalse, falseBefore+1)
+	if st.LearnedHits != hitsBefore {
+		t.Fatalf("LearnedHits = %d, want %d: a refuted prediction is no hit", st.LearnedHits, hitsBefore)
 	}
 	if st.TransReads != readsBefore+1 {
 		t.Fatalf("misprediction did not fall back to the translation read")

@@ -3,12 +3,11 @@ package sim
 import "dloop/internal/ckpt"
 
 // EncodeState appends the resource's timeline and statistics to w. Layout:
-// solidUntil, busyFor, ops, then the live intervals as a length-prefixed
-// slab of (start, end) int64 pairs.
+// solidUntil, busyFor, then the live intervals as a length-prefixed slab of
+// (start, end) int64 pairs.
 func (r *Resource) EncodeState(w *ckpt.Writer) {
 	w.I64(int64(r.solidUntil))
 	w.I64(int64(r.busyFor))
-	w.I64(r.ops)
 	live := r.buf[r.head:]
 	w.U32(uint32(len(live)))
 	for _, iv := range live {
@@ -25,7 +24,7 @@ func (r *Resource) EncodeState(w *ckpt.Writer) {
 // before solidUntil — and fails the reader on anything else, leaving the
 // resource partly overwritten.
 func (r *Resource) DecodeState(rd *ckpt.Reader) {
-	solidUntil, busyFor, ops := Time(rd.I64()), Duration(rd.I64()), rd.I64()
+	solidUntil, busyFor := Time(rd.I64()), Duration(rd.I64())
 	n := rd.SliceLen(16)
 	if n > retainIntervals {
 		rd.Failf("sim: resource timeline holds %d intervals, the window is %d", n, retainIntervals)
@@ -35,7 +34,7 @@ func (r *Resource) DecodeState(rd *ckpt.Reader) {
 	}
 	*r = Resource{
 		free: solidUntil, solidUntil: solidUntil,
-		buf: r.buf[:0], busyFor: busyFor, ops: ops,
+		buf: r.buf[:0], busyFor: busyFor,
 	}
 	for i := 0; i < n; i++ {
 		iv := interval{Time(rd.I64()), Time(rd.I64())}

@@ -11,11 +11,10 @@ import (
 )
 
 // encodeTimeline writes a timeline in Resource.EncodeState's layout.
-func encodeTimeline(solidUntil Time, busyFor Duration, ops int64, live []interval) []byte {
+func encodeTimeline(solidUntil Time, busyFor Duration, live []interval) []byte {
 	var w ckpt.Writer // the zero value: a bare payload, no container header
 	w.I64(int64(solidUntil))
 	w.I64(int64(busyFor))
-	w.I64(ops)
 	w.U32(uint32(len(live)))
 	for _, iv := range live {
 		w.I64(int64(iv.start))
@@ -44,8 +43,8 @@ func reload(t testing.TB, r *Resource, b []byte) {
 // rawResourceState encodes a timeline and then overwrites its interval count,
 // so a test can claim a count the intervals do not back up.
 func rawResourceState(solidUntil Time, count uint32, ivs ...interval) []byte {
-	b := encodeTimeline(solidUntil, 0, 0, ivs)
-	binary.LittleEndian.PutUint32(b[24:], count) // after solidUntil, busyFor, ops
+	b := encodeTimeline(solidUntil, 0, ivs)
+	binary.LittleEndian.PutUint32(b[16:], count) // after solidUntil and busyFor
 	return b
 }
 

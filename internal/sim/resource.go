@@ -41,7 +41,6 @@ type Resource struct {
 	// and Reset and DecodeState clear it.
 	cur     int
 	busyFor Duration
-	ops     int64
 }
 
 type interval struct {
@@ -160,20 +159,18 @@ func (r *Resource) seek(t Time) int {
 // (the near-monotone common case) touches only the last element.
 func (r *Resource) occupy(start Time, d Duration) {
 	r.busyFor += d
-	r.ops++
 	r.place(start, d)
 }
 
-// OccupyTail records n back-to-back operations that together occupy
-// [start, start+d), where start is at or after FreeAt: what n Acquires would
-// do when each is ready at its predecessor's end and the first at start —
-// every fit answers its ready time, so the occupations butt and coalesce
-// into one append or one extension of the last interval. Device.schedule
-// uses it for an operation whose timelines are all free by its ready time.
-// A start before FreeAt is outside its contract.
-func (r *Resource) OccupyTail(start Time, d Duration, n int64) {
+// OccupyTail records back-to-back operations that together occupy
+// [start, start+d), where start is at or after FreeAt: what their Acquires
+// would do when each is ready at its predecessor's end and the first at
+// start — every fit answers its ready time, so the occupations butt and
+// coalesce into one append or one extension of the last interval.
+// Device.schedule uses it for an operation whose timelines are all free by
+// its ready time. A start before FreeAt is outside its contract.
+func (r *Resource) OccupyTail(start Time, d Duration) {
 	r.busyFor += d
-	r.ops += n
 	r.place(start, d)
 }
 
@@ -265,7 +262,6 @@ func (r *Resource) AcquireChain(ready Time, d Duration, k int) (end Time) {
 			r.buf[len(r.buf)-1].end = end
 			r.free = end
 			r.busyFor += span
-			r.ops += int64(k)
 			break
 		}
 		_, end = r.Acquire(end, d)

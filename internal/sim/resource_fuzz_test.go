@@ -14,7 +14,6 @@ type refResource struct {
 	solidUntil Time
 	live       []interval
 	busyFor    Duration
-	ops        int64
 }
 
 func (m *refResource) freeAt() Time {
@@ -46,7 +45,6 @@ func (m *refResource) fit(ready Time, d Duration) Time {
 
 func (m *refResource) occupy(start Time, d Duration) {
 	m.busyFor += d
-	m.ops++
 	if d <= 0 {
 		return
 	}
@@ -71,7 +69,7 @@ func (m *refResource) occupy(start Time, d Duration) {
 
 // encode writes the model in Resource.EncodeState's layout.
 func (m *refResource) encode() []byte {
-	return encodeTimeline(m.solidUntil, m.busyFor, m.ops, m.live)
+	return encodeTimeline(m.solidUntil, m.busyFor, m.live)
 }
 
 // refEarliestStart is the least common fit by plain iteration to a fixpoint.
@@ -140,12 +138,12 @@ func (p *resourcePair) acquireAll(ready Time, d Duration) {
 	}
 }
 
-// occupyTail checks OccupyTail(start, d, n), with start clamped to FreeAt,
+// occupyTail checks OccupyTail(start, d), with start clamped to FreeAt,
 // against n acquisitions of the reference that split d and are each ready
 // when the one before ends: every one must be placed at its ready time.
 func (p *resourcePair) occupyTail(i int, ready Time, d Duration, n int) {
 	start := max(ready, p.real[i].FreeAt())
-	p.real[i].OccupyTail(start, d, int64(n))
+	p.real[i].OccupyTail(start, d)
 	at := start
 	for k := 0; k < n; k++ {
 		piece := d / Duration(n)
@@ -153,7 +151,7 @@ func (p *resourcePair) occupyTail(i int, ready Time, d Duration, n int) {
 			piece = d - piece*Duration(n-1)
 		}
 		if got := p.ref[i].fit(at, piece); got != at {
-			p.t.Fatalf("OccupyTail(%d, %d, %d) on resource %d: reference places piece %d at %d, not %d", start, d, n, i, k, got, at)
+			p.t.Fatalf("OccupyTail(%d, %d) as %d pieces on resource %d: reference places piece %d at %d, not %d", start, d, n, i, k, got, at)
 		}
 		p.ref[i].occupy(at, piece)
 		at = at.Add(piece)
@@ -170,9 +168,9 @@ func (p *resourcePair) earliestStart(ready Time, d Duration) {
 func (p *resourcePair) check() {
 	for i, r := range p.real {
 		m := p.ref[i]
-		if r.FreeAt() != m.freeAt() || r.BusyTime() != m.busyFor || r.Ops() != m.ops {
-			p.t.Fatalf("resource %d: FreeAt/BusyTime/Ops %d/%d/%d, reference %d/%d/%d",
-				i, r.FreeAt(), r.BusyTime(), r.Ops(), m.freeAt(), m.busyFor, m.ops)
+		if r.FreeAt() != m.freeAt() || r.BusyTime() != m.busyFor {
+			p.t.Fatalf("resource %d: FreeAt/BusyTime %d/%d, reference %d/%d",
+				i, r.FreeAt(), r.BusyTime(), m.freeAt(), m.busyFor)
 		}
 		if got, want := timeline(r), m.encode(); !bytes.Equal(got, want) {
 			p.t.Fatalf("resource %d: timeline %x, reference %x", i, got, want)

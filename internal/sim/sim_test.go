@@ -61,17 +61,14 @@ func TestResourceSerializes(t *testing.T) {
 	if r.BusyTime() != 210 {
 		t.Fatalf("BusyTime: got %d, want 210", r.BusyTime())
 	}
-	if r.Ops() != 3 {
-		t.Fatalf("Ops: got %d, want 3", r.Ops())
-	}
 }
 
 func TestResourceReset(t *testing.T) {
 	r := NewResource("x")
 	r.Acquire(0, 100)
 	r.Reset()
-	if r.FreeAt() != 0 || r.BusyTime() != 0 || r.Ops() != 0 {
-		t.Fatalf("after Reset: freeAt=%d busy=%d ops=%d, want zeros", r.FreeAt(), r.BusyTime(), r.Ops())
+	if r.FreeAt() != 0 || r.BusyTime() != 0 {
+		t.Fatalf("after Reset: freeAt=%d busy=%d, want zeros", r.FreeAt(), r.BusyTime())
 	}
 }
 
@@ -200,6 +197,3 @@ func (t Time) Before(u Time) bool { return t < u }
 
 // After reports whether t follows u.
 func (t Time) After(u Time) bool { return t > u }
-
-// Ops returns the number of occupations served by r.
-func (r *Resource) Ops() int64 { return r.ops }

@@ -31,12 +31,6 @@ type Checkpoint struct {
 	data []byte // a sealed container
 }
 
-// ErrBufferedCheckpoint rejects a checkpoint taken with the DRAM write
-// buffer enabled. The simulator no longer models the buffer; the encoding
-// keeps its presence byte, which is always false, so every other checkpoint
-// keeps its length.
-var ErrBufferedCheckpoint = errors.New("ssd: checkpoint holds DRAM write-buffer state, which is no longer modelled")
-
 // Snapshot encodes the controller's state, after folding any in-flight work.
 func (c *Controller) Snapshot() (*Checkpoint, error) {
 	if c.broken != nil {
@@ -64,7 +58,6 @@ func (c *Controller) Snapshot() (*Checkpoint, error) {
 	stats.EncodeWelford(w, c.writeResp)
 	stats.EncodeLatencyHist(w, c.hist)
 	stats.EncodeTimeSeries(w, c.series)
-	w.Bool(false) // the retired DRAM write buffer (see ErrBufferedCheckpoint)
 	w.I64(int64(c.lastDone))
 	w.I64(c.served)
 	w.I64(c.pagesRead)
@@ -126,9 +119,6 @@ func (c *Controller) restore(cp *Checkpoint) error {
 	c.writeResp = stats.DecodeWelford(r)
 	c.hist = stats.DecodeLatencyHist(r)
 	c.series = stats.DecodeTimeSeries(r)
-	if r.Bool() {
-		return ErrBufferedCheckpoint
-	}
 	c.lastDone = sim.Time(r.I64())
 	c.served = r.I64()
 	c.pagesRead = r.I64()

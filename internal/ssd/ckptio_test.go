@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -283,26 +282,6 @@ func reseal(data []byte) []byte {
 	return sealed.Seal()
 }
 
-// TestDecodeCheckpointRejectsBufferState sets the retired DRAM write buffer's
-// presence byte, which precedes the four trailing counters, and requires the
-// typed error.
-func TestDecodeCheckpointRejectsBufferState(t *testing.T) {
-	donor, data, _ := craftedDonor(t)
-	bad := append([]byte(nil), data...)
-	off := len(bad) - 4*8 - 1
-	if bad[off] != 0 {
-		t.Fatalf("buffer presence byte is %d, want 0", bad[off])
-	}
-	bad[off] = 1
-	cp, err := donor.DecodeCheckpoint(reseal(bad))
-	if err == nil {
-		err = donor.Restore(cp)
-	}
-	if !errors.Is(err, ErrBufferedCheckpoint) {
-		t.Fatalf("got %v, want ErrBufferedCheckpoint", err)
-	}
-}
-
 // deviceBytes encodes a device's state: twin devices compare by their bytes,
 // which hold every field of the state.
 func deviceBytes(d *flash.Device) []byte {
@@ -322,15 +301,15 @@ func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
 	donor, data, device := craftedDonor(t)
 	// The plane timelines follow the device's page, tag and block columns.
 	geo := donor.Geometry()
-	planes := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages())) + (4 + 20*int(geo.TotalBlocks()))
+	planes := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages())) + (4 + 16*int(geo.TotalBlocks()))
 	if got := u32At(data, planes); got != uint32(geo.Planes()) {
 		t.Fatalf("plane count at offset %d reads %d, want %d: the layout moved", planes, got, geo.Planes())
 	}
 	// The first plane whose timeline holds two intervals to swap: each state
-	// is three i64, a count, then count (start, end) pairs.
+	// is two i64, a count, then count (start, end) pairs.
 	busy := planes + 4
-	for u32At(data, busy+24) < 2 {
-		busy += 28 + 16*int(u32At(data, busy+24))
+	for u32At(data, busy+16) < 2 {
+		busy += 20 + 16*int(u32At(data, busy+16))
 	}
 
 	for _, tc := range []struct {
@@ -338,15 +317,15 @@ func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
 		damage func(b []byte)
 	}{
 		{"plane count beyond payload", func(b []byte) { putU32At(b, planes, 0xFFFFFFFF) }},
-		{"interval count beyond payload", func(b []byte) { putU32At(b, planes+4+24, 1<<24) }},
-		{"interval count beyond the window", func(b []byte) { putU32At(b, planes+4+24, 1000) }},
+		{"interval count beyond payload", func(b []byte) { putU32At(b, planes+4+16, 1<<24) }},
+		{"interval count beyond the window", func(b []byte) { putU32At(b, planes+4+16, 1000) }},
 		{"intervals out of order", func(b []byte) {
-			first, second := b[busy+28:busy+44], b[busy+44:busy+60]
+			first, second := b[busy+20:busy+36], b[busy+36:busy+52]
 			tmp := append([]byte(nil), first...)
 			copy(first, second)
 			copy(second, tmp)
 		}},
-		{"empty interval", func(b []byte) { copy(b[busy+36:busy+44], b[busy+28:busy+36]) }},
+		{"empty interval", func(b []byte) { copy(b[busy+28:busy+36], b[busy+20:busy+28]) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { rejectCrafted(t, donor, data, tc.damage) })
 	}
@@ -364,23 +343,23 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 		t.Fatalf("block count at offset %d reads %d, want %d: the layout moved", blocks, got, geo.TotalBlocks())
 	}
 	// The statistics follow the three timeline sets; their per-plane column
-	// comes after numOps x numCauses (count, latency) pairs.
-	planeOps := blocks + 4 + 20*int(geo.TotalBlocks())
+	// comes after numOps x numCauses counts.
+	planeOps := blocks + 4 + 16*int(geo.TotalBlocks())
 	for set := 0; set < 3; set++ {
 		n := int(u32At(data, planeOps))
 		planeOps += 4
 		for ; n > 0; n-- {
-			planeOps += 28 + 16*int(u32At(data, planeOps+24))
+			planeOps += 20 + 16*int(u32At(data, planeOps+16))
 		}
 	}
-	planeOps += 4 * 3 * 16
+	planeOps += 4 * 3 * 8
 	if got := u32At(data, planeOps); got != uint32(geo.Planes()) {
 		t.Fatalf("PlaneOps count at offset %d reads %d, want %d: the layout moved", planeOps, got, geo.Planes())
 	}
-	// A written block's row: Valid, Invalid, Written, Erases, NextWrite.
+	// A written block's row: Valid, Invalid, Written, NextWrite.
 	row := blocks + 4
 	for u32At(data, row+8) == 0 {
-		row += 20
+		row += 16
 	}
 
 	for _, tc := range []struct {
@@ -392,9 +371,8 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 		{"PlaneOps count beyond payload", func(b []byte) { putU32At(b, planeOps, 0xFFFFFFFF) }},
 		{"negative valid count", func(b []byte) { putU32At(b, row, 0xFFFFFFFF) }},
 		{"valid + invalid != written", func(b []byte) { putU32At(b, row+4, u32At(b, row+4)+1) }},
-		{"written beyond high-water mark", func(b []byte) { putU32At(b, row+16, u32At(b, row+8)-1) }},
-		{"high-water mark beyond block", func(b []byte) { putU32At(b, row+16, uint32(geo.PagesPerBlock)+1) }},
-		{"negative erase count", func(b []byte) { putU32At(b, row+12, 0x80000000) }},
+		{"written beyond high-water mark", func(b []byte) { putU32At(b, row+12, u32At(b, row+8)-1) }},
+		{"high-water mark beyond block", func(b []byte) { putU32At(b, row+12, uint32(geo.PagesPerBlock)+1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { rejectCrafted(t, donor, data, tc.damage) })
 	}
@@ -406,17 +384,19 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 // change shape; the container format is not, because the warm-up cache keys
 // and the ckpt format version promise that a file written before such a
 // change still decodes after it. A layout change bumps ckpt.Version and
-// re-pins these hashes (version 2 dropped DLOOP's per-plane write counters).
+// re-pins these hashes (version 2 dropped DLOOP's per-plane write counters;
+// version 3 the counters and copies nothing reads, and the write-buffer and
+// map-index flags).
 func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "33cc8f48469d70d60580d272a19a251e9db0fa87f374b27cc6d6d1e336bee41a"},
-		{SchemeDLOOP, "learned", "a450e390dfdd74b19e5fd6d1556d861406a0a066edaad48e1a19a7d97b1acc01"},
-		{SchemeDFTL, "", "c9b80d58ecff3f0e6f7982e7925d2de5ad30f61c7872a6e3ad6dd5ecfe4cdff5"},
-		{SchemeFAST, "", "68e0ecde53bdc13cad53b1adeeafce3d1043185a4f97f5dacc40a964b7331854"},
-		{SchemePureMap, "", "0873471dbeaecaf07f0369f6d18ec8109260070fb54fad4ab557a80464f5a43c"},
-		{SchemePureMapStriped, "", "b7a65b59768622802ba1c4385ad14f923e79cace47c77f3655b31d6cab0d930e"},
+		{SchemeDLOOP, "", "5fd6d43ac9281f628e15b4e009fc341041a09968a8155eb2080a668d2a7545cf"},
+		{SchemeDLOOP, "learned", "218cc7c34510bfe12fd37f78c55d0cf1afb00e202ce3193a67a77486386b96fa"},
+		{SchemeDFTL, "", "068b41fa7423fc2e929632def6fc27149fc6189ce5aa27b6845aa4f7a708babd"},
+		{SchemeFAST, "", "5e4a0a21d632590ce4b1ecd782b19270faff426d8c3f880a50e1bdb3396def51"},
+		{SchemePureMap, "", "a2f52f8ee3b49891f667b36cc513b3d9ed424f839da535b2b87685c72d62b3d8"},
+		{SchemePureMapStriped, "", "e2edcfd6e8da0f716d821accf588b6054b31864537a73813ec354a7ef55e8116"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {

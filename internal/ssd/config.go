@@ -336,11 +336,9 @@ func (c *Controller) Recover() (*Controller, error) {
 	}
 	cfg := c.cfg
 	cfg.setDefaults()
-	var extra int
-	if cfg.Geometry != nil {
-		extra = ftl.ExtraBlocksPerPlane(cfg.Geometry.BlocksPerPlane, cfg.ExtraPct)
-	} else {
-		extra = c.geo.BlocksPerPlane - refBlocksPerPlane*refPageKB/cfg.PageSizeKB
+	_, extra, err := resolveGeometry(cfg)
+	if err != nil {
+		return nil, err
 	}
 	c.Close() // the crashed controller stays usable for read-only lookups
 	shards := make([]*ftlShard, len(c.shards))
