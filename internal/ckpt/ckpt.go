@@ -37,7 +37,7 @@ const (
 	// Version is the container format version. Bump it whenever any encoded
 	// layout changes; readers reject other versions and the warm-up cache
 	// falls back to fresh simulation.
-	Version = 3
+	Version = 4
 	// headerSize is magic(4) + version(u32) + payload length(u64) +
 	// payload crc32(u32) + reserved(u32).
 	headerSize = 4 + 4 + 8 + 4 + 4

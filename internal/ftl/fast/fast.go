@@ -51,8 +51,13 @@ type FAST struct {
 	logBlocks int
 
 	pool      *ftl.FreeBlocks
-	dataBlock []int64      // lbn -> dense physical block index, -1 if none
-	logMap    flash.PPNMap // lpn -> log-resident location, InvalidPPN if none
+	dataBlock []int64 // lbn -> dense physical block index, -1 if none
+	// The log map. inLog has one bit per LPN, set while the LPN has a
+	// log-resident version, and logMap holds those versions' locations, so
+	// it has no more entries than the log blocks have pages. Looking up an
+	// LPN that is not in the log costs one bit test.
+	inLog  []uint64
+	logMap map[ftl.LPN]flash.PPN
 
 	swLBN   int64 // logical block owning the SW log, -1 if inactive
 	swBlock flash.PlaneBlock
@@ -89,7 +94,8 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 		logBlocks: logBlocks,
 		pool:      ftl.NewFreeBlocks(geo),
 		dataBlock: make([]int64, int64(capacity)/int64(geo.PagesPerBlock)),
-		logMap:    make(flash.PPNMap, capacity),
+		inLog:     make([]uint64, (capacity+63)/64),
+		logMap:    make(map[ftl.LPN]flash.PPN),
 		swLBN:     -1,
 	}
 	for i := range f.dataBlock {
@@ -148,10 +154,32 @@ func (f *FAST) dataPPN(lbn int64, off int) flash.PPN {
 	return flash.PPN(f.dataBlock[lbn]*int64(f.geo.PagesPerBlock) + int64(off))
 }
 
+// logPPN returns lpn's log-resident location, or InvalidPPN.
+func (f *FAST) logPPN(lpn ftl.LPN) flash.PPN {
+	if f.inLog[lpn>>6]&(1<<(lpn&63)) == 0 {
+		return flash.InvalidPPN
+	}
+	return f.logMap[lpn]
+}
+
+// setLog records ppn as lpn's log-resident location.
+func (f *FAST) setLog(lpn ftl.LPN, ppn flash.PPN) {
+	f.inLog[lpn>>6] |= 1 << (lpn & 63)
+	f.logMap[lpn] = ppn
+}
+
+// dropLog forgets lpn's log-resident location, if it has one.
+func (f *FAST) dropLog(lpn ftl.LPN) {
+	if w := &f.inLog[lpn>>6]; *w&(1<<(lpn&63)) != 0 {
+		*w &^= 1 << (lpn & 63)
+		delete(f.logMap, lpn)
+	}
+}
+
 // lookup returns the physical page currently holding lpn, or InvalidPPN.
 // Log-resident versions shadow the data block.
 func (f *FAST) lookup(lpn ftl.LPN) flash.PPN {
-	if ppn := f.logMap.Get(int64(lpn)); ppn != flash.InvalidPPN {
+	if ppn := f.logPPN(lpn); ppn != flash.InvalidPPN {
 		return ppn
 	}
 	lbn, off := f.split(lpn)
@@ -212,7 +240,7 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 			return 0, err
 		}
 		f.swNext++
-		f.logMap.Set(int64(lpn), ppn)
+		f.setLog(lpn, ppn)
 		if err := f.invalidateOld(old); err != nil {
 			return 0, err
 		}
@@ -244,7 +272,7 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 			return 0, err
 		}
 		f.swNext = 1
-		f.logMap.Set(int64(lpn), ppn)
+		f.setLog(lpn, ppn)
 		return end, f.invalidateOld(old)
 
 	default:
@@ -284,7 +312,7 @@ func (f *FAST) rwWrite(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		return 0, err
 	}
 	f.rwNext++
-	f.logMap.Set(int64(lpn), ppn)
+	f.setLog(lpn, ppn)
 	return end, f.invalidateOld(old)
 }
 
@@ -323,8 +351,8 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 		// log entries that still point into it — others are live elsewhere.
 		for off := 0; off < f.swNext; off++ {
 			lpn := ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off))
-			if ppn := f.logMap.Get(int64(lpn)); ppn != flash.InvalidPPN && f.geo.BlockOf(ppn) == b {
-				f.logMap.Set(int64(lpn), flash.InvalidPPN)
+			if ppn := f.logPPN(lpn); ppn != flash.InvalidPPN && f.geo.BlockOf(ppn) == b {
+				f.dropLog(lpn)
 			}
 		}
 		t, err = f.eraseToPool(b, t)
@@ -358,7 +386,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 			if err != nil {
 				return 0, err
 			}
-			f.logMap.Set(int64(lpn), flash.InvalidPPN)
+			f.dropLog(lpn)
 		}
 		t, err = f.retireDataBlock(lbn, t)
 		if err != nil {
@@ -394,7 +422,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 // drops its pages from the log map.
 func (f *FAST) adoptAsData(lbn int64, b flash.PlaneBlock) {
 	for off := 0; off < f.geo.PagesPerBlock; off++ {
-		f.logMap.Set(lbn*int64(f.geo.PagesPerBlock)+int64(off), flash.InvalidPPN)
+		f.dropLog(ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off)))
 	}
 	f.dataBlock[lbn] = f.geo.BlockIndex(b)
 }
@@ -455,7 +483,7 @@ func (f *FAST) consolidate(lbn int64, ready sim.Time) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.logMap.Set(int64(lpn), flash.InvalidPPN)
+		f.dropLog(lpn)
 	}
 	t, err = f.retireDataBlock(lbn, t)
 	if err != nil {

@@ -252,7 +252,7 @@ func TestReadPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.logMap.Get(50) == flash.InvalidPPN {
+	if f.logPPN(50) == flash.InvalidPPN {
 		t.Fatal("update not in log map")
 	}
 	if _, err := f.ReadPage(50, at); err != nil {

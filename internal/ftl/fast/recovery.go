@@ -68,7 +68,7 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 			// until a full merge erases it back to the pool.
 			f.rwFull = append(f.rwFull, pb)
 			for _, p := range valid {
-				f.logMap.Set(f.dev.PageLPN(first+flash.PPN(p)), first+flash.PPN(p))
+				f.setLog(ftl.LPN(f.dev.PageLPN(first+flash.PPN(p))), first+flash.PPN(p))
 			}
 		}
 	}

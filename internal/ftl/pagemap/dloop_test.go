@@ -183,47 +183,74 @@ func TestReadUnwrittenIsFree(t *testing.T) {
 	}
 }
 
+// TestParityWasteOnCraftedVictim crafts a block whose four valid pages all
+// sit at even offsets and has greedy collect it by copy-back. Plane 0 gets
+// every write (DLOOP stripes LPN l to plane l mod 8), and the CMT holds every
+// LPN, so no translation page lands there. Collection starts only once the
+// plane has taken all but two of its blocks, which takes PagesPerBlock+1
+// more writes than the plane has LPNs: four of them invalidate the victim's
+// odd offsets, and the other five rewrite cold LPNs of five different
+// blocks, so every block but the victim holds at most one invalid page.
 func TestParityWasteOnCraftedVictim(t *testing.T) {
-	f, dev := newPreset(t, "DLOOP")
+	f, dev := newTestFTL(t, Config{Layout: layout(t, "DLOOP"), CMTEntries: 1024})
 	geo := dev.Geometry()
-	// Build a victim block on plane 0 whose valid pages all have even
-	// offsets: write 8 pages (fills block 0 exactly with lpns of plane 0),
-	// then update the odd-offset ones so only evens stay valid.
+	ppb := geo.PagesPerBlock
+	planeLPNs := int(f.Capacity()) / geo.Planes()
+	lpnAt := func(i int) ftl.LPN { return ftl.LPN(i * geo.Planes()) } // plane 0's i-th LPN
 	var at sim.Time
-	lpns := make([]ftl.LPN, 8)
-	for i := range lpns {
-		lpns[i] = ftl.LPN(i * 8) // all plane 0
-		end, err := f.WritePage(lpns[i], at)
+	write := func(lpn ftl.LPN) {
+		t.Helper()
+		end, err := f.WritePage(lpn, at)
 		if err != nil {
 			t.Fatal(err)
 		}
 		at = end
 	}
-	victim := geo.BlockOf(f.Lookup(lpns[0]))
-	for i := 1; i < 8; i += 2 { // invalidate odd offsets of that block
-		end, err := f.WritePage(lpns[i], at)
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < planeLPNs; i++ {
+		write(lpnAt(i))
+		if i == ppb-1 { // the victim is full: invalidate its odd offsets
+			for off := 1; off < ppb; off += 2 {
+				write(lpnAt(off))
+			}
 		}
-		at = end
 	}
-	if got := dev.Block(victim).Invalid; got != 4 {
-		t.Fatalf("victim invalid = %d, want 4", got)
+	victim := geo.BlockOf(f.Lookup(lpnAt(0)))
+	if v := dev.Block(victim); v.Valid != ppb/2 || v.Invalid != ppb/2 {
+		t.Fatalf("victim holds %d valid and %d invalid pages, want %d of each", v.Valid, v.Invalid, ppb/2)
 	}
-	// Force GC until that block is collected.
-	for i := 0; dev.Stats().BlockErases[geo.BlockIndex(victim)] == 0 && i < 5000; i++ {
-		end, err := f.WritePage(lpns[(i%4)*2], at) // keep updating evens
-		if err != nil {
-			t.Fatal(err)
+	for k := 0; k < ppb/2+1; k++ {
+		write(lpnAt(ppb + ppb*k)) // one cold LPN from each of five other blocks
+	}
+	if f.Stats().GCRuns != 0 {
+		t.Fatal("collection ran before the crafted write")
+	}
+
+	// The copy-back rule: a move needs a destination offset of its source's
+	// parity, every source is even, so each odd destination offset the
+	// write point reaches before the last move is wasted; a full block
+	// rolls over to a fresh one at offset 0.
+	predicted := 0
+	for wp, moves := f.cur[victim.Plane].next, 0; moves < ppb/2; wp++ {
+		if wp == ppb {
+			wp = 0
 		}
-		at = end
+		if wp%2 == 0 {
+			moves++
+		} else {
+			predicted++
+		}
 	}
-	st := dev.Stats()
-	if st.WastedPages == 0 {
-		t.Log("no parity waste observed; ordering absorbed all mismatches (acceptable)")
+	before := dev.Stats()
+	cb0, ext0 := before.GCMoves()
+	write(lpnAt(ppb + 1)) // the plane is low: this placement collects
+	after := dev.Stats()
+	if after.BlockErases[geo.BlockIndex(victim)] != 1 {
+		t.Fatal("the crafted victim was not collected")
 	}
-	// Invariant either way: waste never exceeds moves.
-	if cb, ext := st.GCMoves(); st.WastedPages > cb+ext {
-		t.Fatalf("waste %d > moves %d", st.WastedPages, cb+ext)
+	if cb, ext := after.GCMoves(); cb-cb0 != int64(ppb/2) || ext != ext0 {
+		t.Fatalf("collection made %d copy-backs and %d external moves, want %d and 0", cb-cb0, ext-ext0, ppb/2)
+	}
+	if got := after.WastedPages - before.WastedPages; got != int64(predicted) || predicted == 0 {
+		t.Fatalf("collection wasted %d pages, the parity rule predicts %d", got, predicted)
 	}
 }

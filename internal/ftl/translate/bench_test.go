@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"math/rand"
 	"testing"
 
 	"dloop/internal/flash"
@@ -15,30 +16,66 @@ func benchGeo() flash.Geometry {
 	}
 }
 
-// BenchmarkCMT measures the cache's hot path: hit, miss+insert, eviction.
-func BenchmarkCMT(b *testing.B) {
-	c, err := NewCacheForSpace(4096, 256, 8192, 8192/256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lpn := ftl.LPN(i % 8192) // 50% working set over capacity: mixes hits and evictions
-		if !c.Get(lpn) {
-			c.Insert(lpn)
-			if i%2 == 0 {
-				c.Update(lpn)
-			}
+// benchSpaces are the logical spaces the CMT and miss benchmarks run over:
+// an 8,192-LPN scan whose table fits in L2, and 2M LPNs (an 8 MB table, a
+// 4 GB device's) visited in random order, so each lookup's table word is a
+// cache miss of the host.
+var benchSpaces = []struct {
+	name   string
+	space  int
+	random bool
+}{
+	{"8K-scan", 8192, false},
+	{"2M-random", 2 << 20, true},
+}
+
+// benchLPNs returns the order the benchmarks visit a space in: 1M LPNs,
+// ascending and wrapping for a scan, uniformly drawn (seed 1) otherwise.
+func benchLPNs(space int, random bool) []ftl.LPN {
+	rng := rand.New(rand.NewSource(1))
+	lpns := make([]ftl.LPN, 1<<20)
+	for i := range lpns {
+		if random {
+			lpns[i] = ftl.LPN(rng.Intn(space))
+		} else {
+			lpns[i] = ftl.LPN(i % space)
 		}
+	}
+	return lpns
+}
+
+// BenchmarkCMT measures the cache's hot path: hit, miss+insert, eviction.
+// Over 8K LPNs half the working set fits the 4,096 entries, mixing hits and
+// evictions; over 2M nearly every lookup misses and evicts.
+func BenchmarkCMT(b *testing.B) {
+	for _, sp := range benchSpaces {
+		b.Run(sp.name, func(b *testing.B) {
+			c, err := NewCacheForSpace(4096, 256, make(flash.PPNMap, sp.space), sp.space/256)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lpns := benchLPNs(sp.space, sp.random)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lpn := lpns[i%len(lpns)]
+				if !c.Get(lpn) {
+					c.Insert(lpn)
+					if i%2 == 0 {
+						c.Update(lpn)
+					}
+				}
+			}
+		})
 	}
 }
 
-// newBenchEngine builds an engine over an 8192-page logical space with every
+// newBenchEngine builds an engine over a space-page logical space with every
 // mapping live and every translation page persisted, so steady-state misses
 // pay real translation reads. The table follows the unit progression
-// (PPN(lpn) = lpn) the learned policy trains on at write-back.
-func newBenchEngine(b *testing.B, policy Policy) *Engine {
+// (PPN(lpn) = lpn) the learned policy trains on at write-back; no lookup
+// reads those PPNs from the device, so they may lie beyond it.
+func newBenchEngine(b *testing.B, policy Policy, space int) *Engine {
 	b.Helper()
 	dev, err := flash.NewDevice(benchGeo(), flash.DefaultTiming())
 	if err != nil {
@@ -46,13 +83,13 @@ func newBenchEngine(b *testing.B, policy Policy) *Engine {
 	}
 	m, err := NewEngine(Config{
 		Dev: dev, Placer: &seqPlacer{dev: dev}, Tracker: ftl.NewTracker(benchGeo()),
-		Capacity: 8192, CMTEntries: 4096, Policy: policy, StrideHint: 1,
+		Capacity: ftl.LPN(space), CMTEntries: 4096, Policy: policy, StrideHint: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for lpn := range m.table {
-		m.table.Set(int64(lpn), flash.PPN(lpn))
+		m.setPPN(ftl.LPN(lpn), flash.PPN(lpn))
 	}
 	for tp := 0; tp < m.TranslationPages(); tp++ {
 		if _, err := m.writeBack(ftl.LPN(tp*m.EntriesPerTP()), 0); err != nil {
@@ -63,19 +100,49 @@ func newBenchEngine(b *testing.B, policy Policy) *Engine {
 }
 
 // BenchmarkTranslationMiss measures the demand-paging slow path: a scan over
-// twice the cache capacity makes every Resolve a clean-victim miss that
-// fetches its translation page from flash.
+// twice the cache capacity, or random lookups over 2M LPNs, makes (nearly)
+// every Resolve a clean-victim miss that fetches its translation page from
+// flash.
 func BenchmarkTranslationMiss(b *testing.B) {
-	m := newBenchEngine(b, PolicySLRU)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Resolve(ftl.LPN(i%8192), 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, sp := range benchSpaces {
+		b.Run(sp.name, func(b *testing.B) {
+			m := newBenchEngine(b, PolicySLRU, sp.space)
+			lpns := benchLPNs(sp.space, sp.random)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Resolve(lpns[i%len(lpns)], 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if m.Stats().TransReads == 0 {
+				b.Fatal("benchmark never missed")
+			}
+		})
 	}
-	if m.Stats().TransReads == 0 {
-		b.Fatal("benchmark never missed")
+}
+
+// BenchmarkResolvePPN measures what a page-mapping FTL's read pays for
+// address translation: Resolve, then the PPN it reads. Over 2M random LPNs
+// both read the LPN's mapping word, a host cache miss, once it is the only
+// word that says where the mapping is cached.
+func BenchmarkResolvePPN(b *testing.B) {
+	for _, sp := range benchSpaces {
+		b.Run(sp.name, func(b *testing.B) {
+			m := newBenchEngine(b, PolicySLRU, sp.space)
+			lpns := benchLPNs(sp.space, sp.random)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lpn := lpns[i%len(lpns)]
+				if _, err := m.Resolve(lpn, 0); err != nil {
+					b.Fatal(err)
+				}
+				if m.PPN(lpn) != flash.PPN(lpn) {
+					b.Fatalf("lpn %d resolved to %d", lpn, m.PPN(lpn))
+				}
+			}
+		})
 	}
 }
 
@@ -83,7 +150,7 @@ func BenchmarkTranslationMiss(b *testing.B) {
 // policy: the trained segments predict every mapping correctly, so each miss
 // is resolved by a verified prediction instead of a translation read.
 func BenchmarkLearnedLookup(b *testing.B) {
-	m := newBenchEngine(b, PolicyLearned)
+	m := newBenchEngine(b, PolicyLearned, 8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

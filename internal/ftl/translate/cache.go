@@ -3,6 +3,7 @@ package translate
 import (
 	"fmt"
 
+	"dloop/internal/flash"
 	"dloop/internal/ftl"
 )
 
@@ -11,8 +12,12 @@ import (
 // (§III.D, algorithm line 6: "select a victim entry for eviction using
 // segmented LRU"). It models which mappings are resident and dirty, which
 // is what decides the translation traffic a lookup costs; the PPNs
-// themselves are read from the engine's table, so an entry does not hold
-// one.
+// themselves are read from the engine's table.
+//
+// The cache has no index of its own: it keeps its handles in the engine's
+// table. A cached LPN's table word is cachedTag|handle, and its entry holds
+// the word that Insert displaced (ppn+1) until eviction puts it back, so a
+// lookup reads one word, the same one Engine.PPN reads.
 //
 // In its default segmented-LRU mode it keeps a probationary segment for
 // entries seen once and a protected segment for entries hit again; victims
@@ -39,8 +44,9 @@ type Cache struct {
 	slab     []entry // 1-based; slab[0] is the nil sentinel
 	freeHead int32   // free-list head, linked through entry.next
 
-	// dense maps the whole logical space to handles: O(1), no hashing.
-	dense []int32
+	// table is the engine's mapping table, in flash.PPNMap's form except
+	// that a cached LPN's word is cachedTag|handle.
+	table flash.PPNMap
 
 	probation list // MRU at head
 	protected list // MRU at head
@@ -58,6 +64,7 @@ type Entry struct {
 
 type entry struct {
 	lpn          ftl.LPN
+	word         uint32 // lpn's table word while it is cached: ppn+1
 	dirty        bool
 	protected    bool
 	prev, next   int32 // recency-list links (next doubles as the free-list link)
@@ -99,15 +106,20 @@ func (c *Cache) listRemove(l *list, h int32) {
 	l.n--
 }
 
+// cachedTag marks a table word that holds a cache handle. A stored ppn+1
+// never has it: device page numbers stay below 2^31-2.
+const cachedTag = 1 << 31
+
 // NewCacheForSpace returns a segmented-LRU cache holding at most capacity
-// entries, with the protected segment getting half, in front of space
-// logical pages grouped into translationPages translation pages.
+// entries, with the protected segment getting half, in front of the logical
+// space of table, grouped into translationPages translation pages. The cache
+// tags the words of the LPNs it holds, so table is then read through word.
 // entriesPerPage is the number of mapping entries per translation page, used
 // to group dirty entries for batched write-back. Capacity must be at least 2
-// and entriesPerPage, space and translationPages at least 1.
-func NewCacheForSpace(capacity, entriesPerPage int, space ftl.LPN, translationPages int) (*Cache, error) {
-	if space < 1 || translationPages < 1 {
-		return nil, fmt.Errorf("translate: cache space %d / %d translation pages too small", space, translationPages)
+// and entriesPerPage, the table's length and translationPages at least 1.
+func NewCacheForSpace(capacity, entriesPerPage int, table flash.PPNMap, translationPages int) (*Cache, error) {
+	if len(table) < 1 || translationPages < 1 {
+		return nil, fmt.Errorf("translate: cache space %d / %d translation pages too small", len(table), translationPages)
 	}
 	if capacity < 2 {
 		return nil, fmt.Errorf("translate: cache capacity %d too small", capacity)
@@ -120,7 +132,7 @@ func NewCacheForSpace(capacity, entriesPerPage int, space ftl.LPN, translationPa
 		protCap:  capacity / 2,
 		epp:      entriesPerPage,
 		slab:     make([]entry, capacity+1),
-		dense:    make([]int32, space),
+		table:    table,
 		tpHead:   make([]int32, translationPages),
 	}
 	// Chain every handle onto the free list.
@@ -182,10 +194,27 @@ func (c *Cache) unmarkDirty(h int32) {
 	e.dPrev, e.dNext = 0, 0
 }
 
+// handle returns lpn's slab handle, or 0 if lpn is not cached.
+func (c *Cache) handle(lpn ftl.LPN) int32 {
+	if w := c.table[lpn]; w&cachedTag != 0 {
+		return int32(w &^ cachedTag)
+	}
+	return 0
+}
+
+// word returns where lpn's ppn+1 is held: its table word, or its entry's
+// copy while it is cached. Every read or write of a PPN goes through it.
+func (c *Cache) word(lpn ftl.LPN) *uint32 {
+	if h := c.handle(lpn); h != 0 {
+		return &c.slab[h].word
+	}
+	return &c.table[lpn]
+}
+
 // Get reports whether a mapping is cached, updating recency and segment
 // membership on a hit.
 func (c *Cache) Get(lpn ftl.LPN) bool {
-	h := c.dense[lpn]
+	h := c.handle(lpn)
 	if h == 0 {
 		c.misses++
 		return false
@@ -216,17 +245,18 @@ func (c *Cache) touch(h int32) {
 // Insert adds a mapping that is not currently cached, clean. If the cache is
 // full it evicts the LRU victim (in segmented mode, the segmented-LRU victim)
 // and returns it with evicted=true; the caller must write the victim back to
-// its translation page if it is dirty.
+// its translation page if it is dirty. lpn must not be cached: the new entry
+// saves lpn's table word as its PPN, and a cached lpn's word is a tag.
+// Engine.Resolve, the only caller, inserts only after Get missed.
 func (c *Cache) Insert(lpn ftl.LPN) (victim Entry, evicted bool) {
-	if c.dense[lpn] != 0 {
-		panic(fmt.Sprintf("translate: Cache.Insert of cached lpn %d", lpn))
-	}
 	if c.n >= c.capacity {
 		victim, evicted = c.evict()
 	}
 	h := c.alloc()
-	c.slab[h].lpn = lpn
-	c.dense[lpn] = h
+	e := &c.slab[h]
+	e.lpn = lpn
+	e.word = c.table[lpn]
+	c.table[lpn] = cachedTag | uint32(h)
 	c.pushFront(&c.probation, h)
 	c.n++
 	return victim, evicted
@@ -247,7 +277,7 @@ func (c *Cache) evict() (Entry, bool) {
 	if e.dirty {
 		c.unmarkDirty(h)
 	}
-	c.dense[e.lpn] = 0
+	c.table[e.lpn] = e.word
 	c.n--
 	victim := Entry{LPN: e.lpn, Dirty: e.dirty}
 	c.release(h)
@@ -258,7 +288,7 @@ func (c *Cache) evict() (Entry, bool) {
 // its translation page is written back. It reports whether the entry was
 // present.
 func (c *Cache) Update(lpn ftl.LPN) bool {
-	h := c.dense[lpn]
+	h := c.handle(lpn)
 	if h == 0 {
 		return false
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dloop/internal/flash"
 	"dloop/internal/ftl"
 )
 
@@ -15,7 +16,7 @@ const testSpace = 128
 // newTestCache builds a cache over testSpace logical pages.
 func newTestCache(t *testing.T, capacity, entriesPerPage int) *Cache {
 	t.Helper()
-	c, err := NewCacheForSpace(capacity, entriesPerPage, testSpace, (testSpace+entriesPerPage-1)/entriesPerPage)
+	c, err := NewCacheForSpace(capacity, entriesPerPage, make(flash.PPNMap, testSpace), (testSpace+entriesPerPage-1)/entriesPerPage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,16 +24,16 @@ func newTestCache(t *testing.T, capacity, entriesPerPage int) *Cache {
 }
 
 func TestCacheRejectsBadConfig(t *testing.T) {
-	if _, err := NewCacheForSpace(1, 256, testSpace, 1); err == nil {
+	if _, err := NewCacheForSpace(1, 256, make(flash.PPNMap, testSpace), 1); err == nil {
 		t.Error("capacity 1 accepted")
 	}
-	if _, err := NewCacheForSpace(8, 0, testSpace, 1); err == nil {
+	if _, err := NewCacheForSpace(8, 0, make(flash.PPNMap, testSpace), 1); err == nil {
 		t.Error("entriesPerPage 0 accepted")
 	}
-	if _, err := NewCacheForSpace(8, 256, 0, 1); err == nil {
+	if _, err := NewCacheForSpace(8, 256, nil, 1); err == nil {
 		t.Error("empty logical space accepted")
 	}
-	if _, err := NewCacheForSpace(8, 256, testSpace, 0); err == nil {
+	if _, err := NewCacheForSpace(8, 256, make(flash.PPNMap, testSpace), 0); err == nil {
 		t.Error("zero translation pages accepted")
 	}
 }
@@ -56,17 +57,6 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	if c.Len() != 1 || c.capacity != 4 {
 		t.Fatal("len/capacity wrong")
 	}
-}
-
-func TestCacheInsertPanicsOnDuplicate(t *testing.T) {
-	c := newTestCache(t, 4, 256)
-	c.Insert(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on duplicate insert")
-		}
-	}()
-	c.Insert(1)
 }
 
 func TestCacheSegmentedLRUEviction(t *testing.T) {
@@ -281,7 +271,7 @@ func TestCacheModelProperty(t *testing.T) {
 
 // Contains reports whether a mapping is cached without perturbing recency or
 // hit statistics (used by garbage collection).
-func (c *Cache) Contains(lpn ftl.LPN) bool { return c.dense[lpn] != 0 }
+func (c *Cache) Contains(lpn ftl.LPN) bool { return c.handle(lpn) != 0 }
 
 // DirtyInPage returns how many cached dirty mappings belong to the
 // translation page tvpn.

@@ -10,12 +10,13 @@ import (
 
 // EncodeState appends the engine's mutable state to w: mapping table, CMT,
 // GTD, learned segments, and counters. The placer and tracker pointers are
-// construction-time wiring, not state. The CMT slab goes out entry by entry
+// construction-time wiring, not state. The table goes out untagged, as
+// flash.PPNMap.EncodeState writes it. The CMT slab goes out entry by entry
 // in slab order, so handles (slab indices) survive the round trip and a
 // decoded cache is bit-identical to the encoded one, free list and recency
-// links included.
+// links included; its decoder re-tags the table.
 func (m *Engine) EncodeState(w *ckpt.Writer) {
-	m.table.EncodeState(w)
+	m.Cache.encodeTable(w)
 	m.Cache.encodeState(w)
 	m.GTD.EncodeState(w)
 	var segs [][]segment
@@ -40,10 +41,12 @@ func (m *Engine) EncodeState(w *ckpt.Writer) {
 
 // DecodeState overwrites the engine's state with what EncodeState wrote on an
 // engine of the same shape, in place. Every count is checked against the
-// bytes left and the live columns before anything is written by it, and a
-// learned index must cover exactly the GTD's translation pages, as the
-// engine's does. A learned index from a checkpoint without one starts cold;
-// one in a checkpoint for an engine without one is checked and dropped.
+// bytes left and the live columns before anything is written by it, the
+// table must hold page numbers (a tagged word fails with
+// flash.ErrUnmappable), and a learned index must cover exactly the GTD's
+// translation pages, as the engine's does. A learned index from a
+// checkpoint without one starts cold; one in a checkpoint for an engine
+// without one is checked and dropped.
 func (m *Engine) DecodeState(r *ckpt.Reader) {
 	m.table.DecodeState(r)
 	m.Cache.decodeState(r)
@@ -100,6 +103,22 @@ const (
 	entryProtected = 1 << 1
 )
 
+// encodeTable appends the engine's table as flash.PPNMap.EncodeState writes
+// it, reading each word through word, so a cached LPN's saved PPN goes out
+// in place of its tag.
+func (c *Cache) encodeTable(w *ckpt.Writer) {
+	w.U32(uint32(len(c.table)))
+	dst := w.Raw(8 * len(c.table))
+	var buf [256]uint64
+	for i := 0; i < len(c.table); i += len(buf) {
+		chunk := buf[:min(len(buf), len(c.table)-i)]
+		for j := range chunk {
+			chunk[j] = uint64(*c.word(ftl.LPN(i + j))) - 1 // ppn+1 back to ppn; 0 to InvalidPPN
+		}
+		ckpt.Store(dst[8*i:], chunk)
+	}
+}
+
 func (c *Cache) encodeState(w *ckpt.Writer) {
 	w.Int(c.n)
 	w.U32(uint32(len(c.slab)))
@@ -119,7 +138,6 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 		w.I32(e.dNext)
 	}
 	w.I32(c.freeHead)
-	w.I32s(c.dense)
 	for _, l := range []list{c.probation, c.protected} {
 		w.I32(l.head)
 		w.I32(l.tail)
@@ -131,9 +149,10 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 }
 
 // decodeState overwrites the cache with what encodeState wrote on a cache of
-// the same capacity and logical space. Every handle must name a slab entry,
-// every entry an LPN of the space, and the dirty-list heads must cover its
-// translation pages.
+// the same capacity and logical space, after the table was decoded untagged.
+// Every handle must name a slab entry, every entry an LPN of the space, and
+// the dirty-list heads must cover its translation pages; link checks the
+// lists and re-tags the table.
 func (c *Cache) decodeState(r *ckpt.Reader) {
 	c.n = r.Int()
 	handle := func(h int32) int32 {
@@ -145,8 +164,8 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 	}
 	for i := range c.slab[:r.ExpectLen(len(c.slab), 25)] { // lpn, flags, four links
 		e := &c.slab[i]
-		if e.lpn = ftl.LPN(r.I64()); e.lpn < 0 || int64(e.lpn) >= int64(len(c.dense)) {
-			r.Failf("translate: cache entry %d holds lpn %d outside a %d-page space", i, e.lpn, len(c.dense))
+		if e.lpn = ftl.LPN(r.I64()); e.lpn < 0 || int64(e.lpn) >= int64(len(c.table)) {
+			r.Failf("translate: cache entry %d holds lpn %d outside a %d-page space", i, e.lpn, len(c.table))
 			return
 		}
 		flags := r.U8()
@@ -158,21 +177,6 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 		e.dNext = handle(r.I32())
 	}
 	c.freeHead = handle(r.I32())
-	slab := uint32(len(c.slab))
-	raw := r.Raw(4 * r.ExpectLen(len(c.dense), 4))
-	var buf [512]uint32
-	for i := 0; i < len(raw)/4; i += len(buf) {
-		chunk := buf[:min(len(buf), len(raw)/4-i)]
-		ckpt.Load(chunk, raw[4*i:])
-		dst := c.dense[i : i+len(chunk)]
-		for j, h := range chunk {
-			if h >= slab {
-				handle(int32(h))
-				return
-			}
-			dst[j] = int32(h)
-		}
-	}
 	for _, l := range []*list{&c.probation, &c.protected} {
 		*l = list{head: handle(r.I32()), tail: handle(r.I32()), n: r.Int()}
 	}
@@ -182,4 +186,76 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 	}
 	c.hits = r.I64()
 	c.misses = r.I64()
+	if r.Err() == nil {
+		c.link(r)
+	}
+}
+
+// link walks the decoded lists and tags the table word of each live entry.
+// The two recency lists hold the live entries: each runs from its head to
+// its tail over exactly its count, with back links and segment flags that
+// agree, and together they hold n entries of distinct LPNs. The free list
+// holds the other capacity-n handles, none live, and the dirty lists hold
+// exactly the live dirty entries, each under its own translation page, with
+// back links that agree. A recency or free walk stops after as many steps
+// as the slab has entries and a dirty walk once it has seen every dirty
+// entry, so a cyclic list ends as a wrong count or a broken link.
+func (c *Cache) link(r *ckpt.Reader) {
+	live, dirty := 0, 0
+	for seg, l := range []list{c.probation, c.protected} {
+		k, prev := 0, int32(0)
+		for h := l.head; h != 0 && k < len(c.slab); h = c.slab[h].next {
+			e := &c.slab[h]
+			if e.prev != prev || e.protected != (seg == 1) {
+				r.Failf("translate: recency list %d breaks at entry %d", seg, h)
+				return
+			}
+			w := c.table[e.lpn]
+			if w&cachedTag != 0 {
+				r.Failf("translate: cache entries %d and %d both hold lpn %d", w&^cachedTag, h, e.lpn)
+				return
+			}
+			e.word = w
+			c.table[e.lpn] = cachedTag | uint32(h)
+			if e.dirty {
+				dirty++
+			}
+			k, prev = k+1, h
+		}
+		if k != l.n || prev != l.tail {
+			r.Failf("translate: recency list %d holds %d entries ending at %d, want %d ending at %d", seg, k, prev, l.n, l.tail)
+			return
+		}
+		live += k
+	}
+	if live != c.n {
+		r.Failf("translate: recency lists hold %d entries, cache count %d", live, c.n)
+		return
+	}
+	free := 0
+	for h := c.freeHead; h != 0 && free < len(c.slab); h = c.slab[h].next {
+		if c.handle(c.slab[h].lpn) == h {
+			r.Failf("translate: free list reaches live entry %d", h)
+			return
+		}
+		free++
+	}
+	if free != c.capacity-live {
+		r.Failf("translate: free list holds %d entries, want %d", free, c.capacity-live)
+		return
+	}
+	for tp, head := range c.tpHead {
+		prev := int32(0)
+		for h := head; h != 0; h = c.slab[h].dNext {
+			e := &c.slab[h]
+			if dirty == 0 || !e.dirty || c.handle(e.lpn) != h || c.tvpn(e.lpn) != int64(tp) || e.dPrev != prev {
+				r.Failf("translate: dirty list of translation page %d breaks at entry %d", tp, h)
+				return
+			}
+			dirty, prev = dirty-1, h
+		}
+	}
+	if dirty != 0 {
+		r.Failf("translate: %d dirty entries on no dirty list", dirty)
+	}
 }

@@ -120,9 +120,9 @@ func TestDecodeStateCrafted(t *testing.T) {
 	m, _ := newCodecEngine(t, PolicyLearned)
 	const table = 4 + 8*64 // the 64-entry table; the CMT follows
 	const slab = table + 8 // after the cached-entry count n
-	// The first dirty-list head: after the slab, the free-list head, the
-	// 64-entry dense index, both lists and the heads' count.
-	tpHead := slab + 4 + 25*len(m.Cache.slab) + 4 + 4 + 4*64 + 2*16 + 4
+	// The first dirty-list head: after the slab, the free-list head, both
+	// lists and the heads' count.
+	tpHead := slab + 4 + 25*len(m.Cache.slab) + 4 + 2*16 + 4
 	put := func(b []byte, off int, v uint64, width int) {
 		for i := 0; i < width; i++ {
 			b[off+i] = byte(v >> (8 * i))
@@ -157,13 +157,55 @@ func TestDecodeStateCrafted(t *testing.T) {
 		})
 	}
 
-	// The learned index's counts: the outer one must match the GTD, each
-	// page's must be backed by the payload.
+	// The lists the decoder re-tags the table from. Read the handles from
+	// the valid state, decoded, and damage the bytes of one of them.
 	if _, err := decodeAllocs(m, data); err != nil {
 		t.Fatal(err)
 	}
+	c := m.Cache
+	if c.n != c.capacity || c.probation.n < 2 {
+		t.Fatalf("test setup: %d of %d entries cached, %d on probation", c.n, c.capacity, c.probation.n)
+	}
+	entry := func(h int32) int { return slab + 4 + 25*int(h) } // lpn, flags, prev, next, dPrev, dNext
+	lists := entry(int32(len(c.slab))) + 4                     // after the free-list head
+	head, second, tail := c.probation.head, c.slab[c.probation.head].next, c.probation.tail
+	var dirty int32 // a dirty entry: its flags byte names it on a dirty list
+	for h := int32(1); h < int32(len(c.slab)); h++ {
+		if c.slab[h].dirty {
+			dirty = h
+		}
+	}
+	if dirty == 0 {
+		t.Fatal("test setup: no dirty entry")
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(b []byte)
+		want   error
+	}{
+		{"table word with the cache tag", func(b []byte) { put(b, 4, cachedTag-1, 8) }, flash.ErrUnmappable},
+		{"two live entries with one lpn", func(b []byte) { put(b, entry(second), uint64(c.slab[head].lpn), 8) }, nil},
+		{"recency list with a cycle", func(b []byte) { put(b, entry(tail)+13, uint64(head), 4) }, nil},
+		{"recency list count beyond the slab", func(b []byte) { put(b, lists+8, uint64(len(c.slab)), 8) }, nil},
+		{"live-entry count below the lists'", func(b []byte) { put(b, table, uint64(c.n-1), 8) }, nil},
+		{"free list through a live entry", func(b []byte) { put(b, lists-4, uint64(head), 4) }, nil},
+		{"dirty list through a clean entry", func(b []byte) { b[entry(dirty)+8] &^= entryDirty }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), data...)
+			tc.damage(bad)
+			if _, err := decodeAllocs(m, bad); err == nil {
+				t.Fatal("damaged state accepted")
+			} else if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("error %v, want %v", err, tc.want)
+			}
+		})
+	}
+
+	// The learned index's counts: the outer one must match the GTD, each
+	// page's must be backed by the payload.
 	var w ckpt.Writer
-	m.table.EncodeState(&w)
+	m.Cache.encodeTable(&w)
 	m.Cache.encodeState(&w)
 	m.GTD.EncodeState(&w)
 	learned := w.Len()

@@ -54,7 +54,7 @@ type Engine struct {
 	dev    *flash.Device
 	placer ftl.Placer
 
-	table flash.PPNMap // lpn -> current ppn, InvalidPPN if never written
+	table flash.PPNMap // lpn -> current ppn, InvalidPPN if never written; read through Cache.word
 	Cache *Cache
 	GTD   flash.PPNMap // tvpn -> ppn of its translation page, InvalidPPN if never persisted
 
@@ -74,14 +74,15 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("translate: page size %d too small for translation entries", cfg.Dev.Geometry().PageSize)
 	}
 	nTP := (int64(cfg.Capacity) + int64(per) - 1) / int64(per)
-	cache, err := NewCacheForSpace(cfg.CMTEntries, per, cfg.Capacity, int(nTP))
+	table := make(flash.PPNMap, cfg.Capacity)
+	cache, err := NewCacheForSpace(cfg.CMTEntries, per, table, int(nTP))
 	if err != nil {
 		return nil, err
 	}
 	m := &Engine{
 		dev:          cfg.Dev,
 		placer:       cfg.Placer,
-		table:        make(flash.PPNMap, cfg.Capacity),
+		table:        table,
 		Cache:        cache,
 		GTD:          make(flash.PPNMap, nTP),
 		entriesPerTP: per,
@@ -94,8 +95,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 }
 
 // PPN returns lpn's current physical page, or InvalidPPN if it was never
-// written.
-func (m *Engine) PPN(lpn ftl.LPN) flash.PPN { return m.table.Get(int64(lpn)) }
+// written. The word holds ppn+1, as a flash.PPNMap entry does.
+func (m *Engine) PPN(lpn ftl.LPN) flash.PPN { return flash.PPN(*m.Cache.word(lpn)) - 1 }
+
+// setPPN points lpn at ppn, storing ppn+1 as flash.PPNMap.Set does.
+func (m *Engine) setPPN(lpn ftl.LPN, ppn flash.PPN) { *m.Cache.word(lpn) = uint32(ppn + 1) }
 
 // Stats returns the accumulated translation overhead counters.
 func (m *Engine) Stats() Stats { return m.stats }
@@ -261,7 +265,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		if hi > ftl.LPN(m.table.Len()) {
 			hi = ftl.LPN(m.table.Len())
 		}
-		m.li.train(tvpn, lo, hi, m.table)
+		m.li.train(tvpn, lo, hi, m.PPN)
 	}
 	return end, nil
 }
@@ -271,7 +275,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 // is invalidated. It returns the old physical page or InvalidPPN.
 func (m *Engine) RecordWrite(lpn ftl.LPN, newPPN flash.PPN) (flash.PPN, error) {
 	old := m.PPN(lpn)
-	m.table.Set(int64(lpn), newPPN)
+	m.setPPN(lpn, newPPN)
 	if !m.Cache.Update(lpn) {
 		return flash.InvalidPPN, fmt.Errorf("translate: RecordWrite of unresolved lpn %d", lpn)
 	}
@@ -308,7 +312,7 @@ func (m *Engine) RedirectMoved(moved []ftl.Moved, ready sim.Time) (sim.Time, err
 			continue
 		}
 		lpn := ftl.LPN(mv.Stored)
-		m.table.Set(mv.Stored, mv.New)
+		m.setPPN(lpn, mv.New)
 		if m.li != nil {
 			// The relocation moved the page off its learned progression.
 			m.li.invalidate(m.TVPN(lpn), lpn)
@@ -325,15 +329,21 @@ func (m *Engine) Retarget(placer ftl.Placer, tracker *ftl.Tracker) {
 	m.tracker = tracker
 }
 
-// AdoptState installs a recovered table and GTD into the engine (the cache
-// starts cold, as SRAM is lost at power-off). Learned segments are dropped
-// too — they retrain lazily as translation-page write-backs resume.
+// AdoptState installs a recovered table and GTD into the engine. The cache
+// starts cold, as SRAM is lost at power-off: a new one replaces it over the
+// adopted table. Learned segments are dropped too — they retrain lazily as
+// translation-page write-backs resume.
 func (m *Engine) AdoptState(table, gtd flash.PPNMap) error {
 	if len(table) != len(m.table) || len(gtd) != len(m.GTD) {
 		return fmt.Errorf("translate: recovered state shape %d/%d does not match engine %d/%d",
 			len(table), len(gtd), len(m.table), len(m.GTD))
 	}
+	cache, err := NewCacheForSpace(m.Cache.capacity, m.entriesPerTP, m.table, len(m.GTD))
+	if err != nil {
+		return err
+	}
 	copy(m.table, table)
+	m.Cache = cache
 	copy(m.GTD, gtd)
 	if m.li != nil {
 		m.li.reset()

@@ -395,7 +395,7 @@ func TestEngineSnapshotRestore(t *testing.T) {
 			at = end
 		}
 		snap := engineBytes(m)
-		tableAt := append(flash.PPNMap(nil), m.table...)
+		tableAt := tableOf(m)
 		statsAt := m.Stats()
 		segsAt := m.LearnedSegments()
 
@@ -452,7 +452,7 @@ func TestEngineAdoptStateResetsLearned(t *testing.T) {
 	if m.LearnedSegments() == 0 {
 		t.Fatal("test setup: no segments trained")
 	}
-	table := append(flash.PPNMap(nil), m.table...)
+	table := tableOf(m)
 	gtd := append(flash.PPNMap(nil), m.GTD...)
 	if err := m.AdoptState(table, gtd); err != nil {
 		t.Fatal(err)
@@ -463,6 +463,15 @@ func TestEngineAdoptStateResetsLearned(t *testing.T) {
 	if err := m.AdoptState(table[:10], gtd); err == nil {
 		t.Fatal("mismatched shapes accepted")
 	}
+}
+
+// tableOf copies the engine's mapping, read through PPN, into a plain table.
+func tableOf(m *Engine) flash.PPNMap {
+	table := make(flash.PPNMap, len(m.table))
+	for i := range table {
+		table.Set(int64(i), m.PPN(ftl.LPN(i)))
+	}
+	return table
 }
 
 // EntriesPerTP returns how many mapping entries one translation page holds.

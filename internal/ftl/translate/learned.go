@@ -78,9 +78,10 @@ func newLearnedIndex(translationPages, stride int) *learnedIndex {
 }
 
 // train refits the segments of translation page tvpn from the authoritative
-// table span [lo, hi). It replaces whatever the page had, reusing the
-// backing array, and returns how many segments it produced.
-func (li *learnedIndex) train(tvpn int64, lo, hi ftl.LPN, table flash.PPNMap) int {
+// mapping of the span [lo, hi), which lookup reads. It replaces whatever the
+// page had, reusing the backing array, and returns how many segments it
+// produced.
+func (li *learnedIndex) train(tvpn int64, lo, hi ftl.LPN, lookup func(ftl.LPN) flash.PPN) int {
 	segs := li.segs[tvpn][:0]
 	for r := 0; r < li.stride && len(segs) < maxSegsPerTP; r++ {
 		// First member of residue class r at or after lo.
@@ -96,7 +97,7 @@ func (li *learnedIndex) train(tvpn int64, lo, hi ftl.LPN, table flash.PPNMap) in
 			run = segment{}
 		}
 		for lpn := first; lpn < hi; lpn += ftl.LPN(li.stride) {
-			ppn := table.Get(int64(lpn))
+			ppn := lookup(lpn)
 			if ppn == flash.InvalidPPN {
 				flush()
 				continue

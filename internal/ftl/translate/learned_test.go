@@ -8,13 +8,9 @@ import (
 	"dloop/internal/sim"
 )
 
-// ppnMapOf packs a table written as plain page numbers.
-func ppnMapOf(ppns []flash.PPN) flash.PPNMap {
-	m := make(flash.PPNMap, len(ppns))
-	for i, p := range ppns {
-		m.Set(int64(i), p)
-	}
-	return m
+// lookupOf reads a table written as plain page numbers.
+func lookupOf(ppns []flash.PPN) func(ftl.LPN) flash.PPN {
+	return func(lpn ftl.LPN) flash.PPN { return ppns[lpn] }
 }
 
 func TestLearnedTrainUnitStride(t *testing.T) {
@@ -23,7 +19,7 @@ func TestLearnedTrainUnitStride(t *testing.T) {
 	for i := range table {
 		table[i] = flash.PPN(100 + i)
 	}
-	if n := li.train(0, 0, 32, ppnMapOf(table)); n != 1 {
+	if n := li.train(0, 0, 32, lookupOf(table)); n != 1 {
 		t.Fatalf("train = %d segments, want 1", n)
 	}
 	for lpn := ftl.LPN(0); lpn < 32; lpn++ {
@@ -43,7 +39,7 @@ func TestLearnedTrainStridedResidues(t *testing.T) {
 		table[i] = flash.PPN(i * 10)       // delta 20 per even step
 		table[i+1] = flash.PPN(1000 + i*3) // delta 6 per odd step
 	}
-	if n := li.train(0, 0, 16, ppnMapOf(table)); n != 2 {
+	if n := li.train(0, 0, 16, lookupOf(table)); n != 2 {
 		t.Fatalf("train = %d segments, want 2 (one per residue)", n)
 	}
 	for lpn := ftl.LPN(0); lpn < 16; lpn++ {
@@ -67,7 +63,7 @@ func TestLearnedTrainSkipsHolesAndShortRuns(t *testing.T) {
 	for i := 8; i < 13; i++ {
 		table[i] = flash.PPN(50 + i)
 	}
-	if n := li.train(0, 0, 16, ppnMapOf(table)); n != 1 {
+	if n := li.train(0, 0, 16, lookupOf(table)); n != 1 {
 		t.Fatalf("train = %d segments, want only the 5-run", n)
 	}
 	if _, ok := li.predict(0, 1); ok {
@@ -90,7 +86,7 @@ func TestLearnedTrainNonUnitDelta(t *testing.T) {
 	for i := range table {
 		table[i] = flash.PPN(7 + 4*i)
 	}
-	if n := li.train(0, 0, 8, ppnMapOf(table)); n != 1 {
+	if n := li.train(0, 0, 8, lookupOf(table)); n != 1 {
 		t.Fatalf("train = %d, want 1", n)
 	}
 	ppn, ok := li.predict(0, 6)
@@ -105,7 +101,7 @@ func TestLearnedInvalidate(t *testing.T) {
 	for i := range table {
 		table[i] = flash.PPN(i)
 	}
-	li.train(0, 0, 16, ppnMapOf(table))
+	li.train(0, 0, 16, lookupOf(table))
 	li.invalidate(0, 5)
 	if _, ok := li.predict(0, 7); ok {
 		t.Fatal("covering segment survived invalidate")
@@ -114,7 +110,7 @@ func TestLearnedInvalidate(t *testing.T) {
 		t.Fatalf("segments = %d after invalidate", li.segments())
 	}
 	// Invalidating an uncovered lpn is a no-op.
-	li.train(0, 0, 16, ppnMapOf(table))
+	li.train(0, 0, 16, lookupOf(table))
 	before := li.segments()
 	li.invalidate(0, 200)
 	if li.segments() != before {
@@ -134,7 +130,7 @@ func TestLearnedSegmentCap(t *testing.T) {
 			table[r*5+i] = flash.PPN(r*1000 + i)
 		}
 	}
-	if n := li.train(0, 0, ftl.LPN(len(table)), ppnMapOf(table)); n != maxSegsPerTP {
+	if n := li.train(0, 0, ftl.LPN(len(table)), lookupOf(table)); n != maxSegsPerTP {
 		t.Fatalf("train = %d segments, want cap %d", n, maxSegsPerTP)
 	}
 }
@@ -214,7 +210,7 @@ func TestEngineLearnedMispredictFallsBack(t *testing.T) {
 	oldPPN := m.PPN(10)
 	newPPN, _, _ := m.placer.PlacePage(10, at)
 	at, _ = dev.CopyBack(oldPPN, newPPN, at, flash.CauseGC)
-	m.table.Set(10, newPPN)
+	m.setPPN(10, newPPN)
 	// Evict lpn 10 if cached so the next Resolve misses.
 	for l := ftl.LPN(40); l < 44; l++ {
 		if _, err := m.Resolve(l, at); err != nil {

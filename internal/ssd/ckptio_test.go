@@ -386,17 +386,18 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 // change still decodes after it. A layout change bumps ckpt.Version and
 // re-pins these hashes (version 2 dropped DLOOP's per-plane write counters;
 // version 3 the counters and copies nothing reads, and the write-buffer and
-// map-index flags).
+// map-index flags; version 4 the CMT's LPN-to-handle column, and FAST's
+// log map went from a capacity-long column to (LPN, PPN) pairs).
 func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "5fd6d43ac9281f628e15b4e009fc341041a09968a8155eb2080a668d2a7545cf"},
-		{SchemeDLOOP, "learned", "218cc7c34510bfe12fd37f78c55d0cf1afb00e202ce3193a67a77486386b96fa"},
-		{SchemeDFTL, "", "068b41fa7423fc2e929632def6fc27149fc6189ce5aa27b6845aa4f7a708babd"},
-		{SchemeFAST, "", "5e4a0a21d632590ce4b1ecd782b19270faff426d8c3f880a50e1bdb3396def51"},
-		{SchemePureMap, "", "a2f52f8ee3b49891f667b36cc513b3d9ed424f839da535b2b87685c72d62b3d8"},
-		{SchemePureMapStriped, "", "e2edcfd6e8da0f716d821accf588b6054b31864537a73813ec354a7ef55e8116"},
+		{SchemeDLOOP, "", "b03051bf147aec83510fb412823924d771bd61f1fda50a9f1d9cd457d5451a89"},
+		{SchemeDLOOP, "learned", "99f856c40587f61feb1eef7c3edd8d72f4c5b9db5a093f1969a0fb4858aff838"},
+		{SchemeDFTL, "", "a330816bed2472ae556d436d8885744635e24029f8926f479ce62815ac6726d5"},
+		{SchemeFAST, "", "d86c34baca9133c9015c33545abfe50fef72a379a0a87536ed1d3179902eadf7"},
+		{SchemePureMap, "", "a8f4d2f763a3ec7725731569d3d5b620bf287a9a26c0e7ddb068ab8f32fc1e0f"},
+		{SchemePureMapStriped, "", "a5cefc35481edc39e26ff35a88e555caf37d7d74672e1d4b6848a520f3bab911"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {
