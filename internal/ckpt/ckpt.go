@@ -37,7 +37,7 @@ const (
 	// Version is the container format version. Bump it whenever any encoded
 	// layout changes; readers reject other versions and the warm-up cache
 	// falls back to fresh simulation.
-	Version = 4
+	Version = 5
 	// headerSize is magic(4) + version(u32) + payload length(u64) +
 	// payload crc32(u32) + reserved(u32).
 	headerSize = 4 + 4 + 8 + 4 + 4
@@ -196,28 +196,6 @@ func (w *Writer) I64s(s []int64) {
 func (w *Writer) I32s(s []int32) {
 	w.U32(uint32(len(s)))
 	Store(w.grow(4*len(s)), s)
-}
-
-// Ints appends a length-prefixed []int slab, widened to int64.
-func (w *Writer) Ints(s []int) {
-	w.U32(uint32(len(s)))
-	dst := w.grow(8 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(int64(v)))
-	}
-}
-
-// Bools appends a length-prefixed []bool slab, one byte per element.
-func (w *Writer) Bools(s []bool) {
-	w.U32(uint32(len(s)))
-	dst := w.grow(len(s))
-	for i, v := range s {
-		if v {
-			dst[i] = 1
-		} else {
-			dst[i] = 0
-		}
-	}
 }
 
 // A Reader consumes a buffer written by Writer. Errors are sticky: after the
@@ -414,47 +392,6 @@ func (r *Reader) I32sInto(dst []int32) {
 	if b := r.slab(len(dst), 4); b != nil {
 		Load(dst, b)
 	}
-}
-
-// IntsInto reads a length-prefixed int64-encoded []int slab over dst, whose
-// length the slab must have.
-func (r *Reader) IntsInto(dst []int) {
-	if b := r.slab(len(dst), 8); b != nil {
-		for i := range dst {
-			dst[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-		}
-	}
-}
-
-// BoolsInto reads a length-prefixed []bool slab over dst, whose length the
-// slab must have, rejecting bytes other than 0 and 1.
-func (r *Reader) BoolsInto(dst []bool) {
-	b := r.slab(len(dst), 1)
-	for _, v := range b {
-		if v > 1 {
-			r.fail("bad bool byte in slab")
-			return
-		}
-	}
-	for i, v := range b {
-		dst[i] = v == 1
-	}
-}
-
-// AppendI32s reads a length-prefixed []int32 slab of any length onto
-// dst[:0], reusing dst's array when it is large enough. After a fault it
-// returns dst as it was.
-func (r *Reader) AppendI32s(dst []int32) []int32 {
-	n := r.SliceLen(4)
-	b := r.take(4 * n)
-	if b == nil {
-		return dst
-	}
-	dst = slices.Grow(dst[:0], n)
-	for i := 0; i < len(b); i += 4 {
-		dst = append(dst, int32(binary.LittleEndian.Uint32(b[i:])))
-	}
-	return dst
 }
 
 // AppendInts reads a length-prefixed int64-encoded []int slab of any length

@@ -49,15 +49,17 @@ func FuzzCkptReader(f *testing.F) {
 	w.String("dloop")
 	w.I64s([]int64{4, 5})
 	w.I64s([]int64{6, 7, 8})
-	w.Ints([]int{-9, 10})
+	w.U32(2) // an int slab, as AppendInts reads it
+	w.Int(-9)
+	w.Int(10)
 	good := bytes.Clone(w.Seal())
 	// The script reads the container back, the {4, 5} slab as a checked
 	// length and four words, and then faults on a short read.
 	script := []byte{opU32, opI64s, opString, opExpectLen, 2, opU32, opU32, opU32, opU32,
 		opI64sInto, 3, opAppendInts, 1, opU32, opString}
 	f.Add(good, script)
-	prev := bytes.Clone(good) // the same container in the previous format
-	binary.LittleEndian.PutUint32(prev[4:8], Version-1)
+	prev := bytes.Clone(good) // the same container in format 4, which Open refuses
+	binary.LittleEndian.PutUint32(prev[4:8], 4)
 	f.Add(prev, script)
 	f.Add([]byte{}, []byte{opString, opU32})
 	f.Fuzz(func(t *testing.T, data, script []byte) {
@@ -158,7 +160,11 @@ func checkReaderCall(t *testing.T, r *Reader, op, n int) {
 	case opI64sInto:
 		enc.I64s(dst)
 	case opAppendInts:
-		enc.Ints(got.([]int))
+		ints := got.([]int)
+		enc.U32(uint32(len(ints)))
+		for _, v := range ints {
+			enc.Int(v)
+		}
 	}
 	if want := start.buf[start.off:r.off]; !bytes.Equal(enc.Bytes(), want) {
 		t.Fatalf("op %d returned %v, which encodes to %x, after consuming %x", op, got, enc.Bytes(), want)

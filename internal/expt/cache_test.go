@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dloop/internal/ckpt"
+	"dloop/internal/flash"
 	"dloop/internal/ssd"
 	"dloop/internal/workload"
 )
@@ -308,7 +309,7 @@ func BenchmarkSweepWarmupCached(b *testing.B) {
 
 // TestWarmupCacheRejectsDamagedBody damages a cache entry where only Restore
 // can see it: the container stays sound (magic, version and checksum pass)
-// but one written block's row breaks Valid+Invalid == Written. The cell must
+// but one valid page loses its OOB tag. The cell must
 // never run on the half-restored controller: RunCachedObserved equals the
 // uncached run, the entry counts as a reject, and the fresh warm-up heals it.
 func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
@@ -337,22 +338,21 @@ func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The device's block rows follow the container header, the preamble
-	// (scheme, digest, eight geometry fields, layout tag), and the page-state
-	// and tag columns.
+	// The device's page-state column follows the container header and the
+	// preamble (scheme, digest, eight geometry fields, layout tag); the tag
+	// column, an int64 per page, follows it.
 	header := ckpt.NewWriterSize(0).Len()
 	pages := int(geo.TotalPages())
-	blocks := header + 4 + len(cfg.FTL) + sha256.Size + 8*8 + 1 + (4 + pages) + (4 + 8*pages)
-	u32 := func(b []byte, off int) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
-	if got := u32(pristine, blocks); int64(got) != geo.TotalBlocks() {
-		t.Fatalf("block count at offset %d reads %d, want %d: the layout moved", blocks, got, geo.TotalBlocks())
+	states := header + 4 + len(cfg.FTL) + sha256.Size + 8*8 + 1 + 4
+	if got := binary.LittleEndian.Uint32(pristine[states-4:]); int(got) != pages {
+		t.Fatalf("page count at offset %d reads %d, want %d: the layout moved", states-4, got, pages)
 	}
-	row := blocks + 4 // Valid, Invalid, Written, Erases, NextWrite
-	for u32(pristine, row+8) == 0 {
-		row += 20
+	valid := bytes.IndexByte(pristine[states:states+pages], byte(flash.PageValid))
+	if valid < 0 {
+		t.Fatal("the warm-up holds no valid page")
 	}
 	bad := append([]byte(nil), pristine...)
-	binary.LittleEndian.PutUint32(bad[row+4:], u32(bad, row+4)+1)
+	binary.LittleEndian.PutUint64(bad[states+pages+4+8*valid:], ^uint64(0))
 	w := ckpt.NewWriterSize(0)
 	copy(w.Raw(len(bad)-header), bad[header:])
 	if err := os.WriteFile(path, w.Seal(), 0o644); err != nil {

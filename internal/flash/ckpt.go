@@ -1,7 +1,6 @@
 package flash
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"dloop/internal/ckpt"
@@ -10,9 +9,10 @@ import (
 
 // EncodeState appends the device's mutable state to w. The big columns go
 // out as contiguous length-prefixed slabs: the page words widened into a
-// state byte per page and an int64 OOB tag per page (-1 for none), then the
-// block bookkeeping; the resource timelines follow per unit, then the
-// statistics.
+// state byte per page and an int64 OOB tag per page (-1 for none); the
+// resource timelines follow per unit, then the statistics. The block rows
+// are not written: the page words determine them, and DecodeState recounts
+// them.
 func (d *Device) EncodeState(w *ckpt.Writer) {
 	n := len(d.pages)
 	w.U32(uint32(n))
@@ -29,15 +29,6 @@ func (d *Device) EncodeState(w *ckpt.Writer) {
 			chunk[j] = uint64(wordTag(pw))
 		}
 		ckpt.Store(dst[8*i:], chunk)
-	}
-	dst = w.Raw(4 + 16*len(d.blocks))
-	binary.LittleEndian.PutUint32(dst, uint32(len(d.blocks)))
-	for i, b := range d.blocks {
-		row := dst[4+16*i:]
-		binary.LittleEndian.PutUint32(row, uint32(int32(b.Valid)))
-		binary.LittleEndian.PutUint32(row[4:], uint32(int32(b.Invalid)))
-		binary.LittleEndian.PutUint32(row[8:], uint32(int32(b.Written)))
-		binary.LittleEndian.PutUint32(row[12:], uint32(int32(b.NextWrite)))
 	}
 	for _, rs := range [][]*sim.Resource{d.planes, d.chipBus, d.channels} {
 		w.U32(uint32(len(rs)))
@@ -63,12 +54,10 @@ func (d *Device) EncodeState(w *ckpt.Writer) {
 
 // DecodeState overwrites the device's mutable state with one EncodeState
 // wrote, reusing the live columns. Every column must have the length the
-// device's geometry gives it; every page's state and tag must agree (a valid
-// page holds a tag a page word can hold, a free or invalid one none); and
-// every block row must keep the counter invariants the device maintains by
-// deltas and match a recount of its pages (the device never recounts them,
-// so a broken row would stay broken). On any failure r holds the error and
-// the device is partly overwritten.
+// device's geometry gives it, and every page's state and tag must agree (a
+// valid page holds a tag a page word can hold, a free or invalid one none).
+// The block rows are recounted from the decoded pages. On any failure r
+// holds the error and the device is partly overwritten.
 func (d *Device) DecodeState(r *ckpt.Reader) {
 	states := r.Raw(r.ExpectLen(len(d.pages), 1))
 	tags := r.Raw(8 * r.ExpectLen(len(d.pages), 8))
@@ -88,27 +77,8 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 			d.pages[i+j] = w
 		}
 	}
-	blocks := d.blocks // a local header: stores through d.blocks would reload it
-	raw := r.Raw(16 * r.ExpectLen(len(blocks), 16))
-	for i := range blocks[:len(raw)/16] {
-		row := raw[16*i : 16*i+16]
-		b := BlockInfo{
-			Valid:     int(int32(binary.LittleEndian.Uint32(row))),
-			Invalid:   int(int32(binary.LittleEndian.Uint32(row[4:]))),
-			Written:   int(int32(binary.LittleEndian.Uint32(row[8:]))),
-			NextWrite: int(int32(binary.LittleEndian.Uint32(row[12:]))),
-		}
-		if b.Valid < 0 || b.Invalid < 0 || b.Valid+b.Invalid != b.Written ||
-			b.Written > b.NextWrite || b.NextWrite > d.geo.PagesPerBlock {
-			r.Failf("flash: block %d row %+v: %w", i, b, ErrBookkeeping)
-			return
-		}
-		if valid, invalid := d.countPages(int64(i)); valid != b.Valid || invalid != b.Invalid {
-			r.Failf("flash: block %d row %+v, its pages hold %d valid and %d invalid: %w",
-				i, b, valid, invalid, ErrBookkeeping)
-			return
-		}
-		blocks[i] = b
+	for i := range d.blocks {
+		d.blocks[i] = d.blockInfo(int64(i))
 	}
 	for _, rs := range [][]*sim.Resource{d.planes, d.chipBus, d.channels} {
 		r.ExpectLen(len(rs), 20) // an idle resource's encoding: two i64 and a count
@@ -159,15 +129,20 @@ func decodeWord(s PageState, tag int64) (uint32, error) {
 	return 0, fmt.Errorf("state %d is no page state", uint8(s))
 }
 
-// countPages recounts block bi's valid and invalid pages.
-func (d *Device) countPages(bi int64) (valid, invalid int) {
+// blockInfo recounts block bi's row from its page words.
+func (d *Device) blockInfo(bi int64) BlockInfo {
+	var b BlockInfo
 	first := bi * d.pagesPerBlock
-	for _, w := range d.pages[first : first+d.pagesPerBlock] {
-		if w == wordInvalid {
-			invalid++
-		} else if w != wordFree {
-			valid++
+	for off, w := range d.pages[first : first+d.pagesPerBlock] {
+		switch w {
+		case wordFree:
+			continue
+		case wordInvalid:
+			b.Invalid++
+		default:
+			b.Valid++
 		}
+		b.NextWrite = off + 1
 	}
-	return valid, invalid
+	return b
 }

@@ -60,12 +60,14 @@ func (c Cause) String() string {
 	}
 }
 
-// BlockInfo summarizes the state of one physical block.
+// BlockInfo summarizes the state of one physical block: what its page words
+// determine, kept up to date by the operations so no reader recounts them.
+// Valid+Invalid is the number of pages programmed (or wasted) since the last
+// erase.
 type BlockInfo struct {
 	Valid     int // pages currently holding live data
 	Invalid   int // pages holding stale data
-	Written   int // pages programmed since last erase (Valid+Invalid)
-	NextWrite int // high-water mark: next sequentially programmable page
+	NextWrite int // high-water mark: 1 + the highest non-free page offset
 }
 
 // Device is a simulated NAND flash SSD. It owns the page/block state machine
@@ -520,7 +522,6 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 	d.blocks[sb].Valid -= n
 	d.blocks[sb].Invalid += n
 	d.blocks[db].Valid += n
-	d.blocks[db].Written += n
 	d.raiseNextWrite(db, top)
 	end := ready
 	switch {
@@ -550,10 +551,7 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 	}
 	first := d.geo.FirstPPN(pb)
 	clear(d.pages[first : first+PPN(d.pagesPerBlock)])
-	d.blocks[bi].Valid = 0
-	d.blocks[bi].Invalid = 0
-	d.blocks[bi].Written = 0
-	d.blocks[bi].NextWrite = 0
+	d.blocks[bi] = BlockInfo{}
 	d.stats.BlockErases[bi]++
 	return d.issue(opErase, cause, pb.Plane, bi, ready), nil
 }
@@ -591,7 +589,6 @@ func (d *Device) WastePage(ppn PPN) error {
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = wordInvalid
 	d.blocks[bi].Invalid++
-	d.blocks[bi].Written++
 	d.raiseNextWrite(bi, ppn)
 	d.stats.WastedPages++
 	return nil
@@ -602,7 +599,6 @@ func (d *Device) program(ppn PPN, w uint32) {
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = w
 	d.blocks[bi].Valid++
-	d.blocks[bi].Written++
 	d.raiseNextWrite(bi, ppn)
 }
 

@@ -70,7 +70,7 @@ func TestWriteReadLifecycle(t *testing.T) {
 		t.Errorf("read latency %v, want %v", got, d.Timing().ExternalRead(g.PageSize))
 	}
 	bi := d.Block(PlaneBlock{3, 2})
-	if bi.Valid != 1 || bi.Written != 1 || bi.NextWrite != 1 {
+	if bi != (BlockInfo{Valid: 1, NextWrite: 1}) {
 		t.Errorf("block info %+v", bi)
 	}
 }
@@ -106,7 +106,7 @@ func TestInvalidateAndErase(t *testing.T) {
 		t.Errorf("erase latency %v, want %v", got, d.Timing().BlockErase)
 	}
 	bi := d.Block(pb)
-	if bi.Valid != 0 || bi.Invalid != 0 || bi.Written != 0 || bi.NextWrite != 0 {
+	if bi != (BlockInfo{}) {
 		t.Errorf("block after erase: %+v", bi)
 	}
 	if n := d.Stats().BlockErases[g.BlockIndex(pb)]; n != 1 {
@@ -176,7 +176,7 @@ func TestWastePage(t *testing.T) {
 		t.Fatal("wasting a non-free page should fail")
 	}
 	bi := d.Block(PlaneBlock{2, 0})
-	if bi.Invalid != 1 || bi.Written != 1 || bi.NextWrite != 1 {
+	if bi != (BlockInfo{Invalid: 1, NextWrite: 1}) {
 		t.Errorf("block after waste: %+v", bi)
 	}
 	if d.Stats().WastedPages != 1 {
@@ -341,17 +341,19 @@ func TestDeviceAccountingProperty(t *testing.T) {
 		// Recount.
 		for plane := 0; plane < g.Planes(); plane++ {
 			for block := 0; block < g.BlocksPerPlane; block++ {
-				var valid, invalid int
+				var want BlockInfo
 				for page := 0; page < g.PagesPerBlock; page++ {
 					switch d.PageState(g.PPNOf(plane, block, page)) {
 					case PageValid:
-						valid++
+						want.Valid++
 					case PageInvalid:
-						invalid++
+						want.Invalid++
+					default:
+						continue
 					}
+					want.NextWrite = page + 1
 				}
-				bi := d.Block(PlaneBlock{plane, block})
-				if bi.Valid != valid || bi.Invalid != invalid || bi.Written != valid+invalid {
+				if d.Block(PlaneBlock{plane, block}) != want {
 					return false
 				}
 			}

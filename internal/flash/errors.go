@@ -33,9 +33,6 @@ var (
 	// ErrPageTag marks a decoded page whose state and tag contradict each
 	// other: a valid page without a tag, or a free or invalid one with one.
 	ErrPageTag = errors.New("page state and tag disagree")
-	// ErrBookkeeping marks a decoded block row whose counters contradict
-	// each other or a recount of its block's pages.
-	ErrBookkeeping = errors.New("block bookkeeping is inconsistent")
 	// ErrUnmappable marks a decoded page number that is neither InvalidPPN
 	// nor below maxPages, so no PPNMap can hold it.
 	ErrUnmappable = errors.New("page number beyond any device")

@@ -1,10 +1,15 @@
 package ftl
 
-import "dloop/internal/ckpt"
+import (
+	"encoding/binary"
+
+	"dloop/internal/ckpt"
+	"dloop/internal/flash"
+)
 
 // EncodeState appends the pool to w: one length-prefixed block-index slab
 // per plane in queue order (so the bytes do not depend on where each ring
-// starts), then the total.
+// starts).
 func (f *FreeBlocks) EncodeState(w *ckpt.Writer) {
 	w.U32(uint32(len(f.planes)))
 	for p := range f.planes {
@@ -18,14 +23,13 @@ func (f *FreeBlocks) EncodeState(w *ckpt.Writer) {
 			w.Int(q.buf[j])
 		}
 	}
-	w.Int(f.total)
 }
 
 // DecodeState overwrites the pool with one EncodeState wrote, reusing the
-// live ring buffers. Each plane may hold at most its own blocks, each named
-// once, and the total must be their sum.
+// live ring buffers, and recounts the total. Each plane may list at most as
+// many blocks as it has, each one of its own.
 func (f *FreeBlocks) DecodeState(r *ckpt.Reader) {
-	total := 0
+	f.total = 0
 	for p := range f.planes[:r.ExpectLen(len(f.planes), 4)] {
 		q := &f.planes[p]
 		blocks := r.AppendInts(q.buf[:0])
@@ -40,42 +44,77 @@ func (f *FreeBlocks) DecodeState(r *ckpt.Reader) {
 			}
 		}
 		q.head, q.n = 0, len(blocks)
-		total += q.n
-	}
-	if f.total = r.Int(); r.Err() == nil && f.total != total {
-		r.Failf("ftl: free-block total %d, the planes hold %d", f.total, total)
+		f.total += q.n
 	}
 }
 
-// EncodeState appends the tracker to w. The bucket index is a plane-major
-// ragged array; each per-count bucket goes out as its own length-prefixed
-// slab so empty buckets cost four bytes.
+// EncodeState appends the tracker to w: per plane, a count and then its
+// candidates in bucket order, each as its in-plane block (int32) and its
+// close sequence (int64); then the close counter. Neither the buckets nor
+// the counts are written: a candidate's bucket is its block's invalid count
+// on the device, from which DecodeState rebuilds the index.
 func (t *Tracker) EncodeState(w *ckpt.Writer) {
-	w.I32s(t.invalid)
-	w.I32s(t.inBkt)
 	w.U32(uint32(len(t.buckets)))
-	for _, bkts := range t.buckets {
-		w.U32(uint32(len(bkts)))
+	for p, bkts := range t.buckets {
+		n := 0
 		for _, bkt := range bkts {
-			w.I32s(bkt)
+			n += len(bkt)
+		}
+		w.U32(uint32(n))
+		dst := w.Raw(12 * n)
+		for _, bkt := range bkts {
+			for _, b := range bkt {
+				seq := t.closeSeq[t.geo.BlockIndex(flash.PlaneBlock{Plane: p, Block: int(b)})]
+				binary.LittleEndian.PutUint32(dst, uint32(b))
+				binary.LittleEndian.PutUint64(dst[4:], uint64(seq))
+				dst = dst[12:]
+			}
 		}
 	}
-	w.Ints(t.maxCount)
-	w.I64s(t.closeSeq)
 	w.I64(t.seq)
 }
 
 // DecodeState overwrites the tracker with one EncodeState wrote, reusing the
-// live columns and bucket arrays.
+// live bucket arrays, and files each candidate under its block's invalid
+// count on the device, so the device must be decoded first. A listed block
+// must lie on its plane, be listed once and be full on the device: the
+// owner closes a block only when its write point has used it up.
 func (t *Tracker) DecodeState(r *ckpt.Reader) {
-	r.I32sInto(t.invalid)
-	r.I32sInto(t.inBkt)
-	for _, bkts := range t.buckets[:r.ExpectLen(len(t.buckets), 4)] {
-		for c := range bkts[:r.ExpectLen(len(bkts), 4)] {
-			bkts[c] = r.AppendI32s(bkts[c])
+	for i := range t.inBkt {
+		t.inBkt[i] = -1
+	}
+	for p, bkts := range t.buckets {
+		for c := range bkts {
+			bkts[c] = bkts[c][:0]
+		}
+		t.maxCount[p] = 0
+	}
+	ppb := t.geo.PagesPerBlock
+	for p := range t.buckets[:r.ExpectLen(len(t.buckets), 4)] {
+		n := r.SliceLen(12)
+		if n > t.geo.BlocksPerPlane {
+			r.Failf("ftl: plane %d lists %d candidates of %d blocks", p, n, t.geo.BlocksPerPlane)
+			return
+		}
+		for range n {
+			pb := flash.PlaneBlock{Plane: p, Block: int(r.I32())}
+			seq := r.I64()
+			switch {
+			case r.Err() != nil:
+				return
+			case pb.Block < 0 || pb.Block >= t.geo.BlocksPerPlane:
+				r.Failf("ftl: candidate %v is off the device", pb)
+				return
+			case t.Candidate(pb):
+				r.Failf("ftl: candidate %v is listed twice", pb)
+				return
+			case t.dev.Block(pb).NextWrite != ppb:
+				r.Failf("ftl: candidate %v is not full on the device (%d of %d pages)", pb, t.dev.Block(pb).NextWrite, ppb)
+				return
+			}
+			t.closeSeq[t.geo.BlockIndex(pb)] = seq
+			t.addBucket(pb, t.dev.Block(pb).Invalid)
 		}
 	}
-	r.IntsInto(t.maxCount)
-	r.I64sInto(t.closeSeq)
 	t.seq = r.I64()
 }

@@ -1,38 +1,25 @@
 package fast
 
 import (
-	"math/bits"
-	"slices"
-
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
-	"dloop/internal/ftl"
 )
 
 // EncodeState implements ftl.FTL: the free pool, block map, the SW/RW log
-// block machinery, the log page map, the engine's guards and the merge
-// counters. The log map goes out as a count and (LPN, PPN) pairs in LPN
-// order.
+// blocks, the engine's run count and the merge counters. The log blocks'
+// cursors and the log page map are not written: a log block's next page is
+// its high-water mark on the device, and the log map is its log blocks'
+// valid pages, which DecodeState enters again.
 func (f *FAST) EncodeState(w *ckpt.Writer) {
 	f.pool.EncodeState(w)
 	w.I64s(f.dataBlock)
 	w.I64(f.swLBN)
 	encodePlaneBlock(w, f.swBlock)
-	w.Int(f.swNext)
 	w.Bool(f.rwActive)
 	encodePlaneBlock(w, f.rwBlock)
-	w.Int(f.rwNext)
 	w.U32(uint32(len(f.rwFull)))
 	for _, pb := range f.rwFull {
 		encodePlaneBlock(w, pb)
-	}
-	w.U32(uint32(len(f.logMap)))
-	for i, word := range f.inLog {
-		for ; word != 0; word &= word - 1 {
-			lpn := ftl.LPN(64*i + bits.TrailingZeros64(word))
-			w.I64(int64(lpn))
-			w.I64(int64(f.logMap[lpn]))
-		}
 	}
 	f.engine.EncodeState(w)
 	w.I64(f.stats.SwitchMerges)
@@ -41,26 +28,33 @@ func (f *FAST) EncodeState(w *ckpt.Writer) {
 	w.I64(f.stats.MergeCopies)
 }
 
-// DecodeState implements ftl.FTL, overwriting the live state in place. Every
-// log block must lie in the device. The log map's pairs must come in
-// ascending LPN order, each an LPN of the space and a page of one of the
-// decoded log blocks, and there can be no more of them than those blocks
-// have pages.
+// DecodeState implements ftl.FTL, overwriting the live state in place; the
+// device must be decoded first. A mapped logical block names a block of the
+// device, the SW log's logical block one of the space, and every log block
+// lies on the device. The log map is rebuilt from the log blocks' valid
+// pages, each of which must hold an LPN of the space that no other log page
+// holds.
 func (f *FAST) DecodeState(r *ckpt.Reader) {
 	f.pool.DecodeState(r)
 	r.I64sInto(f.dataBlock)
-	f.swLBN = r.I64()
+	for lbn, b := range f.dataBlock {
+		if b < -1 || b >= f.geo.TotalBlocks() {
+			r.Failf("fast: logical block %d mapped to block %d of %d", lbn, b, f.geo.TotalBlocks())
+			return
+		}
+	}
+	if f.swLBN = r.I64(); f.swLBN < -1 || f.swLBN >= int64(len(f.dataBlock)) {
+		r.Failf("fast: SW log of logical block %d in a %d-block space", f.swLBN, len(f.dataBlock))
+		return
+	}
 	f.swBlock = f.decodePlaneBlock(r)
-	f.swNext = r.Int()
 	f.rwActive = r.Bool()
 	f.rwBlock = f.decodePlaneBlock(r)
-	f.rwNext = r.Int()
 	nf := r.SliceLen(16)
 	f.rwFull = f.rwFull[:0]
 	for i := 0; i < nf; i++ {
 		f.rwFull = append(f.rwFull, f.decodePlaneBlock(r))
 	}
-	f.decodeLogMap(r)
 	f.engine.DecodeState(r)
 	f.stats = Stats{
 		SwitchMerges:  r.I64(),
@@ -68,43 +62,24 @@ func (f *FAST) DecodeState(r *ckpt.Reader) {
 		FullMerges:    r.I64(),
 		MergeCopies:   r.I64(),
 	}
-}
-
-func (f *FAST) decodeLogMap(r *ckpt.Reader) {
 	clear(f.inLog)
 	clear(f.logMap)
-	n := r.SliceLen(16) // LPN, PPN
 	if r.Err() != nil {
 		return
 	}
-	logs := make([]int64, 0, len(f.rwFull)+2)
+	add := func(pb flash.PlaneBlock) {
+		if err := f.addLogBlock(pb); err != nil {
+			r.Failf("%w", err)
+		}
+	}
 	if f.swLBN >= 0 {
-		logs = append(logs, f.geo.BlockIndex(f.swBlock))
+		add(f.swBlock)
 	}
 	if f.rwActive {
-		logs = append(logs, f.geo.BlockIndex(f.rwBlock))
+		add(f.rwBlock)
 	}
 	for _, pb := range f.rwFull {
-		logs = append(logs, f.geo.BlockIndex(pb))
-	}
-	if n > len(logs)*f.geo.PagesPerBlock {
-		r.Failf("fast: log map holds %d pages, its %d log blocks %d", n, len(logs), len(logs)*f.geo.PagesPerBlock)
-		return
-	}
-	slices.Sort(logs)
-	prev := ftl.LPN(-1)
-	for i := 0; i < n; i++ {
-		lpn, ppn := ftl.LPN(r.I64()), flash.PPN(r.I64())
-		if lpn <= prev || lpn >= f.capacity {
-			r.Failf("fast: log map entry %d holds lpn %d after %d in a %d-page space", i, lpn, prev, f.capacity)
-			return
-		}
-		if _, ok := slices.BinarySearch(logs, int64(ppn)/int64(f.geo.PagesPerBlock)); !ok || ppn < 0 {
-			r.Failf("fast: log map places lpn %d at page %d, outside every log block", lpn, ppn)
-			return
-		}
-		f.setLog(lpn, ppn)
-		prev = lpn
+		add(pb)
 	}
 }
 
@@ -116,7 +91,7 @@ func encodePlaneBlock(w *ckpt.Writer, pb flash.PlaneBlock) {
 // decodePlaneBlock reads a block address, which must lie in the device.
 func (f *FAST) decodePlaneBlock(r *ckpt.Reader) flash.PlaneBlock {
 	pb := flash.PlaneBlock{Plane: r.Int(), Block: r.Int()}
-	if pb.Plane < 0 || pb.Plane >= f.geo.Planes() || pb.Block < 0 || pb.Block >= f.geo.BlocksPerPlane {
+	if !f.geo.ValidBlock(pb) {
 		r.Failf("fast: log block %+v outside the device", pb)
 		return flash.PlaneBlock{}
 	}

@@ -3,9 +3,12 @@ package fast
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
+	"strings"
 	"testing"
 
 	"dloop/internal/ckpt"
+	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/sim"
 )
@@ -36,10 +39,21 @@ func loggedFTL(t *testing.T) *FAST {
 	return f
 }
 
+// stateBytes encodes a FAST's device and then the FAST, as a checkpoint
+// does: the FAST's decoder rebuilds its log map from the decoded pages.
 func stateBytes(f *FAST) []byte {
 	var w ckpt.Writer
+	f.dev.EncodeState(&w)
 	f.EncodeState(&w)
 	return w.Bytes()
+}
+
+// decodeState decodes what stateBytes wrote into f's device and f.
+func decodeState(f *FAST, data []byte) error {
+	r := ckpt.NewReader(data)
+	f.dev.DecodeState(r)
+	f.DecodeState(r)
+	return r.Err()
 }
 
 // TestDecodeStateRoundTrip: a FAST state decodes into a fresh FAST and
@@ -48,12 +62,14 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 	f := loggedFTL(t)
 	data := stateBytes(f)
 	g, _ := newTestFTL(t, 4)
-	r := ckpt.NewReader(data)
-	if g.DecodeState(r); r.Err() != nil {
-		t.Fatal(r.Err())
+	if err := decodeState(g, data); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(stateBytes(g), data) {
 		t.Fatal("re-encoding changed the bytes")
+	}
+	if len(g.logMap) != len(f.logMap) {
+		t.Fatalf("decoded log map holds %d pages, want %d", len(g.logMap), len(f.logMap))
 	}
 	for lpn := ftl.LPN(0); lpn < f.capacity; lpn++ {
 		if got, want := g.logPPN(lpn), f.logPPN(lpn); got != want {
@@ -62,76 +78,63 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeStateCrafted damages the log blocks and the log map's pairs of a
-// valid encoding and decodes it into a built FAST. Each must fail: the log
-// blocks lie in the device, the pairs come in ascending LPN order, each LPN
-// of the space and each page of a log block the state holds, and there are
-// no more pairs than those blocks have pages.
+// TestDecodeStateCrafted damages a valid encoding and decodes it into a
+// built FAST. Each must fail: the block map names blocks of the device, the
+// SW log's logical block lies in the space, the log blocks lie on the
+// device, and the log map rebuilt from their valid pages holds LPNs of the
+// space, each in one log page.
 func TestDecodeStateCrafted(t *testing.T) {
 	f := loggedFTL(t)
 	data := stateBytes(f)
-	// The log map sits just before the engine's state and four counters.
-	var tail ckpt.Writer
-	f.engine.EncodeState(&tail)
-	n := len(f.logMap)
-	suffix := tail.Len() + 4*8
-	start := len(data) - suffix - (4 + 16*n) // the pair count
-	if got := binary.LittleEndian.Uint32(data[start:]); int(got) != n {
-		t.Fatalf("test setup: pair count %d at offset %d, want %d", got, start, n)
+	var w ckpt.Writer
+	f.dev.EncodeState(&w)
+	f.pool.EncodeState(&w)
+	blockMap := w.Len() // the block map's count, then an int64 per logical block
+	swLBN := blockMap + 4 + 8*len(f.dataBlock)
+	swPlane := swLBN + 8
+	if got := binary.LittleEndian.Uint32(data[blockMap:]); int(got) != len(f.dataBlock) {
+		t.Fatalf("test setup: block map count %d at offset %d, want %d", got, blockMap, len(f.dataBlock))
 	}
-	pair := func(i int) int { return start + 4 + 16*i } // lpn, then ppn
-	put := func(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
-	lpnOf := func(i int) int64 { return int64(binary.LittleEndian.Uint64(data[pair(i):])) }
-	ppnOf := func(i int) int64 { return int64(binary.LittleEndian.Uint64(data[pair(i)+8:])) }
-	ppb := f.geo.PagesPerBlock
-	// A page of a data block: mapped, but in no log block.
-	var dataPage int64 = -1
-	for _, b := range f.dataBlock {
-		if b >= 0 {
-			dataPage = b * int64(ppb)
-			break
-		}
-	}
-	if dataPage < 0 {
-		t.Fatal("test setup: no data block")
-	}
-	// The idle SW log block's plane: before it swNext, rwActive, the RW
-	// block, rwNext and the full RW blocks' count and list.
 	if f.swLBN >= 0 {
 		t.Fatal("test setup: the SW log is in use")
 	}
-	swPlane := start - 16*len(f.rwFull) - 4 - 8 - 16 - 1 - 8 - 16
-	// More pairs than the state's log blocks have pages, each well formed.
-	logPages := f.LogBlocksInUse() * ppb
-	overfull := append([]byte(nil), data[:start]...)
-	overfull = binary.LittleEndian.AppendUint32(overfull, uint32(logPages+1))
-	for lpn := 0; lpn <= logPages; lpn++ {
-		overfull = binary.LittleEndian.AppendUint64(overfull, uint64(lpn))
-		overfull = binary.LittleEndian.AppendUint64(overfull, uint64(ppnOf(0)))
+	// Valid pages of two log blocks; a page's OOB tag is at tags+8*ppn.
+	n := int(f.geo.TotalPages())
+	tags := 4 + n + 4
+	var logPages [][]flash.PPN
+	for _, pb := range slices.Concat(f.rwFull, []flash.PlaneBlock{f.rwBlock}) {
+		var valid []flash.PPN
+		for p := f.geo.FirstPPN(pb); p < f.geo.FirstPPN(pb)+flash.PPN(f.geo.PagesPerBlock); p++ {
+			if f.dev.PageState(p) == flash.PageValid {
+				valid = append(valid, p)
+			}
+		}
+		if len(valid) > 0 {
+			logPages = append(logPages, valid)
+		}
 	}
-	overfull = append(overfull, data[len(data)-suffix:]...)
+	if len(logPages) < 2 {
+		t.Fatalf("test setup: %d log blocks hold valid pages", len(logPages))
+	}
+	a, b := logPages[0][0], logPages[1][0]
+	put := func(buf []byte, off int, v int64) { binary.LittleEndian.PutUint64(buf[off:], uint64(v)) }
 
 	for _, tc := range []struct {
-		name   string
-		damage func(b []byte) []byte
+		name, want string
+		damage     func(b []byte)
 	}{
-		{"pairs out of order", func(b []byte) []byte {
-			put(b, pair(0), lpnOf(1))
-			put(b, pair(1), lpnOf(0))
-			return b
-		}},
-		{"pair duplicated", func(b []byte) []byte { put(b, pair(1), lpnOf(0)); return b }},
-		{"lpn outside the space", func(b []byte) []byte { put(b, pair(n-1), int64(f.capacity)); return b }},
-		{"ppn outside every log block", func(b []byte) []byte { put(b, pair(0)+8, dataPage); return b }},
-		{"log block outside the device", func(b []byte) []byte { put(b, swPlane, int64(f.geo.Planes())); return b }},
-		{"pair count beyond the log blocks", func([]byte) []byte { return overfull }},
+		{"logical block mapped off the device", "mapped to block", func(buf []byte) { put(buf, blockMap+4, f.geo.TotalBlocks()) }},
+		{"SW log of a logical block beyond the space", "SW log of logical block", func(buf []byte) { put(buf, swLBN, int64(len(f.dataBlock))) }},
+		{"log block outside the device", "outside the device", func(buf []byte) { put(buf, swPlane, int64(f.geo.Planes())) }},
+		{"lpn outside the space", "outside exported capacity", func(buf []byte) { put(buf, tags+8*int(a), int64(f.capacity)) }},
+		{"lpn valid in two log blocks", "valid in log pages", func(buf []byte) { put(buf, tags+8*int(b), f.dev.PageLPN(a)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := tc.damage(append([]byte(nil), data...))
+			bad := bytes.Clone(data)
+			tc.damage(bad)
 			g, _ := newTestFTL(t, 4)
-			r := ckpt.NewReader(bad)
-			if g.DecodeState(r); r.Err() == nil {
-				t.Fatal("damaged state accepted")
+			if err := decodeState(g, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode error %v, want one saying %q", err, tc.want)
 			}
 		})
 	}

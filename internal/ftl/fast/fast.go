@@ -59,13 +59,12 @@ type FAST struct {
 	inLog  []uint64
 	logMap map[ftl.LPN]flash.PPN
 
-	swLBN   int64 // logical block owning the SW log, -1 if inactive
-	swBlock flash.PlaneBlock
-	swNext  int
-
+	// The log blocks. Each is written in offset order, so its next page is
+	// its high-water mark on the device (next).
+	swLBN    int64 // logical block owning the SW log, -1 if inactive
+	swBlock  flash.PlaneBlock
 	rwActive bool
 	rwBlock  flash.PlaneBlock
-	rwNext   int
 	rwFull   []flash.PlaneBlock // filled RW log blocks, oldest first
 	cands    []gc.Candidate     // fullMerge's victim candidates, reused
 
@@ -176,6 +175,31 @@ func (f *FAST) dropLog(lpn ftl.LPN) {
 	}
 }
 
+// addLogBlock enters the valid pages of log block pb into the log map: the
+// log map is exactly the log blocks' valid pages, so a checkpoint and a
+// recovery both rebuild it this way. Each page must hold an LPN of the space
+// that no other log page holds.
+func (f *FAST) addLogBlock(pb flash.PlaneBlock) error {
+	first := f.geo.FirstPPN(pb)
+	for ppn := first; ppn < first+flash.PPN(f.geo.PagesPerBlock); ppn++ {
+		if f.dev.PageState(ppn) != flash.PageValid {
+			continue
+		}
+		lpn := ftl.LPN(f.dev.PageLPN(ppn))
+		if err := ftl.CheckLPN(lpn, f.capacity); err != nil {
+			return fmt.Errorf("fast: log page %d: %w", ppn, err)
+		}
+		if old := f.logPPN(lpn); old != flash.InvalidPPN {
+			return fmt.Errorf("fast: lpn %d is valid in log pages %d and %d", lpn, old, ppn)
+		}
+		f.setLog(lpn, ppn)
+	}
+	return nil
+}
+
+// next returns the offset of a log block's next page to write.
+func (f *FAST) next(pb flash.PlaneBlock) int { return f.dev.Block(pb).NextWrite }
+
 // lookup returns the physical page currently holding lpn, or InvalidPPN.
 // Log-resident versions shadow the data block.
 func (f *FAST) lookup(lpn ftl.LPN) flash.PPN {
@@ -231,20 +255,19 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 	t := ready
 
 	switch {
-	case f.swLBN == lbn && f.swNext == off:
+	case f.swLBN == lbn && f.next(f.swBlock) == off:
 		// Continue the sequential stream in the SW log.
 		old := f.lookup(lpn)
-		ppn := f.geo.PPNOf(f.swBlock.Plane, f.swBlock.Block, f.swNext)
+		ppn := f.geo.PPNOf(f.swBlock.Plane, f.swBlock.Block, off)
 		end, err := f.dev.WritePage(ppn, int64(lpn), t, flash.CauseHost)
 		if err != nil {
 			return 0, err
 		}
-		f.swNext++
 		f.setLog(lpn, ppn)
 		if err := f.invalidateOld(old); err != nil {
 			return 0, err
 		}
-		if f.swNext == f.geo.PagesPerBlock {
+		if off+1 == f.geo.PagesPerBlock {
 			return f.mergeSW(end) // complete: switch merge
 		}
 		return end, nil
@@ -262,7 +285,7 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 		if err != nil {
 			return 0, err
 		}
-		f.swBlock, f.swLBN, f.swNext = pb, lbn, 0
+		f.swBlock, f.swLBN = pb, lbn
 		// Look up the superseded version only now: the merge above may have
 		// relocated it.
 		old := f.lookup(lpn)
@@ -271,7 +294,6 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 		if err != nil {
 			return 0, err
 		}
-		f.swNext = 1
 		f.setLog(lpn, ppn)
 		return end, f.invalidateOld(old)
 
@@ -284,7 +306,7 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 // the oldest RW log block when the log buffer is exhausted.
 func (f *FAST) rwWrite(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	t := ready
-	if f.rwActive && f.rwNext >= f.geo.PagesPerBlock {
+	if f.rwActive && f.next(f.rwBlock) >= f.geo.PagesPerBlock {
 		f.rwFull = append(f.rwFull, f.rwBlock)
 		f.rwActive = false
 	}
@@ -301,17 +323,16 @@ func (f *FAST) rwWrite(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.rwBlock, f.rwNext, f.rwActive = pb, 0, true
+		f.rwBlock, f.rwActive = pb, true
 	}
 	// Look up the superseded version only after any merge above, which may
 	// have relocated it.
 	old := f.lookup(lpn)
-	ppn := f.geo.PPNOf(f.rwBlock.Plane, f.rwBlock.Block, f.rwNext)
+	ppn := f.geo.PPNOf(f.rwBlock.Plane, f.rwBlock.Block, f.next(f.rwBlock))
 	end, err := f.dev.WritePage(ppn, int64(lpn), t, flash.CauseHost)
 	if err != nil {
 		return 0, err
 	}
-	f.rwNext++
 	f.setLog(lpn, ppn)
 	return end, f.invalidateOld(old)
 }
@@ -349,7 +370,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 		// Every SW page was superseded (e.g. its logical block was already
 		// consolidated by a full merge); just reclaim the block. Drop only
 		// log entries that still point into it — others are live elsewhere.
-		for off := 0; off < f.swNext; off++ {
+		for off := 0; off < info.NextWrite; off++ {
 			lpn := ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off))
 			if ppn := f.logPPN(lpn); ppn != flash.InvalidPPN && f.geo.BlockOf(ppn) == b {
 				f.dropLog(lpn)
@@ -360,7 +381,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 			return 0, err
 		}
 
-	case f.swNext == f.geo.PagesPerBlock && info.Invalid == 0:
+	case info.NextWrite == f.geo.PagesPerBlock && info.Invalid == 0:
 		// Switch merge: the log block becomes the data block.
 		t, err = f.retireDataBlock(lbn, t)
 		if err != nil {
@@ -375,7 +396,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 	case info.Invalid == 0:
 		// Partial merge: copy the tail of the logical block into the SW log,
 		// then adopt it as the data block.
-		for off := f.swNext; off < f.geo.PagesPerBlock; off++ {
+		for off := info.NextWrite; off < f.geo.PagesPerBlock; off++ {
 			lpn := ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off))
 			src := f.lookup(lpn)
 			if src == flash.InvalidPPN {

@@ -28,31 +28,27 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 	}
 	// The scan validates the one-valid-copy-per-lpn invariant and collects
 	// the erased blocks into the free pool; block roles are rebuilt below.
-	st, err := ftl.ScanOOB(dev, f.capacity, 0)
-	if err != nil {
+	if _, err := ftl.ScanOOB(dev, f.capacity, 0, f.pool, nil); err != nil {
 		return nil, err
 	}
-	f.pool = st.Pool
 	geo := f.geo
 	ppb := int64(geo.PagesPerBlock)
 	for plane := 0; plane < geo.Planes(); plane++ {
 		for block := 0; block < geo.BlocksPerPlane; block++ {
 			pb := flash.PlaneBlock{Plane: plane, Block: block}
-			if f.dev.Block(pb).Written == 0 {
+			if f.dev.Block(pb).NextWrite == 0 {
 				continue // erased: already in the pool
 			}
 			first := geo.FirstPPN(pb)
-			// Gather the block's valid pages and test the in-place property:
-			// every valid page at offset off is tagged lbn*ppb+off for one lbn.
+			// Test the in-place property: every valid page at offset off is
+			// tagged lbn*ppb+off for one lbn.
 			inPlace := true
 			lbn := int64(-1)
-			var valid []int // offsets of valid pages
 			for p := 0; p < geo.PagesPerBlock; p++ {
 				if f.dev.PageState(first+flash.PPN(p)) != flash.PageValid {
 					continue
 				}
 				tag := f.dev.PageLPN(first + flash.PPN(p))
-				valid = append(valid, p)
 				if tag%ppb != int64(p) || (lbn >= 0 && tag/ppb != lbn) {
 					inPlace = false
 				}
@@ -67,8 +63,8 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 			// Log-resident pages — or a fully-invalid block, which parks here
 			// until a full merge erases it back to the pool.
 			f.rwFull = append(f.rwFull, pb)
-			for _, p := range valid {
-				f.setLog(ftl.LPN(f.dev.PageLPN(first+flash.PPN(p))), first+flash.PPN(p))
+			if err := f.addLogBlock(pb); err != nil {
+				return nil, err
 			}
 		}
 	}

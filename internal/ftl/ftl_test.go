@@ -123,9 +123,56 @@ func TestFreeBlocksPools(t *testing.T) {
 	}
 }
 
+// newTrackedDevice returns a device of geo with every block fully written,
+// and a tracker over it with no candidates.
+func newTrackedDevice(tb testing.TB, geo flash.Geometry) (*flash.Device, *Tracker) {
+	tb.Helper()
+	dev, err := flash.NewDevice(geo, flash.DefaultTiming())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for bi := int64(0); bi < geo.TotalBlocks(); bi++ {
+		writeBlock(tb, dev, flash.PlaneBlock{Plane: int(bi) / geo.BlocksPerPlane, Block: int(bi) % geo.BlocksPerPlane})
+	}
+	return dev, NewTracker(dev)
+}
+
+// writeBlock programs every page of an erased block.
+func writeBlock(tb testing.TB, dev *flash.Device, pb flash.PlaneBlock) {
+	tb.Helper()
+	first := dev.Geometry().FirstPPN(pb)
+	for p := 0; p < dev.Geometry().PagesPerBlock; p++ {
+		if _, err := dev.WritePage(first+flash.PPN(p), 0, 0, flash.CauseHost); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// invalidate invalidates pb's lowest valid page on the device (these tests
+// invalidate a block in offset order) and reports it to tr, as an FTL does.
+func invalidate(tb testing.TB, dev *flash.Device, tr *Tracker, pb flash.PlaneBlock) {
+	tb.Helper()
+	if err := dev.Invalidate(dev.Geometry().FirstPPN(pb) + flash.PPN(dev.Block(pb).Invalid)); err != nil {
+		tb.Fatal(err)
+	}
+	tr.Invalidated(pb)
+}
+
+// recycle invalidates pb's remaining pages, erases it and writes it again:
+// what a collection of a non-candidate does to it, and a host refill.
+func recycle(tb testing.TB, dev *flash.Device, tr *Tracker, pb flash.PlaneBlock) {
+	tb.Helper()
+	for dev.Block(pb).Valid > 0 {
+		invalidate(tb, dev, tr, pb)
+	}
+	if _, err := dev.Erase(pb, 0, flash.CauseGC); err != nil {
+		tb.Fatal(err)
+	}
+	writeBlock(tb, dev, pb)
+}
+
 func TestTrackerVictimSelection(t *testing.T) {
-	g := testGeo()
-	tr := NewTracker(g)
+	dev, tr := newTrackedDevice(t, testGeo())
 
 	// No candidates yet.
 	if _, _, ok := tr.MaxInPlane(0); ok {
@@ -139,15 +186,15 @@ func TestTrackerVictimSelection(t *testing.T) {
 	b1 := flash.PlaneBlock{Plane: 0, Block: 1}
 	b2 := flash.PlaneBlock{Plane: 1, Block: 0}
 
-	tr.Invalidated(b0) // open-block invalidation counts
+	invalidate(t, dev, tr, b0) // a page invalidated before Close counts
 	tr.Close(b0)
 	tr.Close(b1)
 	tr.Close(b2)
-	tr.Invalidated(b1)
-	tr.Invalidated(b1)
-	tr.Invalidated(b2)
-	tr.Invalidated(b2)
-	tr.Invalidated(b2)
+	invalidate(t, dev, tr, b1)
+	invalidate(t, dev, tr, b1)
+	invalidate(t, dev, tr, b2)
+	invalidate(t, dev, tr, b2)
+	invalidate(t, dev, tr, b2)
 
 	pb, inv, ok := tr.MaxInPlane(0)
 	if !ok || pb != b1 || inv != 2 {
@@ -164,9 +211,11 @@ func TestTrackerVictimSelection(t *testing.T) {
 	if !ok || pb != b1 {
 		t.Fatalf("after Take: %v, want b1", pb)
 	}
-	tr.Erased(b2)
-	if int(tr.invalid[tr.geo.BlockIndex(b2)]) != 0 {
-		t.Fatal("Erased did not reset count")
+	// A recycled block closes again under its new count.
+	recycle(t, dev, tr, b2)
+	tr.Close(b2)
+	if pb, inv, ok = tr.MaxInPlane(1); ok {
+		t.Fatalf("recycled block closed as victim %v with %d invalid pages", pb, inv)
 	}
 
 	// A block with zero invalid pages is never a victim.
@@ -180,8 +229,7 @@ func TestTrackerVictimSelection(t *testing.T) {
 }
 
 func TestTrackerPanicsOnMisuse(t *testing.T) {
-	g := testGeo()
-	tr := NewTracker(g)
+	_, tr := newTrackedDevice(t, testGeo())
 	b := flash.PlaneBlock{Plane: 0, Block: 0}
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -194,17 +242,15 @@ func TestTrackerPanicsOnMisuse(t *testing.T) {
 	mustPanic("Take of non-candidate", func() { tr.Take(b) })
 	tr.Close(b)
 	mustPanic("double Close", func() { tr.Close(b) })
-	mustPanic("Erased of candidate", func() { tr.Erased(b) })
 }
 
 func TestTrackerDeterministicTieBreak(t *testing.T) {
-	g := testGeo()
 	run := func() []flash.PlaneBlock {
-		tr := NewTracker(g)
+		dev, tr := newTrackedDevice(t, testGeo())
 		for b := 0; b < 4; b++ {
 			pb := flash.PlaneBlock{Plane: 0, Block: b}
 			tr.Close(pb)
-			tr.Invalidated(pb)
+			invalidate(t, dev, tr, pb)
 		}
 		var order []flash.PlaneBlock
 		for {
@@ -213,7 +259,6 @@ func TestTrackerDeterministicTieBreak(t *testing.T) {
 				break
 			}
 			tr.Take(pb)
-			tr.Erased(pb)
 			order = append(order, pb)
 		}
 		return order

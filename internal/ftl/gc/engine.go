@@ -163,13 +163,6 @@ func (e *Engine) Stats() Stats { return e.stats }
 // host path.
 func (e *Engine) Idle(plane int) bool { return e.depth == 0 && !e.collecting[plane] }
 
-// Retarget repoints the engine at a rebuilt tracker; recovery uses it after
-// an OOB scan replaces the scheme's structures.
-func (e *Engine) Retarget(tr *ftl.Tracker) {
-	e.tracker = tr
-	e.source.Retarget(tr)
-}
-
 // MaybeCollect runs collections on the plane until its pool is above the
 // trigger watermark, nothing is reclaimable, or (outside MoveOffsetOrder) a
 // collection makes no net progress. It returns the time placement may
@@ -408,7 +401,6 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 	if err != nil {
 		return 0, false, err
 	}
-	e.tracker.Erased(victim)
 	e.scheme.Release(victim)
 	e.stats.Runs++
 	if e.spanRec != nil {

@@ -32,7 +32,7 @@ func newPageFTL(tb testing.TB, geo flash.Geometry, lpns int) *pageFTL {
 		tb.Fatal(err)
 	}
 	f := &pageFTL{
-		dev: dev, geo: geo, tracker: ftl.NewTracker(geo), pool: ftl.NewFreeBlocks(geo),
+		dev: dev, geo: geo, tracker: ftl.NewTracker(dev), pool: ftl.NewFreeBlocks(geo),
 		table: make([]flash.PPN, lpns), cur: make([]flash.PlaneBlock, geo.Planes()), next: make([]int, geo.Planes()),
 	}
 	for i := range f.table {

@@ -18,9 +18,6 @@ func NewTrackerSource(tr *ftl.Tracker, ppb int) *TrackerSource {
 	return &TrackerSource{tr: tr, ppb: ppb}
 }
 
-// Retarget repoints the source at a rebuilt tracker after recovery.
-func (s *TrackerSource) Retarget(tr *ftl.Tracker) { s.tr = tr }
-
 // MaxInvalid implements Source by delegating to the tracker's greedy scan.
 func (s *TrackerSource) MaxInvalid(plane int) (Candidate, bool) {
 	var pb flash.PlaneBlock

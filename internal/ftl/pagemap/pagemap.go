@@ -164,7 +164,7 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 		cfg:      cfg,
 		capacity: ftl.ExportedPages(geo, cfg.ExtraPerPlane),
 		pool:     ftl.NewFreeBlocks(geo),
-		tracker:  ftl.NewTracker(geo),
+		tracker:  ftl.NewTracker(dev),
 	}
 	switch {
 	case l.striped():

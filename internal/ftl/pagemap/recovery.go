@@ -24,23 +24,17 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FTL, error) {
 	if f.mapper != nil {
 		transPages = f.mapper.TranslationPages()
 	}
-	st, err := ftl.ScanOOB(dev, f.capacity, transPages)
+	st, err := ftl.ScanOOB(dev, f.capacity, transPages, f.pool, f.tracker)
 	if err != nil {
 		return nil, err
 	}
-	// The mapper and the GC engine must work through the recovered tracker,
-	// not the one New wired up.
 	if f.mapper != nil {
 		if err := f.mapper.AdoptState(st.Table, st.GTD); err != nil {
 			return nil, err
 		}
-		f.mapper.Retarget(f, st.Tracker)
 	} else {
 		copy(f.table, st.Table)
 	}
-	f.pool = st.Pool
-	f.tracker = st.Tracker
-	f.engine.Retarget(st.Tracker)
 	if f.perm == nil && len(st.Partial) > len(f.cur) { // one per log
 		return nil, fmt.Errorf("pagemap: recovery found %d partial blocks, want at most %d", len(st.Partial), len(f.cur))
 	}

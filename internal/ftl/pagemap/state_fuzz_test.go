@@ -1,10 +1,14 @@
 package pagemap
 
 import (
+	"bytes"
+	"encoding/binary"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dloop/internal/ckpt"
+	"dloop/internal/flash"
 )
 
 // newCodecFTL builds the preset the codec tests encode from and decode into.
@@ -14,24 +18,40 @@ func newCodecFTL(t testing.TB, name string) *FTL {
 	return f
 }
 
-// stateBytes encodes an FTL's state.
+// stateBytes encodes an FTL's device and then the FTL, as a checkpoint
+// does: the FTL's decoder reads the device's decoded pages.
 func stateBytes(f *FTL) []byte {
 	var w ckpt.Writer
+	f.dev.EncodeState(&w)
 	f.EncodeState(&w)
 	return w.Bytes()
 }
 
-// encodedState runs a GC-heavy write stream through the named preset and
-// returns its encoded state: live mappings, partial write points, collected
-// blocks and, on the demand-paged presets, persisted translation pages.
-func encodedState(t testing.TB, name string) []byte {
+// decodeState decodes what stateBytes wrote into f's device and f.
+func decodeState(f *FTL, data []byte) error {
+	r := ckpt.NewReader(data)
+	f.dev.DecodeState(r)
+	f.DecodeState(r)
+	return r.Err()
+}
+
+// collectedFTL runs a GC-heavy write stream through the named preset:
+// live mappings, partial write points, collected blocks and, on the
+// demand-paged presets, persisted translation pages.
+func collectedFTL(t testing.TB, name string) *FTL {
 	t.Helper()
 	f := newCodecFTL(t, name)
 	hotColdWorkload(t, f, 3000, 500)
 	if f.Stats().GCRuns == 0 {
 		t.Fatalf("%s: workload never collected", name)
 	}
-	return stateBytes(f)
+	return f
+}
+
+// encodedState returns collectedFTL's encoded state.
+func encodedState(t testing.TB, name string) []byte {
+	t.Helper()
+	return stateBytes(collectedFTL(t, name))
 }
 
 // TestDecodeStateRoundTrip: every preset's state decodes into a fresh
@@ -43,19 +63,18 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 		data := encodedState(t, name)
 		for _, other := range presetNames {
 			f := newCodecFTL(t, other)
-			r := ckpt.NewReader(data)
-			f.DecodeState(r)
+			err := decodeState(f, data)
 			if other == name {
-				if r.Err() != nil {
-					t.Fatalf("%s: %v", name, r.Err())
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
 				if string(stateBytes(f)) != string(data) {
 					t.Fatalf("%s: re-encoding changed the bytes", name)
 				}
 				continue
 			}
-			if r.Err() == nil {
-				t.Fatalf("%s state decoded into %s: err = %v", name, other, r.Err())
+			if err == nil {
+				t.Fatalf("%s state decoded into %s", name, other)
 			}
 		}
 	}
@@ -69,13 +88,11 @@ func decodeAllocs(data []byte, f *FTL) (alloc uint64, err error) {
 	for try := 0; try < 3 && (try == 0 || alloc > allocBound(len(data))); try++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := ckpt.NewReader(data)
-		f.DecodeState(r)
+		err = decodeState(f, data)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; try == 0 || n < alloc {
 			alloc = n
 		}
-		err = r.Err()
 	}
 	return alloc, err
 }
@@ -84,7 +101,8 @@ func decodeAllocs(data []byte, f *FTL) (alloc uint64, err error) {
 // the bytes do not back would be far past it.
 func allocBound(n int) uint64 { return 4*uint64(n) + 4096 }
 
-// FuzzDecodeState decodes arbitrary bytes into a built FTL of each preset.
+// FuzzDecodeState decodes arbitrary bytes into a built FTL of each preset
+// and its device.
 // It must never panic, and it may allocate only in proportion to the bytes
 // given: no count the payload does not back may size anything.
 func FuzzDecodeState(f *testing.F) {
@@ -102,4 +120,83 @@ func FuzzDecodeState(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeStateCrafted damages the tracker's candidate list and the write
+// points of a sound DLOOP encoding and decodes it into a built DLOOP. The
+// candidates' counts are not in the bytes (each is its block's invalid count
+// on the device), so what is left to check is that each listed block lies
+// on its plane, is listed once and is full on the device, and that no
+// active write point appends to a candidate.
+func TestDecodeStateCrafted(t *testing.T) {
+	f := collectedFTL(t, "DLOOP")
+	data := stateBytes(f)
+	var w ckpt.Writer
+	f.dev.EncodeState(&w)
+	f.mapper.EncodeState(&w)
+	f.pool.EncodeState(&w)
+	tracker := w.Len()
+	f.tracker.EncodeState(&w)
+	wps := w.Len()
+	// The first plane listing two candidates: after the plane count, each
+	// plane's candidate count and its (int32 block, int64 close sequence)
+	// pairs.
+	plane, list := -1, tracker+4
+	for p := 0; p < f.geo.Planes(); p++ {
+		if n := int(binary.LittleEndian.Uint32(data[list:])); n >= 2 {
+			plane = p
+			break
+		} else {
+			list += 4 + 12*n
+		}
+	}
+	if plane < 0 {
+		t.Fatal("test setup: no plane lists two candidates")
+	}
+	cand := func(i int) int { return list + 4 + 12*i }
+	first := int32(binary.LittleEndian.Uint32(data[cand(0):]))
+	if !f.tracker.Candidate(flash.PlaneBlock{Plane: plane, Block: int(first)}) {
+		t.Fatalf("test setup: plane %d block %d is no candidate", plane, first)
+	}
+	open := int32(-1) // a block of the plane that is not full on the device
+	for b := 0; b < f.geo.BlocksPerPlane; b++ {
+		if f.dev.Block(flash.PlaneBlock{Plane: plane, Block: b}).NextWrite < f.geo.PagesPerBlock {
+			open = int32(b)
+			break
+		}
+	}
+	if open < 0 {
+		t.Fatalf("test setup: every block of plane %d is full", plane)
+	}
+	// Write point i: its plane and block (int64 each) and its active flag.
+	wp := func(i int) int { return wps + 4 + 17*i }
+	if !f.cur[0].active {
+		t.Fatal("test setup: write point 0 is idle")
+	}
+	put32 := func(b []byte, off int, v int32) { binary.LittleEndian.PutUint32(b[off:], uint32(v)) }
+	put64 := func(b []byte, off int, v int64) { binary.LittleEndian.PutUint64(b[off:], uint64(v)) }
+
+	for _, tc := range []struct {
+		name, want string
+		damage     func(b []byte)
+	}{
+		{"candidate off the device", "off the device", func(b []byte) { put32(b, cand(0), int32(f.geo.BlocksPerPlane)) }},
+		{"candidate listed twice", "listed twice", func(b []byte) { put32(b, cand(1), first) }},
+		{"candidate not full on the device", "not full", func(b []byte) { put32(b, cand(0), open) }},
+		{"write point on a candidate", "is a collection candidate", func(b []byte) {
+			put64(b, wp(0), int64(plane))
+			put64(b, wp(0)+8, int64(first))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := bytes.Clone(data)
+			tc.damage(bad)
+			if err := decodeState(newCodecFTL(t, "DLOOP"), bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode error %v, want one saying %q", err, tc.want)
+			}
+		})
+	}
+	if err := decodeState(newCodecFTL(t, "DLOOP"), data); err != nil {
+		t.Fatalf("the undamaged state: %v", err)
+	}
 }

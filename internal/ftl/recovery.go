@@ -28,10 +28,6 @@ type RecoveredState struct {
 	Table flash.PPNMap
 	// GTD maps each translation-page number to its valid physical page.
 	GTD flash.PPNMap
-	// Pool holds the fully-erased blocks.
-	Pool *FreeBlocks
-	// Tracker indexes the fully-written blocks by invalid count.
-	Tracker *Tracker
 	// Partial lists partially-written blocks, at most one per plane for
 	// per-plane write-point designs.
 	Partial []PartialBlock
@@ -39,70 +35,62 @@ type RecoveredState struct {
 
 // ScanOOB rebuilds FTL state from device page tags after a simulated power
 // loss. capacity is the exported logical-page count; translationPages the
-// GTD size. The scan is structural: it consumes no simulated time because
-// recovery time is outside the paper's measurements, but a real controller
-// would pay one read per page (or per block summary page).
-func ScanOOB(dev *flash.Device, capacity LPN, translationPages int) (*RecoveredState, error) {
+// GTD size. It fills the FTL's own structures in place: pool ends up holding
+// exactly the fully-erased blocks, and tracker, unless nil, gains every
+// fully-written block as a candidate (it must have none before). The scan is
+// structural: it consumes no simulated time because recovery time is
+// outside the paper's measurements, but a real controller would pay one
+// read per page (or per block summary page).
+func ScanOOB(dev *flash.Device, capacity LPN, translationPages int, pool *FreeBlocks, tracker *Tracker) (*RecoveredState, error) {
 	geo := dev.Geometry()
 	st := &RecoveredState{
-		Table:   make(flash.PPNMap, capacity),
-		GTD:     make(flash.PPNMap, translationPages),
-		Pool:    NewEmptyFreeBlocks(geo),
-		Tracker: NewTracker(geo),
+		Table: make(flash.PPNMap, capacity),
+		GTD:   make(flash.PPNMap, translationPages),
 	}
+	for p := range pool.planes {
+		pool.planes[p].head, pool.planes[p].n = 0, 0
+	}
+	pool.total = 0
 
 	for plane := 0; plane < geo.Planes(); plane++ {
 		for block := 0; block < geo.BlocksPerPlane; block++ {
 			pb := flash.PlaneBlock{Plane: plane, Block: block}
-			info := dev.Block(pb)
 			first := geo.FirstPPN(pb)
 			for p := 0; p < geo.PagesPerBlock; p++ {
 				ppn := first + flash.PPN(p)
-				switch dev.PageState(ppn) {
-				case flash.PageValid:
-					stored := dev.PageLPN(ppn)
-					if IsTrans(stored) {
-						tvpn := DecodeTrans(stored)
-						if tvpn < 0 || tvpn >= int64(translationPages) {
-							return nil, fmt.Errorf("ftl: recovery found translation page %d outside GTD of %d", tvpn, translationPages)
-						}
-						if st.GTD.Get(tvpn) != flash.InvalidPPN {
-							return nil, fmt.Errorf("ftl: recovery found two valid copies of translation page %d", tvpn)
-						}
-						st.GTD.Set(tvpn, ppn)
-					} else {
-						lpn := LPN(stored)
-						if err := CheckLPN(lpn, capacity); err != nil {
-							return nil, fmt.Errorf("ftl: recovery: %w", err)
-						}
-						if st.Table.Get(stored) != flash.InvalidPPN {
-							return nil, fmt.Errorf("ftl: recovery found two valid copies of lpn %d", lpn)
-						}
-						st.Table.Set(stored, ppn)
-					}
-				case flash.PageInvalid:
-					st.Tracker.Invalidated(pb)
+				if dev.PageState(ppn) != flash.PageValid {
+					continue
 				}
+				stored := dev.PageLPN(ppn)
+				if IsTrans(stored) {
+					tvpn := DecodeTrans(stored)
+					if tvpn < 0 || tvpn >= int64(translationPages) {
+						return nil, fmt.Errorf("ftl: recovery found translation page %d outside GTD of %d", tvpn, translationPages)
+					}
+					if st.GTD.Get(tvpn) != flash.InvalidPPN {
+						return nil, fmt.Errorf("ftl: recovery found two valid copies of translation page %d", tvpn)
+					}
+					st.GTD.Set(tvpn, ppn)
+					continue
+				}
+				lpn := LPN(stored)
+				if err := CheckLPN(lpn, capacity); err != nil {
+					return nil, fmt.Errorf("ftl: recovery: %w", err)
+				}
+				if st.Table.Get(stored) != flash.InvalidPPN {
+					return nil, fmt.Errorf("ftl: recovery found two valid copies of lpn %d", lpn)
+				}
+				st.Table.Set(stored, ppn)
 			}
-			switch {
-			case info.Written == 0:
-				st.Pool.Put(pb)
-			case info.NextWrite >= geo.PagesPerBlock:
-				st.Tracker.Close(pb)
-			default:
-				st.Partial = append(st.Partial, PartialBlock{PB: pb, NextWrite: info.NextWrite})
+			switch next := dev.Block(pb).NextWrite; {
+			case next == 0:
+				pool.Put(pb)
+			case next < geo.PagesPerBlock:
+				st.Partial = append(st.Partial, PartialBlock{PB: pb, NextWrite: next})
+			case tracker != nil:
+				tracker.Close(pb)
 			}
 		}
 	}
 	return st, nil
-}
-
-// NewEmptyFreeBlocks returns a pool with no free blocks; recovery fills it
-// from the scan.
-func NewEmptyFreeBlocks(geo flash.Geometry) *FreeBlocks {
-	f := &FreeBlocks{planes: make([]planeQueue, geo.Planes())}
-	for p := range f.planes {
-		f.planes[p].buf = make([]int, geo.BlocksPerPlane)
-	}
-	return f
 }

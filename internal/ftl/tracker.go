@@ -8,12 +8,15 @@ import (
 
 // Tracker indexes closed (fully written) blocks by invalid-page count so
 // garbage collection can find "the block with the maximal number of invalid
-// pages" (§III.C) in O(1) amortized instead of scanning every block. Victim
-// picks are deterministic (LIFO within a bucket), keeping whole simulations
+// pages" (§III.C) in O(1) amortized instead of scanning every block. The
+// counts are the device's (flash.BlockInfo.Invalid): a candidate sits in the
+// bucket of its block's count, and the owner reports each page it
+// invalidates on a candidate after the device did. Victim picks are
+// deterministic (LIFO within a bucket), keeping whole simulations
 // reproducible.
 type Tracker struct {
+	dev     *flash.Device
 	geo     flash.Geometry
-	invalid []int32 // invalid pages per block (dense index), live even while open
 	inBkt   []int32 // position within its bucket, -1 if not a candidate
 	buckets [][][]int32
 	// buckets[plane][count] holds in-plane block ids of closed candidates
@@ -24,11 +27,12 @@ type Tracker struct {
 	// candidates without timestamps
 }
 
-// NewTracker returns a tracker with no candidates and all-zero counts.
-func NewTracker(geo flash.Geometry) *Tracker {
+// NewTracker returns a tracker of dev's blocks with no candidates.
+func NewTracker(dev *flash.Device) *Tracker {
+	geo := dev.Geometry()
 	t := &Tracker{
+		dev:      dev,
 		geo:      geo,
-		invalid:  make([]int32, geo.TotalBlocks()),
 		inBkt:    make([]int32, geo.TotalBlocks()),
 		buckets:  make([][][]int32, geo.Planes()),
 		maxCount: make([]int, geo.Planes()),
@@ -43,14 +47,13 @@ func NewTracker(geo flash.Geometry) *Tracker {
 	return t
 }
 
-// Invalidated records that one page of pb became invalid (host update,
-// translation-page supersession, or a deliberately wasted page).
+// Invalidated records that one page of pb became invalid on the device
+// (host update, translation-page supersession, or a deliberately wasted
+// page): a candidate moves up one bucket.
 func (t *Tracker) Invalidated(pb flash.PlaneBlock) {
-	bi := t.geo.BlockIndex(pb)
-	old := t.invalid[bi]
-	t.invalid[bi] = old + 1
-	if t.inBkt[bi] >= 0 {
-		t.moveBucket(pb, int(old), int(old+1))
+	if t.Candidate(pb) {
+		n := t.dev.Block(pb).Invalid
+		t.moveBucket(pb, n-1, n)
 	}
 }
 
@@ -62,7 +65,7 @@ func (t *Tracker) Close(pb flash.PlaneBlock) {
 	}
 	t.seq++
 	t.closeSeq[bi] = t.seq
-	t.addBucket(pb, int(t.invalid[bi]))
+	t.addBucket(pb, t.dev.Block(pb).Invalid)
 }
 
 // Take removes pb from candidacy (it was chosen as a victim or re-opened).
@@ -71,16 +74,12 @@ func (t *Tracker) Take(pb flash.PlaneBlock) {
 	if t.inBkt[bi] < 0 {
 		panic(fmt.Sprintf("ftl: Tracker.Take of non-candidate %v", pb))
 	}
-	t.delBucket(pb, int(t.invalid[bi]))
+	t.delBucket(pb, t.dev.Block(pb).Invalid)
 }
 
-// Erased resets pb's invalid count after a block erase.
-func (t *Tracker) Erased(pb flash.PlaneBlock) {
-	bi := t.geo.BlockIndex(pb)
-	if t.inBkt[bi] >= 0 {
-		panic(fmt.Sprintf("ftl: Tracker.Erased of candidate %v", pb))
-	}
-	t.invalid[bi] = 0
+// Candidate reports whether pb is a garbage-collection candidate.
+func (t *Tracker) Candidate(pb flash.PlaneBlock) bool {
+	return t.inBkt[t.geo.BlockIndex(pb)] >= 0
 }
 
 // MaxInPlane returns the candidate with the most invalid pages on one plane.

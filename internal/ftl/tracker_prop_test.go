@@ -13,7 +13,7 @@ func TestTrackerModelProperty(t *testing.T) {
 	geo := testGeo()
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := NewTracker(geo)
+		dev, tr := newTrackedDevice(t, geo)
 		type state struct {
 			invalid   int
 			candidate bool
@@ -34,7 +34,7 @@ func TestTrackerModelProperty(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0:
 				if st.invalid < geo.PagesPerBlock {
-					tr.Invalidated(pb)
+					invalidate(t, dev, tr, pb)
 					st.invalid++
 				}
 			case 1:
@@ -49,7 +49,7 @@ func TestTrackerModelProperty(t *testing.T) {
 				}
 			case 3:
 				if !st.candidate {
-					tr.Erased(pb)
+					recycle(t, dev, tr, pb)
 					st.invalid = 0
 				}
 			case 4:
@@ -73,9 +73,9 @@ func TestTrackerModelProperty(t *testing.T) {
 						t.Fatalf("seed %d step %d: MaxInPlane returned %v (cand=%v inv=%d), want inv=%d",
 							seed, step, got, s.candidate, s.invalid, wantInv)
 					}
-					if int(tr.invalid[tr.geo.BlockIndex(got)]) != wantInv {
-						t.Fatalf("seed %d step %d: tracker.Invalid(%v)=%d, model %d",
-							seed, step, got, int(tr.invalid[tr.geo.BlockIndex(got)]), wantInv)
+					if n := dev.Block(got).Invalid; n != wantInv {
+						t.Fatalf("seed %d step %d: device holds %d invalid pages in %v, model %d",
+							seed, step, n, got, wantInv)
 					}
 				}
 			}

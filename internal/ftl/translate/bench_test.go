@@ -82,7 +82,7 @@ func newBenchEngine(b *testing.B, policy Policy, space int) *Engine {
 		b.Fatal(err)
 	}
 	m, err := NewEngine(Config{
-		Dev: dev, Placer: &seqPlacer{dev: dev}, Tracker: ftl.NewTracker(benchGeo()),
+		Dev: dev, Placer: &seqPlacer{dev: dev}, Tracker: ftl.NewTracker(dev),
 		Capacity: ftl.LPN(space), CMTEntries: 4096, Policy: policy, StrideHint: 1,
 	})
 	if err != nil {

@@ -20,7 +20,7 @@ func newCodecEngine(tb testing.TB, policy Policy) (*Engine, *flash.Device) {
 		tb.Fatal(err)
 	}
 	m, err := NewEngine(Config{
-		Dev: dev, Placer: &splitPlacer{trans: 128}, Tracker: ftl.NewTracker(testGeo()),
+		Dev: dev, Placer: &splitPlacer{trans: 128}, Tracker: ftl.NewTracker(dev),
 		Capacity: 64, CMTEntries: 4, Policy: policy, StrideHint: 1,
 	})
 	if err != nil {

@@ -322,13 +322,6 @@ func (m *Engine) RedirectMoved(moved []ftl.Moved, ready sim.Time) (sim.Time, err
 	return ready, nil
 }
 
-// Retarget repoints the engine's placer and invalidation tracker; recovery
-// uses it after rebuilding those structures from an OOB scan.
-func (m *Engine) Retarget(placer ftl.Placer, tracker *ftl.Tracker) {
-	m.placer = placer
-	m.tracker = tracker
-}
-
 // AdoptState installs a recovered table and GTD into the engine. The cache
 // starts cold, as SRAM is lost at power-off: a new one replaces it over the
 // adopted table. Learned segments are dropped too — they retrain lazily as

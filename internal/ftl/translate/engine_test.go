@@ -57,7 +57,7 @@ func newLearnedTestEngine(t *testing.T, cmtEntries int) (*Engine, *flash.Device,
 		t.Fatal(err)
 	}
 	placer := &splitPlacer{trans: 128} // block-aligned, beyond the data span
-	tr := ftl.NewTracker(testGeo())
+	tr := ftl.NewTracker(dev)
 	m, err := NewEngine(Config{
 		Dev: dev, Placer: placer, Tracker: tr,
 		Capacity: 64, CMTEntries: cmtEntries, Policy: PolicyLearned,
@@ -76,7 +76,7 @@ func newTestEngine(t *testing.T, cmtEntries int, policy Policy) (*Engine, *flash
 		t.Fatal(err)
 	}
 	placer := &seqPlacer{dev: dev}
-	tr := ftl.NewTracker(testGeo())
+	tr := ftl.NewTracker(dev)
 	m, err := NewEngine(Config{
 		Dev: dev, Placer: placer, Tracker: tr,
 		Capacity: 64, CMTEntries: cmtEntries, Policy: policy,

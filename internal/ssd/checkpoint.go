@@ -59,7 +59,6 @@ func (c *Controller) Snapshot() (*Checkpoint, error) {
 	stats.EncodeLatencyHist(w, c.hist)
 	stats.EncodeTimeSeries(w, c.series)
 	w.I64(int64(c.lastDone))
-	w.I64(c.served)
 	w.I64(c.pagesRead)
 	w.I64(c.pagesWrit)
 	data := w.Seal()
@@ -120,7 +119,6 @@ func (c *Controller) restore(cp *Checkpoint) error {
 	c.hist = stats.DecodeLatencyHist(r)
 	c.series = stats.DecodeTimeSeries(r)
 	c.lastDone = sim.Time(r.I64())
-	c.served = r.I64()
 	c.pagesRead = r.I64()
 	c.pagesWrit = r.I64()
 	return r.Err()

@@ -299,9 +299,9 @@ func putU32At(b []byte, off int, v uint32) { binary.LittleEndian.PutUint32(b[off
 // order.
 func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
 	donor, data, device := craftedDonor(t)
-	// The plane timelines follow the device's page, tag and block columns.
+	// The plane timelines follow the device's page and tag columns.
 	geo := donor.Geometry()
-	planes := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages())) + (4 + 16*int(geo.TotalBlocks()))
+	planes := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages()))
 	if got := u32At(data, planes); got != uint32(geo.Planes()) {
 		t.Fatalf("plane count at offset %d reads %d, want %d: the layout moved", planes, got, geo.Planes())
 	}
@@ -331,20 +331,16 @@ func TestDecodeCheckpointCraftedTimelines(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointCraftedBlocks damages the device's block bookkeeping
-// and per-plane statistics columns: counts that would size a 160 GB slice,
-// and rows whose counters contradict each other — the copy-back run updates
-// them by deltas, so nothing downstream would notice.
+// TestDecodeCheckpointCraftedBlocks damages the device's per-block and
+// per-plane statistics columns: counts that would size a 160 GB slice, or
+// that differ from the geometry's.
 func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 	donor, data, device := craftedDonor(t)
 	geo := donor.Geometry()
-	blocks := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages()))
-	if got := u32At(data, blocks); int64(got) != geo.TotalBlocks() {
-		t.Fatalf("block count at offset %d reads %d, want %d: the layout moved", blocks, got, geo.TotalBlocks())
-	}
-	// The statistics follow the three timeline sets; their per-plane column
-	// comes after numOps x numCauses counts.
-	planeOps := blocks + 4 + 16*int(geo.TotalBlocks())
+	// The statistics follow the page and tag columns and the three timeline
+	// sets; their per-plane column comes after numOps x numCauses counts,
+	// and the per-block erase counts after it.
+	planeOps := device + (4 + int(geo.TotalPages())) + (4 + 8*int(geo.TotalPages()))
 	for set := 0; set < 3; set++ {
 		n := int(u32At(data, planeOps))
 		planeOps += 4
@@ -356,10 +352,9 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 	if got := u32At(data, planeOps); got != uint32(geo.Planes()) {
 		t.Fatalf("PlaneOps count at offset %d reads %d, want %d: the layout moved", planeOps, got, geo.Planes())
 	}
-	// A written block's row: Valid, Invalid, Written, NextWrite.
-	row := blocks + 4
-	for u32At(data, row+8) == 0 {
-		row += 16
+	blocks := planeOps + 4 + 3*8*geo.Planes()
+	if got := u32At(data, blocks); int64(got) != geo.TotalBlocks() {
+		t.Fatalf("erase-count column length at offset %d reads %d, want %d: the layout moved", blocks, got, geo.TotalBlocks())
 	}
 
 	for _, tc := range []struct {
@@ -369,10 +364,6 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 		{"block count beyond payload", func(b []byte) { putU32At(b, blocks, 0xFFFFFFFF) }},
 		{"block count beyond geometry", func(b []byte) { putU32At(b, blocks, uint32(geo.TotalBlocks())+1) }},
 		{"PlaneOps count beyond payload", func(b []byte) { putU32At(b, planeOps, 0xFFFFFFFF) }},
-		{"negative valid count", func(b []byte) { putU32At(b, row, 0xFFFFFFFF) }},
-		{"valid + invalid != written", func(b []byte) { putU32At(b, row+4, u32At(b, row+4)+1) }},
-		{"written beyond high-water mark", func(b []byte) { putU32At(b, row+12, u32At(b, row+8)-1) }},
-		{"high-water mark beyond block", func(b []byte) { putU32At(b, row+12, uint32(geo.PagesPerBlock)+1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) { rejectCrafted(t, donor, data, tc.damage) })
 	}
@@ -387,17 +378,19 @@ func TestDecodeCheckpointCraftedBlocks(t *testing.T) {
 // re-pins these hashes (version 2 dropped DLOOP's per-plane write counters;
 // version 3 the counters and copies nothing reads, and the write-buffer and
 // map-index flags; version 4 the CMT's LPN-to-handle column, and FAST's
-// log map went from a capacity-long column to (LPN, PPN) pairs).
+// log map went from a capacity-long column to (LPN, PPN) pairs; version 5
+// everything the page words determine: the block rows, the tracker's
+// counts and index, the write cursors and FAST's log map).
 func TestCheckpointBytesStable(t *testing.T) {
 	for _, tc := range []struct {
 		scheme, policy, sha string
 	}{
-		{SchemeDLOOP, "", "b03051bf147aec83510fb412823924d771bd61f1fda50a9f1d9cd457d5451a89"},
-		{SchemeDLOOP, "learned", "99f856c40587f61feb1eef7c3edd8d72f4c5b9db5a093f1969a0fb4858aff838"},
-		{SchemeDFTL, "", "a330816bed2472ae556d436d8885744635e24029f8926f479ce62815ac6726d5"},
-		{SchemeFAST, "", "d86c34baca9133c9015c33545abfe50fef72a379a0a87536ed1d3179902eadf7"},
-		{SchemePureMap, "", "a8f4d2f763a3ec7725731569d3d5b620bf287a9a26c0e7ddb068ab8f32fc1e0f"},
-		{SchemePureMapStriped, "", "a5cefc35481edc39e26ff35a88e555caf37d7d74672e1d4b6848a520f3bab911"},
+		{SchemeDLOOP, "", "5c80726a348099652b8a65cd793bc23c3545fada9b504e414bdb233706eb2769"},
+		{SchemeDLOOP, "learned", "f7e189397493aa7b3e1dfc68676b80626ed9391385a54b4e014e90b727b3af26"},
+		{SchemeDFTL, "", "b34722a3c45a2e872a18cfba1327e1d8aa80ed2e96b974381c4cbc19af7f0b80"},
+		{SchemeFAST, "", "629e8cd9b0cb2e32c937dfe00ed1f291015a3a10e1dcd5ece2d1d3d1921990d8"},
+		{SchemePureMap, "", "9646c2f37a11a2eab10a1e5d65318f3012f9ed57bab5af1ba73c2e242e23df15"},
+		{SchemePureMapStriped, "", "40e2906ad6a91ce870b3acfc872e045cae042c379170f6447a21b8ff2c9ddef3"},
 	} {
 		name := tc.scheme
 		if tc.policy != "" {

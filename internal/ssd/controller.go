@@ -54,13 +54,12 @@ type Controller struct {
 	pagePow2  bool
 	pageShift uint
 
-	resp      stats.Welford // milliseconds
+	resp      stats.Welford // milliseconds; its count is the requests served
 	readResp  stats.Welford
 	writeResp stats.Welford
 	hist      stats.LatencyHist
 	series    *stats.TimeSeries // optional, see EnableTimeSeries
 	lastDone  sim.Time
-	served    int64
 	pagesRead int64
 	pagesWrit int64
 
@@ -395,7 +394,6 @@ func (c *Controller) ResetMeasurement() {
 		c.series = ts
 	}
 	c.lastDone = 0
-	c.served = 0
 	c.pagesRead = 0
 	c.pagesWrit = 0
 }
@@ -469,7 +467,6 @@ func (c *Controller) account(read bool, arrival, done sim.Time) sim.Duration {
 	if done > c.lastDone {
 		c.lastDone = done
 	}
-	c.served++
 	if c.rec != nil {
 		c.rec.RecordRequest(read, arrival, done)
 	}
@@ -643,7 +640,7 @@ func (c *Controller) Result() Result {
 	f := c.shards[0].f
 	res := Result{
 		FTL:         f.Name(),
-		Requests:    c.served,
+		Requests:    c.resp.N(),
 		PagesRead:   c.pagesRead,
 		PagesWrit:   c.pagesWrit,
 		SimulatedS:  sim.Duration(c.lastDone).Seconds(),

@@ -117,7 +117,7 @@ func checkBlockBookkeeping(t *testing.T, c *Controller) {
 					nextWrite = p + 1
 				}
 			}
-			if valid != info.Valid || invalid != info.Invalid || valid+invalid != info.Written {
+			if valid != info.Valid || invalid != info.Invalid {
 				t.Fatalf("block %v bookkeeping %+v, recount valid=%d invalid=%d", pb, info, valid, invalid)
 			}
 			if nextWrite != info.NextWrite {
