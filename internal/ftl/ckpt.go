@@ -27,9 +27,11 @@ func (f *FreeBlocks) EncodeState(w *ckpt.Writer) {
 
 // DecodeState overwrites the pool with one EncodeState wrote, reusing the
 // live ring buffers, and recounts the total. Each plane may list at most as
-// many blocks as it has, each one of its own.
-func (f *FreeBlocks) DecodeState(r *ckpt.Reader) {
+// many blocks as it has, each one of its own, listed once and erased on dev,
+// which must be decoded first.
+func (f *FreeBlocks) DecodeState(r *ckpt.Reader, dev *flash.Device) {
 	f.total = 0
+	var seen []uint64 // one plane's listed blocks, a bit each
 	for p := range f.planes[:r.ExpectLen(len(f.planes), 4)] {
 		q := &f.planes[p]
 		blocks := r.AppendInts(q.buf[:0])
@@ -37,11 +39,24 @@ func (f *FreeBlocks) DecodeState(r *ckpt.Reader) {
 			r.Failf("ftl: plane %d lists %d free blocks of %d", p, len(blocks), len(q.buf))
 			return
 		}
+		if seen == nil {
+			seen = make([]uint64, (len(q.buf)+63)/64)
+		}
+		clear(seen)
 		for _, b := range blocks {
-			if b < 0 || b >= len(q.buf) {
+			pb := flash.PlaneBlock{Plane: p, Block: b}
+			switch {
+			case b < 0 || b >= len(q.buf):
 				r.Failf("ftl: plane %d lists free block %d of %d", p, b, len(q.buf))
 				return
+			case seen[b/64]&(1<<(b%64)) != 0:
+				r.Failf("ftl: free block %v is listed twice", pb)
+				return
+			case dev.Block(pb).NextWrite != 0:
+				r.Failf("ftl: free block %v is not erased on the device (%d pages written)", pb, dev.Block(pb).NextWrite)
+				return
 			}
+			seen[b/64] |= 1 << (b % 64)
 		}
 		q.head, q.n = 0, len(blocks)
 		f.total += q.n

@@ -35,7 +35,7 @@ func (f *FAST) EncodeState(w *ckpt.Writer) {
 // pages, each of which must hold an LPN of the space that no other log page
 // holds.
 func (f *FAST) DecodeState(r *ckpt.Reader) {
-	f.pool.DecodeState(r)
+	f.pool.DecodeState(r, f.dev)
 	r.I64sInto(f.dataBlock)
 	for lbn, b := range f.dataBlock {
 		if b < -1 || b >= f.geo.TotalBlocks() {
@@ -63,7 +63,7 @@ func (f *FAST) DecodeState(r *ckpt.Reader) {
 		MergeCopies:   r.I64(),
 	}
 	clear(f.inLog)
-	clear(f.logMap)
+	f.logMap.reset()
 	if r.Err() != nil {
 		return
 	}

@@ -33,8 +33,8 @@ func loggedFTL(t *testing.T) *FAST {
 	for i := 0; i < 150; i++ {
 		write(ftl.LPN((i*7)%96 | 1))
 	}
-	if len(f.logMap) < 3 || len(f.rwFull) == 0 || f.Stats().FullMerges == 0 {
-		t.Fatalf("test setup: %d log pages, %d full RW blocks, %d full merges", len(f.logMap), len(f.rwFull), f.Stats().FullMerges)
+	if f.logMap.n < 3 || len(f.rwFull) == 0 || f.Stats().FullMerges == 0 {
+		t.Fatalf("test setup: %d log pages, %d full RW blocks, %d full merges", f.logMap.n, len(f.rwFull), f.Stats().FullMerges)
 	}
 	return f
 }
@@ -68,8 +68,8 @@ func TestDecodeStateRoundTrip(t *testing.T) {
 	if !bytes.Equal(stateBytes(g), data) {
 		t.Fatal("re-encoding changed the bytes")
 	}
-	if len(g.logMap) != len(f.logMap) {
-		t.Fatalf("decoded log map holds %d pages, want %d", len(g.logMap), len(f.logMap))
+	if g.logMap.n != f.logMap.n {
+		t.Fatalf("decoded log map holds %d pages, want %d", g.logMap.n, f.logMap.n)
 	}
 	for lpn := ftl.LPN(0); lpn < f.capacity; lpn++ {
 		if got, want := g.logPPN(lpn), f.logPPN(lpn); got != want {

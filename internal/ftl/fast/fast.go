@@ -57,7 +57,7 @@ type FAST struct {
 	// it has no more entries than the log blocks have pages. Looking up an
 	// LPN that is not in the log costs one bit test.
 	inLog  []uint64
-	logMap map[ftl.LPN]flash.PPN
+	logMap logTable
 
 	// The log blocks. Each is written in offset order, so its next page is
 	// its high-water mark on the device (next).
@@ -94,7 +94,7 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 		pool:      ftl.NewFreeBlocks(geo),
 		dataBlock: make([]int64, int64(capacity)/int64(geo.PagesPerBlock)),
 		inLog:     make([]uint64, (capacity+63)/64),
-		logMap:    make(map[ftl.LPN]flash.PPN),
+		logMap:    newLogTable(logBlocks * geo.PagesPerBlock),
 		swLBN:     -1,
 	}
 	for i := range f.dataBlock {
@@ -158,20 +158,20 @@ func (f *FAST) logPPN(lpn ftl.LPN) flash.PPN {
 	if f.inLog[lpn>>6]&(1<<(lpn&63)) == 0 {
 		return flash.InvalidPPN
 	}
-	return f.logMap[lpn]
+	return f.logMap.get(lpn)
 }
 
 // setLog records ppn as lpn's log-resident location.
 func (f *FAST) setLog(lpn ftl.LPN, ppn flash.PPN) {
 	f.inLog[lpn>>6] |= 1 << (lpn & 63)
-	f.logMap[lpn] = ppn
+	f.logMap.set(lpn, ppn)
 }
 
 // dropLog forgets lpn's log-resident location, if it has one.
 func (f *FAST) dropLog(lpn ftl.LPN) {
 	if w := &f.inLog[lpn>>6]; *w&(1<<(lpn&63)) != 0 {
 		*w &^= 1 << (lpn & 63)
-		delete(f.logMap, lpn)
+		f.logMap.drop(lpn)
 	}
 }
 

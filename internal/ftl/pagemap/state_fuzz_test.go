@@ -122,8 +122,10 @@ func FuzzDecodeState(f *testing.F) {
 	})
 }
 
-// TestDecodeStateCrafted damages the tracker's candidate list and the write
-// points of a sound DLOOP encoding and decodes it into a built DLOOP. The
+// TestDecodeStateCrafted damages the mapping table, the free pool, the
+// tracker's candidate list and the write points of a sound DLOOP encoding
+// and decodes it into a built DLOOP. The table must agree with the page
+// tags, and a free block must be erased on the device and listed once. The
 // candidates' counts are not in the bytes (each is its block's invalid count
 // on the device), so what is left to check is that each listed block lies
 // on its plane, is listed once and is full on the device, and that no
@@ -133,7 +135,9 @@ func TestDecodeStateCrafted(t *testing.T) {
 	data := stateBytes(f)
 	var w ckpt.Writer
 	f.dev.EncodeState(&w)
+	table := w.Len() + 4 // the table's length, then one int64 PPN per LPN
 	f.mapper.EncodeState(&w)
+	pool := w.Len()
 	f.pool.EncodeState(&w)
 	tracker := w.Len()
 	f.tracker.EncodeState(&w)
@@ -168,6 +172,50 @@ func TestDecodeStateCrafted(t *testing.T) {
 	if open < 0 {
 		t.Fatalf("test setup: every block of plane %d is full", plane)
 	}
+	// The workload never writes lpn 0 and writes lpns 1 and 2.
+	if f.Lookup(0) != flash.InvalidPPN || f.Lookup(1) == flash.InvalidPPN || f.Lookup(2) == flash.InvalidPPN {
+		t.Fatal("test setup: lpn 0 is mapped, or lpn 1 or 2 is not")
+	}
+	entry := func(lpn int) []byte { return data[table+8*lpn : table+8*lpn+8] }
+	// The GTD ends the translation state, before an empty learned index (a
+	// u32 count) and three int64 counters: its length, then an int64 PPN per
+	// translation page.
+	gtd := pool - 24 - 4 - 8*f.mapper.TranslationPages()
+	tp := -1 // a persisted translation page
+	for v := range f.mapper.TranslationPages() {
+		if f.mapper.GTD.Get(int64(v)) != flash.InvalidPPN {
+			tp = v
+			break
+		}
+	}
+	if tp < 0 || int64(binary.LittleEndian.Uint64(data[gtd+8*tp:])) != int64(f.mapper.GTD.Get(int64(tp))) {
+		t.Fatalf("test setup: no persisted translation page, or the GTD is not at offset %d", gtd)
+	}
+	// The first plane with two free blocks: after the plane count, each
+	// plane's block count and its int64 blocks.
+	freePlane, freeList := -1, pool+4
+	for p := 0; p < f.geo.Planes(); p++ {
+		if n := int(binary.LittleEndian.Uint32(data[freeList:])); n >= 2 {
+			freePlane = p
+			break
+		} else {
+			freeList += 4 + 8*n
+		}
+	}
+	if freePlane < 0 {
+		t.Fatal("test setup: no plane has two free blocks")
+	}
+	free := func(i int) int { return freeList + 4 + 8*i }
+	written := int64(-1) // a block of the plane that is not erased
+	for b := 0; b < f.geo.BlocksPerPlane; b++ {
+		if f.dev.Block(flash.PlaneBlock{Plane: freePlane, Block: b}).NextWrite > 0 {
+			written = int64(b)
+			break
+		}
+	}
+	if written < 0 {
+		t.Fatalf("test setup: every block of plane %d is erased", freePlane)
+	}
 	// Write point i: its plane and block (int64 each) and its active flag.
 	wp := func(i int) int { return wps + 4 + 17*i }
 	if !f.cur[0].active {
@@ -180,6 +228,11 @@ func TestDecodeStateCrafted(t *testing.T) {
 		name, want string
 		damage     func(b []byte)
 	}{
+		{"lpn 0 mapped to lpn 1's page", "the table maps", func(b []byte) { copy(b[table:], entry(1)) }},
+		{"lpn 1 mapped to lpn 2's page", "lpn 1 is valid at", func(b []byte) { copy(b[table+8:], entry(2)) }},
+		{"translation page missing from the GTD", "which the GTD does not map it to", func(b []byte) { put64(b, gtd+8*tp, -1) }},
+		{"free block listed twice", "listed twice", func(b []byte) { copy(b[free(1):free(1)+8], b[free(0):]) }},
+		{"free block not erased", "not erased", func(b []byte) { put64(b, free(0), written) }},
 		{"candidate off the device", "off the device", func(b []byte) { put32(b, cand(0), int32(f.geo.BlocksPerPlane)) }},
 		{"candidate listed twice", "listed twice", func(b []byte) { put32(b, cand(1), first) }},
 		{"candidate not full on the device", "not full", func(b []byte) { put32(b, cand(0), open) }},
@@ -199,4 +252,15 @@ func TestDecodeStateCrafted(t *testing.T) {
 	if err := decodeState(newCodecFTL(t, "DLOOP"), data); err != nil {
 		t.Fatalf("the undamaged state: %v", err)
 	}
+	t.Run("lpn 1 mapped to lpn 2's page in an ideal table", func(t *testing.T) {
+		g := collectedFTL(t, "PureMap")
+		var w ckpt.Writer
+		g.dev.EncodeState(&w)
+		entry := w.Len() + 4 + 8 // lpn 1's PPN
+		bad := stateBytes(g)
+		copy(bad[entry:entry+8], bad[entry+8:])
+		if err := decodeState(newCodecFTL(t, "PureMap"), bad); err == nil || !strings.Contains(err.Error(), "lpn 1 is valid at") {
+			t.Fatalf("decode error %v, want one saying %q", err, "lpn 1 is valid at")
+		}
+	})
 }

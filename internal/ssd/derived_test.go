@@ -105,8 +105,11 @@ func checkDerived(t *testing.T, c *Controller) {
 			}
 		}
 		got := map[int64]int64{}
-		for it := field(f, "logMap").MapRange(); it.Next(); {
-			got[it.Key().Int()] = it.Value().Int()
+		slots := field(f, "logMap").FieldByName("slots") // lpn<<32 | ppn+1 words, 0 empty
+		for i := 0; i < slots.Len(); i++ {
+			if w := slots.Index(i).Uint(); w != 0 {
+				got[int64(w>>32)] = int64(uint32(w)) - 1
+			}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("log map holds %d pages, the log blocks' valid pages %d", len(got), len(want))

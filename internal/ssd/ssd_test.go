@@ -345,7 +345,7 @@ func TestMultiPageRequestSplitsAcrossPlanes(t *testing.T) {
 	// all 8 planes. The first pass faults the mappings into the CMT; the
 	// second, warmed pass must complete in roughly single-page time (plus
 	// bus serialization), not 8x.
-	pageSectors := 2048 / trace.SectorSize
+	const pageSectors = 2048 / trace.SectorSize
 	req := trace.Request{Arrival: 0, LBN: 0, Sectors: 8 * pageSectors, Op: trace.OpRead}
 	if _, err := c.Serve(req); err != nil {
 		t.Fatal(err)

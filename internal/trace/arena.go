@@ -194,7 +194,7 @@ func (h *block) record(q []byte) Request {
 	return Request{
 		Arrival: h.minArr + sim.Time(binary.LittleEndian.Uint64(q)&fieldMask(h.wArr)),
 		LBN:     h.minLBN + int64(binary.LittleEndian.Uint64(q[h.wArr:])&fieldMask(h.wLBN)),
-		Sectors: int(v >> 1),
+		Sectors: int32(v >> 1),
 		Op:      Op(v & 1),
 	}
 }
@@ -253,7 +253,7 @@ func (c *Cursor) NextN(dst []Request) (int, error) {
 				out[j] = Request{
 					Arrival: minArr + sim.Time(w&mArr),
 					LBN:     minLBN + int64(w>>sLBN&mLBN),
-					Sectors: int(v >> 1),
+					Sectors: int32(v >> 1),
 					Op:      Op(v & 1),
 				}
 			}

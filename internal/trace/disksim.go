@@ -105,10 +105,14 @@ func (r *DiskSimReader) parseLine(line []byte) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
 	}
+	sectors, err := sectorCount(int64(size))
+	if err != nil {
+		return Request{}, err
+	}
 	req := Request{
 		Arrival: at,
 		LBN:     lbn,
-		Sectors: size,
+		Sectors: sectors,
 		Op:      op,
 	}
 	return req, req.Validate()
@@ -184,10 +188,14 @@ func parseDiskSimLine(line string) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
 	}
+	sectors, err := sectorCount(int64(size))
+	if err != nil {
+		return Request{}, err
+	}
 	req := Request{
 		Arrival: at,
 		LBN:     lbn,
-		Sectors: size,
+		Sectors: sectors,
 		Op:      op,
 	}
 	return req, req.Validate()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 )
 
@@ -9,7 +10,8 @@ import (
 // panic; every request either accepts passes Validate and comes back
 // unchanged from an Arena built over it (an Arena holds 31-bit sizes);
 // and on every ASCII DiskSim line the byte-wise parser agrees with the
-// reference parseDiskSimLine, in value and in error text.
+// reference parseDiskSimLine, in value and in error text, and an accepted
+// line's Sectors is its size column's value.
 func FuzzTraceReaders(f *testing.F) {
 	for _, s := range []string{
 		"1.5 0 100 8 1\n# comment\n\n2 0 5 4 0x10\r\n",
@@ -19,6 +21,10 @@ func FuzzTraceReaders(f *testing.F) {
 		"NaN 0 0 8 0\n-Inf 0 0 8 0\n1e300 0 0 8 0\n",
 		"0,100,512,r,NaN\n0,100,512,r,1e10\n",
 		"0,100,2199023256064,r,0.5\n0,18014398509481980,4096,r,0.5\n",
+		// Sizes at and past an int32 (TestParsersRefuseWideSizes' rows).
+		"1 0 64 2147483647 0\n1 0 64 2147483648 0\n1 0 64 4294967304 0\n1 0 64 -4294967288 0\n",
+		"1 0 64 2147483647\u00a00\n1 0 64 2147483648\u00a00\n1 0 64 4294967304\u00a00\n1 0 64 -4294967288\u00a00\n",
+		"0,64,1099511626753,w,0.001\n0,64,1099511627265,w,0.001\n0,64,2199023259137,w,0.001\n0,64,-2199023251967,w,0.001\n",
 		"NaN 0 0 8 0\n",
 	} {
 		f.Add([]byte(s))
@@ -56,6 +62,13 @@ func FuzzTraceReaders(f *testing.F) {
 			want, werr := parseDiskSimLine(string(line))
 			if got != want || errText(err) != errText(werr) {
 				t.Fatalf("line %q: fast %+v, %v; reference %+v, %v", line, got, err, want, werr)
+			}
+			// An accepted size is the size column's value, not a narrowing of it.
+			if err != nil {
+				continue
+			}
+			if size, _ := strconv.ParseInt(string(bytes.Fields(line)[3]), 10, 64); int64(got.Sectors) != size {
+				t.Fatalf("line %q: %d sectors read from size %d", line, got.Sectors, size)
 			}
 		}
 	})

@@ -92,13 +92,17 @@ func (r *SPCReader) parseLine(line []byte) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
 	}
-	sectors := (size + SectorSize - 1) / SectorSize
-	if sectors == 0 {
-		sectors = 1
-	}
 	at, err := arrivalAt(secs, sim.Second)
 	if err != nil {
 		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
+	}
+	n := (size + SectorSize - 1) / SectorSize
+	if n == 0 {
+		n = 1
+	}
+	sectors, err := sectorCount(int64(n))
+	if err != nil {
+		return Request{}, err
 	}
 	req := Request{
 		Arrival: at,

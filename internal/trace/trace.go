@@ -62,7 +62,7 @@ func (o Op) String() string {
 type Request struct {
 	Arrival sim.Time
 	LBN     int64 // starting logical sector number
-	Sectors int   // request length in sectors
+	Sectors int32 // request length in sectors
 	Op      Op
 }
 
@@ -81,7 +81,6 @@ const (
 	negativeArrival
 	negativeLBN
 	noSectors
-	tooManySectors
 	endPastMaxSector
 	unknownOp
 )
@@ -97,8 +96,6 @@ func (r Request) flaw() int {
 		return negativeLBN
 	case r.Sectors <= 0:
 		return noSectors
-	case r.Sectors > math.MaxInt32:
-		return tooManySectors
 	case r.LBN > maxSector-int64(r.Sectors):
 		return endPastMaxSector
 	case r.Op != OpRead && r.Op != OpWrite:
@@ -107,9 +104,22 @@ func (r Request) flaw() int {
 	return wellFormed
 }
 
+// sectorCount narrows a parsed request size to Request.Sectors. It refuses
+// a size that is not positive or that an int32 cannot hold, with Validate's
+// messages, so no size wraps: 1<<32 + 8 sectors is an error, not 8.
+func sectorCount(n int64) (int32, error) {
+	switch {
+	case n <= 0:
+		return 0, fmt.Errorf("trace: non-positive size %d sectors", n)
+	case n > math.MaxInt32:
+		return 0, fmt.Errorf("trace: size %d sectors exceeds %d", n, math.MaxInt32)
+	}
+	return int32(n), nil
+}
+
 // Validate reports whether the request is well formed: a non-negative
-// arrival and LBN, a size an Arena record holds (1 to MaxInt32 sectors), an
-// end whose byte address fits an int64, and a known op.
+// arrival and LBN, a positive size, an end whose byte address fits an
+// int64, and a known op.
 func (r Request) Validate() error {
 	switch r.flaw() {
 	case negativeArrival:
@@ -118,8 +128,6 @@ func (r Request) Validate() error {
 		return fmt.Errorf("trace: negative LBN %d", r.LBN)
 	case noSectors:
 		return fmt.Errorf("trace: non-positive size %d sectors", r.Sectors)
-	case tooManySectors:
-		return fmt.Errorf("trace: size %d sectors exceeds %d", r.Sectors, math.MaxInt32)
 	case endPastMaxSector:
 		return fmt.Errorf("trace: request of %d sectors at LBN %d ends past sector %d", r.Sectors, r.LBN, int64(maxSector))
 	case unknownOp:

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dloop/internal/sim"
 )
@@ -38,13 +40,60 @@ func TestRequestValidate(t *testing.T) {
 		{Arrival: 0, LBN: -2, Sectors: 1, Op: OpRead},
 		{Arrival: 0, LBN: 0, Sectors: 0, Op: OpRead},
 		{Arrival: 0, LBN: 0, Sectors: 1, Op: Op(9)},
-		{Arrival: 0, LBN: 0, Sectors: math.MaxInt32 + 1, Op: OpWrite}, // an Arena record cannot hold it
 		{Arrival: 0, LBN: maxSector - 7, Sectors: 8, Op: OpWrite},     // its byte address overflows
 		{Arrival: 0, LBN: math.MaxInt64 - 1, Sectors: 8, Op: OpWrite}, // LBN+Sectors overflows
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, r)
+		}
+	}
+}
+
+// TestRequestSize pins the request record at 24 bytes: a trace held as a
+// []Request (the benchmark's DiskSim set-up does) costs 24 B a request.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Request{}) = %d, want 24", got)
+	}
+}
+
+// TestParsersRefuseWideSizes checks that every parser narrows a size to
+// Request.Sectors only when an int32 holds it: MaxInt32 sectors is read
+// as is, and a size past it or below one is refused with Validate's
+// message, never wrapped (1<<32 + 8 and -(1<<32) + 8 would both narrow to
+// 8). SPC sizes are bytes, so each row is written as the byte count
+// sectors*512 - 511, which rounds up to exactly that many sectors.
+func TestParsersRefuseWideSizes(t *testing.T) {
+	for _, tc := range []struct {
+		sectors int64
+		want    string // error text; "" means accepted
+	}{
+		{math.MaxInt32, ""},
+		{math.MaxInt32 + 1, "trace: size 2147483648 sectors exceeds 2147483647"},
+		{1<<32 + 8, "trace: size 4294967304 sectors exceeds 2147483647"},
+		{-(1 << 32) + 8, "trace: non-positive size -4294967288 sectors"},
+	} {
+		lines := map[string]string{
+			"disksim":           fmt.Sprintf("1 0 64 %d 0", tc.sectors),
+			"disksim reference": fmt.Sprintf("1 0 64 %d\u00a00", tc.sectors), // a multi-byte space picks parseDiskSimLine
+			"spc":               fmt.Sprintf("0,64,%d,w,0.001", tc.sectors*SectorSize-(SectorSize-1)),
+		}
+		for name, line := range lines {
+			var r Reader = NewDiskSimReader(strings.NewReader(line))
+			if name == "spc" {
+				r = NewSPCReader(strings.NewReader(line))
+			}
+			req, err := r.Next()
+			if tc.want == "" {
+				if err != nil || int64(req.Sectors) != tc.sectors {
+					t.Errorf("%s %q: got %+v, %v; want %d sectors", name, line, req, err, tc.sectors)
+				}
+				continue
+			}
+			if err == nil || !strings.HasSuffix(err.Error(), ": "+tc.want) {
+				t.Errorf("%s %q: got %+v, error %v; want %q", name, line, req, err, tc.want)
+			}
 		}
 	}
 }
@@ -236,7 +285,7 @@ func TestDiskSimRoundTripProperty(t *testing.T) {
 				// (6 decimal places = ns resolution) is exact.
 				Arrival: sim.Time(rng.Int63n(1e9)) * 1000,
 				LBN:     rng.Int63n(1 << 32),
-				Sectors: rng.Intn(256) + 1,
+				Sectors: int32(rng.Intn(256) + 1),
 				Op:      op,
 			}
 		}

@@ -42,7 +42,7 @@ func FuzzWriteTrace(f *testing.F) {
 		f.Add(s.arrival, s.lbn, s.sectors, s.op)
 	}
 	f.Fuzz(func(t *testing.T, arrival, lbn, sectors int64, op uint8) {
-		r := Request{Arrival: sim.Time(arrival), LBN: lbn, Sectors: int(sectors), Op: Op(op)}
+		r := Request{Arrival: sim.Time(arrival), LBN: lbn, Sectors: int32(sectors), Op: Op(op)}
 		for _, format := range []string{FormatDiskSim, FormatSPC} {
 			var buf bytes.Buffer
 			w, err := NewWriter(&buf, format)

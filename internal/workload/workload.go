@@ -49,7 +49,7 @@ func (p Profile) Validate() error {
 	}
 	total := 0.0
 	for _, s := range p.Sizes {
-		if s.Sectors <= 0 || s.Weight < 0 {
+		if s.Sectors <= 0 || s.Sectors > math.MaxInt32 || s.Weight < 0 { // a Request holds an int32 size
 			return fmt.Errorf("workload %s: bad size entry %+v", p.Name, s)
 		}
 		total += s.Weight
@@ -177,7 +177,7 @@ func (g *Generator) Next() (trace.Request, error) {
 	if g.rng.Float64() < g.p.WriteRatio {
 		op = trace.OpWrite
 	}
-	return trace.Request{Arrival: g.now, LBN: lbn, Sectors: sectors, Op: op}, nil
+	return trace.Request{Arrival: g.now, LBN: lbn, Sectors: int32(sectors), Op: op}, nil
 }
 
 func (g *Generator) pickSize() int {

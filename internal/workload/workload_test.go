@@ -37,6 +37,10 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 		func(p *Profile) { p.Sizes = nil },
 		func(p *Profile) { p.Sizes = []SizeWeight{{Sectors: 0, Weight: 1}} },
 		func(p *Profile) { p.Sizes = []SizeWeight{{Sectors: 8, Weight: 0}} },
+		func(p *Profile) { // a size a Request's int32 cannot hold, in a footprint that fits it
+			p.Sizes = []SizeWeight{{Sectors: math.MaxInt32 + 1, Weight: 1}}
+			p.FootprintBytes = 1 << 41
+		},
 		func(p *Profile) { p.RatePerSec = 0 },
 		func(p *Profile) { p.BurstProb = 1.0 },
 		func(p *Profile) { p.SeqProb = -0.1 },
