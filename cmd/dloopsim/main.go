@@ -16,11 +16,9 @@ import (
 
 	"dloop"
 	"dloop/internal/expt"
-	"dloop/internal/obs"
 	"dloop/internal/obs/httpexport"
 	"dloop/internal/prof"
 	"dloop/internal/sim"
-	"dloop/internal/ssd"
 	"dloop/internal/trace"
 )
 
@@ -85,7 +83,15 @@ func main() {
 		FTLShards:       nFTLShards,
 	}
 
-	ob, err := newObserver(*metricsOut, *traceEvents, *snapshotMs, *listen)
+	var srv *httpexport.Server
+	if *listen != "" {
+		if srv, err = httpexport.Listen(*listen); err != nil {
+			fmt.Fprintln(os.Stderr, "dloopsim:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics (Prometheus), /metrics.json, /debug/pprof/\n", srv.Addr())
+	}
+	ob, err := expt.NewObserver(*metricsOut, *traceEvents, sim.Duration(*snapshotMs)*sim.Millisecond, srv)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dloopsim:", err)
 		os.Exit(1)
@@ -106,12 +112,9 @@ func main() {
 		if *footprint > 0 {
 			p.FootprintBytes = *footprint << 20
 		}
-		res, err = expt.RunCachedObserved(cfg, p, *requests, *seed, wc, ob.attach)
+		res, err = expt.RunCachedObserved(cfg, p, *requests, *seed, wc, ob.Attach)
 	}
-	if err == nil {
-		err = ob.finish()
-	}
-	if err != nil {
+	if err = ob.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "dloopsim:", err)
 		os.Exit(1)
 	}
@@ -121,115 +124,7 @@ func main() {
 	report(res, time.Since(start))
 }
 
-// observer owns the command's observability sinks: it builds one collector
-// per run (at the post-precondition attach point), publishes live snapshots
-// to the HTTP exporter at epoch barriers, and flushes the metrics and trace
-// files when the run finishes.
-type observer struct {
-	metricsOut string
-	traceFile  *os.File
-	snapshot   sim.Duration
-	col        *obs.Collector
-	srv        *httpexport.Server
-	lastPub    time.Time
-}
-
-func newObserver(metricsOut, traceEvents string, snapshotMs int, listen string) (*observer, error) {
-	ob := &observer{
-		metricsOut: metricsOut,
-		snapshot:   sim.Duration(snapshotMs) * sim.Millisecond,
-	}
-	if traceEvents != "" {
-		f, err := os.Create(traceEvents)
-		if err != nil {
-			return nil, err
-		}
-		ob.traceFile = f
-	}
-	if listen != "" {
-		srv, err := httpexport.Listen(listen)
-		if err != nil {
-			if ob.traceFile != nil {
-				ob.traceFile.Close()
-			}
-			return nil, err
-		}
-		ob.srv = srv
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics (Prometheus), /metrics.json, /debug/pprof/\n", srv.Addr())
-	}
-	return ob, nil
-}
-
-// enabled reports whether any observability output was requested.
-func (ob *observer) enabled() bool {
-	return ob.metricsOut != "" || ob.traceFile != nil || ob.snapshot > 0 || ob.srv != nil
-}
-
-// attach builds the collector for a freshly preconditioned SSD; it returns
-// nil (observability disabled, zero overhead) when no flag asked for output.
-func (ob *observer) attach(c *ssd.Controller) obs.Recorder {
-	if !ob.enabled() {
-		return nil
-	}
-	o := c.ObsOptions()
-	if ob.traceFile != nil {
-		o.TraceEvents = ob.traceFile
-	}
-	o.SnapshotInterval = ob.snapshot
-	ob.col = obs.NewCollector(o)
-	if ob.srv != nil {
-		c.SetPulse(ob.publish)
-		ob.publish()
-	}
-	return ob.col
-}
-
-// publish pushes a merged registry snapshot to the exporter, throttled on
-// the wall clock: the simulator pulses at every epoch barrier, far faster
-// than any scraper polls.
-func (ob *observer) publish() {
-	if time.Since(ob.lastPub) < 250*time.Millisecond {
-		return
-	}
-	ob.lastPub = time.Now()
-	ob.srv.Publish(ob.col.SnapshotRegistry())
-}
-
-// finish closes the collector and writes the requested artifacts.
-func (ob *observer) finish() error {
-	if ob.col == nil {
-		return nil
-	}
-	if err := ob.col.Close(); err != nil {
-		return err
-	}
-	if ob.srv != nil {
-		// Final state, bypassing the rate limit; the endpoint stays up until
-		// the process exits so a last scrape can collect it.
-		if err := ob.srv.Publish(ob.col.SnapshotRegistry()); err != nil {
-			return err
-		}
-	}
-	if ob.traceFile != nil {
-		if err := ob.traceFile.Close(); err != nil {
-			return err
-		}
-	}
-	if ob.metricsOut == "" {
-		return nil
-	}
-	f, err := os.Create(ob.metricsOut)
-	if err != nil {
-		return err
-	}
-	if err := ob.col.WriteMetrics(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func replayFile(cfg dloop.Config, path, format string, footprintMiB int64, wc *dloop.WarmupCache, ob *observer) (dloop.Result, error) {
+func replayFile(cfg dloop.Config, path, format string, footprintMiB int64, wc *dloop.WarmupCache, ob *expt.Observer) (dloop.Result, error) {
 	// LoadArena parses the file once into a shared packed arena; repeated
 	// replays of the same file (and the stats summary below) reuse it.
 	arena, err := trace.LoadArena(path, format)
@@ -250,7 +145,7 @@ func replayFile(cfg dloop.Config, path, format string, footprintMiB int64, wc *d
 		return dloop.Result{}, err
 	}
 	defer c.Close()
-	if rec := ob.attach(c); rec != nil {
+	if rec := ob.Attach(c); rec != nil {
 		if err := c.SetRecorder(rec); err != nil {
 			return dloop.Result{}, err
 		}

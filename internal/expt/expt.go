@@ -2,9 +2,9 @@
 // (§V): the capacity sweep (Fig. 8), the page-size sweep (Fig. 9), the
 // extra-blocks sweep (Fig. 10), the headline improvement ratios (§I, §V.B),
 // and this reproduction's ablations (copy-back on/off, parity-waste
-// accounting, hot-plane adaptive GC). Each experiment preconditions the
-// device with the workload's footprint, replays a deterministic synthetic
-// trace, and reports the paper's two metrics: mean response time and SDRPP.
+// accounting). Each experiment preconditions the device with the workload's
+// footprint, replays a deterministic synthetic trace, and reports the
+// paper's two metrics: mean response time and SDRPP.
 package expt
 
 import (
@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dloop/internal/obs"
 	"dloop/internal/obs/httpexport"
@@ -84,12 +83,6 @@ type Options struct {
 	// Stats, when non-nil, accumulates warm-up cache and fork-scheduler
 	// counters across every sweep run with these Options.
 	Stats *SweepStats
-}
-
-// observes reports whether any observability output is requested.
-func (o Options) observes() bool {
-	return o.MetricsDir != "" || o.TraceDir != "" || o.SnapshotIntervalMs > 0 ||
-		o.Exporter != nil
 }
 
 func (o *Options) setDefaults() {
@@ -240,77 +233,33 @@ func runJob(j job, opt Options) (ssd.Result, error) {
 // per cell and writes the cell's metrics.json (and optionally its trace-event
 // document) named after the job key.
 func runCell(j job, opt Options, warmed *ssd.Controller) (ssd.Result, error) {
-	seed := j.effSeed(opt)
-	exec := func(attach func(*ssd.Controller) obs.Recorder) (ssd.Result, error) {
-		if warmed != nil {
-			return resumeObserved(warmed, j.cfg, j.profile, opt.Requests, seed, attach)
+	path := func(dir, ext string) (string, error) {
+		if dir == "" {
+			return "", nil
 		}
-		return RunObserved(j.cfg, j.profile, opt.Requests, seed, attach)
+		return filepath.Join(dir, sanitizeKey(j.key)+ext), os.MkdirAll(dir, 0o755)
 	}
-	if !opt.observes() {
-		return exec(nil)
-	}
-	var tf *os.File
-	if opt.TraceDir != "" {
-		if err := os.MkdirAll(opt.TraceDir, 0o755); err != nil {
-			return ssd.Result{}, err
-		}
-		var err error
-		tf, err = os.Create(filepath.Join(opt.TraceDir, sanitizeKey(j.key)+".trace.json"))
-		if err != nil {
-			return ssd.Result{}, err
-		}
-		defer tf.Close()
-	}
-	var col *obs.Collector
-	res, err := exec(func(c *ssd.Controller) obs.Recorder {
-		o := c.ObsOptions()
-		if tf != nil {
-			o.TraceEvents = tf
-		}
-		o.SnapshotInterval = sim.Duration(opt.SnapshotIntervalMs) * sim.Millisecond
-		col = obs.NewCollector(o)
-		if opt.Exporter != nil {
-			// Publish merged snapshots at epoch barriers, throttled on the
-			// wall clock so tight barrier loops don't spend their time
-			// rendering expositions.
-			var last time.Time
-			c.SetPulse(func() {
-				if time.Since(last) < 250*time.Millisecond {
-					return
-				}
-				last = time.Now()
-				opt.Exporter.Publish(col.SnapshotRegistry())
-			})
-		}
-		return col
-	})
+	metricsPath, err := path(opt.MetricsDir, ".metrics.json")
 	if err != nil {
 		return ssd.Result{}, err
 	}
-	if err := col.Close(); err != nil {
+	tracePath, err := path(opt.TraceDir, ".trace.json")
+	if err != nil {
 		return ssd.Result{}, err
 	}
-	if opt.Exporter != nil {
-		if err := opt.Exporter.Publish(col.SnapshotRegistry()); err != nil {
-			return ssd.Result{}, err
-		}
+	ob, err := NewObserver(metricsPath, tracePath, sim.Duration(opt.SnapshotIntervalMs)*sim.Millisecond, opt.Exporter)
+	if err != nil {
+		return ssd.Result{}, err
 	}
-	if opt.MetricsDir != "" {
-		if err := os.MkdirAll(opt.MetricsDir, 0o755); err != nil {
-			return ssd.Result{}, err
-		}
-		mf, err := os.Create(filepath.Join(opt.MetricsDir, sanitizeKey(j.key)+".metrics.json"))
-		if err != nil {
-			return ssd.Result{}, err
-		}
-		if err := col.WriteMetrics(mf); err != nil {
-			mf.Close()
-			return ssd.Result{}, err
-		}
-		if err := mf.Close(); err != nil {
-			return ssd.Result{}, err
-		}
+	seed := j.effSeed(opt)
+	var res ssd.Result
+	if warmed != nil {
+		res, err = resumeObserved(warmed, j.cfg, j.profile, opt.Requests, seed, ob.Attach)
+	} else {
+		res, err = RunObserved(j.cfg, j.profile, opt.Requests, seed, ob.Attach)
+	}
+	if err := ob.Finish(err); err != nil {
+		return ssd.Result{}, err
 	}
 	return res, nil
 }

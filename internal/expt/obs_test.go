@@ -41,7 +41,8 @@ func TestObservedRunReconcilesGCCounters(t *testing.T) {
 	}
 
 	reg := col.Registry()
-	counter := func(name string) int64 { return reg.Counter(name).Value() }
+	counters := reg.Snapshot().Counters
+	counter := func(name string) int64 { return counters[name] }
 	sum := func(names ...string) int64 {
 		var s int64
 		for _, n := range names {

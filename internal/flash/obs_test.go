@@ -21,7 +21,6 @@ func (r *countingRecorder) RecordOp(op obs.Op) {
 	r.ops[op.Kind.String()+"/"+op.Cause.String()]++
 	r.seen = append(r.seen, op)
 }
-func (r *countingRecorder) RecordEvent(obs.EventKind, sim.Time)                {}
 func (r *countingRecorder) RecordSpan(obs.SpanKind, int32, sim.Time, sim.Time) {}
 func (r *countingRecorder) RecordRequest(bool, sim.Time, sim.Time)             {}
 

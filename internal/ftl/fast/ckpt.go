@@ -3,10 +3,11 @@ package fast
 import (
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
+	"dloop/internal/obs"
 )
 
 // EncodeState implements ftl.FTL: the free pool, block map, the SW/RW log
-// blocks, the engine's run count and the merge counters. The log blocks'
+// blocks, the engine's run count and the merge counts. The log blocks'
 // cursors and the log page map are not written: a log block's next page is
 // its high-water mark on the device, and the log map is its log blocks'
 // valid pages, which DecodeState enters again.
@@ -22,10 +23,10 @@ func (f *FAST) EncodeState(w *ckpt.Writer) {
 		encodePlaneBlock(w, pb)
 	}
 	f.engine.EncodeState(w)
-	w.I64(f.stats.SwitchMerges)
-	w.I64(f.stats.PartialMerges)
-	w.I64(f.stats.FullMerges)
-	w.I64(f.stats.MergeCopies)
+	w.I64(f.counts[obs.EvSwitchMerge])
+	w.I64(f.counts[obs.EvPartialMerge])
+	w.I64(f.counts[obs.EvFullMerge])
+	w.I64(f.counts[obs.EvMergeCopy])
 }
 
 // DecodeState implements ftl.FTL, overwriting the live state in place; the
@@ -33,8 +34,9 @@ func (f *FAST) EncodeState(w *ckpt.Writer) {
 // device, the SW log's logical block one of the space, and every log block
 // lies on the device. The log map is rebuilt from the log blocks' valid
 // pages, each of which must hold an LPN of the space that no other log page
-// holds.
+// holds. The counts the checkpoint does not carry restart from zero.
 func (f *FAST) DecodeState(r *ckpt.Reader) {
+	f.counts = obs.Counts{}
 	f.pool.DecodeState(r, f.dev)
 	r.I64sInto(f.dataBlock)
 	for lbn, b := range f.dataBlock {
@@ -56,12 +58,10 @@ func (f *FAST) DecodeState(r *ckpt.Reader) {
 		f.rwFull = append(f.rwFull, f.decodePlaneBlock(r))
 	}
 	f.engine.DecodeState(r)
-	f.stats = Stats{
-		SwitchMerges:  r.I64(),
-		PartialMerges: r.I64(),
-		FullMerges:    r.I64(),
-		MergeCopies:   r.I64(),
-	}
+	f.counts[obs.EvSwitchMerge] = r.I64()
+	f.counts[obs.EvPartialMerge] = r.I64()
+	f.counts[obs.EvFullMerge] = r.I64()
+	f.counts[obs.EvMergeCopy] = r.I64()
 	clear(f.inLog)
 	f.logMap.reset()
 	if r.Err() != nil {

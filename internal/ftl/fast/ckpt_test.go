@@ -10,6 +10,7 @@ import (
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -33,8 +34,8 @@ func loggedFTL(t *testing.T) *FAST {
 	for i := 0; i < 150; i++ {
 		write(ftl.LPN((i*7)%96 | 1))
 	}
-	if f.logMap.n < 3 || len(f.rwFull) == 0 || f.Stats().FullMerges == 0 {
-		t.Fatalf("test setup: %d log pages, %d full RW blocks, %d full merges", f.logMap.n, len(f.rwFull), f.Stats().FullMerges)
+	if f.logMap.n < 3 || len(f.rwFull) == 0 || f.Counts()[obs.EvFullMerge] == 0 {
+		t.Fatalf("test setup: %d log pages, %d full RW blocks, %d full merges", f.logMap.n, len(f.rwFull), f.Counts()[obs.EvFullMerge])
 	}
 	return f
 }

@@ -32,14 +32,6 @@ type Config struct {
 	GCPolicy string
 }
 
-// Stats exposes FAST-specific counters.
-type Stats struct {
-	SwitchMerges  int64
-	PartialMerges int64
-	FullMerges    int64 // one per logical block consolidated
-	MergeCopies   int64 // pages copied by merges (all through the bus)
-}
-
 // FAST is the baseline FTL. Not safe for concurrent use.
 type FAST struct {
 	dev      *flash.Device
@@ -69,7 +61,9 @@ type FAST struct {
 	cands    []gc.Candidate     // fullMerge's victim candidates, reused
 
 	engine *gc.Engine // merge moves and log-victim policy picks
-	stats  Stats
+	// counts holds the merges (a full merge counts each logical block it
+	// consolidates), the pages they copy, and the engine's external moves.
+	counts obs.Counts
 	rec    obs.Recorder // nil when observability is disabled
 }
 
@@ -110,7 +104,7 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 	}
 	// FAST keeps its own merge loop; the engine supplies the victim policy,
 	// the external move primitive, and the unified GC counters.
-	f.engine = gc.NewEngine(gc.Config{Dev: dev, Policy: policy})
+	f.engine = gc.NewEngine(gc.Config{Dev: dev, Policy: policy}, &f.counts)
 	return f, nil
 }
 
@@ -120,14 +114,14 @@ func (f *FAST) Name() string { return "FAST" }
 // Capacity implements ftl.FTL.
 func (f *FAST) Capacity() ftl.LPN { return f.capacity }
 
-// Stats returns FAST's merge counters.
-func (f *FAST) Stats() Stats { return f.stats }
+// Counts implements ftl.FTL.
+func (f *FAST) Counts() obs.Counts { return f.counts }
 
 // GCPolicyName reports the log-block eviction policy in effect.
 func (f *FAST) GCPolicyName() string { return f.engine.PolicyName() }
 
-// SetRecorder implements ftl.Observable: merge events and spans flow from
-// here. FAST keeps its maps in SRAM, so there is no CMT traffic to report.
+// SetRecorder implements ftl.Observable: merge spans flow from here, merge
+// victims from the engine.
 func (f *FAST) SetRecorder(r obs.Recorder) {
 	f.rec = r
 	f.engine.SetRecorder(r)
@@ -388,10 +382,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 			return 0, err
 		}
 		f.adoptAsData(lbn, b)
-		f.stats.SwitchMerges++
-		if f.rec != nil {
-			f.rec.RecordEvent(obs.EvSwitchMerge, t)
-		}
+		f.counts[obs.EvSwitchMerge]++
 
 	case info.Invalid == 0:
 		// Partial merge: copy the tail of the logical block into the SW log,
@@ -414,10 +405,7 @@ func (f *FAST) mergeSW(ready sim.Time) (sim.Time, error) {
 			return 0, err
 		}
 		f.adoptAsData(lbn, b)
-		f.stats.PartialMerges++
-		if f.rec != nil {
-			f.rec.RecordEvent(obs.EvPartialMerge, t)
-		}
+		f.counts[obs.EvPartialMerge]++
 
 	default:
 		// The stream was disturbed by random updates: consolidate into a
@@ -480,7 +468,7 @@ func (f *FAST) copyPage(src, dst flash.PPN, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.stats.MergeCopies++
+	f.counts[obs.EvMergeCopy]++
 	return t, nil
 }
 
@@ -511,10 +499,7 @@ func (f *FAST) consolidate(lbn int64, ready sim.Time) (sim.Time, error) {
 		return 0, err
 	}
 	f.dataBlock[lbn] = f.geo.BlockIndex(c)
-	f.stats.FullMerges++
-	if f.rec != nil {
-		f.rec.RecordEvent(obs.EvFullMerge, t)
-	}
+	f.counts[obs.EvFullMerge]++
 	return t, nil
 }
 

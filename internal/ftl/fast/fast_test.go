@@ -6,6 +6,7 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -122,12 +123,12 @@ func TestSwitchMergeOnSequentialRewrite(t *testing.T) {
 		}
 		at = end
 	}
-	st := f.Stats()
-	if st.SwitchMerges != 1 {
-		t.Fatalf("SwitchMerges = %d, want 1", st.SwitchMerges)
+	st := f.Counts()
+	if st[obs.EvSwitchMerge] != 1 {
+		t.Fatalf("SwitchMerges = %d, want 1", st[obs.EvSwitchMerge])
 	}
-	if st.MergeCopies != 0 {
-		t.Fatalf("switch merge copied %d pages, want 0", st.MergeCopies)
+	if st[obs.EvMergeCopy] != 0 {
+		t.Fatalf("switch merge copied %d pages, want 0", st[obs.EvMergeCopy])
 	}
 	if f.dataBlock[2] == oldDB {
 		t.Fatal("data block not switched")
@@ -170,12 +171,12 @@ func TestPartialMergeOnInterruptedStream(t *testing.T) {
 	if _, err := f.WritePage(ftl.LPN(2*8), at); err != nil {
 		t.Fatal(err)
 	}
-	st := f.Stats()
-	if st.PartialMerges != 1 {
-		t.Fatalf("PartialMerges = %d, want 1", st.PartialMerges)
+	st := f.Counts()
+	if st[obs.EvPartialMerge] != 1 {
+		t.Fatalf("PartialMerges = %d, want 1", st[obs.EvPartialMerge])
 	}
-	if st.MergeCopies != 4 {
-		t.Fatalf("MergeCopies = %d, want 4", st.MergeCopies)
+	if st[obs.EvMergeCopy] != 4 {
+		t.Fatalf("MergeCopies = %d, want 4", st[obs.EvMergeCopy])
 	}
 	// Every page of block 1 still readable.
 	for off := 0; off < 8; off++ {
@@ -206,11 +207,11 @@ func TestFullMergeWhenLogExhausted(t *testing.T) {
 		}
 		at = end
 	}
-	st := f.Stats()
-	if st.FullMerges == 0 {
+	st := f.Counts()
+	if st[obs.EvFullMerge] == 0 {
 		t.Fatal("no full merges despite exhausted log")
 	}
-	if st.MergeCopies == 0 {
+	if st[obs.EvMergeCopy] == 0 {
 		t.Fatal("full merges copied nothing")
 	}
 	if f.LogBlocksInUse() > 4 {
@@ -309,8 +310,8 @@ func TestDisturbedStreamConsolidates(t *testing.T) {
 	if _, err := f.WritePage(ftl.LPN(2*8), at); err != nil {
 		t.Fatal(err)
 	}
-	st := f.Stats()
-	if st.FullMerges == 0 {
+	st := f.Counts()
+	if st[obs.EvFullMerge] == 0 {
 		t.Fatalf("disturbed SW log should consolidate (full merge), got %+v", st)
 	}
 	// All of block 1 still readable.
@@ -357,11 +358,11 @@ func TestSWLogFullySupersededIsJustErased(t *testing.T) {
 	}
 	// The SW block is now fully superseded; mergeSW must take the erase-only
 	// path (no copies).
-	copiesBefore := f.Stats().MergeCopies
+	copiesBefore := f.Counts()[obs.EvMergeCopy]
 	if _, err := f.mergeSW(at); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Stats().MergeCopies; got != copiesBefore {
+	if got := f.Counts()[obs.EvMergeCopy]; got != copiesBefore {
 		t.Fatalf("erase-only path copied %d pages", got-copiesBefore)
 	}
 	if f.swLBN != -1 {
@@ -395,11 +396,11 @@ func TestMergesAllocFree(t *testing.T) {
 	}
 	batch() // reach steady state: log budget in use, scratch and timeline windows at capacity
 	batch()
-	before := f.Stats().FullMerges
+	before := f.Counts()[obs.EvFullMerge]
 	if avg := testing.AllocsPerRun(10, batch); avg > 0 {
 		t.Fatalf("write path allocates %.1f times per 200 writes, want 0", avg)
 	}
-	if f.Stats().FullMerges == before {
+	if f.Counts()[obs.EvFullMerge] == before {
 		t.Fatal("no full merge ran in the measured batches")
 	}
 }

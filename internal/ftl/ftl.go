@@ -35,6 +35,11 @@ type FTL interface {
 	WritePage(lpn LPN, ready sim.Time) (sim.Time, error)
 	// Capacity returns the number of logical pages the FTL exports.
 	Capacity() LPN
+	// Counts returns the scheme's occurrence counters (CMT lookups,
+	// translation traffic, collections, merges), each counted once where
+	// it happens since the FTL was built or its state last decoded.
+	// Entries a scheme has no use for stay zero.
+	Counts() obs.Counts
 	// EncodeState appends every piece of mutable FTL state (mapping tables,
 	// CMT, free pools, GC trackers, log-block state) to a checkpoint.
 	EncodeState(w *ckpt.Writer)
@@ -46,9 +51,10 @@ type FTL interface {
 }
 
 // Observable is implemented by FTLs that can report internal activity (GC
-// spans, merge events, CMT traffic) through an observability recorder. All
-// FTLs in this repository implement it; the controller wires the recorder
-// through this interface so new schemes opt in by adding one method.
+// and merge spans, victims) through an observability recorder; what they
+// count is in Counts, recorder or not. All FTLs in this repository
+// implement it; the controller wires the recorder through this interface so
+// new schemes opt in by adding one method.
 type Observable interface {
 	// SetRecorder attaches (or, with nil, detaches) the recorder.
 	SetRecorder(r obs.Recorder)

@@ -49,13 +49,6 @@ type Scheme interface {
 	Release(victim flash.PlaneBlock)
 }
 
-// Stats counts the engine's activity. Schemes derive their public GC
-// counters from it; the device counts the moves and the pages wasted to the
-// parity rule (flash.Stats.GCMoves and WastedPages).
-type Stats struct {
-	Runs int64 // collections completed
-}
-
 // VictimRecorder is the optional observability hook for the per-victim
 // valid-count histogram; the obs Collector implements it.
 type VictimRecorder interface {
@@ -109,15 +102,18 @@ type Engine struct {
 	// nest through depth.
 	scratch []*collectScratch
 
-	stats     Stats
+	// counts is the owning FTL's occurrence counters: collections, copy-back
+	// and external moves, parity waste.
+	counts    *obs.Counts
 	rec       obs.Recorder       // nil when observability is disabled
 	victimRec VictimRecorder     // non-nil only when rec implements it
 	spanRec   obs.GCSpanRecorder // non-nil only when rec implements it
 }
 
-// NewEngine builds an engine; hybrid schemes may leave Tracker and Scheme
-// nil and use only MoveExternal, RecordVictim, and PickLogVictim.
-func NewEngine(cfg Config) *Engine {
+// NewEngine builds an engine that counts into counts; hybrid schemes may
+// leave Tracker and Scheme nil and use only MoveExternal, RecordVictim, and
+// PickLogVictim.
+func NewEngine(cfg Config, counts *obs.Counts) *Engine {
 	geo := cfg.Dev.Geometry()
 	e := &Engine{
 		dev:        cfg.Dev,
@@ -127,6 +123,7 @@ func NewEngine(cfg Config) *Engine {
 		tracker:    cfg.Tracker,
 		scheme:     cfg.Scheme,
 		collecting: make([]bool, geo.Planes()),
+		counts:     counts,
 	}
 	if cfg.Tracker != nil {
 		e.source = NewTrackerSource(cfg.Tracker, geo.PagesPerBlock)
@@ -152,9 +149,6 @@ func (e *Engine) PolicyName() string { return e.policy.Name() }
 
 // Policy returns the victim policy; hybrid schemes pass it to PickLogVictim.
 func (e *Engine) Policy() VictimPolicy { return e.policy }
-
-// Stats returns the engine's counters.
-func (e *Engine) Stats() Stats { return e.stats }
 
 // Idle reports that no collection is active on the plane (or anywhere, for
 // nested placement). Schemes consult it before triggering collection from
@@ -223,9 +217,7 @@ func (e *Engine) getScratch() *collectScratch {
 }
 
 // queueCopyBack appends src -> dst to the pending run, first flushing a run
-// whose block dst has left. Under a recorder the page is flushed at once:
-// the recorder stamps every copy-back and parity waste with the time the
-// chain has reached.
+// whose block dst has left.
 func (e *Engine) queueCopyBack(sc *collectScratch, src, dst flash.PPN, t sim.Time) (sim.Time, error) {
 	if len(sc.srcs) > 0 && uint64(dst-sc.dstFirst) >= uint64(e.geo.PagesPerBlock) {
 		var err error
@@ -237,24 +229,18 @@ func (e *Engine) queueCopyBack(sc *collectScratch, src, dst flash.PPN, t sim.Tim
 		sc.dstFirst = e.geo.FirstPPN(e.dev.BlockOf(dst))
 	}
 	sc.srcs, sc.dsts = append(sc.srcs, src), append(sc.dsts, dst)
-	if e.rec != nil {
-		return e.flushRun(sc, t)
-	}
 	return t, nil
 }
 
 // flushRun hands the pending copy-back run (possibly empty) to the device,
 // starting at t, and returns when its last page lands.
 func (e *Engine) flushRun(sc *collectScratch, t sim.Time) (sim.Time, error) {
-	n := len(sc.srcs)
 	t, err := e.dev.CopyBackRun(sc.srcs, sc.dsts, t, flash.CauseGC)
 	if err != nil {
 		return 0, err
 	}
+	e.counts[obs.EvGCCopyBack] += int64(len(sc.srcs))
 	sc.srcs, sc.dsts = sc.srcs[:0], sc.dsts[:0]
-	if e.rec != nil && n > 0 { // then the run is a single page, see queueCopyBack
-		e.rec.RecordEvent(obs.EvGCCopyBack, t)
-	}
 	return t, nil
 }
 
@@ -332,8 +318,8 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 		}
 		// Copy-backs queue as a run while the destination stays in one
 		// block; the run goes to the device before anything that needs the
-		// time it ends at: a bus move, the redirect, and every page when a
-		// recorder stamps them. Wastes take no time, so it spans them.
+		// time it ends at: a bus move and the redirect. Wastes take no time,
+		// so it spans them.
 		for head[0] < count[0] || head[1] < count[1] {
 			external := e.cfg.Style == MoveExternalParity
 			want := 0
@@ -356,9 +342,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 					}
 					e.tracker.Invalidated(e.dev.BlockOf(dst))
 					wasted++
-					if e.rec != nil {
-						e.rec.RecordEvent(obs.EvParityWaste, t)
-					}
+					e.counts[obs.EvParityWaste]++
 					continue
 				} else {
 					// The plane is critically low on free pages, where
@@ -402,7 +386,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 		return 0, false, err
 	}
 	e.scheme.Release(victim)
-	e.stats.Runs++
+	e.counts[obs.EvGCRun]++
 	if e.spanRec != nil {
 		e.spanRec.RecordGCSpan(int32(victim.Plane), ready, t,
 			e.policy.Name(), len(sc.moved), wasted)
@@ -415,16 +399,14 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 // MoveExternal relocates one valid page through the buses with a read +
 // write pair (flash.Device.MoveExternal; the device carries the OOB tag) and
 // invalidates the source. Hybrid FTLs drive their merge copies through it so
-// the engine's counters and observability events cover every relocation in
-// the system.
+// the engine's EvGCExternalMove count covers every relocation through the
+// buses.
 func (e *Engine) MoveExternal(src, dst flash.PPN, ready sim.Time) (sim.Time, error) {
 	t, err := e.dev.MoveExternal(src, dst, ready, flash.CauseGC)
 	if err != nil {
 		return 0, err
 	}
-	if e.rec != nil {
-		e.rec.RecordEvent(obs.EvGCExternalMove, t)
-	}
+	e.counts[obs.EvGCExternalMove]++
 	return t, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -23,6 +24,7 @@ type pageFTL struct {
 	table   []flash.PPN
 	cur     []flash.PlaneBlock // per plane: the open block
 	next    []int              // per plane: its write point
+	counts  obs.Counts
 }
 
 func newPageFTL(tb testing.TB, geo flash.Geometry, lpns int) *pageFTL {
@@ -46,7 +48,7 @@ func newPageFTL(tb testing.TB, geo flash.Geometry, lpns int) *pageFTL {
 		tb.Fatal(err)
 	}
 	f.engine = NewEngine(Config{Dev: dev, Policy: policy, Tracker: f.tracker, Scheme: f, PerPlane: true, Style: MoveCopyBack,
-		LowSpaceExternal: true})
+		LowSpaceExternal: true}, &f.counts)
 	return f
 }
 
@@ -121,7 +123,7 @@ func newCollectingFTL(tb testing.TB, fill float64, rng *rand.Rand) (*pageFTL, si
 	for i := 0; i < 20*len(f.table); i++ {
 		at = f.write(tb, rng.Intn(len(f.table)), at)
 	}
-	if f.engine.Stats().Runs == 0 {
+	if f.counts[obs.EvGCRun] == 0 {
 		tb.Fatal("warm-up never collected")
 	}
 	return f, at
@@ -130,8 +132,9 @@ func newCollectingFTL(tb testing.TB, fill float64, rng *rand.Rand) (*pageFTL, si
 // TestEngineCopyBackCollection drives the engine through sustained
 // collection and checks what it leaves behind against the device: every
 // logical page is where the table says, valid, and tagged; the engine ran
-// one collection per erase; the parity rule held (the device would have
-// refused) and wastes happened.
+// one collection per erase and counted every copy-back and waste the device
+// did; the parity rule held (the device would have refused) and wastes
+// happened.
 func TestEngineCopyBackCollection(t *testing.T) {
 	f, _ := newCollectingFTL(t, 0.80, rand.New(rand.NewSource(5)))
 	for lpn, ppn := range f.table {
@@ -139,13 +142,19 @@ func TestEngineCopyBackCollection(t *testing.T) {
 			t.Fatalf("lpn %d maps to ppn %d: state %v, tag %d", lpn, ppn, f.dev.PageState(ppn), f.dev.PageLPN(ppn))
 		}
 	}
-	st, dst := f.engine.Stats(), f.dev.Stats()
+	runs, dst := f.counts[obs.EvGCRun], f.dev.Stats()
 	cb, _ := dst.GCMoves()
-	if st.Runs != dst.Erases() {
-		t.Fatalf("engine counts %d runs; device erases %d", st.Runs, dst.Erases())
+	if runs != dst.Erases() {
+		t.Fatalf("engine counts %d runs; device erases %d", runs, dst.Erases())
 	}
-	if dst.WastedPages == 0 || cb < 10*st.Runs {
-		t.Fatalf("regime too light to mean anything: %d runs, %d copy-backs, %d wasted", st.Runs, cb, dst.WastedPages)
+	if got := f.counts[obs.EvGCCopyBack]; got != cb {
+		t.Fatalf("engine counts %d copy-backs; device did %d", got, cb)
+	}
+	if got := f.counts[obs.EvParityWaste]; got != dst.WastedPages {
+		t.Fatalf("engine counts %d wasted pages; device wasted %d", got, dst.WastedPages)
+	}
+	if dst.WastedPages == 0 || cb < 10*runs {
+		t.Fatalf("regime too light to mean anything: %d runs, %d copy-backs, %d wasted", runs, cb, dst.WastedPages)
 	}
 }
 
@@ -156,17 +165,17 @@ func TestEngineCopyBackCollection(t *testing.T) {
 func BenchmarkCollectOnce(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	f, at := newCollectingFTL(b, 0.84, rng)
-	before := f.engine.Stats()
+	before := f.counts[obs.EvGCRun]
 	cbBefore, _ := f.dev.Stats().GCMoves()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for runs := f.engine.Stats().Runs; f.engine.Stats().Runs == runs; {
+		for runs := f.counts[obs.EvGCRun]; f.counts[obs.EvGCRun] == runs; {
 			at = f.write(b, rng.Intn(len(f.table)), at)
 		}
 	}
 	b.StopTimer()
-	after := f.engine.Stats()
+	after := f.counts[obs.EvGCRun]
 	cbAfter, _ := f.dev.Stats().GCMoves()
-	b.ReportMetric(float64(cbAfter-cbBefore)/float64(after.Runs-before.Runs), "copybacks/op")
+	b.ReportMetric(float64(cbAfter-cbBefore)/float64(after-before), "copybacks/op")
 }

@@ -4,6 +4,7 @@ import (
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 )
 
 // EncodeState implements ftl.FTL: everything that changes as requests are
@@ -34,8 +35,10 @@ func (f *FTL) EncodeState(w *ckpt.Writer) {
 // DecodeState implements ftl.FTL, overwriting the live state in place. The
 // device must be decoded first. A write point must lie on the device, and an
 // active one's block cannot be a collection candidate. The mapping table and
-// GTD must agree with the page tags (checkMapping).
+// GTD must agree with the page tags (checkMapping). The counts the
+// checkpoint does not carry restart from zero.
 func (f *FTL) DecodeState(r *ckpt.Reader) {
+	f.counts = obs.Counts{}
 	if f.mapper != nil {
 		f.mapper.DecodeState(r)
 	} else {

@@ -5,6 +5,7 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -78,7 +79,7 @@ func TestGCMovesAreExternal(t *testing.T) {
 		}
 		at = end
 	}
-	if f.Stats().GCRuns == 0 {
+	if f.Counts()[obs.EvGCRun] == 0 {
 		t.Fatal("GC never ran")
 	}
 	cb, ext := dev.Stats().GCMoves()
@@ -130,12 +131,12 @@ func TestCMTMissCostsTranslationRead(t *testing.T) {
 		}
 		at = end
 	}
-	reads0 := f.Stats().MapperStats.TransReads
+	reads0 := f.Counts()[obs.EvTransRead]
 	// lpn 0 long evicted: resolving it must read its translation page.
 	if _, err := f.ReadPage(0, at); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Stats().MapperStats.TransReads; got <= reads0 {
+	if got := f.Counts()[obs.EvTransRead]; got <= reads0 {
 		t.Fatalf("no translation read on CMT miss (%d -> %d)", reads0, got)
 	}
 	_ = dev

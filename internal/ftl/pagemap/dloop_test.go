@@ -6,6 +6,7 @@ import (
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/gc"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -98,8 +99,8 @@ func TestGCUsesCopyBackOnly(t *testing.T) {
 		}
 		at = end
 	}
-	st := f.Stats()
-	if st.GCRuns == 0 {
+	st := f.Counts()
+	if st[obs.EvGCRun] == 0 {
 		t.Fatal("GC never ran")
 	}
 	cb, ext := dev.Stats().GCMoves()
@@ -157,7 +158,7 @@ func TestAblationUsesExternalMovesOnly(t *testing.T) {
 		}
 		at = end
 	}
-	if f.Stats().GCRuns == 0 {
+	if f.Counts()[obs.EvGCRun] == 0 {
 		t.Fatal("GC never ran")
 	}
 	cb, ext := dev.Stats().GCMoves()
@@ -221,7 +222,7 @@ func TestParityWasteOnCraftedVictim(t *testing.T) {
 	for k := 0; k < ppb/2+1; k++ {
 		write(lpnAt(ppb + ppb*k)) // one cold LPN from each of five other blocks
 	}
-	if f.Stats().GCRuns != 0 {
+	if f.Counts()[obs.EvGCRun] != 0 {
 		t.Fatal("collection ran before the crafted write")
 	}
 

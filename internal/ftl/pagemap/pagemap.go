@@ -114,13 +114,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Stats exposes counters beyond what the device records (the device counts
-// GC moves and parity waste: flash.Stats.GCMoves and WastedPages).
-type Stats struct {
-	GCRuns      int64 // garbage collections completed
-	MapperStats translate.Stats
-}
-
 type writePoint struct {
 	pb     flash.PlaneBlock
 	next   int
@@ -144,6 +137,8 @@ type FTL struct {
 	engine *gc.Engine // owns the collect loop and reentrancy guards
 
 	perm []int // striping permutation: LPN mod planes -> plane; nil when global
+
+	counts obs.Counts // incremented by the translation and GC engines
 }
 
 // New builds a page-mapping FTL over dev.
@@ -196,7 +191,7 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 			Dev: dev, Placer: f, Tracker: f.tracker,
 			Capacity: f.capacity, CMTEntries: cfg.CMTEntries, Policy: tpol,
 			StrideHint: stride,
-		})
+		}, &f.counts)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +214,7 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 		PerPlane:         l.striped(),
 		Style:            l.Moves,
 		LowSpaceExternal: l.LowSpaceExternal,
-	})
+	}, &f.counts)
 	return f, nil
 }
 
@@ -229,15 +224,8 @@ func (f *FTL) Name() string { return f.cfg.Layout.Name() }
 // Capacity implements ftl.FTL.
 func (f *FTL) Capacity() ftl.LPN { return f.capacity }
 
-// Stats returns the internal counters, derived from the GC engine and the
-// translation engine.
-func (f *FTL) Stats() Stats {
-	s := Stats{GCRuns: f.engine.Stats().Runs}
-	if f.mapper != nil {
-		s.MapperStats = f.mapper.Stats()
-	}
-	return s
-}
+// Counts implements ftl.FTL.
+func (f *FTL) Counts() obs.Counts { return f.counts }
 
 // GCPolicyName reports the victim-selection policy in effect.
 func (f *FTL) GCPolicyName() string { return f.engine.PolicyName() }
@@ -251,23 +239,9 @@ func (f *FTL) LearnedSegments() int {
 	return f.mapper.LearnedSegments()
 }
 
-// CMTHitRate reports the mapping-cache hit rate, hits and misses (all zero
-// for the ideal table).
-func (f *FTL) CMTHitRate() (float64, int64, int64) {
-	if f.mapper == nil {
-		return 0, 0, 0
-	}
-	return f.mapper.Cache.HitRate()
-}
-
-// SetRecorder implements ftl.Observable: GC spans and parity-waste events
-// flow from the GC engine, CMT events from the translation engine.
-func (f *FTL) SetRecorder(r obs.Recorder) {
-	if f.mapper != nil {
-		f.mapper.SetRecorder(r)
-	}
-	f.engine.SetRecorder(r)
-}
+// SetRecorder implements ftl.Observable: GC spans and victims flow from the
+// GC engine.
+func (f *FTL) SetRecorder(r obs.Recorder) { f.engine.SetRecorder(r) }
 
 // Lookup returns the current physical page of lpn without charging simulated
 // time or perturbing the CMT; tests and consistency checks use it.

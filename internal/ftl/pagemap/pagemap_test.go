@@ -6,6 +6,7 @@ import (
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
 	"dloop/internal/ftl/gc"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -229,7 +230,7 @@ func planeZeroWorkload(t *testing.T, f *FTL, n int) sim.Time {
 func TestStripedGCUsesCopyBack(t *testing.T) {
 	f, dev := newPreset(t, "PureMap-striped")
 	hotColdWorkload(t, f, 6000, 500)
-	if f.Stats().GCRuns == 0 {
+	if f.Counts()[obs.EvGCRun] == 0 {
 		t.Fatal("GC never ran")
 	}
 	cb, ext := dev.Stats().GCMoves()
@@ -241,7 +242,7 @@ func TestStripedGCUsesCopyBack(t *testing.T) {
 func TestUnstripedGCUsesExternalMoves(t *testing.T) {
 	f, dev := newPreset(t, "PureMap")
 	hotColdWorkload(t, f, 6000, 500)
-	if f.Stats().GCRuns == 0 {
+	if f.Counts()[obs.EvGCRun] == 0 {
 		t.Fatal("GC never ran")
 	}
 	cb, ext := dev.Stats().GCMoves()
@@ -292,7 +293,7 @@ func TestRecoveryRebuildsMapping(t *testing.T) {
 			} else {
 				at = hotColdWorkload(t, f, 20000, 600)
 			}
-			if f.Stats().GCRuns == 0 {
+			if f.Counts()[obs.EvGCRun] == 0 {
 				t.Fatal("workload never collected; crash state too simple")
 			}
 

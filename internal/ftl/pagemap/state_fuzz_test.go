@@ -9,6 +9,7 @@ import (
 
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
+	"dloop/internal/obs"
 )
 
 // newCodecFTL builds the preset the codec tests encode from and decode into.
@@ -42,7 +43,7 @@ func collectedFTL(t testing.TB, name string) *FTL {
 	t.Helper()
 	f := newCodecFTL(t, name)
 	hotColdWorkload(t, f, 3000, 500)
-	if f.Stats().GCRuns == 0 {
+	if f.Counts()[obs.EvGCRun] == 0 {
 		t.Fatalf("%s: workload never collected", name)
 	}
 	return f

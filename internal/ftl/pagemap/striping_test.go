@@ -5,6 +5,7 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -98,7 +99,7 @@ func TestStripingKeepsUpdateLocality(t *testing.T) {
 			}
 			at = end
 		}
-		if f.Stats().GCRuns == 0 {
+		if f.Counts()[obs.EvGCRun] == 0 {
 			t.Fatalf("%s: GC never ran", policy)
 		}
 		cb, ext := dev.Stats().GCMoves()

@@ -6,6 +6,7 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 )
 
 func benchGeo() flash.Geometry {
@@ -84,7 +85,7 @@ func newBenchEngine(b *testing.B, policy Policy, space int) *Engine {
 	m, err := NewEngine(Config{
 		Dev: dev, Placer: &seqPlacer{dev: dev}, Tracker: ftl.NewTracker(dev),
 		Capacity: ftl.LPN(space), CMTEntries: 4096, Policy: policy, StrideHint: 1,
-	})
+	}, new(obs.Counts))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func BenchmarkTranslationMiss(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if m.Stats().TransReads == 0 {
+			if m.counts[obs.EvTransRead] == 0 {
 				b.Fatal("benchmark never missed")
 			}
 		})
@@ -158,7 +159,7 @@ func BenchmarkLearnedLookup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if m.Stats().LearnedHits == 0 || m.Stats().TransReads != 0 {
-		b.Fatalf("learned predictions off the fast path: %+v", m.Stats())
+	if m.counts[obs.EvLearnedHit] == 0 || m.counts[obs.EvTransRead] != 0 {
+		b.Fatalf("learned predictions off the fast path: %v", *m.counts)
 	}
 }

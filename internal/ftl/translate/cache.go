@@ -52,8 +52,6 @@ type Cache struct {
 	protected list // MRU at head
 
 	tpHead []int32 // tvpn -> head of the intrusive dirty list
-
-	hits, misses int64
 }
 
 // Entry is the externally visible form of a cache entry.
@@ -159,14 +157,6 @@ func (c *Cache) release(h int32) {
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return c.n }
 
-// HitRate returns the fraction of Get calls that hit, and the totals.
-func (c *Cache) HitRate() (rate float64, hits, misses int64) {
-	if c.hits+c.misses == 0 {
-		return 0, 0, 0
-	}
-	return float64(c.hits) / float64(c.hits+c.misses), c.hits, c.misses
-}
-
 func (c *Cache) tvpn(lpn ftl.LPN) int64 { return int64(lpn) / int64(c.epp) }
 
 func (c *Cache) markDirty(h int32) {
@@ -216,10 +206,8 @@ func (c *Cache) word(lpn ftl.LPN) *uint32 {
 func (c *Cache) Get(lpn ftl.LPN) bool {
 	h := c.handle(lpn)
 	if h == 0 {
-		c.misses++
 		return false
 	}
-	c.hits++
 	c.touch(h)
 	return true
 }

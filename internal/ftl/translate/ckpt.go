@@ -6,11 +6,13 @@ import (
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 )
 
-// EncodeState appends the engine's mutable state to w: mapping table, CMT,
-// GTD, learned segments, and counters. The placer and tracker pointers are
-// construction-time wiring, not state. The table goes out untagged, as
+// EncodeState appends the engine's mutable state to w: mapping table, CMT
+// and its hit and miss counts, GTD, learned segments, and the translation
+// counts. The placer and tracker pointers are construction-time wiring, not
+// state. The table goes out untagged, as
 // flash.PPNMap.EncodeState writes it. The CMT slab goes out entry by entry
 // in slab order, so handles (slab indices) survive the round trip and a
 // decoded cache is bit-identical to the encoded one, free list and recency
@@ -18,6 +20,8 @@ import (
 func (m *Engine) EncodeState(w *ckpt.Writer) {
 	m.Cache.encodeTable(w)
 	m.Cache.encodeState(w)
+	w.I64(m.counts[obs.EvCMTHit])
+	w.I64(m.counts[obs.EvCMTMiss])
 	m.GTD.EncodeState(w)
 	var segs [][]segment
 	if m.li != nil {
@@ -34,9 +38,9 @@ func (m *Engine) EncodeState(w *ckpt.Writer) {
 			w.I64(sg.ppnDelta)
 		}
 	}
-	w.I64(m.stats.TransReads)
-	w.I64(m.stats.TransWrites)
-	w.I64(m.stats.LearnedHits)
+	w.I64(m.counts[obs.EvTransRead])
+	w.I64(m.counts[obs.EvTransWrite])
+	w.I64(m.counts[obs.EvLearnedHit])
 }
 
 // DecodeState overwrites the engine's state with what EncodeState wrote on an
@@ -46,10 +50,16 @@ func (m *Engine) EncodeState(w *ckpt.Writer) {
 // flash.ErrUnmappable), and a learned index must cover exactly the GTD's
 // translation pages, as the engine's does. A learned index from a
 // checkpoint without one starts cold; one in a checkpoint for an engine
-// without one is checked and dropped.
+// without one is checked and dropped. The counts EncodeState does not
+// write are the owning FTL's to zero.
 func (m *Engine) DecodeState(r *ckpt.Reader) {
 	m.table.DecodeState(r)
 	m.Cache.decodeState(r)
+	m.counts[obs.EvCMTHit] = r.I64()
+	m.counts[obs.EvCMTMiss] = r.I64()
+	if r.Err() == nil {
+		m.Cache.link(r)
+	}
 	m.GTD.DecodeState(r)
 	n := r.SliceLen(4) // one u32 segment count per translation page
 	if r.Err() != nil {
@@ -69,11 +79,9 @@ func (m *Engine) DecodeState(r *ckpt.Reader) {
 			decodeSegments(r, nil)
 		}
 	}
-	m.stats = Stats{
-		TransReads:  r.I64(),
-		TransWrites: r.I64(),
-		LearnedHits: r.I64(),
-	}
+	m.counts[obs.EvTransRead] = r.I64()
+	m.counts[obs.EvTransWrite] = r.I64()
+	m.counts[obs.EvLearnedHit] = r.I64()
 }
 
 // decodeSegments reads one translation page's segments onto dst[:0].
@@ -144,15 +152,14 @@ func (c *Cache) encodeState(w *ckpt.Writer) {
 		w.Int(l.n)
 	}
 	w.I32s(c.tpHead)
-	w.I64(c.hits)
-	w.I64(c.misses)
 }
 
 // decodeState overwrites the cache with what encodeState wrote on a cache of
 // the same capacity and logical space, after the table was decoded untagged.
 // Every handle must name a slab entry, every entry an LPN of the space, and
-// the dirty-list heads must cover its translation pages; link checks the
-// lists and re-tags the table.
+// the dirty-list heads must cover its translation pages; link, which the
+// engine calls after reading the hit and miss counts, checks the lists and
+// re-tags the table.
 func (c *Cache) decodeState(r *ckpt.Reader) {
 	c.n = r.Int()
 	handle := func(h int32) int32 {
@@ -183,11 +190,6 @@ func (c *Cache) decodeState(r *ckpt.Reader) {
 	r.I32sInto(c.tpHead)
 	for _, h := range c.tpHead {
 		handle(h)
-	}
-	c.hits = r.I64()
-	c.misses = r.I64()
-	if r.Err() == nil {
-		c.link(r)
 	}
 }
 

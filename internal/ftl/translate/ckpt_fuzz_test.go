@@ -8,6 +8,7 @@ import (
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -22,7 +23,7 @@ func newCodecEngine(tb testing.TB, policy Policy) (*Engine, *flash.Device) {
 	m, err := NewEngine(Config{
 		Dev: dev, Placer: &splitPlacer{trans: 128}, Tracker: ftl.NewTracker(dev),
 		Capacity: 64, CMTEntries: 4, Policy: policy, StrideHint: 1,
-	})
+	}, new(obs.Counts))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -207,6 +208,8 @@ func TestDecodeStateCrafted(t *testing.T) {
 	var w ckpt.Writer
 	m.Cache.encodeTable(&w)
 	m.Cache.encodeState(&w)
+	w.I64(0) // CMT hits
+	w.I64(0) // and misses
 	m.GTD.EncodeState(&w)
 	learned := w.Len()
 	for _, tc := range []struct {

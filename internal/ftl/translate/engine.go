@@ -9,14 +9,6 @@ import (
 	"dloop/internal/sim"
 )
 
-// Stats counts the address-translation overhead of a demand-paged mapping
-// table.
-type Stats struct {
-	TransReads  int64 // translation-page reads (fetch + read-modify-write)
-	TransWrites int64 // translation-page programs
-	LearnedHits int64 // correct learned predictions: translation read skipped
-}
-
 // Config assembles a translation engine for one page-mapping FTL.
 type Config struct {
 	// Dev is the flash device translation traffic is charged against.
@@ -62,13 +54,15 @@ type Engine struct {
 	tracker      *ftl.Tracker  // invalidation bookkeeping for superseded translation pages
 	li           *learnedIndex // non-nil only under PolicyLearned
 
-	stats Stats
-	rec   obs.Recorder // nil when observability is disabled
+	// counts is the owning FTL's occurrence counters: CMT hits, misses,
+	// evictions and write-backs, translation reads and writes, learned hits.
+	counts *obs.Counts
 }
 
-// NewEngine builds a translation engine. Translation pages pack PageSize/8
-// entries (8 bytes per mapping entry, the figure DFTL uses).
-func NewEngine(cfg Config) (*Engine, error) {
+// NewEngine builds a translation engine that counts into counts.
+// Translation pages pack PageSize/8 entries (8 bytes per mapping entry, the
+// figure DFTL uses).
+func NewEngine(cfg Config, counts *obs.Counts) (*Engine, error) {
 	per := cfg.Dev.Geometry().PageSize / 8
 	if per < 1 {
 		return nil, fmt.Errorf("translate: page size %d too small for translation entries", cfg.Dev.Geometry().PageSize)
@@ -87,6 +81,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		GTD:          make(flash.PPNMap, nTP),
 		entriesPerTP: per,
 		tracker:      cfg.Tracker,
+		counts:       counts,
 	}
 	if cfg.Policy == PolicyLearned {
 		m.li = newLearnedIndex(int(nTP), cfg.StrideHint)
@@ -100,13 +95,6 @@ func (m *Engine) PPN(lpn ftl.LPN) flash.PPN { return flash.PPN(*m.Cache.word(lpn
 
 // setPPN points lpn at ppn, storing ppn+1 as flash.PPNMap.Set does.
 func (m *Engine) setPPN(lpn ftl.LPN, ppn flash.PPN) { *m.Cache.word(lpn) = uint32(ppn + 1) }
-
-// Stats returns the accumulated translation overhead counters.
-func (m *Engine) Stats() Stats { return m.stats }
-
-// SetRecorder attaches (or, with nil, detaches) an observability recorder
-// for cache hit/miss/evict/write-back and translation-traffic events.
-func (m *Engine) SetRecorder(r obs.Recorder) { m.rec = r }
 
 // TVPN returns the translation-page number covering lpn.
 func (m *Engine) TVPN(lpn ftl.LPN) int64 { return int64(lpn) / int64(m.entriesPerTP) }
@@ -129,29 +117,21 @@ func (m *Engine) LearnedSegments() int {
 // the fetch free. It returns the time address translation completes.
 func (m *Engine) Resolve(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if m.Cache.Get(lpn) {
-		if m.rec != nil {
-			m.rec.RecordEvent(obs.EvCMTHit, ready)
-		}
+		m.counts[obs.EvCMTHit]++
 		return ready, nil
 	}
-	if m.rec != nil {
-		m.rec.RecordEvent(obs.EvCMTMiss, ready)
-	}
+	m.counts[obs.EvCMTMiss]++
 	t := ready
 	victim, evicted := m.Cache.Insert(lpn)
 	if evicted {
-		if m.rec != nil {
-			m.rec.RecordEvent(obs.EvCMTEvict, t)
-		}
+		m.counts[obs.EvCMTEvict]++
 		if victim.Dirty {
 			var err error
 			t, err = m.writeBack(victim.LPN, t)
 			if err != nil {
 				return 0, err
 			}
-			if m.rec != nil {
-				m.rec.RecordEvent(obs.EvCMTWriteback, t)
-			}
+			m.counts[obs.EvCMTWriteback]++
 		}
 	}
 	// Fetch the mapping from its translation page, if one has ever been
@@ -173,10 +153,7 @@ func (m *Engine) Resolve(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.stats.TransReads++
-		if m.rec != nil {
-			m.rec.RecordEvent(obs.EvTransRead, end)
-		}
+		m.counts[obs.EvTransRead]++
 		t = end
 	}
 	return t, nil
@@ -195,10 +172,7 @@ func (m *Engine) tryLearned(tvpn int64, lpn ftl.LPN, t sim.Time) (skip bool, _ s
 		return false, t, nil
 	}
 	if pred == m.PPN(lpn) {
-		m.stats.LearnedHits++
-		if m.rec != nil {
-			m.rec.RecordEvent(obs.EvLearnedHit, t)
-		}
+		m.counts[obs.EvLearnedHit]++
 		return true, t, nil
 	}
 	m.li.invalidate(tvpn, lpn)
@@ -227,10 +201,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.stats.TransReads++
-		if m.rec != nil {
-			m.rec.RecordEvent(obs.EvTransRead, end)
-		}
+		m.counts[obs.EvTransRead]++
 		t = end
 	}
 	ppn, t, err := m.placer.PlacePage(ftl.EncodeTrans(tvpn), t)
@@ -245,10 +216,7 @@ func (m *Engine) writeBack(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.stats.TransWrites++
-	if m.rec != nil {
-		m.rec.RecordEvent(obs.EvTransWrite, end)
-	}
+	m.counts[obs.EvTransWrite]++
 	if old != flash.InvalidPPN {
 		if err := m.dev.Invalidate(old); err != nil {
 			return 0, err

@@ -7,6 +7,7 @@ import (
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -62,7 +63,7 @@ func newLearnedTestEngine(t *testing.T, cmtEntries int) (*Engine, *flash.Device,
 		Dev: dev, Placer: placer, Tracker: tr,
 		Capacity: 64, CMTEntries: cmtEntries, Policy: PolicyLearned,
 		StrideHint: 1,
-	})
+	}, new(obs.Counts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func newTestEngine(t *testing.T, cmtEntries int, policy Policy) (*Engine, *flash
 		Dev: dev, Placer: placer, Tracker: tr,
 		Capacity: 64, CMTEntries: cmtEntries, Policy: policy,
 		StrideHint: 1,
-	})
+	}, new(obs.Counts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestEngineWriteEvictFetchCycle(t *testing.T) {
 	}
 	// The victim was lpn 0, the dirty one: its write-back is the one
 	// translation-page program.
-	if st := m.Stats(); st.TransWrites != 1 {
+	if st := *m.counts; st[obs.EvTransWrite] != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 	if m.Cache.Contains(0) || !m.Cache.Contains(1) || !m.Cache.Contains(2) {
@@ -180,7 +181,7 @@ func TestEngineWriteEvictFetchCycle(t *testing.T) {
 	if _, err := m.Resolve(0, ready); err == nil {
 		// lpn 0 was evicted, so this is a miss; it may evict lpn 1 or 2
 		// (clean) and must read the translation page.
-		if got := m.Stats().TransReads; got < 1 {
+		if got := m.counts[obs.EvTransRead]; got < 1 {
 			t.Fatalf("TransReads = %d, want >= 1", got)
 		}
 	} else {
@@ -213,9 +214,15 @@ func TestEngineBatchWriteback(t *testing.T) {
 	if _, err := m.Resolve(11, at); err != nil { // forces eviction
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.TransWrites != 1 {
-		t.Fatalf("TransWrites = %d, want 1 (batched)", st.TransWrites)
+	st := *m.counts
+	if st[obs.EvTransWrite] != 1 {
+		t.Fatalf("TransWrites = %d, want 1 (batched)", st[obs.EvTransWrite])
+	}
+	// Five lookups, all misses; the fifth evicted lpn 0, dirty, wrote it
+	// back, then read the page it had just written for lpn 11.
+	want := obs.Counts{obs.EvCMTMiss: 5, obs.EvCMTEvict: 1, obs.EvCMTWriteback: 1, obs.EvTransWrite: 1, obs.EvTransRead: 1}
+	if got := st; got != want {
+		t.Fatalf("counts %v, want %v", got, want)
 	}
 	// lpn 0 was the victim; lpns 1 and 2 stay cached, cleaned by its
 	// write-back.
@@ -226,14 +233,14 @@ func TestEngineBatchWriteback(t *testing.T) {
 		t.Fatalf("%d mappings of the written-back page still dirty, want 0 (batched)", n)
 	}
 	// The remaining dirty entries were cleaned: evicting them writes nothing.
-	before := m.Stats().TransWrites
+	before := m.counts[obs.EvTransWrite]
 	if _, err := m.Resolve(12, at); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Resolve(13, at); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Stats().TransWrites; got != before {
+	if got := m.counts[obs.EvTransWrite]; got != before {
 		t.Fatalf("clean evictions wrote %d pages", got-before)
 	}
 }
@@ -266,7 +273,7 @@ func TestEngineRedirectMoved(t *testing.T) {
 	oldPPN := m.PPN(0)
 	newPPN, _, _ := m.placer.PlacePage(0, at)
 	at, _ = dev.CopyBack(oldPPN, newPPN, at, flash.CauseGC)
-	transWritesBefore := m.Stats().TransWrites
+	transWritesBefore := m.counts[obs.EvTransWrite]
 	end, err := m.RedirectMoved([]ftl.Moved{{Stored: 0, New: newPPN}}, at)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +284,7 @@ func TestEngineRedirectMoved(t *testing.T) {
 	if m.PPN(0) != newPPN {
 		t.Fatal("table not redirected")
 	}
-	if m.Stats().TransWrites != transWritesBefore {
+	if m.counts[obs.EvTransWrite] != transWritesBefore {
 		t.Fatal("cached redirect wrote a translation page")
 	}
 
@@ -307,7 +314,7 @@ func TestEngineRedirectMoved(t *testing.T) {
 	old1 := m.PPN(1)
 	new1, _, _ := m.placer.PlacePage(1, end)
 	end2, _ := dev.CopyBack(old1, new1, end, flash.CauseGC)
-	before := m.Stats()
+	before := *m.counts
 	got, err := m.RedirectMoved([]ftl.Moved{{Stored: 1, New: new1}}, end2)
 	if err != nil {
 		t.Fatal(err)
@@ -318,8 +325,8 @@ func TestEngineRedirectMoved(t *testing.T) {
 	if m.PPN(1) != new1 {
 		t.Fatal("table not redirected for uncached move")
 	}
-	if m.Stats() != before || m.Cache.Contains(1) {
-		t.Fatalf("uncached redirect moved translation state: %+v, was %+v", m.Stats(), before)
+	if *m.counts != before || m.Cache.Contains(1) {
+		t.Fatalf("uncached redirect moved translation state: %+v, was %+v", *m.counts, before)
 	}
 	// The moved page resolves to its new location.
 	if _, err := m.Resolve(1, got); err != nil {
@@ -355,21 +362,21 @@ func TestEngineLazyRedirectPersistsAtNextWriteBack(t *testing.T) {
 	old := m.PPN(0)
 	dst, _, _ := m.placer.PlacePage(0, at)
 	at, _ = dev.CopyBack(old, dst, at, flash.CauseGC)
-	before := m.Stats()
+	before := *m.counts
 	if _, err := m.RedirectMoved([]ftl.Moved{{Stored: 0, New: dst}}, at); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats() != before || m.Cache.Contains(0) {
+	if *m.counts != before || m.Cache.Contains(0) {
 		t.Fatal("redirect not lazy: it moved translation state")
 	}
 	// The next write-back of that translation page persists the current
 	// table (including the redirect) — a later fetch of lpn 0 reads a page
 	// whose content is, by construction, the authoritative table.
-	beforeW := m.Stats().TransWrites
+	beforeW := m.counts[obs.EvTransWrite]
 	if _, err := m.writeBack(0, at); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().TransWrites != beforeW+1 {
+	if m.counts[obs.EvTransWrite] != beforeW+1 {
 		t.Fatal("write-back did not program a page")
 	}
 	if m.PPN(0) != dst {
@@ -396,7 +403,7 @@ func TestEngineSnapshotRestore(t *testing.T) {
 		}
 		snap := engineBytes(m)
 		tableAt := tableOf(m)
-		statsAt := m.Stats()
+		countsAt := carriedCounts(m.counts)
 		segsAt := m.LearnedSegments()
 
 		// Mutate past the snapshot.
@@ -424,8 +431,8 @@ func TestEngineSnapshotRestore(t *testing.T) {
 				t.Fatalf("%v: PPN(%d) = %d after restore, want %d", policy, i, got, want)
 			}
 		}
-		if m.Stats() != statsAt {
-			t.Fatalf("%v: stats not restored: %+v vs %+v", policy, m.Stats(), statsAt)
+		if got := carriedCounts(m.counts); got != countsAt {
+			t.Fatalf("%v: counts not restored: %v vs %v", policy, got, countsAt)
 		}
 		if m.LearnedSegments() != segsAt {
 			t.Fatalf("%v: learned segments %d after restore, want %d", policy, m.LearnedSegments(), segsAt)
@@ -476,3 +483,8 @@ func tableOf(m *Engine) flash.PPNMap {
 
 // EntriesPerTP returns how many mapping entries one translation page holds.
 func (m *Engine) EntriesPerTP() int { return m.entriesPerTP }
+
+// carriedCounts is what a checkpoint of the engine carries of its counts.
+func carriedCounts(c *obs.Counts) [5]int64 {
+	return [5]int64{c[obs.EvCMTHit], c[obs.EvCMTMiss], c[obs.EvTransRead], c[obs.EvTransWrite], c[obs.EvLearnedHit]}
+}

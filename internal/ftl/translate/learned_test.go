@@ -5,6 +5,7 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
+	"dloop/internal/obs"
 	"dloop/internal/sim"
 )
 
@@ -160,8 +161,8 @@ func TestEngineLearnedSkipsTranslationRead(t *testing.T) {
 	if _, err := m.writeBack(0, at); err != nil {
 		t.Fatal(err)
 	}
-	readsBefore := m.Stats().TransReads
-	hitsBefore := m.Stats().LearnedHits
+	readsBefore := m.counts[obs.EvTransRead]
+	hitsBefore := m.counts[obs.EvLearnedHit]
 	for lpn := ftl.LPN(0); lpn < 30; lpn++ {
 		if m.Cache.Contains(lpn) {
 			continue
@@ -170,12 +171,12 @@ func TestEngineLearnedSkipsTranslationRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := m.Stats()
-	if st.LearnedHits == hitsBefore {
+	st := *m.counts
+	if st[obs.EvLearnedHit] == hitsBefore {
 		t.Fatal("no learned hits on re-read of a trained sequential span")
 	}
-	if st.TransReads != readsBefore {
-		t.Fatalf("trained span still cost %d translation reads", st.TransReads-readsBefore)
+	if st[obs.EvTransRead] != readsBefore {
+		t.Fatalf("trained span still cost %d translation reads", st[obs.EvTransRead]-readsBefore)
 	}
 }
 
@@ -217,16 +218,16 @@ func TestEngineLearnedMispredictFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hitsBefore := m.Stats().LearnedHits
-	readsBefore := m.Stats().TransReads
+	hitsBefore := m.counts[obs.EvLearnedHit]
+	readsBefore := m.counts[obs.EvTransRead]
 	if _, err := m.Resolve(10, at); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.LearnedHits != hitsBefore {
-		t.Fatalf("LearnedHits = %d, want %d: a refuted prediction is no hit", st.LearnedHits, hitsBefore)
+	st := *m.counts
+	if st[obs.EvLearnedHit] != hitsBefore {
+		t.Fatalf("LearnedHits = %d, want %d: a refuted prediction is no hit", st[obs.EvLearnedHit], hitsBefore)
 	}
-	if st.TransReads != readsBefore+1 {
+	if st[obs.EvTransRead] != readsBefore+1 {
 		t.Fatalf("misprediction did not fall back to the translation read")
 	}
 	// The covering segment is gone: lpn 11 no longer predicts.

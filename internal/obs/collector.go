@@ -64,11 +64,11 @@ type Collector struct {
 	ops      [NumOpKinds][NumCauses]*Counter
 	opLat    [NumOpKinds]*Hist
 	queueLat *Hist
-	events   [NumEventKinds]*Counter
-	spans    [NumSpanKinds]*Counter
-	spanBusy [NumSpanKinds]sim.Duration
-	reqRead  *Hist
-	reqWrite *Hist
+	// mergeRuns counts merge spans; gc.runs is the EvGCRun count.
+	mergeRuns *Counter
+	spanBusy  [NumSpanKinds]sim.Duration
+	reqRead   *Hist
+	reqWrite  *Hist
 
 	planeOps    *CounterVec
 	planeErases *CounterVec
@@ -86,6 +86,10 @@ type Collector struct {
 	winBusy   sim.Duration
 
 	utilSrc UtilizationSource
+	// counts is the observed FTLs' occurrence counters, published as one
+	// family per EventKind less base, their value when it was wired.
+	counts CountSource
+	base   Counts
 
 	// GC span enrichment (policy, relocated pages) pre-resolved like the
 	// other hot-path handles.
@@ -127,12 +131,12 @@ func NewCollector(opts Options) *Collector {
 		c.opLat[k] = c.reg.Hist("lat." + k.String())
 	}
 	c.queueLat = c.reg.Hist("lat.queue")
+	// The count families exist from the start, so a snapshot taken before
+	// SetCountSource lists them at zero; foldGauges fills them.
 	for e := EventKind(0); e < NumEventKinds; e++ {
-		c.events[e] = c.reg.Counter(e.String())
+		c.reg.Counter(e.String())
 	}
-	for s := SpanKind(0); s < NumSpanKinds; s++ {
-		c.spans[s] = c.reg.Counter(s.String() + ".runs")
-	}
+	c.mergeRuns = c.reg.Counter(SpanMerge.String() + ".runs")
 	c.reqRead = c.reg.Hist("host.read")
 	c.reqWrite = c.reg.Hist("host.write")
 	c.planeOps = c.reg.CounterVec("plane.ops", "plane", opts.Planes)
@@ -165,6 +169,14 @@ func (c *Collector) Registry() *Registry { return c.reg }
 // collector samples it once at Close into the *.busy_us vectors.
 func (c *Collector) SetUtilizationSource(src UtilizationSource) { c.utilSrc = src }
 
+// SetCountSource wires the observed FTLs' occurrence counters. The
+// collector reads src now, as its baseline, and again whenever it folds
+// (Close, SnapshotRegistry), publishing each EventKind's family as the
+// count since it was wired and cmt.hitrate over those lookups.
+func (c *Collector) SetCountSource(src CountSource) {
+	c.counts, c.base = src, src()
+}
+
 // RecordOp implements Recorder.
 func (c *Collector) RecordOp(op Op) {
 	// Advance (closing any snapshot windows the completion crossed) before
@@ -194,12 +206,6 @@ func (c *Collector) RecordOp(op Op) {
 	}
 }
 
-// RecordEvent implements Recorder.
-func (c *Collector) RecordEvent(kind EventKind, at sim.Time) {
-	c.events[kind].Inc()
-	c.advance(at)
-}
-
 // RecordGCVictim implements the GC engine's VictimRecorder: it feeds the
 // per-victim valid-page-count histogram (no-op without Options.PagesPerBlock).
 func (c *Collector) RecordGCVictim(valid int, at sim.Time) {
@@ -218,7 +224,9 @@ func (c *Collector) RecordGCVictim(valid int, at sim.Time) {
 
 // RecordSpan implements Recorder.
 func (c *Collector) RecordSpan(kind SpanKind, plane int32, start, end sim.Time) {
-	c.spans[kind].Inc()
+	if kind == SpanMerge {
+		c.mergeRuns.Inc()
+	}
 	c.spanBusy[kind] += end.Sub(start)
 	if c.tr != nil {
 		var ch int32
@@ -235,7 +243,6 @@ func (c *Collector) RecordSpan(kind SpanKind, plane int32, start, end sim.Time) 
 // and enriches the trace span with the victim policy and per-collection
 // relocation counts.
 func (c *Collector) RecordGCSpan(plane int32, start, end sim.Time, policy string, moved, wasted int) {
-	c.spans[SpanGC].Inc()
 	c.spanBusy[SpanGC] += end.Sub(start)
 	c.gcPause.Observe(end.Sub(start))
 	c.gcMoved.Add(int64(moved))
@@ -324,9 +331,9 @@ func (c *Collector) flushTrailing() {
 }
 
 // foldGauges writes the collector's live typed state — span busy times,
-// CMT hit rate, device utilization, trace drops — into dst as gauges and
-// vectors, summing across shard children. Both Close (dst = the live
-// registry) and SnapshotRegistry (dst = a clone) use it.
+// the occurrence counters and CMT hit rate, device utilization, trace
+// drops — into dst, summing across shard children. Both Close (dst = the
+// live registry) and SnapshotRegistry (dst = a clone) use it.
 func (c *Collector) foldGauges(dst *Registry) {
 	for s := SpanKind(0); s < NumSpanKinds; s++ {
 		busy := c.spanBusy[s]
@@ -335,14 +342,15 @@ func (c *Collector) foldGauges(dst *Registry) {
 		}
 		dst.Gauge(s.String() + ".busy_ms").Set(busy.Milliseconds())
 	}
-	hits := c.events[EvCMTHit].Value()
-	misses := c.events[EvCMTMiss].Value()
-	for _, ch := range c.children {
-		hits += ch.col.events[EvCMTHit].Value()
-		misses += ch.col.events[EvCMTMiss].Value()
-	}
-	if hits+misses > 0 {
-		dst.Gauge("cmt.hitrate").Set(float64(hits) / float64(hits+misses))
+	if c.counts != nil {
+		now := c.counts()
+		for e := range now {
+			now[e] -= c.base[e]
+			dst.Counter(EventKind(e).String()).v = now[e]
+		}
+		if hits, misses := now[EvCMTHit], now[EvCMTMiss]; hits+misses > 0 {
+			dst.Gauge("cmt.hitrate").Set(float64(hits) / float64(hits+misses))
+		}
 	}
 	if c.utilSrc != nil {
 		planes, chips, channels := c.utilSrc()

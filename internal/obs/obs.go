@@ -13,6 +13,10 @@
 // under concurrency by giving every FTL shard a private child collector
 // (Collector.Shard) that only its worker touches, merged back into the
 // parent in shard order at quiescent barriers.
+//
+// Counted occurrences (CMT hits, translation traffic, GC runs, merges) are
+// not part of the stream: each FTL counts them once, in its Counts, and a
+// Collector publishes them from a CountSource.
 package obs
 
 import (
@@ -97,23 +101,25 @@ func (o Op) ServiceTime() sim.Duration { return o.End.Sub(o.Start) }
 // Latency returns the operation's total ready-to-completion latency.
 func (o Op) Latency() sim.Duration { return o.End.Sub(o.Ready) }
 
-// EventKind names an instantaneous occurrence worth counting.
+// EventKind names an occurrence an FTL counts: one index of Counts.
 type EventKind uint8
 
 const (
-	EvCMTHit EventKind = iota
-	EvCMTMiss
-	EvCMTEvict
-	EvCMTWriteback
-	EvParityWaste
-	EvSwitchMerge
-	EvPartialMerge
-	EvFullMerge
-	EvGCCopyBack
-	EvGCExternalMove
-	EvTransRead
-	EvTransWrite
-	EvLearnedHit
+	EvCMTHit         EventKind = iota // mapping lookups the CMT answered
+	EvCMTMiss                         // and those it did not
+	EvCMTEvict                        // CMT entries evicted by a miss
+	EvCMTWriteback                    // dirty evictions written back
+	EvParityWaste                     // destination pages wasted to the copy-back parity rule
+	EvSwitchMerge                     // FAST switch merges
+	EvPartialMerge                    // FAST partial merges
+	EvFullMerge                       // FAST full merges, one per logical block consolidated
+	EvGCCopyBack                      // pages a collection moved by copy-back
+	EvGCExternalMove                  // pages moved through the buses (FAST's merge copies too)
+	EvTransRead                       // translation-page reads: miss fetches and write-back read-modify-writes
+	EvTransWrite                      // translation-page programs
+	EvLearnedHit                      // verified learned predictions: translation reads skipped
+	EvGCRun                           // collections completed
+	EvMergeCopy                       // pages FAST's merges copied
 	NumEventKinds
 )
 
@@ -145,10 +151,25 @@ func (e EventKind) String() string {
 		return "map.trans_writes"
 	case EvLearnedHit:
 		return "map.learned_hits"
+	case EvGCRun:
+		return "gc.runs"
+	case EvMergeCopy:
+		return "merge.copies"
 	default:
 		return fmt.Sprintf("EventKind(%d)", uint8(e))
 	}
 }
+
+// Counts is one FTL's occurrence counters, indexed by EventKind. Each is
+// incremented at the one place its occurrence happens, whether or not a
+// recorder is attached, and counts from the FTL's construction (or from
+// the checkpoint its state was decoded from).
+type Counts [NumEventKinds]int64
+
+// CountSource reports the current Counts of everything a Collector
+// observes; the controller sums its FTL shards' (see
+// Collector.SetCountSource).
+type CountSource func() Counts
 
 // SpanKind names an interval of FTL activity.
 type SpanKind uint8
@@ -177,8 +198,6 @@ func (s SpanKind) String() string {
 type Recorder interface {
 	// RecordOp records one completed flash operation.
 	RecordOp(op Op)
-	// RecordEvent records an instantaneous occurrence at a simulated time.
-	RecordEvent(kind EventKind, at sim.Time)
 	// RecordSpan records an interval of FTL activity on one plane, e.g. a
 	// garbage collection or a log-block merge.
 	RecordSpan(kind SpanKind, plane int32, start, end sim.Time)

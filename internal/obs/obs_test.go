@@ -39,17 +39,22 @@ func opAt(kind OpKind, cause Cause, plane int32, ready, start, end sim.Time) Op 
 
 func TestCollectorCountsAndVectors(t *testing.T) {
 	c := testCollector(nil, 0)
+	// The FTL counted before the collector was wired; only what follows is
+	// the collector's.
+	counts := Counts{EvCMTHit: 5, EvCMTMiss: 5, EvGCRun: 2}
+	c.SetCountSource(func() Counts { return counts })
 	c.RecordOp(opAt(OpWrite, CauseHost, 0, 0, ms(0), ms(1)))
 	c.RecordOp(opAt(OpWrite, CauseGC, 1, ms(1), ms(1), ms(2)))
 	c.RecordOp(opAt(OpRead, CauseMap, 2, ms(2), ms(2), ms(3)))
 	c.RecordOp(opAt(OpCopyBack, CauseGC, 3, ms(3), ms(3), ms(4)))
 	c.RecordOp(opAt(OpErase, CauseGC, 3, ms(4), ms(4), ms(6)))
-	c.RecordEvent(EvCMTHit, ms(6))
-	c.RecordEvent(EvParityWaste, ms(6))
+	counts[EvCMTHit]++
+	counts[EvParityWaste]++
+	counts[EvGCRun]++
 	c.RecordSpan(SpanGC, 3, ms(3), ms(6))
 	c.RecordRequest(false, ms(0), ms(2))
 
-	reg := c.Registry()
+	reg := c.SnapshotRegistry()
 	for name, want := range map[string]int64{
 		"flash.write.host":  1,
 		"flash.write.gc":    1,
@@ -59,11 +64,15 @@ func TestCollectorCountsAndVectors(t *testing.T) {
 		"flash.read.host":   0,
 		"cmt.hit":           1,
 		"gc.parity_waste":   1,
+		"cmt.miss":          0,
 		"gc.runs":           1,
 	} {
-		if got := reg.Counter(name).Value(); got != want {
+		if got := reg.Counter(name).v; got != want {
 			t.Errorf("counter %q = %d, want %d", name, got, want)
 		}
+	}
+	if got := reg.Gauge("cmt.hitrate").v; got != 1 {
+		t.Errorf("cmt.hitrate = %v, want 1 (the one lookup since wiring hit)", got)
 	}
 	if got := reg.vecs["plane.ops"].vals; got[0] != 1 || got[1] != 1 || got[2] != 1 || got[3] != 2 {
 		t.Errorf("plane.ops = %v", got)
@@ -82,6 +91,10 @@ func TestCollectorCountsAndVectors(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+	reg = c.Registry()
+	if got := reg.Counter("gc.runs").v; got != 1 {
+		t.Errorf("closed gc.runs = %d, want 1", got)
 	}
 	// The GC span covered 3 ms.
 	if got := reg.Gauge("gc.busy_ms").v; got != 3 {
@@ -239,7 +252,9 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 		c := testCollector(nil, sim.Millisecond)
 		c.RecordOp(opAt(OpWrite, CauseHost, 1, 0, 0, ms(1)))
 		c.RecordOp(opAt(OpRead, CauseMap, 2, ms(1), ms(1), ms(2)))
-		c.RecordEvent(EvCMTMiss, ms(2))
+		var n Counts
+		c.SetCountSource(func() Counts { return n })
+		n[EvCMTMiss]++
 		c.RecordRequest(true, 0, ms(2))
 		if err := c.Close(); err != nil {
 			t.Fatal(err)

@@ -19,9 +19,6 @@ func (c *Counter) Inc() { c.v++ }
 // Add adds d (d must be non-negative).
 func (c *Counter) Add(d int64) { c.v += d }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
-
 // Gauge is a last-value-wins measurement.
 type Gauge struct{ v float64 }
 

@@ -96,10 +96,11 @@ func TestRecordGCSpan(t *testing.T) {
 	c.RecordGCSpan(1, ms(2), ms(5), "greedy", 7, 2)
 	c.RecordGCSpan(3, ms(5), ms(6), "costbenefit", 3, 0)
 	reg := c.Registry()
-	if got := reg.Counter("gc.runs").Value(); got != 2 {
-		t.Errorf("gc.runs = %d, want 2", got)
+	// The FTL counts its collections (EvGCRun); a span does not.
+	if got := reg.Counter("gc.runs").v; got != 0 {
+		t.Errorf("gc.runs = %d, want 0", got)
 	}
-	if got := reg.Counter("gc.relocated_pages").Value(); got != 10 {
+	if got := reg.Counter("gc.relocated_pages").v; got != 10 {
 		t.Errorf("gc.relocated_pages = %d, want 10", got)
 	}
 	if got := reg.Hist("gc.pause").N(); got != 2 {
@@ -146,6 +147,8 @@ func TestRecordGCSpan(t *testing.T) {
 // vector index translation, series suffixing, and gauge folding.
 func TestShardMergeFoldsChildren(t *testing.T) {
 	parent, s0, s1 := shardedCollector(nil, sim.Millisecond)
+	var counts Counts
+	parent.SetCountSource(func() Counts { return counts })
 	s0.RecordOp(localOp(OpWrite, CauseHost, 0, 0, ms(0), ms(1)))
 	s0.RecordOp(localOp(OpWrite, CauseGC, 1, ms(1), ms(1), ms(2)))
 	s0.Registry().Hist("mq.lat").Observe(sim.Millisecond)
@@ -153,6 +156,7 @@ func TestShardMergeFoldsChildren(t *testing.T) {
 	s1.RecordOp(localOp(OpErase, CauseGC, 1, ms(2), ms(2), ms(4)))
 	s1.Registry().Hist("mq.lat").Observe(3 * sim.Millisecond)
 	s1.RecordGCSpan(1, ms(2), ms(4), "greedy", 5, 1)
+	counts[EvGCRun]++
 	parent.RecordRequest(false, ms(0), ms(2))
 	if err := parent.Close(); err != nil {
 		t.Fatal(err)
@@ -166,7 +170,7 @@ func TestShardMergeFoldsChildren(t *testing.T) {
 		"gc.runs":            1,
 		"gc.relocated_pages": 5,
 	} {
-		if got := reg.Counter(name).Value(); got != want {
+		if got := reg.Counter(name).v; got != want {
 			t.Errorf("counter %q = %d, want %d", name, got, want)
 		}
 	}
@@ -212,11 +216,11 @@ func TestSnapshotRegistryLive(t *testing.T) {
 	s1.RecordOp(localOp(OpWrite, CauseHost, 0, 0, ms(0), ms(1)))
 
 	snap := parent.SnapshotRegistry()
-	if got := snap.Counter("flash.write.host").Value(); got != 2 {
+	if got := snap.Counter("flash.write.host").v; got != 2 {
 		t.Errorf("snapshot flash.write.host = %d, want 2", got)
 	}
 	// The live parent must be untouched by the merge.
-	if got := parent.Registry().Counter("flash.write.host").Value(); got != 0 {
+	if got := parent.Registry().Counter("flash.write.host").v; got != 0 {
 		t.Errorf("snapshot perturbed live parent: flash.write.host = %d", got)
 	}
 
@@ -224,15 +228,15 @@ func TestSnapshotRegistryLive(t *testing.T) {
 	if err := parent.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := parent.Registry().Counter("flash.write.host").Value(); got != 2 {
+	if got := parent.Registry().Counter("flash.write.host").v; got != 2 {
 		t.Errorf("closed flash.write.host = %d, want 2", got)
 	}
-	if got := parent.Registry().Counter("flash.write.gc").Value(); got != 1 {
+	if got := parent.Registry().Counter("flash.write.gc").v; got != 1 {
 		t.Errorf("closed flash.write.gc = %d, want 1", got)
 	}
 	// Post-close snapshots are plain copies — children must not fold twice.
 	again := parent.SnapshotRegistry()
-	if got := again.Counter("flash.write.host").Value(); got != 2 {
+	if got := again.Counter("flash.write.host").v; got != 2 {
 		t.Errorf("post-close snapshot flash.write.host = %d, want 2 (double fold?)", got)
 	}
 }
@@ -264,12 +268,15 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // family: flash ops on both shards, a GC pause span, and a host request.
 func buildShardedRun(tr, metrics *bytes.Buffer) error {
 	parent, s0, s1 := shardedCollector(tr, sim.Millisecond)
+	var counts Counts
+	parent.SetCountSource(func() Counts { return counts })
 	s0.RecordOp(localOp(OpWrite, CauseHost, 0, 0, ms(0), ms(1)))
 	s0.RecordOp(localOp(OpRead, CauseMap, 1, ms(1), ms(1), ms(2)))
 	s0.Registry().Hist("mq.lat").Observe(sim.Millisecond)
 	s1.RecordOp(localOp(OpWrite, CauseGC, 0, ms(0), ms(1), ms(2)))
 	s1.RecordOp(localOp(OpErase, CauseGC, 1, ms(2), ms(2), ms(4)))
 	s1.RecordGCSpan(1, ms(2), ms(4), "greedy", 5, 1)
+	counts[EvGCRun]++
 	s1.Registry().Hist("mq.lat").Observe(2 * sim.Millisecond)
 	parent.RecordRequest(false, ms(0), ms(2))
 	if err := parent.Close(); err != nil {

@@ -8,8 +8,6 @@ import (
 
 	"dloop/internal/flash"
 	"dloop/internal/ftl"
-	"dloop/internal/ftl/fast"
-	"dloop/internal/ftl/pagemap"
 	"dloop/internal/obs"
 	"dloop/internal/sim"
 	"dloop/internal/stats"
@@ -197,8 +195,9 @@ var ErrForeignRecorder = errors.New("ssd: a multi-shard controller records only 
 
 // SetRecorder attaches (or, with nil, detaches) an observability recorder to
 // the whole stack: host-request completions here, flash operations at the
-// devices, and GC/merge/CMT activity at the FTLs (via ftl.Observable). When
-// the recorder is an *obs.Collector it is also wired to sample the device's
+// devices, and GC and merge spans at the FTLs (via ftl.Observable). When
+// the recorder is an *obs.Collector it is also wired to the FTLs' Counts,
+// which it publishes as counted from now on, and to sample the device's
 // busy-time utilization at Close. On a multi-shard controller a collector
 // observes the shards while they run concurrently: each shard records into
 // a private child merged back at barriers. Any other recorder has no merge
@@ -217,6 +216,7 @@ func (c *Controller) SetRecorder(r obs.Recorder) error {
 	c.rec = r
 	if col != nil {
 		col.SetUtilizationSource(c.busyTimes)
+		col.SetCountSource(c.counts)
 	}
 	subC := c.geo.Channels / len(c.shards)
 	for _, sh := range c.shards {
@@ -260,6 +260,17 @@ func (c *Controller) busyTimes() (planes, chipBus, channels []sim.Duration) {
 		}
 	}
 	return planes, chipBus, channels
+}
+
+// counts sums the shard FTLs' occurrence counters.
+func (c *Controller) counts() obs.Counts {
+	var n obs.Counts
+	for _, sh := range c.shards {
+		for e, v := range sh.f.Counts() {
+			n[e] += v
+		}
+	}
+	return n
 }
 
 // SetPulse registers fn (nil detaches) to run at quiescent points: after
@@ -316,7 +327,7 @@ func (c *Controller) classify(r trace.Request) (dispReq, error) {
 // anyway. A recorder attached before Precondition therefore sees none of
 // the fill's flash operations; attach it afterwards (SetRecorder) so its
 // stream covers exactly the measured window. The device statistics and
-// resource timelines are then reset; the FTL's own counters are not (see
+// resource timelines are then reset; the FTLs' Counts are not (see
 // ResetMeasurement).
 func (c *Controller) Precondition(pages ftl.LPN) error {
 	if pages > c.cap {
@@ -374,7 +385,7 @@ func (c *Controller) quiesce(drop bool) error {
 // ResetMeasurement zeroes the controller's response-time statistics, the
 // devices' operation statistics and every resource timeline while keeping
 // device and FTL state, so host-side measurement starts from now. Block wear
-// survives, as physical state. The FTL's own counters — CMT hits and misses,
+// survives, as physical state. The FTLs' Counts — CMT hits and misses,
 // translation reads and writes, GC runs, FAST merges — are not reset, so a
 // Result read after Precondition includes the warm-up's share of them
 // (DESIGN §5b).
@@ -616,7 +627,8 @@ type Result struct {
 	GCCopyBacks, GCExternalMoves     int64
 	WastedPages                      int64
 
-	// FTL-specific accounting (zero where not applicable).
+	// FTL-specific accounting from the FTLs' Counts, since build (zero
+	// where not applicable).
 	CMTHitRate    float64
 	TransReads    int64
 	TransWrites   int64
@@ -628,8 +640,9 @@ type Result struct {
 	MergeCopies   int64
 }
 
-// Result snapshots the current measurement window. Device and FTL counters
-// sum over the shards; per-plane and per-block series scatter through the
+// Result snapshots the current measurement window. Device counters sum over
+// the shards, as do the FTLs' Counts, which count since build (see
+// ResetMeasurement); per-plane and per-block series scatter through the
 // shard maps into whole-device indexing, so SDRPP and wear metrics read the
 // same for every shard count. After a failed Restore it is empty (see Err).
 func (c *Controller) Result() Result {
@@ -658,7 +671,6 @@ func (c *Controller) Result() Result {
 	}
 	erases := make([]int64, c.geo.TotalBlocks())
 	bpp := c.geo.BlocksPerPlane
-	var cmtHits, cmtMisses int64
 	for _, sh := range c.shards {
 		ds := sh.dev.Stats()
 		for sp, v := range ds.PlaneTotals() {
@@ -677,35 +689,21 @@ func (c *Controller) Result() Result {
 		cb, ext := ds.GCMoves()
 		res.GCCopyBacks += cb
 		res.GCExternalMoves += ext
-		addFTLStats(sh.f, &res, &cmtHits, &cmtMisses)
 	}
 	res.SDRPP = stats.SDRPP(res.PlaneOps)
 	res.WearCV = stats.CV(erases)
-	if cmtHits+cmtMisses > 0 {
-		res.CMTHitRate = float64(cmtHits) / float64(cmtHits+cmtMisses)
+	n := c.counts()
+	// The hit rate is the whole-device ratio, not a mean of per-shard ones.
+	if hits, misses := n[obs.EvCMTHit], n[obs.EvCMTMiss]; hits+misses > 0 {
+		res.CMTHitRate = float64(hits) / float64(hits+misses)
 	}
+	res.TransReads = n[obs.EvTransRead]
+	res.TransWrites = n[obs.EvTransWrite]
+	res.LearnedHits = n[obs.EvLearnedHit]
+	res.GCRuns = n[obs.EvGCRun]
+	res.SwitchMerges = n[obs.EvSwitchMerge]
+	res.PartialMerges = n[obs.EvPartialMerge]
+	res.FullMerges = n[obs.EvFullMerge]
+	res.MergeCopies = n[obs.EvMergeCopy]
 	return res
-}
-
-// addFTLStats folds one shard FTL's scheme-specific counters into the
-// result. CMT hits and misses accumulate separately so the merged hit rate
-// is the whole-device ratio, not a mean of per-shard ratios.
-func addFTLStats(f ftl.FTL, res *Result, cmtHits, cmtMisses *int64) {
-	switch f := f.(type) {
-	case *pagemap.FTL:
-		s := f.Stats()
-		res.GCRuns += s.GCRuns
-		res.TransReads += s.MapperStats.TransReads
-		res.TransWrites += s.MapperStats.TransWrites
-		res.LearnedHits += s.MapperStats.LearnedHits
-		_, h, m := f.CMTHitRate()
-		*cmtHits += h
-		*cmtMisses += m
-	case *fast.FAST:
-		s := f.Stats()
-		res.SwitchMerges += s.SwitchMerges
-		res.PartialMerges += s.PartialMerges
-		res.FullMerges += s.FullMerges
-		res.MergeCopies += s.MergeCopies
-	}
 }

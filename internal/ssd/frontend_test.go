@@ -481,7 +481,7 @@ func TestMQRecorderStaysConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := col.Registry()
-	if n := reg.Counter("flash.write.host").Value(); n == 0 {
+	if n := reg.Snapshot().Counters["flash.write.host"]; n == 0 {
 		t.Error("no host writes recorded through the shard children")
 	}
 	for s := 0; s < 2; s++ {
@@ -501,7 +501,6 @@ func TestMQRecorderStaysConcurrent(t *testing.T) {
 type countingRecorder struct{ ops, reqs int }
 
 func (r *countingRecorder) RecordOp(obs.Op)                                    { r.ops++ }
-func (r *countingRecorder) RecordEvent(obs.EventKind, sim.Time)                {}
 func (r *countingRecorder) RecordSpan(obs.SpanKind, int32, sim.Time, sim.Time) {}
 func (r *countingRecorder) RecordRequest(bool, sim.Time, sim.Time)             { r.reqs++ }
 
@@ -524,7 +523,7 @@ func TestMQSetRecorderRefusesForeign(t *testing.T) {
 		t.Fatal(err)
 	}
 	hostWrites := func(col *obs.Collector) int64 {
-		return col.SnapshotRegistry().Counter("flash.write.host").Value()
+		return col.SnapshotRegistry().Snapshot().Counters["flash.write.host"]
 	}
 	w := tinyWorkload(t, ser, 600, 3)
 	replay := func(reqs []trace.Request) {

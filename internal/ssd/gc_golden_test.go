@@ -132,18 +132,14 @@ func TestBuildRejectsUnknownGCPolicy(t *testing.T) {
 	}
 }
 
-// gcStreamRecorder wraps the standard collector and checks, event by event,
-// what the collector itself only counts: that every GC copy-back op is ready
-// when the collection's chain has got to it, and that every EvGCCopyBack and
-// EvParityWaste is stamped with the time the chain has reached — which is
-// why a collection under a recorder hands the device single-page runs. It
-// also digests the whole op and event stream.
+// gcStreamRecorder wraps the standard collector and checks, op by op, what
+// the collector itself only counts: that every GC copy-back op is ready when
+// the collection's chain has got to it. It also digests the whole op stream.
 type gcStreamRecorder struct {
 	*obs.Collector
 	t         *testing.T
 	chain     sim.Time // where the running collection's copy-back chain has got to
-	copyBacks int
-	wastes    int
+	copyBacks int64
 	digest    hash.Hash64
 }
 
@@ -166,35 +162,23 @@ func (r *gcStreamRecorder) RecordOp(op obs.Op) {
 			r.t.Fatalf("copy-back %d ready at %d, the chain is at %d", r.copyBacks, op.Ready, r.chain)
 		}
 		r.chain = op.End
+		r.copyBacks++
 	}
 	r.hash(int64(op.Kind), int64(op.Cause), op.Stored, int64(op.Plane), int64(op.Channel),
 		int64(op.Ready), int64(op.Start), int64(op.End))
 	r.Collector.RecordOp(op)
 }
 
-func (r *gcStreamRecorder) RecordEvent(kind obs.EventKind, at sim.Time) {
-	switch kind {
-	case obs.EvGCCopyBack:
-		r.copyBacks++
-	case obs.EvParityWaste:
-		r.wastes++
-	}
-	if (kind == obs.EvGCCopyBack || kind == obs.EvParityWaste) && at != r.chain {
-		r.t.Fatalf("event %v stamped %d, the chain is at %d", kind, at, r.chain)
-	}
-	r.hash(-1, int64(kind), int64(at))
-	r.Collector.RecordEvent(kind, at)
-}
-
 // TestGoldenObservedGCStream pins the observed path of the two copy-back
-// schemes: the per-event checks above, the event counts against the run's
-// Result, and a digest of the full op + event stream taken before copy-back
-// relocation became run-granular — the observed stream is per operation by
+// schemes: the chain check above, the FTL's copy-back and waste counts
+// against the op stream and the run's Result, and a digest of the full op
+// stream, the one the simulator produced when collections under a recorder
+// still issued single-page runs — the observed stream is per operation by
 // design and must not move.
 func TestGoldenObservedGCStream(t *testing.T) {
 	for scheme, want := range map[string]uint64{
-		SchemeDLOOP:          0x3e847660d99843f0,
-		SchemePureMapStriped: 0x1815bcb6ac986efe,
+		SchemeDLOOP:          0x644ceb56777b88d5,
+		SchemePureMapStriped: 0xa42fb6c39580a8e7,
 	} {
 		t.Run(scheme, func(t *testing.T) {
 			c, err := Build(tinyConfig(scheme))
@@ -205,18 +189,22 @@ func TestGoldenObservedGCStream(t *testing.T) {
 			digest := fnv.New64a()
 			rec := &gcStreamRecorder{Collector: obs.NewCollector(c.ObsOptions()), t: t, digest: digest}
 			c.SetRecorder(rec)
+			before := c.FTL().Counts()
 			res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 6000, 7)))
 			if err != nil {
 				t.Fatal(err)
 			}
+			after := c.FTL().Counts()
+			copyBacks := after[obs.EvGCCopyBack] - before[obs.EvGCCopyBack]
+			wastes := after[obs.EvParityWaste] - before[obs.EvParityWaste]
 			golden := goldenDefaults[scheme]
-			if int64(rec.copyBacks) != golden.copyBacks || int64(rec.wastes) != golden.wastedPages ||
+			if rec.copyBacks != golden.copyBacks || copyBacks != golden.copyBacks || wastes != golden.wastedPages ||
 				res.CopyBacks != golden.copyBacks {
-				t.Errorf("observed %d copy-back and %d waste events, run reports %d copy-backs; golden %d / %d",
-					rec.copyBacks, rec.wastes, res.CopyBacks, golden.copyBacks, golden.wastedPages)
+				t.Errorf("observed %d copy-back ops, counted %d copy-backs and %d wastes, run reports %d copy-backs; golden %d / %d",
+					rec.copyBacks, copyBacks, wastes, res.CopyBacks, golden.copyBacks, golden.wastedPages)
 			}
 			if got := digest.Sum64(); got != want {
-				t.Errorf("op + event stream digest %#x, want %#x", got, want)
+				t.Errorf("op stream digest %#x, want %#x", got, want)
 			}
 		})
 	}
