@@ -184,6 +184,7 @@ func BenchmarkSimulateThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer ssd.Close()
 	if err := ssd.PreconditionBytes(p.FootprintBytes); err != nil {
 		b.Fatal(err)
 	}
@@ -283,6 +284,7 @@ func BenchmarkGCHeavy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer ssd.Close()
 	p := dloop.Financial1()
 	p.WriteRatio = 1.0 // pure updates: every request invalidates live pages
 	p.ZipfS = 1.05
@@ -417,6 +419,7 @@ func BenchmarkSimulateThroughputObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer ssd.Close()
 	if err := ssd.PreconditionBytes(p.FootprintBytes); err != nil {
 		b.Fatal(err)
 	}

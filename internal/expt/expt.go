@@ -153,6 +153,7 @@ func buildWarm(cfg ssd.Config, profile workload.Profile) (*ssd.Controller, error
 		return nil, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
 	}
 	if err := c.PreconditionBytes(profile.FootprintBytes); err != nil {
+		c.Close()
 		return nil, fmt.Errorf("expt: precondition %s/%s: %w", cfg.FTL, profile.Name, err)
 	}
 	return c, nil

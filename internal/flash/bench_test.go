@@ -18,6 +18,7 @@ func benchDevice(b *testing.B) *Device {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(d.Release)
 	return d
 }
 

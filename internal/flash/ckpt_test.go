@@ -184,9 +184,10 @@ func TestWritePageTagRange(t *testing.T) {
 
 // TestDeviceBytesPerPage: the device keeps 4 bytes of page state per
 // physical page on Table I's 64 GB geometry. The per-page cost is read off
-// NewDevice's allocation on that geometry less its allocation on the same
-// one with two-page blocks, which subtracts everything sized by blocks,
-// planes or buses.
+// NewDevice's heap allocation on that geometry less its allocation on the
+// same one with two-page blocks, which subtracts everything sized by
+// blocks, planes or buses. A page column mapped outside the heap
+// (NewColumn) allocates none; race builds check the heap column.
 func TestDeviceBytesPerPage(t *testing.T) {
 	geo := Geometry{Channels: 8, PackagesPerChannel: 4, ChipsPerPackage: 2, DiesPerChip: 2,
 		PlanesPerDie: 2, BlocksPerPlane: 2110, PagesPerBlock: 64, PageSize: 2048}
@@ -200,7 +201,7 @@ func TestDeviceBytesPerPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.KeepAlive(d)
+		d.Release()
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	pages := geo.TotalPages() - small.TotalPages()

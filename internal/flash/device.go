@@ -119,7 +119,7 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	d := &Device{
 		geo:    geo,
 		timing: timing,
-		pages:  make([]uint32, geo.TotalPages()),
+		pages:  NewColumn(geo.TotalPages()),
 		blocks: make([]BlockInfo, geo.TotalBlocks()),
 	}
 	d.planes = make([]*sim.Resource, geo.Planes())
@@ -151,6 +151,14 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	}
 	d.stats.init(geo)
 	return d, nil
+}
+
+// Release frees the device's page column (see NewColumn). The device must
+// not be used afterwards: a page operation then panics with an index error.
+// Releasing again does nothing.
+func (d *Device) Release() {
+	FreeColumn(d.pages)
+	d.pages = nil
 }
 
 // Geometry returns the device's physical shape.

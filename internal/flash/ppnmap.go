@@ -5,10 +5,12 @@ import (
 )
 
 // PPNMap is a column of physical page numbers indexed by a logical number
-// (an LPN, a translation-page number). An entry holds ppn+1, so a fresh
-// make(PPNMap, n) reads InvalidPPN everywhere without an initialisation pass,
-// and only the entries a run sets become resident. Device page numbers stay
-// below maxPages, so ppn+1 fits. Copies are plain copy/append of the slice.
+// (an LPN, a translation-page number). An entry holds ppn+1, so a zeroed
+// column reads InvalidPPN everywhere without an initialisation pass. A
+// capacity-sized map comes from NewColumn, where only the entries a run sets
+// become resident and FreeColumn returns it at the owner's end of life; a
+// small one (the GTD) is a plain make. Device page numbers stay below
+// maxPages, so ppn+1 fits.
 type PPNMap []uint32
 
 // Get returns the page number stored at i, or InvalidPPN.

@@ -20,7 +20,7 @@ func (f *FreeBlocks) EncodeState(w *ckpt.Writer) {
 			if j >= len(q.buf) {
 				j -= len(q.buf)
 			}
-			w.Int(q.buf[j])
+			w.Int(int(q.buf[j]))
 		}
 	}
 }
@@ -32,9 +32,10 @@ func (f *FreeBlocks) EncodeState(w *ckpt.Writer) {
 func (f *FreeBlocks) DecodeState(r *ckpt.Reader, dev *flash.Device) {
 	f.total = 0
 	var seen []uint64 // one plane's listed blocks, a bit each
+	var blocks []int  // one plane's list as written, checked before it is narrowed
 	for p := range f.planes[:r.ExpectLen(len(f.planes), 4)] {
 		q := &f.planes[p]
-		blocks := r.AppendInts(q.buf[:0])
+		blocks = r.AppendInts(blocks[:0])
 		if len(blocks) > len(q.buf) {
 			r.Failf("ftl: plane %d lists %d free blocks of %d", p, len(blocks), len(q.buf))
 			return
@@ -43,7 +44,7 @@ func (f *FreeBlocks) DecodeState(r *ckpt.Reader, dev *flash.Device) {
 			seen = make([]uint64, (len(q.buf)+63)/64)
 		}
 		clear(seen)
-		for _, b := range blocks {
+		for i, b := range blocks {
 			pb := flash.PlaneBlock{Plane: p, Block: b}
 			switch {
 			case b < 0 || b >= len(q.buf):
@@ -57,6 +58,7 @@ func (f *FreeBlocks) DecodeState(r *ckpt.Reader, dev *flash.Device) {
 				return
 			}
 			seen[b/64] |= 1 << (b % 64)
+			q.buf[i] = int32(b)
 		}
 		q.head, q.n = 0, len(blocks)
 		f.total += q.n
@@ -95,9 +97,7 @@ func (t *Tracker) EncodeState(w *ckpt.Writer) {
 // must lie on its plane, be listed once and be full on the device: the
 // owner closes a block only when its write point has used it up.
 func (t *Tracker) DecodeState(r *ckpt.Reader) {
-	for i := range t.inBkt {
-		t.inBkt[i] = -1
-	}
+	clear(t.inBkt)
 	for p, bkts := range t.buckets {
 		for c := range bkts {
 			bkts[c] = bkts[c][:0]

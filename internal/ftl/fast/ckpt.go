@@ -1,6 +1,8 @@
 package fast
 
 import (
+	"encoding/binary"
+
 	"dloop/internal/ckpt"
 	"dloop/internal/flash"
 	"dloop/internal/obs"
@@ -13,7 +15,11 @@ import (
 // valid pages, which DecodeState enters again.
 func (f *FAST) EncodeState(w *ckpt.Writer) {
 	f.pool.EncodeState(w)
-	w.I64s(f.dataBlock)
+	w.U32(uint32(len(f.dataBlock))) // an int64 slab of block indices, -1 for none
+	dst := w.Raw(8 * len(f.dataBlock))
+	for i, b := range f.dataBlock {
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(b-1))
+	}
 	w.I64(f.swLBN)
 	encodePlaneBlock(w, f.swBlock)
 	w.Bool(f.rwActive)
@@ -44,6 +50,7 @@ func (f *FAST) DecodeState(r *ckpt.Reader) {
 			r.Failf("fast: logical block %d mapped to block %d of %d", lbn, b, f.geo.TotalBlocks())
 			return
 		}
+		f.dataBlock[lbn] = b + 1
 	}
 	if f.swLBN = r.I64(); f.swLBN < -1 || f.swLBN >= int64(len(f.dataBlock)) {
 		r.Failf("fast: SW log of logical block %d in a %d-block space", f.swLBN, len(f.dataBlock))

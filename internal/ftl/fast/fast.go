@@ -43,7 +43,7 @@ type FAST struct {
 	logBlocks int
 
 	pool      *ftl.FreeBlocks
-	dataBlock []int64 // lbn -> dense physical block index, -1 if none
+	dataBlock []int64 // lbn -> 1 + dense physical block index, 0 if none
 	// The log map. inLog has one bit per LPN, set while the LPN has a
 	// log-resident version, and logMap holds those versions' locations, so
 	// it has no more entries than the log blocks have pages. Looking up an
@@ -91,9 +91,6 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 		logMap:    newLogTable(logBlocks * geo.PagesPerBlock),
 		swLBN:     -1,
 	}
-	for i := range f.dataBlock {
-		f.dataBlock[i] = -1
-	}
 	name := cfg.GCPolicy
 	if name == "" {
 		name = gc.DefaultLogPolicy
@@ -116,6 +113,10 @@ func (f *FAST) Capacity() ftl.LPN { return f.capacity }
 
 // Counts implements ftl.FTL.
 func (f *FAST) Counts() obs.Counts { return f.counts }
+
+// Release implements ftl.FTL. FAST maps logical blocks, not pages, and holds
+// no column of its own: its device's is the only one.
+func (f *FAST) Release() {}
 
 // GCPolicyName reports the log-block eviction policy in effect.
 func (f *FAST) GCPolicyName() string { return f.engine.PolicyName() }
@@ -144,7 +145,7 @@ func (f *FAST) split(lpn ftl.LPN) (lbn int64, off int) {
 }
 
 func (f *FAST) dataPPN(lbn int64, off int) flash.PPN {
-	return flash.PPN(f.dataBlock[lbn]*int64(f.geo.PagesPerBlock) + int64(off))
+	return flash.PPN((f.dataBlock[lbn]-1)*int64(f.geo.PagesPerBlock) + int64(off))
 }
 
 // logPPN returns lpn's log-resident location, or InvalidPPN.
@@ -201,7 +202,7 @@ func (f *FAST) lookup(lpn ftl.LPN) flash.PPN {
 		return ppn
 	}
 	lbn, off := f.split(lpn)
-	if f.dataBlock[lbn] < 0 {
+	if f.dataBlock[lbn] == 0 {
 		return flash.InvalidPPN
 	}
 	if ppn := f.dataPPN(lbn, off); f.dev.PageState(ppn) == flash.PageValid {
@@ -231,12 +232,12 @@ func (f *FAST) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	lbn, off := f.split(lpn)
 
 	// First write of this logical block: map a data block.
-	if f.dataBlock[lbn] < 0 {
+	if f.dataBlock[lbn] == 0 {
 		pb, err := f.alloc()
 		if err != nil {
 			return 0, err
 		}
-		f.dataBlock[lbn] = f.geo.BlockIndex(pb)
+		f.dataBlock[lbn] = f.geo.BlockIndex(pb) + 1
 	}
 	// In-place program if the data block's slot is still erased.
 	if ppn := f.dataPPN(lbn, off); f.dev.PageState(ppn) == flash.PageFree {
@@ -433,20 +434,21 @@ func (f *FAST) adoptAsData(lbn int64, b flash.PlaneBlock) {
 	for off := 0; off < f.geo.PagesPerBlock; off++ {
 		f.dropLog(ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off)))
 	}
-	f.dataBlock[lbn] = f.geo.BlockIndex(b)
+	f.dataBlock[lbn] = f.geo.BlockIndex(b) + 1
 }
 
 // retireDataBlock erases lbn's old data block if it no longer holds valid
 // pages worth keeping (its live pages were superseded or copied out).
 func (f *FAST) retireDataBlock(lbn int64, ready sim.Time) (sim.Time, error) {
-	if f.dataBlock[lbn] < 0 {
+	bi := f.dataBlock[lbn] - 1
+	if bi < 0 {
 		return ready, nil
 	}
 	pb := flash.PlaneBlock{
-		Plane: int(f.dataBlock[lbn] / int64(f.geo.BlocksPerPlane)),
-		Block: int(f.dataBlock[lbn] % int64(f.geo.BlocksPerPlane)),
+		Plane: int(bi / int64(f.geo.BlocksPerPlane)),
+		Block: int(bi % int64(f.geo.BlocksPerPlane)),
 	}
-	f.dataBlock[lbn] = -1
+	f.dataBlock[lbn] = 0
 	return f.eraseToPool(pb, ready)
 }
 
@@ -498,7 +500,7 @@ func (f *FAST) consolidate(lbn int64, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.dataBlock[lbn] = f.geo.BlockIndex(c)
+	f.dataBlock[lbn] = f.geo.BlockIndex(c) + 1
 	f.counts[obs.EvFullMerge]++
 	return t, nil
 }

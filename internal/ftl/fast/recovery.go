@@ -28,9 +28,11 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 	}
 	// The scan validates the one-valid-copy-per-lpn invariant and collects
 	// the erased blocks into the free pool; block roles are rebuilt below.
-	if _, err := ftl.ScanOOB(dev, f.capacity, 0, f.pool, nil); err != nil {
+	st, err := ftl.ScanOOB(dev, f.capacity, 0, f.pool, nil)
+	if err != nil {
 		return nil, err
 	}
+	st.Release()
 	geo := f.geo
 	ppb := int64(geo.PagesPerBlock)
 	for plane := 0; plane < geo.Planes(); plane++ {
@@ -56,8 +58,8 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 					lbn = tag / ppb
 				}
 			}
-			if inPlace && lbn >= 0 && f.dataBlock[lbn] < 0 {
-				f.dataBlock[lbn] = geo.BlockIndex(pb)
+			if inPlace && lbn >= 0 && f.dataBlock[lbn] == 0 {
+				f.dataBlock[lbn] = geo.BlockIndex(pb) + 1
 				continue
 			}
 			// Log-resident pages — or a fully-invalid block, which parks here

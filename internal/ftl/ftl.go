@@ -48,6 +48,10 @@ type FTL interface {
 	// and may leave the FTL partly overwritten, so a caller that sees one
 	// must not run the FTL until a later DecodeState succeeds.
 	DecodeState(r *ckpt.Reader)
+	// Release frees the FTL's capacity-sized columns (flash.NewColumn) at
+	// the end of its life, and is harmless when repeated. The FTL must not
+	// be used afterwards. Its device is its owner's to release.
+	Release()
 }
 
 // Observable is implemented by FTLs that can report internal activity (GC

@@ -175,6 +175,15 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 			return nil, err
 		}
 	}
+	name := cfg.GCPolicy
+	if name == "" {
+		name = gc.DefaultPagePolicy
+	}
+	policy, err := gc.ParsePolicy(name, geo.PagesPerBlock)
+	if err != nil {
+		return nil, err
+	}
+	// The table comes last: nothing fails after it is allocated.
 	if l.DemandPaged {
 		tpol, err := translate.ParsePolicy(cfg.TranslatePolicy)
 		if err != nil {
@@ -196,15 +205,7 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 			return nil, err
 		}
 	} else {
-		f.table = make(flash.PPNMap, f.capacity)
-	}
-	name := cfg.GCPolicy
-	if name == "" {
-		name = gc.DefaultPagePolicy
-	}
-	policy, err := gc.ParsePolicy(name, geo.PagesPerBlock)
-	if err != nil {
-		return nil, err
+		f.table = flash.NewColumn(int64(f.capacity))
 	}
 	f.engine = gc.NewEngine(gc.Config{
 		Dev:              dev,
@@ -226,6 +227,16 @@ func (f *FTL) Capacity() ftl.LPN { return f.capacity }
 
 // Counts implements ftl.FTL.
 func (f *FTL) Counts() obs.Counts { return f.counts }
+
+// Release implements ftl.FTL: it frees the mapping table.
+func (f *FTL) Release() {
+	if f.mapper != nil {
+		f.mapper.Release()
+		return
+	}
+	flash.FreeColumn(f.table)
+	f.table = nil
+}
 
 // GCPolicyName reports the victim-selection policy in effect.
 func (f *FTL) GCPolicyName() string { return f.engine.PolicyName() }

@@ -20,23 +20,33 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := f.recover(); err != nil {
+		f.Release()
+		return nil, err
+	}
+	return f, nil
+}
+
+// recover fills a fresh FTL from the scan.
+func (f *FTL) recover() error {
 	transPages := 0
 	if f.mapper != nil {
 		transPages = f.mapper.TranslationPages()
 	}
-	st, err := ftl.ScanOOB(dev, f.capacity, transPages, f.pool, f.tracker)
+	st, err := ftl.ScanOOB(f.dev, f.capacity, transPages, f.pool, f.tracker)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer st.Release()
 	if f.mapper != nil {
 		if err := f.mapper.AdoptState(st.Table, st.GTD); err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		copy(f.table, st.Table)
 	}
 	if f.perm == nil && len(st.Partial) > len(f.cur) { // one per log
-		return nil, fmt.Errorf("pagemap: recovery found %d partial blocks, want at most %d", len(st.Partial), len(f.cur))
+		return fmt.Errorf("pagemap: recovery found %d partial blocks, want at most %d", len(st.Partial), len(f.cur))
 	}
 	for i, p := range st.Partial {
 		slot := i
@@ -45,9 +55,9 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FTL, error) {
 		}
 		wp := &f.cur[slot]
 		if wp.active {
-			return nil, fmt.Errorf("pagemap: recovery found two partial blocks on plane %d", slot)
+			return fmt.Errorf("pagemap: recovery found two partial blocks on plane %d", slot)
 		}
 		wp.pb, wp.next, wp.active = p.PB, p.NextWrite, true
 	}
-	return f, nil
+	return nil
 }

@@ -23,13 +23,13 @@ type FreeBlocks struct {
 
 // planeQueue is one plane's FIFO of free in-plane block indices.
 type planeQueue struct {
-	buf  []int
+	buf  []int32
 	head int // index of the front element
 	n    int // queued count
 }
 
 func (q *planeQueue) take() int {
-	b := q.buf[q.head]
+	b := int(q.buf[q.head])
 	q.head++
 	if q.head == len(q.buf) {
 		q.head = 0
@@ -43,7 +43,7 @@ func (q *planeQueue) put(b int) {
 	if i >= len(q.buf) {
 		i -= len(q.buf)
 	}
-	q.buf[i] = b
+	q.buf[i] = int32(b)
 	q.n++
 }
 
@@ -52,9 +52,9 @@ func (q *planeQueue) put(b int) {
 func NewFreeBlocks(geo flash.Geometry) *FreeBlocks {
 	f := &FreeBlocks{planes: make([]planeQueue, geo.Planes())}
 	for p := range f.planes {
-		blocks := make([]int, geo.BlocksPerPlane)
+		blocks := make([]int32, geo.BlocksPerPlane)
 		for b := range blocks {
-			blocks[b] = b
+			blocks[b] = int32(b)
 		}
 		f.planes[p] = planeQueue{buf: blocks, n: geo.BlocksPerPlane}
 	}

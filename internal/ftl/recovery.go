@@ -42,11 +42,28 @@ type RecoveredState struct {
 // outside the paper's measurements, but a real controller would pay one
 // read per page (or per block summary page).
 func ScanOOB(dev *flash.Device, capacity LPN, translationPages int, pool *FreeBlocks, tracker *Tracker) (*RecoveredState, error) {
-	geo := dev.Geometry()
 	st := &RecoveredState{
-		Table: make(flash.PPNMap, capacity),
+		Table: flash.NewColumn(int64(capacity)),
 		GTD:   make(flash.PPNMap, translationPages),
 	}
+	if err := st.scan(dev, pool, tracker); err != nil {
+		st.Release()
+		return nil, err
+	}
+	return st, nil
+}
+
+// Release frees the recovered table (see flash.NewColumn) once its owner
+// has copied what it needs.
+func (st *RecoveredState) Release() {
+	flash.FreeColumn(st.Table)
+	st.Table = nil
+}
+
+// scan fills st's table and GTD, sized by ScanOOB, and the pool and tracker.
+func (st *RecoveredState) scan(dev *flash.Device, pool *FreeBlocks, tracker *Tracker) error {
+	geo := dev.Geometry()
+	capacity, translationPages := LPN(st.Table.Len()), st.GTD.Len()
 	for p := range pool.planes {
 		pool.planes[p].head, pool.planes[p].n = 0, 0
 	}
@@ -65,20 +82,20 @@ func ScanOOB(dev *flash.Device, capacity LPN, translationPages int, pool *FreeBl
 				if IsTrans(stored) {
 					tvpn := DecodeTrans(stored)
 					if tvpn < 0 || tvpn >= int64(translationPages) {
-						return nil, fmt.Errorf("ftl: recovery found translation page %d outside GTD of %d", tvpn, translationPages)
+						return fmt.Errorf("ftl: recovery found translation page %d outside GTD of %d", tvpn, translationPages)
 					}
 					if st.GTD.Get(tvpn) != flash.InvalidPPN {
-						return nil, fmt.Errorf("ftl: recovery found two valid copies of translation page %d", tvpn)
+						return fmt.Errorf("ftl: recovery found two valid copies of translation page %d", tvpn)
 					}
 					st.GTD.Set(tvpn, ppn)
 					continue
 				}
 				lpn := LPN(stored)
 				if err := CheckLPN(lpn, capacity); err != nil {
-					return nil, fmt.Errorf("ftl: recovery: %w", err)
+					return fmt.Errorf("ftl: recovery: %w", err)
 				}
 				if st.Table.Get(stored) != flash.InvalidPPN {
-					return nil, fmt.Errorf("ftl: recovery found two valid copies of lpn %d", lpn)
+					return fmt.Errorf("ftl: recovery found two valid copies of lpn %d", lpn)
 				}
 				st.Table.Set(stored, ppn)
 			}
@@ -92,5 +109,5 @@ func ScanOOB(dev *flash.Device, capacity LPN, translationPages int, pool *FreeBl
 			}
 		}
 	}
-	return st, nil
+	return nil
 }

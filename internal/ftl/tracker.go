@@ -17,7 +17,7 @@ import (
 type Tracker struct {
 	dev     *flash.Device
 	geo     flash.Geometry
-	inBkt   []int32 // position within its bucket, -1 if not a candidate
+	inBkt   []int32 // 1 + position within its bucket, 0 if not a candidate
 	buckets [][][]int32
 	// buckets[plane][count] holds in-plane block ids of closed candidates
 	maxCount []int // per plane: highest count whose bucket may be non-empty
@@ -38,9 +38,6 @@ func NewTracker(dev *flash.Device) *Tracker {
 		maxCount: make([]int, geo.Planes()),
 		closeSeq: make([]int64, geo.TotalBlocks()),
 	}
-	for i := range t.inBkt {
-		t.inBkt[i] = -1
-	}
 	for p := range t.buckets {
 		t.buckets[p] = make([][]int32, geo.PagesPerBlock+1)
 	}
@@ -60,7 +57,7 @@ func (t *Tracker) Invalidated(pb flash.PlaneBlock) {
 // Close marks pb fully written: it becomes a garbage-collection candidate.
 func (t *Tracker) Close(pb flash.PlaneBlock) {
 	bi := t.geo.BlockIndex(pb)
-	if t.inBkt[bi] >= 0 {
+	if t.inBkt[bi] != 0 {
 		panic(fmt.Sprintf("ftl: Tracker.Close of candidate %v", pb))
 	}
 	t.seq++
@@ -71,7 +68,7 @@ func (t *Tracker) Close(pb flash.PlaneBlock) {
 // Take removes pb from candidacy (it was chosen as a victim or re-opened).
 func (t *Tracker) Take(pb flash.PlaneBlock) {
 	bi := t.geo.BlockIndex(pb)
-	if t.inBkt[bi] < 0 {
+	if t.inBkt[bi] == 0 {
 		panic(fmt.Sprintf("ftl: Tracker.Take of non-candidate %v", pb))
 	}
 	t.delBucket(pb, t.dev.Block(pb).Invalid)
@@ -79,7 +76,7 @@ func (t *Tracker) Take(pb flash.PlaneBlock) {
 
 // Candidate reports whether pb is a garbage-collection candidate.
 func (t *Tracker) Candidate(pb flash.PlaneBlock) bool {
-	return t.inBkt[t.geo.BlockIndex(pb)] >= 0
+	return t.inBkt[t.geo.BlockIndex(pb)] != 0
 }
 
 // MaxInPlane returns the candidate with the most invalid pages on one plane.
@@ -140,8 +137,8 @@ func (t *Tracker) ForEachCandidate(plane int, fn func(pb flash.PlaneBlock, inval
 
 func (t *Tracker) addBucket(pb flash.PlaneBlock, count int) {
 	bkt := &t.buckets[pb.Plane][count]
-	t.inBkt[t.geo.BlockIndex(pb)] = int32(len(*bkt))
 	*bkt = append(*bkt, int32(pb.Block))
+	t.inBkt[t.geo.BlockIndex(pb)] = int32(len(*bkt))
 	if count > t.maxCount[pb.Plane] {
 		t.maxCount[pb.Plane] = count
 	}
@@ -150,13 +147,13 @@ func (t *Tracker) addBucket(pb flash.PlaneBlock, count int) {
 func (t *Tracker) delBucket(pb flash.PlaneBlock, count int) {
 	bi := t.geo.BlockIndex(pb)
 	bkt := t.buckets[pb.Plane][count]
-	pos := t.inBkt[bi]
+	pos := t.inBkt[bi] // 1 + its position
 	last := len(bkt) - 1
 	moved := bkt[last]
-	bkt[pos] = moved
+	bkt[pos-1] = moved
 	t.inBkt[t.geo.BlockIndex(flash.PlaneBlock{Plane: pb.Plane, Block: int(moved)})] = pos
 	t.buckets[pb.Plane][count] = bkt[:last]
-	t.inBkt[bi] = -1
+	t.inBkt[bi] = 0
 }
 
 func (t *Tracker) moveBucket(pb flash.PlaneBlock, from, to int) {

@@ -89,6 +89,7 @@ func newBenchEngine(b *testing.B, policy Policy, space int) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Cleanup(m.Release)
 	for lpn := range m.table {
 		m.setPPN(ftl.LPN(lpn), flash.PPN(lpn))
 	}

@@ -68,9 +68,10 @@ func NewEngine(cfg Config, counts *obs.Counts) (*Engine, error) {
 		return nil, fmt.Errorf("translate: page size %d too small for translation entries", cfg.Dev.Geometry().PageSize)
 	}
 	nTP := (int64(cfg.Capacity) + int64(per) - 1) / int64(per)
-	table := make(flash.PPNMap, cfg.Capacity)
+	table := flash.PPNMap(flash.NewColumn(int64(cfg.Capacity)))
 	cache, err := NewCacheForSpace(cfg.CMTEntries, per, table, int(nTP))
 	if err != nil {
+		flash.FreeColumn(table)
 		return nil, err
 	}
 	m := &Engine{
@@ -87,6 +88,14 @@ func NewEngine(cfg Config, counts *obs.Counts) (*Engine, error) {
 		m.li = newLearnedIndex(int(nTP), cfg.StrideHint)
 	}
 	return m, nil
+}
+
+// Release frees the mapping table (see flash.NewColumn), which the engine
+// and its cache both drop. The engine must not be used afterwards: a lookup
+// then panics with an index error. Releasing again does nothing.
+func (m *Engine) Release() {
+	flash.FreeColumn(m.table)
+	m.table, m.Cache.table = nil, nil
 }
 
 // PPN returns lpn's current physical page, or InvalidPPN if it was never

@@ -340,16 +340,23 @@ func (c *Controller) Recover() (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Close() // the crashed controller stays usable for read-only lookups
+	// The devices go to the new controller, which releases them at its
+	// Close. The crashed one keeps its FTLs, for read-only lookups, until
+	// its own Close releases them.
+	c.stopFrontEnd()
 	shards := make([]*ftlShard, len(c.shards))
 	for i, sh := range c.shards {
 		f, err := recoverFTL(sh.dev, cfg, extra)
 		if err != nil {
+			for _, r := range shards[:i] {
+				r.f.Release()
+			}
 			return nil, err
 		}
 		sh.dev.SetRecorder(nil)
 		shards[i] = &ftlShard{idx: i, dev: sh.dev, f: f, planeMap: sh.planeMap, chipMap: sh.chipMap, chanMap: sh.chanMap}
 	}
+	c.devicesLent = true
 	nc := newController(shards, c.geo, cfg)
 	nc.ResetMeasurement()
 	return nc, nil

@@ -37,10 +37,14 @@ type Controller struct {
 
 	// fe is the multi-queue front end over the shards (see frontend.go):
 	// classified requests are dispatched to its workers. A controller with
-	// several shards runs one from newController to Close. When it is nil
-	// requests execute inline on the caller's goroutine: always with one
-	// shard, and with several after Close.
+	// several shards runs one from newController to Close or Recover. When
+	// it is nil requests execute inline on the caller's goroutine: always
+	// with one shard, and with several after Recover.
 	fe *frontEnd
+
+	// devicesLent is set by Recover, which hands the devices to the
+	// controller it builds: Close then releases this one's FTLs only.
+	devicesLent bool
 
 	// disp is EnqueueBatch's classification scratch.
 	disp []dispReq
@@ -586,12 +590,27 @@ func (c *Controller) Flush() {
 	}
 }
 
-// Close stops the multi-queue front end's worker goroutines after a final
-// barrier and drops the front end. The controller remains usable: requests
-// run inline from then on, and report their own errors request by request,
-// while an error a worker latched after the last barrier goes with the front
-// end. Harmless on a single-shard controller, and when repeated.
+// Close ends the controller's life. It stops the multi-queue front end's
+// worker goroutines after a final barrier (an error a worker latched after
+// the last barrier goes with the front end), then frees the capacity-sized
+// columns of the FTLs and of the devices (flash.NewColumn), unless Recover
+// handed the devices on. The controller must not be used afterwards: a
+// request then panics with an index error. A second Close does nothing.
 func (c *Controller) Close() {
+	c.stopFrontEnd()
+	for _, sh := range c.shards {
+		sh.f.Release()
+		if !c.devicesLent {
+			sh.dev.Release()
+		}
+	}
+}
+
+// stopFrontEnd stops the multi-queue front end's workers after a final
+// barrier and drops the front end, so requests run inline from then on and
+// report their own errors request by request. Harmless on a single-shard
+// controller, and when repeated.
+func (c *Controller) stopFrontEnd() {
 	if c.fe == nil {
 		return
 	}

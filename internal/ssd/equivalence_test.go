@@ -317,10 +317,12 @@ func TestControllerRecovery(t *testing.T) {
 					t.Fatalf("lpn %d recovered %d want %d", lpn, got, want)
 				}
 			}
+			c.Close() // releases the crashed FTLs; the devices are r's now
 			if _, err := r.Run(trace.NewSliceReader(tinyWorkload(t, r, 1000, 6))); err != nil {
 				t.Fatalf("post-recovery: %v", err)
 			}
 			checkMappingConsistency(t, r)
+			r.Close()
 		})
 	}
 }

@@ -44,9 +44,10 @@ import (
 // at fixed N, not across N.
 //
 // The front end has no execution mode: a multi-shard controller creates it
-// with its workers running and drops it at Close. Requests reach the shards
-// through it or through the controller's inline loop, which serves one
-// shard, a closed controller, and every Serve call.
+// with its workers running and drops it at Close or Recover. Requests reach
+// the shards through it or through the controller's inline loop, which
+// serves one shard, a crashed controller after Recover, and every Serve
+// call.
 //
 // Observability is shard-native: attaching an *obs.Collector gives every
 // shard a private child collector (obs.Collector.Shard) that only its worker
@@ -145,7 +146,7 @@ type ftlShard struct {
 
 // frontEnd is the multi-queue host front end over the controller's shards:
 // one ring and one worker goroutine per shard. It exists only while the
-// workers run: from newController to Controller.Close.
+// workers run: from newController to Controller.Close or Recover.
 type frontEnd struct {
 	shards []*ftlShard
 
@@ -198,20 +199,28 @@ func buildShards(geo flash.Geometry, timing flash.Timing, n int,
 	build func(dev *flash.Device) (ftl.FTL, error)) ([]*ftlShard, error) {
 	subGeo := geo
 	subGeo.Channels = geo.Channels / n
-	shards := make([]*ftlShard, n)
-	for s := range shards {
+	shards := make([]*ftlShard, 0, n)
+	fail := func(err error) ([]*ftlShard, error) {
+		for _, sh := range shards {
+			sh.f.Release()
+			sh.dev.Release()
+		}
+		return nil, err
+	}
+	for s := range n {
 		dev, err := flash.NewDevice(subGeo, timing)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		f, err := build(dev)
 		if err != nil {
-			return nil, err
+			dev.Release()
+			return fail(err)
 		}
+		shards = append(shards, &ftlShard{idx: s, dev: dev, f: f})
 		if s > 0 && f.Capacity() != shards[0].f.Capacity() {
-			return nil, fmt.Errorf("ssd: shard %d capacity %d != shard 0 capacity %d", s, f.Capacity(), shards[0].f.Capacity())
+			return fail(fmt.Errorf("ssd: shard %d capacity %d != shard 0 capacity %d", s, f.Capacity(), shards[0].f.Capacity()))
 		}
-		shards[s] = &ftlShard{idx: s, dev: dev, f: f}
 		shards[s].buildMaps(geo, subGeo, s)
 	}
 	return shards, nil

@@ -51,16 +51,16 @@ func buildMQ(t *testing.T, cfg Config) *Controller {
 	return c
 }
 
-// buildInline builds and preconditions a controller, then closes it, so its
-// front end's workers are stopped and every request runs on the inline loop:
-// the independent baseline the concurrent pipeline is checked against.
+// buildInline builds and preconditions a controller, then stops its front
+// end's workers, so every request runs on the inline loop: the independent
+// baseline the concurrent pipeline is checked against.
 func buildInline(t *testing.T, cfg Config) *Controller {
 	t.Helper()
 	c := buildMQ(t, cfg)
 	preconditionTiny(t, c)
-	c.Close()
+	c.stopFrontEnd()
 	if c.fe != nil {
-		t.Fatal("front end still running after Close")
+		t.Fatal("front end still running after stopFrontEnd")
 	}
 	return c
 }

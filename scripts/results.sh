@@ -10,8 +10,9 @@
 # temporary directory. Every committed CSV must come back identical; for one
 # that moved the script names the first differing line. The .txt and .log
 # files in results/ carry wall-clock times and progress lines, so they are
-# not compared. The sweep's wall-clock is printed (and appended to the
-# GitHub job summary when there is one), but it is not a gate: hosts vary.
+# not compared. The sweep's wall-clock and peak resident set are printed
+# (and appended to the GitHub job summary when there is one), but they are
+# records, not gates: hosts vary.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,7 +22,22 @@ trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/experiments" ./cmd/experiments
 start=$(date +%s)
-"$tmp/experiments" -exp all -requests 400000 -q -out "$tmp/out" "$@" > "$tmp/stdout.txt"
+if command -v python3 > /dev/null; then
+    # Runs the sweep and prints its peak resident set in MB (ru_maxrss is
+    # in KiB on Linux).
+    rss=$(python3 - "$tmp/stdout.txt" "$tmp/experiments" -exp all -requests 400000 -q -out "$tmp/out" "$@" <<'PY'
+import resource, subprocess, sys
+with open(sys.argv[1], "w") as out:
+    rc = subprocess.run(sys.argv[2:], stdout=out).returncode
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024)
+sys.exit(rc)
+PY
+)
+    rss="$rss MB"
+else
+    "$tmp/experiments" -exp all -requests 400000 -q -out "$tmp/out" "$@" > "$tmp/stdout.txt"
+    rss="not measured (no python3)"
+fi
 wall=$(( $(date +%s) - start ))
 
 status=0
@@ -48,7 +64,7 @@ for got in "$tmp"/out/*.csv; do
     }
 done
 
-summary="results.sh: $n CSVs compared, sweep wall-clock ${wall}s (.txt and .log files not compared)"
+summary="results.sh: $n CSVs compared, sweep wall-clock ${wall}s, peak RSS $rss (.txt and .log files not compared)"
 echo "$summary"
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
     echo "$summary" >> "$GITHUB_STEP_SUMMARY"
