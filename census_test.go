@@ -263,6 +263,32 @@ func TestFieldsHaveReaders(t *testing.T) {
 	checkTestOnlyRows(t, "## Fields read only by tests", "struct field of a non-test package", fields, read)
 }
 
+// TestLibraryLinksNoServer keeps the HTTP server, TLS and the profiler out
+// of the simulator library: neither the root package nor a package under
+// internal/ may depend on them, so a program that serves no /metrics does
+// not link them or pay their package initialisation (DESIGN §3.2, "The
+// library links no server"). Only the live exporter and the profiling
+// helper, which the commands import under their flags, are exempt.
+func TestLibraryLinksNoServer(t *testing.T) {
+	forbidden := []string{"net", "net/http", "crypto/tls", "runtime/pprof"}
+	exempt := map[string]bool{"dloop/internal/obs/httpexport": true, "dloop/internal/prof": true}
+	checked := 0
+	for _, p := range loadTree(t).pkgs {
+		if (p.path != "dloop" && !strings.HasPrefix(p.path, "dloop/internal/")) || exempt[p.path] {
+			continue
+		}
+		checked++
+		for _, dep := range forbidden {
+			if slices.Contains(p.deps, dep) {
+				t.Errorf("%s depends on %s; take the dependency behind an interface the commands fill", p.path, dep)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("go list named no library package")
+	}
+}
+
 // fieldReadCensus returns the fields of the structs declared in the tree,
 // keyed "pkg.Type.Field" ("pkg.file.go:line.Field" for an anonymous struct),
 // and the subset non-test code reads (see TestFieldsHaveReaders).
@@ -532,7 +558,8 @@ type typedTree struct {
 
 // typedPkg is one type-checked package.
 type typedPkg struct {
-	path  string // import path
+	path  string   // import path
+	deps  []string // every package it depends on, transitively (go list's Deps)
 	types *types.Package
 	files []*ast.File
 	info  *types.Info
@@ -566,7 +593,7 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 func typeCheckTree(dirs ...string) (*typedTree, error) {
 	type listed struct {
 		ImportPath, Dir string
-		GoFiles         []string
+		GoFiles, Deps   []string
 	}
 	meta := map[string]listed{}
 	var order []string
@@ -616,7 +643,7 @@ func typeCheckTree(dirs ...string) (*typedTree, error) {
 		}
 		checked[ip] = nil
 		m := meta[ip]
-		p := &typedPkg{path: ip, info: &types.Info{
+		p := &typedPkg{path: ip, deps: m.Deps, info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
 			Uses:       map[*ast.Ident]types.Object{},

@@ -83,15 +83,19 @@ func main() {
 		FTLShards:       nFTLShards,
 	}
 
-	var srv *httpexport.Server
+	// pub stays a nil interface without -listen: a nil *httpexport.Server
+	// in it would not compare equal to nil, and the observer would attach.
+	var pub expt.Publisher
 	if *listen != "" {
-		if srv, err = httpexport.Listen(*listen); err != nil {
+		srv, err := httpexport.Listen(*listen)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "dloopsim:", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics (Prometheus), /metrics.json, /debug/pprof/\n", srv.Addr())
+		pub = srv
 	}
-	ob, err := expt.NewObserver(*metricsOut, *traceEvents, sim.Duration(*snapshotMs)*sim.Millisecond, srv)
+	ob, err := expt.NewObserver(*metricsOut, *traceEvents, sim.Duration(*snapshotMs)*sim.Millisecond, pub)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dloopsim:", err)
 		os.Exit(1)

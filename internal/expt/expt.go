@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"dloop/internal/obs"
-	"dloop/internal/obs/httpexport"
 	"dloop/internal/sim"
 	"dloop/internal/ssd"
 	"dloop/internal/workload"
@@ -63,7 +62,7 @@ type Options struct {
 	// serve it over HTTP with internal/obs/httpexport. Sweep cells run
 	// concurrently, so the exporter shows whichever cell published last —
 	// each snapshot carries its cell's ftl label.
-	Exporter *httpexport.Server
+	Exporter Publisher
 
 	// NoFork disables warm-up sharing: every sweep cell builds and
 	// preconditions its own simulator instead of forking a checkpoint taken

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dloop/internal/obs"
-	"dloop/internal/obs/httpexport"
 	"dloop/internal/sim"
 	"dloop/internal/ssd"
 )
@@ -14,6 +13,13 @@ import (
 // pulses at every epoch barrier, far faster than any scraper polls, and
 // rendering an exposition per barrier would cost the run its speed.
 const publishEvery = 250 * time.Millisecond
+
+// Publisher receives live registry snapshots; *httpexport.Server is one.
+// The library names only this method, so it links no HTTP server: the
+// commands that serve /metrics build one and pass it in.
+type Publisher interface {
+	Publish(*obs.Registry) error
+}
 
 // Observer is one run's observability outputs. Its Attach builds the run's
 // collector at RunObserved's attach point and publishes live snapshots to
@@ -24,7 +30,7 @@ type Observer struct {
 	metricsPath string
 	traceFile   *os.File
 	snapshot    sim.Duration
-	exporter    *httpexport.Server
+	exporter    Publisher
 	col         *obs.Collector
 	lastPub     time.Time
 }
@@ -34,7 +40,7 @@ type Observer struct {
 // series every snapshot of simulated time (0 = off) and live snapshots to
 // exporter (when non-nil). It creates the trace file now, so a bad path
 // fails before the run.
-func NewObserver(metricsPath, tracePath string, snapshot sim.Duration, exporter *httpexport.Server) (*Observer, error) {
+func NewObserver(metricsPath, tracePath string, snapshot sim.Duration, exporter Publisher) (*Observer, error) {
 	o := &Observer{metricsPath: metricsPath, snapshot: snapshot, exporter: exporter}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)

@@ -130,19 +130,19 @@ func decodeWord(s PageState, tag int64) (uint32, error) {
 }
 
 // blockInfo recounts block bi's row from its page words.
-func (d *Device) blockInfo(bi int64) BlockInfo {
-	var b BlockInfo
+func (d *Device) blockInfo(bi int64) blockRow {
+	var b blockRow
 	first := bi * d.pagesPerBlock
 	for off, w := range d.pages[first : first+d.pagesPerBlock] {
 		switch w {
 		case wordFree:
 			continue
 		case wordInvalid:
-			b.Invalid++
+			b.invalid++
 		default:
-			b.Valid++
+			b.valid++
 		}
-		b.NextWrite = off + 1
+		b.nextWrite = int32(off) + 1
 	}
 	return b
 }

@@ -70,6 +70,18 @@ type BlockInfo struct {
 	NextWrite int // high-water mark: 1 + the highest non-free page offset
 }
 
+// blockRow is a block's BlockInfo as the device stores it: every count is
+// at most PagesPerBlock, below maxPages < 2^31, so int32 holds it exactly
+// and a row costs 12 bytes instead of 24.
+type blockRow struct {
+	valid, invalid, nextWrite int32
+}
+
+// info widens the row to the BlockInfo that Block returns.
+func (b blockRow) info() BlockInfo {
+	return BlockInfo{Valid: int(b.valid), Invalid: int(b.invalid), NextWrite: int(b.nextWrite)}
+}
+
 // Device is a simulated NAND flash SSD. It owns the page/block state machine
 // and the resource timelines, and it charges time for every operation. It is
 // not safe for concurrent use; the simulator is single-threaded per device,
@@ -78,8 +90,8 @@ type Device struct {
 	geo    Geometry
 	timing Timing
 
-	pages  []uint32    // indexed by PPN: the page word, state and OOB tag in one
-	blocks []BlockInfo // indexed by Geometry.BlockIndex
+	pages  []uint32   // indexed by PPN: the page word, state and OOB tag in one
+	blocks []blockRow // indexed by Geometry.BlockIndex
 
 	planes   []*sim.Resource // cell arrays + data registers
 	chipBus  []*sim.Resource // serial I/O bus shared by dies of one chip
@@ -120,7 +132,7 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 		geo:    geo,
 		timing: timing,
 		pages:  NewColumn(geo.TotalPages()),
-		blocks: make([]BlockInfo, geo.TotalBlocks()),
+		blocks: make([]blockRow, geo.TotalBlocks()),
 	}
 	d.planes = make([]*sim.Resource, geo.Planes())
 	for i := range d.planes {
@@ -205,9 +217,7 @@ func (d *Device) ResetStats() {
 	for _, r := range d.channels {
 		r.Reset()
 	}
-	erases := d.stats.BlockErases // wear is physical state, survives the reset
-	d.stats.init(d.geo)
-	d.stats.BlockErases = erases
+	d.stats.reset()
 }
 
 // Untimed runs fn with every device of devs untimed, and restores them to
@@ -239,7 +249,7 @@ func (d *Device) PageState(ppn PPN) PageState { return wordState(d.pages[ppn]) }
 func (d *Device) PageLPN(ppn PPN) int64 { return wordTag(d.pages[ppn]) }
 
 // Block returns a copy of the bookkeeping for one block.
-func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockIndex(pb)] }
+func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockIndex(pb)].info() }
 
 // validPPN reports whether ppn is within the device, against the cached
 // page total.
@@ -527,9 +537,9 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 		d.pages[src], d.pages[dst] = wordInvalid, d.pages[src]
 		top = max(top, dst)
 	}
-	d.blocks[sb].Valid -= n
-	d.blocks[sb].Invalid += n
-	d.blocks[db].Valid += n
+	d.blocks[sb].valid -= int32(n)
+	d.blocks[sb].invalid += int32(n)
+	d.blocks[db].valid += int32(n)
 	d.raiseNextWrite(db, top)
 	end := ready
 	switch {
@@ -554,12 +564,12 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 		return 0, fmt.Errorf("flash: erase %w: %v", ErrOutOfRange, pb)
 	}
 	bi := d.geo.BlockIndex(pb)
-	if d.blocks[bi].Valid > 0 {
-		return 0, fmt.Errorf("flash: erase %v: %w (%d valid pages)", pb, ErrEraseValid, d.blocks[bi].Valid)
+	if d.blocks[bi].valid > 0 {
+		return 0, fmt.Errorf("flash: erase %v: %w (%d valid pages)", pb, ErrEraseValid, d.blocks[bi].valid)
 	}
 	first := d.geo.FirstPPN(pb)
 	clear(d.pages[first : first+PPN(d.pagesPerBlock)])
-	d.blocks[bi] = BlockInfo{}
+	d.blocks[bi] = blockRow{}
 	d.stats.BlockErases[bi]++
 	return d.issue(opErase, cause, pb.Plane, bi, ready), nil
 }
@@ -580,8 +590,8 @@ func (d *Device) Invalidate(ppn PPN) error {
 func (d *Device) invalidate(ppn PPN) {
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = wordInvalid
-	d.blocks[bi].Valid--
-	d.blocks[bi].Invalid++
+	d.blocks[bi].valid--
+	d.blocks[bi].invalid++
 }
 
 // WastePage invalidates a free page without writing it. DLOOP uses it to
@@ -596,7 +606,7 @@ func (d *Device) WastePage(ppn PPN) error {
 	}
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = wordInvalid
-	d.blocks[bi].Invalid++
+	d.blocks[bi].invalid++
 	d.raiseNextWrite(bi, ppn)
 	d.stats.WastedPages++
 	return nil
@@ -606,13 +616,13 @@ func (d *Device) WastePage(ppn PPN) error {
 func (d *Device) program(ppn PPN, w uint32) {
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = w
-	d.blocks[bi].Valid++
+	d.blocks[bi].valid++
 	d.raiseNextWrite(bi, ppn)
 }
 
 // raiseNextWrite lifts block bi's high-water mark past its page ppn.
 func (d *Device) raiseNextWrite(bi int64, ppn PPN) {
-	if p := int(int64(ppn)-bi*d.pagesPerBlock) + 1; p > d.blocks[bi].NextWrite {
-		d.blocks[bi].NextWrite = p
+	if p := int32(int64(ppn)-bi*d.pagesPerBlock) + 1; p > d.blocks[bi].nextWrite {
+		d.blocks[bi].nextWrite = p
 	}
 }

@@ -25,10 +25,17 @@ type Stats struct {
 	WastedPages int64
 }
 
+// init sizes a new device's per-plane and per-block columns.
 func (s *Stats) init(geo Geometry) {
-	s.ops = [numOps][numCauses]int64{}
 	s.PlaneOps = make([][numCauses]int64, geo.Planes())
 	s.BlockErases = make([]int32, geo.TotalBlocks())
+}
+
+// reset zeroes the counts in place. BlockErases is wear, physical state
+// that survives the reset.
+func (s *Stats) reset() {
+	s.ops = [numOps][numCauses]int64{}
+	clear(s.PlaneOps)
 	s.WastedPages = 0
 }
 

@@ -28,11 +28,9 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 	}
 	// The scan validates the one-valid-copy-per-lpn invariant and collects
 	// the erased blocks into the free pool; block roles are rebuilt below.
-	st, err := ftl.ScanOOB(dev, f.capacity, 0, f.pool, nil)
-	if err != nil {
+	if err := ftl.CheckOOB(dev, f.capacity, f.pool); err != nil {
 		return nil, err
 	}
-	st.Release()
 	geo := f.geo
 	ppb := int64(geo.PagesPerBlock)
 	for plane := 0; plane < geo.Planes(); plane++ {

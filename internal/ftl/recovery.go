@@ -46,11 +46,36 @@ func ScanOOB(dev *flash.Device, capacity LPN, translationPages int, pool *FreeBl
 		Table: flash.NewColumn(int64(capacity)),
 		GTD:   make(flash.PPNMap, translationPages),
 	}
-	if err := st.scan(dev, pool, tracker); err != nil {
+	var err error
+	st.Partial, err = scanOOB(dev, capacity, st.GTD, pool, tracker, func(lpn LPN, ppn flash.PPN) bool {
+		if st.Table.Get(int64(lpn)) != flash.InvalidPPN {
+			return false
+		}
+		st.Table.Set(int64(lpn), ppn)
+		return true
+	})
+	if err != nil {
 		st.Release()
 		return nil, err
 	}
 	return st, nil
+}
+
+// CheckOOB is ScanOOB for an FTL that keeps no page table and no GTD
+// (FAST): it refuses the same devices with the same errors and fills pool
+// alike, but marks each logical page in a set of one bit per page instead
+// of building a capacity-sized table.
+func CheckOOB(dev *flash.Device, capacity LPN, pool *FreeBlocks) error {
+	seen := make([]uint64, (capacity+63)/64)
+	_, err := scanOOB(dev, capacity, nil, pool, nil, func(lpn LPN, _ flash.PPN) bool {
+		w, bit := lpn>>6, uint64(1)<<(lpn&63)
+		if seen[w]&bit != 0 {
+			return false
+		}
+		seen[w] |= bit
+		return true
+	})
+	return err
 }
 
 // Release frees the recovered table (see flash.NewColumn) once its owner
@@ -60,15 +85,21 @@ func (st *RecoveredState) Release() {
 	st.Table = nil
 }
 
-// scan fills st's table and GTD, sized by ScanOOB, and the pool and tracker.
-func (st *RecoveredState) scan(dev *flash.Device, pool *FreeBlocks, tracker *Tracker) error {
+// scanOOB walks every page of dev. It hands each valid data page to claim,
+// which returns false when the page's LPN already has a valid copy, fills
+// gtd with the translation pages, empties pool and refills it with the
+// erased blocks, closes the fully-written ones into tracker (unless nil)
+// and returns the partially-written ones.
+func scanOOB(dev *flash.Device, capacity LPN, gtd flash.PPNMap, pool *FreeBlocks, tracker *Tracker,
+	claim func(LPN, flash.PPN) bool) ([]PartialBlock, error) {
 	geo := dev.Geometry()
-	capacity, translationPages := LPN(st.Table.Len()), st.GTD.Len()
+	translationPages := gtd.Len()
 	for p := range pool.planes {
 		pool.planes[p].head, pool.planes[p].n = 0, 0
 	}
 	pool.total = 0
 
+	var partial []PartialBlock
 	for plane := 0; plane < geo.Planes(); plane++ {
 		for block := 0; block < geo.BlocksPerPlane; block++ {
 			pb := flash.PlaneBlock{Plane: plane, Block: block}
@@ -82,32 +113,31 @@ func (st *RecoveredState) scan(dev *flash.Device, pool *FreeBlocks, tracker *Tra
 				if IsTrans(stored) {
 					tvpn := DecodeTrans(stored)
 					if tvpn < 0 || tvpn >= int64(translationPages) {
-						return fmt.Errorf("ftl: recovery found translation page %d outside GTD of %d", tvpn, translationPages)
+						return nil, fmt.Errorf("ftl: recovery found translation page %d outside GTD of %d", tvpn, translationPages)
 					}
-					if st.GTD.Get(tvpn) != flash.InvalidPPN {
-						return fmt.Errorf("ftl: recovery found two valid copies of translation page %d", tvpn)
+					if gtd.Get(tvpn) != flash.InvalidPPN {
+						return nil, fmt.Errorf("ftl: recovery found two valid copies of translation page %d", tvpn)
 					}
-					st.GTD.Set(tvpn, ppn)
+					gtd.Set(tvpn, ppn)
 					continue
 				}
 				lpn := LPN(stored)
 				if err := CheckLPN(lpn, capacity); err != nil {
-					return fmt.Errorf("ftl: recovery: %w", err)
+					return nil, fmt.Errorf("ftl: recovery: %w", err)
 				}
-				if st.Table.Get(stored) != flash.InvalidPPN {
-					return fmt.Errorf("ftl: recovery found two valid copies of lpn %d", lpn)
+				if !claim(lpn, ppn) {
+					return nil, fmt.Errorf("ftl: recovery found two valid copies of lpn %d", lpn)
 				}
-				st.Table.Set(stored, ppn)
 			}
 			switch next := dev.Block(pb).NextWrite; {
 			case next == 0:
 				pool.Put(pb)
 			case next < geo.PagesPerBlock:
-				st.Partial = append(st.Partial, PartialBlock{PB: pb, NextWrite: next})
+				partial = append(partial, PartialBlock{PB: pb, NextWrite: next})
 			case tracker != nil:
 				tracker.Close(pb)
 			}
 		}
 	}
-	return nil
+	return partial, nil
 }
