@@ -166,7 +166,7 @@ func TestMetricsListed(t *testing.T) {
 	shard := regexp.MustCompile(`\.shard[0-9]+$`)
 	for _, run := range runs {
 		var col *obs.Collector
-		_, err := expt.RunObserved(run.cfg, run.profile, 10000, 1, func(c *ssd.Controller) obs.Recorder {
+		_, err := expt.RunObserved(run.cfg, run.profile, 10000, 1, nil, func(c *ssd.Controller) obs.Recorder {
 			o := c.ObsOptions()
 			if run.traced {
 				o.SnapshotInterval = 50 * sim.Millisecond

@@ -116,7 +116,7 @@ func main() {
 		if *footprint > 0 {
 			p.FootprintBytes = *footprint << 20
 		}
-		res, err = expt.RunCachedObserved(cfg, p, *requests, *seed, wc, ob.Attach)
+		res, err = expt.RunObserved(cfg, p, *requests, *seed, wc, ob.Attach)
 	}
 	if err = ob.Finish(err); err != nil {
 		fmt.Fprintln(os.Stderr, "dloopsim:", err)

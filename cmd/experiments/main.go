@@ -38,7 +38,6 @@ func main() {
 		cmtEntries = flag.Int("cmt-entries", 0, "SRAM mapping-cache entries for DLOOP/DFTL runs (0 = scheme default; the translate experiment sweeps its own)")
 		outDir     = flag.String("out", "", "directory for CSV output (optional)")
 		quiet      = flag.Bool("q", false, "suppress per-run progress")
-		noFork     = flag.Bool("no-fork", false, "disable warm-up checkpoint sharing; every cell builds and preconditions its own simulator")
 		warmCache  = flag.String("warmup-cache", "", "directory of persistent warm-up checkpoints, content-addressed by (config, footprint); sweeps restore matching warm-ups instead of simulating them and publish fresh ones for later runs")
 
 		metricsOut  = flag.String("metrics-out", "", "directory receiving one metrics.json per run")
@@ -67,7 +66,7 @@ func main() {
 		Requests: *requests, Seed: *seed, Scale: *scale, Workers: *workers,
 		TranslatePolicy: *translate, CMTEntries: *cmtEntries,
 		MetricsDir: *metricsOut, TraceDir: *traceEvents, SnapshotIntervalMs: *snapshotMs,
-		NoFork: *noFork, WarmupCache: *warmCache,
+		WarmupCache: *warmCache,
 	}
 	stats := &dloop.SweepStats{}
 	if *warmCache != "" {

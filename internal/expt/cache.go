@@ -43,31 +43,25 @@ type WarmupCache struct {
 	Stats *SweepStats
 }
 
-// enabled reports whether the cache can serve anything.
-func (wc *WarmupCache) enabled() bool { return wc != nil && wc.Dir != "" }
-
 func (wc *WarmupCache) path(key string) string {
 	return filepath.Join(wc.Dir, key+".ckpt")
 }
 
 // load builds a controller for cfg and restores the cached warm-up for key
 // into it. Any failure — no file, bad container, configuration mismatch, a
-// body that does not decode — returns nils and the caller warms up a freshly
+// body that does not decode — returns nil and the caller warms up a freshly
 // built controller; the half-restored one is closed, never run. Only a
 // controller build error is surfaced, since fresh warm-up would hit it too.
-func (wc *WarmupCache) load(cfg ssd.Config, key string) (*ssd.Controller, *ssd.Checkpoint, error) {
-	if !wc.enabled() {
-		return nil, nil, nil
-	}
+func (wc *WarmupCache) load(cfg ssd.Config, key string) (*ssd.Controller, error) {
 	data, release, err := ckpt.LoadFile(wc.path(key))
 	if err != nil {
 		wc.Stats.noteMiss()
-		return nil, nil, nil
+		return nil, nil
 	}
 	defer release()
 	c, err := ssd.Build(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
+		return nil, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
 	}
 	cp, err := c.DecodeCheckpoint(data)
 	if err == nil {
@@ -76,18 +70,15 @@ func (wc *WarmupCache) load(cfg ssd.Config, key string) (*ssd.Controller, *ssd.C
 	if err != nil {
 		c.Close()
 		wc.Stats.noteReject()
-		return nil, nil, nil
+		return nil, nil
 	}
 	wc.Stats.noteHit(int64(len(data)))
-	return c, cp, nil
+	return c, nil
 }
 
 // store publishes cp under key atomically. Store failures are dropped, not
-// fatal: the sweep already has its in-memory checkpoint.
+// fatal: the run already holds the warmed controller.
 func (wc *WarmupCache) store(key string, cp *ssd.Checkpoint) {
-	if !wc.enabled() {
-		return
-	}
 	if n, err := wc.write(key, cp); err == nil {
 		wc.Stats.noteStore(n)
 	}
@@ -119,14 +110,20 @@ func (wc *WarmupCache) write(key string, cp *ssd.Checkpoint) (int64, error) {
 // cached one when the cache holds a valid entry for (cfg, footprint), and
 // otherwise a freshly built controller, preconditioned and then published
 // for later processes. A nil or directory-less cache always warms up fresh.
-// The single-run commands use it to skip preconditioning.
+// Every sweep cell and single run warms up here, and counts as one cell:
+// from the cache on a hit, fresh otherwise.
 func (wc *WarmupCache) Warm(cfg ssd.Config, footprintBytes int64) (*ssd.Controller, error) {
-	key := WarmupKey(cfg, footprintBytes)
-	c, _, err := wc.load(cfg, key)
-	if c != nil || err != nil {
-		return c, err
+	if wc == nil {
+		wc = &WarmupCache{}
 	}
-	c, err = ssd.Build(cfg)
+	var key string
+	if wc.Dir != "" {
+		key = WarmupKey(cfg, footprintBytes)
+		if c, err := wc.load(cfg, key); c != nil || err != nil {
+			return c, err
+		}
+	}
+	c, err := ssd.Build(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
 	}
@@ -134,7 +131,8 @@ func (wc *WarmupCache) Warm(cfg ssd.Config, footprintBytes int64) (*ssd.Controll
 		c.Close()
 		return nil, fmt.Errorf("expt: precondition %s: %w", cfg.FTL, err)
 	}
-	if wc.enabled() {
+	wc.Stats.noteFresh()
+	if wc.Dir != "" {
 		wc.Stats.noteWarmup()
 		if cp, err := c.Snapshot(); err == nil {
 			wc.store(key, cp)
@@ -144,7 +142,7 @@ func (wc *WarmupCache) Warm(cfg ssd.Config, footprintBytes int64) (*ssd.Controll
 }
 
 // SweepStats accumulates sweep-execution counters: warm-up cache traffic and
-// the fork scheduler's behavior. All methods are safe for concurrent use and
+// how each cell warmed up. All methods are safe for concurrent use and
 // safe on a nil receiver, so instrumented and uninstrumented call sites share
 // one code path. One SweepStats may span several sweeps; counters only grow.
 type SweepStats struct {
@@ -153,8 +151,7 @@ type SweepStats struct {
 	cacheRejects int64 // cache files rejected: corrupt, truncated, or mismatched
 	bytesRead    int64 // encoded checkpoint bytes loaded
 	bytesWritten int64 // encoded checkpoint bytes published
-	warmups      int64 // warm-up prefixes simulated for a shared group
-	forkedCells  int64 // cells served from a shared warm-up checkpoint
+	warmups      int64 // warm-ups simulated and published to the cache
 	freshCells   int64 // cells that built and warmed their own simulator
 }
 
@@ -194,13 +191,6 @@ func (s *SweepStats) noteWarmup() {
 	atomic.AddInt64(&s.warmups, 1)
 }
 
-func (s *SweepStats) noteForked() {
-	if s == nil {
-		return
-	}
-	atomic.AddInt64(&s.forkedCells, 1)
-}
-
 func (s *SweepStats) noteFresh() {
 	if s == nil {
 		return
@@ -208,12 +198,13 @@ func (s *SweepStats) noteFresh() {
 	atomic.AddInt64(&s.freshCells, 1)
 }
 
-// Warmups returns the number of warm-up prefixes simulated fresh for shared
-// groups.
+// Warmups returns the number of warm-ups simulated with a cache directory
+// set, each published for later runs.
 func (s *SweepStats) Warmups() int64 { return atomic.LoadInt64(&s.warmups) }
 
-// ForkedCells returns the number of cells served from a shared warm-up.
-func (s *SweepStats) ForkedCells() int64 { return atomic.LoadInt64(&s.forkedCells) }
+// ForkedCells returns the number of cells whose warm-up was restored from the
+// cache instead of simulated: the cache hits.
+func (s *SweepStats) ForkedCells() int64 { return atomic.LoadInt64(&s.cacheHits) }
 
 // FreshCells returns the number of cells that warmed up on their own.
 func (s *SweepStats) FreshCells() int64 { return atomic.LoadInt64(&s.freshCells) }
@@ -224,5 +215,5 @@ func (s *SweepStats) Summary() string {
 		"warmup cache: %d hits / %d misses / %d rejects (%.1f MB read, %.1f MB written); cells: %d forked / %d fresh; warmups simulated: %d",
 		atomic.LoadInt64(&s.cacheHits), atomic.LoadInt64(&s.cacheMisses), atomic.LoadInt64(&s.cacheRejects),
 		float64(atomic.LoadInt64(&s.bytesRead))/(1<<20), float64(atomic.LoadInt64(&s.bytesWritten))/(1<<20),
-		atomic.LoadInt64(&s.forkedCells), atomic.LoadInt64(&s.freshCells), atomic.LoadInt64(&s.warmups))
+		s.ForkedCells(), s.FreshCells(), s.Warmups())
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -89,9 +90,25 @@ func TestWarmupKeyCoalescesAndSplits(t *testing.T) {
 	}
 }
 
-// cachedSweepJobs is seedSweepJobs plus a DFTL group and a multi-queue DLOOP
-// group, so the cached path is exercised across schemes and the sharded
-// front-end layout in one sweep.
+// seedSweepJobs builds n cells that differ only in workload seed: one
+// (config, footprint) warm-up, n divergent replays, so every cell after the
+// first can restore the warm-up the first one published to the cache.
+func seedSweepJobs(t testing.TB, opt Options, n int) []job {
+	cfg, ok := configFor(4, 2, 0.03, ssd.SchemeDLOOP, opt)
+	if !ok {
+		t.Fatal("configFor failed")
+	}
+	p := scaleProfile(workload.Financial1(), opt.Scale)
+	jobs := make([]job, 0, n)
+	for i := 0; i < n; i++ {
+		jobs = append(jobs, job{key: fmt.Sprintf("seed%d", i), cfg: cfg, profile: p, seed: int64(100 + i)})
+	}
+	return jobs
+}
+
+// cachedSweepJobs is seedSweepJobs plus a DFTL, a FAST and a multi-queue
+// DLOOP warm-up of two cells each, so the cached path is exercised across
+// schemes and the sharded front-end layout in one sweep.
 func cachedSweepJobs(t testing.TB, opt Options) []job {
 	jobs := seedSweepJobs(t, opt, 3)
 	p := scaleProfile(workload.Financial1(), opt.Scale)
@@ -119,26 +136,33 @@ func cachedSweepJobs(t testing.TB, opt Options) []job {
 	return jobs
 }
 
-// TestCachedSweepMatchesNoFork is the persistent-cache determinism gate: a
-// sweep that misses the cache (and populates it), a sweep that serves every
-// warm-up from disk, and a fresh-per-cell NoFork sweep must all produce the
-// same result map, across schemes and the multi-queue layout.
-func TestCachedSweepMatchesNoFork(t *testing.T) {
+// TestCachedSweepMatchesUncached is the persistent-cache determinism gate: a
+// sweep that starts on an empty cache, a sweep that serves every warm-up
+// from disk, and an uncached sweep that warms up every cell itself must all
+// produce the same result map, across schemes and the multi-queue layout.
+// With one worker the cold sweep simulates each of the four warm-ups once and
+// restores it for the cells after the first.
+func TestCachedSweepMatchesUncached(t *testing.T) {
 	opt := quickOptions()
 	opt.Requests = 400
+	opt.Workers = 1
 	opt.WarmupCache = t.TempDir()
 	opt.Stats = &SweepStats{}
 	jobs := cachedSweepJobs(t, opt)
+	const cells, warmups = 9, 4
+	if len(jobs) != cells {
+		t.Fatalf("%d cells, want %d", len(jobs), cells)
+	}
+	counts := func(st *SweepStats) [5]int64 {
+		return [5]int64{st.CacheHits(), st.CacheMisses(), st.Warmups(), st.ForkedCells(), st.FreshCells()}
+	}
 
 	cold, err := runAll(jobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Stats.CacheHits() != 0 {
-		t.Fatalf("cold sweep hit the cache %d times", opt.Stats.CacheHits())
-	}
-	if opt.Stats.Warmups() == 0 {
-		t.Fatal("cold sweep simulated no warm-ups")
+	if got, want := counts(opt.Stats), [5]int64{cells - warmups, warmups, warmups, cells - warmups, warmups}; got != want {
+		t.Fatalf("cold sweep: %s; want hits/misses/warmups/forked/fresh %v", opt.Stats.Summary(), want)
 	}
 
 	opt.Stats = &SweepStats{}
@@ -146,29 +170,26 @@ func TestCachedSweepMatchesNoFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Stats.Warmups() != 0 {
-		t.Fatalf("warm sweep still simulated %d warm-ups", opt.Stats.Warmups())
-	}
-	if hits := opt.Stats.CacheHits(); hits == 0 {
-		t.Fatal("warm sweep never hit the cache")
+	if got, want := counts(opt.Stats), [5]int64{cells, 0, 0, cells, 0}; got != want {
+		t.Fatalf("warm sweep: %s; want hits/misses/warmups/forked/fresh %v", opt.Stats.Summary(), want)
 	}
 
-	optFresh := opt
-	optFresh.NoFork = true
-	optFresh.Stats = &SweepStats{}
-	fresh, err := runAll(jobs, optFresh)
+	uncached := opt
+	uncached.WarmupCache = ""
+	uncached.Stats = &SweepStats{}
+	fresh, err := runAll(jobs, uncached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if optFresh.Stats.CacheHits() != 0 || optFresh.Stats.CacheMisses() != 0 {
-		t.Fatal("NoFork sweep touched the warm-up cache")
+	if got, want := counts(uncached.Stats), [5]int64{0, 0, 0, 0, cells}; got != want {
+		t.Fatalf("uncached sweep: %s; want hits/misses/warmups/forked/fresh %v", uncached.Stats.Summary(), want)
 	}
 
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatalf("cache-served sweep diverged from cache-populating sweep:\ncold: %+v\nwarm: %+v", cold, warm)
 	}
 	if !reflect.DeepEqual(cold, fresh) {
-		t.Fatalf("cached sweep diverged from NoFork sweep:\ncached: %+v\nfresh: %+v", cold, fresh)
+		t.Fatalf("cached sweep diverged from uncached sweep:\ncached: %+v\nfresh: %+v", cold, fresh)
 	}
 }
 
@@ -233,10 +254,11 @@ func TestWarmupCacheRobustness(t *testing.T) {
 	}
 }
 
-// TestWarmPublishesAndRestores covers the single-run command path: Warm on
-// an empty cache warms up fresh and publishes, Warm again restores a freshly
-// built controller with identical subsequent behavior, and a different
-// footprint misses.
+// TestWarmPublishesAndRestores covers the single-run command path
+// (dloopsim -warmup-cache): RunObserved on an empty cache warms up fresh and
+// publishes, counting one fresh cell; run again, it restores a freshly built
+// controller with identical subsequent behavior, counting one cell from the
+// cache; and a different footprint misses.
 func TestWarmPublishesAndRestores(t *testing.T) {
 	opt := quickOptions()
 	opt.Requests = 300
@@ -247,50 +269,43 @@ func TestWarmPublishesAndRestores(t *testing.T) {
 	p := scaleProfile(workload.Financial1(), opt.Scale)
 	wc := &WarmupCache{Dir: t.TempDir(), Stats: &SweepStats{}}
 
-	warm, err := wc.Warm(cfg, p.FootprintBytes)
+	want, err := RunObserved(cfg, p, opt.Requests, opt.Seed, wc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer warm.Close()
-	if wc.Stats.Warmups() != 1 || wc.Stats.CacheMisses() != 1 {
-		t.Fatalf("first Warm: %s", wc.Stats.Summary())
-	}
-	want, err := resumeObserved(warm, cfg, p, opt.Requests, opt.Seed, nil)
-	if err != nil {
-		t.Fatal(err)
+	if sum := wc.Stats.Summary(); !strings.Contains(sum, "0 hits / 1 misses") ||
+		!strings.Contains(sum, "cells: 0 forked / 1 fresh; warmups simulated: 1") {
+		t.Fatalf("cold run: %s", sum)
 	}
 
-	c, err := wc.Warm(cfg, p.FootprintBytes)
+	wc.Stats = &SweepStats{}
+	got, err := RunObserved(cfg, p, opt.Requests, opt.Seed, wc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if wc.Stats.CacheHits() != 1 || wc.Stats.Warmups() != 1 {
-		t.Fatalf("Warm missed a just-published checkpoint: %s", wc.Stats.Summary())
-	}
-	got, err := resumeObserved(c, cfg, p, opt.Requests, opt.Seed, nil)
-	if err != nil {
-		t.Fatal(err)
+	if sum := wc.Stats.Summary(); !strings.Contains(sum, "1 hits / 0 misses") ||
+		!strings.Contains(sum, "cells: 1 forked / 0 fresh; warmups simulated: 0") {
+		t.Fatalf("warm run missed a just-published checkpoint: %s", sum)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("run from the cached warm-up diverged:\n got %+v\nwant %+v", got, want)
 	}
 	// A different footprint must miss.
-	c2, err := wc.Warm(cfg, p.FootprintBytes+1)
+	c, err := wc.Warm(cfg, p.FootprintBytes+1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	if wc.Stats.CacheHits() != 1 || wc.Stats.Warmups() != 2 {
+	defer c.Close()
+	if wc.Stats.CacheHits() != 1 || wc.Stats.Warmups() != 1 {
 		t.Fatalf("Warm hit on a different footprint: %s", wc.Stats.Summary())
 	}
 }
 
-// BenchmarkSweepWarmupCached is benchSweep's third mode: the 4-cell
-// seed-replication sweep with every warm-up served from a pre-populated
-// on-disk cache. Decode + restore replaces the warm-up simulation entirely,
-// so this must beat BenchmarkSweepWarmupShared (which still simulates the
-// warm-up once per sweep).
+// BenchmarkSweepWarmupCached measures a 4-cell seed-replication sweep — one
+// configuration and footprint, four seeds — with every warm-up served from a
+// pre-populated on-disk cache: each cell builds its controller and decodes
+// and restores the checkpoint instead of simulating the warm-up. One worker,
+// so the numbers compare total work, not scheduling luck.
 func BenchmarkSweepWarmupCached(b *testing.B) {
 	opt := Options{Requests: 400, Scale: 0.02, Seed: 7, Workers: 1}
 	opt.WarmupCache = b.TempDir()
@@ -310,7 +325,7 @@ func BenchmarkSweepWarmupCached(b *testing.B) {
 // TestWarmupCacheRejectsDamagedBody damages a cache entry where only Restore
 // can see it: the container stays sound (magic, version and checksum pass)
 // but one valid page loses its OOB tag. The cell must
-// never run on the half-restored controller: RunCachedObserved equals the
+// never run on the half-restored controller: RunObserved equals the
 // uncached run, the entry counts as a reject, and the fresh warm-up heals it.
 func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
 	opt := quickOptions()
@@ -320,7 +335,7 @@ func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
 		t.Fatal("configFor failed")
 	}
 	p := scaleProfile(workload.Financial1(), opt.Scale)
-	want, err := RunObserved(cfg, p, opt.Requests, opt.Seed, nil)
+	want, err := RunObserved(cfg, p, opt.Requests, opt.Seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +375,7 @@ func TestWarmupCacheRejectsDamagedBody(t *testing.T) {
 	}
 
 	wc.Stats = &SweepStats{}
-	got, err := RunCachedObserved(cfg, p, opt.Requests, opt.Seed, wc, nil)
+	got, err := RunObserved(cfg, p, opt.Requests, opt.Seed, wc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

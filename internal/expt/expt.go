@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"dloop/internal/obs"
 	"dloop/internal/sim"
@@ -64,23 +63,17 @@ type Options struct {
 	// each snapshot carries its cell's ftl label.
 	Exporter Publisher
 
-	// NoFork disables warm-up sharing: every sweep cell builds and
-	// preconditions its own simulator instead of forking a checkpoint taken
-	// after one shared warm-up. It also bypasses WarmupCache, so a NoFork
-	// sweep is always the from-scratch reference. Forked and fresh runs are
-	// bit-identical, so this exists only for debugging and for A/B-ing the
-	// optimisation itself.
-	NoFork bool
 	// WarmupCache, when set, is a directory of persistent warm-up checkpoints
-	// (see WarmupCache): before simulating a group's warm-up prefix the sweep
-	// looks for <WarmupKey>.ckpt there, and after a fresh warm-up it publishes
-	// one. Entries are content-addressed by configuration digest and
-	// footprint, so a stale or foreign file can never poison a run — it is
-	// rejected on load and overwritten. Share one directory across processes
-	// and sweeps to make repeated sweeps skip preconditioning entirely.
+	// (see WarmupCache): before simulating a cell's warm-up the sweep looks
+	// for <WarmupKey>.ckpt there, and after a fresh warm-up it publishes one.
+	// Entries are content-addressed by configuration digest and footprint, so
+	// a stale or foreign file can never poison a run — it is rejected on load
+	// and overwritten. Share one directory across processes and sweeps to make
+	// repeated sweeps skip preconditioning entirely. Unset, every cell builds
+	// and preconditions its own simulator: the from-scratch reference.
 	WarmupCache string
-	// Stats, when non-nil, accumulates warm-up cache and fork-scheduler
-	// counters across every sweep run with these Options.
+	// Stats, when non-nil, accumulates warm-up cache and cell counters across
+	// every sweep run with these Options.
 	Stats *SweepStats
 }
 
@@ -111,67 +104,31 @@ func (o Options) progress(format string, args ...any) {
 // Run executes one simulation: build the SSD, precondition the workload's
 // footprint, replay the trace, return the results.
 func Run(cfg ssd.Config, profile workload.Profile, requests int, seed int64) (ssd.Result, error) {
-	return RunObserved(cfg, profile, requests, seed, nil)
+	return RunObserved(cfg, profile, requests, seed, nil, nil)
 }
 
-// RunObserved is Run with an observability attach point: after the device is
-// preconditioned (so the recorded stream covers exactly the measured window),
-// attach is called with the built controller and any non-nil Recorder it
-// returns is wired through the whole stack. attach may be nil.
+// RunObserved is Run with a warm-up cache and an observability attach point.
+// The warm-up comes from wc.Warm: restored when the cache holds a checkpoint
+// for (cfg, footprint), simulated and published otherwise, and always
+// simulated with a nil or directory-less cache. After the warm-up (so the
+// recorded stream covers exactly the measured window), attach is called with
+// the warmed controller and any non-nil Recorder it returns is wired through
+// the whole stack. attach may be nil. The request stream comes from the
+// shared packed arena for (profile, seed) — generated once per process,
+// replayed read-only through a private cursor — so concurrent cells serving
+// the same stream never regenerate it.
 func RunObserved(cfg ssd.Config, profile workload.Profile, requests int, seed int64,
-	attach func(*ssd.Controller) obs.Recorder) (ssd.Result, error) {
-	c, err := buildWarm(cfg, profile)
-	if err != nil {
-		return ssd.Result{}, err
-	}
-	defer c.Close()
-	return resumeObserved(c, cfg, profile, requests, seed, attach)
-}
-
-// RunCachedObserved is RunObserved backed by a persistent warm-up cache: when
-// the cache holds a checkpoint for (cfg, footprint) the preconditioning phase
-// is restored from disk instead of simulated, and a freshly simulated warm-up
-// is published back for later processes (see WarmupCache.Warm). With a nil or
-// directory-less cache it returns RunObserved's result. Cache publication
-// failures are counted in the cache's Stats but never fail the run.
-func RunCachedObserved(cfg ssd.Config, profile workload.Profile, requests int, seed int64,
 	wc *WarmupCache, attach func(*ssd.Controller) obs.Recorder) (ssd.Result, error) {
 	c, err := wc.Warm(cfg, profile.FootprintBytes)
 	if err != nil {
 		return ssd.Result{}, err
 	}
 	defer c.Close()
-	return resumeObserved(c, cfg, profile, requests, seed, attach)
-}
-
-// buildWarm builds the SSD and preconditions the workload's footprint — the
-// warm-up prefix that every cell of a (config, footprint) group shares.
-func buildWarm(cfg ssd.Config, profile workload.Profile) (*ssd.Controller, error) {
-	c, err := ssd.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("expt: build %s: %w", cfg.FTL, err)
-	}
-	if err := c.PreconditionBytes(profile.FootprintBytes); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("expt: precondition %s/%s: %w", cfg.FTL, profile.Name, err)
-	}
-	return c, nil
-}
-
-// resumeObserved replays the measured window on an already warmed controller.
-// The request stream comes from the shared packed arena for (profile, seed)
-// — generated once per process, replayed read-only through a private cursor —
-// so concurrent cells serving the same stream never regenerate it. Any
-// recorder the attach hook wires up is detached again before returning, which
-// lets the fork path restore and reuse the controller for the next cell.
-func resumeObserved(c *ssd.Controller, cfg ssd.Config, profile workload.Profile, requests int, seed int64,
-	attach func(*ssd.Controller) obs.Recorder) (ssd.Result, error) {
 	if attach != nil {
 		if rec := attach(c); rec != nil {
 			if err := c.SetRecorder(rec); err != nil {
 				return ssd.Result{}, fmt.Errorf("expt: %w", err)
 			}
-			defer c.SetRecorder(nil) // detaching cannot fail
 		}
 	}
 	arena, err := workload.MaterializeArena(profile, seed, requests)
@@ -195,8 +152,8 @@ type job struct {
 	x       string
 	cfg     ssd.Config
 	profile workload.Profile
-	// seed, when non-zero, overrides Options.Seed for this cell. Replication
-	// sweeps use it to fan several request streams out of one shared warm-up.
+	// seed, when non-zero, overrides Options.Seed for this cell, so cells can
+	// share one warm-up (through the cache) and replay different streams.
 	seed int64
 }
 
@@ -221,18 +178,12 @@ func sanitizeKey(key string) string {
 	}, key)
 }
 
-// runJob executes one sweep cell from scratch: own build, own warm-up.
-func runJob(j job, opt Options) (ssd.Result, error) {
-	return runCell(j, opt, nil)
-}
-
-// runCell executes one sweep cell. When warmed is non-nil it is a controller
-// already holding the cell's shared warm-up state (the fork path) and only
-// the measured window runs; otherwise the cell builds and preconditions its
-// own. When the options request observability output it attaches a collector
-// per cell and writes the cell's metrics.json (and optionally its trace-event
+// runCell executes one sweep cell: warm up (from the cache when
+// opt.WarmupCache holds the cell's warm-up), then replay the measured window.
+// When the options request observability output it attaches a collector per
+// cell and writes the cell's metrics.json (and optionally its trace-event
 // document) named after the job key.
-func runCell(j job, opt Options, warmed *ssd.Controller) (ssd.Result, error) {
+func runCell(j job, opt Options) (ssd.Result, error) {
 	path := func(dir, ext string) (string, error) {
 		if dir == "" {
 			return "", nil
@@ -251,30 +202,21 @@ func runCell(j job, opt Options, warmed *ssd.Controller) (ssd.Result, error) {
 	if err != nil {
 		return ssd.Result{}, err
 	}
-	seed := j.effSeed(opt)
-	var res ssd.Result
-	if warmed != nil {
-		res, err = resumeObserved(warmed, j.cfg, j.profile, opt.Requests, seed, ob.Attach)
-	} else {
-		res, err = RunObserved(j.cfg, j.profile, opt.Requests, seed, ob.Attach)
-	}
+	wc := &WarmupCache{Dir: opt.WarmupCache, Stats: opt.Stats}
+	res, err := RunObserved(j.cfg, j.profile, opt.Requests, j.effSeed(opt), wc, ob.Attach)
 	if err := ob.Finish(err); err != nil {
 		return ssd.Result{}, err
 	}
 	return res, nil
 }
 
-// runAll executes jobs on a bounded worker pool: exactly opt.Workers
-// goroutines pull from a shared task queue, so a 60-cell sweep does not spawn
-// 60 goroutines (each run pins megabytes of simulator state). Jobs sharing a
-// (config, footprint) warm-up prefix are grouped; a group obtains the warm
-// state once — from the persistent cache when opt.WarmupCache hits, from one
-// fresh warm-up otherwise — and fans its remaining cells back out to the pool
-// as fork tasks, each restoring the group's shared checkpoint on whichever
-// worker picks it up (see runGroupTask / runForkTask). Completed cells stream
-// their Result to a single aggregator goroutine immediately, so no worker
-// holds simulator state while waiting for the sweep to end. After the first
-// failure the remaining queue drains without running.
+// runAll executes jobs on a bounded worker pool: at most opt.Workers
+// goroutines pull cells from a shared queue in submission order, so a
+// 60-cell sweep does not spawn 60 goroutines (each run pins megabytes of
+// simulator state). Completed cells stream their Result to a single
+// aggregator goroutine immediately, so no worker holds simulator state while
+// waiting for the sweep to end. After the first failure the remaining queue
+// drains without running.
 func runAll(jobs []job, opt Options) (map[string]ssd.Result, error) {
 	opt.setDefaults()
 	// Translation-engine knobs: the policy applies only to the demand-paged
@@ -295,7 +237,6 @@ func runAll(jobs []job, opt Options) (map[string]ssd.Result, error) {
 			}
 		}
 	}
-	groups := groupJobs(jobs, opt)
 
 	// Streaming aggregation: cells publish results as they finish.
 	type keyed struct {
@@ -326,62 +267,28 @@ func runAll(jobs []job, opt Options) (map[string]ssd.Result, error) {
 		defer mu.Unlock()
 		return firstErr != nil
 	}
-	emit := func(j job, res ssd.Result) {
-		resCh <- keyed{key: j.key, res: res}
-		opt.progress("done %-28s mean=%8.3f ms  sdrpp=%5.2f  gc=%d", j.key, res.MeanRespMs, res.SDRPP, res.GCRuns)
-	}
 
-	sc := &sweepCtx{
-		opt:     opt,
-		cache:   &WarmupCache{Dir: opt.WarmupCache, Stats: opt.Stats},
-		stats:   opt.Stats,
-		emit:    emit,
-		fail:    fail,
-		stopped: stopped,
+	queue := make(chan job, len(jobs))
+	for _, j := range jobs {
+		queue <- j
 	}
-	// The queue holds every group task up front plus, transiently, the fork
-	// tasks groups fan back out — at most one per job — so the buffer below
-	// means no send ever blocks. pending counts queued-but-undrained tasks;
-	// whichever worker drains the last one closes the queue. A group task
-	// enqueues its forks before its own done(), so pending cannot touch zero
-	// while work is still being produced.
-	tasks := make(chan task, len(jobs)+len(groups))
-	pending := int64(len(groups))
-	done := func() {
-		if atomic.AddInt64(&pending, -1) == 0 {
-			close(tasks)
-		}
-	}
-	sc.enqueue = func(t task) {
-		atomic.AddInt64(&pending, 1)
-		tasks <- t
-	}
-	for _, g := range groups {
-		tasks <- task{group: g}
-	}
-	if len(groups) == 0 {
-		close(tasks)
-	}
+	close(queue)
 	var wg sync.WaitGroup
-	// Cap at the job count, not the group count: a single-config sweep is one
-	// group, but its forked cells spread across every worker.
-	workers := opt.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(opt.Workers, len(jobs)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ws workerState
-			defer ws.close()
-			for t := range tasks {
-				if t.group != nil {
-					runGroupTask(sc, &ws, t.group)
-				} else {
-					runForkTask(sc, &ws, t)
+			for j := range queue {
+				if stopped() {
+					continue
 				}
-				done()
+				res, err := runCell(j, opt)
+				if err != nil {
+					fail(err)
+					continue
+				}
+				resCh <- keyed{key: j.key, res: res}
+				opt.progress("done %-28s mean=%8.3f ms  sdrpp=%5.2f  gc=%d", j.key, res.MeanRespMs, res.SDRPP, res.GCRuns)
 			}
 		}()
 	}

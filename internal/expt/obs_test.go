@@ -23,7 +23,7 @@ func TestObservedRunReconcilesGCCounters(t *testing.T) {
 	p := scaleProfile(workload.Financial1(), opt.Scale)
 
 	var col *obs.Collector
-	res, err := RunObserved(cfg, p, 8000, 3, func(c *ssd.Controller) obs.Recorder {
+	res, err := RunObserved(cfg, p, 8000, 3, nil, func(c *ssd.Controller) obs.Recorder {
 		o := c.ObsOptions()
 		o.SnapshotInterval = 100 * sim.Millisecond
 		col = obs.NewCollector(o)

@@ -32,7 +32,7 @@ func observeRun(t *testing.T, ob *Observer) (pulses int, attached obs.Recorder) 
 		t.Fatal("configFor failed")
 	}
 	p := scaleProfile(workload.Financial1(), opt.Scale)
-	_, err := RunObserved(cfg, p, 300, 3, func(c *ssd.Controller) obs.Recorder {
+	_, err := RunObserved(cfg, p, 300, 3, nil, func(c *ssd.Controller) obs.Recorder {
 		c.SetPulse(func() { pulses++ })
 		attached = ob.Attach(c)
 		return attached
