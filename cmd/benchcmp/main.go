@@ -1,136 +1,173 @@
-// Command benchcmp diffs two benchmark baselines produced by scripts/bench.sh
-// and fails when the new run regresses: more than -ns-tolerance on ns/op
-// (default 10%), or ANY growth in B/op or allocs/op (the hot paths are
-// zero-allocation by design; a single new byte per op is a bug, not noise).
+// Command benchcmp compares two files of raw `go test -bench -benchmem`
+// output, a base and a change measured in alternating rounds on one machine
+// (scripts/bench.sh -against REV), and exits 1 when a benchmark regressed.
 //
-// Benchmarks present only in the new run are reported and accepted — adding a
-// benchmark must not break the gate. Benchmarks present only in the baseline
-// are reported as missing and fail the run: a silently vanished benchmark is
-// how a regression hides.
+// The k-th result of a benchmark in one file is paired with its k-th result
+// in the other: one pair per round. The base's own spread across the rounds
+// is the bar, so noise that the base shows against itself fails nothing:
+//
+//   - allocs/op or B/op fails only when every change round is above every
+//     base round;
+//   - ns/op fails only when the base's relative IQR is under 10 %, the change
+//     is slower in at least nine tenths of the paired rounds (the rule for
+//     claiming a difference from paired runs; a bare majority failed
+//     identical binaries on a shared host, DESIGN §12), the median ratio is
+//     above 1.10, and the median difference exceeds the base's IQR. A row whose base IQR is 10 % or wider is "unresolved",
+//     unless every change round is faster than every base round.
+//
+// A benchmark found in one file only is reported and never fails: a
+// benchmark whose body changes takes a new name.
 //
 // Usage:
 //
-//	benchcmp -old BENCH_BASELINE.json -new /tmp/bench.json
-//	benchcmp -ns-tolerance 0.25 ...   # noisy shared runners
-//	benchcmp -skip-ns ...             # allocation gate only
+//	benchcmp -base base.txt -new new.txt
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 )
 
-type baseline struct {
-	Commit     string  `json:"commit"`
-	Mode       string  `json:"mode"`
-	Benchmarks []entry `json:"benchmarks"`
-}
+// bound is both the widest relative IQR of a base's ns/op at which a row is
+// judged and the smallest median slowdown that fails it.
+const bound = 0.10
 
-type entry struct {
-	Package  string   `json:"package"`
-	Name     string   `json:"name"`
-	NsPerOp  float64  `json:"ns_per_op"`
-	BytesOp  *float64 `json:"bytes_per_op"`
-	AllocsOp *float64 `json:"allocs_per_op"`
-}
+// results maps "pkg.BenchmarkName-P" to each unit's values, in the order of
+// the rounds.
+type results map[string]map[string][]float64
 
-func (e entry) key() string { return e.Package + "." + e.Name }
-
-func load(path string) (baseline, error) {
-	var b baseline
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return b, err
-	}
-	if err := json.Unmarshal(data, &b); err != nil {
-		return b, fmt.Errorf("%s: %w", path, err)
-	}
-	return b, nil
-}
-
-func main() {
-	var (
-		oldPath = flag.String("old", "BENCH_BASELINE.json", "baseline to compare against")
-		newPath = flag.String("new", "", "freshly measured baseline (required)")
-		nsTol   = flag.Float64("ns-tolerance", 0.10, "allowed fractional ns/op growth before failing")
-		skipNs  = flag.Bool("skip-ns", false, "skip ns/op comparison (timings too noisy), keep the allocation gate")
-	)
-	flag.Parse()
-	if *newPath == "" {
-		fmt.Fprintln(os.Stderr, "benchcmp: -new is required")
-		os.Exit(2)
-	}
-	oldB, err := load(*oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(2)
-	}
-	newB, err := load(*newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(2)
-	}
-
-	oldBy := make(map[string]entry, len(oldB.Benchmarks))
-	for _, e := range oldB.Benchmarks {
-		oldBy[e.key()] = e
-	}
-	newBy := make(map[string]entry, len(newB.Benchmarks))
-	var keys []string
-	for _, e := range newB.Benchmarks {
-		newBy[e.key()] = e
-		keys = append(keys, e.key())
-	}
-	sort.Strings(keys)
-
-	failures := 0
-	fail := func(format string, args ...any) {
-		failures++
-		fmt.Printf("FAIL  "+format+"\n", args...)
-	}
-
-	for _, k := range keys {
-		n := newBy[k]
-		o, ok := oldBy[k]
-		if !ok {
-			fmt.Printf("new   %-55s %10.1f ns/op (not in baseline, accepted)\n", k, n.NsPerOp)
+// parse reads raw `go test -bench` text; lines that are not benchmark results
+// (headers, logs, PASS) are skipped.
+func parse(text string) results {
+	res := results{}
+	pkg := ""
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 2 && f[0] == "pkg:" {
+			pkg = f[1]
+		}
+		if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
 			continue
 		}
-		delta := 0.0
-		if o.NsPerOp > 0 {
-			delta = n.NsPerOp/o.NsPerOp - 1
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
 		}
-		status := "ok"
-		if !*skipNs && delta > *nsTol {
-			fail("%-55s ns/op %.1f -> %.1f (%+.1f%%, tolerance %.0f%%)",
-				k, o.NsPerOp, n.NsPerOp, 100*delta, 100**nsTol)
-			status = ""
+		key := pkg + "." + f[0]
+		if res[key] == nil {
+			res[key] = map[string][]float64{}
 		}
-		if o.BytesOp != nil && n.BytesOp != nil && *n.BytesOp > *o.BytesOp {
-			fail("%-55s B/op %.0f -> %.0f (any growth fails)", k, *o.BytesOp, *n.BytesOp)
-			status = ""
-		}
-		if o.AllocsOp != nil && n.AllocsOp != nil && *n.AllocsOp > *o.AllocsOp {
-			fail("%-55s allocs/op %.0f -> %.0f (any growth fails)", k, *o.AllocsOp, *n.AllocsOp)
-			status = ""
-		}
-		if status != "" {
-			fmt.Printf("%-5s %-55s %10.1f ns/op (%+.1f%%)\n", status, k, n.NsPerOp, 100*delta)
+		for i := 2; i < len(f); i += 2 {
+			v, _ := strconv.ParseFloat(f[i], 64) // a value go test printed
+			res[key][f[i+1]] = append(res[key][f[i+1]], v)
 		}
 	}
-	for k := range oldBy {
-		if _, ok := newBy[k]; !ok {
-			fail("%-55s missing from new run", k)
-		}
-	}
+	return res
+}
 
-	if failures > 0 {
-		fmt.Printf("benchcmp: %d regression(s) vs %s (commit %s)\n", failures, *oldPath, oldB.Commit)
+// row is one benchmark's verdict ("ok", "FAIL", "unresolved", "base only" or
+// "new only") and the figures behind it.
+type row struct {
+	name, status string
+	notes        []string
+}
+
+// judge compares every benchmark of base and change, in name order.
+func judge(base, change results) []row {
+	var rows []row
+	for name := range base {
+		rows = append(rows, row{name: name, status: "base only"})
+	}
+	for name := range change {
+		if base[name] == nil {
+			rows = append(rows, row{name: name, status: "new only"})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	for i := range rows {
+		b, c, r := base[rows[i].name], change[rows[i].name], &rows[i]
+		if b == nil || c == nil {
+			continue
+		}
+		r.status = "ok"
+		for _, unit := range []string{"allocs/op", "B/op"} {
+			bv, cv := b[unit], c[unit]
+			if len(bv) == 0 || len(cv) == 0 {
+				continue
+			}
+			r.notes = append(r.notes, fmt.Sprintf("%s %.0f..%.0f -> %.0f..%.0f", unit, lo(bv), hi(bv), lo(cv), hi(cv)))
+			if lo(cv) > hi(bv) {
+				r.status = "FAIL"
+				r.notes[len(r.notes)-1] += " (every round above the base's)"
+			}
+		}
+		n := min(len(b["ns/op"]), len(c["ns/op"]))
+		if n == 0 {
+			continue
+		}
+		bv, cv := b["ns/op"][:n], c["ns/op"][:n]
+		ratios, diffs, slower := make([]float64, n), make([]float64, n), 0
+		for k := range bv {
+			ratios[k], diffs[k] = cv[k]/bv[k], cv[k]-bv[k]
+			if cv[k] > bv[k] {
+				slower++
+			}
+		}
+		iqr, med, ratio := quantile(bv, 0.75)-quantile(bv, 0.25), quantile(bv, 0.5), quantile(ratios, 0.5)
+		r.notes = append(r.notes, fmt.Sprintf("ns/op %.4g -> %.4g (x%.2f, slower in %d/%d rounds, base IQR %.0f%%)",
+			med, quantile(cv, 0.5), ratio, slower, n, 100*iqr/med))
+		switch {
+		case iqr >= bound*med && hi(cv) < lo(bv):
+		case iqr >= bound*med && r.status == "ok":
+			r.status = "unresolved"
+		case iqr < bound*med && 10*slower >= 9*n && ratio > 1+bound && quantile(diffs, 0.5) > iqr:
+			r.status = "FAIL"
+		}
+	}
+	return rows
+}
+
+// quantile returns the p-quantile of v, interpolating between order
+// statistics (the first and third quartiles of five values are the second
+// and fourth).
+func quantile(v []float64, p float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	pos := p * float64(len(s)-1)
+	i := int(pos)
+	if i+1 == len(s) {
+		return s[i]
+	}
+	return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+}
+
+func lo(v []float64) float64 { return quantile(v, 0) }
+func hi(v []float64) float64 { return quantile(v, 1) }
+
+func main() {
+	basePath := flag.String("base", "", "raw go test -bench output of the base (required)")
+	newPath := flag.String("new", "", "raw go test -bench output of the change (required)")
+	flag.Parse()
+	var sides [2]results
+	for i, path := range []string{*basePath, *newPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchcmp: -base and -new name two files:", err)
+			os.Exit(2)
+		}
+		sides[i] = parse(string(data))
+	}
+	count := map[string]int{}
+	for _, r := range judge(sides[0], sides[1]) {
+		count[r.status]++
+		fmt.Printf("%-10s %-70s %s\n", r.status, r.name, strings.Join(r.notes, "; "))
+	}
+	fmt.Printf("benchcmp: %d ok, %d failed, %d unresolved, %d base only, %d new only\n",
+		count["ok"], count["FAIL"], count["unresolved"], count["base only"], count["new only"])
+	if count["FAIL"] > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("benchcmp: %d benchmark(s) within tolerance of %s (commit %s)\n",
-		len(keys), *oldPath, oldB.Commit)
 }

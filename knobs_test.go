@@ -19,6 +19,7 @@ var flagSections = []struct{ heading, file string }{
 	{"## `cmd/dloopsim` flags", "cmd/dloopsim/main.go"},
 	{"## `cmd/experiments` flags", "cmd/experiments/main.go"},
 	{"## `cmd/tracegen` flags", "cmd/tracegen/main.go"},
+	{"## `cmd/benchcmp` flags", "cmd/benchcmp/main.go"},
 }
 
 // structSections maps the option structs with a KNOBS.md table of their own
@@ -48,7 +49,7 @@ type setting struct {
 }
 
 // TestKnobsListed keeps KNOBS.md in step with the code: every flag of the
-// three CLIs and every exported field of every Config, Options and Layout
+// four CLIs and every exported field of every Config, Options and Layout
 // struct of internal/ has a live row, every live row names a setting that
 // exists, and every row marked deleted names a setting that is gone. A field
 // that no non-test code sets must be deleted, or its verdict must start

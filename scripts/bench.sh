@@ -1,160 +1,125 @@
 #!/bin/sh
-# bench.sh — run the hot-path benchmark suite and emit a machine-readable
-# baseline (BENCH_BASELINE.json by default).
+# bench.sh — run the hot-path micro-benchmarks, once or as a same-machine A/B.
 #
 # Usage:
-#   scripts/bench.sh                 # measured run (default -benchtime 300ms)
-#   scripts/bench.sh -smoke          # CI smoke: one iteration per benchmark,
-#                                    # verifies the suite runs, timings noisy
-#   scripts/bench.sh -o out.json     # write the baseline elsewhere
-#   scripts/bench.sh -compare        # measure, then diff against
-#                                    # BENCH_BASELINE.json via cmd/benchcmp:
-#                                    # exit non-zero on >10% ns/op growth or
-#                                    # ANY B/op / allocs/op growth
-#   scripts/bench.sh -compare -benchtime 100ms  # faster CI compare
+#   scripts/bench.sh                  # the working tree, one round; raw
+#                                     # `go test -bench` text on stdout
+#   scripts/bench.sh -benchtime 1x    # smoke: every benchmark runs once
+#   scripts/bench.sh -against REV     # A/B: REV (the base) against the
+#                                     # working tree; exits 1 on a regression
 #
-# -compare always measures (it ignores -smoke's 1x benchtime): a single
-# iteration charges one-time setup allocations to B/op and its timing is
-# noise, so a 1x run cannot be compared against an amortized baseline.
-#
-# The sweep benchmarks (BenchmarkFig8 etc.) regenerate whole paper figures and
-# take seconds per iteration; the baseline tracks the hot-path benchmarks,
-# which is where a scheduling or mapping regression shows up first.
+# -against checks REV out with git worktree into a temporary directory,
+# builds each package's test binary on both sides (with -trimpath, so the
+# same source gives the same binary), and runs the two sides in $rounds
+# alternating rounds on this machine, so a row compares two trees and never
+# two hosts. The raw outputs and cmd/benchcmp's report are left in
+# .bench_ab/ (base.txt, new.txt, report.txt). benchcmp pairs results by name:
+# a benchmark whose body changes takes a new name.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-out=BENCH_BASELINE.json
-benchtime=300ms
-count=1
-mode=measured
-compare=""
+# Ten rounds, so that cmd/benchcmp's nine-tenths rule reads 9 of 10: on a
+# shared 2-vCPU host, five rounds failed identical binaries too often to
+# gate (DESIGN §12).
+rounds=10
+benchtime=100ms
+against=""
 while [ $# -gt 0 ]; do
     case "$1" in
-    -smoke) mode=smoke; benchtime=1x ;;
-    -compare) compare=BENCH_BASELINE.json ;;
+    -against) shift; against=$1 ;;
     -benchtime) shift; benchtime=$1 ;;
-    -o) shift; out=$1 ;;
     *) echo "bench.sh: unknown argument $1" >&2; exit 2 ;;
     esac
     shift
 done
-if [ -n "$compare" ]; then
-    # Short benchtimes under-amortize one-time setup costs into B/op and make
-    # ns/op noisy enough to trip the 10% gate, so compare always measures the
-    # full benchtime and takes the best of three runs per benchmark (the
-    # baseline records best-case numbers; comparing a single noisy sample
-    # against a best-case baseline fails spuriously on a loaded machine).
-    mode=measured
-    if [ "$benchtime" = 1x ]; then
-        benchtime=300ms
-    fi
-    count=3
-fi
-if [ -n "$compare" ] && [ "$out" = "$compare" ]; then
-    echo "bench.sh: -compare would diff $out against itself; pass -o" >&2
-    exit 2
-fi
 
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
-
+# One line per package: its directory and the -bench pattern run in it.
 # Root package: only the end-to-end hot-path benchmarks (throughput plain,
-# with the observability recorder attached, multi-queue vs single-FTL — the
-# BenchmarkShardedThroughput pattern covers every mode sub-benchmark,
-# including the batched-dispatch 8ch/mq-pipelined one — plus the
-# sustained-GC regime and BenchmarkBuild, a 64 GB device built per scheme in
-# a fresh child process), not the figure sweeps. Internal packages: every
-# benchmark they define — for ./internal/sim/ that is the three timeline
-# regimes: BenchmarkResourceAcquire (tail appends),
-# BenchmarkResourceBackfill (one resource, gaps), and
-# BenchmarkAcquireAllContended (three interlocked resources, a backfilled
-# chain: many EarliestStart rounds per call); for ./internal/flash/
-# BenchmarkCopyBackRun (runs of 1, 8 and 55 pages) beside the per-page
-# BenchmarkCopyBack; for ./internal/ftl/gc/ BenchmarkCollectOnce (one whole
-# collection of a ~55-valid-page victim).
-#
-# `go test | tee` would mask a benchmark failure: POSIX sh has no pipefail,
-# so under set -eu the pipeline's status is tee's (always 0) and a crashed
-# run would quietly emit a truncated baseline that -compare then trips over
-# (or worse, a fresh -o baseline silently loses benchmarks). Capture to the
-# file first, then echo it, so `go test`'s own exit status gates the script.
-run_bench() {
-    if ! go test "$@" >> "$raw" 2>&1; then
-        cat "$raw" >&2
-        echo "bench.sh: go test $* failed" >&2
+# with the observability recorder attached, multi-queue vs single-FTL, the
+# sustained-GC regime, and BenchmarkBuild, a 64 GB device built per scheme in
+# a fresh child process), not the figure sweeps, which take seconds per
+# iteration. Internal packages: every benchmark they define, e.g. the three
+# resource-timeline regimes of internal/sim, the copy-back runs of
+# internal/flash and one whole collection in internal/ftl/gc. The root
+# pattern lists plain names so that TestBenchScriptSelectorsNameBenchmarks can
+# check each of them.
+suite='
+. ^(BenchmarkSimulateThroughput|BenchmarkSimulateThroughputObserved|BenchmarkSimulateThroughputObservedMQ|BenchmarkShardedThroughput|BenchmarkGCHeavy|BenchmarkBuild)$
+internal/sim .
+internal/flash .
+internal/ftl .
+internal/ftl/gc .
+internal/ftl/translate .
+internal/workload .
+internal/trace .
+internal/expt .
+internal/ssd .
+'
+
+# Each side is a source tree $tmp/SIDE-tree (the working tree is linked
+# there) and its test binaries $tmp/SIDE/PKG/pkg.test.
+tmp=$(mktemp -d)
+trap 'git worktree remove --force "$tmp/base-tree" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+trap 'exit 130' INT TERM
+ln -s "$PWD" "$tmp/new-tree"
+out=$tmp
+
+# build SIDE: compile each package's test binary.
+build() {
+    echo "$suite" | grep . | while read -r pkg pattern; do
+        go -C "$tmp/$1-tree" test -c -trimpath -o "$tmp/$1/$pkg/pkg.test" "./$pkg"
+    done
+}
+
+# run SIDE PKG PATTERN: run PKG's benchmarks matching PATTERN from the
+# package directory, appending the raw text to $out/SIDE.txt. A failed run
+# stops the script.
+run() {
+    if ! (cd "$tmp/$1-tree/$2" && "$tmp/$1/$2/pkg.test" -test.run '^$' -test.bench "$3" \
+        -test.benchmem -test.benchtime "$benchtime") >> "$out/$1.txt" 2>&1; then
+        tail -n 30 "$out/$1.txt" >&2
+        echo "bench.sh: $1 benchmarks of $2 failed" >&2
         exit 1
     fi
 }
-run_bench -run '^$' -bench '^(BenchmarkSimulateThroughput(Observed(MQ)?)?|BenchmarkShardedThroughput|BenchmarkGCHeavy|BenchmarkBuild)$' \
-    -benchmem -benchtime "$benchtime" -count "$count" .
-run_bench -run '^$' -bench . -benchmem -benchtime "$benchtime" -count "$count" \
-    ./internal/sim/ ./internal/flash/ ./internal/ftl/ ./internal/ftl/gc/ ./internal/ftl/translate/ \
-    ./internal/workload/ ./internal/trace/ ./internal/expt/ ./internal/ssd/
-cat "$raw"
 
-commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-
-awk -v commit="$commit" -v date="$date" -v mode="$mode" \
-    -v benchtime="$benchtime" -v goversion="$(go env GOVERSION)" \
-    -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" '
-/^pkg: /       { pkg = $2 }
-/^Benchmark/ {
-    name = $1
-    sub(/-[0-9]+$/, "", name)  # strip -GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op")     ns     = $i
-        if ($(i+1) == "B/op")      bytes  = $i
-        if ($(i+1) == "allocs/op") allocs = $i
-    }
-    if (ns == "") next
-    key = pkg "." name
-    # keep the best of repeated counts, per metric: min ns for speed, min
-    # B/op and allocs/op for amortization jitter (a short run charges more
-    # one-time setup to each op)
-    if (!(key in best)) {
-        best[key] = ns
-        bbytes[key] = bytes
-        ballocs[key] = allocs
-        bname[key] = name
-        bpkg[key] = pkg
-        order[++n] = key
-        seen[key] = 1
-    } else {
-        if (ns + 0 < best[key] + 0) best[key] = ns
-        if (bytes != "" && (bbytes[key] == "" || bytes + 0 < bbytes[key] + 0)) bbytes[key] = bytes
-        if (allocs != "" && (ballocs[key] == "" || allocs + 0 < ballocs[key] + 0)) ballocs[key] = allocs
-    }
-}
-END {
-    printf "{\n"
-    printf "  \"commit\": \"%s\",\n", commit
-    printf "  \"date\": \"%s\",\n", date
-    printf "  \"mode\": \"%s\",\n", mode
-    printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"go\": \"%s\",\n", goversion
-    printf "  \"goos\": \"%s\",\n", goos
-    printf "  \"goarch\": \"%s\",\n", goarch
-    printf "  \"benchmarks\": [\n"
-    emitted = 0
-    for (i = 1; i <= n; i++) {
-        key = order[i]
-        if (!(key in seen)) continue
-        delete seen[key]
-        if (emitted++) printf ",\n"
-        printf "    {\"package\": \"%s\", \"name\": \"%s\", \"ns_per_op\": %s",
-            bpkg[key], bname[key], best[key]
-        if (bbytes[key] != "")  printf ", \"bytes_per_op\": %s", bbytes[key]
-        if (ballocs[key] != "") printf ", \"allocs_per_op\": %s", ballocs[key]
-        printf "}"
-    }
-    printf "\n  ]\n}\n"
-}' "$raw" > "$out"
-
-echo "bench.sh: wrote $out ($mode mode)" >&2
-
-if [ -n "$compare" ]; then
-    go run ./cmd/benchcmp -old "$compare" -new "$out"
+build new
+if [ -z "$against" ]; then
+    echo "$suite" | grep . | while read -r pkg pattern; do
+        run new "$pkg" "$pattern"
+    done
+    cat "$out/new.txt"
+    exit 0
 fi
+
+git worktree add --quiet --detach "$tmp/base-tree" "$against"
+build base
+out=$PWD/.bench_ab
+rm -rf "$out"
+mkdir "$out"
+
+# Each top-level benchmark runs its rounds back to back, the two sides
+# alternating and the side that goes first swapping each round. The k-th
+# result on one side is then taken next to the k-th on the other, and all
+# rounds of a row fall within seconds: a shared host's speed shifts on about
+# that scale, so this keeps the base's own spread to the noise of one window.
+echo "$suite" | grep . | while read -r pkg pattern; do
+    for name in $(for side in base new; do
+        (cd "$tmp/$side-tree/$pkg" && "$tmp/$side/$pkg/pkg.test" -test.list "$pattern")
+    done | grep '^Benchmark' | sort -u); do
+        for r in $(seq "$rounds"); do
+            order="base new"
+            [ $((r % 2)) -eq 1 ] || order="new base"
+            for side in $order; do
+                run "$side" "$pkg" "^$name\$"
+            done
+        done
+    done
+    echo "bench.sh: $pkg done" >&2
+done
+
+status=0
+go run ./cmd/benchcmp -base "$out/base.txt" -new "$out/new.txt" > "$out/report.txt" || status=$?
+cat "$out/report.txt"
+exit "$status"

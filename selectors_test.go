@@ -82,6 +82,55 @@ func TestCISelectorsNameTests(t *testing.T) {
 	t.Logf("%d selector alternatives name a function", checked)
 }
 
+// TestBenchScriptSelectorsNameBenchmarks does the same for the suite of
+// scripts/bench.sh: every package it lists defines a benchmark, and every
+// Benchmark alternative of a package's -bench pattern, anchored as the
+// pattern anchors it, names a function declared in that package's test files.
+func TestBenchScriptSelectorsNameBenchmarks(t *testing.T) {
+	data, err := os.ReadFile("scripts/bench.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, suite, ok := strings.Cut(string(data), "\nsuite='\n")
+	suite, _, ok2 := strings.Cut(suite, "\n'\n")
+	if !ok || !ok2 {
+		t.Fatal("scripts/bench.sh: found no suite='...' block")
+	}
+	for _, line := range strings.Split(suite, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			t.Errorf("scripts/bench.sh: suite line %q is not a directory and a pattern", line)
+			continue
+		}
+		var benchmarks []string
+		for _, fn := range testFuncs(t, []string{f[0]}) {
+			if strings.HasPrefix(fn, "Benchmark") {
+				benchmarks = append(benchmarks, fn)
+			}
+		}
+		if len(benchmarks) == 0 {
+			t.Errorf("scripts/bench.sh: %s defines no benchmark", f[0])
+		}
+		for _, alt := range strings.Split(strings.TrimSuffix(strings.TrimPrefix(f[1], "^("), ")$"), "|") {
+			if !strings.HasPrefix(alt, "Benchmark") {
+				continue
+			}
+			re, err := regexp.Compile("^" + alt + "$")
+			if err != nil {
+				t.Errorf("scripts/bench.sh: -bench %q: %v", f[1], err)
+				continue
+			}
+			found := false
+			for _, fn := range benchmarks {
+				found = found || re.MatchString(fn)
+			}
+			if !found {
+				t.Errorf("scripts/bench.sh: -bench %q: %s names no benchmark in %s", f[1], alt, f[0])
+			}
+		}
+	}
+}
+
 // goTestArgs recognises "go test ..." and "go -C dir test ..." at the start
 // of words and returns the directory the command runs in and its arguments,
 // up to the first shell control operator or redirection.
