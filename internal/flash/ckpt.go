@@ -48,7 +48,7 @@ func (d *Device) EncodeState(w *ckpt.Writer) {
 			w.I64(p[c])
 		}
 	}
-	w.I32s(s.BlockErases)
+	w.I32s(d.wear)
 	w.I64(s.WastedPages)
 }
 
@@ -101,7 +101,7 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 			s.PlaneOps[i][c] = r.I64()
 		}
 	}
-	r.I32sInto(s.BlockErases)
+	r.I32sInto(d.wear)
 	s.WastedPages = r.I64()
 }
 

@@ -113,7 +113,10 @@ type Device struct {
 	readLat, progLat, xferLat, cbLat, eraseLat sim.Duration
 
 	stats Stats
-	rec   obs.Recorder // nil when observability is disabled
+	// wear counts each block's erases over the device's life (dense block
+	// index). It is physical state, so ResetStats keeps it.
+	wear []int32
+	rec  obs.Recorder // nil when observability is disabled
 
 	// untimed is set only inside Untimed: operations then change state
 	// exactly as usual but occupy no timeline and count in no statistic.
@@ -162,6 +165,7 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 		d.planeChanIdx[p] = int32(geo.ChannelOfPlane(p))
 	}
 	d.stats.init(geo)
+	d.wear = make([]int32, geo.TotalBlocks())
 	return d, nil
 }
 
@@ -181,6 +185,12 @@ func (d *Device) Timing() Timing { return d.timing }
 
 // Stats returns a snapshot of accumulated operation statistics.
 func (d *Device) Stats() Stats { return d.stats.clone() }
+
+// BlockErases returns how many times each block (by Geometry.BlockIndex)
+// has been erased over the device's life. It is the device's own column,
+// not a copy: it changes as the device erases, and callers must not write
+// it.
+func (d *Device) BlockErases() []int32 { return d.wear }
 
 // SetRecorder attaches (or, with nil, detaches) an observability recorder.
 // Each flash operation then reports its kind, cause, location, and timestamps
@@ -570,7 +580,7 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 	first := d.geo.FirstPPN(pb)
 	clear(d.pages[first : first+PPN(d.pagesPerBlock)])
 	d.blocks[bi] = blockRow{}
-	d.stats.BlockErases[bi]++
+	d.wear[bi]++
 	return d.issue(opErase, cause, pb.Plane, bi, ready), nil
 }
 

@@ -109,7 +109,7 @@ func TestInvalidateAndErase(t *testing.T) {
 	if bi != (BlockInfo{}) {
 		t.Errorf("block after erase: %+v", bi)
 	}
-	if n := d.Stats().BlockErases[g.BlockIndex(pb)]; n != 1 {
+	if n := d.BlockErases()[g.BlockIndex(pb)]; n != 1 {
 		t.Errorf("block erased %d times, want 1", n)
 	}
 	for p := 0; p < g.PagesPerBlock; p++ {
@@ -269,8 +269,8 @@ func TestStatsAttribution(t *testing.T) {
 	if cbGC != 1 || extGC != 0 {
 		t.Errorf("GCMoves: %d %d", cbGC, extGC)
 	}
-	if s.BlockErases[0] != 1 {
-		t.Errorf("block 0 erases = %d, want 1", s.BlockErases[0])
+	if n := d.BlockErases()[0]; n != 1 {
+		t.Errorf("block 0 erases = %d, want 1", n)
 	}
 }
 
@@ -289,7 +289,7 @@ func TestResetStatsPreservesStateAndWear(t *testing.T) {
 	if s.Writes() != 0 || s.Erases() != 0 {
 		t.Error("counters should be zero after reset")
 	}
-	if s.BlockErases[0] != 1 {
+	if d.BlockErases()[0] != 1 {
 		t.Error("wear counters must survive reset")
 	}
 	if d.PageState(g.PPNOf(0, 0, 0)) != PageValid {

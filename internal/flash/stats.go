@@ -12,27 +12,24 @@ const (
 
 // Stats accumulates operation counts, attributed per cause and per plane.
 // PlaneOps feeds the paper's SDRPP metric (standard deviation of requests
-// per plane); BlockErases feeds wear-leveling analysis.
+// per plane). Per-block wear is device state that no reset clears; read it
+// through Device.BlockErases.
 type Stats struct {
 	ops [numOps][numCauses]int64
 
 	// PlaneOps[plane][cause] counts operations dispatched to each plane.
 	PlaneOps [][numCauses]int64
-	// BlockErases counts lifetime erases per physical block (dense index).
-	BlockErases []int32
 	// WastedPages counts free pages deliberately invalidated to satisfy the
 	// copy-back same-parity rule (DLOOP's §III.A overhead).
 	WastedPages int64
 }
 
-// init sizes a new device's per-plane and per-block columns.
+// init sizes a new device's per-plane column.
 func (s *Stats) init(geo Geometry) {
 	s.PlaneOps = make([][numCauses]int64, geo.Planes())
-	s.BlockErases = make([]int32, geo.TotalBlocks())
 }
 
-// reset zeroes the counts in place. BlockErases is wear, physical state
-// that survives the reset.
+// reset zeroes the counts in place.
 func (s *Stats) reset() {
 	s.ops = [numOps][numCauses]int64{}
 	clear(s.PlaneOps)
@@ -48,7 +45,6 @@ func (s *Stats) note(op opKind, cause Cause, plane int, n int64) {
 func (s *Stats) clone() Stats {
 	out := *s
 	out.PlaneOps = append([][numCauses]int64(nil), s.PlaneOps...)
-	out.BlockErases = append([]int32(nil), s.BlockErases...)
 	return out
 }
 

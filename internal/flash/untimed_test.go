@@ -74,7 +74,7 @@ func TestUntimedChangesStateOnly(t *testing.T) {
 	if st.Reads()+st.Writes()+st.CopyBacks()+st.Erases() != 0 {
 		t.Fatalf("untimed device counted ops: %+v", st)
 	}
-	if !reflect.DeepEqual(st.BlockErases, timed.Stats().BlockErases) {
+	if !reflect.DeepEqual(untimed.BlockErases(), timed.BlockErases()) {
 		t.Fatal("untimed device lost block wear")
 	}
 	for p := 0; p < untimed.Geometry().Planes(); p++ {

@@ -245,7 +245,7 @@ func TestParityWasteOnCraftedVictim(t *testing.T) {
 	cb0, ext0 := before.GCMoves()
 	write(lpnAt(ppb + 1)) // the plane is low: this placement collects
 	after := dev.Stats()
-	if after.BlockErases[geo.BlockIndex(victim)] != 1 {
+	if dev.BlockErases()[geo.BlockIndex(victim)] != 1 {
 		t.Fatal("the crafted victim was not collected")
 	}
 	if cb, ext := after.GCMoves(); cb-cb0 != int64(ppb/2) || ext != ext0 {

@@ -688,16 +688,20 @@ func (c *Controller) Result() Result {
 	if p, ok := f.(interface{ GCPolicyName() string }); ok {
 		res.GCPolicy = p.GCPolicyName()
 	}
-	erases := make([]int64, c.geo.TotalBlocks())
+	// Wear is read in place: wear[gp] is global plane gp's blocks in the
+	// erase column of the shard device that serves it.
 	bpp := c.geo.BlocksPerPlane
+	wear := make([][]int32, c.geo.Planes())
 	for _, sh := range c.shards {
 		ds := sh.dev.Stats()
 		for sp, v := range ds.PlaneTotals() {
 			res.PlaneOps[sh.planeMap[sp]] = v
 		}
-		for bi, e := range ds.BlockErases {
-			gp := int64(sh.planeMap[bi/bpp])
-			erases[gp*int64(bpp)+int64(bi%bpp)] = int64(e)
+		erases := sh.dev.BlockErases()
+		for sp, gp := range sh.planeMap {
+			wear[gp] = erases[sp*bpp : (sp+1)*bpp]
+		}
+		for _, e := range erases {
 			res.TotalErases += int64(e)
 		}
 		res.Reads += ds.Reads()
@@ -710,7 +714,7 @@ func (c *Controller) Result() Result {
 		res.GCExternalMoves += ext
 	}
 	res.SDRPP = stats.SDRPP(res.PlaneOps)
-	res.WearCV = stats.CV(erases)
+	res.WearCV = stats.CV(int(c.geo.TotalBlocks()), func(i int) int64 { return int64(wear[i/bpp][i%bpp]) })
 	n := c.counts()
 	// The hit rate is the whole-device ratio, not a mean of per-shard ones.
 	if hits, misses := n[obs.EvCMTHit], n[obs.EvCMTMiss]; hits+misses > 0 {

@@ -245,19 +245,26 @@ func SDRPP(perPlane []int64) float64 {
 	return math.Log(sd)
 }
 
-// CV returns the coefficient of variation (stddev/mean) of an integer
-// series, used for wear-leveling dispersion of per-block erase counts.
-func CV(xs []int64) float64 {
-	if len(xs) == 0 {
+// CV returns the coefficient of variation (stddev/mean) of the integer
+// series at(0), …, at(n-1), used for wear-leveling dispersion of per-block
+// erase counts. It reads the series where it lies, twice, in order, with
+// the arithmetic of StdDevInt64.
+func CV(n int, at func(int) int64) float64 {
+	if n == 0 {
 		return 0
 	}
 	var mean float64
-	for _, x := range xs {
-		mean += float64(x)
+	for i := range n {
+		mean += float64(at(i))
 	}
-	mean /= float64(len(xs))
+	mean /= float64(n)
 	if mean == 0 {
 		return 0
 	}
-	return StdDevInt64(xs) / mean
+	var ss float64
+	for i := range n {
+		d := float64(at(i)) - mean
+		ss += d * d
+	}
+	return math.Sqrt(ss/float64(n)) / mean
 }

@@ -310,12 +310,24 @@ func TestSDRPPGoldenNaturalLog(t *testing.T) {
 }
 
 func TestCV(t *testing.T) {
-	if CV(nil) != 0 || CV([]int64{0, 0}) != 0 {
+	cv := func(xs []int64) float64 { return CV(len(xs), func(i int) int64 { return xs[i] }) }
+	if cv(nil) != 0 || cv([]int64{0, 0}) != 0 {
 		t.Error("degenerate CV should be 0")
 	}
-	got := CV([]int64{8, 12})
+	got := cv([]int64{8, 12})
 	if math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("CV = %v, want 0.2", got)
+	}
+	// Bit for bit the standard deviation over the mean, as Result's
+	// WearCV has always been computed.
+	xs := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9}
+	var mean float64
+	for _, x := range xs {
+		mean += float64(x)
+	}
+	mean /= float64(len(xs))
+	if got, want := cv(xs), StdDevInt64(xs)/mean; got != want {
+		t.Errorf("CV = %v, want StdDevInt64/mean = %v", got, want)
 	}
 }
 

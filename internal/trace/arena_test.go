@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -388,6 +389,9 @@ func arenaStream(data []byte) []Request {
 	return reqs
 }
 
+// byteLen returns how many bytes hold v, at least one.
+func byteLen(v uint64) int { return (bits.Len64(v|1) + 7) >> 3 }
+
 // arenaBytes is arenaStream's inverse, for seed inputs.
 func arenaBytes(reqs []Request) []byte {
 	var out []byte
@@ -397,7 +401,7 @@ func arenaBytes(reqs []Request) []byte {
 		}
 	}
 	for _, r := range reqs {
-		wa, wl := int(byteWidth(uint64(r.Arrival))), int(byteWidth(uint64(r.LBN)))
+		wa, wl := byteLen(uint64(r.Arrival)), byteLen(uint64(r.LBN))
 		c := byte(r.Op) | byte(wa-1)<<1 | byte(wl-1)<<4
 		ws := 1
 		if r.Sectors > 255 {
@@ -409,6 +413,93 @@ func arenaBytes(reqs []Request) []byte {
 		put(uint64(r.Sectors), ws)
 	}
 	return out
+}
+
+// widthReqs returns n requests whose arrival deltas, LBNs and sector counts
+// are drawn below 2^arr, 2^lbn and 2^sec, so that most blocks' fields are
+// that many bits wide (the sectors field one more, for the op).
+func widthReqs(n, arr, lbn, sec int, seed int64) []Request {
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]Request, n)
+	var t sim.Time
+	for i := range reqs {
+		t += sim.Time(rng.Int63n(1 << arr))
+		reqs[i] = Request{Arrival: t, LBN: rng.Int63n(1 << lbn), Sectors: int32(rng.Int63n(1<<sec-1) + 1), Op: Op(rng.Intn(2))}
+	}
+	return reqs
+}
+
+// wideReqs returns n requests with arrivals, LBNs and sector counts drawn
+// over all that Validate admits: rows of about 64 + 54 + 32 bits.
+func wideReqs(n int, seed int64) []Request {
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]Request, n)
+	for i := range reqs {
+		r := Request{Arrival: sim.Time(rng.Int63()), Sectors: rng.Int31n(math.MaxInt32) + 1, Op: Op(rng.Intn(2))}
+		r.LBN = rng.Int63n(maxSector - int64(r.Sectors))
+		reqs[i] = r
+	}
+	return reqs
+}
+
+// hintedReader is a SliceReader that reports an exact SizeHint, as
+// workload.LimitReader does.
+type hintedReader struct {
+	*SliceReader
+	left int
+}
+
+func (r *hintedReader) Next() (Request, error) {
+	r.left--
+	return r.SliceReader.Next()
+}
+
+func (r *hintedReader) SizeHint() int { return r.left }
+
+// TestArenaSegments checks arenas whose records fill several segments:
+// narrow rows, wide rows, and a hinted build whose rows widen after the
+// first segment is sized, so the hint's estimate falls short. Every index
+// must decode the same through At, Next and NextN.
+func TestArenaSegments(t *testing.T) {
+	widening := append(genRequests(20000, 12), wideReqs(5000, 13)...)
+	for _, c := range []struct {
+		name string
+		reqs []Request
+		hint bool
+	}{
+		{"narrow", genRequests(200_000, 14), false},
+		{"wide", wideReqs(10_000, 15), false},
+		{"widening, hinted", widening, true},
+	} {
+		var r Reader = NewSliceReader(c.reqs)
+		if c.hint {
+			r = &hintedReader{NewSliceReader(c.reqs), len(c.reqs)}
+		}
+		a, err := BuildArena(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.segs) < 2 {
+			t.Fatalf("%s: %d segment(s), want several", c.name, len(a.segs))
+		}
+		got, err := ReadAll(a.Cursor())
+		if err != nil || !reflect.DeepEqual(got, c.reqs) {
+			t.Fatalf("%s: Next replay diverges from the input (err %v)", c.name, err)
+		}
+		cur, buf := a.Cursor(), make([]Request, 100) // chunks that straddle blocks
+		for i := 0; i < a.Len(); {
+			n, err := cur.NextN(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, req := range buf[:n] {
+				if at := a.At(i + k); at != req || req != c.reqs[i+k] {
+					t.Fatalf("%s: request %d: At %+v, NextN %+v, want %+v", c.name, i+k, at, req, c.reqs[i+k])
+				}
+			}
+			i += n
+		}
+	}
 }
 
 // FuzzArena builds an arena from a byte-coded request stream and checks
@@ -430,6 +521,27 @@ func FuzzArena(f *testing.F) {
 		{Arrival: 3, LBN: maxSector - math.MaxInt32, Sectors: math.MaxInt32, Op: OpRead},
 		{Arrival: math.MaxInt64, LBN: 0, Sectors: math.MaxInt32, Op: OpWrite},
 	}))
+	// Deltas of ±MaxInt64: the widest a delta less the block's least gets.
+	f.Add(arenaBytes([]Request{
+		{Arrival: 0, LBN: 5, Sectors: 1, Op: OpRead},
+		{Arrival: math.MaxInt64, LBN: 5, Sectors: 1, Op: OpRead},
+		{Arrival: 0, LBN: 5, Sectors: 1, Op: OpWrite},
+		{Arrival: math.MaxInt64, LBN: 5, Sectors: 1, Op: OpWrite},
+	}))
+	// Rows of 58 to 64 bits, which one load no longer holds, and wider ones.
+	for _, w := range [][3]int{{30, 20, 7}, {31, 22, 8}, {33, 23, 7}, {40, 40, 30}} {
+		f.Add(arenaBytes(widthReqs(300, w[0], w[1], w[2], int64(w[0]))))
+	}
+	// Arrivals that jump back and forth inside a block.
+	zigzag := genRequests(200, 10)
+	for i := range zigzag {
+		if i%3 == 1 {
+			zigzag[i].Arrival = zigzag[i].Arrival / 2
+		}
+	}
+	f.Add(arenaBytes(zigzag))
+	// Rows of about 150 bits, so the records span two segments.
+	f.Add(arenaBytes(wideReqs(4000, 11)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs := arenaStream(data)
 		a, err := BuildArena(NewSliceReader(reqs))

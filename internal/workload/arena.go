@@ -12,7 +12,7 @@ import (
 // stream is generated exactly once per process. Sweeps replay the same
 // synthetic stream across many configurations; with the cache they share one
 // generation pass and one packed arena instead of paying both per cell. The
-// cache is never evicted — entries are about 8.5 bytes per request (the
+// cache is never evicted — entries are about 7 bytes per request (the
 // arena's records and block headers) and a sweep touches only a handful of
 // (profile, seed) combinations — so a whole experiment suite stays within a
 // few tens of megabytes.

@@ -52,6 +52,7 @@ internal/ftl .
 internal/ftl/gc .
 internal/ftl/translate .
 internal/workload .
+internal/stats .
 internal/trace .
 internal/expt .
 internal/ssd .
