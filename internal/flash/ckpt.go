@@ -53,9 +53,12 @@ func (d *Device) EncodeState(w *ckpt.Writer) {
 }
 
 // DecodeState overwrites the device's mutable state with one EncodeState
-// wrote, reusing the live columns. Every column must have the length the
-// device's geometry gives it, and every page's state and tag must agree (a
-// valid page holds a tag a page word can hold, a free or invalid one none).
+// wrote, reusing the live columns and writing only the entries that change,
+// so a fresh device takes on a checkpoint's state without touching the
+// pages of its columns that the state leaves zero. Every column must have
+// the length the device's geometry gives it, and every page's state and tag
+// must agree (a valid page holds a tag a page word can hold, a free or
+// invalid one none).
 // The block rows are recounted from the decoded pages. On any failure r
 // holds the error and the device is partly overwritten.
 func (d *Device) DecodeState(r *ckpt.Reader) {
@@ -74,11 +77,15 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 				r.Failf("flash: page %d: %w", i+j, err)
 				return
 			}
-			d.pages[i+j] = w
+			if d.pages[i+j] != w {
+				d.pages[i+j] = w
+			}
 		}
 	}
-	for i := range d.blocks {
-		d.blocks[i] = d.blockInfo(int64(i))
+	for i, row := range d.blocks {
+		if b := d.blockRow(int64(i)); b != row {
+			d.blocks[i] = b
+		}
 	}
 	for _, rs := range [][]*sim.Resource{d.planes, d.chipBus, d.channels} {
 		r.ExpectLen(len(rs), 20) // an idle resource's encoding: two i64 and a count
@@ -101,7 +108,17 @@ func (d *Device) DecodeState(r *ckpt.Reader) {
 			s.PlaneOps[i][c] = r.I64()
 		}
 	}
-	r.I32sInto(d.wear)
+	wear := r.Raw(4 * r.ExpectLen(len(d.wear), 4))
+	var wbuf [256]int32
+	for i := 0; i < len(wear)/4; i += len(wbuf) {
+		chunk := wbuf[:min(len(wbuf), len(wear)/4-i)]
+		ckpt.Load(chunk, wear[4*i:])
+		for j, v := range chunk {
+			if d.wear[i+j] != v {
+				d.wear[i+j] = v
+			}
+		}
+	}
 	s.WastedPages = r.I64()
 }
 
@@ -129,20 +146,20 @@ func decodeWord(s PageState, tag int64) (uint32, error) {
 	return 0, fmt.Errorf("state %d is no page state", uint8(s))
 }
 
-// blockInfo recounts block bi's row from its page words.
-func (d *Device) blockInfo(bi int64) blockRow {
-	var b blockRow
+// blockRow recounts block bi's row from its page words.
+func (d *Device) blockRow(bi int64) uint32 {
+	var b uint32
 	first := bi * d.pagesPerBlock
 	for off, w := range d.pages[first : first+d.pagesPerBlock] {
 		switch w {
 		case wordFree:
 			continue
 		case wordInvalid:
-			b.invalid++
+			b += rowInvalid
 		default:
-			b.valid++
+			b += rowValid
 		}
-		b.nextWrite = int32(off) + 1
+		b = b&(1<<rowNextShift-1) | uint32(off+1)<<rowNextShift
 	}
 	return b
 }

@@ -269,7 +269,7 @@ func FuzzDecodeDeviceState(f *testing.F) {
 				}
 				want.NextWrite = off + 1
 			}
-			if info := d.blocks[b].info(); info != want {
+			if info := rowInfo(d.blocks[b]); info != want {
 				t.Fatalf("accepted block %d row %+v, its pages give %+v", b, info, want)
 			}
 		}

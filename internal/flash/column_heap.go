@@ -2,7 +2,11 @@
 
 package flash
 
-// mapColumn declines: every column comes from make on this build.
-func mapColumn(int64) []uint32 { return nil }
+import "errors"
 
-func unmapColumn([]uint32) {}
+// mapsColumns is false: every column comes from make on this build.
+const mapsColumns = false
+
+func mapColumn(int64) ([]byte, error) { return nil, errors.ErrUnsupported }
+
+func unmapColumn([]byte) {}

@@ -5,23 +5,22 @@ package flash
 import (
 	"fmt"
 	"syscall"
-	"unsafe"
 )
 
-// mapColumn maps n zeroed entries of anonymous private memory. Like make,
-// it panics when the memory cannot be had.
-func mapColumn(n int64) []uint32 {
-	b, err := syscall.Mmap(-1, 0, int(4*n), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
-	if err != nil {
-		panic(fmt.Sprintf("flash: mapping a %d-entry column: %v", n, err))
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
+// mapsColumns is true: a column of columnMapMin bytes or more is mapped.
+const mapsColumns = true
+
+// mapColumn maps size zeroed bytes of anonymous private memory.
+func mapColumn(size int64) ([]byte, error) {
+	return syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
 }
 
-// unmapColumn unmaps a column mapColumn returned; anything else (a part of
-// one, or one already unmapped) panics.
-func unmapColumn(c []uint32) {
-	if err := syscall.Munmap(unsafe.Slice((*byte)(unsafe.Pointer(&c[0])), 4*len(c))); err != nil {
-		panic(fmt.Sprintf("flash: unmapping a %d-entry column: %v", len(c), err))
+// unmapColumn unmaps the bytes of a column mapColumn returned. It panics if
+// the kernel refuses: the package mapped exactly this range and unmaps it
+// once, so a refusal means a caller released a column twice or a part of
+// one, and the memory it names can no longer be trusted.
+func unmapColumn(b []byte) {
+	if err := syscall.Munmap(b); err != nil {
+		panic(fmt.Sprintf("flash: unmapping a %d-byte column: %v", len(b), err))
 	}
 }

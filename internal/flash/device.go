@@ -70,16 +70,23 @@ type BlockInfo struct {
 	NextWrite int // high-water mark: 1 + the highest non-free page offset
 }
 
-// blockRow is a block's BlockInfo as the device stores it: every count is
-// at most PagesPerBlock, below maxPages < 2^31, so int32 holds it exactly
-// and a row costs 12 bytes instead of 24.
-type blockRow struct {
-	valid, invalid, nextWrite int32
-}
+// A block row is a block's BlockInfo as the device stores it: one word of
+// three rowBits-bit counts, valid pages in the low bits, invalid pages above
+// them and the high-water mark at the top. Every count is at most
+// PagesPerBlock, which Validate holds to MaxPagesPerBlock, so adding a page
+// to one count never carries into the next. The zero row is an erased
+// block, so a fresh column of rows needs no fill.
+const (
+	rowBits      = 10
+	rowMask      = 1<<rowBits - 1
+	rowValid     = 1            // one valid page
+	rowInvalid   = 1 << rowBits // one invalid page
+	rowNextShift = 2 * rowBits  // the high-water mark's place
+)
 
-// info widens the row to the BlockInfo that Block returns.
-func (b blockRow) info() BlockInfo {
-	return BlockInfo{Valid: int(b.valid), Invalid: int(b.invalid), NextWrite: int(b.nextWrite)}
+// rowInfo widens a row to the BlockInfo that Block returns.
+func rowInfo(r uint32) BlockInfo {
+	return BlockInfo{Valid: int(r & rowMask), Invalid: int(r >> rowBits & rowMask), NextWrite: int(r >> rowNextShift)}
 }
 
 // Device is a simulated NAND flash SSD. It owns the page/block state machine
@@ -90,8 +97,8 @@ type Device struct {
 	geo    Geometry
 	timing Timing
 
-	pages  []uint32   // indexed by PPN: the page word, state and OOB tag in one
-	blocks []blockRow // indexed by Geometry.BlockIndex
+	pages  []uint32 // indexed by PPN: the page word, state and OOB tag in one
+	blocks []uint32 // indexed by Geometry.BlockIndex: the block row
 
 	planes   []*sim.Resource // cell arrays + data registers
 	chipBus  []*sim.Resource // serial I/O bus shared by dies of one chip
@@ -114,7 +121,8 @@ type Device struct {
 
 	stats Stats
 	// wear counts each block's erases over the device's life (dense block
-	// index). It is physical state, so ResetStats keeps it.
+	// index). It is physical state, so ResetStats keeps it. Like pages and
+	// blocks it is a column (NewColumn).
 	wear []int32
 	rec  obs.Recorder // nil when observability is disabled
 
@@ -131,11 +139,16 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 	if geo.TotalPages() > maxPages {
 		return nil, fmt.Errorf("flash: %w: %d pages, limit %d", ErrTooManyPages, geo.TotalPages(), int64(maxPages))
 	}
-	d := &Device{
-		geo:    geo,
-		timing: timing,
-		pages:  NewColumn(geo.TotalPages()),
-		blocks: make([]blockRow, geo.TotalBlocks()),
+	d := &Device{geo: geo, timing: timing}
+	var err error
+	if d.pages, err = NewColumn[uint32](geo.TotalPages()); err == nil {
+		if d.blocks, err = NewColumn[uint32](geo.TotalBlocks()); err == nil {
+			d.wear, err = NewColumn[int32](geo.TotalBlocks())
+		}
+	}
+	if err != nil {
+		d.Release()
+		return nil, err
 	}
 	d.planes = make([]*sim.Resource, geo.Planes())
 	for i := range d.planes {
@@ -165,16 +178,18 @@ func NewDevice(geo Geometry, timing Timing) (*Device, error) {
 		d.planeChanIdx[p] = int32(geo.ChannelOfPlane(p))
 	}
 	d.stats.init(geo)
-	d.wear = make([]int32, geo.TotalBlocks())
 	return d, nil
 }
 
-// Release frees the device's page column (see NewColumn). The device must
-// not be used afterwards: a page operation then panics with an index error.
-// Releasing again does nothing.
+// Release frees the device's columns (see NewColumn): its page words, block
+// rows and erase counts. The device must not be used afterwards: a page or
+// block operation then panics with an index error. Releasing again does
+// nothing.
 func (d *Device) Release() {
 	FreeColumn(d.pages)
-	d.pages = nil
+	FreeColumn(d.blocks)
+	FreeColumn(d.wear)
+	d.pages, d.blocks, d.wear = nil, nil, nil
 }
 
 // Geometry returns the device's physical shape.
@@ -259,7 +274,7 @@ func (d *Device) PageState(ppn PPN) PageState { return wordState(d.pages[ppn]) }
 func (d *Device) PageLPN(ppn PPN) int64 { return wordTag(d.pages[ppn]) }
 
 // Block returns a copy of the bookkeeping for one block.
-func (d *Device) Block(pb PlaneBlock) BlockInfo { return d.blocks[d.geo.BlockIndex(pb)].info() }
+func (d *Device) Block(pb PlaneBlock) BlockInfo { return rowInfo(d.blocks[d.geo.BlockIndex(pb)]) }
 
 // validPPN reports whether ppn is within the device, against the cached
 // page total.
@@ -547,9 +562,8 @@ func (d *Device) CopyBackRun(srcs, dsts []PPN, ready sim.Time, cause Cause) (sim
 		d.pages[src], d.pages[dst] = wordInvalid, d.pages[src]
 		top = max(top, dst)
 	}
-	d.blocks[sb].valid -= int32(n)
-	d.blocks[sb].invalid += int32(n)
-	d.blocks[db].valid += int32(n)
+	d.blocks[sb] += uint32(n) * (rowInvalid - rowValid)
+	d.blocks[db] += uint32(n) * rowValid
 	d.raiseNextWrite(db, top)
 	end := ready
 	switch {
@@ -574,12 +588,12 @@ func (d *Device) Erase(pb PlaneBlock, ready sim.Time, cause Cause) (sim.Time, er
 		return 0, fmt.Errorf("flash: erase %w: %v", ErrOutOfRange, pb)
 	}
 	bi := d.geo.BlockIndex(pb)
-	if d.blocks[bi].valid > 0 {
-		return 0, fmt.Errorf("flash: erase %v: %w (%d valid pages)", pb, ErrEraseValid, d.blocks[bi].valid)
+	if v := d.blocks[bi] & rowMask; v > 0 {
+		return 0, fmt.Errorf("flash: erase %v: %w (%d valid pages)", pb, ErrEraseValid, v)
 	}
 	first := d.geo.FirstPPN(pb)
 	clear(d.pages[first : first+PPN(d.pagesPerBlock)])
-	d.blocks[bi] = blockRow{}
+	d.blocks[bi] = 0
 	d.wear[bi]++
 	return d.issue(opErase, cause, pb.Plane, bi, ready), nil
 }
@@ -600,8 +614,7 @@ func (d *Device) Invalidate(ppn PPN) error {
 func (d *Device) invalidate(ppn PPN) {
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = wordInvalid
-	d.blocks[bi].valid--
-	d.blocks[bi].invalid++
+	d.blocks[bi] += rowInvalid - rowValid
 }
 
 // WastePage invalidates a free page without writing it. DLOOP uses it to
@@ -616,7 +629,7 @@ func (d *Device) WastePage(ppn PPN) error {
 	}
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = wordInvalid
-	d.blocks[bi].invalid++
+	d.blocks[bi] += rowInvalid
 	d.raiseNextWrite(bi, ppn)
 	d.stats.WastedPages++
 	return nil
@@ -626,13 +639,13 @@ func (d *Device) WastePage(ppn PPN) error {
 func (d *Device) program(ppn PPN, w uint32) {
 	bi := d.blockIndexOf(ppn)
 	d.pages[ppn] = w
-	d.blocks[bi].valid++
+	d.blocks[bi] += rowValid
 	d.raiseNextWrite(bi, ppn)
 }
 
 // raiseNextWrite lifts block bi's high-water mark past its page ppn.
 func (d *Device) raiseNextWrite(bi int64, ppn PPN) {
-	if p := int32(int64(ppn)-bi*d.pagesPerBlock) + 1; p > d.blocks[bi].nextWrite {
-		d.blocks[bi].nextWrite = p
+	if p := uint32(int64(ppn)-bi*d.pagesPerBlock) + 1; p > d.blocks[bi]>>rowNextShift {
+		d.blocks[bi] = d.blocks[bi]&(1<<rowNextShift-1) | p<<rowNextShift
 	}
 }

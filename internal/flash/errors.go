@@ -33,6 +33,12 @@ var (
 	// ErrPageTag marks a decoded page whose state and tag contradict each
 	// other: a valid page without a tag, or a free or invalid one with one.
 	ErrPageTag = errors.New("page state and tag disagree")
+	// ErrBlockTooLarge marks a geometry with more pages per block than a
+	// block row's packed counts can hold (MaxPagesPerBlock).
+	ErrBlockTooLarge = errors.New("too many pages per block")
+	// ErrColumnMap marks a column (NewColumn) whose memory could not be
+	// mapped: the address space or the system's overcommit limit is spent.
+	ErrColumnMap = errors.New("column memory unavailable")
 	// ErrUnmappable marks a decoded page number that is neither InvalidPPN
 	// nor below maxPages, so no PPNMap can hold it.
 	ErrUnmappable = errors.New("page number beyond any device")

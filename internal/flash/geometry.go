@@ -32,8 +32,14 @@ type Geometry struct {
 	PageSize           int // bytes
 }
 
-// Validate reports whether every field is positive and the derived totals fit
-// the address types.
+// MaxPagesPerBlock is the most pages a block may have: a block row packs its
+// valid, invalid and high-water counts, each at most PagesPerBlock, into 10
+// bits apiece of one 32-bit word.
+const MaxPagesPerBlock = 1<<rowBits - 1
+
+// Validate reports whether every field is positive, PagesPerBlock is even
+// and at most MaxPagesPerBlock, and the derived totals fit the address
+// types.
 func (g Geometry) Validate() error {
 	fields := []struct {
 		name string
@@ -55,6 +61,9 @@ func (g Geometry) Validate() error {
 	}
 	if g.PagesPerBlock%2 != 0 {
 		return errors.New("flash: PagesPerBlock must be even for the copy-back parity rule to be satisfiable")
+	}
+	if g.PagesPerBlock > MaxPagesPerBlock {
+		return fmt.Errorf("flash: %w: PagesPerBlock %d, limit %d", ErrBlockTooLarge, g.PagesPerBlock, MaxPagesPerBlock)
 	}
 	if g.TotalPages() > 1<<56 {
 		return errors.New("flash: geometry too large for 64-bit page addressing")

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,7 @@ func TestGeometryValidateRejectsBadFields(t *testing.T) {
 		func(g *Geometry) { g.PagesPerBlock = 0 },
 		func(g *Geometry) { g.PageSize = 0 },
 		func(g *Geometry) { g.PagesPerBlock = 63 }, // odd breaks parity rule
+		func(g *Geometry) { g.PagesPerBlock = MaxPagesPerBlock + 1 },
 	}
 	for i, mutate := range cases {
 		g := testGeometry()
@@ -65,6 +67,47 @@ func TestGeometryValidateRejectsBadFields(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted invalid geometry %+v", i, g)
 		}
+	}
+}
+
+// TestGeometryPagesPerBlockLimit checks the block-row bound: the largest
+// even PagesPerBlock a row can pack is accepted, and a block of that size
+// counts every page in each of its row's fields; the next even size fails
+// with ErrBlockTooLarge.
+func TestGeometryPagesPerBlockLimit(t *testing.T) {
+	g := testGeometry()
+	g.PagesPerBlock = MaxPagesPerBlock + 1
+	if err := g.Validate(); !errors.Is(err, ErrBlockTooLarge) {
+		t.Fatalf("PagesPerBlock %d: %v, want ErrBlockTooLarge", g.PagesPerBlock, err)
+	}
+	g.PagesPerBlock = MaxPagesPerBlock - 1
+	d, err := NewDevice(g, DefaultTiming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Release()
+	pb := PlaneBlock{Plane: 1, Block: 2}
+	first := g.FirstPPN(pb)
+	for p := 0; p < g.PagesPerBlock; p++ {
+		if _, err := d.WritePage(first+PPN(p), int64(p), 0, CauseHost); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := BlockInfo{Valid: g.PagesPerBlock, NextWrite: g.PagesPerBlock}
+	if got := d.Block(pb); got != full {
+		t.Fatalf("full block row %+v, want %+v", got, full)
+	}
+	for p := 0; p < g.PagesPerBlock; p++ {
+		if err := d.Invalidate(first + PPN(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full.Valid, full.Invalid = 0, g.PagesPerBlock
+	if got := d.Block(pb); got != full {
+		t.Fatalf("invalidated block row %+v, want %+v", got, full)
+	}
+	if got := d.Block(PlaneBlock{Plane: 1, Block: 3}); got != (BlockInfo{}) {
+		t.Fatalf("the next block's row %+v, want empty", got)
 	}
 }
 

@@ -38,7 +38,8 @@ func (m PPNMap) EncodeState(w *ckpt.Writer) {
 }
 
 // DecodeState overwrites m with a column EncodeState wrote, which must have
-// m's length. An entry that is neither InvalidPPN nor a page number some
+// m's length. Only the entries that change are written, so the pages of a
+// fresh column that the decoded map leaves unmapped stay non-resident. An entry that is neither InvalidPPN nor a page number some
 // device could have fails r with ErrUnmappable.
 func (m PPNMap) DecodeState(r *ckpt.Reader) {
 	raw := r.Raw(8 * r.ExpectLen(len(m), 8))
@@ -54,7 +55,9 @@ func (m PPNMap) DecodeState(r *ckpt.Reader) {
 				r.Failf("flash: PPN column entry %d holds %d: %w", i+j, int64(v-1), ErrUnmappable)
 				return
 			}
-			dst[j] = uint32(v)
+			if dst[j] != uint32(v) {
+				dst[j] = uint32(v)
+			}
 		}
 	}
 }

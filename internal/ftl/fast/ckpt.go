@@ -18,7 +18,7 @@ func (f *FAST) EncodeState(w *ckpt.Writer) {
 	w.U32(uint32(len(f.dataBlock))) // an int64 slab of block indices, -1 for none
 	dst := w.Raw(8 * len(f.dataBlock))
 	for i, b := range f.dataBlock {
-		binary.LittleEndian.PutUint64(dst[8*i:], uint64(b-1))
+		binary.LittleEndian.PutUint64(dst[8*i:], uint64(int64(b)-1))
 	}
 	w.I64(f.swLBN)
 	encodePlaneBlock(w, f.swBlock)
@@ -35,22 +35,30 @@ func (f *FAST) EncodeState(w *ckpt.Writer) {
 	w.I64(f.counts[obs.EvMergeCopy])
 }
 
-// DecodeState implements ftl.FTL, overwriting the live state in place; the
-// device must be decoded first. A mapped logical block names a block of the
-// device, the SW log's logical block one of the space, and every log block
-// lies on the device. The log map is rebuilt from the log blocks' valid
-// pages, each of which must hold an LPN of the space that no other log page
-// holds. The counts the checkpoint does not carry restart from zero.
+// DecodeState implements ftl.FTL, overwriting the live state in place and
+// writing only the column entries that change; the device must be decoded
+// first. A mapped logical block names a block of the device, the SW log's
+// logical block one of the space, and every log block lies on the device.
+// The log map is rebuilt from the log blocks' valid pages, each of which
+// must hold an LPN of the space that no other log page holds. The counts
+// the checkpoint does not carry restart from zero.
 func (f *FAST) DecodeState(r *ckpt.Reader) {
 	f.counts = obs.Counts{}
 	f.pool.DecodeState(r, f.dev)
-	r.I64sInto(f.dataBlock)
-	for lbn, b := range f.dataBlock {
-		if b < -1 || b >= f.geo.TotalBlocks() {
-			r.Failf("fast: logical block %d mapped to block %d of %d", lbn, b, f.geo.TotalBlocks())
-			return
+	raw := r.Raw(8 * r.ExpectLen(len(f.dataBlock), 8))
+	var buf [256]int64
+	for i := 0; i < len(raw)/8; i += len(buf) {
+		chunk := buf[:min(len(buf), len(raw)/8-i)]
+		ckpt.Load(chunk, raw[8*i:])
+		for j, b := range chunk {
+			if b < -1 || b >= f.geo.TotalBlocks() {
+				r.Failf("fast: logical block %d mapped to block %d of %d", i+j, b, f.geo.TotalBlocks())
+				return
+			}
+			if lbn := i + j; f.dataBlock[lbn] != uint32(b+1) {
+				f.dataBlock[lbn] = uint32(b + 1)
+			}
 		}
-		f.dataBlock[lbn] = b + 1
 	}
 	if f.swLBN = r.I64(); f.swLBN < -1 || f.swLBN >= int64(len(f.dataBlock)) {
 		r.Failf("fast: SW log of logical block %d in a %d-block space", f.swLBN, len(f.dataBlock))
@@ -69,7 +77,11 @@ func (f *FAST) DecodeState(r *ckpt.Reader) {
 	f.counts[obs.EvPartialMerge] = r.I64()
 	f.counts[obs.EvFullMerge] = r.I64()
 	f.counts[obs.EvMergeCopy] = r.I64()
-	clear(f.inLog)
+	for _, w := range f.logMap.slots { // clear inLog only where it is set
+		if w != 0 {
+			f.inLog[w>>38] &^= 1 << (w >> 32 & 63)
+		}
+	}
 	f.logMap.reset()
 	if r.Err() != nil {
 		return

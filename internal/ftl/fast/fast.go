@@ -42,8 +42,10 @@ type FAST struct {
 	// log and later, cheaper merges — the Fig. 10 trend.
 	logBlocks int
 
-	pool      *ftl.FreeBlocks
-	dataBlock []int64 // lbn -> 1 + dense physical block index, 0 if none
+	pool *ftl.FreeBlocks
+	// dataBlock maps lbn -> 1 + dense physical block index, 0 if none. A
+	// column (flash.NewColumn), as are inLog and logMap's slots.
+	dataBlock []uint32
 	// The log map. inLog has one bit per LPN, set while the LPN has a
 	// log-resident version, and logMap holds those versions' locations, so
 	// it has no more entries than the log blocks have pages. Looking up an
@@ -80,23 +82,32 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 			logBlocks, totalExtra)
 	}
 	capacity := ftl.ExportedPages(geo, cfg.ExtraPerPlane)
-	f := &FAST{
-		dev:       dev,
-		geo:       geo,
-		capacity:  capacity,
-		logBlocks: logBlocks,
-		pool:      ftl.NewFreeBlocks(geo),
-		dataBlock: make([]int64, int64(capacity)/int64(geo.PagesPerBlock)),
-		inLog:     make([]uint64, (capacity+63)/64),
-		logMap:    newLogTable(logBlocks * geo.PagesPerBlock),
-		swLBN:     -1,
-	}
 	name := cfg.GCPolicy
 	if name == "" {
 		name = gc.DefaultLogPolicy
 	}
 	policy, err := gc.ParsePolicy(name, geo.PagesPerBlock)
 	if err != nil {
+		return nil, err
+	}
+	f := &FAST{
+		dev:       dev,
+		geo:       geo,
+		capacity:  capacity,
+		logBlocks: logBlocks,
+		swLBN:     -1,
+	}
+	// The columns come last, and each failure releases those made before
+	// it.
+	if f.pool, err = ftl.NewFreeBlocks(geo); err == nil {
+		if f.dataBlock, err = flash.NewColumn[uint32](int64(capacity) / int64(geo.PagesPerBlock)); err == nil {
+			if f.inLog, err = flash.NewColumn[uint64]((int64(capacity) + 63) / 64); err == nil {
+				f.logMap, err = newLogTable(logBlocks * geo.PagesPerBlock)
+			}
+		}
+	}
+	if err != nil {
+		f.Release()
 		return nil, err
 	}
 	// FAST keeps its own merge loop; the engine supplies the victim policy,
@@ -114,9 +125,17 @@ func (f *FAST) Capacity() ftl.LPN { return f.capacity }
 // Counts implements ftl.FTL.
 func (f *FAST) Counts() obs.Counts { return f.counts }
 
-// Release implements ftl.FTL. FAST maps logical blocks, not pages, and holds
-// no column of its own: its device's is the only one.
-func (f *FAST) Release() {}
+// Release implements ftl.FTL: it frees the free pool, the block map and the
+// log map.
+func (f *FAST) Release() {
+	if f.pool != nil {
+		f.pool.Release()
+	}
+	flash.FreeColumn(f.dataBlock)
+	flash.FreeColumn(f.inLog)
+	f.dataBlock, f.inLog = nil, nil
+	f.logMap.release()
+}
 
 // GCPolicyName reports the log-block eviction policy in effect.
 func (f *FAST) GCPolicyName() string { return f.engine.PolicyName() }
@@ -145,7 +164,7 @@ func (f *FAST) split(lpn ftl.LPN) (lbn int64, off int) {
 }
 
 func (f *FAST) dataPPN(lbn int64, off int) flash.PPN {
-	return flash.PPN((f.dataBlock[lbn]-1)*int64(f.geo.PagesPerBlock) + int64(off))
+	return flash.PPN((int64(f.dataBlock[lbn])-1)*int64(f.geo.PagesPerBlock) + int64(off))
 }
 
 // logPPN returns lpn's log-resident location, or InvalidPPN.
@@ -156,10 +175,14 @@ func (f *FAST) logPPN(lpn ftl.LPN) flash.PPN {
 	return f.logMap.get(lpn)
 }
 
-// setLog records ppn as lpn's log-resident location.
-func (f *FAST) setLog(lpn ftl.LPN, ppn flash.PPN) {
+// setLog records ppn as lpn's log-resident location. It fails only when the
+// log map must grow and cannot (see logTable.set), recording nothing.
+func (f *FAST) setLog(lpn ftl.LPN, ppn flash.PPN) error {
+	if err := f.logMap.set(lpn, ppn); err != nil {
+		return err
+	}
 	f.inLog[lpn>>6] |= 1 << (lpn & 63)
-	f.logMap.set(lpn, ppn)
+	return nil
 }
 
 // dropLog forgets lpn's log-resident location, if it has one.
@@ -187,7 +210,9 @@ func (f *FAST) addLogBlock(pb flash.PlaneBlock) error {
 		if old := f.logPPN(lpn); old != flash.InvalidPPN {
 			return fmt.Errorf("fast: lpn %d is valid in log pages %d and %d", lpn, old, ppn)
 		}
-		f.setLog(lpn, ppn)
+		if err := f.setLog(lpn, ppn); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -237,7 +262,7 @@ func (f *FAST) WritePage(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.dataBlock[lbn] = f.geo.BlockIndex(pb) + 1
+		f.dataBlock[lbn] = uint32(f.geo.BlockIndex(pb) + 1)
 	}
 	// In-place program if the data block's slot is still erased.
 	if ppn := f.dataPPN(lbn, off); f.dev.PageState(ppn) == flash.PageFree {
@@ -258,7 +283,9 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 		if err != nil {
 			return 0, err
 		}
-		f.setLog(lpn, ppn)
+		if err := f.setLog(lpn, ppn); err != nil {
+			return 0, err
+		}
 		if err := f.invalidateOld(old); err != nil {
 			return 0, err
 		}
@@ -289,7 +316,9 @@ func (f *FAST) logWrite(lpn ftl.LPN, lbn int64, off int, ready sim.Time) (sim.Ti
 		if err != nil {
 			return 0, err
 		}
-		f.setLog(lpn, ppn)
+		if err := f.setLog(lpn, ppn); err != nil {
+			return 0, err
+		}
 		return end, f.invalidateOld(old)
 
 	default:
@@ -328,7 +357,9 @@ func (f *FAST) rwWrite(lpn ftl.LPN, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.setLog(lpn, ppn)
+	if err := f.setLog(lpn, ppn); err != nil {
+		return 0, err
+	}
 	return end, f.invalidateOld(old)
 }
 
@@ -434,13 +465,13 @@ func (f *FAST) adoptAsData(lbn int64, b flash.PlaneBlock) {
 	for off := 0; off < f.geo.PagesPerBlock; off++ {
 		f.dropLog(ftl.LPN(lbn*int64(f.geo.PagesPerBlock) + int64(off)))
 	}
-	f.dataBlock[lbn] = f.geo.BlockIndex(b) + 1
+	f.dataBlock[lbn] = uint32(f.geo.BlockIndex(b) + 1)
 }
 
 // retireDataBlock erases lbn's old data block if it no longer holds valid
 // pages worth keeping (its live pages were superseded or copied out).
 func (f *FAST) retireDataBlock(lbn int64, ready sim.Time) (sim.Time, error) {
-	bi := f.dataBlock[lbn] - 1
+	bi := int64(f.dataBlock[lbn]) - 1
 	if bi < 0 {
 		return ready, nil
 	}
@@ -500,7 +531,7 @@ func (f *FAST) consolidate(lbn int64, ready sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	f.dataBlock[lbn] = f.geo.BlockIndex(c) + 1
+	f.dataBlock[lbn] = uint32(f.geo.BlockIndex(c) + 1)
 	f.counts[obs.EvFullMerge]++
 	return t, nil
 }

@@ -12,11 +12,12 @@ import (
 // it back into the hole instead of leaving a tombstone, so a probe always
 // ends at the first empty slot.
 //
-// A fresh table is zero-backed: its slots cost host memory only once
-// written. It starts at twice the log blocks' pages, which the log map never
-// exceeds in service, and doubles past three-quarters full, which only more
-// log blocks than the budget reach: a recovery may adopt them, and a
-// checkpoint of its state lists them.
+// Its slots are a column (flash.NewColumn), so a fresh table is
+// zero-backed: its slots cost host memory only once written. It starts at
+// twice the log blocks' pages, which the log map never exceeds in service,
+// and doubles past three-quarters full, which only more log blocks than the
+// budget reach: a recovery may adopt them, and a checkpoint of its state
+// lists them.
 type logTable struct {
 	slots []uint64
 	shift uint // 64 - log2(len(slots)): the hash keeps the top bits
@@ -24,12 +25,19 @@ type logTable struct {
 }
 
 // newLogTable returns an empty table sized for pages entries.
-func newLogTable(pages int) logTable {
+func newLogTable(pages int) (logTable, error) {
 	bits := uint(3)
 	for 1<<bits < 2*pages {
 		bits++
 	}
-	return logTable{slots: make([]uint64, 1<<bits), shift: 64 - bits}
+	slots, err := flash.NewColumn[uint64](1 << bits)
+	return logTable{slots: slots, shift: 64 - bits}, err
+}
+
+// release frees the table's column; the table must not be used afterwards.
+func (t *logTable) release() {
+	flash.FreeColumn(t.slots)
+	t.slots = nil
 }
 
 // home returns lpn's first probe slot.
@@ -52,16 +60,22 @@ func (t *logTable) get(lpn ftl.LPN) flash.PPN {
 	return flash.PPN(uint32(t.slots[t.find(uint64(lpn))])) - 1
 }
 
-// set maps lpn to ppn, replacing any page it had.
-func (t *logTable) set(lpn ftl.LPN, ppn flash.PPN) {
+// set maps lpn to ppn, replacing any page it had. A new entry that would
+// take the table past three-quarters full grows it first; set fails, and
+// leaves the table as it was, only when the larger column cannot be had.
+func (t *logTable) set(lpn ftl.LPN, ppn flash.PPN) error {
 	i := t.find(uint64(lpn))
-	fresh := t.slots[i] == 0
-	t.slots[i] = uint64(lpn)<<32 | uint64(ppn+1)
-	if fresh {
-		if t.n++; 4*t.n > 3*len(t.slots) {
-			t.grow()
+	if t.slots[i] == 0 {
+		if 4*(t.n+1) > 3*len(t.slots) {
+			if err := t.grow(); err != nil {
+				return err
+			}
+			i = t.find(uint64(lpn))
 		}
+		t.n++
 	}
+	t.slots[i] = uint64(lpn)<<32 | uint64(ppn+1)
+	return nil
 }
 
 // drop removes lpn, if present. Each entry of the probe run after the hole
@@ -83,19 +97,32 @@ func (t *logTable) drop(lpn ftl.LPN) {
 	t.slots[i] = 0
 }
 
-// reset empties the table, keeping its size.
+// reset empties the table, keeping its size. Only the slots in use are
+// written, so the column's untouched pages stay non-resident.
 func (t *logTable) reset() {
-	clear(t.slots)
+	for i, w := range t.slots {
+		if w != 0 {
+			t.slots[i] = 0
+		}
+	}
 	t.n = 0
 }
 
 // grow doubles the table and re-enters its entries.
-func (t *logTable) grow() {
+func (t *logTable) grow() error {
+	slots, err := flash.NewColumn[uint64](2 * int64(len(t.slots)))
+	if err != nil {
+		return err
+	}
 	old := t.slots
-	*t = logTable{slots: make([]uint64, 2*len(old)), shift: t.shift - 1}
+	*t = logTable{slots: slots, shift: t.shift - 1}
 	for _, w := range old {
 		if w != 0 {
+			// The doubled table stays below three-eighths full: no entry
+			// grows it again, so none fails.
 			t.set(ftl.LPN(w>>32), flash.PPN(uint32(w))-1)
 		}
 	}
+	flash.FreeColumn(old)
+	return nil
 }

@@ -27,7 +27,11 @@ func FuzzLogTable(f *testing.F) {
 	}
 	f.Add(seq)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab := newLogTable(2)
+		tab, err := newLogTable(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tab.release()
 		ref := map[ftl.LPN]flash.PPN{}
 		for ; len(data) >= 2; data = data[2:] {
 			op, lpn := data[0], ftl.LPN(data[1]&63)
@@ -45,7 +49,9 @@ func FuzzLogTable(f *testing.F) {
 				}
 			default:
 				ppn := flash.PPN(op >> 2)
-				tab.set(lpn, ppn)
+				if err := tab.set(lpn, ppn); err != nil {
+					t.Fatal(err)
+				}
 				ref[lpn] = ppn
 			}
 			if tab.n != len(ref) {

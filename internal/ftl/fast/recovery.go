@@ -26,10 +26,19 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := f.recover(); err != nil {
+		f.Release()
+		return nil, err
+	}
+	return f, nil
+}
+
+// recover fills a fresh FAST from the device's page tags.
+func (f *FAST) recover() error {
 	// The scan validates the one-valid-copy-per-lpn invariant and collects
 	// the erased blocks into the free pool; block roles are rebuilt below.
-	if err := ftl.CheckOOB(dev, f.capacity, f.pool); err != nil {
-		return nil, err
+	if err := ftl.CheckOOB(f.dev, f.capacity, f.pool); err != nil {
+		return err
 	}
 	geo := f.geo
 	ppb := int64(geo.PagesPerBlock)
@@ -57,16 +66,16 @@ func NewRecovered(dev *flash.Device, cfg Config) (*FAST, error) {
 				}
 			}
 			if inPlace && lbn >= 0 && f.dataBlock[lbn] == 0 {
-				f.dataBlock[lbn] = geo.BlockIndex(pb) + 1
+				f.dataBlock[lbn] = uint32(geo.BlockIndex(pb) + 1)
 				continue
 			}
 			// Log-resident pages — or a fully-invalid block, which parks here
 			// until a full merge erases it back to the pool.
 			f.rwFull = append(f.rwFull, pb)
 			if err := f.addLogBlock(pb); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return f, nil
+	return nil
 }

@@ -71,7 +71,10 @@ func TestExtraBlocksPerPlane(t *testing.T) {
 
 func TestFreeBlocksPools(t *testing.T) {
 	g := testGeo()
-	f := NewFreeBlocks(g)
+	f, err := NewFreeBlocks(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f.Total() != 8*8 {
 		t.Fatalf("Total = %d", f.Total())
 	}
@@ -134,7 +137,11 @@ func newTrackedDevice(tb testing.TB, geo flash.Geometry) (*flash.Device, *Tracke
 	for bi := int64(0); bi < geo.TotalBlocks(); bi++ {
 		writeBlock(tb, dev, flash.PlaneBlock{Plane: int(bi) / geo.BlocksPerPlane, Block: int(bi) % geo.BlocksPerPlane})
 	}
-	return dev, NewTracker(dev)
+	tr, err := NewTracker(dev)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return dev, tr
 }
 
 // writeBlock programs every page of an erased block.

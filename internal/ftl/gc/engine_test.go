@@ -33,8 +33,16 @@ func newPageFTL(tb testing.TB, geo flash.Geometry, lpns int) *pageFTL {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tracker, err := ftl.NewTracker(dev)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool, err := ftl.NewFreeBlocks(geo)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	f := &pageFTL{
-		dev: dev, geo: geo, tracker: ftl.NewTracker(dev), pool: ftl.NewFreeBlocks(geo),
+		dev: dev, geo: geo, tracker: tracker, pool: pool,
 		table: make([]flash.PPN, lpns), cur: make([]flash.PlaneBlock, geo.Planes()), next: make([]int, geo.Planes()),
 	}
 	for i := range f.table {

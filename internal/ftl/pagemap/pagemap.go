@@ -158,8 +158,6 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 		geo:      geo,
 		cfg:      cfg,
 		capacity: ftl.ExportedPages(geo, cfg.ExtraPerPlane),
-		pool:     ftl.NewFreeBlocks(geo),
-		tracker:  ftl.NewTracker(dev),
 	}
 	switch {
 	case l.striped():
@@ -183,12 +181,22 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The table comes last: nothing fails after it is allocated.
+	var tpol translate.Policy
 	if l.DemandPaged {
-		tpol, err := translate.ParsePolicy(cfg.TranslatePolicy)
-		if err != nil {
+		if tpol, err = translate.ParsePolicy(cfg.TranslatePolicy); err != nil {
 			return nil, err
 		}
+	}
+	// The columns come last, and a failure from here on releases those
+	// made before it.
+	if f.pool, err = ftl.NewFreeBlocks(geo); err != nil {
+		return nil, err
+	}
+	if f.tracker, err = ftl.NewTracker(dev); err != nil {
+		f.Release()
+		return nil, err
+	}
+	if l.DemandPaged {
 		// Striping puts same-plane logical neighbors #planes apart, so the
 		// learned index trains one plane's progression at a time; a global
 		// log appends consecutive LPNs to consecutive pages.
@@ -201,11 +209,12 @@ func New(dev *flash.Device, cfg Config) (*FTL, error) {
 			Capacity: f.capacity, CMTEntries: cfg.CMTEntries, Policy: tpol,
 			StrideHint: stride,
 		}, &f.counts)
-		if err != nil {
-			return nil, err
-		}
 	} else {
-		f.table = flash.NewColumn(int64(f.capacity))
+		f.table, err = flash.NewColumn[uint32](int64(f.capacity))
+	}
+	if err != nil {
+		f.Release()
+		return nil, err
 	}
 	f.engine = gc.NewEngine(gc.Config{
 		Dev:              dev,
@@ -228,14 +237,20 @@ func (f *FTL) Capacity() ftl.LPN { return f.capacity }
 // Counts implements ftl.FTL.
 func (f *FTL) Counts() obs.Counts { return f.counts }
 
-// Release implements ftl.FTL: it frees the mapping table.
+// Release implements ftl.FTL: it frees the mapping table, the free pool and
+// the victim index.
 func (f *FTL) Release() {
 	if f.mapper != nil {
 		f.mapper.Release()
-		return
 	}
 	flash.FreeColumn(f.table)
 	f.table = nil
+	if f.pool != nil {
+		f.pool.Release()
+	}
+	if f.tracker != nil {
+		f.tracker.Release()
+	}
 }
 
 // GCPolicyName reports the victim-selection policy in effect.

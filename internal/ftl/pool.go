@@ -11,27 +11,40 @@ import (
 // globally in plane-major order, which is what concentrates their allocation
 // on low-numbered planes (§V.B's explanation of DFTL's TPC-C collapse).
 //
-// Each plane's pool is a FIFO queue (blocks hand out in the order they were
-// freed, starting from block 0 on a fresh device) backed by a fixed circular
-// buffer: a plane can never hold more than BlocksPerPlane free blocks, so
-// the buffer never grows and sustained take/put churn under garbage
-// collection allocates nothing.
+// Each plane's pool is a FIFO queue: blocks hand out in the order they were
+// freed, starting from block 0 on a fresh device. The blocks a fresh device
+// starts with are implicit: they hand out from a counter, and only a block
+// put back after an erase enters the plane's ring, a fixed circular buffer
+// of BlocksPerPlane entries. Every never-used block precedes every recycled
+// one in the queue, so the counter then the ring is the queue in order. The
+// rings are one column (flash.NewColumn), written only as blocks recycle:
+// a run with no erase never touches it, and sustained take/put churn under
+// garbage collection allocates nothing.
 type FreeBlocks struct {
 	planes []planeQueue
+	rings  []uint32 // plane p's ring is rings[p*BlocksPerPlane:][:BlocksPerPlane]
 	total  int
 }
 
-// planeQueue is one plane's FIFO of free in-plane block indices.
+// planeQueue is one plane's FIFO of free in-plane block indices: blocks
+// [fresh, len(ring)) never taken, then n recycled blocks from ring[head].
 type planeQueue struct {
-	buf  []int32
-	head int // index of the front element
-	n    int // queued count
+	ring    []uint32
+	fresh   int
+	head, n int
 }
 
+// size returns the number of queued blocks.
+func (q *planeQueue) size() int { return len(q.ring) - q.fresh + q.n }
+
 func (q *planeQueue) take() int {
-	b := int(q.buf[q.head])
+	if q.fresh < len(q.ring) {
+		q.fresh++
+		return q.fresh - 1
+	}
+	b := int(q.ring[q.head])
 	q.head++
-	if q.head == len(q.buf) {
+	if q.head == len(q.ring) {
 		q.head = 0
 	}
 	q.n--
@@ -40,39 +53,59 @@ func (q *planeQueue) take() int {
 
 func (q *planeQueue) put(b int) {
 	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
+	if i >= len(q.ring) {
+		i -= len(q.ring)
 	}
-	q.buf[i] = int32(b)
+	q.ring[i] = uint32(b)
 	q.n++
 }
 
+// at returns the i-th queued block, counting from the front.
+func (q *planeQueue) at(i int) int {
+	if i < len(q.ring)-q.fresh {
+		return q.fresh + i
+	}
+	j := q.head + i - (len(q.ring) - q.fresh)
+	if j >= len(q.ring) {
+		j -= len(q.ring)
+	}
+	return int(q.ring[j])
+}
+
 // NewFreeBlocks returns a pool containing every block of the geometry, all
-// free (a freshly erased device).
-func NewFreeBlocks(geo flash.Geometry) *FreeBlocks {
-	f := &FreeBlocks{planes: make([]planeQueue, geo.Planes())}
+// free (a freshly erased device). Release frees its column.
+func NewFreeBlocks(geo flash.Geometry) (*FreeBlocks, error) {
+	rings, err := flash.NewColumn[uint32](geo.TotalBlocks())
+	if err != nil {
+		return nil, err
+	}
+	f := &FreeBlocks{planes: make([]planeQueue, geo.Planes()), rings: rings}
 	for p := range f.planes {
-		blocks := make([]int32, geo.BlocksPerPlane)
-		for b := range blocks {
-			blocks[b] = int32(b)
-		}
-		f.planes[p] = planeQueue{buf: blocks, n: geo.BlocksPerPlane}
+		f.planes[p] = planeQueue{ring: rings[p*geo.BlocksPerPlane:][:geo.BlocksPerPlane]}
 	}
 	f.total = geo.Planes() * geo.BlocksPerPlane
-	return f
+	return f, nil
+}
+
+// Release frees the pool's column. The pool must not be used afterwards: a
+// take or put then panics with an index error. Releasing again does
+// nothing.
+func (f *FreeBlocks) Release() {
+	flash.FreeColumn(f.rings)
+	f.rings, f.planes = nil, nil
 }
 
 // Total returns the number of free blocks device-wide.
 func (f *FreeBlocks) Total() int { return f.total }
 
 // InPlane returns the number of free blocks on one plane.
-func (f *FreeBlocks) InPlane(plane int) int { return f.planes[plane].n }
+func (f *FreeBlocks) InPlane(plane int) int { return f.planes[plane].size() }
 
 // TakeFromPlane removes and returns the longest-free block of the given
 // plane. ok is false if the plane has none.
 func (f *FreeBlocks) TakeFromPlane(plane int) (pb flash.PlaneBlock, ok bool) {
 	q := &f.planes[plane]
-	if q.n == 0 {
+	if q.size() == 0 {
 		return flash.PlaneBlock{}, false
 	}
 	f.total--
@@ -94,6 +127,16 @@ func (f *FreeBlocks) TakeAny() (pb flash.PlaneBlock, ok bool) {
 func (f *FreeBlocks) Put(pb flash.PlaneBlock) {
 	f.planes[pb.Plane].put(pb.Block)
 	f.total++
+}
+
+// empty leaves every plane's queue empty, with no block implicit: what a
+// recovery scan refills with Put.
+func (f *FreeBlocks) empty() {
+	for p := range f.planes {
+		q := &f.planes[p]
+		q.fresh, q.head, q.n = len(q.ring), 0, 0
+	}
+	f.total = 0
 }
 
 func (f *FreeBlocks) String() string {

@@ -42,11 +42,11 @@ type RecoveredState struct {
 // outside the paper's measurements, but a real controller would pay one
 // read per page (or per block summary page).
 func ScanOOB(dev *flash.Device, capacity LPN, translationPages int, pool *FreeBlocks, tracker *Tracker) (*RecoveredState, error) {
-	st := &RecoveredState{
-		Table: flash.NewColumn(int64(capacity)),
-		GTD:   make(flash.PPNMap, translationPages),
+	table, err := flash.NewColumn[uint32](int64(capacity))
+	if err != nil {
+		return nil, err
 	}
-	var err error
+	st := &RecoveredState{Table: table, GTD: make(flash.PPNMap, translationPages)}
 	st.Partial, err = scanOOB(dev, capacity, st.GTD, pool, tracker, func(lpn LPN, ppn flash.PPN) bool {
 		if st.Table.Get(int64(lpn)) != flash.InvalidPPN {
 			return false
@@ -63,11 +63,16 @@ func ScanOOB(dev *flash.Device, capacity LPN, translationPages int, pool *FreeBl
 
 // CheckOOB is ScanOOB for an FTL that keeps no page table and no GTD
 // (FAST): it refuses the same devices with the same errors and fills pool
-// alike, but marks each logical page in a set of one bit per page instead
-// of building a capacity-sized table.
+// alike, but marks each logical page in a set of one bit per page (a
+// column, released when the scan ends) instead of building a
+// capacity-sized table.
 func CheckOOB(dev *flash.Device, capacity LPN, pool *FreeBlocks) error {
-	seen := make([]uint64, (capacity+63)/64)
-	_, err := scanOOB(dev, capacity, nil, pool, nil, func(lpn LPN, _ flash.PPN) bool {
+	seen, err := flash.NewColumn[uint64]((int64(capacity) + 63) / 64)
+	if err != nil {
+		return err
+	}
+	defer flash.FreeColumn(seen)
+	_, err = scanOOB(dev, capacity, nil, pool, nil, func(lpn LPN, _ flash.PPN) bool {
 		w, bit := lpn>>6, uint64(1)<<(lpn&63)
 		if seen[w]&bit != 0 {
 			return false
@@ -94,10 +99,7 @@ func scanOOB(dev *flash.Device, capacity LPN, gtd flash.PPNMap, pool *FreeBlocks
 	claim func(LPN, flash.PPN) bool) ([]PartialBlock, error) {
 	geo := dev.Geometry()
 	translationPages := gtd.Len()
-	for p := range pool.planes {
-		pool.planes[p].head, pool.planes[p].n = 0, 0
-	}
-	pool.total = 0
+	pool.empty()
 
 	var partial []PartialBlock
 	for plane := 0; plane < geo.Planes(); plane++ {

@@ -14,34 +14,62 @@ import (
 // invalidates on a candidate after the device did. Victim picks are
 // deterministic (LIFO within a bucket), keeping whole simulations
 // reproducible.
+//
+// A bucket is a doubly linked list threaded through its blocks' entries of
+// one column, so the index costs memory only for the blocks that have been
+// candidates. It behaves as an array with swap-remove: a block joins at the
+// tail, and a block that leaves is replaced in its place by the tail, so
+// every pick and every visiting order is that of a []int32 bucket grown by
+// append and shrunk by moving its last element into the hole.
 type Tracker struct {
-	dev     *flash.Device
-	geo     flash.Geometry
-	inBkt   []int32 // 1 + position within its bucket, 0 if not a candidate
-	buckets [][][]int32
-	// buckets[plane][count] holds in-plane block ids of closed candidates
+	dev *flash.Device
+	geo flash.Geometry
+	// links holds two words per block (dense block index): links[2bi] is 0
+	// while the block is no candidate, 1 when it heads its bucket, and 2 +
+	// the in-plane block before it otherwise; links[2bi+1] is 1 + the
+	// in-plane block after it, 0 at the tail. A column (flash.NewColumn).
+	links []uint32
+	// ends holds each bucket's head and tail, 1 + an in-plane block or 0
+	// when empty: bucket c of plane p at ends[2(p*(PagesPerBlock+1)+c)].
+	ends     []uint32
 	maxCount []int // per plane: highest count whose bucket may be non-empty
-	closeSeq []int64
-	seq      int64 // monotone close counter; closeSeq[bi] records each block's
-	// close order so age-aware victim policies (cost-benefit, FIFO) can rank
-	// candidates without timestamps
+	// closeSeq records each candidate's close, the low 32 bits of seq when
+	// it closed, so age-aware victim policies (cost-benefit, FIFO) can rank
+	// candidates without timestamps. A column (flash.NewColumn).
+	closeSeq []uint32
+	seq      int64 // monotone close counter
 }
 
-// NewTracker returns a tracker of dev's blocks with no candidates.
-func NewTracker(dev *flash.Device) *Tracker {
+// NewTracker returns a tracker of dev's blocks with no candidates. Release
+// frees its columns.
+func NewTracker(dev *flash.Device) (*Tracker, error) {
 	geo := dev.Geometry()
-	t := &Tracker{
+	links, err := flash.NewColumn[uint32](2 * geo.TotalBlocks())
+	if err != nil {
+		return nil, err
+	}
+	closeSeq, err := flash.NewColumn[uint32](geo.TotalBlocks())
+	if err != nil {
+		flash.FreeColumn(links)
+		return nil, err
+	}
+	return &Tracker{
 		dev:      dev,
 		geo:      geo,
-		inBkt:    make([]int32, geo.TotalBlocks()),
-		buckets:  make([][][]int32, geo.Planes()),
+		links:    links,
+		ends:     make([]uint32, 2*geo.Planes()*(geo.PagesPerBlock+1)),
 		maxCount: make([]int, geo.Planes()),
-		closeSeq: make([]int64, geo.TotalBlocks()),
-	}
-	for p := range t.buckets {
-		t.buckets[p] = make([][]int32, geo.PagesPerBlock+1)
-	}
-	return t
+		closeSeq: closeSeq,
+	}, nil
+}
+
+// Release frees the tracker's columns. The tracker must not be used
+// afterwards: a query then panics with an index error. Releasing again does
+// nothing.
+func (t *Tracker) Release() {
+	flash.FreeColumn(t.links)
+	flash.FreeColumn(t.closeSeq)
+	t.links, t.closeSeq = nil, nil
 }
 
 // Invalidated records that one page of pb became invalid on the device
@@ -50,25 +78,24 @@ func NewTracker(dev *flash.Device) *Tracker {
 func (t *Tracker) Invalidated(pb flash.PlaneBlock) {
 	if t.Candidate(pb) {
 		n := t.dev.Block(pb).Invalid
-		t.moveBucket(pb, n-1, n)
+		t.delBucket(pb, n-1)
+		t.addBucket(pb, n)
 	}
 }
 
 // Close marks pb fully written: it becomes a garbage-collection candidate.
 func (t *Tracker) Close(pb flash.PlaneBlock) {
-	bi := t.geo.BlockIndex(pb)
-	if t.inBkt[bi] != 0 {
+	if t.Candidate(pb) {
 		panic(fmt.Sprintf("ftl: Tracker.Close of candidate %v", pb))
 	}
 	t.seq++
-	t.closeSeq[bi] = t.seq
+	t.closeSeq[t.geo.BlockIndex(pb)] = uint32(t.seq)
 	t.addBucket(pb, t.dev.Block(pb).Invalid)
 }
 
 // Take removes pb from candidacy (it was chosen as a victim or re-opened).
 func (t *Tracker) Take(pb flash.PlaneBlock) {
-	bi := t.geo.BlockIndex(pb)
-	if t.inBkt[bi] == 0 {
+	if !t.Candidate(pb) {
 		panic(fmt.Sprintf("ftl: Tracker.Take of non-candidate %v", pb))
 	}
 	t.delBucket(pb, t.dev.Block(pb).Invalid)
@@ -76,17 +103,16 @@ func (t *Tracker) Take(pb flash.PlaneBlock) {
 
 // Candidate reports whether pb is a garbage-collection candidate.
 func (t *Tracker) Candidate(pb flash.PlaneBlock) bool {
-	return t.inBkt[t.geo.BlockIndex(pb)] != 0
+	return t.links[2*t.geo.BlockIndex(pb)] != 0
 }
 
 // MaxInPlane returns the candidate with the most invalid pages on one plane.
 // ok is false if the plane has no candidate with at least one invalid page.
 func (t *Tracker) MaxInPlane(plane int) (pb flash.PlaneBlock, invalid int, ok bool) {
-	bkts := t.buckets[plane]
 	for c := t.maxCount[plane]; c >= 1; c-- {
-		if n := len(bkts[c]); n > 0 {
+		if tail := t.ends[t.bucket(plane, c)+1]; tail != 0 {
 			t.maxCount[plane] = c
-			return flash.PlaneBlock{Plane: plane, Block: int(bkts[c][n-1])}, c, true
+			return flash.PlaneBlock{Plane: plane, Block: int(tail - 1)}, c, true
 		}
 	}
 	t.maxCount[plane] = 0
@@ -98,7 +124,7 @@ func (t *Tracker) MaxInPlane(plane int) (pb flash.PlaneBlock, invalid int, ok bo
 // an invalid page.
 func (t *Tracker) MaxGlobal() (pb flash.PlaneBlock, invalid int, ok bool) {
 	best := 0
-	for plane := range t.buckets {
+	for plane := range t.maxCount {
 		cand, c, okP := t.MaxInPlane(plane)
 		if okP && c > best {
 			best, pb, ok = c, cand, true
@@ -108,13 +134,14 @@ func (t *Tracker) MaxGlobal() (pb flash.PlaneBlock, invalid int, ok bool) {
 }
 
 // Planes returns the number of planes the tracker indexes.
-func (t *Tracker) Planes() int { return len(t.buckets) }
+func (t *Tracker) Planes() int { return len(t.maxCount) }
 
 // Age returns how long ago pb was closed, in close events: the number of
 // blocks closed since pb (0 = most recently closed). Meaningful only for
-// current candidates.
+// current candidates. It is exact while fewer than 2^32 blocks have closed
+// since pb, which the close sequence's 32 bits wrap around.
 func (t *Tracker) Age(pb flash.PlaneBlock) int64 {
-	return t.seq - t.closeSeq[t.geo.BlockIndex(pb)]
+	return int64(uint32(t.seq) - t.closeSeq[t.geo.BlockIndex(pb)])
 }
 
 // ForEachCandidate calls fn for every candidate on one plane that has at
@@ -123,40 +150,77 @@ func (t *Tracker) Age(pb flash.PlaneBlock) int64 {
 // count, LIFO within a bucket — so the first visit is exactly MaxInPlane's
 // pick. fn receives the block, its invalid count, and its close age.
 func (t *Tracker) ForEachCandidate(plane int, fn func(pb flash.PlaneBlock, invalid int, age int64) bool) {
-	bkts := t.buckets[plane]
-	for c := len(bkts) - 1; c >= 1; c-- {
-		bkt := bkts[c]
-		for i := len(bkt) - 1; i >= 0; i-- {
-			pb := flash.PlaneBlock{Plane: plane, Block: int(bkt[i])}
+	base := 2 * int(t.geo.BlockIndex(flash.PlaneBlock{Plane: plane}))
+	for c := t.geo.PagesPerBlock; c >= 1; c-- {
+		for b := t.ends[t.bucket(plane, c)+1]; b != 0; {
+			pb := flash.PlaneBlock{Plane: plane, Block: int(b - 1)}
+			prev := t.links[base+2*pb.Block]
 			if !fn(pb, c, t.Age(pb)) {
 				return
 			}
+			b = prev - 1 // 1 (heads its bucket) ends the walk at 0
 		}
 	}
 }
 
+// bucket returns the index in ends of bucket count's head on plane; its
+// tail follows it.
+func (t *Tracker) bucket(plane, count int) int {
+	return 2 * (plane*(t.geo.PagesPerBlock+1) + count)
+}
+
+// addBucket appends pb to the tail of bucket count.
 func (t *Tracker) addBucket(pb flash.PlaneBlock, count int) {
-	bkt := &t.buckets[pb.Plane][count]
-	*bkt = append(*bkt, int32(pb.Block))
-	t.inBkt[t.geo.BlockIndex(pb)] = int32(len(*bkt))
+	e := t.bucket(pb.Plane, count)
+	base := 2 * int(t.geo.BlockIndex(flash.PlaneBlock{Plane: pb.Plane}))
+	me := uint32(pb.Block) + 1
+	if tail := t.ends[e+1]; tail != 0 {
+		t.links[base+2*int(tail-1)+1] = me
+		t.links[base+2*pb.Block] = tail + 1
+	} else {
+		t.ends[e] = me
+		t.links[base+2*pb.Block] = 1
+	}
+	t.links[base+2*pb.Block+1] = 0
+	t.ends[e+1] = me
 	if count > t.maxCount[pb.Plane] {
 		t.maxCount[pb.Plane] = count
 	}
 }
 
+// delBucket removes pb from bucket count: the tail leaves the list, and
+// unless pb was the tail it takes pb's place.
 func (t *Tracker) delBucket(pb flash.PlaneBlock, count int) {
-	bi := t.geo.BlockIndex(pb)
-	bkt := t.buckets[pb.Plane][count]
-	pos := t.inBkt[bi] // 1 + its position
-	last := len(bkt) - 1
-	moved := bkt[last]
-	bkt[pos-1] = moved
-	t.inBkt[t.geo.BlockIndex(flash.PlaneBlock{Plane: pb.Plane, Block: int(moved)})] = pos
-	t.buckets[pb.Plane][count] = bkt[:last]
-	t.inBkt[bi] = 0
+	e := t.bucket(pb.Plane, count)
+	base := 2 * int(t.geo.BlockIndex(flash.PlaneBlock{Plane: pb.Plane}))
+	me := uint32(pb.Block) + 1
+	last := t.ends[e+1]
+	t.unlink(e, base, last)
+	if last != me {
+		prev, next := t.links[base+2*pb.Block], t.links[base+2*pb.Block+1]
+		l := base + 2*int(last-1)
+		t.links[l], t.links[l+1] = prev, next
+		if prev == 1 {
+			t.ends[e] = last
+		} else {
+			t.links[base+2*int(prev-2)+1] = last
+		}
+		if next == 0 {
+			t.ends[e+1] = last
+		} else {
+			t.links[base+2*int(next-1)] = last + 1
+		}
+	}
+	t.links[base+2*pb.Block], t.links[base+2*pb.Block+1] = 0, 0
 }
 
-func (t *Tracker) moveBucket(pb flash.PlaneBlock, from, to int) {
-	t.delBucket(pb, from)
-	t.addBucket(pb, to)
+// unlink removes the tail b of the bucket at ends[e] from its list.
+func (t *Tracker) unlink(e, base int, b uint32) {
+	prev := t.links[base+2*int(b-1)]
+	if prev == 1 {
+		t.ends[e], t.ends[e+1] = 0, 0
+		return
+	}
+	t.links[base+2*int(prev-2)+1] = 0
+	t.ends[e+1] = prev - 1
 }

@@ -83,7 +83,7 @@ func newBenchEngine(b *testing.B, policy Policy, space int) *Engine {
 		b.Fatal(err)
 	}
 	m, err := NewEngine(Config{
-		Dev: dev, Placer: &seqPlacer{dev: dev}, Tracker: ftl.NewTracker(dev),
+		Dev: dev, Placer: &seqPlacer{dev: dev}, Tracker: newTracker(b, dev),
 		Capacity: ftl.LPN(space), CMTEntries: 4096, Policy: policy, StrideHint: 1,
 	}, new(obs.Counts))
 	if err != nil {

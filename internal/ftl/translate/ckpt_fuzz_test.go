@@ -21,7 +21,7 @@ func newCodecEngine(tb testing.TB, policy Policy) (*Engine, *flash.Device) {
 		tb.Fatal(err)
 	}
 	m, err := NewEngine(Config{
-		Dev: dev, Placer: &splitPlacer{trans: 128}, Tracker: ftl.NewTracker(dev),
+		Dev: dev, Placer: &splitPlacer{trans: 128}, Tracker: newTracker(tb, dev),
 		Capacity: 64, CMTEntries: 4, Policy: policy, StrideHint: 1,
 	}, new(obs.Counts))
 	if err != nil {

@@ -68,7 +68,10 @@ func NewEngine(cfg Config, counts *obs.Counts) (*Engine, error) {
 		return nil, fmt.Errorf("translate: page size %d too small for translation entries", cfg.Dev.Geometry().PageSize)
 	}
 	nTP := (int64(cfg.Capacity) + int64(per) - 1) / int64(per)
-	table := flash.PPNMap(flash.NewColumn(int64(cfg.Capacity)))
+	table, err := flash.NewColumn[uint32](int64(cfg.Capacity))
+	if err != nil {
+		return nil, err
+	}
 	cache, err := NewCacheForSpace(cfg.CMTEntries, per, table, int(nTP))
 	if err != nil {
 		flash.FreeColumn(table)

@@ -58,7 +58,7 @@ func newLearnedTestEngine(t *testing.T, cmtEntries int) (*Engine, *flash.Device,
 		t.Fatal(err)
 	}
 	placer := &splitPlacer{trans: 128} // block-aligned, beyond the data span
-	tr := ftl.NewTracker(dev)
+	tr := newTracker(t, dev)
 	m, err := NewEngine(Config{
 		Dev: dev, Placer: placer, Tracker: tr,
 		Capacity: 64, CMTEntries: cmtEntries, Policy: PolicyLearned,
@@ -70,6 +70,17 @@ func newLearnedTestEngine(t *testing.T, cmtEntries int) (*Engine, *flash.Device,
 	return m, dev, placer
 }
 
+// newTracker returns a tracker of dev, released when the test ends.
+func newTracker(tb testing.TB, dev *flash.Device) *ftl.Tracker {
+	tb.Helper()
+	tr, err := ftl.NewTracker(dev)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(tr.Release)
+	return tr
+}
+
 func newTestEngine(t *testing.T, cmtEntries int, policy Policy) (*Engine, *flash.Device, *seqPlacer) {
 	t.Helper()
 	dev, err := flash.NewDevice(testGeo(), flash.DefaultTiming())
@@ -77,7 +88,7 @@ func newTestEngine(t *testing.T, cmtEntries int, policy Policy) (*Engine, *flash
 		t.Fatal(err)
 	}
 	placer := &seqPlacer{dev: dev}
-	tr := ftl.NewTracker(dev)
+	tr := newTracker(t, dev)
 	m, err := NewEngine(Config{
 		Dev: dev, Placer: placer, Tracker: tr,
 		Capacity: 64, CMTEntries: cmtEntries, Policy: policy,
