@@ -378,16 +378,8 @@ func (r *Reader) slab(n, size int) []byte {
 	return r.take(r.ExpectLen(n, size) * size)
 }
 
-// I64sInto reads a length-prefixed []int64 slab over dst, whose length the
-// slab must have. After a fault dst is left as it was.
-func (r *Reader) I64sInto(dst []int64) {
-	if b := r.slab(len(dst), 8); b != nil {
-		Load(dst, b)
-	}
-}
-
 // I32sInto reads a length-prefixed []int32 slab over dst, whose length the
-// slab must have.
+// slab must have. After a fault dst is left as it was.
 func (r *Reader) I32sInto(dst []int32) {
 	if b := r.slab(len(dst), 4); b != nil {
 		Load(dst, b)

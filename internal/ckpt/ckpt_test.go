@@ -169,13 +169,13 @@ func TestBoolRejectsJunk(t *testing.T) {
 // the column's length, and a mismatch leaves the column as it was.
 func TestIntoRejectsOtherLength(t *testing.T) {
 	w := NewWriterSize(0)
-	w.I64s([]int64{1, 2, 3})
+	w.I32s([]int32{1, 2, 3})
 	r, err := Open(w.Seal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := []int64{7, 7}
-	if r.I64sInto(dst); r.Err() == nil || dst[0] != 7 {
+	dst := []int32{7, 7}
+	if r.I32sInto(dst); r.Err() == nil || dst[0] != 7 {
 		t.Fatalf("3-element slab decoded over a 2-element column: %v, %v", dst, r.Err())
 	}
 }
@@ -253,8 +253,7 @@ func TestSlabsWithoutNativeLayout(t *testing.T) {
 		t.Fatalf("portable encoding %x, native %x", portable, native)
 	}
 	r := NewReader(native)
-	gotI64, gotI32 := make([]int64, len(i64s)), make([]int32, len(i32s))
-	r.I64sInto(gotI64)
+	gotI64, gotI32 := r.I64s(), make([]int32, len(i32s))
 	r.I32sInto(gotI32)
 	raw := r.Raw(8*len(u64s) + 4*len(u32s))
 	gotU64, gotU32 := make([]uint64, len(u64s)), make([]uint32, len(u32s))

@@ -16,7 +16,7 @@ const (
 	opString
 	opExpectLen
 	opSliceLen
-	opI64sInto
+	opI32sInto
 	opAppendInts
 	numReaderOps
 )
@@ -48,7 +48,7 @@ func FuzzCkptReader(f *testing.F) {
 	w.I64s([]int64{1, -2, 3})
 	w.String("dloop")
 	w.I64s([]int64{4, 5})
-	w.I64s([]int64{6, 7, 8})
+	w.I32s([]int32{6, 7, 8})
 	w.U32(2) // an int slab, as AppendInts reads it
 	w.Int(-9)
 	w.Int(10)
@@ -56,7 +56,7 @@ func FuzzCkptReader(f *testing.F) {
 	// The script reads the container back, the {4, 5} slab as a checked
 	// length and four words, and then faults on a short read.
 	script := []byte{opU32, opI64s, opString, opExpectLen, 2, opU32, opU32, opU32, opU32,
-		opI64sInto, 3, opAppendInts, 1, opU32, opString}
+		opI32sInto, 3, opAppendInts, 1, opU32, opString}
 	f.Add(good, script)
 	prev := bytes.Clone(good) // the same container in format 4, which Open refuses
 	binary.LittleEndian.PutUint32(prev[4:8], 4)
@@ -97,11 +97,11 @@ func checkReaderCall(t *testing.T, r *Reader, op, n int) {
 	left := len(r.buf) - r.off
 	var alloc uint64
 	var got any
-	var dst []int64
+	var dst []int32
 	var ints []int
 	for try := 0; try < 3 && (try == 0 || alloc > callAllocBound(left)); try++ {
 		*r = start
-		dst, ints = filled[int64](n), filled[int](n)
+		dst, ints = filled[int32](n), filled[int](n)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		switch op {
@@ -115,8 +115,8 @@ func checkReaderCall(t *testing.T, r *Reader, op, n int) {
 			got = r.ExpectLen(n, 8)
 		case opSliceLen:
 			got = r.SliceLen(1 + n%8)
-		case opI64sInto:
-			r.I64sInto(dst)
+		case opI32sInto:
+			r.I32sInto(dst)
 		case opAppendInts:
 			got = r.AppendInts(ints[:0])
 		}
@@ -157,8 +157,8 @@ func checkReaderCall(t *testing.T, r *Reader, op, n int) {
 		enc.U32(uint32(n))
 	case opSliceLen:
 		enc.U32(uint32(got.(int)))
-	case opI64sInto:
-		enc.I64s(dst)
+	case opI32sInto:
+		enc.I32s(dst)
 	case opAppendInts:
 		ints := got.([]int)
 		enc.U32(uint32(len(ints)))
@@ -185,8 +185,10 @@ func wantFault(left []byte, op, n int) bool {
 		return count*8 > room
 	case opString:
 		return count > room
-	case opExpectLen, opI64sInto:
+	case opExpectLen:
 		return count*8 > room || count != int64(n)
+	case opI32sInto:
+		return count*4 > room || count != int64(n)
 	case opSliceLen:
 		return count*int64(1+n%8) > room
 	}
@@ -195,7 +197,7 @@ func wantFault(left []byte, op, n int) bool {
 
 // checkZero checks what a faulted call returns: zero values, and the columns
 // it was given as they were.
-func checkZero(t *testing.T, op int, got any, dst []int64, ints []int) {
+func checkZero(t *testing.T, op int, got any, dst []int32, ints []int) {
 	t.Helper()
 	switch v := got.(type) {
 	case uint32:
@@ -227,7 +229,7 @@ func checkZero(t *testing.T, op int, got any, dst []int64, ints []int) {
 }
 
 // filled returns n sentinels.
-func filled[T int | int64](n int) []T {
+func filled[T int | int32](n int) []T {
 	s := make([]T, n)
 	for i := range s {
 		s[i] = sentinel

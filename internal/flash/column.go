@@ -15,7 +15,7 @@ import (
 // heap: its pages read as zero and become resident only when written,
 // whether or not the process held an earlier simulator, and FreeColumn
 // gives them back to the OS at once rather than after a garbage collection.
-// Small columns (the test and fuzz geometries, which are often never
+// Columns under 64 KiB (the test and fuzz geometries, which are often never
 // released), race builds (the race detector instruments only the Go heap)
 // and other systems use make.
 
@@ -26,8 +26,12 @@ type Word interface {
 }
 
 // columnMapMin is the size, in bytes, from which NewColumn maps a column:
-// 1 MiB.
-const columnMapMin = 1 << 20
+// 64 KiB. A heap column that size is a span of its own, which the runtime
+// zeroes whole and which is resident in full, where a mapping is resident
+// only where written, so the 0.05-scale devices of quick sweeps map their
+// columns too. A column of 16 pages costs one mapping; a test that never
+// releases its controller leaks it.
+const columnMapMin = 64 << 10
 
 // columnFaults, while positive, counts down the columns NewColumn makes;
 // the one that brings it to zero fails as a refused mapping does. Only

@@ -442,6 +442,37 @@ func wideReqs(n int, seed int64) []Request {
 	return reqs
 }
 
+// shapeReqs returns n requests of the block shapes the layout chooses
+// between: zero is the share of zero arrival deltas in percent, codes how
+// many distinct sectors<<1 | op codes there are, and every LBN is a
+// multiple of align.
+func shapeReqs(n, zero, codes int, align int64, seed int64) []Request {
+	rng := rand.New(rand.NewSource(seed))
+	reqs := make([]Request, n)
+	var t sim.Time
+	for i := range reqs {
+		if rng.Intn(100) >= zero {
+			t += sim.Time(rng.Int63n(1<<20) + 1)
+		}
+		c := rng.Intn(codes)
+		reqs[i] = Request{Arrival: t, LBN: rng.Int63n(1<<24) * align, Sectors: int32(c>>1 + 1), Op: Op(c & 1)}
+	}
+	return reqs
+}
+
+// blockShapes counts a's blocks with a presence bitmap, with a dictionary,
+// and with LBNs shifted.
+func blockShapes(a *Arena) (bitmap, dict, shifted int) {
+	for _, h := range a.blocks {
+		bitmap += int(h.at >> atBitmap & 1)
+		dict += int(h.at >> atDict & 1)
+		if h.at>>atShift&0x3f != 0 {
+			shifted++
+		}
+	}
+	return bitmap, dict, shifted
+}
+
 // hintedReader is a SliceReader that reports an exact SizeHint, as
 // workload.LimitReader does.
 type hintedReader struct {
@@ -457,23 +488,37 @@ func (r *hintedReader) Next() (Request, error) {
 func (r *hintedReader) SizeHint() int { return r.left }
 
 // TestArenaSegments checks arenas whose records fill several segments:
-// narrow rows, wide rows, and a hinted build whose rows widen after the
-// first segment is sized, so the hint's estimate falls short. Every index
-// must decode the same through At, Next and NextN.
+// narrow rows, wide rows, a hinted build whose rows widen after the first
+// segment is sized, so the hint's estimate falls short, and each block
+// shape: with a presence bitmap and a dictionary, with a bitmap and more
+// codes than a dictionary holds, with neither, with a dictionary alone, and
+// with every delta zero. Every index must decode the same through At, Next
+// and NextN, and each shape must be the one its blocks take.
 func TestArenaSegments(t *testing.T) {
-	widening := append(genRequests(20000, 12), wideReqs(5000, 13)...)
+	const n = 50_000 // several segments at 4 to 6 bytes a request
 	for _, c := range []struct {
 		name string
-		reqs []Request
+		gen  func() []Request // one case's requests live at a time
 		hint bool
+		// shape lists what every block has of "bitmap", "dict" and
+		// "shift", and no block has the rest; "" leaves them unchecked.
+		shape string
 	}{
-		{"narrow", genRequests(200_000, 14), false},
-		{"wide", wideReqs(10_000, 15), false},
-		{"widening, hinted", widening, true},
+		{name: "narrow", gen: func() []Request { return genRequests(200_000, 14) }},
+		{name: "wide", gen: func() []Request { return wideReqs(10_000, 15) }},
+		{name: "widening, hinted", hint: true, gen: func() []Request {
+			return append(genRequests(20000, 12), wideReqs(5000, 13)...)
+		}},
+		{name: "bursts, 8 codes, aligned", shape: "bitmap dict shift", gen: func() []Request { return shapeReqs(n, 35, 8, 8, 16) }},
+		{name: "bursts, 40 codes", shape: "bitmap", gen: func() []Request { return shapeReqs(n, 35, 40, 1, 17) }},
+		{name: "no zero delta, 8 codes", shape: "dict", gen: func() []Request { return shapeReqs(n, 0, 8, 1, 18) }},
+		{name: "no zero delta, 40 codes", shape: "plain", gen: func() []Request { return shapeReqs(n, 0, 40, 1, 19) }},
+		{name: "every delta zero", shape: "dict", gen: func() []Request { return shapeReqs(n, 100, 3, 1, 20) }},
 	} {
-		var r Reader = NewSliceReader(c.reqs)
+		reqs := c.gen()
+		var r Reader = NewSliceReader(reqs)
 		if c.hint {
-			r = &hintedReader{NewSliceReader(c.reqs), len(c.reqs)}
+			r = &hintedReader{NewSliceReader(reqs), len(reqs)}
 		}
 		a, err := BuildArena(r)
 		if err != nil {
@@ -482,8 +527,23 @@ func TestArenaSegments(t *testing.T) {
 		if len(a.segs) < 2 {
 			t.Fatalf("%s: %d segment(s), want several", c.name, len(a.segs))
 		}
+		if c.shape != "" {
+			bitmap, dict, shifted := blockShapes(a)
+			for _, f := range []struct {
+				name string
+				n    int
+			}{{"bitmap", bitmap}, {"dict", dict}, {"shift", shifted}} {
+				want := 0
+				if strings.Contains(c.shape, f.name) {
+					want = len(a.blocks)
+				}
+				if f.n != want {
+					t.Fatalf("%s: %d of %d blocks have a %s, want %d", c.name, f.n, len(a.blocks), f.name, want)
+				}
+			}
+		}
 		got, err := ReadAll(a.Cursor())
-		if err != nil || !reflect.DeepEqual(got, c.reqs) {
+		if err != nil || !reflect.DeepEqual(got, reqs) {
 			t.Fatalf("%s: Next replay diverges from the input (err %v)", c.name, err)
 		}
 		cur, buf := a.Cursor(), make([]Request, 100) // chunks that straddle blocks
@@ -493,8 +553,8 @@ func TestArenaSegments(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, req := range buf[:n] {
-				if at := a.At(i + k); at != req || req != c.reqs[i+k] {
-					t.Fatalf("%s: request %d: At %+v, NextN %+v, want %+v", c.name, i+k, at, req, c.reqs[i+k])
+				if at := a.At(i + k); at != req || req != reqs[i+k] {
+					t.Fatalf("%s: request %d: At %+v, NextN %+v, want %+v", c.name, i+k, at, req, reqs[i+k])
 				}
 			}
 			i += n
@@ -542,6 +602,28 @@ func FuzzArena(f *testing.F) {
 	f.Add(arenaBytes(zigzag))
 	// Rows of about 150 bits, so the records span two segments.
 	f.Add(arenaBytes(wideReqs(4000, 11)))
+	// Each block shape: a bitmap and a dictionary over aligned LBNs; every
+	// delta zero; no delta zero; 17 and more codes, beside zero deltas.
+	f.Add(arenaBytes(shapeReqs(300, 35, 8, 8, 21)))
+	f.Add(arenaBytes(shapeReqs(200, 100, 3, 1, 22)))
+	f.Add(arenaBytes(shapeReqs(200, 0, 5, 1, 23)))
+	f.Add(arenaBytes(shapeReqs(200, 35, 17, 1, 24)))
+	f.Add(arenaBytes(shapeReqs(300, 20, 60, 4, 25)))
+	// One unaligned LBN among aligned ones.
+	unaligned := shapeReqs(200, 35, 4, 8, 26)
+	unaligned[77].LBN++
+	f.Add(arenaBytes(unaligned))
+	// Deltas of ±MaxInt64 beside zero deltas: a bitmap over the widest
+	// nonzero spread.
+	var swing []Request
+	for i := 0; i < 140; i++ {
+		r := Request{LBN: int64(i % 7 * 8), Sectors: 8, Op: Op(i % 2)}
+		if i%4 >= 2 {
+			r.Arrival = math.MaxInt64
+		}
+		swing = append(swing, r)
+	}
+	f.Add(arenaBytes(swing))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs := arenaStream(data)
 		a, err := BuildArena(NewSliceReader(reqs))

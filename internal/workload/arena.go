@@ -12,8 +12,9 @@ import (
 // stream is generated exactly once per process. Sweeps replay the same
 // synthetic stream across many configurations; with the cache they share one
 // generation pass and one packed arena instead of paying both per cell. The
-// cache is never evicted — entries are about 7 bytes per request (the
-// arena's records and block headers) and a sweep touches only a handful of
+// cache is never evicted — entries are 4.4–6 bytes per request (the
+// arena's blocks and their headers; DESIGN §3.2 has the table per profile)
+// and a sweep touches only a handful of
 // (profile, seed) combinations — so a whole experiment suite stays within a
 // few tens of megabytes.
 var materializedCache sync.Map // string -> *materializedEntry
