@@ -32,6 +32,10 @@ func NewGrid(title, xLabel, yLabel string, xVals []string) *Grid {
 }
 
 // Set stores one point. Unset points render as "-" (blank in CSV).
+//
+// x must be one of the grid's XVals. That is an invariant of the caller,
+// not an input to check: every study takes its x values from the list it
+// built the grid with. Set panics if it breaks, and has no error to return.
 func (g *Grid) Set(series, x string, v float64) {
 	xi := -1
 	for i, xv := range g.XVals {

@@ -84,6 +84,12 @@ func (t *Tracker) Invalidated(pb flash.PlaneBlock) {
 }
 
 // Close marks pb fully written: it becomes a garbage-collection candidate.
+//
+// pb must not be a candidate already. That is an invariant of the callers,
+// not an input to check: a write point closes its block once, when it has
+// used it up, the recovery scan closes each full block of a fresh tracker
+// once, and DecodeState refuses a checkpoint that lists a candidate twice.
+// Close panics if it breaks, and has no error to return.
 func (t *Tracker) Close(pb flash.PlaneBlock) {
 	if t.Candidate(pb) {
 		panic(fmt.Sprintf("ftl: Tracker.Close of candidate %v", pb))
@@ -94,6 +100,10 @@ func (t *Tracker) Close(pb flash.PlaneBlock) {
 }
 
 // Take removes pb from candidacy (it was chosen as a victim or re-opened).
+//
+// pb must be a candidate. That is an invariant of the callers, not an input
+// to check: the collector takes only the block its policy picked from the
+// candidates. Take panics if it breaks, and has no error to return.
 func (t *Tracker) Take(pb flash.PlaneBlock) {
 	if !t.Candidate(pb) {
 		panic(fmt.Sprintf("ftl: Tracker.Take of non-candidate %v", pb))

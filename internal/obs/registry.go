@@ -138,8 +138,13 @@ func (r *Registry) Hist(name string) *Hist {
 }
 
 // CounterVec returns the named counter vector, creating it with the given
-// dimension label and size on first use. Size and label are fixed at
-// creation; a mismatched re-request panics (it is a programming error).
+// dimension label and size on first use.
+//
+// Size and label are fixed at creation, and a later request must repeat
+// them. That is an invariant of the callers, not an input to check: each
+// name is the program's own and is requested at one device's shape (a
+// collector's Options, the controller's plane, chip and channel counts).
+// CounterVec panics if it breaks, and has no error to return.
 func (r *Registry) CounterVec(name, label string, size int) *CounterVec {
 	v := r.vecs[name]
 	if v == nil {

@@ -63,9 +63,13 @@ func (ts *TimeSeries) Clone() *TimeSeries {
 }
 
 // Merge folds another series into this one bucket by bucket, growing to
-// cover the longer span. Bucket widths must match — merging differently
-// bucketed series would smear samples across boundaries — so a mismatch
-// panics as a programming error.
+// cover the longer span.
+//
+// The bucket widths must match: merging differently bucketed series would
+// smear samples across boundaries. That is an invariant of the caller, not
+// an input to check: the one caller, a sharded collector's fold, merges each
+// shard's series into one it creates at that series' width. Merge panics if
+// it breaks, and has no error to return.
 func (ts *TimeSeries) Merge(o *TimeSeries) {
 	if o == nil || len(o.buckets) == 0 {
 		return

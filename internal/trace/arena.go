@@ -142,7 +142,7 @@ func (bw *bitWriter) write(v uint64, w uint) {
 func (bw *bitWriter) flush() { binary.LittleEndian.PutUint64(bw.q[bw.i:], bw.acc) }
 
 // sizeHinter is implemented by readers that can estimate how many requests
-// they will produce (DiskSimReader and SPCReader over sized sources,
+// they will produce (TextReader over a sized source,
 // workload.LimitReader). BuildArena preallocates the block headers from it
 // and sizes record segments by it.
 type sizeHinter interface{ SizeHint() int }

@@ -274,6 +274,47 @@ func BenchmarkDiskSimParse(b *testing.B) {
 	}
 }
 
+// BenchmarkSPCParse is BenchmarkDiskSimParse for an SPC trace.
+func BenchmarkSPCParse(b *testing.B) {
+	var buf bytes.Buffer
+	if _, err := WriteAll(&buf, FormatSPC, NewSliceReader(genRequests(10000, 5))); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := BuildArena(NewSPCReader(bytes.NewReader(text)))
+		if err != nil || a.Len() != 10000 {
+			b.Fatalf("n=%d err=%v", a.Len(), err)
+		}
+	}
+}
+
+// BenchmarkWriteTrace times writing 10,000 requests in each format, the cost
+// tracegen and a trace file's set-up pay per request.
+func BenchmarkWriteTrace(b *testing.B) {
+	reqs := genRequests(10000, 5)
+	for _, format := range []string{FormatDiskSim, FormatSPC} {
+		b.Run(format, func(b *testing.B) {
+			w, err := NewWriter(io.Discard, format)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range reqs {
+					if err := w.Write(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/line")
+		})
+	}
+}
+
 // BenchmarkArenaReplay pins the per-cell replay cost: iterating a shared
 // arena through a cursor, one request at a time (Next) or in the chunks
 // Controller.Run takes (NextN), must stay allocation-free.

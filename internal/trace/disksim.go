@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -24,98 +22,42 @@ func isEOF(err error) bool { return errors.Is(err, io.EOF) }
 // where bit 0 of flags set means read (DiskSim convention). Blank lines and
 // lines starting with '#' are skipped.
 
-// DiskSimReader parses the DiskSim ASCII trace format. Parsing is
-// allocation-free per line at steady state: fields are subslices of the
-// scanner's buffer held in a reused scratch, and the numeric columns take the
-// exact byte-wise fast paths of parsefast.go.
-type DiskSimReader struct {
-	s      *bufio.Scanner
-	line   int
-	hint   int      // estimated request count, 0 if unknown
-	fields [][]byte // reused per-line field scratch
+// NewDiskSimReader returns a Reader over a DiskSim ASCII stream. A canonical
+// line (see scanDiskSim) is read in one pass, without allocating; any other
+// line goes to the reference parseDiskSimLine.
+func NewDiskSimReader(r io.Reader) *TextReader {
+	return newTextReader(r, FormatDiskSim, parseDiskSim)
 }
 
-// NewDiskSimReader returns a Reader over a DiskSim ASCII stream.
-func NewDiskSimReader(r io.Reader) *DiskSimReader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &DiskSimReader{s: s, hint: lineCountHint(r)}
-}
-
-// SizeHint reports the estimated number of requests in the stream (0 when
-// the source's size is unknown), so BuildArena can size the arena up front.
-func (r *DiskSimReader) SizeHint() int { return r.hint }
-
-// Next implements Reader.
-func (r *DiskSimReader) Next() (Request, error) {
-	for r.s.Scan() {
-		r.line++
-		line := bytes.TrimSpace(r.s.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		req, err := r.parseLine(line)
-		if err != nil {
-			return Request{}, fmt.Errorf("trace: disksim line %d: %w", r.line, err)
-		}
+// parseDiskSim parses one nonblank, noncomment line.
+func parseDiskSim(line []byte) (Request, error) {
+	if req, ok := scanDiskSim(line); ok {
 		return req, nil
 	}
-	if err := r.s.Err(); err != nil {
-		// The scanner stops silently on its buffer cap (bufio.ErrTooLong);
-		// name the offending line so a corrupt trace is debuggable.
-		return Request{}, fmt.Errorf("trace: disksim line %d: %w", r.line+1, err)
-	}
-	return Request{}, io.EOF
+	return parseDiskSimLine(string(line))
 }
 
-// parseLine parses one nonblank, noncomment line. Lines carrying multi-byte
-// runes defer to the reference string parser so field boundaries always agree
-// with strings.Fields; everything a real trace contains stays on the
-// byte-wise path.
-func (r *DiskSimReader) parseLine(line []byte) (Request, error) {
-	if !asciiLine(line) {
-		return parseDiskSimLine(string(line))
-	}
-	r.fields = appendFields(r.fields[:0], line)
-	f := r.fields
-	if len(f) != 5 {
-		return Request{}, fmt.Errorf("want 5 fields, got %d", len(f))
-	}
-	ms, err := parseFloatBytes(f[0])
-	if err != nil {
-		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
-	}
-	lbn, err := parseIntBytes(f[2])
-	if err != nil {
-		return Request{}, fmt.Errorf("blkno %q: %v", f[2], err)
-	}
-	size, err := parseAtoiBytes(f[3])
-	if err != nil {
-		return Request{}, fmt.Errorf("size %q: %v", f[3], err)
-	}
-	flags, err := parseFlagsBytes(f[4])
-	if err != nil {
-		return Request{}, fmt.Errorf("flags %q: %v", f[4], err)
+// scanDiskSim reads a canonical DiskSim line: five unsigned decimal fields
+// separated by blanks, an arrival of at most 15 digits with at most six
+// after the dot, flags without a leading zero (base 0 would read one as
+// octal), and a request Validate accepts. It reports false on any other
+// line.
+func scanDiskSim(b []byte) (Request, bool) {
+	at, i := scanArrival(b, 0, 6)
+	_, i = scanUint(b, scanBlanks(b, i)) // devno
+	lbn, i := scanUint(b, scanBlanks(b, i))
+	size, i := scanUint(b, scanBlanks(b, i))
+	flagsAt := scanBlanks(b, i)
+	flags, i := scanUint(b, flagsAt)
+	if i != len(b) || b[flagsAt] == '0' && i-flagsAt > 1 || size > math.MaxInt32 {
+		return Request{}, false
 	}
 	op := OpWrite
 	if flags&1 != 0 {
 		op = OpRead
 	}
-	at, err := arrivalAt(ms, sim.Millisecond)
-	if err != nil {
-		return Request{}, fmt.Errorf("arrival %q: %v", f[0], err)
-	}
-	sectors, err := sectorCount(int64(size))
-	if err != nil {
-		return Request{}, err
-	}
-	req := Request{
-		Arrival: at,
-		LBN:     lbn,
-		Sectors: sectors,
-		Op:      op,
-	}
-	return req, req.Validate()
+	req := Request{Arrival: at, LBN: int64(lbn), Sectors: int32(size), Op: op}
+	return req, req.flaw() == wellFormed
 }
 
 // arrivalAt converts a parsed timestamp, in units of unit, to a simulated
@@ -129,25 +71,9 @@ func arrivalAt(v float64, unit sim.Duration) (sim.Time, error) {
 	return sim.Time(ns), nil
 }
 
-// parseFlagsBytes parses the flags column. The flags field has base-0
-// semantics (a leading zero means octal, 0x/0b/0o prefixes pick other bases,
-// underscores group digits), so the allocation-free path takes only plain
-// decimal; everything else goes through the reference two-step parse.
-func parseFlagsBytes(b []byte) (int64, error) {
-	if len(b) == 0 || len(b) > 18 || (b[0] == '0' && len(b) > 1) {
-		return parseFlagsSlow(string(b))
-	}
-	n := int64(0)
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return parseFlagsSlow(string(b))
-		}
-		n = n*10 + int64(c-'0')
-	}
-	return n, nil
-}
-
-func parseFlagsSlow(s string) (int64, error) {
+// parseFlags parses the flags column: base 0 (a leading zero means octal,
+// 0x/0b/0o prefixes pick other bases, underscores group digits), or bare hex.
+func parseFlags(s string) (int64, error) {
 	flags, err := strconv.ParseInt(strings.TrimPrefix(s, "0x"), 0, 64)
 	if err != nil {
 		// DiskSim traces sometimes carry bare hex without 0x.
@@ -156,9 +82,8 @@ func parseFlagsSlow(s string) (int64, error) {
 	return flags, err
 }
 
-// parseDiskSimLine is the reference parser, kept as the fallback for lines
-// with multi-byte runes (where byte-wise field splitting could disagree with
-// strings.Fields).
+// parseDiskSimLine is the reference parser: strings.Fields and strconv, for
+// the lines scanDiskSim does not take.
 func parseDiskSimLine(line string) (Request, error) {
 	f := strings.Fields(line)
 	if len(f) != 5 {
@@ -176,7 +101,7 @@ func parseDiskSimLine(line string) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("size %q: %v", f[3], err)
 	}
-	flags, err := parseFlagsSlow(f[4])
+	flags, err := parseFlags(f[4])
 	if err != nil {
 		return Request{}, fmt.Errorf("flags %q: %v", f[4], err)
 	}

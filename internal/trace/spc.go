@@ -1,10 +1,11 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"strings"
 
 	"dloop/internal/sim"
 )
@@ -17,78 +18,77 @@ import (
 // LBA in sectors, Size in bytes, Opcode 'r'/'R' or 'w'/'W', Timestamp in
 // seconds from trace start.
 
-// SPCReader parses the SPC-1 CSV trace format. Like DiskSimReader, parsing
-// is allocation-free per line at steady state: comma-separated fields are
-// subslices of the scanner's buffer held in a reused scratch, and the numeric
-// columns take the exact byte-wise fast paths of parsefast.go. Commas are
-// single-byte in UTF-8, so the byte-wise splitter needs no ASCII guard here.
-type SPCReader struct {
-	s      *bufio.Scanner
-	line   int
-	hint   int      // estimated request count, 0 if unknown
-	fields [][]byte // reused per-line field scratch
+// NewSPCReader returns a Reader over an SPC-1 CSV stream. A canonical line
+// (see scanSPC) is read in one pass, without allocating; any other line goes
+// to the reference parseSPCLine.
+func NewSPCReader(r io.Reader) *TextReader {
+	return newTextReader(r, FormatSPC, parseSPC)
 }
 
-// NewSPCReader returns a Reader over an SPC-1 CSV stream.
-func NewSPCReader(r io.Reader) *SPCReader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &SPCReader{s: s, hint: lineCountHint(r)}
-}
-
-// SizeHint reports the estimated number of requests in the stream (0 when
-// the source's size is unknown), so BuildArena can size the arena up front.
-func (r *SPCReader) SizeHint() int { return r.hint }
-
-// Next implements Reader.
-func (r *SPCReader) Next() (Request, error) {
-	for r.s.Scan() {
-		r.line++
-		line := bytes.TrimSpace(r.s.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		req, err := r.parseLine(line)
-		if err != nil {
-			return Request{}, fmt.Errorf("trace: spc line %d: %w", r.line, err)
-		}
+// parseSPC parses one nonblank, noncomment line.
+func parseSPC(line []byte) (Request, error) {
+	if req, ok := scanSPC(line); ok {
 		return req, nil
 	}
-	if err := r.s.Err(); err != nil {
-		// See DiskSimReader.Next: surface the line where the scanner died
-		// (notably bufio.ErrTooLong on over-long lines).
-		return Request{}, fmt.Errorf("trace: spc line %d: %w", r.line+1, err)
-	}
-	return Request{}, io.EOF
+	return parseSPCLine(string(line))
 }
 
-func (r *SPCReader) parseLine(line []byte) (Request, error) {
-	r.fields = appendSplitComma(r.fields[:0], line)
-	f := r.fields
+// scanSPC reads a canonical SPC line: unsigned decimal ASU, LBA and size, a
+// one-letter opcode and a timestamp of at most 15 digits with at most nine
+// after the dot, separated by single commas, then the end of the line or a
+// comma and fields nobody reads; and a request Validate accepts. It reports
+// false on any other line.
+func scanSPC(b []byte) (Request, bool) {
+	_, i := scanUint(b, 0) // ASU
+	lba, i := scanUint(b, scanComma(b, i))
+	size, i := scanUint(b, scanComma(b, i))
+	i = scanComma(b, i)
+	if i < 0 || i >= len(b) {
+		return Request{}, false
+	}
+	op := OpWrite
+	switch b[i] {
+	case 'r', 'R':
+		op = OpRead
+	case 'w', 'W':
+	default:
+		return Request{}, false
+	}
+	at, i := scanArrival(b, scanComma(b, i+1), 9)
+	sectors := max((size+SectorSize-1)/SectorSize, 1)
+	if i < 0 || i < len(b) && b[i] != ',' || sectors > math.MaxInt32 {
+		return Request{}, false
+	}
+	req := Request{Arrival: at, LBN: int64(lba), Sectors: int32(sectors), Op: op}
+	return req, req.flaw() == wellFormed
+}
+
+// parseSPCLine is the reference parser: strings.Split and strconv, for the
+// lines scanSPC does not take. Fields past the fifth are ignored, and each
+// field read is trimmed of spaces.
+func parseSPCLine(line string) (Request, error) {
+	f := strings.Split(line, ",")
 	if len(f) < 5 {
 		return Request{}, fmt.Errorf("want at least 5 fields, got %d", len(f))
 	}
-	lba, err := parseIntBytes(bytes.TrimSpace(f[1]))
+	lba, err := strconv.ParseInt(strings.TrimSpace(f[1]), 10, 64)
 	if err != nil {
 		return Request{}, fmt.Errorf("lba %q: %v", f[1], err)
 	}
-	size, err := parseAtoiBytes(bytes.TrimSpace(f[2]))
+	size, err := strconv.Atoi(strings.TrimSpace(f[2]))
 	if err != nil {
 		return Request{}, fmt.Errorf("size %q: %v", f[2], err)
 	}
-	// Case-insensitive single-letter opcode. Only ASCII can lower-case to
-	// 'r' or 'w', so the byte compare matches strings.ToLower exactly.
 	var op Op
-	opf := bytes.TrimSpace(f[3])
-	switch {
-	case len(opf) == 1 && (opf[0] == 'r' || opf[0] == 'R'):
+	switch strings.TrimSpace(f[3]) {
+	case "r", "R":
 		op = OpRead
-	case len(opf) == 1 && (opf[0] == 'w' || opf[0] == 'W'):
+	case "w", "W":
 		op = OpWrite
 	default:
 		return Request{}, fmt.Errorf("opcode %q", f[3])
 	}
-	secs, err := parseFloatBytes(bytes.TrimSpace(f[4]))
+	secs, err := strconv.ParseFloat(strings.TrimSpace(f[4]), 64)
 	if err != nil {
 		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
 	}
@@ -96,6 +96,8 @@ func (r *SPCReader) parseLine(line []byte) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
 	}
+	// A size rounds up to whole sectors; Go's division truncates towards
+	// zero, so a size from -1022 to 0 bytes reads as one sector.
 	n := (size + SectorSize - 1) / SectorSize
 	if n == 0 {
 		n = 1

@@ -26,9 +26,17 @@ func fmtLine(format string, r Request) string {
 	return fmt.Sprintf("%.6f 0 %d %d %d\n", sim.Duration(r.Arrival).Milliseconds(), r.LBN, r.Sectors, flags)
 }
 
+// maxExactMillis is the first arrival the DiskSim writer hands to
+// AppendFloat: 2^32 ms.
+const maxExactMillis = 1 << 32 * 1e6
+
 // FuzzWriteTrace holds both formats' Writer to the fmt.Fprintf lines it
 // replaced, for any arrival, LBN, sector count and op — negative, huge and
-// malformed values included, since the writers never validate.
+// malformed values included, since the writers never validate. A request
+// Validate accepts must also read back: its DiskSim line as exactly that
+// request when the arrival is below 2^32 ms (past it the line holds the
+// float's digits, which cannot name every nanosecond), and its SPC line as
+// the reference parser reads it, with the same LBN, size and op if it reads.
 func FuzzWriteTrace(f *testing.F) {
 	for _, s := range []struct {
 		arrival, lbn, sectors int64
@@ -38,6 +46,15 @@ func FuzzWriteTrace(f *testing.F) {
 		{-1, -5, -8, 2}, {-1_500_000, 7, 0, 255},
 		{math.MaxInt64, math.MaxInt64, math.MaxInt64, 1}, {math.MinInt64, math.MinInt64, math.MinInt64, 0},
 		{499, 3, 4, 0}, {500, 3, 4, 0}, {1_000_000_500, 3, 4, 1}, // rounding at the sixth decimal
+		// The DiskSim writer's integer range ends at 2^32 ms.
+		{maxExactMillis - 1, 8, 8, 0}, {maxExactMillis, 8, 8, 1}, {maxExactMillis + 1, 8, 8, 1},
+		// SPC: nanoseconds past the microsecond of 499, 500 (a tie) and 501,
+		// at 1 s and next to the integer range's end, 2^20 s.
+		{1_000_000_499, 8, 8, 0}, {1_000_000_501, 8, 8, 0}, {999_999_999_501, 8, 8, 0},
+		{1<<20*1e9 - 501, 8, 8, 0}, {1<<20*1e9 - 500, 8, 8, 0}, {1<<20*1e9 - 499, 8, 8, 0},
+		{1<<20*1e9 - 1, 8, 8, 1}, {1<<20*1e9 + 501, 8, 8, 1},
+		// 16-digit DiskSim arrivals read back through the reference parser.
+		{1e15 - 1, 8, 8, 0}, {1e15, 8, 8, 0}, {1<<51 - 1, 8, 8, 0}, {1<<51 + 1, 8, 8, 0},
 	} {
 		f.Add(s.arrival, s.lbn, s.sectors, s.op)
 	}
@@ -57,6 +74,23 @@ func FuzzWriteTrace(f *testing.F) {
 			}
 			if got, want := buf.String(), fmtLine(format, r); got != want {
 				t.Fatalf("%s line for %+v = %q, want %q", format, r, got, want)
+			}
+			if r.Validate() != nil {
+				continue
+			}
+			line := bytes.TrimSpace(buf.Bytes())
+			var back Request
+			if format == FormatDiskSim {
+				back, err = NewDiskSimReader(&buf).Next()
+				if r.Arrival < maxExactMillis && (back != r || err != nil) {
+					t.Fatalf("%q read back as %+v, %v; want %+v", line, back, err, r)
+				}
+				continue
+			}
+			back, err = NewSPCReader(&buf).Next()
+			want, werr := parseSPCLine(string(line))
+			if back != want || errText(err) != errText(werr) || err == nil && (back.LBN != r.LBN || back.Sectors != r.Sectors || back.Op != r.Op) {
+				t.Fatalf("%q read back as %+v, %v; reference %+v, %v; written %+v", line, back, err, want, werr, r)
 			}
 		}
 	})
