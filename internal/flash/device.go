@@ -217,7 +217,7 @@ func (d *Device) SetRecorder(r obs.Recorder) { d.rec = r }
 func (d *Device) ChannelOfPlane() []int32 { return d.planeChanIdx }
 
 // BusyTimes reports cumulative busy time per plane, chip serial bus, and
-// channel resource; it satisfies obs.UtilizationSource.
+// channel resource (the busy-time half of obs.DeviceTotals).
 func (d *Device) BusyTimes() (planes, chipBus, channels []sim.Duration) {
 	busy := func(rs []*sim.Resource) []sim.Duration {
 		out := make([]sim.Duration, len(rs))

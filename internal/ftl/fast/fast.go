@@ -62,9 +62,9 @@ type FAST struct {
 	rwFull   []flash.PlaneBlock // filled RW log blocks, oldest first
 	cands    []gc.Candidate     // fullMerge's victim candidates, reused
 
-	engine *gc.Engine // merge moves and log-victim policy picks
+	engine *gc.Engine // log-victim policy picks
 	// counts holds the merges (a full merge counts each logical block it
-	// consolidates), the pages they copy, and the engine's external moves.
+	// consolidates) and the pages they copy.
 	counts obs.Counts
 	rec    obs.Recorder // nil when observability is disabled
 }
@@ -110,8 +110,8 @@ func New(dev *flash.Device, cfg Config) (*FAST, error) {
 		f.Release()
 		return nil, err
 	}
-	// FAST keeps its own merge loop; the engine supplies the victim policy,
-	// the external move primitive, and the unified GC counters.
+	// FAST keeps its own merge loop; the engine supplies the victim policy
+	// and records its victims.
 	f.engine = gc.NewEngine(gc.Config{Dev: dev, Policy: policy}, &f.counts)
 	return f, nil
 }
@@ -494,10 +494,10 @@ func (f *FAST) eraseToPool(pb flash.PlaneBlock, ready sim.Time) (sim.Time, error
 }
 
 // copyPage is FAST's merge move: an external read + write pair through the
-// bus (FAST does not use copy-back), invalidating the source. It runs through
-// the GC engine so the unified relocation counters cover merge traffic.
+// bus (FAST does not use copy-back), invalidating the source. The device
+// counts it among its GC writes, as it does the page-mapping schemes' moves.
 func (f *FAST) copyPage(src, dst flash.PPN, ready sim.Time) (sim.Time, error) {
-	t, err := f.engine.MoveExternal(src, dst, ready)
+	t, err := f.dev.MoveExternal(src, dst, ready, flash.CauseGC)
 	if err != nil {
 		return 0, err
 	}

@@ -5,9 +5,9 @@ import (
 	"dloop/internal/obs"
 )
 
-// EncodeState appends the engine's run count to w. Its other counts (moves
-// and parity waste) are not written; the owning FTL zeroes them on decode. The reentrancy guards are
-// not written: they are zero outside a collection, so at every checkpoint.
+// EncodeState appends the engine's run count, its only count, to w. The
+// reentrancy guards are not written: they are zero outside a collection, so
+// at every checkpoint.
 // The tracker is scheme-owned state and is encoded by the scheme.
 func (e *Engine) EncodeState(w *ckpt.Writer) {
 	w.I64(e.counts[obs.EvGCRun])

@@ -102,8 +102,8 @@ type Engine struct {
 	// nest through depth.
 	scratch []*collectScratch
 
-	// counts is the owning FTL's occurrence counters: collections, copy-back
-	// and external moves, parity waste.
+	// counts is the owning FTL's occurrence counters: the engine counts its
+	// collections; the device counts their moves and parity waste.
 	counts    *obs.Counts
 	rec       obs.Recorder       // nil when observability is disabled
 	victimRec VictimRecorder     // non-nil only when rec implements it
@@ -111,8 +111,7 @@ type Engine struct {
 }
 
 // NewEngine builds an engine that counts into counts; hybrid schemes may
-// leave Tracker and Scheme nil and use only MoveExternal, RecordVictim, and
-// PickLogVictim.
+// leave Tracker and Scheme nil and use only RecordVictim and PickLogVictim.
 func NewEngine(cfg Config, counts *obs.Counts) *Engine {
 	geo := cfg.Dev.Geometry()
 	e := &Engine{
@@ -239,7 +238,6 @@ func (e *Engine) flushRun(sc *collectScratch, t sim.Time) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.counts[obs.EvGCCopyBack] += int64(len(sc.srcs))
 	sc.srcs, sc.dsts = sc.srcs[:0], sc.dsts[:0]
 	return t, nil
 }
@@ -294,7 +292,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 			if err != nil {
 				return 0, false, err
 			}
-			t, err = e.MoveExternal(src, dst, t)
+			t, err = e.dev.MoveExternal(src, dst, t, flash.CauseGC)
 			if err != nil {
 				return 0, false, err
 			}
@@ -342,7 +340,6 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 					}
 					e.tracker.Invalidated(e.dev.BlockOf(dst))
 					wasted++
-					e.counts[obs.EvParityWaste]++
 					continue
 				} else {
 					// The plane is critically low on free pages, where
@@ -364,7 +361,7 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 				if t, err = e.flushRun(sc, t); err != nil {
 					return 0, false, err
 				}
-				if t, err = e.MoveExternal(src, dst, t); err != nil {
+				if t, err = e.dev.MoveExternal(src, dst, t, flash.CauseGC); err != nil {
 					return 0, false, err
 				}
 			} else if t, err = e.queueCopyBack(sc, src, dst, t); err != nil {
@@ -394,20 +391,6 @@ func (e *Engine) collectOnce(plane int, ready sim.Time) (end sim.Time, reclaimed
 		e.rec.RecordSpan(obs.SpanGC, int32(victim.Plane), ready, t)
 	}
 	return t, true, nil
-}
-
-// MoveExternal relocates one valid page through the buses with a read +
-// write pair (flash.Device.MoveExternal; the device carries the OOB tag) and
-// invalidates the source. Hybrid FTLs drive their merge copies through it so
-// the engine's EvGCExternalMove count covers every relocation through the
-// buses.
-func (e *Engine) MoveExternal(src, dst flash.PPN, ready sim.Time) (sim.Time, error) {
-	t, err := e.dev.MoveExternal(src, dst, ready, flash.CauseGC)
-	if err != nil {
-		return 0, err
-	}
-	e.counts[obs.EvGCExternalMove]++
-	return t, nil
 }
 
 // RecordVictim feeds the per-victim valid-count histogram; hybrid FTLs call

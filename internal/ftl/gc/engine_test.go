@@ -118,12 +118,15 @@ func (f *pageFTL) write(tb testing.TB, lpn int, ready sim.Time) sim.Time {
 // newCollectingFTL returns a pageFTL on a two-plane device filled to fill
 // (of its physical pages) and churned with uniform updates until every plane
 // collects steadily.
-func newCollectingFTL(tb testing.TB, fill float64, rng *rand.Rand) (*pageFTL, sim.Time) {
+func newCollectingFTL(tb testing.TB, fill float64, rng *rand.Rand, rec obs.Recorder) (*pageFTL, sim.Time) {
 	geo := flash.Geometry{
 		Channels: 1, PackagesPerChannel: 1, ChipsPerPackage: 1, DiesPerChip: 1,
 		PlanesPerDie: 2, BlocksPerPlane: 48, PagesPerBlock: 64, PageSize: 2048,
 	}
 	f := newPageFTL(tb, geo, int(fill*float64(geo.TotalPages())))
+	if rec != nil {
+		f.engine.SetRecorder(rec)
+	}
 	var at sim.Time
 	for lpn := range f.table {
 		at = f.write(tb, lpn, at)
@@ -137,29 +140,41 @@ func newCollectingFTL(tb testing.TB, fill float64, rng *rand.Rand) (*pageFTL, si
 	return f, at
 }
 
+// spanTotals sums the relocation counts the engine reports with its GC spans.
+type spanTotals struct {
+	obs.Recorder
+	moved, wasted int64
+}
+
+func (s *spanTotals) RecordGCSpan(_ int32, _, _ sim.Time, _ string, moved, wasted int) {
+	s.moved += int64(moved)
+	s.wasted += int64(wasted)
+}
+
 // TestEngineCopyBackCollection drives the engine through sustained
 // collection and checks what it leaves behind against the device: every
 // logical page is where the table says, valid, and tagged; the engine ran
-// one collection per erase and counted every copy-back and waste the device
-// did; the parity rule held (the device would have refused) and wastes
-// happened.
+// one collection per erase and its spans report every move and waste the
+// device did; the parity rule held (the device would have refused) and
+// wastes happened.
 func TestEngineCopyBackCollection(t *testing.T) {
-	f, _ := newCollectingFTL(t, 0.80, rand.New(rand.NewSource(5)))
+	spans := &spanTotals{}
+	f, _ := newCollectingFTL(t, 0.80, rand.New(rand.NewSource(5)), spans)
 	for lpn, ppn := range f.table {
 		if f.dev.PageState(ppn) != flash.PageValid || f.dev.PageLPN(ppn) != int64(lpn) {
 			t.Fatalf("lpn %d maps to ppn %d: state %v, tag %d", lpn, ppn, f.dev.PageState(ppn), f.dev.PageLPN(ppn))
 		}
 	}
 	runs, dst := f.counts[obs.EvGCRun], f.dev.Stats()
-	cb, _ := dst.GCMoves()
+	cb, ext := dst.GCMoves()
 	if runs != dst.Erases() {
 		t.Fatalf("engine counts %d runs; device erases %d", runs, dst.Erases())
 	}
-	if got := f.counts[obs.EvGCCopyBack]; got != cb {
-		t.Fatalf("engine counts %d copy-backs; device did %d", got, cb)
+	if spans.moved != cb+ext {
+		t.Fatalf("engine spans report %d moves; device did %d copy-backs and %d external moves", spans.moved, cb, ext)
 	}
-	if got := f.counts[obs.EvParityWaste]; got != dst.WastedPages {
-		t.Fatalf("engine counts %d wasted pages; device wasted %d", got, dst.WastedPages)
+	if spans.wasted != dst.WastedPages {
+		t.Fatalf("engine spans report %d wasted pages; device wasted %d", spans.wasted, dst.WastedPages)
 	}
 	if dst.WastedPages == 0 || cb < 10*runs {
 		t.Fatalf("regime too light to mean anything: %d runs, %d copy-backs, %d wasted", runs, cb, dst.WastedPages)
@@ -172,7 +187,7 @@ func TestEngineCopyBackCollection(t *testing.T) {
 // to that regime the run was.
 func BenchmarkCollectOnce(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
-	f, at := newCollectingFTL(b, 0.84, rng)
+	f, at := newCollectingFTL(b, 0.84, rng, nil)
 	before := f.counts[obs.EvGCRun]
 	cbBefore, _ := f.dev.Stats().GCMoves()
 	b.ReportAllocs()

@@ -85,16 +85,15 @@ type Collector struct {
 	winOps    int64
 	winBusy   sim.Duration
 
-	utilSrc UtilizationSource
+	devSrc DeviceSource
 	// counts is the observed FTLs' occurrence counters, published as one
 	// family per EventKind less base, their value when it was wired.
 	counts CountSource
 	base   Counts
 
-	// GC span enrichment (policy, relocated pages) pre-resolved like the
-	// other hot-path handles.
+	// GC span enrichment (the policy's trace name) and the pause
+	// distribution, pre-resolved like the other hot-path handles.
 	gcPause *Hist
-	gcMoved *Counter
 	gcNames map[string]string
 
 	// Multi-queue children (see shard.go), folded into every merged view.
@@ -132,10 +131,12 @@ func NewCollector(opts Options) *Collector {
 	}
 	c.queueLat = c.reg.Hist("lat.queue")
 	// The count families exist from the start, so a snapshot taken before
-	// SetCountSource lists them at zero; foldGauges fills them.
+	// SetCountSource or SetDeviceSource lists them at zero; foldGauges
+	// fills them.
 	for e := EventKind(0); e < NumEventKinds; e++ {
 		c.reg.Counter(e.String())
 	}
+	c.reg.Counter("gc.parity_waste")
 	c.mergeRuns = c.reg.Counter(SpanMerge.String() + ".runs")
 	c.reqRead = c.reg.Hist("host.read")
 	c.reqWrite = c.reg.Hist("host.write")
@@ -146,7 +147,6 @@ func NewCollector(opts Options) *Collector {
 		c.victimValid = c.reg.CounterVec("gc.victim_valid", "valid", opts.PagesPerBlock+1)
 	}
 	c.gcPause = c.reg.Hist("gc.pause")
-	c.gcMoved = c.reg.Counter("gc.relocated_pages")
 	c.planeCum = make([]int64, opts.Planes)
 	c.snapIv = opts.SnapshotInterval
 	if opts.TraceEvents != nil {
@@ -165,9 +165,11 @@ func NewCollector(opts Options) *Collector {
 // Registry exposes the collector's metrics registry.
 func (c *Collector) Registry() *Registry { return c.reg }
 
-// SetUtilizationSource wires the device's cumulative busy-time accessor; the
-// collector samples it once at Close into the *.busy_us vectors.
-func (c *Collector) SetUtilizationSource(src UtilizationSource) { c.utilSrc = src }
+// SetDeviceSource wires the devices' cumulative totals. The collector
+// reads src whenever it folds (Close, SnapshotRegistry) into the *.busy_us
+// vectors and the gc.parity_waste family, which count from the devices'
+// last statistics reset, as Result does.
+func (c *Collector) SetDeviceSource(src DeviceSource) { c.devSrc = src }
 
 // SetCountSource wires the observed FTLs' occurrence counters. The
 // collector reads src now, as its baseline, and again whenever it folds
@@ -239,13 +241,11 @@ func (c *Collector) RecordSpan(kind SpanKind, plane int32, start, end sim.Time) 
 }
 
 // RecordGCSpan implements GCSpanRecorder: beyond the plain SpanGC
-// accounting, it feeds the gc.pause distribution and relocated-page counter
-// and enriches the trace span with the victim policy and per-collection
-// relocation counts.
+// accounting, it feeds the gc.pause distribution and enriches the trace
+// span with the victim policy and per-collection relocation counts.
 func (c *Collector) RecordGCSpan(plane int32, start, end sim.Time, policy string, moved, wasted int) {
 	c.spanBusy[SpanGC] += end.Sub(start)
 	c.gcPause.Observe(end.Sub(start))
-	c.gcMoved.Add(int64(moved))
 	if c.tr != nil {
 		var ch int32
 		if int(plane) < len(c.opts.ChannelOfPlane) {
@@ -331,9 +331,9 @@ func (c *Collector) flushTrailing() {
 }
 
 // foldGauges writes the collector's live typed state — span busy times,
-// the occurrence counters and CMT hit rate, device utilization, trace
-// drops — into dst, summing across shard children. Both Close (dst = the
-// live registry) and SnapshotRegistry (dst = a clone) use it.
+// the occurrence counters and CMT hit rate, device utilization and parity
+// waste, trace drops — into dst, summing across shard children. Both Close
+// (dst = the live registry) and SnapshotRegistry (dst = a clone) use it.
 func (c *Collector) foldGauges(dst *Registry) {
 	for s := SpanKind(0); s < NumSpanKinds; s++ {
 		busy := c.spanBusy[s]
@@ -352,17 +352,18 @@ func (c *Collector) foldGauges(dst *Registry) {
 			dst.Gauge("cmt.hitrate").Set(float64(hits) / float64(hits+misses))
 		}
 	}
-	if c.utilSrc != nil {
-		planes, chips, channels := c.utilSrc()
+	if c.devSrc != nil {
+		dev := c.devSrc()
 		fill := func(name, label string, ds []sim.Duration) {
 			v := dst.CounterVec(name, label, len(ds))
 			for i, d := range ds {
 				v.vals[i] = int64(d) / int64(sim.Microsecond)
 			}
 		}
-		fill("plane.busy_us", "plane", planes)
-		fill("chip.busy_us", "chip", chips)
-		fill("channel.busy_us", "channel", channels)
+		fill("plane.busy_us", "plane", dev.Planes)
+		fill("chip.busy_us", "chip", dev.ChipBus)
+		fill("channel.busy_us", "channel", dev.Channels)
+		dst.Counter("gc.parity_waste").v = dev.WastedPages
 	}
 	if c.tr != nil {
 		d := c.tr.Dropped()
@@ -377,7 +378,7 @@ func (c *Collector) foldGauges(dst *Registry) {
 
 // Close finalizes the run: it flushes trailing partial snapshot windows,
 // merges every shard child into the registry and trace buffer (in shard
-// order, so the merge is deterministic), samples the utilization source,
+// order, so the merge is deterministic), samples the device source,
 // folds span gauges into the registry, and flushes the trace sink. It
 // returns the sink's error.
 func (c *Collector) Close() error {

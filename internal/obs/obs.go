@@ -16,7 +16,8 @@
 //
 // Counted occurrences (CMT hits, translation traffic, GC runs, merges) are
 // not part of the stream: each FTL counts them once, in its Counts, and a
-// Collector publishes them from a CountSource.
+// Collector publishes them from a CountSource. Parity waste is the device's
+// count, published from a DeviceSource.
 package obs
 
 import (
@@ -105,21 +106,18 @@ func (o Op) Latency() sim.Duration { return o.End.Sub(o.Ready) }
 type EventKind uint8
 
 const (
-	EvCMTHit         EventKind = iota // mapping lookups the CMT answered
-	EvCMTMiss                         // and those it did not
-	EvCMTEvict                        // CMT entries evicted by a miss
-	EvCMTWriteback                    // dirty evictions written back
-	EvParityWaste                     // destination pages wasted to the copy-back parity rule
-	EvSwitchMerge                     // FAST switch merges
-	EvPartialMerge                    // FAST partial merges
-	EvFullMerge                       // FAST full merges, one per logical block consolidated
-	EvGCCopyBack                      // pages a collection moved by copy-back
-	EvGCExternalMove                  // pages moved through the buses (FAST's merge copies too)
-	EvTransRead                       // translation-page reads: miss fetches and write-back read-modify-writes
-	EvTransWrite                      // translation-page programs
-	EvLearnedHit                      // verified learned predictions: translation reads skipped
-	EvGCRun                           // collections completed
-	EvMergeCopy                       // pages FAST's merges copied
+	EvCMTHit       EventKind = iota // mapping lookups the CMT answered
+	EvCMTMiss                       // and those it did not
+	EvCMTEvict                      // CMT entries evicted by a miss
+	EvCMTWriteback                  // dirty evictions written back
+	EvSwitchMerge                   // FAST switch merges
+	EvPartialMerge                  // FAST partial merges
+	EvFullMerge                     // FAST full merges, one per logical block consolidated
+	EvTransRead                     // translation-page reads: miss fetches and write-back read-modify-writes
+	EvTransWrite                    // translation-page programs
+	EvLearnedHit                    // verified learned predictions: translation reads skipped
+	EvGCRun                         // collections completed
+	EvMergeCopy                     // pages FAST's merges copied
 	NumEventKinds
 )
 
@@ -133,18 +131,12 @@ func (e EventKind) String() string {
 		return "cmt.evict"
 	case EvCMTWriteback:
 		return "cmt.writeback"
-	case EvParityWaste:
-		return "gc.parity_waste"
 	case EvSwitchMerge:
 		return "merge.switch"
 	case EvPartialMerge:
 		return "merge.partial"
 	case EvFullMerge:
 		return "merge.full"
-	case EvGCCopyBack:
-		return "gc.copyback"
-	case EvGCExternalMove:
-		return "gc.external_move"
 	case EvTransRead:
 		return "map.trans_reads"
 	case EvTransWrite:
@@ -163,7 +155,10 @@ func (e EventKind) String() string {
 // Counts is one FTL's occurrence counters, indexed by EventKind. Each is
 // incremented at the one place its occurrence happens, whether or not a
 // recorder is attached, and counts from the FTL's construction (or from
-// the checkpoint its state was decoded from).
+// the checkpoint its state was decoded from). What the flash device does
+// it counts itself — GC moves by copy-back and through the buses, pages
+// wasted to the parity rule — so Counts holds none of it (see
+// DeviceTotals).
 type Counts [NumEventKinds]int64
 
 // CountSource reports the current Counts of everything a Collector
@@ -214,7 +209,14 @@ type GCSpanRecorder interface {
 	RecordGCSpan(plane int32, start, end sim.Time, policy string, moved, wasted int)
 }
 
-// UtilizationSource reports cumulative busy time per plane, chip serial bus,
-// and channel; the device provides it and the Collector samples it when the
-// run closes.
-type UtilizationSource func() (planes, chipBus, channels []sim.Duration)
+// DeviceTotals is the device's cumulative state since its statistics were
+// last reset: busy time per plane, chip serial bus and channel, and the
+// pages wasted to the copy-back parity rule.
+type DeviceTotals struct {
+	Planes, ChipBus, Channels []sim.Duration
+	WastedPages               int64
+}
+
+// DeviceSource reports the DeviceTotals of everything a Collector observes;
+// the controller sums its shard devices' (see Collector.SetDeviceSource).
+type DeviceSource func() DeviceTotals

@@ -43,13 +43,17 @@ func TestCollectorCountsAndVectors(t *testing.T) {
 	// the collector's.
 	counts := Counts{EvCMTHit: 5, EvCMTMiss: 5, EvGCRun: 2}
 	c.SetCountSource(func() Counts { return counts })
+	// The device's totals count from its last statistics reset, not from
+	// wiring, so its parity waste is published as it stands.
+	var waste int64
+	c.SetDeviceSource(func() DeviceTotals { return DeviceTotals{WastedPages: waste} })
 	c.RecordOp(opAt(OpWrite, CauseHost, 0, 0, ms(0), ms(1)))
 	c.RecordOp(opAt(OpWrite, CauseGC, 1, ms(1), ms(1), ms(2)))
 	c.RecordOp(opAt(OpRead, CauseMap, 2, ms(2), ms(2), ms(3)))
 	c.RecordOp(opAt(OpCopyBack, CauseGC, 3, ms(3), ms(3), ms(4)))
 	c.RecordOp(opAt(OpErase, CauseGC, 3, ms(4), ms(4), ms(6)))
 	counts[EvCMTHit]++
-	counts[EvParityWaste]++
+	waste++
 	counts[EvGCRun]++
 	c.RecordSpan(SpanGC, 3, ms(3), ms(6))
 	c.RecordRequest(false, ms(0), ms(2))

@@ -100,9 +100,6 @@ func TestRecordGCSpan(t *testing.T) {
 	if got := reg.Counter("gc.runs").v; got != 0 {
 		t.Errorf("gc.runs = %d, want 0", got)
 	}
-	if got := reg.Counter("gc.relocated_pages").v; got != 10 {
-		t.Errorf("gc.relocated_pages = %d, want 10", got)
-	}
 	if got := reg.Hist("gc.pause").N(); got != 2 {
 		t.Errorf("gc.pause N = %d, want 2", got)
 	}
@@ -163,12 +160,11 @@ func TestShardMergeFoldsChildren(t *testing.T) {
 	}
 	reg := parent.Registry()
 	for name, want := range map[string]int64{
-		"flash.write.host":   1,
-		"flash.write.gc":     1,
-		"flash.read.host":    1,
-		"flash.erase.gc":     1,
-		"gc.runs":            1,
-		"gc.relocated_pages": 5,
+		"flash.write.host": 1,
+		"flash.write.gc":   1,
+		"flash.read.host":  1,
+		"flash.erase.gc":   1,
+		"gc.runs":          1,
 	} {
 		if got := reg.Counter(name).v; got != want {
 			t.Errorf("counter %q = %d, want %d", name, got, want)

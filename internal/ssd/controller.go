@@ -201,10 +201,11 @@ var ErrForeignRecorder = errors.New("ssd: a multi-shard controller records only 
 // the whole stack: host-request completions here, flash operations at the
 // devices, and GC and merge spans at the FTLs (via ftl.Observable). When
 // the recorder is an *obs.Collector it is also wired to the FTLs' Counts,
-// which it publishes as counted from now on, and to sample the device's
-// busy-time utilization at Close. On a multi-shard controller a collector
-// observes the shards while they run concurrently: each shard records into
-// a private child merged back at barriers. Any other recorder has no merge
+// which it publishes as counted from now on, and to the devices' busy times
+// and parity waste, which it publishes as Result reads them. On a
+// multi-shard controller a collector observes the shards while they run
+// concurrently: each shard records into a private child merged back at
+// barriers. Any other recorder has no merge
 // semantics, so there SetRecorder returns ErrForeignRecorder and changes
 // nothing. Attach after preconditioning so the stream covers exactly the
 // measured window.
@@ -219,7 +220,7 @@ func (c *Controller) SetRecorder(r obs.Recorder) error {
 	_ = c.quiesce(false)
 	c.rec = r
 	if col != nil {
-		col.SetUtilizationSource(c.busyTimes)
+		col.SetDeviceSource(c.deviceTotals)
 		col.SetCountSource(c.counts)
 	}
 	subC := c.geo.Channels / len(c.shards)
@@ -245,25 +246,29 @@ func (c *Controller) SetRecorder(r obs.Recorder) error {
 	return nil
 }
 
-// busyTimes aggregates the shards' cumulative busy times into whole-device
-// vectors; the observability collector samples it at Close.
-func (c *Controller) busyTimes() (planes, chipBus, channels []sim.Duration) {
-	planes = make([]sim.Duration, c.geo.Planes())
-	chipBus = make([]sim.Duration, c.geo.Chips())
-	channels = make([]sim.Duration, c.geo.Channels)
+// deviceTotals aggregates the shards' cumulative busy times into
+// whole-device vectors and sums their parity waste; the observability
+// collector samples it when it folds.
+func (c *Controller) deviceTotals() obs.DeviceTotals {
+	t := obs.DeviceTotals{
+		Planes:   make([]sim.Duration, c.geo.Planes()),
+		ChipBus:  make([]sim.Duration, c.geo.Chips()),
+		Channels: make([]sim.Duration, c.geo.Channels),
+	}
 	for _, sh := range c.shards {
 		p, cb, ch := sh.dev.BusyTimes()
 		for i, v := range p {
-			planes[sh.planeMap[i]] = v
+			t.Planes[sh.planeMap[i]] = v
 		}
 		for i, v := range cb {
-			chipBus[sh.chipMap[i]] = v
+			t.ChipBus[sh.chipMap[i]] = v
 		}
 		for i, v := range ch {
-			channels[sh.chanMap[i]] = v
+			t.Channels[sh.chanMap[i]] = v
 		}
+		t.WastedPages += sh.dev.Stats().WastedPages
 	}
-	return planes, chipBus, channels
+	return t
 }
 
 // counts sums the shard FTLs' occurrence counters.
@@ -387,8 +392,9 @@ func (c *Controller) quiesce(drop bool) error {
 }
 
 // ResetMeasurement zeroes the controller's response-time statistics, the
-// devices' operation statistics and every resource timeline while keeping
-// device and FTL state, so host-side measurement starts from now. Block wear
+// devices' operation statistics (their GC moves and parity waste among
+// them) and every resource timeline while keeping device and FTL state, so
+// host-side measurement starts from now. Block wear
 // survives, as physical state. The FTLs' Counts — CMT hits and misses,
 // translation reads and writes, GC runs, FAST merges — are not reset, so a
 // Result read after Precondition includes the warm-up's share of them

@@ -60,29 +60,44 @@ func observedRun(t *testing.T, cfg Config, early bool, n int, seed int64) (Resul
 // TestResultCountsMatchFamilies: with the collector attached from build,
 // its window and Result's are the same, so every counter Result reports
 // equals its family, the hit rate included: both read the FTLs' one Counts.
+// The device counts the GC moves and the parity waste, from its last
+// statistics reset, so those families equal Result's whether the collector
+// attaches before or after the warm-up.
 func TestResultCountsMatchFamilies(t *testing.T) {
 	for name, cfg := range countConfigs() {
 		t.Run(name, func(t *testing.T) {
-			res, snap := observedRun(t, cfg, true, 3000, 7)
-			if res.GCRuns == 0 && res.FullMerges == 0 {
-				t.Fatal("the run neither collected nor merged; the comparison is vacuous")
-			}
-			for family, got := range map[string]int64{
-				"map.trans_reads":  res.TransReads,
-				"map.trans_writes": res.TransWrites,
-				"map.learned_hits": res.LearnedHits,
-				"gc.runs":          res.GCRuns,
-				"merge.switch":     res.SwitchMerges,
-				"merge.partial":    res.PartialMerges,
-				"merge.full":       res.FullMerges,
-				"merge.copies":     res.MergeCopies,
-			} {
-				if got != snap.Counters[family] {
-					t.Errorf("Result reports %d, family %s reads %d", got, family, snap.Counters[family])
+			for _, early := range []bool{true, false} {
+				res, snap := observedRun(t, cfg, early, 3000, 7)
+				if res.GCRuns == 0 && res.FullMerges == 0 {
+					t.Fatal("the run neither collected nor merged; the comparison is vacuous")
 				}
-			}
-			if got := snap.Gauges["cmt.hitrate"]; res.CMTHitRate != got {
-				t.Errorf("Result.CMTHitRate %v, cmt.hitrate %v", res.CMTHitRate, got)
+				families := map[string]int64{
+					"flash.copyback.gc": res.GCCopyBacks,
+					"flash.write.gc":    res.GCExternalMoves,
+					"gc.parity_waste":   res.WastedPages,
+				}
+				if early {
+					for family, got := range map[string]int64{
+						"map.trans_reads":  res.TransReads,
+						"map.trans_writes": res.TransWrites,
+						"map.learned_hits": res.LearnedHits,
+						"gc.runs":          res.GCRuns,
+						"merge.switch":     res.SwitchMerges,
+						"merge.partial":    res.PartialMerges,
+						"merge.full":       res.FullMerges,
+						"merge.copies":     res.MergeCopies,
+					} {
+						families[family] = got
+					}
+					if got := snap.Gauges["cmt.hitrate"]; res.CMTHitRate != got {
+						t.Errorf("Result.CMTHitRate %v, cmt.hitrate %v", res.CMTHitRate, got)
+					}
+				}
+				for family, got := range families {
+					if got != snap.Counters[family] {
+						t.Errorf("attached early %v: Result reports %d, family %s reads %d", early, got, family, snap.Counters[family])
+					}
+				}
 			}
 		})
 	}

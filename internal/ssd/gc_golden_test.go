@@ -170,7 +170,7 @@ func (r *gcStreamRecorder) RecordOp(op obs.Op) {
 }
 
 // TestGoldenObservedGCStream pins the observed path of the two copy-back
-// schemes: the chain check above, the FTL's copy-back and waste counts
+// schemes: the chain check above, the device's GC copy-back and waste counts
 // against the op stream and the run's Result, and a digest of the full op
 // stream, the one the simulator produced when collections under a recorder
 // still issued single-page runs — the observed stream is per operation by
@@ -189,14 +189,12 @@ func TestGoldenObservedGCStream(t *testing.T) {
 			digest := fnv.New64a()
 			rec := &gcStreamRecorder{Collector: obs.NewCollector(c.ObsOptions()), t: t, digest: digest}
 			c.SetRecorder(rec)
-			before := c.FTL().Counts()
 			res, err := c.Run(trace.NewSliceReader(tinyWorkload(t, c, 6000, 7)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			after := c.FTL().Counts()
-			copyBacks := after[obs.EvGCCopyBack] - before[obs.EvGCCopyBack]
-			wastes := after[obs.EvParityWaste] - before[obs.EvParityWaste]
+			copyBacks, _ := c.Device().Stats().GCMoves()
+			wastes := res.WastedPages
 			golden := goldenDefaults[scheme]
 			if rec.copyBacks != golden.copyBacks || copyBacks != golden.copyBacks || wastes != golden.wastedPages ||
 				res.CopyBacks != golden.copyBacks {

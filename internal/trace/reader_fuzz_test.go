@@ -34,8 +34,10 @@ var readerSeeds = []string{
 	"0,8,4096,r,123456.789012345\n0,8,4096,r,1234567.890123456\n0,8,4096,r,999999999999999\n",
 	"0,8,512,w,0.000000001\n0,8,512,w,0.0000000005\n0,8,512,w,0.0000000009\n0,8,512,w,1.2345678905\n",
 	"0,8,512,w,2251799.813685247\n0,8,512,w,2251799.813685249\n0,8,512,w,2251799.81368524\n0,8,512,w,2251799.81368525\n",
-	// SPC fields: spaces, empty ASU, sizes that round to one sector.
+	// SPC fields: spaces, empty ASU, a size of 0 (one sector) and negative
+	// sizes (refused).
 	"0, 8,512,w,1\n,8,512,w,1\n0,8,0,w,1\n0,8,-1022,w,1\n0,8,-1023,w,1\n0,8,512,rw,1\n0,8,512,w,1,\n0,8,512,w,1 ,x\n",
+	"0,8,-1,w,1\n0,8,-1000,w,1\n0,8,-512,r,1\n0,8,- 1,w,1\n",
 }
 
 // FuzzTraceReaders feeds arbitrary bytes to both line readers. Neither may

@@ -96,10 +96,11 @@ func parseSPCLine(line string) (Request, error) {
 	if err != nil {
 		return Request{}, fmt.Errorf("timestamp %q: %v", f[4], err)
 	}
-	// A size rounds up to whole sectors; Go's division truncates towards
-	// zero, so a size from -1022 to 0 bytes reads as one sector.
+	// A size rounds up to whole sectors and a size of 0 reads as one; a
+	// negative size rounds up to at most 0 sectors, which sectorCount
+	// refuses.
 	n := (size + SectorSize - 1) / SectorSize
-	if n == 0 {
+	if size == 0 {
 		n = 1
 	}
 	sectors, err := sectorCount(int64(n))

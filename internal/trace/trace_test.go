@@ -230,7 +230,9 @@ func TestSPCRejectsMalformed(t *testing.T) {
 		{"0,18014398509481980,4096,r,0.5", "ends past"}, // byte address overflows
 		{"0,100,512,r,NaN", "out of range"},             // float→int64 is implementation-defined
 		{"0,100,512,r,+Inf", "out of range"},
-		{"0,100,512,r,1e10", "out of range"}, // beyond int64 nanoseconds
+		{"0,100,512,r,1e10", "out of range"},  // beyond int64 nanoseconds
+		{"0,100,-1,w,1", "non-positive size"}, // once rounded up to one sector
+		{"0,100,-1000,w,1", "non-positive size"},
 	} {
 		_, err := ReadAll(NewSPCReader(strings.NewReader(tc.in)))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
